@@ -471,7 +471,26 @@ def _classify(
             )
         )
 
-    # -- 5. resolution drift: XM606 (informational) ------------------------
+    # -- 5. resolution drift: XM606 ----------------------------------------
+    # Informational while every label still lands on the type the
+    # evolution carried its old type to.  A label that settles on a
+    # *different* type (an ambiguous label whose other candidate became
+    # the closest) reads other data into an equally-shaped output.
+    pairing = _type_pairing(old_index.shape, new_index.shape, diff)
+    carried = {pairing.get(path) for path in _backing_paths(old_shape)}
+    for path in sorted(_backing_paths(new_shape) - carried):
+        degraded = True
+        verdict.diagnostics.append(
+            Diagnostic(
+                "XM606",
+                Severity.WARNING,
+                f"the guard's output reads {path} after the evolution, which "
+                "is not a type it read before (the label resolves to a "
+                "different one of its candidate types)",
+                span=_anchor_span(new, _tail(path)),
+                related=_change_note("XM606", path, diff, evolution_text),
+            )
+        )
     for old_site, new_site in zip(old.sites, new.sites):
         if not old_site.resolved or not new_site.resolved:
             continue
@@ -524,6 +543,36 @@ def _output_tree(shape: Shape, with_cards: bool = False) -> tuple:
         return (vertex.out_name.lower(), children)
 
     return tuple(sorted(describe(root) for root in shape.roots()))
+
+
+def _backing_paths(shape: Shape) -> set[str]:
+    """Dotted root paths of the source types behind a target shape."""
+    return {
+        vertex.source.dotted for vertex in shape.types() if vertex.source is not None
+    }
+
+
+def _type_pairing(old_source: Shape, new_source: Shape, diff: ShapeDiff) -> dict[str, str]:
+    """The diff's old -> new pairing of source types, by dotted root path.
+
+    ``diff_shapes`` records only the pairs it classified as moved; types
+    that keep their (element name, parent name) it pairs in root-path
+    order without a record, so that half is redone here.
+    """
+
+    def placements(shape: Shape) -> dict[tuple, list[str]]:
+        placed: dict[tuple, list[str]] = {}
+        for path in sorted(_backing_paths(shape)):
+            placed.setdefault(tuple(path.split(".")[-2:]), []).append(path)
+        return placed
+
+    new_placements = placements(new_source)
+    pairing: dict[str, str] = {}
+    for key, old_paths in placements(old_source).items():
+        pairing.update(zip(old_paths, new_placements.get(key, ())))
+    for change in diff.moved:
+        pairing.update(zip(change.before_paths, change.after_paths))
+    return pairing
 
 
 def _shape_sketch(shape: Shape) -> str:

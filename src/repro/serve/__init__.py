@@ -5,15 +5,15 @@ shredded store — exactly the workload that parallelizes once snapshot
 reads exist.  This package is the serving layer on top of the
 thread-safe storage/cache substrate:
 
-* :class:`TransformPool` — a bounded thread-pool executor for guard
-  transforms with per-request deadlines (``XM540`` on miss), graceful
-  degradation to serial execution on queue exhaustion, and ``serve.*``
-  counters wired into :mod:`repro.obs` and ``EXPLAIN ANALYZE``; the
-  right executor on free-threaded builds;
-* :class:`ProcessTransformPool` — forked workers over shared-reader
-  snapshots (``Database(mode="r")``) with zero-copy mmap'd page frames,
-  plan-cost inline routing, worker respawn and per-process plan-cache
-  warmup; the executor that beats the GIL for pure-Python rendering;
+* :class:`TransformPool` — the one request lifecycle (admit, route,
+  execute, wait) over a bounded thread pool: per-request deadlines
+  (``XM540`` on miss), graceful degradation to serial execution on
+  queue exhaustion, ``serve.*`` counters wired into :mod:`repro.obs`;
+  the right transport on free-threaded builds;
+* :class:`ProcessTransformPool` — the same lifecycle (a subclass) over
+  forked shared-reader workers (``Database(mode="r")``, zero-copy
+  mmap'd page frames): plan-cost inline routing, worker respawn, plan-
+  cache warmup; the transport that beats the GIL for pure-Python renders;
 * :func:`serve_loop` / :func:`serve_forever` — a line-oriented JSON
   request loop (stdin/stdout or TCP) behind ``xmorph serve``, taking
   either pool flavor (``--mode thread|process``);

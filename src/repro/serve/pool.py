@@ -1,27 +1,31 @@
-"""The parallel transform executor.
+"""The request lifecycle of serving, and its thread transport.
 
-A :class:`TransformPool` runs guard transforms for one shared
-:class:`~repro.storage.Database` on a ``ThreadPoolExecutor``.  Threads
-(not processes) are the right shape here: the hot loops are C-level
-work — B+tree page decoding over ``struct``, dict lookups, string
-joins — interleaved under the GIL, and every worker must share one
-buffer pool, plan cache and join-memo set, which is exactly what the
-lock-guarded substrate provides.  Whether the GIL *caps* the speedup is
-an empirical question answered honestly by ``xmorph bench --parallel``
-(see ``BENCH_parallel.json`` and ``docs/CONCURRENCY.md``).
+Every served transform goes through one lifecycle, written once here:
 
-Semantics:
+1. **admit** — :meth:`TransformPool.submit` counts the request, resolves
+   its deadline and starts its telemetry trace;
+2. **route** — a request the transport may not take (a serial pool, a
+   transform too small for IPC) or cannot take (``max_queue`` requests
+   already in flight) runs inline on the submitting thread, the latter
+   counted as ``serve.degraded_serial``; everything else is dispatched;
+3. **execute** — :func:`execute` is the only call into
+   ``Database.transform`` / ``Database.stream_transform``, whether it
+   runs on a pool thread, inline, or in a forked worker;
+4. **wait** — :meth:`TransformPool.result` is the only deadline wait;
+   a miss raises :class:`~repro.errors.TransformTimeoutError`
+   (``XM540``).  Python cannot preempt a running transform: a late
+   worker finishes in the background and its result is dropped, and an
+   inline transform that overran its budget raises ``XM540`` *instead
+   of* returning the late result.
 
-* results are byte-identical to serial evaluation (the property suite
-  in ``tests/serve`` pins this);
-* each request may carry a wall-clock ``deadline``; a miss raises
-  :class:`~repro.errors.TransformTimeoutError` (``XM540``) — the worker
-  thread cannot be killed and finishes in the background, its result
-  discarded;
-* the submission queue is bounded (``max_queue``); past the bound the
-  pool *degrades gracefully to serial*: the submitting thread runs the
-  transform inline instead of queueing unboundedly
-  (``serve.degraded_serial`` counts these).
+A :class:`TransformPool` dispatches to a ``ThreadPoolExecutor`` over the
+one shared :class:`~repro.storage.Database` handle (one buffer pool,
+plan cache and join-memo set for all workers);
+:class:`~repro.serve.procpool.ProcessTransformPool` overrides only the
+routing test and the transport.  Results are byte-identical to serial
+evaluation in both (``tests/serve`` pins this), and whether the GIL caps
+the thread pool's speedup is answered by ``xmorph bench --parallel``
+(``BENCH_parallel.json``, ``docs/CONCURRENCY.md``).
 
 Every lifecycle edge feeds ``serve.*`` counters through both
 :meth:`SystemStats.event` (lifetime, shows in ``EXPLAIN ANALYZE``'s
@@ -47,14 +51,38 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.database import Database
 
 
+def execute(database: "Database", name: str, guard: str, stream: bool, tracer=None):
+    """Run one transform on ``database``; a stream request returns its text.
+
+    With ``tracer`` (a sampled or slow-logged request) the transform runs
+    under it, inside a ``serve.request`` span, and the previous tracer is
+    restored afterwards.
+    """
+    if tracer is not None:
+        previous = obs.set_tracer(tracer)
+        try:
+            with tracer.span("serve.request", doc=name, stream=stream):
+                return execute(database, name, guard, stream)
+        finally:
+            obs.set_tracer(previous)
+    if stream:
+        sink = StringIO()
+        database.stream_transform(name, guard, sink)
+        return sink.getvalue()
+    return database.transform(name, guard)
+
+
 class TransformPool:
     """A thread pool evaluating guard transforms over one database.
 
     ``workers <= 1`` short-circuits to inline serial execution (no
     threads are created), so callers can scale down without branching.
-    A pool is a context manager; exiting shuts the executor down after
+    A pool is a context manager; exiting shuts the transport down after
     draining in-flight work.
     """
+
+    #: Transport flavor (``"process"`` in ProcessTransformPool).
+    mode = "thread"
 
     def __init__(
         self,
@@ -75,13 +103,9 @@ class TransformPool:
         #: Requests allowed in flight before submission degrades to
         #: inline serial execution.  Default: 4 deep per worker.
         self.max_queue = max_queue if max_queue is not None else self.workers * 4
-        self._executor: Optional[ThreadPoolExecutor] = None
-        if self.workers > 1:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="xmorph-serve"
-            )
         self._pending = 0
         self._pending_lock = threading.Lock()
+        self._start()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -91,23 +115,20 @@ class TransformPool:
     def __exit__(self, *exc) -> None:
         self.shutdown()
 
+    def _start(self) -> None:
+        """Bring the transport up (called once, at the end of ``__init__``)."""
+        self._executor: Optional[ThreadPoolExecutor] = None
+        if self.workers > 1:
+            self._executor = ThreadPoolExecutor(
+                max_workers=self.workers, thread_name_prefix="xmorph-serve"
+            )
+
     def shutdown(self, wait: bool = True) -> None:
         if self._executor is not None:
             self._executor.shutdown(wait=wait)
             self._executor = None
 
-    # -- submission ----------------------------------------------------------
-
-    def _event(self, name: str, count: int = 1) -> None:
-        self.database.stats.event(name, count)
-        obs.count(name, count)
-
-    def _run(self, name: str, guard: str, stream: bool):
-        if stream:
-            sink = StringIO()
-            self.database.stream_transform(name, guard, sink)
-            return sink.getvalue()
-        return self.database.transform(name, guard)
+    # -- admission -----------------------------------------------------------
 
     def submit(
         self,
@@ -116,131 +137,140 @@ class TransformPool:
         stream: bool = False,
         deadline: Optional[float] = None,
     ) -> "concurrent.futures.Future":
-        """Queue one transform; returns its future.
+        """Admit one transform; returns its future.
 
-        When the queue is saturated (or the pool is serial), the work
-        runs inline on the calling thread and comes back as an
-        already-completed future — bounded memory, no rejection.  The
-        inline path still honors ``deadline`` (defaulting to the pool's):
-        pure Python cannot be preempted, so an inline transform that
-        overran its budget raises ``XM540`` *instead of* returning the
-        late result — exactly what the threaded path's
-        ``future.result(timeout=...)`` would have done — and its phase
-        timings land in the same ``serve.*`` histograms, so degraded
-        requests never silently vanish from the p95s.
+        A request that is not dispatched runs inline on the calling
+        thread and comes back as an already-completed future — bounded
+        memory, no rejection.  The inline path still honors ``deadline``
+        (defaulting to the pool's) after the fact, and its phase timings
+        land in the same ``serve.*`` histograms, so degraded requests
+        never silently vanish from the p95s.
 
         With telemetry attached, the future carries its
         :class:`~repro.serve.telemetry.RequestTrace` as
-        ``future.xmorph_trace`` so the response writer can time the
-        serialize phase and finish the trace.
+        ``future.xmorph_trace`` (``None`` otherwise) so the response
+        writer can time the serialize phase and finish the trace.
         """
         self._event("serve.requests")
         deadline = deadline if deadline is not None else self.deadline
         trace = (
             self.telemetry.start(name, guard) if self.telemetry is not None else None
         )
-        executor = self._executor
-        if executor is not None:
+        if self._admit(name, guard, trace):
             with self._pending_lock:
                 saturated = self._pending >= self.max_queue
                 if not saturated:
                     self._pending += 1
             if not saturated:
-                # Run the worker in a copy of the submitter's context so
-                # an outer tracer (EXPLAIN ANALYZE over transform_many,
-                # a test's obs.tracing block) still sees worker spans,
-                # and a per-request tracer installed by the worker never
-                # leaks outside its task.
-                context = contextvars.copy_context()
-                future = executor.submit(
-                    context.run, self._guarded_run, name, guard, stream, trace
-                )
+                future = self._dispatch(name, guard, stream, deadline, trace)
                 future.xmorph_trace = trace
                 return future
-            # Saturated: run on the caller's thread (a workers=1 pool is
-            # serial by construction, not degradation, so no counter).
-            self._event("serve.degraded_serial")
-            if trace is not None:
-                trace.degraded = True
+            self._degrade(trace)
         future: "concurrent.futures.Future" = concurrent.futures.Future()
+        future.xmorph_trace = trace
+        self._run_inline(future, name, guard, stream, deadline, trace)
+        return future
+
+    def _admit(self, name: str, guard: str, trace) -> bool:
+        """Whether the transport may take this request (else it runs inline).
+
+        A ``workers=1`` pool is serial by construction, not degradation,
+        so turning a request away here counts nothing.
+        """
+        return self._executor is not None
+
+    def _dispatch(self, name, guard, stream, deadline, trace):
+        """Hand an admitted request to the transport; returns its future."""
+        # Run the worker in a copy of the submitter's context so an outer
+        # tracer (EXPLAIN ANALYZE over transform_many, a test's
+        # obs.tracing block) still sees worker spans, and a per-request
+        # tracer installed by the worker never leaks outside its task.
+        context = contextvars.copy_context()
+        return self._executor.submit(
+            context.run, self._execute, name, guard, stream, trace, True
+        )
+
+    def _degrade(self, trace) -> None:
+        """Count a request the transport should have taken but could not."""
+        self._event("serve.degraded_serial")
+        if trace is not None:
+            trace.degraded = True
+
+    # -- execution -----------------------------------------------------------
+
+    def _execute(self, name, guard, stream, trace, queued=False):
+        """Run one transform on this handle: timed, counted, re-raising.
+
+        ``queued`` marks a dispatched request, whose in-flight slot is
+        given back here.
+        """
+        tracer = None
+        if trace is not None:
+            trace.begin()
+            tracer = trace.tracer
+        try:
+            result = execute(self.database, name, guard, stream, tracer)
+        except BaseException as error:  # noqa: B036 - counted, then re-raised
+            self._record_error(error, trace)
+            raise
+        else:
+            self._event("serve.completed")
+            return result
+        finally:
+            if trace is not None:
+                trace.end_execute()
+            if queued:
+                with self._pending_lock:
+                    self._pending -= 1
+
+    def _run_inline(self, future, name, guard, stream, deadline, trace) -> None:
+        """Resolve ``future`` on the calling thread, then finish its trace."""
         started = time.perf_counter()
         try:
-            result = self._guarded_run_inline(name, guard, stream, trace)
+            result = self._execute(name, guard, stream, trace)
         except BaseException as error:  # noqa: B036 - the future carries it,
             # matching ThreadPoolExecutor's own capture semantics.
             future.set_exception(error)
         else:
-            elapsed = time.perf_counter() - started
-            if deadline is not None and elapsed > deadline:
+            if deadline is not None and time.perf_counter() - started > deadline:
                 # The budget was blown while we were un-preemptable: the
                 # result is as late (and as dropped) as a timed-out
                 # worker's would be.
-                self._event("serve.timeouts")
-                error = TransformTimeoutError(name, guard, deadline)
-                self._record_error(error, trace)
-                future.set_exception(error)
+                future.set_exception(self._timed_out(name, guard, deadline, trace))
             else:
                 future.set_result(result)
-        if self.telemetry is not None:
-            # Inline requests have no response writer guaranteed to call
-            # finish(); record their histogram samples now (idempotent —
-            # a later finish() from _collect/_respond is a no-op).
-            self.telemetry.finish(trace)
-        future.xmorph_trace = trace
-        return future
+        # No response writer is guaranteed to finish an inline request's
+        # trace, so record its histogram samples now (finish is idempotent).
+        self._finish(trace)
 
-    def _record_error(self, error: BaseException, trace) -> None:
-        self._event("serve.errors")
-        code = getattr(error, "code", None)
-        # Per-code breakdown: {"cmd": "stats"} distinguishes timeouts
-        # (XM540) from lock conflicts (XM520) from uncoded failures.
-        self._event(f"serve.errors.{code}" if code else "serve.errors.uncoded")
-        if trace is not None:
-            trace.fail(error)
+    # -- waiting -------------------------------------------------------------
 
-    def _traced_run(self, name: str, guard: str, stream: bool, trace):
-        """Run one transform, timing it (and tracing it) per ``trace``."""
-        if trace is None:
-            return self._run(name, guard, stream)
-        trace.begin()
+    def result(self, future, name: str, guard: str, deadline: Optional[float] = None):
+        """The outcome of a submitted request, waited for at most ``deadline``.
+
+        ``deadline`` defaults to the pool's.  On a miss the request is
+        abandoned — cancelled if still queued; a running worker cannot
+        be interrupted and its late result is dropped with the future.
+        """
+        deadline = deadline if deadline is not None else self.deadline
         try:
-            if trace.tracer is None:
-                return self._run(name, guard, stream)
-            previous = obs.set_tracer(trace.tracer)
+            return future.result(timeout=deadline)
+        except concurrent.futures.TimeoutError:
+            future.cancel()
+            raise self._timed_out(name, guard, deadline, future.xmorph_trace) from None
+
+    def _collect(self, requests, stream: bool, deadline: Optional[float]) -> list:
+        futures = [
+            (name, guard, self.submit(name, guard, stream=stream, deadline=deadline))
+            for name, guard in requests
+        ]
+        results = []
+        for name, guard, future in futures:
             try:
-                with trace.tracer.span(
-                    "serve.request", doc=name, stream=stream
-                ):
-                    return self._run(name, guard, stream)
+                results.append(self.result(future, name, guard, deadline))
             finally:
-                obs.set_tracer(previous)
-        finally:
-            trace.end_execute()
-
-    def _guarded_run(self, name: str, guard: str, stream: bool, trace=None):
-        try:
-            result = self._traced_run(name, guard, stream, trace)
-        except BaseException as error:  # noqa: B036 - counted, then re-raised
-            self._record_error(error, trace)
-            raise
-        else:
-            self._event("serve.completed")
-            return result
-        finally:
-            with self._pending_lock:
-                self._pending -= 1
-
-    def _guarded_run_inline(self, name: str, guard: str, stream: bool, trace=None):
-        try:
-            result = self._traced_run(name, guard, stream, trace)
-        except BaseException as error:  # noqa: B036 - counted, then re-raised
-            self._record_error(error, trace)
-            raise
-        else:
-            self._event("serve.completed")
-            return result
-
-    # -- batched APIs --------------------------------------------------------
+                self._finish(future.xmorph_trace)
+        return results
 
     def transform_many(
         self,
@@ -258,41 +288,42 @@ class TransformPool:
         """Stream-render each request; returns the XML texts in order."""
         return self._collect(requests, stream=True, deadline=deadline)
 
-    def _collect(self, requests, stream: bool, deadline: Optional[float]) -> list:
-        deadline = deadline if deadline is not None else self.deadline
-        futures = [
-            (name, guard, self.submit(name, guard, stream=stream, deadline=deadline))
-            for name, guard in requests
-        ]
-        results = []
-        for name, guard, future in futures:
-            trace = getattr(future, "xmorph_trace", None)
-            try:
-                results.append(future.result(timeout=deadline))
-            except concurrent.futures.TimeoutError:
-                # The worker cannot be interrupted; it finishes in the
-                # background and its result is dropped with the future.
-                future.cancel()
-                self._event("serve.timeouts")
-                self._event("serve.errors.XM540")
-                error = TransformTimeoutError(name, guard, deadline)
-                if trace is not None and self.telemetry is not None:
-                    trace.fail(error)
-                    self.telemetry.finish(trace)
-                raise error from None
-            finally:
-                if self.telemetry is not None:
-                    self.telemetry.finish(trace)
-        return results
+    # -- accounting ----------------------------------------------------------
+
+    def _event(self, name: str, count: int = 1) -> None:
+        self.database.stats.event(name, count)
+        obs.count(name, count)
+
+    def _record_error(self, error: BaseException, trace) -> None:
+        self._event("serve.errors")
+        code = getattr(error, "code", None)
+        # Per-code breakdown: {"cmd": "stats"} distinguishes timeouts
+        # (XM540) from lock conflicts (XM520) from uncoded failures.
+        self._event(f"serve.errors.{code}" if code else "serve.errors.uncoded")
+        if trace is not None:
+            trace.fail(error)
+
+    def _timed_out(self, name, guard, deadline, trace) -> TransformTimeoutError:
+        """Count one deadline miss and build its error.
+
+        Every miss — a waiter giving up, an inline overrun, a budget
+        that expired before or at a worker process — goes through here,
+        so ``serve.timeouts == serve.errors.XM540`` on every path.
+        """
+        self._event("serve.timeouts")
+        error = TransformTimeoutError(name, guard, deadline)
+        self._record_error(error, trace)
+        return error
+
+    def _finish(self, trace: Optional["RequestTrace"]) -> None:
+        if trace is not None:  # traces only exist with telemetry attached
+            self.telemetry.finish(trace)
 
     # -- introspection -------------------------------------------------------
 
-    #: Executor flavor, mirrored by ProcessTransformPool ("process").
-    mode = "thread"
-
     @property
     def pending(self) -> int:
-        """Requests currently queued or running on the executor."""
+        """Requests currently queued for or running on the transport."""
         with self._pending_lock:
             return self._pending
 

@@ -12,7 +12,10 @@ file-backed ``mmap`` (:class:`~repro.storage.pages.PagedFile`), the
 workers share hot pages through the OS page cache — zero-copy — instead
 of re-reading them per process.
 
-Dispatch and semantics:
+The request lifecycle (admission, inline execution, the deadline wait,
+error and timeout accounting) is :class:`~repro.serve.pool.TransformPool`'s,
+inherited unchanged; this module supplies the routing test and the
+transport under it:
 
 * **one pipe per worker, one dispatcher thread per pipe** — the parent
   threads spend their lives blocked in ``recv`` (no GIL contention; the
@@ -24,8 +27,9 @@ Dispatch and semantics:
   submitting thread (``serve.inline_small``) instead of paying a
   round-trip;
 * **deadlines** — the per-request budget crosses the process boundary:
-  the parent enforces it on the future (``XM540``), and a worker that
-  receives an already-expired request refuses it without rendering;
+  a request that expires in the queue is never sent, and a worker that
+  receives an already-expired request refuses it without rendering
+  (both ``XM540``, like a waiter's miss);
 * **worker death** — a killed or crashed worker is respawned
   (``serve.worker_restarts``), its in-flight request re-executed on the
   replacement, so no response is ever lost or duplicated; a worker that
@@ -55,11 +59,11 @@ import queue
 import re
 import threading
 import time
-from contextlib import nullcontext
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.errors import StorageError, TransformTimeoutError, XMorphError
 from repro.obs import tracer as obs
+from repro.serve.pool import TransformPool, execute
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.telemetry import ServeTelemetry
@@ -159,17 +163,6 @@ class RemoteTransformError(XMorphError):
         self.code = code
 
 
-def _rehydrate_error(kind: str, message: str, code: Optional[str]):
-    """Rebuild a worker-side failure for the submitting thread.
-
-    Deadline misses come back as the real
-    :class:`~repro.errors.TransformTimeoutError` is already formatted
-    into the message; everything else becomes a
-    :class:`RemoteTransformError` carrying the original code.
-    """
-    return RemoteTransformError(kind, message, code)
-
-
 # -- the worker process ------------------------------------------------------
 
 
@@ -183,12 +176,10 @@ def _worker_main(
     Messages out: ``("ok", req_id, xml, meta)``, ``("err", req_id,
     kind, message, code, meta)``, ``("warmed", n)``, ``("stats", dict)``.
     """
-    from io import StringIO
-
     from repro.obs import export as obs_export
     from repro.storage.database import Database
 
-    # ``compile_renders`` mirrors the parent handle: each worker compiles
+    # The open options mirror the parent handle: each worker compiles
     # (and ``warm``s) plans in its own process, so the specialized
     # renderers are generated post-fork against the worker's own
     # snapshot — nothing compiled crosses the pipe.
@@ -232,44 +223,14 @@ def _worker_main(
             # ("req", req_id, doc, guard, stream, budget, trace_id, sampled)
             _, req_id, doc, guard, stream, budget, trace_id, sampled = message
             started = time.perf_counter()
-            if budget is not None and budget <= 0:
-                error = TransformTimeoutError(doc, guard, max(budget, 0.0))
-                conn.send(
-                    (
-                        "err",
-                        req_id,
-                        type(error).__name__,
-                        str(error),
-                        error.code,
-                        {"execute_seconds": 0.0},
-                    )
-                )
-                continue
             hits_before = database.plan_cache.stats()["hits"]
             tracer = obs.Tracer(trace_id=trace_id) if sampled else None
-            trace_text = None
             try:
-                if tracer is not None:
-                    previous = obs.set_tracer(tracer)
-                try:
-                    with (
-                        tracer.span("serve.request", doc=doc, stream=stream)
-                        if tracer is not None
-                        else nullcontext()
-                    ):
-                        if stream:
-                            sink = StringIO()
-                            database.stream_transform(doc, guard, sink)
-                            xml = sink.getvalue()
-                        else:
-                            xml = database.transform(doc, guard).xml()
-                finally:
-                    if tracer is not None:
-                        obs.set_tracer(previous)
-                        trace_text = obs_export.to_json_lines(
-                            tracer,
-                            header={"doc": doc, "worker": True},
-                        )
+                if budget is not None and budget <= 0:
+                    # Expired on the way here: refuse it without rendering.
+                    raise TransformTimeoutError(doc, guard, 0.0)
+                result = execute(database, doc, guard, stream, tracer)
+                xml = result if stream else result.xml()
             except Exception as error:  # a response, never a worker crash
                 meta = {"execute_seconds": time.perf_counter() - started}
                 conn.send(
@@ -286,8 +247,12 @@ def _worker_main(
             meta = {
                 "execute_seconds": time.perf_counter() - started,
                 "plan_cache_hit": database.plan_cache.stats()["hits"] > hits_before,
-                "trace": trace_text,
+                "trace": None,
             }
+            if tracer is not None:
+                meta["trace"] = obs_export.to_json_lines(
+                    tracer, header={"doc": doc, "worker": True}
+                )
             conn.send(("ok", req_id, xml, meta))
     finally:
         try:
@@ -351,8 +316,8 @@ class _WorkerHandle:
                 self.process.join(timeout=join_timeout)
 
 
-class ProcessTransformPool:
-    """A forked-worker pool evaluating guard transforms over snapshots.
+class ProcessTransformPool(TransformPool):
+    """The request lifecycle of :class:`TransformPool` over forked workers.
 
     The database handle must be a shared reader (``mode="r"``): the
     parent's handle serves cost estimates and the inline path, and each
@@ -361,13 +326,11 @@ class ProcessTransformPool:
     excluded for the pool's whole life, so every process sees one
     frozen snapshot.
 
-    API-compatible with :class:`~repro.serve.TransformPool` everywhere
-    the serving layer cares: ``submit`` returning futures,
-    ``transform_many``/``stream_many``, ``pending``, ``stats()``,
-    context-manager shutdown.  Pooled results are
-    :class:`RemoteTransformResult`; inline-routed results are ordinary
-    :class:`~repro.engine.interpreter.TransformResult`s — both answer
-    ``.xml()`` with byte-identical text.
+    Only routing (:meth:`_admit`) and the transport (:meth:`_start`,
+    :meth:`_dispatch`, :meth:`shutdown`) differ from the thread pool.
+    Pooled results are :class:`RemoteTransformResult`; inline-routed
+    results are ordinary :class:`~repro.engine.interpreter.
+    TransformResult`s — both answer ``.xml()`` with byte-identical text.
     """
 
     mode = "process"
@@ -381,7 +344,6 @@ class ProcessTransformPool:
         telemetry: Optional["ServeTelemetry"] = None,
         inline_threshold: float = INLINE_THRESHOLD,
         warm: Optional[Sequence[tuple[str, str]]] = None,
-        worker_cache_pages: int = 2048,
     ):
         if database.mode != "r":
             raise StorageError(
@@ -389,24 +351,20 @@ class ProcessTransformPool:
                 'database with mode="r" (workers take LOCK_SH on the same '
                 "path, which a writer's exclusive lock would refuse)"
             )
-        self.database = database
-        self.workers = max(1, int(workers))
-        self.deadline = deadline
-        self.telemetry = telemetry
         self.inline_threshold = inline_threshold
-        self.max_queue = max_queue if max_queue is not None else self.workers * 4
-        self._path = database._file.path
-        self._worker_cache_pages = worker_cache_pages
+        self._warm_pairs: "list[tuple[str, str]]" = list(warm or [])[-WARM_HISTORY:]
+        self._warm_lock = threading.Lock()
+        super().__init__(database, workers, deadline, max_queue, telemetry)
+
+    # -- lifecycle -----------------------------------------------------------
+
+    def _start(self) -> None:
         try:
             self._mp = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platform
             self._mp = multiprocessing.get_context("spawn")
         self._tasks: "queue.Queue[Optional[_Task]]" = queue.Queue()
-        self._pending = 0
-        self._pending_lock = threading.Lock()
         self._req_ids = itertools.count(1)
-        self._warm_pairs: "list[tuple[str, str]]" = list(warm or [])[-WARM_HISTORY:]
-        self._warm_lock = threading.Lock()
         self._closed = False
         self._threads: list[threading.Thread] = []
         self._handles: list[_WorkerHandle] = []
@@ -426,14 +384,6 @@ class ProcessTransformPool:
             thread.start()
             self._threads.append(thread)
 
-    # -- lifecycle -----------------------------------------------------------
-
-    def __enter__(self) -> "ProcessTransformPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
-
     def shutdown(self, wait: bool = True) -> None:
         if self._closed:
             return
@@ -450,10 +400,11 @@ class ProcessTransformPool:
 
     def _spawn(self) -> "_WorkerHandle":
         parent_conn, child_conn = self._mp.Pipe()
+        database = self.database
         process = self._mp.Process(
             target=_worker_main,
-            args=(self._path, child_conn, self._worker_cache_pages,
-                  self.database.durable, self.database.compile_renders),
+            args=(database._file.path, child_conn, database.pool.capacity,
+                  database.durable, database.compile_renders),
             name="xmorph-serve-worker",
             daemon=True,
         )
@@ -475,32 +426,14 @@ class ProcessTransformPool:
                 ) from None
         return handle
 
-    # -- submission ----------------------------------------------------------
+    # -- routing and dispatch ------------------------------------------------
 
-    def _event(self, name: str, count: int = 1) -> None:
-        self.database.stats.event(name, count)
-        obs.count(name, count)
+    def _admit(self, name: str, guard: str, trace) -> bool:
+        """Keep tiny transforms (and everything, without workers) off the pipe.
 
-    def submit(
-        self,
-        name: str,
-        guard: str,
-        stream: bool = False,
-        deadline: Optional[float] = None,
-    ) -> "concurrent.futures.Future":
-        """Route one transform; returns its future.
-
-        Tiny transforms (plan-cost estimate at or under
-        ``inline_threshold``) and submissions past the ``max_queue``
-        bound run inline on the calling thread — same deadline
-        semantics, same histograms — and everything else crosses the
-        pipe to a worker process.
+        A plan-cost estimate at or under ``inline_threshold`` cannot
+        amortize the IPC round-trip (``serve.inline_small``).
         """
-        self._event("serve.requests")
-        deadline = deadline if deadline is not None else self.deadline
-        trace = (
-            self.telemetry.start(name, guard) if self.telemetry is not None else None
-        )
         with self._warm_lock:
             pair = (name, guard)
             if pair in self._warm_pairs:
@@ -511,65 +444,18 @@ class ProcessTransformPool:
             plan_cost_estimate(self.database, name, guard) <= self.inline_threshold
         ):
             self._event("serve.inline_small")
-            return self._run_inline(name, guard, stream, deadline, trace)
-        with self._pending_lock:
-            saturated = self._pending >= self.max_queue
-            if not saturated:
-                self._pending += 1
-        if saturated or not self._handles:
-            self._event("serve.degraded_serial")
-            if trace is not None:
-                trace.degraded = True
-            return self._run_inline(name, guard, stream, deadline, trace)
+            return False
+        if not self._handles:
+            self._degrade(trace)
+            return False
+        return True
+
+    def _dispatch(self, name, guard, stream, deadline, trace):
         future: "concurrent.futures.Future" = concurrent.futures.Future()
-        future.xmorph_trace = trace
         self._tasks.put(
             _Task(next(self._req_ids), name, guard, stream, deadline, future, trace)
         )
         return future
-
-    def _run_inline(self, name, guard, stream, deadline, trace):
-        """Inline serial execution with the thread pool's exact contract."""
-        from io import StringIO
-
-        future: "concurrent.futures.Future" = concurrent.futures.Future()
-        future.xmorph_trace = trace
-        if trace is not None:
-            trace.begin()
-        started = time.perf_counter()
-        try:
-            if stream:
-                sink = StringIO()
-                self.database.stream_transform(name, guard, sink)
-                result = sink.getvalue()
-            else:
-                result = self.database.transform(name, guard)
-        except BaseException as error:  # noqa: B036 - the future carries it
-            self._record_error(error, trace)
-            future.set_exception(error)
-        else:
-            elapsed = time.perf_counter() - started
-            if deadline is not None and elapsed > deadline:
-                self._event("serve.timeouts")
-                error = TransformTimeoutError(name, guard, deadline)
-                self._record_error(error, trace)
-                future.set_exception(error)
-            else:
-                self._event("serve.completed")
-                future.set_result(result)
-        finally:
-            if trace is not None:
-                trace.end_execute()
-            if self.telemetry is not None:
-                self.telemetry.finish(trace)
-        return future
-
-    def _record_error(self, error: BaseException, trace) -> None:
-        self._event("serve.errors")
-        code = getattr(error, "code", None)
-        self._event(f"serve.errors.{code}" if code else "serve.errors.uncoded")
-        if trace is not None:
-            trace.fail(error)
 
     # -- the dispatcher (one thread per worker pipe) -------------------------
 
@@ -585,21 +471,22 @@ class ProcessTransformPool:
                     self._pending -= 1
 
     def _execute_on(self, handle: "_WorkerHandle", task: _Task) -> None:
+        # Once running, a future cannot be cancelled: from here on this
+        # dispatcher is the only one to resolve it, exactly once.
         if not task.future.set_running_or_notify_cancel():
             return  # cancelled before dispatch
+        trace = task.trace
         while True:
             budget = None
             if task.deadline is not None:
                 budget = task.deadline - (time.perf_counter() - task.submitted)
                 if budget <= 0:
-                    self._event("serve.timeouts")
-                    error = TransformTimeoutError(task.doc, task.guard, task.deadline)
-                    self._record_error(error, task.trace)
-                    self._finish_trace(task)
-                    self._set_exception(task.future, error)
+                    error = self._timed_out(task.doc, task.guard, task.deadline, trace)
+                    self._finish(trace)
+                    task.future.set_exception(error)
                     return
-            if task.trace is not None:
-                task.trace.begin()
+            if trace is not None:
+                trace.begin()
             try:
                 with handle.io_lock:
                     handle.conn.send(
@@ -610,8 +497,8 @@ class ProcessTransformPool:
                             task.guard,
                             task.stream,
                             budget,
-                            task.trace.trace_id if task.trace is not None else None,
-                            bool(task.trace is not None and task.trace.sampled),
+                            trace.trace_id if trace is not None else None,
+                            bool(trace is not None and trace.sampled),
                         )
                     )
                     reply = handle.conn.recv()
@@ -623,10 +510,11 @@ class ProcessTransformPool:
                 self._event("serve.worker_restarts")
                 task.attempts += 1
                 if not self._respawn(handle) or task.attempts > MAX_RESPAWNS_PER_REQUEST:
-                    self._event("serve.degraded_serial")
-                    if task.trace is not None:
-                        task.trace.degraded = True
-                    self._relay_inline(task)
+                    self._degrade(trace)
+                    self._run_inline(
+                        task.future, task.doc, task.guard, task.stream,
+                        task.deadline, trace,
+                    )
                     return
                 continue
             self._deliver(task, reply)
@@ -643,133 +531,40 @@ class ProcessTransformPool:
         handle.adopt(replacement)
         return True
 
-    def _relay_inline(self, task: _Task) -> None:
-        """Degraded path for a task whose worker could not be revived."""
-        inline = self._run_inline(
-            task.doc, task.guard, task.stream, task.deadline, task.trace
-        )
-        # serve.requests was already counted at submit; undo the double
-        # count the inline helper path shares with submit().
-        error = inline.exception()
-        if error is not None:
-            self._set_exception(task.future, error)
-        else:
-            self._set_result(task.future, inline.result())
-
     def _deliver(self, task: _Task, reply) -> None:
-        kind = reply[0]
-        if kind == "ok":
-            _, _req_id, xml, meta = reply
-            self._apply_meta(task, meta)
+        """Resolve a task from a worker's ``ok`` or ``err`` reply."""
+        trace = task.trace
+        status, _req_id, *body, meta = reply
+        if trace is not None:
+            if trace.started is not None:
+                trace.executed = trace.started + meta.get("execute_seconds", 0.0)
+            if meta.get("plan_cache_hit") is not None:
+                trace.remote_plan_cache = meta["plan_cache_hit"]
+            if meta.get("trace"):
+                self.telemetry.write_remote_trace(trace, meta["trace"])
+        if status == "ok":
+            (xml,) = body
             self._event("serve.completed")
-            self._finish_trace(task)
+            self._finish(trace)
             # Stream requests resolve to the rendered text (matching the
             # thread pool); batch requests to a result object.
-            self._set_result(
-                task.future,
-                xml if task.stream
-                else RemoteTransformResult(task.doc, task.guard, xml),
+            task.future.set_result(
+                xml if task.stream else RemoteTransformResult(task.doc, task.guard, xml)
             )
             return
-        # ("err", req_id, kind, message, code, meta)
-        _, _req_id, error_kind, message, code, meta = reply
-        self._apply_meta(task, meta)
-        error = _rehydrate_error(error_kind, message, code)
-        if code == "XM540":
-            self._event("serve.timeouts")
-        self._record_error(error, task.trace)
-        self._finish_trace(task)
-        self._set_exception(task.future, error)
-
-    def _apply_meta(self, task: _Task, meta: dict) -> None:
-        trace = task.trace
-        if trace is None:
-            return
-        if trace.started is not None:
-            trace.executed = trace.started + meta.get("execute_seconds", 0.0)
-        if meta.get("plan_cache_hit") is not None:
-            trace.remote_plan_cache = meta["plan_cache_hit"]
-        text = meta.get("trace")
-        if text and self.telemetry is not None:
-            self.telemetry.write_remote_trace(trace, text)
-
-    def _finish_trace(self, task: _Task) -> None:
-        if self.telemetry is not None:
-            self.telemetry.finish(task.trace)
-
-    @staticmethod
-    def _set_result(future, value) -> None:
-        try:
-            future.set_result(value)
-        except concurrent.futures.InvalidStateError:
-            pass  # the collector timed out and abandoned this future
-
-    @staticmethod
-    def _set_exception(future, error) -> None:
-        try:
-            future.set_exception(error)
-        except concurrent.futures.InvalidStateError:
-            pass
-
-    # -- batched APIs (mirrors TransformPool) --------------------------------
-
-    def transform_many(
-        self,
-        requests: Sequence[tuple[str, str]],
-        deadline: Optional[float] = None,
-    ) -> list:
-        """Evaluate ``(document, guard)`` requests; results in order."""
-        return self._collect(requests, stream=False, deadline=deadline)
-
-    def stream_many(
-        self,
-        requests: Sequence[tuple[str, str]],
-        deadline: Optional[float] = None,
-    ) -> list[str]:
-        """Stream-render each request; returns the XML texts in order."""
-        return self._collect(requests, stream=True, deadline=deadline)
-
-    def _collect(self, requests, stream: bool, deadline: Optional[float]) -> list:
-        deadline = deadline if deadline is not None else self.deadline
-        futures = [
-            (name, guard, self.submit(name, guard, stream=stream, deadline=deadline))
-            for name, guard in requests
-        ]
-        results = []
-        for name, guard, future in futures:
-            trace = getattr(future, "xmorph_trace", None)
-            try:
-                results.append(future.result(timeout=deadline))
-            except concurrent.futures.TimeoutError:
-                future.cancel()
-                self._event("serve.timeouts")
-                self._event("serve.errors.XM540")
-                error = TransformTimeoutError(name, guard, deadline)
-                if trace is not None and self.telemetry is not None:
-                    trace.fail(error)
-                    self.telemetry.finish(trace)
-                raise error from None
-            finally:
-                if self.telemetry is not None:
-                    self.telemetry.finish(trace)
-        return results
+        kind, message, code = body
+        if code == TransformTimeoutError.code:
+            # The worker refused an expired budget: a deadline miss like
+            # any other, raised as the real error type.
+            error = self._timed_out(task.doc, task.guard, task.deadline, trace)
+        else:
+            # Other exception types stay behind the pipe.
+            error = RemoteTransformError(kind, message, code)
+            self._record_error(error, trace)
+        self._finish(trace)
+        task.future.set_exception(error)
 
     # -- introspection -------------------------------------------------------
-
-    @property
-    def pending(self) -> int:
-        """Requests currently queued for or running on worker processes."""
-        with self._pending_lock:
-            return self._pending
-
-    def stats(self) -> dict:
-        """The pool's lifetime ``serve.*`` counters (from the database)."""
-        events = self.database.stats.events
-        return {
-            name.removeprefix("serve."): count
-            for name, count in sorted(events.items())
-            if name.startswith("serve.")
-        }
 
     def worker_stats(self) -> list[dict]:
         """Each live worker's plan-cache and event counters.

@@ -32,12 +32,15 @@ in flight (the bounded response queue is the backpressure).  Per-request
 failures are *responses*, never loop crashes.  ``serve_forever`` wraps
 the same loop in a threading TCP server, one connection per thread, all
 sharing the one database handle — which is exactly what the thread-safe
-substrate (buffer pool, plan cache, join memos) exists for.
+substrate (buffer pool, plan cache, join memos) exists for — and one
+pool.  Admission, execution and the deadline wait are the pool's
+(:mod:`repro.serve.pool`); this module decodes requests and encodes
+responses.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
+import contextlib
 import json
 import queue
 import threading
@@ -45,7 +48,7 @@ import time
 from dataclasses import dataclass, field
 from typing import IO, Optional
 
-from repro.errors import TransformTimeoutError, XMorphError
+from repro.errors import XMorphError
 from repro.serve.pool import TransformPool
 from repro.serve.telemetry import ServeTelemetry, metrics_snapshot
 
@@ -153,21 +156,18 @@ def serve_loop(
     """Serve newline-delimited JSON requests until EOF or ``quit``.
 
     ``pool`` lends an already-running executor (``serve_forever`` shares
-    one process pool across every connection — forking per connection
-    would pay worker startup on each); the loop then leaves shutdown to
-    the owner.  Otherwise one is built per ``pool_mode`` and torn down
-    at EOF.
+    one across every connection) and leaves its shutdown to the owner;
+    ``workers``, ``deadline``, ``telemetry`` and ``pool_mode`` then do
+    not apply.  Otherwise a pool is built from them and torn down at EOF.
     """
     stats = ServeStats()
-    if telemetry is None:
-        # Even an unconfigured loop (no sampling, no slow log) records
-        # request latency histograms, so /metrics always has quantiles.
-        telemetry = ServeTelemetry(stats=database.stats)
-    import contextlib
-
     if pool is not None:
         pool_context = contextlib.nullcontext(pool)
     else:
+        if telemetry is None:
+            # Even an unconfigured loop (no sampling, no slow log) records
+            # request latency histograms, so /metrics always has quantiles.
+            telemetry = ServeTelemetry(stats=database.stats)
         pool_context = make_pool(
             database,
             workers=workers,
@@ -180,7 +180,7 @@ def serve_loop(
         # the moment its future resolves; the bounded queue throttles a
         # client that pipelines faster than the pool completes.
         responses: queue.Queue = queue.Queue(
-            maxsize=max(1, workers) * _WINDOW_PER_WORKER
+            maxsize=pool.workers * _WINDOW_PER_WORKER
         )
         failure: list[BaseException] = []
 
@@ -190,7 +190,7 @@ def serve_loop(
                     item = responses.get()
                     if item is None:
                         return
-                    kind, request_id, payload = item
+                    kind, request, payload = item
                     if kind == "literal":
                         stats.errors += 1
                         _write(writer, payload)
@@ -212,7 +212,7 @@ def serve_loop(
                         writer.write(payload)
                         writer.flush()
                     else:
-                        _respond(writer, stats, request_id, payload, deadline, telemetry)
+                        _respond(writer, stats, pool, request, payload)
             except BaseException as error:  # noqa: B036 - re-raised by the
                 # reader thread once the queue is drained (see below).
                 failure.append(error)
@@ -270,7 +270,7 @@ def serve_loop(
                 future = pool.submit(
                     request["doc"], request["guard"], stream=bool(request.get("stream"))
                 )
-                responses.put(("future", request.get("id"), future))
+                responses.put(("future", request, future))
         finally:
             responses.put(None)
             pump.join()
@@ -284,59 +284,27 @@ def serve_loop(
     return stats
 
 
-def _respond(
-    writer, stats: ServeStats, request_id, future, deadline, telemetry=None
-) -> None:
-    trace = getattr(future, "xmorph_trace", None)
+def _respond(writer, stats: ServeStats, pool, request: dict, future) -> None:
+    """Wait for one request's outcome, write its response line, finish its trace."""
+    trace = future.xmorph_trace
     try:
-        result = future.result(timeout=deadline)
-    except concurrent.futures.TimeoutError:
-        # The worker finishes in the background; its result is dropped.
-        future.cancel()
-        doc = trace.doc if trace is not None else "?"
-        guard = trace.guard if trace is not None else "?"
-        error = TransformTimeoutError(doc, guard, deadline)
-        stats.errors += 1
-        if trace is not None:
-            trace.fail(error)
-        if telemetry is not None and telemetry.stats is not None:
-            telemetry.stats.event("serve.timeouts")
-            telemetry.stats.event("serve.errors.XM540")
-        _write(
-            writer,
-            {"id": request_id, "ok": False, "error": str(error), "code": error.code},
-        )
-        return
-    except XMorphError as error:
-        stats.errors += 1
-        if trace is not None:
-            trace.fail(error)
-        _write(
-            writer,
-            {
-                "id": request_id,
-                "ok": False,
-                "error": str(error),
-                "code": getattr(error, "code", None),
-            },
-        )
-        return
+        result = pool.result(future, request["doc"], request["guard"])
     except Exception as error:  # noqa: BLE001 - a response, never a crash
         stats.errors += 1
-        if trace is not None:
-            trace.fail(error)
-        _write(writer, {"id": request_id, "ok": False, "error": str(error)})
-        return
+        response = {"id": request.get("id"), "ok": False, "error": str(error)}
+        if isinstance(error, XMorphError):
+            response["code"] = getattr(error, "code", None)
+        _write(writer, response)
     else:
         stats.ok += 1
         started = time.perf_counter()
         xml = result if isinstance(result, str) else result.xml()
-        _write(writer, {"id": request_id, "ok": True, "xml": xml})
+        _write(writer, {"id": request.get("id"), "ok": True, "xml": xml})
         if trace is not None:
             trace.serialize_seconds = time.perf_counter() - started
     finally:
-        if telemetry is not None:
-            telemetry.finish(trace)
+        if trace is not None:
+            pool.telemetry.finish(trace)
 
 
 def _write(writer, payload: dict) -> None:
@@ -358,43 +326,22 @@ def serve_forever(
     Returns the listening ``socketserver.ThreadingTCPServer`` (so the
     caller can read ``server_address`` and drive ``serve_forever()`` /
     ``shutdown()`` itself).  Every connection shares the one database
-    handle — concurrency comes from the shared pool-safe substrate.
-
-    ``pool_mode="process"`` forks the worker fleet **once** and lends
-    it to every connection (``server_close`` tears it down); thread
-    mode keeps the historical pool-per-connection shape, which costs
-    nothing because threads are cheap and the substrate is shared.
+    handle and one pool, built here and torn down in ``server_close``:
+    ``max_queue`` bounds the requests in flight across the whole server,
+    and process workers are forked once, not per connection.
     """
     import socketserver
 
-    shared = telemetry if telemetry is not None else ServeTelemetry(
-        stats=database.stats
-    )
-    shared_pool = (
-        make_pool(
-            database,
-            workers=workers,
-            deadline=deadline,
-            telemetry=shared,
-            mode=pool_mode,
-        )
-        if pool_mode == "process"
-        else None
+    if telemetry is None:
+        telemetry = ServeTelemetry(stats=database.stats)
+    pool = make_pool(
+        database, workers=workers, deadline=deadline, telemetry=telemetry, mode=pool_mode
     )
 
     class Handler(socketserver.StreamRequestHandler):
         def handle(self) -> None:  # pragma: no cover - exercised via TCP tests
-            reader = self.rfile and _decode_lines(self.rfile)
-            writer = _EncodedWriter(self.wfile)
             serve_loop(
-                database,
-                reader,
-                writer,
-                workers=workers,
-                deadline=deadline,
-                telemetry=shared,
-                pool_mode=pool_mode,
-                pool=shared_pool,
+                database, _decode_lines(self.rfile), _EncodedWriter(self.wfile), pool=pool
             )
 
     class Server(socketserver.ThreadingTCPServer):
@@ -402,15 +349,14 @@ def serve_forever(
         daemon_threads = True
 
         def server_close(self) -> None:
-            if shared_pool is not None:
-                shared_pool.shutdown()
+            pool.shutdown()
             super().server_close()
 
-    server = Server((host, port), Handler)
-    #: Exposed so callers (tests, ``xmorph top`` demos) can inspect the
-    #: shared executor; ``None`` in thread mode.
-    server.xmorph_pool = shared_pool
-    return server
+    try:
+        return Server((host, port), Handler)
+    except BaseException:  # the bind failed: no server_close will ever run
+        pool.shutdown()
+        raise
 
 
 def _decode_lines(binary_reader):

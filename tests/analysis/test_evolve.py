@@ -148,6 +148,20 @@ class TestVerdicts:
         assert drift, "moving book under publisher should be noted"
         assert all(str(d.severity) == "info" for d in drift)
 
+    def test_drift_onto_another_candidate_type_degrades(self):
+        # MUTATE a [ b ] turns r.d.b.{a.c, c} into r.d.a.{c, b.c}.  The
+        # label c pairs with d through r.d.b.c before and through the
+        # other c after: the output shape is the same, the data is not.
+        old = "<r><d><b><a><a/><a/><c/></a><c>x</c></b></d></r>"
+        new = "<r><d><a><a/><a/><c/><b><c>x</c></b></a></d></r>"
+        guard = "MORPH c [ d ]"
+        assert repro.transform(old, f"CAST ({guard})").xml() == "<c>x<d/></c>"
+        assert repro.transform(new, f"CAST ({guard})").xml() == "<c><d/></c>"
+        (verdict,) = analyze_evolution(old, new, {"c": guard}).verdicts
+        assert verdict.verdict == VERDICT_DEGRADED
+        (finding,) = [d for d in verdict.warnings if d.code == "XM606"]
+        assert "r.d.a.c" in finding.message
+
     def test_identical_shapes_are_all_compatible_with_no_noise(self):
         report = analyze_evolution(
             FIG1A, FIG1A, {"books": "MORPH book [ title author [ name ] ]"}

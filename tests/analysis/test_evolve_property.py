@@ -29,7 +29,7 @@ conservatism there is allowed, exactly like the loss theorems' scope
 in ``tests/integration/test_theorems.py``.
 """
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -98,6 +98,16 @@ class TestVerdictParity:
         st.sampled_from(TEST_GUARD_FORMS),
         st.sampled_from(TAGS),
         st.sampled_from(TAGS),
+    )
+    # The ambiguous label ``c`` pairs with ``d`` through ``r.d.b.c``
+    # before the evolution and through the *other* ``c`` after it: equal
+    # output shapes, different data (60 random examples rarely find it).
+    @example(
+        repro.parse_forest("<r><d><b><a><a/><a/><c/></a><c>x</c></b></d></r>"),
+        "MUTATE a [ b ]",
+        "MORPH {x} [ {y} ]",
+        "c",
+        "d",
     )
     def test_no_false_compatibles(self, forest, evolution, form, x, y):
         assume(x != y)

@@ -1,0 +1,237 @@
+"""One request lifecycle, two transports: the contract both pools keep.
+
+Whatever path a request takes — dispatched to the transport, serial or
+too small for it, turned away by a full queue, failing, abandoned by its
+waiter, or overrunning its budget inline — the thread and the process
+pool must account for it identically: the same ``serve.*`` counter
+deltas, the same exception type and XM code, one sample in each of the
+four ``serve.*_seconds`` histograms, the same outcome on
+``future.xmorph_trace``.  Every (mode, path) cell is held to one
+expectation table, so the modes agree with each other by construction.
+
+Public API only: pools are driven through ``submit`` / ``result``, and
+stalls are induced from outside (a gated ``Database.transform``; SIGSTOP
+to the worker processes ``multiprocessing`` reports).
+"""
+
+import contextlib
+import io
+import json
+import multiprocessing
+import os
+import signal
+import threading
+import time
+
+import pytest
+
+from repro.errors import TransformTimeoutError
+from repro.serve import ProcessTransformPool, ServeTelemetry, TransformPool, serve_loop
+from repro.storage import Database
+
+from tests.conftest import FIG1A
+
+GUARD = "MORPH author [ name ]"
+BAD_GUARD = "MORPH nosuchlabel [ x ]"
+
+#: Large enough to clear the process pool's default inline threshold.
+BULK = "<data>" + "".join(
+    f"<book><title>T{i}</title><author><name>A{i % 7}</name></author></book>"
+    for i in range(40)
+) + "</data>"
+
+HISTOGRAMS = (
+    "serve.request_seconds",
+    "serve.queue_seconds",
+    "serve.execute_seconds",
+    "serve.serialize_seconds",
+)
+
+TIMEOUT = {"timeouts": 1, "errors": 1, "errors.XM540": 1}
+
+#: path -> (pool options, document, guard, counter deltas, error type name,
+#: XM code, trace.degraded).  ``serial`` stands for whatever keeps a
+#: healthy pool from dispatching: one worker (thread), a tiny plan (process).
+PATHS = {
+    "dispatched": ({}, "doc", GUARD, {"completed": 1}, None, None, False),
+    "serial": ({"serial": True}, "tiny", GUARD, {"completed": 1}, None, None, False),
+    "saturated": (
+        {"max_queue": 0}, "doc", GUARD,
+        {"completed": 1, "degraded_serial": 1}, None, None, True,
+    ),
+    "failing-guard": (
+        {}, "doc", BAD_GUARD,
+        {"errors": 1, "errors.uncoded": 1}, "LabelMismatchError", None, False,
+    ),
+    "waiter-timeout": (
+        {}, "doc", GUARD,
+        {"completed": 1, **TIMEOUT}, "TransformTimeoutError", "XM540", False,
+    ),
+    "inline-overrun": (
+        {"serial": True}, "tiny", GUARD,
+        {"completed": 1, **TIMEOUT}, "TransformTimeoutError", "XM540", False,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def store(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("lifecycle") / "l.db")
+    with Database(path, durable=False) as db:
+        db.store_document("doc", BULK)
+        db.store_document("tiny", FIG1A)
+    return path
+
+
+@pytest.fixture
+def db(store):
+    with Database(store, mode="r", durable=False) as reader:
+        yield reader
+
+
+def make_pool(mode, db, telemetry, serial=False, **options):
+    if mode == "thread":
+        return TransformPool(
+            db, workers=1 if serial else 2, telemetry=telemetry, **options
+        )
+    if not serial:
+        options["inline_threshold"] = None  # everything crosses the pipe
+    return ProcessTransformPool(db, workers=1, telemetry=telemetry, **options)
+
+
+@contextlib.contextmanager
+def stalled_transport(mode, db):
+    """Hold every dispatched transform until the block exits."""
+    if mode == "thread":
+        gate = threading.Event()
+        real = db.transform
+
+        def gated(name, guard):
+            gate.wait(timeout=30)
+            return real(name, guard)
+
+        db.transform = gated
+        try:
+            yield
+        finally:
+            gate.set()
+            del db.transform
+    else:
+        workers = [
+            child.pid
+            for child in multiprocessing.active_children()
+            if child.name == "xmorph-serve-worker"
+        ]
+        assert workers
+        for pid in workers:
+            os.kill(pid, signal.SIGSTOP)
+        try:
+            yield
+        finally:
+            for pid in workers:
+                os.kill(pid, signal.SIGCONT)
+
+
+def drain(pool):
+    """An abandoned transform still runs to completion; let it."""
+    deadline = time.monotonic() + 30
+    while pool.pending and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert pool.pending == 0
+
+
+def histogram_counts(db):
+    snapshot = db.stats.timing_snapshot()
+    return {name: snapshot[name].count if name in snapshot else 0 for name in HISTOGRAMS}
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("mode", ["thread", "process"])
+def test_every_path_is_accounted_for_identically(mode, path, db):
+    options, doc, guard, expected, error_name, code, degraded = PATHS[path]
+    telemetry = ServeTelemetry(stats=db.stats)
+    stall = contextlib.nullcontext()
+    deadline = wait = None
+    if path == "waiter-timeout":
+        wait = 0.2
+    elif path == "inline-overrun":
+        deadline = 0.001
+        real = db.transform
+
+        def slow(name, guard):
+            time.sleep(0.05)
+            return real(name, guard)
+
+        db.transform = slow  # the inline path runs on this very handle
+
+    # ``db`` is a fresh handle, so its lifetime counters are this request's.
+    with make_pool(mode, db, telemetry, **options) as pool:
+        if path == "waiter-timeout":
+            stall = stalled_transport(mode, db)
+        error = None
+        with stall:
+            future = pool.submit(doc, guard, deadline=deadline)
+            try:
+                result = pool.result(future, doc, guard, deadline=wait)
+            except Exception as caught:  # noqa: BLE001 - compared below
+                error = caught
+            finally:
+                telemetry.finish(future.xmorph_trace)  # as the response writer does
+        drain(pool)
+
+    delta = pool.stats()
+    # The one routing counter only the process pool has.
+    inline_small = delta.pop("inline_small", 0)
+    assert inline_small == (1 if mode == "process" and options.get("serial") else 0)
+    assert delta == {"requests": 1, **expected}
+
+    # serve.errors is the sum of its per-code breakdown, on every path.
+    breakdown = sum(n for name, n in delta.items() if name.startswith("errors."))
+    assert delta.get("errors", 0) == breakdown
+    assert delta.get("timeouts", 0) == delta.get("errors.XM540", 0)
+
+    if error_name is None:
+        assert error is None
+        assert (result if isinstance(result, str) else result.xml()).startswith("<")
+    else:
+        # A worker process's exception type crosses the pipe as ``kind``.
+        assert getattr(error, "kind", type(error).__name__) == error_name
+        assert getattr(error, "code", None) == code
+        if code == "XM540":
+            assert isinstance(error, TransformTimeoutError)
+
+    assert histogram_counts(db) == {name: 1 for name in HISTOGRAMS}
+
+    trace = future.xmorph_trace
+    assert (trace.degraded, trace.status, trace.code) == (
+        degraded,
+        "ok" if error_name is None else "error",
+        code,
+    )
+
+
+@pytest.mark.parametrize("mode", ["thread", "process"])
+def test_responder_timeout_is_a_coded_response(mode, db):
+    """``serve_loop``'s responder waits through the same ``result``."""
+    request = json.dumps({"id": 7, "doc": "doc", "guard": GUARD}) + "\n"
+    out = io.StringIO()
+    telemetry = ServeTelemetry(stats=db.stats)
+    with make_pool(mode, db, telemetry, deadline=0.2) as pool:
+        with stalled_transport(mode, db):
+            stats = serve_loop(db, io.StringIO(request), out, pool=pool)
+        drain(pool)
+    response = json.loads(out.getvalue())
+    assert (response["id"], response["ok"], response["code"]) == (7, False, "XM540")
+    assert (stats.requests, stats.ok, stats.errors) == (1, 0, 1)
+    assert pool.stats() == {"requests": 1, "completed": 1, **TIMEOUT}
+    assert histogram_counts(db) == {name: 1 for name in HISTOGRAMS}
+
+
+def test_process_pool_only_overrides_routing_and_transport():
+    assert issubclass(ProcessTransformPool, TransformPool)
+    inherited = {
+        "submit", "result", "_run_inline", "_record_error", "_collect",
+        "transform_many", "stream_many", "stats", "pending", "_event",
+    }
+    assert not inherited & set(vars(ProcessTransformPool))
+    assert inherited <= set(vars(TransformPool))

@@ -49,6 +49,8 @@ class TestDeadlines:
                 assert excinfo.value.code == "XM540"
                 assert "SLOW" in str(excinfo.value)
                 assert db.stats.events.get("serve.timeouts") == 1
+                # A waiter-side miss is an error like any other miss.
+                assert db.stats.events.get("serve.errors") == 1
                 gate.set()  # let the stuck worker finish before shutdown
         finally:
             gate.set()
@@ -227,6 +229,7 @@ class TestDegradedInlineDeadlines:
             assert excinfo.value.code == "XM540"
         assert db.stats.events.get("serve.timeouts") == 1
         assert db.stats.events.get("serve.errors.XM540") == 1
+        assert db.stats.events.get("serve.errors") == 1
 
     def test_inline_under_deadline_returns_result(self, db):
         with TransformPool(db, workers=1, deadline=30) as pool:

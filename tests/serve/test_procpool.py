@@ -195,6 +195,8 @@ class TestDeadlines:
                 future.result(timeout=30)
             assert excinfo.value.code == "XM540"
         assert reader.stats.events.get("serve.timeouts", 0) >= 1
+        assert reader.stats.events["serve.errors"] == 1
+        assert reader.stats.events["serve.errors.XM540"] == 1
 
     def test_stalled_worker_times_out_collector(self, stored, reader):
         _, serial = stored

@@ -196,6 +196,7 @@ class TestErrorCounters:
             db.transform = real
         assert db.stats.events["serve.timeouts"] == 1
         assert db.stats.events["serve.errors.XM540"] == 1
+        assert db.stats.events["serve.errors"] == 1
 
 
 class TestMetricsEndpoint:
