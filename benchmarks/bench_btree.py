@@ -86,21 +86,6 @@ def test_prefix_scan(benchmark, loaded):
     benchmark.pedantic(scan, rounds=3, iterations=1)
 
 
-def test_bulk_load(benchmark, tmp_path):
-    from repro.storage.btree import BPlusTree as Tree
-
-    items = [(f"key{i:08d}".encode(), f"value-{i}".encode()) for i in range(N)]
-    counter = iter(range(100))
-
-    def load():
-        file = PagedFile(str(tmp_path / f"bl{next(counter)}.db"), SystemStats())
-        tree = Tree.bulk_load(BufferPool(file, capacity=256), items)
-        assert tree.get(items[-1][0]) is not None
-        file.close()
-
-    benchmark.pedantic(load, rounds=2, iterations=1)
-
-
 def test_thrashing_pool_lookups(benchmark, tmp_path):
     file = PagedFile(str(tmp_path / "thrash.db"), SystemStats())
     tree = BPlusTree(BufferPool(file, capacity=4))

@@ -31,6 +31,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import repro
@@ -42,8 +43,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     arguments = parser.parse_args(argv)
     try:
-        return arguments.handler(arguments)
-    except XMorphError as error:
+        status = arguments.handler(arguments)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # The reader went away (``xmorph ... | head``): nothing to report.
+        # Point stdout at /dev/null so the exit-time flush stays quiet too.
+        try:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        except (OSError, ValueError):
+            pass  # stdout is not a real descriptor (captured, in tests)
+        return 1
+    except (XMorphError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 
@@ -264,22 +277,22 @@ def _build_parser() -> argparse.ArgumentParser:
         "fsck",
         help="check a database file: checksums, journal, btree, catalog",
         description=(
-            "Offline integrity check: verify every page's CRC32C trailer, "
+            "Offline integrity check: verify every page's CRC-32 trailer, "
             "inspect the write-ahead journal (sealed = a committed batch "
             "awaiting replay; corrupt = a pre-commit crash), walk the "
             "B+tree structure and cross-check each document's records "
             "against its catalog descriptor.  With --repair, sealed "
-            "journals are replayed, corrupt ones quarantined as "
-            "<journal>.corrupt, and legacy trailer-less files rebuilt "
-            "with checksums.  Exit 0 when clean (or fully repaired), "
-            "1 when problems remain."
+            "journals are replayed and corrupt ones quarantined as "
+            "<journal>.corrupt.  A file in an older on-disk format is "
+            "reported (XM500) and never migrated: re-shred it.  Exit 0 "
+            "when clean (or fully repaired), 1 when problems remain."
         ),
     )
     fsck.add_argument("--db", required=True, help="database file to check")
     fsck.add_argument(
         "--repair",
         action="store_true",
-        help="replay sealed journals, quarantine corrupt ones, rebuild legacy files",
+        help="replay sealed journals, quarantine corrupt ones",
     )
     fsck.add_argument(
         "--json", action="store_true", help="emit the report as one JSON object"
@@ -749,7 +762,6 @@ class _UpdateOpAction(argparse.Action):
 
 def _cmd_update(arguments) -> int:
     import json as json_module
-    import os
 
     from repro.storage.update import DeleteSubtree, InsertSubtree, ReplaceSubtree
 

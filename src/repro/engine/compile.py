@@ -59,10 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.closeness.index import BaseIndex
 
 
-class RenderCompileError(Exception):
-    """The shape walker hit a construct it could not specialize."""
-
-
 class CompiledRender:
     """A specialized render function for one ``(guard, shape)`` plan.
 

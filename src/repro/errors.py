@@ -185,14 +185,30 @@ class PageError(StorageError):
     """Raised for invalid page accesses (bad page id, overflow, corruption)."""
 
 
-class RecoveryError(StorageError):
-    """Raised when crash recovery cannot restore a consistent state."""
+class FormatError(PageError):
+    """A store file is not in the one on-disk format this build reads.
+
+    Either the file is not a whole number of checksummed slots (refused
+    at open, before anything is read or written), or a page's trailer
+    names another version of the page format (refused at the first
+    read, which is the meta page).  ``problem`` says which.  Nothing is
+    migrated, truncated or rebuilt; the documents are re-shredded into
+    a fresh store.  Damage that merely *breaks* a trailer is not this
+    error: it stays :class:`ChecksumError`, which journal replay heals.
+    """
 
     code = "XM500"
 
+    def __init__(self, path: str, problem: str):
+        super().__init__(
+            f"[XM500] {path} {problem}; nothing is migrated or repaired in "
+            "place — re-shred the source documents into a fresh store"
+        )
+        self.path = path
+
 
 class ChecksumError(PageError):
-    """A page's stored CRC32C trailer does not match its contents.
+    """A page's stored CRC-32 trailer does not match its contents.
 
     The page was torn (partial write), bit-rotted, or written to the
     wrong offset; the payload cannot be trusted.  ``xmorph fsck`` scans

@@ -63,7 +63,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.errors import StorageError, TransformTimeoutError, XMorphError
 from repro.obs import tracer as obs
-from repro.serve.pool import TransformPool, execute
+from repro.serve.pool import TransformPool, execute, final_xml
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.telemetry import ServeTelemetry
@@ -229,8 +229,7 @@ def _worker_main(
                 if budget is not None and budget <= 0:
                     # Expired on the way here: refuse it without rendering.
                     raise TransformTimeoutError(doc, guard, 0.0)
-                result = execute(database, doc, guard, stream, tracer)
-                xml = result if stream else result.xml()
+                xml = final_xml(execute(database, doc, guard, stream, tracer))
             except Exception as error:  # a response, never a worker crash
                 meta = {"execute_seconds": time.perf_counter() - started}
                 conn.send(

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import IO, Optional
 
 from repro.errors import XMorphError
-from repro.serve.pool import TransformPool
+from repro.serve.pool import TransformPool, final_xml
 from repro.serve.telemetry import ServeTelemetry, metrics_snapshot
 
 #: In-flight responses per worker before request reading blocks
@@ -298,8 +298,7 @@ def _respond(writer, stats: ServeStats, pool, request: dict, future) -> None:
     else:
         stats.ok += 1
         started = time.perf_counter()
-        xml = result if isinstance(result, str) else result.xml()
-        _write(writer, {"id": request.get("id"), "ok": True, "xml": xml})
+        _write(writer, {"id": request.get("id"), "ok": True, "xml": final_xml(result)})
         if trace is not None:
             trace.serialize_seconds = time.perf_counter() - started
     finally:

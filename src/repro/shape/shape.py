@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.shape.cardinality import Card
-from repro.shape.types import DataType, ShapeType
+from repro.shape.types import ShapeType
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,10 +147,6 @@ class Shape:
         """All types, in insertion order (the paper's ``types(S)``)."""
         return list(self._types)
 
-    def source_types(self) -> set[DataType]:
-        """The distinct backing data types (``NEW`` types excluded)."""
-        return {t.source for t in self._types if t.source is not None}
-
     def roots(self) -> list[ShapeType]:
         """Types without an incoming edge (the paper's ``roots(S)``)."""
         return [t for t in self._types if t not in self._parent]
@@ -180,13 +176,6 @@ class Shape:
 
     def is_empty(self) -> bool:
         return not self._types
-
-    def find_by_source(self, data_type: DataType) -> list[ShapeType]:
-        return [t for t in self._types if t.source is data_type]
-
-    def find_by_name(self, name: str) -> list[ShapeType]:
-        lowered = name.lower()
-        return [t for t in self._types if t.out_name.lower() == lowered]
 
     # -- tree geometry -------------------------------------------------------
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.shape.shape import Shape
@@ -200,8 +200,3 @@ class ShapeType:
 
     def __repr__(self) -> str:
         return f"ShapeType({self}, uid={self.uid})"
-
-
-def shape_types_for(data_types: Iterable[DataType]) -> list[ShapeType]:
-    """Convenience: one fresh shape type per data type."""
-    return [ShapeType.for_source(data_type) for data_type in data_types]

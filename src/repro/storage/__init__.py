@@ -18,7 +18,8 @@ implement the equivalent embedded store from scratch:
   with a storage-backed document index for guard evaluation.
 * :mod:`repro.storage.stats` — vmstat-analog instrumentation (block
   I/O, CPU wait percentage, available memory) behind Figures 11–13.
-* :mod:`repro.storage.checksum` — CRC32C page trailers (torn-write
+* :mod:`repro.storage.checksum` — the on-disk format magics and the
+  CRC-32 behind page trailers and the journal seal (torn-write
   detection on every physical read).
 * :mod:`repro.storage.lockfile` — the single-writer/many-reader
   advisory lock (exclusive for ``mode="w"``, shared for ``mode="r"``;

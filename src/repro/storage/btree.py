@@ -15,6 +15,7 @@ page holding the root pointer.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from typing import Iterator, Optional
 
 from repro.errors import StorageError
@@ -60,7 +61,7 @@ class BPlusTree:
 
     def get(self, key: bytes) -> Optional[bytes]:
         node, _path = self._descend(key)
-        index = _find(node.keys, key)
+        index = bisect_left(node.keys, key)
         if index < len(node.keys) and node.keys[index] == key:
             return node.values[index]
         return None
@@ -73,7 +74,7 @@ class BPlusTree:
     ) -> Iterator[tuple[bytes, bytes]]:
         """All entries with ``start <= key < stop`` in key order."""
         node, _path = self._descend(start)
-        index = _find(node.keys, start)
+        index = bisect_left(node.keys, start)
         while True:
             while index < len(node.keys):
                 key = node.keys[index]
@@ -105,7 +106,7 @@ class BPlusTree:
         within each node, no page is reached twice, and the leaf chain
         visits the leaves in exactly tree order.  An empty list means
         the tree is structurally sound (page *contents* are already
-        covered by the CRC32C trailers).
+        covered by the CRC-32 trailers).
         """
         problems: list[str] = []
         page_count = self.pool.file.page_count
@@ -192,87 +193,13 @@ class BPlusTree:
         """Remove a key (lazy: leaves may become sparse)."""
         with self.pool.locked():
             node, path = self._descend(key)
-            index = _find(node.keys, key)
+            index = bisect_left(node.keys, key)
             if index >= len(node.keys) or node.keys[index] != key:
                 return False
             del node.keys[index]
             del node.values[index]
             _write_node(self.pool, path[-1], node)
             return True
-
-    @classmethod
-    def bulk_load(cls, pool: BufferPool, items) -> "BPlusTree":
-        """Build a tree bottom-up from sorted unique (key, value) pairs.
-
-        The classic bulk-loading shortcut: pack leaves left to right at
-        ~full occupancy, then build each internal level over the one
-        below — no top-down descents, no splits, every page written
-        once.  The pool's file must be fresh (no pages yet).
-
-        Raises :class:`StorageError` on an out-of-order or duplicate
-        key, or when the file already contains data.
-        """
-        if pool.file.page_count != 0:
-            raise StorageError("bulk_load needs a fresh file")
-        meta = pool.allocate()
-        assert meta == 0
-
-        # Level 0: pack leaves.
-        leaf_entries: list[tuple[bytes, int]] = []  # (first key, page id)
-        node = _Node(_LEAF, _NO_PAGE, [], [])
-        page_id = pool.allocate()
-        previous_key: Optional[bytes] = None
-        previous_page: Optional[int] = None
-        for key, value in items:
-            if previous_key is not None and key <= previous_key:
-                raise StorageError(
-                    f"bulk_load input not strictly sorted at key {key!r}"
-                )
-            previous_key = key
-            if len(key) + len(value) > MAX_ENTRY:
-                raise StorageError("entry too large for bulk_load")
-            entry_size = 2 + len(key) + 2 + len(value)
-            if node.keys and node.serialized_size() + entry_size > PAGE_SIZE:
-                next_page = pool.allocate()
-                node.next_leaf = next_page
-                _write_node(pool, page_id, node)
-                leaf_entries.append((node.keys[0], page_id))
-                node = _Node(_LEAF, _NO_PAGE, [], [])
-                page_id = next_page
-            node.keys.append(key)
-            node.values.append(value)
-        _write_node(pool, page_id, node)
-        leaf_entries.append((node.keys[0] if node.keys else b"", page_id))
-
-        # Upper levels: one separator per child after the first.
-        level = leaf_entries
-        while len(level) > 1:
-            upper: list[tuple[bytes, int]] = []
-            node = _Node(_INTERNAL, level[0][1], [], [])
-            page_id = pool.allocate()
-            first_key = level[0][0]
-            for key, child in level[1:]:
-                entry_size = 2 + len(key) + 4
-                if node.keys and node.serialized_size() + entry_size > PAGE_SIZE:
-                    _write_node(pool, page_id, node)
-                    upper.append((first_key, page_id))
-                    node = _Node(_INTERNAL, child, [], [])
-                    page_id = pool.allocate()
-                    first_key = key
-                    continue
-                node.keys.append(key)
-                node.values.append(child)
-            _write_node(pool, page_id, node)
-            upper.append((first_key, page_id))
-            level = upper
-
-        tree = cls.__new__(cls)
-        tree.pool = pool
-        buffer = pool.get(0)
-        _META.pack_into(buffer, 0, _META_MAGIC, level[0][1])
-        pool.mark_dirty(0)
-        tree._root = level[0][1]
-        return tree
 
     # -- descent -----------------------------------------------------------------
 
@@ -303,7 +230,7 @@ class BPlusTree:
     def _insert(self, page_id: int, key: bytes, value: bytes) -> list[tuple[bytes, int]]:
         node = _read_node(self.pool, page_id)
         if node.kind == _LEAF:
-            index = _find(node.keys, key)
+            index = bisect_left(node.keys, key)
             if index < len(node.keys) and node.keys[index] == key:
                 node.values[index] = value
             else:
@@ -312,7 +239,7 @@ class BPlusTree:
             return self._store_with_split(page_id, node)
         child = node.child_for(key)
         for separator, right_page in self._insert(child, key, value):
-            index = _find(node.keys, separator)
+            index = bisect_left(node.keys, separator)
             node.keys.insert(index, separator)
             node.values.insert(index, right_page)
         return self._store_with_split(page_id, node)
@@ -375,7 +302,7 @@ class _Node:
         self.values = values
 
     def child_for(self, key: bytes) -> int:
-        index = _find(self.keys, key)
+        index = bisect_left(self.keys, key)
         if index < len(self.keys) and self.keys[index] == key:
             index += 1
         if index == 0:
@@ -428,18 +355,6 @@ def _partition(node: "_Node") -> list[tuple[list, list]]:
             groups[-1][0].extend(keys)
             groups[-1][1].extend(values)
     return groups
-
-
-def _find(keys: list[bytes], key: bytes) -> int:
-    """Leftmost insertion point (bisect_left)."""
-    low, high = 0, len(keys)
-    while low < high:
-        middle = (low + high) // 2
-        if keys[middle] < key:
-            low = middle + 1
-        else:
-            high = middle
-    return low
 
 
 def _read_node(pool: BufferPool, page_id: int) -> _Node:

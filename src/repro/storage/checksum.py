@@ -1,88 +1,64 @@
-"""CRC32C page trailers: detect torn and misdirected page writes.
+"""The on-disk format and the checksum that seals it.
 
 Every on-disk page slot is the 4096-byte payload followed by an 8-byte
 trailer::
 
-    payload (PAGE_SIZE bytes) | magic "XPG1" | crc32c u32 LE
+    payload (PAGE_SIZE bytes) | magic "XPG2" | crc32 u32 LE
 
 The checksum covers the payload *plus the page id*, so a page written
 to the wrong offset (a misdirected write — the checksum would otherwise
-still match) fails verification too.  CRC32C (Castagnoli, polynomial
-0x1EDC6F41 reflected) is the checksum used by ext4 metadata, iSCSI and
-RocksDB; the stdlib only ships CRC32 (zlib), so a slicing-by-8
-table-driven implementation lives here — ~350 µs per page in CPython,
-paid only at physical I/O (buffer-pool hits never touch it).
+still match) fails verification too.  The write-ahead journal
+(:mod:`repro.storage.journal`) seals its batch with the same checksum
+under :data:`JOURNAL_MAGIC`.
+
+The algorithm is CRC-32 (IEEE 802.3, the one gzip and PNG use) because
+``zlib.crc32`` computes it in C over any buffer — about a microsecond
+per page, paid only at physical I/O (buffer-pool hits never touch it).
+Both magics name it: changing the algorithm means bumping them here,
+and a store under another version of them is refused
+(:class:`FormatError`), never migrated.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 
-from repro.errors import ChecksumError
+from repro.errors import ChecksumError, FormatError
 
-_POLY = 0x82F63B78  # CRC32C (Castagnoli), reflected
+#: The one checksum behind every seal: ``crc32(data, crc=0) -> int``.
+crc32 = zlib.crc32
 
-
-def _build_tables() -> list[list[int]]:
-    table0 = [0] * 256
-    for i in range(256):
-        crc = i
-        for _ in range(8):
-            crc = (crc >> 1) ^ _POLY if crc & 1 else crc >> 1
-        table0[i] = crc
-    tables = [table0]
-    for _ in range(7):
-        previous = tables[-1]
-        tables.append([(previous[i] >> 8) ^ table0[previous[i] & 0xFF] for i in range(256)])
-    return tables
-
-
-_T0, _T1, _T2, _T3, _T4, _T5, _T6, _T7 = _build_tables()
-
-
-def crc32c(data: bytes, crc: int = 0) -> int:
-    """The CRC32C of ``data``, continuing from ``crc`` (slicing-by-8)."""
-    crc ^= 0xFFFFFFFF
-    words = len(data) // 8
-    if words:
-        for word in struct.unpack_from(f"<{words}Q", data):
-            low = (crc ^ word) & 0xFFFFFFFF
-            high = word >> 32
-            crc = (
-                _T7[low & 0xFF]
-                ^ _T6[(low >> 8) & 0xFF]
-                ^ _T5[(low >> 16) & 0xFF]
-                ^ _T4[low >> 24]
-                ^ _T3[high & 0xFF]
-                ^ _T2[(high >> 8) & 0xFF]
-                ^ _T1[(high >> 16) & 0xFF]
-                ^ _T0[high >> 24]
-            )
-    for byte in memoryview(data)[words * 8 :]:
-        crc = (crc >> 8) ^ _T0[(crc ^ byte) & 0xFF]
-    return crc ^ 0xFFFFFFFF
-
-
-TRAILER_MAGIC = b"XPG1"
+TRAILER_MAGIC = b"XPG2"
+JOURNAL_MAGIC = b"XMJ3"
 _TRAILER = struct.Struct("<4sI")
 TRAILER_SIZE = _TRAILER.size
 
 
-def page_crc(page_id: int, payload: bytes) -> int:
-    """CRC32C over the payload then the page id (catches misdirection)."""
-    return crc32c(page_id.to_bytes(4, "little"), crc32c(payload))
+def page_crc(page_id: int, payload) -> int:
+    """CRC-32 over the payload then the page id (catches misdirection)."""
+    return crc32(page_id.to_bytes(4, "little"), crc32(payload))
 
 
-def seal_page(page_id: int, payload: bytes) -> bytes:
+def seal_page(page_id: int, payload) -> bytes:
     """The payload with its trailer appended: one on-disk slot."""
-    return payload + _TRAILER.pack(TRAILER_MAGIC, page_crc(page_id, payload))
+    return b"".join((payload, _TRAILER.pack(TRAILER_MAGIC, page_crc(page_id, payload))))
 
 
-def verify_page(path: str, page_id: int, slot: bytes) -> bytes:
-    """Split a slot into its payload, raising :class:`ChecksumError`
-    when the trailer magic or CRC does not match the contents."""
-    payload, trailer = slot[:-TRAILER_SIZE], slot[-TRAILER_SIZE:]
-    magic, stored = _TRAILER.unpack(trailer)
+def verify_page(path: str, page_id: int, slot):
+    """Split a slot (any buffer) into its payload, raising
+    :class:`ChecksumError` when the trailer magic or CRC does not match
+    the contents.  The payload is a slice of ``slot``: zero-copy when
+    ``slot`` is a memoryview.
+
+    A trailer that names another version of the format (``XPG1``) is a
+    :class:`FormatError` instead: that page is not damaged, it was
+    written by another build.  Any other wrong magic is damage."""
+    payload = slot[:-TRAILER_SIZE]
+    magic, stored = _TRAILER.unpack_from(slot, len(payload))
+    if magic != TRAILER_MAGIC and magic[:3] == TRAILER_MAGIC[:3]:
+        found, ours = magic.decode(errors="replace"), TRAILER_MAGIC.decode()
+        raise FormatError(path, f"has a {found!r} trailer on page {page_id}, not {ours!r}")
     computed = page_crc(page_id, payload)
     if magic != TRAILER_MAGIC or stored != computed:
         raise ChecksumError(path, page_id, stored, computed)

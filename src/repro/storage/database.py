@@ -18,7 +18,7 @@ import time
 from contextlib import contextmanager
 from typing import Iterator, Optional, Sequence
 
-from repro.cache import CompiledPlan, PlanCache, shape_fingerprint
+from repro.cache import CompiledPlan, PlanCache
 from repro.closeness.index import BaseIndex
 from repro.engine.interpreter import Interpreter, TransformResult
 from repro.errors import DocumentNotFoundError, ReadOnlyDatabaseError, StorageError
@@ -79,11 +79,10 @@ class Database:
 
         self._lock = FileLock(path + ".lock")
         self._lock.acquire(shared=(mode == "r"))
-        self._file = None
+        self._file = journal = None
         try:
             if mode == "r":
                 self._file = self._open_snapshot(path, durable)
-                journal = None
                 if self._file.page_count == 0:
                     raise StorageError(
                         f"cannot open {path!r} read-only: the store is empty "
@@ -91,12 +90,15 @@ class Database:
                     )
             else:
                 self._file = PagedFile(path, self.stats)
-                journal = None
                 if durable:
                     from repro.storage.journal import Journal
 
                     journal = Journal(path + ".journal", stats=self.stats)
                     journal.recover(self._file)
+            self.pool = BufferPool(self._file, capacity=cache_pages, journal=journal)
+            # Reads the meta page: the first checksum and format check,
+            # after any journal replay has had its chance to heal it.
+            self.tree = BPlusTree(self.pool)
         except FileNotFoundError:
             self._lock.release()
             raise StorageError(
@@ -111,8 +113,6 @@ class Database:
                     pass
             self._lock.release()
             raise
-        self.pool = BufferPool(self._file, capacity=cache_pages, journal=journal)
-        self.tree = BPlusTree(self.pool)
         self._indexes: dict[str, StoredDocumentIndex] = {}
         #: Guards the index map (transform_many workers race to build
         #: the per-document index on first touch).
@@ -164,9 +164,7 @@ class Database:
         # Conservatively recompile against the fresh index epoch: plans
         # cached under this shape fingerprint may hold data types from a
         # document that was dropped and re-stored.
-        fingerprint = descriptor.get("shape_fingerprint")
-        if fingerprint:
-            self.plan_cache.invalidate(fingerprint)
+        self.plan_cache.invalidate(descriptor["shape_fingerprint"])
         return descriptor
 
     def document_names(self) -> list[str]:
@@ -658,11 +656,8 @@ class StoredDocumentIndex(BaseIndex):
             raise StorageError(f"document {self.name!r} has no stored shape")
         shape_info = tables.decode_shape(shape_chunks)
         #: Stable hash of the adorned-shape descriptor; keys the plan
-        #: cache.  Stored in the catalog at shred time; recomputed from
-        #: the decoded shape for documents stored before the field existed.
-        self.fingerprint: str = (
-            descriptor.get("shape_fingerprint") or shape_fingerprint(shape_info)
-        )
+        #: cache.  Stored in the catalog at shred and update time.
+        self.fingerprint: str = descriptor["shape_fingerprint"]
         self.type_table = TypeTable()
         self._counts: dict[int, int] = {}
         for type_id, path in sorted(shape_info["types"]):

@@ -1,19 +1,26 @@
 """``xmorph fsck``: offline integrity checking and repair for a database.
 
-Four passes, cheapest first:
+Five passes, cheapest first:
 
 1. **Lock probe** — the store is single-writer; a held lock means a
    live process owns the file and scanning would race it, so fsck
    reports ``locked`` and stops.
-2. **Journal** — a sealed journal is a committed batch whose in-place
-   apply was interrupted; ``--repair`` replays it (exactly what opening
-   the database would do).  A corrupt/unsealed journal is evidence of a
-   crash before the commit point; ``--repair`` quarantines it as
+2. **Journal** — inspected read-only before anything else, so the
+   report always says what sits beside the file.  A sealed journal is
+   a committed batch whose in-place apply was interrupted; ``--repair``
+   replays it (exactly what opening the database would do).  A
+   corrupt/unsealed journal (or one under an older magic) is evidence
+   of a crash before the commit point; ``--repair`` quarantines it as
    ``<journal>.corrupt``.
-3. **Page scan** — every slot's CRC32C trailer is verified
+3. **Format** — a file that is not whole slots stops fsck here, before
+   any repair (:class:`~repro.errors.FormatError`, ``XM500``): it is
+   reported and left alone, with or without ``--repair``.
+4. **Page scan** — every slot's CRC-32 trailer is verified
    (:mod:`repro.storage.checksum`); torn or misdirected writes surface
-   as per-page checksum failures.
-4. **Structure** — the B+tree is walked (:meth:`BPlusTree.check`) and
+   as per-page checksum failures.  A page sealed under another version
+   of the trailer ends the scan with the same ``XM500``; nothing is
+   rebuilt.
+5. **Structure** — the B+tree is walked (:meth:`BPlusTree.check`) and
    every catalog descriptor is cross-checked against its table records
    (:func:`repro.storage.tables.verify_document`).
 
@@ -27,7 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from repro.errors import DatabaseLockedError, PageError, StorageError
+from repro.errors import DatabaseLockedError, FormatError, PageError, StorageError
 from repro.storage import tables
 from repro.storage.btree import BPlusTree
 from repro.storage.journal import Journal
@@ -46,12 +53,12 @@ class FsckReport:
     journal_status: str = "none"
     journal_pages: int = 0
     pages_scanned: int = 0
-    #: Page ids whose CRC32C trailer did not match their contents.
+    #: Page ids whose CRC-32 trailer did not match their contents.
     checksum_failures: list[int] = field(default_factory=list)
     btree_problems: list[str] = field(default_factory=list)
     documents: list[str] = field(default_factory=list)
     document_problems: list[str] = field(default_factory=list)
-    #: Problems fsck could not check past (legacy format, bad meta page).
+    #: Problems fsck could not check past (a file in another format).
     errors: list[str] = field(default_factory=list)
     events: dict[str, int] = field(default_factory=dict)
 
@@ -121,54 +128,47 @@ def fsck(path: str, repair: bool = False, stats: SystemStats | None = None) -> F
         report.locked = True
         return report
     try:
-        _check_journal(path, repair, stats, report)
-        file = _open_pages(path, repair, stats, report)
-        if file is None:
-            return report
+        # Read-only, and first: whatever else is wrong with the file, the
+        # report says whether a committed batch sits beside it.
+        journal = Journal(path + ".journal", stats=stats)
+        report.journal_status, batch = journal.inspect()
+        report.journal_pages = len(batch or ())
         try:
-            _scan_pages(file, stats, report)
-            _check_structure(file, stats, report)
-        finally:
-            file.close()
+            file = PagedFile(path, stats)
+            try:
+                if repair:
+                    _repair_journal(journal, file, stats, report)
+                _scan_pages(file, stats, report)
+                _check_structure(file, stats, report)
+            finally:
+                file.close()
+        except FormatError as error:
+            report.errors.append(str(error))
         report.events = dict(stats.events)
         return report
     finally:
         lock.release()
 
 
-def _check_journal(path: str, repair: bool, stats: SystemStats, report: FsckReport) -> None:
-    journal = Journal(path + ".journal", stats=stats)
-    status, pages = journal.inspect()
-    report.journal_status = status
-    report.journal_pages = len(pages) if pages else 0
-    if status == "sealed" and repair:
-        file = PagedFile(path, stats)
-        try:
-            applied = journal.recover(file)
-        finally:
-            file.close()
+def _repair_journal(
+    journal: Journal, file: PagedFile, stats: SystemStats, report: FsckReport
+) -> None:
+    if report.journal_status == "sealed":
+        applied = journal.recover(file)
         report.journal_status = "replayed"
         stats.event("fsck.journals_replayed")
         stats.event("fsck.pages_replayed", applied)
-    elif status == "corrupt" and repair:
+    elif report.journal_status == "corrupt":
         journal.quarantine()
         report.journal_status = "quarantined"
-
-
-def _open_pages(
-    path: str, repair: bool, stats: SystemStats, report: FsckReport
-) -> PagedFile | None:
-    try:
-        return PagedFile(path, stats, upgrade_legacy=repair)
-    except PageError as error:
-        report.errors.append(str(error))
-        return None
 
 
 def _scan_pages(file: PagedFile, stats: SystemStats, report: FsckReport) -> None:
     for page_id in range(file.page_count):
         try:
             file.read_page(page_id)
+        except FormatError:
+            raise  # another build's page, not a damaged one: stop here
         except PageError:
             report.checksum_failures.append(page_id)
     report.pages_scanned = file.page_count

@@ -13,12 +13,12 @@ as ``<path>.corrupt`` — forensic evidence is never silently destroyed —
 before recovery proceeds as if it were absent (the crash happened
 mid-journal; the main file is untouched).
 
-Journal layout (v2, CRC-sealed)::
+Journal layout (CRC-sealed)::
 
-    MAGIC "XMJ2" | count u32 | crc32c u32 | (page_id u32 | PAGE_SIZE bytes) * count | "DONE"
+    MAGIC "XMJ3" | count u32 | crc32 u32 | (page_id u32 | PAGE_SIZE bytes) * count | "DONE"
 
-where the CRC covers the entry region.  Legacy ``XMJL`` journals (no
-CRC field) from before the upgrade are still replayed.
+where the CRC covers the entry region.  A journal under any other magic
+is not a batch this build wrote: it is quarantined, never replayed.
 
 Every syscall site (blob write, fsync, directory fsync, unlink) reports
 to the failpoint registry (:mod:`repro.faults`) for crash testing.
@@ -32,15 +32,12 @@ import time
 from typing import Mapping, Optional
 
 from repro.faults import FAULTS
-from repro.storage.checksum import crc32c
+from repro.storage.checksum import JOURNAL_MAGIC, crc32
 from repro.storage.pages import PAGE_SIZE, PagedFile, _fsync_dir
 from repro.storage.stats import SystemStats
 
-_MAGIC = b"XMJ2"
-_LEGACY_MAGIC = b"XMJL"
 _SEAL = b"DONE"
 _HEADER = struct.Struct("<4sII")
-_LEGACY_HEADER = struct.Struct("<4sI")
 _ENTRY_HEADER = struct.Struct("<I")
 
 
@@ -72,7 +69,7 @@ class Journal:
                 raise ValueError(f"journal entry for page {page_id} has wrong size")
             body += _ENTRY_HEADER.pack(page_id)
             body += data
-        blob = _HEADER.pack(_MAGIC, len(pages), crc32c(bytes(body))) + body + _SEAL
+        blob = _HEADER.pack(JOURNAL_MAGIC, len(pages), crc32(body)) + body + _SEAL
         fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
         try:
             FAULTS.fire(
@@ -117,27 +114,24 @@ class Journal:
                 blob = handle.read()
         except FileNotFoundError:
             return "none", None
-        for header, has_crc in ((_HEADER, True), (_LEGACY_HEADER, False)):
-            if len(blob) < header.size + len(_SEAL) or not blob.endswith(_SEAL):
-                continue
-            fields = header.unpack_from(blob, 0)
-            magic, count = fields[0], fields[1]
-            if magic != (_MAGIC if has_crc else _LEGACY_MAGIC):
-                continue
-            body = blob[header.size : -len(_SEAL)]
-            if len(body) != count * (_ENTRY_HEADER.size + PAGE_SIZE):
-                continue
-            if has_crc and crc32c(body) != fields[2]:
-                continue
-            pages: dict[int, bytes] = {}
-            offset = 0
-            for _ in range(count):
-                (page_id,) = _ENTRY_HEADER.unpack_from(body, offset)
-                offset += _ENTRY_HEADER.size
-                pages[page_id] = body[offset : offset + PAGE_SIZE]
-                offset += PAGE_SIZE
-            return "sealed", pages
-        return "corrupt", None
+        if len(blob) < _HEADER.size + len(_SEAL) or not blob.endswith(_SEAL):
+            return "corrupt", None
+        magic, count, stored = _HEADER.unpack_from(blob, 0)
+        body = blob[_HEADER.size : -len(_SEAL)]
+        if (
+            magic != JOURNAL_MAGIC
+            or len(body) != count * (_ENTRY_HEADER.size + PAGE_SIZE)
+            or crc32(body) != stored
+        ):
+            return "corrupt", None
+        pages: dict[int, bytes] = {}
+        offset = 0
+        for _ in range(count):
+            (page_id,) = _ENTRY_HEADER.unpack_from(body, offset)
+            offset += _ENTRY_HEADER.size
+            pages[page_id] = body[offset : offset + PAGE_SIZE]
+            offset += PAGE_SIZE
+        return "sealed", pages
 
     def quarantine(self) -> str:
         """Move a corrupt journal aside as ``<path>.corrupt``; returns

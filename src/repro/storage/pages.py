@@ -10,13 +10,14 @@ This is the layer where the paper's block-I/O numbers (Figures 11–12)
 come from.
 
 On disk each page occupies a *slot*: the ``PAGE_SIZE`` payload plus an
-8-byte CRC32C trailer (:mod:`repro.storage.checksum`).  Upper layers
+8-byte CRC-32 trailer (:mod:`repro.storage.checksum`).  Upper layers
 only ever see the payload; the trailer is computed on every physical
 write and verified on every physical read, so a torn or misdirected
 write surfaces as a coded :class:`~repro.errors.ChecksumError` instead
-of silent corruption.  Files written before trailers existed (size a
-multiple of ``PAGE_SIZE`` but not ``SLOT_SIZE``) are rebuilt in place
-on open.  Every syscall site reports to the failpoint registry
+of silent corruption.  A file that is not whole slots is refused at
+open, and a page sealed under another version of the trailer at its
+first read (:class:`~repro.errors.FormatError`); neither is migrated.
+Every syscall site reports to the failpoint registry
 (:mod:`repro.faults`) so the crash-matrix suite can tear or kill it.
 """
 
@@ -29,19 +30,18 @@ import time
 from collections import OrderedDict
 from typing import Mapping, Optional
 
-from repro.errors import PageError, ReadOnlyDatabaseError
+from repro.errors import ChecksumError, FormatError, PageError, ReadOnlyDatabaseError
 from repro.faults import FAULTS
 from repro.storage.checksum import (
-    TRAILER_MAGIC,
     TRAILER_SIZE,
-    page_crc,
+    page_crc,  # noqa: F401 - part of this module's checksum surface
     seal_page,
     verify_page,
 )
 from repro.storage.stats import SystemStats
 
 PAGE_SIZE = 4096
-#: On-disk footprint of one page: payload + CRC32C trailer.
+#: On-disk footprint of one page: payload + CRC-32 trailer.
 SLOT_SIZE = PAGE_SIZE + TRAILER_SIZE
 
 
@@ -62,7 +62,7 @@ class PagedFile:
     forked workers) share one physical copy of every hot page through
     the OS page cache — only the small header fields a B+tree node
     decode unpacks are copied per process ("copy-on-read headers").
-    The CRC32C trailer is still verified on first touch, directly over
+    The CRC-32 trailer is still verified on first touch, directly over
     the mapped slot, without materializing the payload.
     """
 
@@ -70,7 +70,6 @@ class PagedFile:
         self,
         path: str,
         stats: SystemStats,
-        upgrade_legacy: bool = True,
         readonly: bool = False,
         overlay: Optional[Mapping[int, bytes]] = None,
     ):
@@ -86,16 +85,12 @@ class PagedFile:
         self._fd = os.open(path, flags, 0o644)
         try:
             size = os.fstat(self._fd).st_size
-            if size % SLOT_SIZE and size % PAGE_SIZE == 0:
-                # Pre-trailer legacy file: rebuild with checksums.
-                if not upgrade_legacy or readonly:
-                    raise PageError(
-                        f"{path} is in the legacy (trailer-less) page format "
-                        f"({size} bytes); open writable or fsck --repair to rebuild"
-                    )
-                size = self._rebuild_legacy(size // PAGE_SIZE)
             if size % SLOT_SIZE:
-                raise PageError(f"{path} is not page-aligned ({size} bytes)")
+                raise FormatError(
+                    path,
+                    f"is {size} bytes, not a whole number of {SLOT_SIZE}-byte "
+                    "slots (written without checksum trailers, or cut short)",
+                )
             self._page_count = size // SLOT_SIZE
             if self._overlay:
                 # A journal batch may extend the file past its on-disk end.
@@ -150,11 +145,7 @@ class PagedFile:
                 f"short read on page {page_id} of {self.path} "
                 f"({len(slot)} of {SLOT_SIZE} bytes)"
             )
-        try:
-            return bytearray(verify_page(self.path, page_id, slot))
-        except PageError:
-            self.stats.event("pages.checksum_failures")
-            raise
+        return bytearray(self._verify(page_id, slot))
 
     def _read_mapped(self, page_id: int) -> memoryview:
         """A zero-copy view of a mapped page, CRC-checked on first touch."""
@@ -162,20 +153,22 @@ class PagedFile:
         started = time.perf_counter()
         offset = page_id * SLOT_SIZE
         slot = memoryview(self._mmap)[offset : offset + SLOT_SIZE]
-        payload = slot[:PAGE_SIZE]
-        if page_id not in self._verified:
-            trailer = slot[PAGE_SIZE:]
-            stored = int.from_bytes(trailer[4:], "little")
-            computed = page_crc(page_id, payload)
-            if bytes(trailer[:4]) != TRAILER_MAGIC or stored != computed:
-                self.stats.event("pages.checksum_failures")
-                from repro.errors import ChecksumError
-
-                raise ChecksumError(self.path, page_id, stored, computed)
+        if page_id in self._verified:
+            payload = slot[:PAGE_SIZE]
+        else:
+            payload = self._verify(page_id, slot)
             self._verified.add(page_id)
         self.stats.observe("storage.page_read_seconds", time.perf_counter() - started)
         self.stats.block_read()
         return payload
+
+    def _verify(self, page_id: int, slot):
+        """The slot's payload once its trailer checks out (counted if not)."""
+        try:
+            return verify_page(self.path, page_id, slot)
+        except ChecksumError:
+            self.stats.event("pages.checksum_failures")
+            raise
 
     def write_page(self, page_id: int, data: bytes) -> None:
         if self.readonly:
@@ -183,7 +176,7 @@ class PagedFile:
         self._check(page_id)
         if len(data) != PAGE_SIZE:
             raise PageError(f"page payload must be {PAGE_SIZE} bytes, got {len(data)}")
-        slot = seal_page(page_id, bytes(data))
+        slot = seal_page(page_id, data)
         offset = page_id * SLOT_SIZE
         FAULTS.fire(
             "pages.pwrite",
@@ -213,29 +206,6 @@ class PagedFile:
     def _check(self, page_id: int) -> None:
         if page_id < 0 or page_id >= self._page_count:
             raise PageError(f"page {page_id} out of range (0..{self._page_count - 1})")
-
-    def _rebuild_legacy(self, pages: int) -> int:
-        """Append trailers to a pre-checksum file; returns the new size.
-
-        The rebuild goes through a temp file and an atomic ``rename``
-        so a crash mid-rebuild leaves either the old file or the new
-        one, never a half-converted hybrid.
-        """
-        scratch = self.path + ".rebuild"
-        fd = os.open(scratch, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o644)
-        try:
-            for page_id in range(pages):
-                payload = os.pread(self._fd, PAGE_SIZE, page_id * PAGE_SIZE)
-                os.pwrite(fd, seal_page(page_id, payload), page_id * SLOT_SIZE)
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        os.replace(scratch, self.path)
-        _fsync_dir(os.path.dirname(self.path))
-        os.close(self._fd)
-        self._fd = os.open(self.path, os.O_RDWR, 0o644)
-        self.stats.event("recovery.pages_rebuilt", pages)
-        return pages * SLOT_SIZE
 
 
 def _fsync_dir(path: str) -> None:

@@ -201,11 +201,6 @@ def decode_shape(chunks: list[bytes]) -> dict:
     return json.loads(b"".join(chunks).decode())
 
 
-def store_chunks(tree: BPlusTree, keys: Iterator[bytes] | list[bytes], chunks: list[bytes]) -> None:
-    for key, chunk in zip(keys, chunks):
-        tree.put(key, chunk)
-
-
 def load_chunks(tree: BPlusTree, prefix: bytes) -> list[bytes]:
     return [value for _key, value in tree.scan_prefix(prefix)]
 

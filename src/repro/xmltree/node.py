@@ -140,9 +140,6 @@ class XmlNode(NodeLike):
                 return child
         return None
 
-    def find_all(self, name: str) -> list["XmlNode"]:
-        return [child for child in self.children if child.name == name]
-
     def copy_subtree(self) -> "XmlNode":
         """A deep copy of this subtree (Dewey ids are not copied)."""
         clone = XmlNode(self.name, self.kind, self.text)
@@ -227,6 +224,21 @@ class XmlForest:
     def canonical(self) -> tuple:
         """Order-insensitive fingerprint of the whole forest."""
         return tuple(sorted(root.canonical() for root in self.roots))
+
+    def unlink(self) -> None:
+        """Forget every ``parent`` link, for a forest about to be dropped.
+
+        ``parent`` ↔ ``children`` is a reference cycle, so a dropped tree
+        otherwise waits for the cycle collector; unlinked, reference
+        counting frees it at once (cf. ``xml.dom.minidom.Node.unlink``).
+        Downward navigation and serialization keep working.
+        """
+        stack = list(self.roots)
+        while stack:
+            for child in stack.pop().children:
+                child.parent = None
+                if child.children:
+                    stack.append(child)
 
     def __len__(self) -> int:
         return len(self.roots)

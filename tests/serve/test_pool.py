@@ -1,5 +1,6 @@
 """TransformPool lifecycle: deadlines, degradation, and the serve loop."""
 
+import gc
 import io
 import json
 import socket
@@ -11,6 +12,7 @@ import pytest
 from repro.errors import TransformTimeoutError
 from repro.serve import ServeStats, TransformPool, serve_forever, serve_loop
 from repro.storage import Database
+from repro.xmltree.node import XmlNode
 
 from tests.conftest import FIG1A
 
@@ -135,6 +137,25 @@ class TestServeLoop:
         serial = db.transform("doc", GUARD).xml()
         assert all(r["xml"] == serial for r in responses)
         assert stats.requests == 10 and stats.ok == 10 and stats.errors == 0
+
+    def test_answered_trees_are_freed_without_the_collector(self, db):
+        """The responder unlinks each rendered forest (cyclic through
+        ``parent``), so answered requests do not pile up as garbage."""
+        lines = [json.dumps({"id": i, "doc": "doc", "guard": GUARD}) for i in range(5)]
+
+        def live_nodes():
+            return sum(1 for o in gc.get_objects() if type(o) is XmlNode)
+
+        self._run(db, lines[:1], workers=1)  # compile, load the index
+        gc.collect()
+        gc.disable()
+        try:
+            before = live_nodes()
+            _, responses = self._run(db, lines, workers=1)
+            assert all(r["ok"] and "<" in r["xml"] for r in responses)
+            assert live_nodes() == before
+        finally:
+            gc.enable()
 
     def test_stream_request(self, db):
         lines = [json.dumps({"id": 1, "doc": "doc", "guard": GUARD, "stream": True})]

@@ -114,9 +114,9 @@ class TestPersistence:
         file.close()
 
     def test_not_a_tree_file(self, tmp_path):
-        path = tmp_path / "junk.db"
-        path.write_bytes(b"\x00" * 4096)
-        file = PagedFile(str(path), SystemStats())
+        # A well-formed page file whose page 0 is not a tree's meta page.
+        file = PagedFile(str(tmp_path / "junk.db"), SystemStats())
+        file.allocate()
         with pytest.raises(StorageError):
             BPlusTree(BufferPool(file))
         file.close()

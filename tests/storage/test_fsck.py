@@ -6,9 +6,13 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.errors import ChecksumError, FormatError
 from repro.faults import FAULTS, SimulatedCrash
 from repro.storage import PAGE_SIZE, SLOT_SIZE, Database
 from repro.storage.fsck import fsck
+from repro.storage.journal import Journal
+from repro.storage.pages import PagedFile
+from repro.storage.stats import SystemStats
 
 from tests.conftest import FIG1A
 
@@ -106,36 +110,164 @@ class TestFsck:
         assert not report.ok
         assert any("nodes" in problem.lower() for problem in report.document_problems)
 
-    def test_legacy_file_rebuilt_with_repair(self, stored):
-        # Strip the trailers to fabricate a pre-checksum legacy file.
-        with open(stored, "rb") as handle:
-            raw = handle.read()
-        pages = len(raw) // SLOT_SIZE
-        with open(stored, "wb") as handle:
-            for page_id in range(pages):
-                handle.write(raw[page_id * SLOT_SIZE : page_id * SLOT_SIZE + PAGE_SIZE])
 
-        unrepaired = fsck(stored)
-        assert not unrepaired.ok
-        assert any("legacy" in error for error in unrepaired.errors)
+def _read(path: str) -> bytes:
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def _strip_trailers(path: str) -> None:
+    """Rewrite the store as bare 4096-byte pages (the pre-checksum format)."""
+    raw = _read(path)
+    with open(path, "wb") as handle:
+        for offset in range(0, len(raw), SLOT_SIZE):
+            handle.write(raw[offset : offset + PAGE_SIZE])
+
+
+def _retag_trailers(path: str, magic: bytes) -> None:
+    """Overwrite every slot's trailer magic (the XPG1 layout is the same)."""
+    with open(path, "r+b") as handle:
+        for offset in range(PAGE_SIZE, os.path.getsize(path), SLOT_SIZE):
+            handle.seek(offset)
+            handle.write(magic)
+
+
+def _seal_journal(stored: str) -> str:
+    """Leave a sealed current-format journal whose one entry zeroes
+    page 1 beside the store; returns its path."""
+    journal_path = stored + ".journal"
+    Journal(journal_path).write({1: bytes(PAGE_SIZE)})
+    return journal_path
+
+
+class TestOlderFormatsRefused:
+    """One on-disk format: older files get XM500, older journals are
+    quarantined; nothing is rebuilt and nothing is replayed."""
+
+    def _refused(self, stored):
+        for mode in ("w", "r"):
+            with pytest.raises(FormatError) as excinfo:
+                Database(stored, mode=mode)
+            assert excinfo.value.code == "XM500"
+            assert "re-shred" in str(excinfo.value)
+        for repair in (False, True):
+            report = fsck(stored, repair=repair)
+            assert not report.ok
+            assert len(report.errors) == 1 and "[XM500]" in report.errors[0]
+            assert report.pages_scanned == 0
+            assert report.checksum_failures == []
+            yield report
+
+    def test_trailerless_file_refused_and_untouched(self, stored):
+        _strip_trailers(stored)
+        # A sealed journal beside it is reported, and never replayed
+        # into a file the store refuses to read.
+        journal_path = _seal_journal(stored)
+        before = _read(stored), _read(journal_path)
+        for report in self._refused(stored):
+            assert report.journal_status == "sealed" and report.journal_pages == 1
+            assert "whole number" in report.errors[0]
+        assert (_read(stored), _read(journal_path)) == before
+        assert sorted(os.listdir(os.path.dirname(stored))) == ["f.db", "f.db.journal", "f.db.lock"]
+
+    def test_xpg1_file_refused_and_untouched(self, stored):
+        _retag_trailers(stored, b"XPG1")
+        before = _read(stored)
+        for report in self._refused(stored):
+            assert "'XPG1'" in report.errors[0]
+        assert _read(stored) == before
+        assert sorted(os.listdir(os.path.dirname(stored))) == ["f.db", "f.db.lock"]
+
+    @pytest.mark.parametrize("magic", [b"XMJL", b"XMJ2"])
+    def test_older_journal_quarantined_never_replayed(self, stored, magic):
+        journal_path = _seal_journal(stored)
+        blob = _read(journal_path)
+        if magic == b"XMJL":
+            # The oldest layout had no CRC field: magic | count | entries | seal.
+            blob = magic + blob[4:8] + blob[12:]
+        else:
+            blob = magic + blob[4:]
+        with open(journal_path, "wb") as handle:
+            handle.write(blob)
+        before = _read(stored)
+
+        assert fsck(stored).journal_status == "corrupt"
+        with Database(stored) as db:
+            assert db.stats.events["recovery.discarded_journals"] == 1
+            assert "recovery.journals_replayed" not in db.stats.events
+            assert db.document_names() == ["a"]
+        assert _read(stored) == before
+        assert _read(journal_path + ".corrupt") == blob
+        assert not os.path.exists(journal_path)
+        assert fsck(stored).ok
+
+    def test_current_journal_is_replayed(self, stored):
+        # The control for the two tests above: the same batch under the
+        # current magic *is* applied (page 1 ends up zeroed).
+        journal_path = _seal_journal(stored)
+        file = PagedFile(stored, SystemStats())
+        try:
+            assert Journal(journal_path).recover(file) == 1
+        finally:
+            file.close()
+        assert _read(stored)[SLOT_SIZE : SLOT_SIZE + PAGE_SIZE] == bytes(PAGE_SIZE)
+
+
+def _damage(path: str, offset: int) -> None:
+    with open(path, "r+b") as handle:
+        handle.seek(offset)
+        byte = handle.read(1)
+        handle.seek(offset)
+        handle.write(bytes([byte[0] ^ 0xFF]))
+
+
+class TestDamagedMetaTrailer:
+    """Page 0 is in most batches, so a crash mid-apply can leave *its*
+    trailer torn.  That is damage, not another format: the sealed
+    journal is consulted first and heals it."""
+
+    # The 'P' of the magic, its version byte, and the stored CRC.
+    @pytest.mark.parametrize("offset", [PAGE_SIZE + 1, PAGE_SIZE + 3, PAGE_SIZE + 5])
+    def test_sealed_journal_heals_page_zero(self, stored, offset):
+        meta = _read(stored)[:PAGE_SIZE]
+        Journal(stored + ".journal").write({0: meta})
+        _damage(stored, offset)
+
+        report = fsck(stored)
+        assert not report.ok
+        assert report.journal_status == "sealed" and report.journal_pages == 1
+        assert report.checksum_failures == [0] or report.errors
+
+        # A reader overlays the batch and never looks at the torn slot.
+        with Database(stored, mode="r") as reader:
+            assert reader.document_names() == ["a"]
+            assert reader.transform("a", "MORPH author [ name ]").xml()
 
         repaired = fsck(stored, repair=True)
+        assert repaired.journal_status == "replayed"
         assert repaired.ok, repaired.pretty()
-        assert repaired.events["recovery.pages_rebuilt"] == pages
-        with Database(stored) as again:
-            assert again.document_names() == ["a"]
-
-    def test_legacy_file_rebuilt_on_normal_open(self, stored):
-        with open(stored, "rb") as handle:
-            raw = handle.read()
-        pages = len(raw) // SLOT_SIZE
-        with open(stored, "wb") as handle:
-            for page_id in range(pages):
-                handle.write(raw[page_id * SLOT_SIZE : page_id * SLOT_SIZE + PAGE_SIZE])
         with Database(stored) as db:
             assert db.document_names() == ["a"]
-            assert db.stats.events["recovery.pages_rebuilt"] == pages
+
+    def test_writer_open_replays_before_judging(self, stored):
+        meta = _read(stored)[:PAGE_SIZE]
+        Journal(stored + ".journal").write({0: meta})
+        _damage(stored, PAGE_SIZE + 1)
+        with Database(stored) as db:
+            assert db.stats.events["recovery.journals_replayed"] == 1
+            assert db.document_names() == ["a"]
         assert fsck(stored).ok
+
+    def test_without_a_journal_it_is_a_checksum_failure(self, stored):
+        _damage(stored, PAGE_SIZE + 1)
+        for mode in ("w", "r"):
+            with pytest.raises(ChecksumError) as excinfo:
+                Database(stored, mode=mode)
+            assert excinfo.value.code == "XM510" and excinfo.value.page_id == 0
+        report = fsck(stored)
+        assert not report.locked  # the failed opens let go of the lock
+        assert report.checksum_failures == [0] and report.errors == []
+        assert report.pages_scanned > 1
 
 
 class TestFsckCli:

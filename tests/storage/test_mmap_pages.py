@@ -4,7 +4,7 @@ A ``PagedFile`` opened ``readonly=True`` maps the file and serves
 ``read_page`` as ``memoryview`` slices into the mapping — no per-page
 copy, and forked serve workers share the hot pages through the OS page
 cache.  The map must change *nothing* observable: bytes identical to
-the pread path, CRC32C still verified (once per page per open), and
+the pread path, CRC-32 still verified (once per page per open), and
 writer handles untouched.
 """
 

@@ -124,14 +124,57 @@ class TestChecksums:
             again.read_page(0)
         again.close()
 
-    def test_crc32c_known_answer(self):
-        from repro.storage.checksum import crc32c
+    def test_crc32_known_answer(self):
+        from repro.storage.checksum import crc32
 
-        # The canonical CRC32C check vector (RFC 3720 appendix B.4).
-        assert crc32c(b"123456789") == 0xE3069283
-        assert crc32c(b"") == 0
+        # The canonical CRC-32 (IEEE 802.3) check value.
+        assert crc32(b"123456789") == 0xCBF43926
+        assert crc32(b"") == 0
         # Incremental == one-shot.
-        assert crc32c(b"6789", crc32c(b"12345")) == 0xE3069283
+        assert crc32(b"6789", crc32(b"12345")) == 0xCBF43926
+
+    def test_page_id_enters_the_checksum(self):
+        from repro.storage.checksum import crc32, page_crc
+
+        payload = bytes([9]) * PAGE_SIZE
+        assert page_crc(7, payload) == crc32(payload + (7).to_bytes(4, "little"))
+        assert page_crc(7, payload) != page_crc(8, payload)
+
+    def test_pread_and_mmap_raise_the_identical_error(self, tmp_path):
+        # One verifier behind both read paths: same class, code, fields
+        # and message for the same flipped byte.
+        from repro.errors import ChecksumError
+        from repro.storage.pages import SLOT_SIZE
+
+        path = str(tmp_path / "both.db")
+        file = PagedFile(path, SystemStats())
+        for value in (1, 2):
+            file.write_page(file.allocate(), bytes([value]) * PAGE_SIZE)
+        file.close()
+        with open(path, "r+b") as handle:
+            handle.seek(SLOT_SIZE + 17)
+            handle.write(b"\xff")
+
+        raised = []
+        for readonly in (False, True):
+            handle = PagedFile(path, SystemStats(), readonly=readonly)
+            try:
+                assert (handle._mmap is not None) == readonly
+                with pytest.raises(ChecksumError) as excinfo:
+                    handle.read_page(1)
+                assert handle.stats.events["pages.checksum_failures"] == 1
+                raised.append(excinfo.value)
+            finally:
+                handle.close()
+        pread, mapped = raised
+        assert type(pread) is type(mapped) is ChecksumError
+        assert pread.code == mapped.code == "XM510"
+        assert str(pread) == str(mapped)
+        assert (pread.page_id, pread.stored, pread.computed) == (
+            mapped.page_id,
+            mapped.stored,
+            mapped.computed,
+        )
 
 
 class TestBufferPool:

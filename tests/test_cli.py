@@ -1,5 +1,7 @@
 """Tests for the xmorph command-line tool."""
 
+import os
+
 import pytest
 
 from repro.cli import main
@@ -316,6 +318,47 @@ class TestErrors:
         db = str(tmp_path / "empty.db")
         assert main(["ls", "--db", db]) == 0
         assert main(["db-transform", "--db", db, "nope", "MORPH x"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["shape", "{missing}"],
+            ["check", "{missing}", "MORPH author"],
+            ["transform", "{missing}", "MORPH author"],
+            ["run", "{missing}", "MORPH author"],
+            ["shred", "--db", "{db}", "books", "{missing}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_missing_input_file_is_an_error_line(self, argv, tmp_path, capsys):
+        missing = str(tmp_path / "nonexistent.xml")
+        db = str(tmp_path / "s.db")
+        argv = [part.format(missing=missing, db=db) for part in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "nonexistent.xml" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_closed_pipe_exits_quietly(self, doc):
+        # ``xmorph shape doc | true``: the reader is gone before we write.
+        import subprocess
+        import sys
+
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "shape", doc],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert done.stderr == b""
 
 
 class TestEvolveCommand:
