@@ -1,15 +1,11 @@
-"""Benchmark harness utilities shared by the ``benchmarks/`` suite.
+"""Harness, tables and plots for ``benchmarks/``, which regenerates the
+paper's Section IX figures: wall-clock seconds (pytest-benchmark) beside
+the storage cost model's deterministic blocks, simulated seconds and
+wait percentage.  :mod:`repro.bench.reporting` writes the series tables
+under ``bench_results/`` so EXPERIMENTS.md can quote them.
 
-Every experiment reports two kinds of numbers:
-
-* **wall-clock seconds** measured on whatever machine runs the bench
-  (via pytest-benchmark), and
-* **deterministic simulated costs** from the storage engine's cost
-  model — blocks, simulated seconds, wait percentage — which reproduce
-  the paper's *shapes* machine-independently.
-
-:mod:`repro.bench.reporting` prints paper-style series tables and
-writes them under ``bench_results/`` so EXPERIMENTS.md can quote them.
+The system's own serve, read, ingest and update paths are measured by
+``python3 -m perfbench`` (``BENCHMARK.json``), not by this package.
 """
 
 from repro.bench.reporting import SeriesTable, format_seconds, write_report

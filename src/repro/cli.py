@@ -24,8 +24,6 @@ Examples::
     xmorph serve --db bib.db --port 9900 --trace-sample 10 --slow-ms 50
     xmorph metrics --port 9900
     xmorph top --port 9900 --plain
-    xmorph bench --parallel --workers 8
-    xmorph bench --compare BENCH_pipeline.json --threshold 0.25
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ import os
 import sys
 
 import repro
-from repro.errors import XMorphError
+from repro.errors import StorageError, XMorphError
 from repro.storage import Database
 
 
@@ -344,98 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
     explain.add_argument("guard")
     explain.set_defaults(handler=_cmd_explain)
 
-    bench = commands.add_parser(
-        "bench",
-        help="pipeline benchmarks: cold-vs-warm caches, or --parallel throughput",
-    )
-    bench.add_argument(
-        "--publications", type=int, default=800, help="DBLP slice size (records)"
-    )
-    bench.add_argument(
-        "--repeat", type=int, default=5, help="warm runs per guard"
-    )
-    bench.add_argument(
-        "--output",
-        "-o",
-        default=None,
-        help=(
-            "where to write the JSON report ('-' for stdout only; default "
-            "BENCH_pipeline.json, or BENCH_parallel.json with --parallel)"
-        ),
-    )
-    bench.add_argument(
-        "--guard",
-        action="append",
-        default=None,
-        help="bench this guard instead of the defaults (repeatable)",
-    )
-    bench.add_argument(
-        "--parallel",
-        action="store_true",
-        help="measure transform_many throughput vs worker count instead",
-    )
-    bench.add_argument(
-        "--requests",
-        type=int,
-        default=64,
-        help="transforms per batch in --parallel mode",
-    )
-    bench.add_argument(
-        "--workers",
-        type=int,
-        action="append",
-        default=None,
-        help="worker count to measure in --parallel mode (repeatable; default 1 2 4 8)",
-    )
-    bench.add_argument(
-        "--mode",
-        choices=("thread", "process", "both"),
-        default="both",
-        help="executor(s) to measure in --parallel mode (default both)",
-    )
-    bench.add_argument(
-        "--compare",
-        metavar="BASELINE.json",
-        default=None,
-        help=(
-            "diff this run's mean/p95 per workload against a baseline "
-            "bench report; exit 3 when a workload regresses past the "
-            "threshold"
-        ),
-    )
-    bench.add_argument(
-        "--threshold",
-        type=float,
-        default=0.25,
-        help="allowed relative slowdown vs the baseline (default 0.25 = 25%%)",
-    )
-    bench.add_argument(
-        "--no-compile",
-        action="store_true",
-        help="bench the batch interpreter only (skip specialized renderers)",
-    )
-    bench.add_argument(
-        "--min-compiled-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help=(
-            "fail (exit 3) unless the compiled warm render is at least X "
-            "times faster than the interpreter across the benched guards"
-        ),
-    )
-    bench.add_argument(
-        "--min-update-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help=(
-            "fail (exit 3) unless an incremental single-subtree update is "
-            "at least X times faster than a full re-shred"
-        ),
-    )
-    bench.set_defaults(handler=_cmd_bench)
-
     serve = commands.add_parser(
         "serve",
         help="serve transform requests over stdin/stdout or TCP",
@@ -563,6 +469,18 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+def _open_database(path: str, **options) -> Database:
+    """Open an existing store for every ``--db`` subcommand but ``shred``.
+
+    ``Database(path)`` creates what it does not find, so a mistyped
+    path would otherwise leave an empty store (and its lock file)
+    behind and report on that.
+    """
+    if not os.path.exists(path):
+        raise StorageError(f"no such database: {path!r}")
+    return Database(path, **options)
+
+
 def _cmd_shape(arguments) -> int:
     forest = repro.parse_forest(_read(arguments.document))
     print(repro.extract_shape(forest).pretty())
@@ -605,7 +523,7 @@ def _cmd_evolve(arguments) -> int:
         print(f"error: no .guard files in {arguments.guards}", file=sys.stderr)
         return 2
     if arguments.db is not None:
-        with Database(arguments.db) as db:
+        with _open_database(arguments.db) as db:
             report = db.check_evolution(arguments.old, arguments.new, guards)
     else:
         report = analyze_evolution(
@@ -650,7 +568,7 @@ def _profile_report(arguments):
 
     compile_renders = not getattr(arguments, "no_compile", False)
     if arguments.db is not None:
-        with Database(arguments.db, compile_renders=compile_renders) as db:
+        with _open_database(arguments.db, compile_renders=compile_renders) as db:
             return profile_db_transform(db, arguments.document, arguments.guard)
     return profile_document(
         _read(arguments.document), arguments.guard, compile_renders=compile_renders
@@ -741,7 +659,7 @@ def _cmd_shred(arguments) -> int:
 
 
 def _cmd_ls(arguments) -> int:
-    with Database(arguments.db) as db:
+    with _open_database(arguments.db) as db:
         for name in db.document_names():
             info = db.describe(name)
             print(f"{name}: {info['nodes']} nodes, {info['text_bytes']} text bytes")
@@ -807,7 +725,7 @@ def _cmd_update(arguments) -> int:
             file=sys.stderr,
         )
         return 2
-    with Database(arguments.db) as db:
+    with _open_database(arguments.db) as db:
         result = db.apply_batch(arguments.name, ops)
     if arguments.json:
         print(json_module.dumps(result.as_dict(), indent=2))
@@ -830,7 +748,7 @@ def _cmd_fsck(arguments) -> int:
 
 
 def _cmd_db_transform(arguments) -> int:
-    with Database(arguments.db) as db:
+    with _open_database(arguments.db) as db:
         if arguments.output is not None:
             with open(arguments.output, "w", encoding="utf-8") as sink:
                 stream_stats = db.stream_transform(arguments.name, arguments.guard, sink)
@@ -915,132 +833,6 @@ def _cmd_explain(arguments) -> int:
     return 0
 
 
-def _cmd_bench(arguments) -> int:
-    import json as json_module
-
-    guards = None
-    if arguments.guard:
-        guards = {f"guard{i}": g for i, g in enumerate(arguments.guard)}
-    default_output = (
-        "BENCH_parallel.json" if arguments.parallel else "BENCH_pipeline.json"
-    )
-    raw_output = arguments.output if arguments.output is not None else default_output
-    output = None if raw_output == "-" else raw_output
-
-    if arguments.parallel:
-        if arguments.compare:
-            print(
-                "error: --compare works on pipeline reports (drop --parallel)",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.bench.parallel import run_parallel_bench
-
-        report = run_parallel_bench(
-            output_path=output,
-            publications=arguments.publications,
-            requests=arguments.requests,
-            workers=tuple(arguments.workers) if arguments.workers else (1, 2, 4, 8),
-            guards=guards,
-            mode=arguments.mode,
-        )
-        print(
-            f"serial        {report['serial']['throughput_rps']:8.1f} req/s"
-            f"  over {report['serial']['requests']} requests"
-        )
-        for run in report["parallel"]:
-            print(
-                f"{run['mode']:<7} x{run['workers']:<4} "
-                f"{run['throughput_rps']:8.1f} req/s"
-                f"  ({run['wall_seconds'] * 1000:.1f} ms)"
-            )
-        for mode_name, summary in sorted(report["modes"].items()):
-            print(
-                f"{mode_name}: {summary['speedup_vs_serial']:.2f}x at "
-                f"{summary['best_workers']} workers"
-            )
-        print(f"best: {report['speedup_vs_serial']:.2f}x — {report['analysis']}")
-        if output is None:
-            print(json_module.dumps(report, indent=2))
-        else:
-            print(f"wrote {output}")
-        return 0
-
-    from repro.bench.pipeline import run_pipeline_bench
-
-    report = run_pipeline_bench(
-        output_path=output,
-        publications=arguments.publications,
-        repeat=arguments.repeat,
-        guards=guards,
-        compile_renders=not arguments.no_compile,
-    )
-    for entry in report["guards"]:
-        print(
-            f"{entry['guard']}\n"
-            f"  cold  {entry['cold']['wall_seconds'] * 1000:8.2f} ms"
-            f"  ({entry['cold']['blocks']} blocks)\n"
-            f"  warm  {entry['warm']['wall_seconds_mean'] * 1000:8.2f} ms mean"
-            f"  over {entry['repeat']} runs"
-            f"  ({entry['plan_cache']['hits']} plan-cache hits)\n"
-            f"  speedup {entry['speedup_wall_mean']:.1f}x"
-        )
-        compare = entry.get("render_compare")
-        if compare:
-            print(
-                f"  render  compiled {compare['compiled_mean_seconds'] * 1000:.2f} ms"
-                f"  vs interpreted {compare['interpreted_mean_seconds'] * 1000:.2f} ms"
-                f"  ({compare['speedup_mean']:.1f}x)"
-            )
-    if report.get("render_compiled_speedup"):
-        print(
-            f"compiled render speedup (aggregate): "
-            f"{report['render_compiled_speedup']:.1f}x"
-        )
-    update = report.get("update_vs_reshred")
-    if update:
-        print(
-            f"update vs re-shred: incremental "
-            f"{update['incremental_mean_seconds'] * 1000:.2f} ms"
-            f"  vs re-shred {update['reshred_mean_seconds'] * 1000:.2f} ms"
-            f"  ({update['speedup_mean']:.1f}x, "
-            f"{update['subtree_nodes']}-node subtree)"
-        )
-    if output is None:
-        print(json_module.dumps(report, indent=2))
-    else:
-        print(f"wrote {output}")
-    if arguments.min_compiled_speedup is not None:
-        achieved = report.get("render_compiled_speedup") or 0.0
-        if achieved < arguments.min_compiled_speedup:
-            print(
-                f"error: compiled render speedup {achieved:.2f}x is below the "
-                f"--min-compiled-speedup {arguments.min_compiled_speedup:.2f}x gate",
-                file=sys.stderr,
-            )
-            return 3
-    if arguments.min_update_speedup is not None:
-        achieved = (report.get("update_vs_reshred") or {}).get("speedup_mean", 0.0)
-        if achieved < arguments.min_update_speedup:
-            print(
-                f"error: incremental update speedup {achieved:.2f}x is below "
-                f"the --min-update-speedup {arguments.min_update_speedup:.2f}x "
-                f"gate",
-                file=sys.stderr,
-            )
-            return 3
-    if arguments.compare:
-        from repro.bench.compare import compare_files
-
-        comparison = compare_files(
-            arguments.compare, report, threshold=arguments.threshold
-        )
-        print(comparison.pretty())
-        if not comparison.ok:
-            return 3
-    return 0
-
-
 def _cmd_serve(arguments) -> int:
     from repro.serve import ServeTelemetry, serve_forever, serve_loop
 
@@ -1048,7 +840,7 @@ def _cmd_serve(arguments) -> int:
     # serving handle must be one too (a writer's LOCK_EX would refuse
     # the workers' LOCK_SH).
     mode = "r" if arguments.readonly or arguments.mode == "process" else "w"
-    with Database(
+    with _open_database(
         arguments.db, mode=mode, compile_renders=not arguments.no_compile
     ) as db:
         trace_file = arguments.trace_file
@@ -1123,7 +915,7 @@ def _cmd_metrics(arguments) -> int:
         return 0
     from repro.serve import render_database_metrics
 
-    with Database(arguments.db, mode="r") as db:
+    with _open_database(arguments.db, mode="r") as db:
         print(render_database_metrics(db), end="")
     return 0
 

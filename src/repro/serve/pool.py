@@ -23,9 +23,9 @@ one shared :class:`~repro.storage.Database` handle (one buffer pool,
 plan cache and join-memo set for all workers);
 :class:`~repro.serve.procpool.ProcessTransformPool` overrides only the
 routing test and the transport.  Results are byte-identical to serial
-evaluation in both (``tests/serve`` pins this), and whether the GIL caps
-the thread pool's speedup is answered by ``xmorph bench --parallel``
-(``BENCH_parallel.json``, ``docs/CONCURRENCY.md``).
+evaluation in both (``tests/serve`` pins this).  Which of the two is
+faster on more than one core has not been measured yet
+(``docs/CONCURRENCY.md``, "Measured numbers").
 
 Every lifecycle edge feeds ``serve.*`` counters through both
 :meth:`SystemStats.event` (lifetime, shows in ``EXPLAIN ANALYZE``'s

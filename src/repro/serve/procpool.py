@@ -1,8 +1,8 @@
 """The process-based transform executor: rendering that scales with cores.
 
-The paper's transform pipeline is pure-Python CPU work, so the thread
-pool in :mod:`repro.serve.pool` cannot beat the GIL — ``BENCH_parallel``
-measured 0.78x *versus serial* at its best.  This module is the fix:
+The paper's transform pipeline is pure-Python CPU work, which the GIL
+serializes onto one core for the thread pool in :mod:`repro.serve.pool`.
+This module is the way around it:
 :class:`ProcessTransformPool` forks N worker processes that each open
 the database in **shared-reader mode** (``Database(mode="r")``, the
 ``LOCK_SH`` + sealed-journal overlay machinery guaranteeing every
@@ -59,7 +59,7 @@ import queue
 import re
 import threading
 import time
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import StorageError, TransformTimeoutError, XMorphError
 from repro.obs import tracer as obs
@@ -342,7 +342,6 @@ class ProcessTransformPool(TransformPool):
         max_queue: Optional[int] = None,
         telemetry: Optional["ServeTelemetry"] = None,
         inline_threshold: float = INLINE_THRESHOLD,
-        warm: Optional[Sequence[tuple[str, str]]] = None,
     ):
         if database.mode != "r":
             raise StorageError(
@@ -351,7 +350,7 @@ class ProcessTransformPool(TransformPool):
                 "path, which a writer's exclusive lock would refuse)"
             )
         self.inline_threshold = inline_threshold
-        self._warm_pairs: "list[tuple[str, str]]" = list(warm or [])[-WARM_HISTORY:]
+        self._warm_pairs: "list[tuple[str, str]]" = []
         self._warm_lock = threading.Lock()
         super().__init__(database, workers, deadline, max_queue, telemetry)
 

@@ -63,7 +63,6 @@ def make_pool(
     deadline: Optional[float] = None,
     telemetry: Optional[ServeTelemetry] = None,
     mode: str = "thread",
-    **pool_kwargs,
 ):
     """The right executor for ``mode``: thread or process pool.
 
@@ -74,24 +73,12 @@ def make_pool(
     for when each wins.
     """
     if mode == "process":
-        from repro.serve.procpool import ProcessTransformPool
-
-        return ProcessTransformPool(
-            database,
-            workers=workers,
-            deadline=deadline,
-            telemetry=telemetry,
-            **pool_kwargs,
-        )
-    if mode != "thread":
+        from repro.serve.procpool import ProcessTransformPool as pool_class
+    elif mode == "thread":
+        pool_class = TransformPool
+    else:
         raise ValueError(f"unknown pool mode: {mode!r} (use 'thread' or 'process')")
-    return TransformPool(
-        database,
-        workers=workers,
-        deadline=deadline,
-        telemetry=telemetry,
-        **pool_kwargs,
-    )
+    return pool_class(database, workers=workers, deadline=deadline, telemetry=telemetry)
 
 
 def render_database_metrics(database, pool=None) -> str:

@@ -32,6 +32,7 @@ metrics registry.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 from repro.errors import DatabaseLockedError, FormatError, PageError, StorageError
@@ -118,6 +119,10 @@ class FsckReport:
 
 def fsck(path: str, repair: bool = False, stats: SystemStats | None = None) -> FsckReport:
     """Check (and with ``repair=True``, fix) one database file."""
+    if not os.path.exists(path):
+        # PagedFile and FileLock create what they do not find; a check
+        # of a mistyped path must not report a fresh empty store clean.
+        raise StorageError(f"no such database: {path!r}")
     stats = stats or SystemStats()
     report = FsckReport(path=path)
 

@@ -175,9 +175,8 @@ class TestCrashRecovery:
             assert again[0].xml() == serial[GUARD]
 
     def test_respawned_worker_is_rewarmed(self, reader):
-        with ProcessTransformPool(
-            reader, workers=1, inline_threshold=None, warm=[("doc", GUARD)]
-        ) as pool:
+        with ProcessTransformPool(reader, workers=1, inline_threshold=None) as pool:
+            pool.transform_many([("doc", GUARD)])  # enters the warm history
             stats = pool.worker_stats()
             assert stats and stats[0]["plan_cache"]["entries"] >= 1
             os.kill(pool._handles[0].process.pid, signal.SIGKILL)

@@ -189,10 +189,12 @@ class TestErrorCounters:
         db.transform = patched
         try:
             with TransformPool(db, workers=2) as pool:
-                with pytest.raises(Exception):
-                    pool.transform_many([("doc", "SLOW")], deadline=0.05)
+                try:
+                    with pytest.raises(Exception):
+                        pool.transform_many([("doc", "SLOW")], deadline=0.05)
+                finally:
+                    gate.set()  # the pool's exit joins the parked worker
         finally:
-            gate.set()
             db.transform = real
         assert db.stats.events["serve.timeouts"] == 1
         assert db.stats.events["serve.errors.XM540"] == 1

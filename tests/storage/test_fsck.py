@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.errors import ChecksumError, FormatError
+from repro.errors import ChecksumError, FormatError, StorageError
 from repro.faults import FAULTS, SimulatedCrash
 from repro.storage import PAGE_SIZE, SLOT_SIZE, Database
 from repro.storage.fsck import fsck
@@ -52,6 +52,14 @@ class TestFsck:
         assert report.btree_problems == []
         assert report.documents == ["a"]
         assert report.events["fsck.pages_scanned"] == report.pages_scanned
+
+    @pytest.mark.parametrize("repair", [False, True])
+    def test_missing_file_is_an_error_not_a_clean_empty_store(self, tmp_path, repair):
+        path = str(tmp_path / "typo.db")
+        with pytest.raises(StorageError, match="no such database") as excinfo:
+            fsck(path, repair=repair)
+        assert path in str(excinfo.value)
+        assert os.listdir(tmp_path) == []  # no typo.db, no typo.db.lock
 
     def test_detects_torn_page(self, stored):
         _tear_page(stored, 1)
@@ -275,6 +283,14 @@ class TestFsckCli:
         assert main(["fsck", "--db", stored]) == 0
         out = capsys.readouterr().out
         assert "status: clean" in out
+
+    def test_missing_database_exit_one(self, tmp_path, capsys):
+        path = str(tmp_path / "typo.db")
+        assert main(["fsck", "--db", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: no such database: {path!r}\n"
+        assert os.listdir(tmp_path) == []
 
     def test_torn_page_exit_one(self, stored, capsys):
         _tear_page(stored, 1)

@@ -314,10 +314,49 @@ class TestErrors:
         assert code == 1
         assert "widening" in capsys.readouterr().err
 
-    def test_missing_document_in_db(self, tmp_path, capsys):
-        db = str(tmp_path / "empty.db")
-        assert main(["ls", "--db", db]) == 0
+    def test_missing_document_in_db(self, doc, tmp_path, capsys):
+        db = str(tmp_path / "books.db")
+        assert main(["shred", "--db", db, "books", doc]) == 0
         assert main(["db-transform", "--db", db, "nope", "MORPH x"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fsck", "--db", "{db}"],
+            ["fsck", "--db", "{db}", "--repair"],
+            ["ls", "--db", "{db}"],
+            ["db-transform", "--db", "{db}", "books", "MORPH author"],
+            ["run", "--db", "{db}", "books", "MORPH author"],
+            ["trace", "--db", "{db}", "books", "MORPH author"],
+            ["update", "--db", "{db}", "books", "--delete", "1.1"],
+            ["evolve", "old", "new", "--db", "{db}", "--guards", "{guards}"],
+            ["serve", "--db", "{db}"],
+            ["serve", "--db", "{db}", "--readonly"],
+            ["serve", "--db", "{db}", "--mode", "process"],
+            ["metrics", "--db", "{db}"],
+        ],
+        ids=lambda argv: " ".join(part for part in argv if "{" not in part),
+    )
+    def test_mistyped_db_is_an_error_and_creates_nothing(self, argv, tmp_path, capsys):
+        # Only ``shred`` may create a store.
+        guards = tmp_path / "guards"
+        guards.mkdir()
+        (guards / "a.guard").write_text("MORPH author [ name ]")
+        db = str(tmp_path / "typo.db")
+        before = sorted(os.listdir(tmp_path))
+        argv = [part.format(db=db, guards=guards) for part in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: no such database: {db!r}\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_shred_creates_the_store(self, doc, tmp_path, capsys):
+        db = str(tmp_path / "new.db")
+        assert main(["shred", "--db", db, "books", doc]) == 0
+        assert os.path.exists(db)
+        assert main(["ls", "--db", db]) == 0
+        assert "books:" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "argv",
