@@ -6,8 +6,9 @@
    evaluate it on the source — "while there will be some speed-up over
    the previous approach for some queries, the worst-case cost is the
    same" (and the program is long: one `for` per type).
-3. **Streaming**: same joins, output serialized directly, no output
-   tree (the paper's mitigation for architecture 1).
+3. **Streaming**: same joins, the compiled emitter's text sink writes
+   the output directly, no output tree (the paper's mitigation for
+   architecture 1).
 """
 
 import io
@@ -16,7 +17,7 @@ import pytest
 
 import repro
 from repro.bench.reporting import SeriesTable
-from repro.engine.stream import render_stream
+from repro.engine.compile import CompiledRender
 from repro.engine.view import shape_to_xquery
 from repro.workloads import generate_dblp
 from repro.xquery import QueryContext, evaluate
@@ -58,9 +59,8 @@ def test_architecture(benchmark, architecture, setup):
         context = QueryContext.for_forest(forest)
         run = lambda: evaluate(view, context)  # noqa: E731
     else:
-        run = lambda: render_stream(  # noqa: E731
-            compiled.target_shape, interpreter.index, io.StringIO()
-        )
+        emitter = CompiledRender(compiled.target_shape, interpreter.index)
+        run = lambda: emitter.write(interpreter.index, io.StringIO())  # noqa: E731
 
     benchmark.pedantic(run, rounds=2, iterations=1)
     _results[architecture] = benchmark.stats.stats.mean

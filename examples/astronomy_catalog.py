@@ -13,7 +13,7 @@ Run:  python examples/astronomy_catalog.py
 import io
 
 import repro
-from repro.engine.stream import render_stream
+from repro.engine.compile import CompiledRender
 from repro.engine.view import shape_to_xquery
 from repro.shape.diff import diff_shapes
 from repro.shape.dtdgen import forest_to_dtd, shape_to_dtd
@@ -50,7 +50,8 @@ def main() -> None:
 
     print("\n== streaming render (architecture 1's mitigation) ==")
     sink = io.StringIO()
-    stats = render_stream(compiled.target_shape, interpreter.index, sink)
+    emitter = CompiledRender(compiled.target_shape, interpreter.index)
+    stats = emitter.write(interpreter.index, sink)
     print(
         f"streamed {stats.nodes_written} nodes / {stats.characters} chars "
         f"with {stats.joins} closest joins, no output tree"

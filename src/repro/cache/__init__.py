@@ -9,8 +9,8 @@ Two caches make repeated guard evaluation cheap:
   (wired into :class:`repro.storage.Database` via ``cache_plans=``);
 * the **closest-join memo** (on
   :class:`repro.closeness.index.BaseIndex`): per-type-pair closest-join
-  maps shared between the batch renderer and the streaming renderer,
-  invalidated together with the index's node sequences.
+  maps shared between the reference renderer and both sinks of the
+  compiled one, invalidated together with the index's node sequences.
 
 See ``docs/PERFORMANCE.md`` for the design and the metric catalogue
 (``plan_cache.*``, ``join_cache.*``).

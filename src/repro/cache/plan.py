@@ -93,10 +93,10 @@ class CompiledPlan:
     loss: "LossReport"
     evaluation: "EvaluationResult"
     compile_seconds: float
-    #: The specialized renderer generated at plan-compile time
-    #: (:mod:`repro.engine.compile`); ``None`` when compilation is
-    #: disabled or fell back to the interpreter.  Because it is a plan
-    #: field, eviction, :meth:`PlanCache.invalidate` and
+    #: The plan's compiled emitter (:mod:`repro.engine.compile`), with
+    #: whichever sink functions renders have asked for so far; ``None``
+    #: on a plan nobody attached one to.  Because it is a plan field,
+    #: eviction, :meth:`PlanCache.invalidate` and
     #: :meth:`PlanCache.apply_evolution` drop it together with the rest
     #: of the plan — no separate invalidation channel to get wrong.
     compiled_render: "Optional[CompiledRender]" = None

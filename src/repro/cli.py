@@ -187,11 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the JSON-lines trace to PATH ('-' for stdout)",
     )
-    run.add_argument(
-        "--no-compile",
-        action="store_true",
-        help="render with the batch interpreter instead of the specialized plan renderer",
-    )
     run.set_defaults(handler=_cmd_run)
 
     trace = commands.add_parser(
@@ -348,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "A line-oriented request loop over a stored database: each "
             "input line is a JSON object {\"id\": ..., \"doc\": NAME, "
-            "\"guard\": GUARD, \"stream\": bool}, each output line the "
+            "\"guard\": GUARD}, each output line the "
             "matching {\"id\": ..., \"ok\": ..., \"xml\"|\"error\": ...} "
             "response.  {\"cmd\": \"stats\"} reports serve.* counters, "
             "{\"cmd\": \"quit\"} (or EOF) ends the session.  Requests are "
@@ -386,11 +381,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--readonly",
         action="store_true",
         help="open the store with a shared reader lock (mode='r')",
-    )
-    serve.add_argument(
-        "--no-compile",
-        action="store_true",
-        help="serve with the batch interpreter (no specialized plan renderers)",
     )
     serve.add_argument(
         "--trace-sample",
@@ -566,13 +556,10 @@ def _cmd_evolve(arguments) -> int:
 def _profile_report(arguments):
     from repro.engine.profile import profile_db_transform, profile_document
 
-    compile_renders = not getattr(arguments, "no_compile", False)
     if arguments.db is not None:
-        with _open_database(arguments.db, compile_renders=compile_renders) as db:
+        with _open_database(arguments.db) as db:
             return profile_db_transform(db, arguments.document, arguments.guard)
-    return profile_document(
-        _read(arguments.document), arguments.guard, compile_renders=compile_renders
-    )
+    return profile_document(_read(arguments.document), arguments.guard)
 
 
 def _diagnose_failure(arguments) -> bool:
@@ -840,9 +827,7 @@ def _cmd_serve(arguments) -> int:
     # serving handle must be one too (a writer's LOCK_EX would refuse
     # the workers' LOCK_SH).
     mode = "r" if arguments.readonly or arguments.mode == "process" else "w"
-    with _open_database(
-        arguments.db, mode=mode, compile_renders=not arguments.no_compile
-    ) as db:
+    with _open_database(arguments.db, mode=mode) as db:
         trace_file = arguments.trace_file
         if trace_file is None and arguments.trace_sample > 0:
             trace_file = arguments.db + ".traces.jsonl"

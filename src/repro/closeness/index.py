@@ -44,8 +44,8 @@ class BaseIndex:
 
     The base also memoizes per-type-pair closest-join maps
     (:meth:`closest_pair_map`) and RESTRICT semi-join survivor sets
-    (:meth:`restrict_pass`), shared by the batch and streaming
-    renderers.  Both memos key on data only (type ids, filter vertex
+    (:meth:`restrict_pass`), shared by the reference renderer and both
+    sinks of the compiled one.  Both memos key on data only (type ids, filter vertex
     uids) and must be dropped together with the node sequences
     (:meth:`drop_join_cache`).
     """
@@ -138,8 +138,8 @@ class BaseIndex:
         Returns ``{id(anchor): [partners in document order]}`` over the
         *complete* type sequences.  Because each anchor's partner list
         depends only on that anchor's Dewey prefix, the full map serves
-        any subset of anchors — this is what lets the batch and
-        streaming renderers share one join per shape edge.  Callers
+        any subset of anchors — this is what lets every renderer and
+        sink share one join per shape edge.  Callers
         must treat the returned map and its lists as immutable.
         """
         key = (first.type_id, second.type_id)

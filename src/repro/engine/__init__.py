@@ -2,7 +2,9 @@
 
 * :mod:`repro.engine.render` — the Render algorithm (Section VII):
   recursive descent over the target shape, pairing parents with their
-  closest children via Dewey-number sort-merge joins.
+  closest children via Dewey-number sort-merge joins (the reference).
+* :mod:`repro.engine.compile` — the same algorithm unrolled per plan
+  into generated loops, with a tree sink and a text sink.
 * :mod:`repro.engine.interpreter` — the full pipeline of Figure 8:
   parse → algebra → type analysis → loss check → shape → render.
 * :mod:`repro.engine.guard` — query guards: couple a guard with an

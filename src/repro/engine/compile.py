@@ -1,52 +1,63 @@
-"""Plan-time compilation of the Render algorithm (ROADMAP item 3).
+"""The compiled Render emitter: one plan-time generator, two sinks.
 
-The batch renderer in :mod:`repro.engine.render` is a faithful but
+The reference renderer in :mod:`repro.engine.render` is a faithful but
 interpretive implementation of Section VII: every node copy goes through
-``_make`` (an ``XmlNode`` constructor, a dataclass allocation, two dict
-updates and a per-instance tally), every shape edge re-dispatches on the
-child's kind, and every join re-derives its anchor type at render time.
-None of that dispatch depends on the data — it depends only on the
-*target shape*, which is fixed per ``(guard, shape fingerprint)`` plan.
+``_make``, every shape edge re-dispatches on the child's kind, and every
+join re-derives its anchor type at render time.  None of that dispatch
+depends on the data — it depends only on the *target shape*, which is
+fixed per ``(guard, shape fingerprint)`` plan.
 
-:func:`compile_render` therefore walks the target shape **once at
-plan-compile time** and generates a specialized Python function for it:
+:class:`CompiledRender` therefore walks the target shape **once at plan
+time** and records, per shape vertex, everything that is static: the
+anchor data type its instances carry (a backed child anchors on its
+source type, a NEW wrapper on its leading backed child, placeholders
+inherit the parent's anchor), the join form that follows from it
+(broadcast / self-pair / memoized closest-pair map), the fused RESTRICT
+filter, and the NEW-wrapper and TYPE-FILL dispatch.  That edge list is
+what ``EXPLAIN ANALYZE`` prints, and it is what the one code generator
+unrolls into nested loops that visit output instances depth first —
+the paper's "stream the output node by node (in document order)" — with
+the per-node snippet chosen by **sink**:
 
-* the shape recursion is unrolled into straight-line per-edge blocks
-  (no kind dispatch, no recursion, no ``_Instance`` wrappers — output
-  nodes and their join anchors live in parallel lists);
-* every instance list's **anchor data type is resolved statically**
-  (a backed child anchors on its source type, a NEW wrapper on its
-  leading backed child, placeholders inherit the parent's anchor), so
-  the self-pair / cross-join / broadcast join forms are chosen at
-  compile time instead of per render;
-* closest-pair **join levels and cardinalities are precomputed** from
-  the adorned shape's per-type counts (the same counts that are part of
-  the shape fingerprint, so they are plan-stable) and recorded on the
-  artifact for ``EXPLAIN ANALYZE``;
-* RESTRICT filters are **fused into the emit loop** as an id-set
-  intersection built once per edge;
-* output nodes are created via ``XmlNode.__new__`` plus direct slot
-  stores, skipping the constructor, and leaf types skip their output
-  lists entirely (their instances are only ever appended to parents).
+* the **tree sink** (:meth:`CompiledRender.run`) allocates ``XmlNode``
+  s via ``__new__`` plus slot stores, numbers them inline (a parent's
+  Dewey number is final before its children exist, so the sibling
+  ordinal is the child-list length at append time) and records
+  provenance: a :class:`RenderResult`, as the reference produces;
+* the **text sink** (:meth:`CompiledRender.write`) appends escaped XML
+  to a chunk buffer that is flushed to ``out`` between root instances:
+  no output node is ever allocated.  Whether a copied node is an
+  attribute or an element is decided per source node, and whether a
+  start tag self-closes is decided from its partner lists before the
+  tag is closed, so the text is byte-identical to ``serialize()`` of
+  the tree (compact form).
 
-The generated function is ``exec``'d once, stored on the
-:class:`~repro.cache.CompiledPlan`, and reused by every plan-cache hit:
-a warm render runs the specialized code with **zero interpretation**.
+A sink's function is generated, ``exec``'d and kept the first time that
+sink is asked for; the artifact lives on the
+:class:`~repro.cache.CompiledPlan`, so eviction and invalidation drop
+it with the plan.  The generated code holds only the loops.  Fetching
+the candidate sequences and partner maps before them, and the counters
+(``nodes_read``, ``joins``, ``rows_by_type``) and traced ``render.join``
+accounting after them, are plain table-driven passes over the edge
+list, shared by both sinks — an untraced render pays one truth test for
+the trace bookkeeping, not one per edge or node.
 
-Safety: the function binds only plan-stable values — ``DataType`` is
+Safety: the functions bind only plan-stable values — ``DataType`` is
 value-equal across index epochs, node sequences are fetched through
 ``index.nodes_of`` at render time (so lazy loading, block-I/O charging
 and the id()-keyed join memos keep working), and per-type counts are
-covered by the shape fingerprint that keys the cache.  Output is
-byte-identical to the interpreter, including ``nodes_read`` /
-``nodes_written`` / ``joins`` counters, ``rows_by_type``, provenance,
-and the traced ``render.join`` spans (the parity suites and the
-Hypothesis suite in ``tests/engine`` pin this down).
+covered by the shape fingerprint that keys the cache.  Both sinks are
+byte-identical to the reference, the tree sink down to counters,
+provenance and trace (the parity and Hypothesis suites in
+``tests/engine`` pin this down).  A codegen failure is a bug and
+propagates like any engine error.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+import threading
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Optional, TextIO
 
 from repro.obs import tracer as obs
 from repro.engine.render import RenderResult
@@ -58,136 +69,92 @@ from repro.xmltree.node import NodeKind, XmlForest, XmlNode
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.closeness.index import BaseIndex
 
+#: Shape levels unrolled inline before the generator starts a helper
+#: function: Python refuses more than 20 nested blocks or 100 indents.
+_INLINE_LEVELS = 12
+#: What an edge without candidates answers for every anchor.
+_NO_PARTNERS = {}.get
+#: The text sink hands its chunks to ``out`` once this many are buffered.
+_FLUSH_CHUNKS = 1024
+# ``escape_text`` / ``escape_attr`` of :mod:`repro.xmltree.serializer`,
+# inlined: a call per node costs a quarter of a text render.
+_ESCAPE_TEXT = ".replace('&', '&amp;').replace('<', '&lt;').replace('>', '&gt;')"
+_ESCAPE_ATTR = _ESCAPE_TEXT + ".replace('\"', '&quot;')"
 
-class CompiledRender:
-    """A specialized render function for one ``(guard, shape)`` plan.
 
-    ``fn(index)`` produces a :class:`RenderResult` byte-identical to
-    ``render(shape, index)``.  ``source_code`` is the generated Python
-    (kept for debugging and the test suite), ``edge_plans`` the
-    per-edge join plan recorded for ``EXPLAIN ANALYZE``.
+@dataclass
+class StreamStats:
+    """What a text-sink render produced."""
+
+    nodes_written: int = 0
+    characters: int = 0
+    joins: int = 0
+
+
+@dataclass(eq=False)
+class _Edge:
+    """One target-shape vertex with its render dispatch resolved.
+
+    ``kind`` names how its instances come to be: ``root`` / ``root-wrap``
+    / ``broadcast`` (every candidate of ``source``), ``root-new`` (one),
+    ``join`` (closest partners of the parent's ``anchor``-typed node),
+    ``self`` and ``leading`` (the parent's own anchor node), ``new`` and
+    ``placeholder`` (one empty element per parent, anchor inherited).
+    ``backed`` instances copy their source node; the others are empty
+    elements.  ``holder`` carries the RESTRICT filter and the trace
+    label (a NEW wrapper joins through its leading backed child).
     """
 
-    __slots__ = ("fn", "source_code", "shape", "edge_plans", "fused_filters")
+    slot: int
+    vertex: ShapeType
+    kind: str
+    parent: Optional["_Edge"]
+    anchor: Optional[DataType]
+    source: Optional[DataType]
+    holder: Optional[ShapeType]
+    backed: bool
+    children: list["_Edge"] = field(default_factory=list)
 
-    def __init__(
-        self,
-        fn,
-        source_code: str,
-        shape: Shape,
-        edge_plans: list[dict],
-        fused_filters: int,
-    ):
-        self.fn = fn
-        self.source_code = source_code
-        #: Kept alive: the generated code keys ``rows_by_type`` on the
-        #: ``id()`` of these shape vertices.
-        self.shape = shape
-        self.edge_plans = edge_plans
-        self.fused_filters = fused_filters
-
-    def run(self, index: "BaseIndex") -> RenderResult:
-        return self.fn(index)
-
-    def describe(self) -> str:
-        joins = sum(1 for e in self.edge_plans if e["kind"] in ("join", "self"))
-        return (
-            f"{len(self.edge_plans)} edges specialized "
-            f"({joins} joins, {self.fused_filters} fused filters)"
-        )
+    @property
+    def fetches(self) -> bool:
+        return self.source is not None and self.kind != "leading"
 
 
-def compile_render(shape: Shape, index: "BaseIndex") -> CompiledRender:
-    """Generate and ``exec`` a specialized renderer for ``shape``."""
-    generator = _Codegen(shape, index)
-    source_code = generator.generate()
-    namespace = dict(generator.env)
-    code = compile(source_code, "<xmorph-compiled-render>", "exec")
-    exec(code, namespace)  # noqa: S102 - plan-time codegen, our own source
-    return CompiledRender(
-        fn=namespace["_render"],
-        source_code=source_code,
-        shape=shape,
-        edge_plans=generator.edge_plans,
-        fused_filters=generator.fused_filters,
-    )
-
-
-def try_compile_render(shape: Shape, index: "BaseIndex") -> Optional[CompiledRender]:
-    """A :class:`CompiledRender`, or ``None`` when specialization fails.
-
-    Falling back to the interpreter is always safe (identical output),
-    so callers on the serving path prefer a silent downgrade over a
-    failed request; the ``render.compile_fallback`` counter makes the
-    downgrade visible in metrics.
-    """
-    try:
-        return compile_render(shape, index)
-    except Exception:
-        obs.count("render.compile_fallback")
-        return None
-
-
-class _Codegen:
-    """Walks the target shape once and emits the specialized source."""
+class _Planner:
+    """Walks the target shape once; ``edges`` is the result, in pre-order."""
 
     def __init__(self, shape: Shape, index: "BaseIndex"):
         self.shape = shape
         self.index = index
-        self.lines: list[str] = []
-        self.env: dict[str, object] = {
-            "_RenderResult": RenderResult,
-            "_XmlForest": XmlForest,
-            "_X": XmlNode,
-            "_nw": XmlNode.__new__,
-            "_DW": Dewey,
-            "_dnw": Dewey.__new__,
-            "_EL": NodeKind.ELEMENT,
-            "_span": obs.span,
-            "_count": obs.count,
-            "_observe": obs.observe,
-            "_enabled": obs.enabled,
-        }
-        self._list_ids = 0
-        self._const_ids = 0
+        self.edges: list[_Edge] = []
         self.edge_plans: list[dict] = []
-        self.fused_filters = 0
+        for root in shape.roots():
+            self._plan_root(root)
 
-    # -- small emission helpers -------------------------------------------
-
-    def emit(self, indent: int, text: str) -> None:
-        self.lines.append("    " * indent + text)
-
-    def fresh_list(self) -> int:
-        self._list_ids += 1
-        return self._list_ids
-
-    def const(self, prefix: str, value: object) -> str:
-        self._const_ids += 1
-        name = f"{prefix}{self._const_ids}"
-        self.env[name] = value
-        return name
-
-    def _counts(self, anchor: Optional[DataType], source: DataType) -> tuple[int, int]:
-        anchors = self.index.count_of(anchor) if anchor is not None else 0
-        return anchors, self.index.count_of(source)
-
-    def _note_edge(
+    def _add(
         self,
-        child: ShapeType,
+        vertex: ShapeType,
         kind: str,
-        anchor: Optional[DataType],
-        source: Optional[DataType],
-    ) -> None:
+        parent: Optional[_Edge],
+        anchor: Optional[DataType] = None,
+        source: Optional[DataType] = None,
+        holder: Optional[ShapeType] = None,
+        backed: bool = False,
+    ) -> _Edge:
+        edge = _Edge(len(self.edges), vertex, kind, parent, anchor, source, holder, backed)
+        self.edges.append(edge)
+        if parent is not None:
+            parent.children.append(edge)
         level = None
         anchor_rows = child_rows = 0
         if source is not None:
-            anchor_rows, child_rows = self._counts(anchor, source)
-            if anchor is not None and kind == "join":
+            anchor_rows = self.index.count_of(anchor) if anchor is not None else 0
+            child_rows = self.index.count_of(source)
+            if kind == "join":
                 level = self.index.closest_lca_level(anchor, source)
         self.edge_plans.append(
             {
-                "child": child.out_name,
+                "child": vertex.out_name,
                 "kind": kind,
                 "source": source.dotted if source is not None else None,
                 "anchor": anchor.dotted if anchor is not None else None,
@@ -196,146 +163,10 @@ class _Codegen:
                 "child_rows": child_rows,
             }
         )
+        return edge
 
-    # -- node construction snippets ---------------------------------------
-
-    def _make_backed(self, indent: int, name_const: str, parent_expr: str) -> None:
-        """Copy source node ``_n`` under ``parent_expr`` as ``_t``."""
-        self.emit(
-            indent,
-            f"_t = _nw(_X); _t.kind = _n.kind; _t.name = {name_const}; "
-            f"_t.text = _n.text; _t.children = []; _t.parent = {parent_expr}; "
-            f"prov[id(_t)] = _n",
-        )
-
-    def _make_empty(self, indent: int, name_const: str, parent_expr: str) -> None:
-        """A fresh empty element (NEW wrapper or placeholder) as ``_t``."""
-        self.emit(
-            indent,
-            f"_t = _nw(_X); _t.kind = _EL; _t.name = {name_const}; "
-            f"_t.text = ''; _t.children = []; _t.parent = {parent_expr}",
-        )
-
-    def _hoist_parent(self, indent: int) -> None:
-        """Per-parent locals for numbered appends under ``_po``."""
-        self.emit(indent, "_pc = _po.children; _pp = _po.dewey._parts")
-
-    def _append_child(self, indent: int, extra: str = "") -> None:
-        """Append ``_t`` under ``_po`` and assign its Dewey inline.
-
-        Emission is strictly top-down — a parent's identifier is final
-        before any of its children exist, and children lists only ever
-        grow in document order — so the sibling ordinal is simply the
-        list length at append time and the whole ``renumber()`` pass is
-        compiled away.  Requires :meth:`_hoist_parent` in scope.
-        """
-        self.emit(
-            indent,
-            "_pc.append(_t); _dd = _dnw(_DW); _dd._parts = _pp + (len(_pc),); "
-            f"_t.dewey = _dd{extra}",
-        )
-
-    def _append_root(self, indent: int, extra: str = "") -> None:
-        """Append ``_t`` as the next forest root, numbered inline."""
-        self.emit(
-            indent,
-            "_fr.append(_t); _dd = _dnw(_DW); _dd._parts = (len(_fr),); "
-            f"_t.dewey = _dd{extra}",
-        )
-
-    def _tally(self, indent: int, shape_type: ShapeType, count_expr: str) -> None:
-        key = self.const("R", id(shape_type))
-        self.emit(indent, f"nw += {count_expr}")
-        self.emit(indent, f"rows[{key}] = rows.get({key}, 0) + {count_expr}")
-
-    def _fetch_candidates(
-        self, indent: int, shape_type: ShapeType, source: DataType
-    ) -> str:
-        """Fetch (and RESTRICT-filter) a source sequence into ``_c``."""
-        type_const = self.const("D", source)
-        self.emit(indent, f"_c = _no({type_const})")
-        self.emit(indent, "nr += len(_c)")
-        if shape_type.restrict_filter is not None:
-            filter_const = self.const("F", shape_type.restrict_filter)
-            self.emit(indent, f"_c = _rp(_c, {type_const}, {filter_const})")
-            self.fused_filters += 1
-        return type_const
-
-    # -- entry point --------------------------------------------------------
-
-    def generate(self) -> str:
-        self.emit(0, "")  # def header patched in below, once consts exist
-        self.emit(1, "result = _RenderResult(_XmlForest())")
-        self.emit(1, "prov = result.provenance")
-        self.emit(1, "rows = result.rows_by_type")
-        self.emit(1, "_fr = result.forest.roots")
-        self.emit(1, "_no = index.nodes_of")
-        self.emit(1, "_rp = index.restrict_pass")
-        self.emit(1, "_pm = index.closest_pair_map")
-        self.emit(1, "_tr = _enabled()")
-        self.emit(1, "nr = 0")
-        self.emit(1, "nw = 0")
-        self.emit(1, "nj = 0")
-        for root in self.shape.roots():
-            self._emit_root(root)
-        self.emit(1, "result.nodes_written = nw")
-        self.emit(1, "result.nodes_read = nr")
-        self.emit(1, "result.joins = nj")
-        self.emit(1, "result.compiled = True")
-        self.emit(1, "_count('render.nodes_emitted', nw)")
-        self.emit(1, "_count('render.nodes_read', nr)")
-        self.emit(1, "_count('render.joins', nj)")
-        self.emit(1, "return result")
-        # Bind every environment constant as a default argument: the
-        # per-node name/type constants (and the allocator pair) become
-        # LOAD_FAST instead of LOAD_GLOBAL in the hot loops.
-        params = ", ".join(f"{name}={name}" for name in self.env)
-        self.lines[0] = f"def _render(index, {params}):"
-        return "\n".join(self.lines) + "\n"
-
-    # -- roots --------------------------------------------------------------
-
-    def _emit_root(self, root: ShapeType) -> None:
-        k = self.fresh_list()
-        name_const = self.const("N", root.out_name)
-        if root.source is not None:
-            self._note_edge(root, "root", None, root.source)
-            self._fetch_candidates(1, root, root.source)
-            self.emit(1, f"o{k} = []")
-            self.emit(1, f"a{k} = _c")
-            self.emit(1, "for _n in _c:")
-            self._make_backed(2, name_const, "None")
-            self._append_root(2, extra=f"; o{k}.append(_t)")
-            self.emit(1, f"if o{k}:")
-            self._tally(2, root, f"len(o{k})")
-            self._emit_children(root, k, root.source, 2)
-            return
-        leading = self._leading_backed_child(root)
-        if leading is None:
-            self._note_edge(root, "root-new", None, None)
-            self._make_empty(1, name_const, "None")
-            self._append_root(1)
-            self.emit(1, f"o{k} = [_t]")
-            self.emit(1, f"a{k} = [None]")
-            self._tally(1, root, "1")
-            self._emit_children(root, k, None, 1)
-            return
-        # Root NEW wrapping its leading backed child: one wrapper per
-        # leading-child source node (the leading child itself is later
-        # attached through the generic dispatch, self-joining 1:1).
-        self._note_edge(root, "root-wrap", None, leading.source)
-        self._fetch_candidates(1, leading, leading.source)
-        self.emit(1, f"o{k} = []")
-        self.emit(1, f"a{k} = _c")
-        self.emit(1, "for _n in _c:")
-        self._make_empty(2, name_const, "None")
-        self._append_root(2, extra=f"; o{k}.append(_t)")
-        self.emit(1, f"if o{k}:")
-        self._tally(2, root, f"len(o{k})")
-        self._emit_children(root, k, leading.source, 2)
-
-    def _leading_backed_child(self, shape_type: ShapeType) -> Optional[ShapeType]:
-        for child in self.shape.children(shape_type):
+    def _leading_backed_child(self, vertex: ShapeType) -> Optional[ShapeType]:
+        for child in self.shape.children(vertex):
             if child.source is not None:
                 return child
             deeper = self._leading_backed_child(child)
@@ -343,333 +174,473 @@ class _Codegen:
                 return deeper
         return None
 
-    # -- the recursive descent, unrolled ------------------------------------
-
-    def _emit_children(
-        self,
-        parent: ShapeType,
-        k: int,
-        anchor: Optional[DataType],
-        indent: int,
-        new_leading: Optional[ShapeType] = None,
-    ) -> None:
-        """Emit one block per shape edge out of ``parent``.
-
-        ``new_leading`` switches to the NEW-wrapper dispatch of
-        ``_attach_new_children`` (the leading child maps 1:1 and the
-        placeholder short-circuit does not apply) — the interpreter's
-        two dispatch tables, reproduced statically.
-        """
-        for child in self.shape.children(parent):
-            if new_leading is not None:
-                if child is new_leading:
-                    self._emit_leading(child, k, indent)
-                elif child.source is not None:
-                    self._emit_backed(child, k, anchor, indent)
-                else:
-                    self._emit_new(child, k, anchor, indent)
-                continue
-            if child.source is not None:
-                if child.synthesized and self.index.count_of(child.source) == 0:
-                    self._emit_placeholder(child, k, anchor, indent)
-                else:
-                    self._emit_backed(child, k, anchor, indent)
-            elif child.synthesized:
-                self._emit_placeholder(child, k, anchor, indent)
-            else:
-                self._emit_new(child, k, anchor, indent)
-
-    def _emit_backed(
-        self, child: ShapeType, k: int, anchor: Optional[DataType], indent: int
-    ) -> None:
-        assert child.source is not None
-        name_const = self.const("N", child.out_name)
-        self._emit_joined(
-            child,
-            k,
-            anchor,
-            indent,
-            source=child.source,
-            filter_holder=child,
-            make=lambda ind, parent_expr, from_anchor: self._make_backed(
-                ind, name_const, parent_expr
-            ),
-            backed=True,
-        )
-
-    def _emit_new(
-        self, child: ShapeType, k: int, anchor: Optional[DataType], indent: int
-    ) -> None:
-        name_const = self.const("N", child.out_name)
-        leading = self._leading_backed_child(child)
+    def _plan_root(self, root: ShapeType) -> None:
+        if root.source is not None:
+            edge = self._add(root, "root", None, None, root.source, root, True)
+            self._plan_children(edge, root.source)
+            return
+        leading = self._leading_backed_child(root)
         if leading is None:
-            # One wrapper per parent, inheriting the parent's anchor.
-            m = self.fresh_list()
-            self._note_edge(child, "new", anchor, None)
-            leaf = not self.shape.children(child)
-            if leaf:
-                self.emit(indent, f"for _po in o{k}:")
-                self._hoist_parent(indent + 1)
-                self._make_empty(indent + 1, name_const, "_po")
-                self._append_child(indent + 1)
-                self._tally(indent, child, f"len(o{k})")
-                return
-            self.emit(indent, f"o{m} = []")
-            self.emit(indent, f"a{m} = a{k}")
-            self.emit(indent, f"for _po in o{k}:")
-            self._hoist_parent(indent + 1)
-            self._make_empty(indent + 1, name_const, "_po")
-            self._append_child(indent + 1, extra=f"; o{m}.append(_t)")
-            self._tally(indent, child, f"len(o{m})")
-            self._emit_children(child, m, anchor, indent)
+            self._plan_children(self._add(root, "root-new", None), None)
             return
-        self._emit_joined(
-            child,
-            k,
-            anchor,
-            indent,
-            source=leading.source,
-            filter_holder=leading,
-            make=lambda ind, parent_expr, from_anchor: self._make_empty(
-                ind, name_const, parent_expr
-            ),
-            backed=False,
-            new_leading=leading,
-        )
+        # Root NEW wrapping its leading backed child: one wrapper per
+        # leading-child source node (the leading child itself is then
+        # attached through the generic dispatch, self-joining 1:1).
+        edge = self._add(root, "root-wrap", None, None, leading.source, leading)
+        self._plan_children(edge, leading.source)
 
-    def _emit_leading(self, child: ShapeType, k: int, indent: int) -> None:
-        """A NEW wrapper's leading child: 1:1 from the wrapper anchors.
-
-        No fetch, no join — the wrapper was created *from* these nodes
-        (``_attach_new_children``'s first branch).
-        """
-        assert child.source is not None
-        name_const = self.const("N", child.out_name)
-        m = self.fresh_list()
-        self._note_edge(child, "leading", child.source, child.source)
-        leaf = not self.shape.children(child)
-        if leaf:
-            self.emit(indent, f"for _po, _n in zip(o{k}, a{k}):")
-            self._hoist_parent(indent + 1)
-            self._make_backed(indent + 1, name_const, "_po")
-            self._append_child(indent + 1)
-            self._tally(indent, child, f"len(o{k})")
-            return
-        self.emit(indent, f"o{m} = []")
-        self.emit(indent, f"a{m} = a{k}")
-        self.emit(indent, f"for _po, _n in zip(o{k}, a{k}):")
-        self._hoist_parent(indent + 1)
-        self._make_backed(indent + 1, name_const, "_po")
-        self._append_child(indent + 1, extra=f"; o{m}.append(_t)")
-        self._tally(indent, child, f"len(o{m})")
-        self._emit_children(child, m, child.source, indent)
-
-    def _emit_placeholder(
-        self, child: ShapeType, k: int, anchor: Optional[DataType], indent: int
-    ) -> None:
-        """TYPE-FILLed: one empty element per parent, anchor inherited."""
-        name_const = self.const("N", child.out_name)
-        m = self.fresh_list()
-        self._note_edge(child, "placeholder", anchor, None)
-        leaf = not self.shape.children(child)
-        if leaf:
-            self.emit(indent, f"for _po in o{k}:")
-            self._hoist_parent(indent + 1)
-            self._make_empty(indent + 1, name_const, "_po")
-            self._append_child(indent + 1)
-            self._tally(indent, child, f"len(o{k})")
-            return
-        self.emit(indent, f"o{m} = []")
-        self.emit(indent, f"a{m} = a{k}")
-        self.emit(indent, f"for _po in o{k}:")
-        self._hoist_parent(indent + 1)
-        self._make_empty(indent + 1, name_const, "_po")
-        self._append_child(indent + 1, extra=f"; o{m}.append(_t)")
-        self._tally(indent, child, f"len(o{m})")
-        self._emit_children(child, m, anchor, indent)
-
-    # -- the three closest-join forms, chosen statically ---------------------
-
-    def _emit_joined(
+    def _plan_children(
         self,
-        child: ShapeType,
-        k: int,
+        parent: _Edge,
         anchor: Optional[DataType],
-        indent: int,
-        source: DataType,
-        filter_holder: ShapeType,
-        make,
-        backed: bool,
         new_leading: Optional[ShapeType] = None,
     ) -> None:
-        """Candidates of ``source`` joined against parent list ``k``.
+        """Resolve every shape edge out of ``parent``.
 
-        Three statically-distinguished forms (the interpreter re-derives
-        this per render from the runtime anchor types):
-
-        * ``anchor is None`` — every parent gets every candidate, no
-          join is counted (``_join`` returns early on no anchors);
-        * ``anchor == source`` — the self-pair: each parent wraps its
-          own anchor, bypassing any RESTRICT intersection;
-        * otherwise — the memoized closest-pair map, intersected with
-          the RESTRICT survivor set when the edge carries a filter.
+        ``anchor`` is the data type ``parent``'s instances anchor on.
+        ``new_leading`` switches to the NEW-wrapper dispatch of the
+        reference's ``_attach_new_children`` (the leading child maps
+        1:1 and the placeholder short-circuit does not apply).
         """
-        # Span label: the interpreter attributes a NEW wrapper's join to
-        # the *leading backed child* it wraps, not the wrapper itself.
-        name_const = self.const("N", filter_holder.out_name)
-        restricted = filter_holder.restrict_filter is not None
-        leaf = not self.shape.children(child)
-        m = self.fresh_list()
-        child_anchor = source  # produced instances anchor on the matched node
+        for child in self.shape.children(parent.vertex):
+            if child is new_leading:
+                # No fetch, no join: the wrapper was created *from*
+                # these nodes.
+                edge = self._add(
+                    child, "leading", parent, child.source, child.source, child, True
+                )
+                self._plan_children(edge, child.source)
+            elif child.source is not None and not (
+                new_leading is None
+                and child.synthesized
+                and self.index.count_of(child.source) == 0
+            ):
+                self._plan_joined(child, parent, anchor, child.source, child, True)
+            elif new_leading is None and child.synthesized:
+                # TYPE-FILLed: one empty element per parent.
+                self._plan_children(self._add(child, "placeholder", parent, anchor), anchor)
+            else:
+                leading = self._leading_backed_child(child)
+                if leading is None:
+                    self._plan_children(self._add(child, "new", parent, anchor), anchor)
+                else:
+                    self._plan_joined(
+                        child, parent, anchor, leading.source, leading, False, leading
+                    )
 
+    def _plan_joined(
+        self, child, parent, anchor, source, holder, backed, new_leading=None
+    ) -> None:
+        """Candidates of ``source`` joined against ``parent``'s instances.
+
+        Three statically-distinguished forms (the reference re-derives
+        this per render from the runtime anchor types): no anchor —
+        every parent gets every candidate and no join is counted; the
+        anchor type *is* the source type — each parent wraps its own
+        anchor, bypassing any RESTRICT intersection; otherwise the
+        memoized closest-pair map, intersected with the RESTRICT
+        survivors when the edge carries a filter.
+        """
         if anchor is None:
-            self._note_edge(child, "broadcast", None, source)
-            self._fetch_candidates(indent, filter_holder, source)
-            if leaf:
-                self.emit(indent, "if _c:")
-                self.emit(indent + 1, f"for _po in o{k}:")
-                self._hoist_parent(indent + 2)
-                self.emit(indent + 2, "for _n in _c:")
-                make(indent + 3, "_po", False)
-                self._append_child(indent + 3)
-                self._tally(indent + 1, child, f"len(o{k}) * len(_c)")
-                return
-            self.emit(indent, f"o{m} = []")
-            self.emit(indent, f"a{m} = []")
-            self.emit(indent, "if _c:")
-            self.emit(indent + 1, f"_oa = o{m}.append; _aa = a{m}.append")
-            self.emit(indent + 1, f"for _po in o{k}:")
-            self._hoist_parent(indent + 2)
-            self.emit(indent + 2, "for _n in _c:")
-            make(indent + 3, "_po", False)
-            self._append_child(indent + 3, extra="; _oa(_t); _aa(_n)")
-            self.emit(indent, f"if o{m}:")
-            self._tally(indent + 1, child, f"len(o{m})")
-            self._emit_children(
-                child, m, child_anchor, indent + 1, new_leading=new_leading
-            )
-            return
-
-        if anchor == source:
-            # Wrapping a node of the same type: 1:1, anchors are their
-            # own closest partners, RESTRICT does not intersect.
-            self._note_edge(child, "self", anchor, source)
-            self._fetch_candidates(indent, filter_holder, source)
-            self.emit(indent, "if _c:")
-            self.emit(indent + 1, "nj += 1")
-            # All join bookkeeping is trace-only: a disabled tracer costs
-            # this edge a single truth test.
-            self.emit(indent + 1, "if _tr:")
-            self.emit(indent + 2, f"_u = len({{id(_x) for _x in a{k}}})")
-            self.emit(indent + 2, f"with _span('render.join', child={name_const}) as _js:")
-            self.emit(indent + 3, "pass")
-            self.emit(indent + 2, "_count('join.comparisons', _u + len(_c))")
-            self.emit(indent + 2, "_observe('join.pairs', _u)")
-            self.emit(
-                indent + 2, "_js.annotate(anchors=_u, candidates=len(_c), pairs=_u)"
-            )
-            if leaf:
-                self.emit(indent + 1, f"for _po, _n in zip(o{k}, a{k}):")
-                self._hoist_parent(indent + 2)
-                make(indent + 2, "_po", True)
-                self._append_child(indent + 2)
-                self._tally(indent + 1, child, f"len(o{k})")
-                return
-            self.emit(indent + 1, f"o{m} = []")
-            self.emit(indent + 1, f"a{m} = a{k}")
-            self.emit(indent + 1, f"for _po, _n in zip(o{k}, a{k}):")
-            self._hoist_parent(indent + 2)
-            make(indent + 2, "_po", True)
-            self._append_child(indent + 2, extra=f"; o{m}.append(_t)")
-            self._tally(indent + 1, child, f"len(o{m})")
-            self._emit_children(
-                child, m, child_anchor, indent + 1, new_leading=new_leading
-            )
-            return
-
-        # The general closest join against the memoized full pair map.
-        self._note_edge(child, "join", anchor, source)
-        anchor_const = self.const("D", anchor)
-        source_const = self._fetch_candidates(indent, filter_holder, source)
-        if not leaf:
-            self.emit(indent, f"o{m} = []")
-            self.emit(indent, f"a{m} = []")
-        self.emit(indent, "if _c:")
-        self.emit(indent + 1, "nj += 1")
-        if restricted:
-            # A RESTRICT edge intersects each anchor's partner list with
-            # the survivor set once per *unique* anchor (repeated anchors
-            # share the filtered copy), so the pre-pass map stays.
-            self.emit(indent + 1, f"_uni = {{id(_x) for _x in a{k}}}")
-            self.emit(indent + 1, "_pmap = {}")
-            self.emit(
-                indent + 1, f"with _span('render.join', child={name_const}) as _js:"
-            )
-            self.emit(indent + 2, f"_fg = _pm({anchor_const}, {source_const}).get")
-            self.emit(indent + 2, "_alw = {id(_x) for _x in _c}")
-            self.emit(indent + 2, "for _aid in _uni:")
-            self.emit(indent + 3, "_m = _fg(_aid)")
-            self.emit(indent + 3, "if not _m:")
-            self.emit(indent + 4, "continue")
-            self.emit(indent + 3, "_m = [_x for _x in _m if id(_x) in _alw]")
-            self.emit(indent + 3, "if not _m:")
-            self.emit(indent + 4, "continue")
-            self.emit(indent + 3, "_pmap[_aid] = _m")
-            self.emit(indent + 1, "if _tr:")
-            self.emit(indent + 2, "_pr = 0")
-            self.emit(indent + 2, "for _m in _pmap.values():")
-            self.emit(indent + 3, "_pr += len(_m)")
-            self.emit(indent + 2, "_count('join.comparisons', len(_uni) + len(_c))")
-            self.emit(indent + 2, "_observe('join.pairs', _pr)")
-            self.emit(
-                indent + 2,
-                "_js.annotate(anchors=len(_uni), candidates=len(_c), pairs=_pr)",
-            )
-            self.emit(indent + 1, "_pg = _pmap.get")
+            kind = "broadcast"
+        elif anchor == source:
+            kind = "self"
         else:
-            # No filter: probe the memoized map directly in the emit loop.
-            # The unique-anchor walk (comparisons / pairs accounting) is
-            # trace-only, so an untraced render pays one dict probe per
-            # parent and nothing else.
-            self.emit(indent + 1, f"_pg = _pm({anchor_const}, {source_const}).get")
-            self.emit(indent + 1, "if _tr:")
-            self.emit(indent + 2, f"_uni = {{id(_x) for _x in a{k}}}")
-            self.emit(
-                indent + 2, f"with _span('render.join', child={name_const}) as _js:"
-            )
-            self.emit(indent + 3, "pass")
-            self.emit(indent + 2, "_pr = 0")
-            self.emit(indent + 2, "for _aid in _uni:")
-            self.emit(indent + 3, "_m = _pg(_aid)")
-            self.emit(indent + 3, "if _m:")
-            self.emit(indent + 4, "_pr += len(_m)")
-            self.emit(indent + 2, "_count('join.comparisons', len(_uni) + len(_c))")
-            self.emit(indent + 2, "_observe('join.pairs', _pr)")
-            self.emit(
-                indent + 2,
-                "_js.annotate(anchors=len(_uni), candidates=len(_c), pairs=_pr)",
-            )
-        if leaf:
-            self.emit(indent + 1, "_cnt = 0")
-            self.emit(indent + 1, f"for _po, _pa in zip(o{k}, a{k}):")
-            self.emit(indent + 2, "_m = _pg(id(_pa))")
-            self.emit(indent + 2, "if _m:")
-            self._hoist_parent(indent + 3)
-            self.emit(indent + 3, "for _n in _m:")
-            make(indent + 4, "_po", False)
-            self._append_child(indent + 4)
-            self.emit(indent + 3, "_cnt += len(_m)")
-            self.emit(indent + 1, "if _cnt:")
-            self._tally(indent + 2, child, "_cnt")
+            kind = "join"
+        edge = self._add(child, kind, parent, anchor, source, holder, backed)
+        self._plan_children(edge, source, new_leading)
+
+
+class CompiledRender:
+    """The specialized renderer of one ``(guard, shape)`` plan.
+
+    ``run(index)`` produces a :class:`RenderResult` identical to
+    ``render(shape, index)``; ``write(index, out)`` writes
+    ``serialize()`` of that forest into ``out`` without building it.
+    ``edge_plans`` is the per-edge join plan for ``EXPLAIN ANALYZE``,
+    ``sources`` the generated Python per sink (for debugging and the
+    test suite).
+    """
+
+    def __init__(self, shape: Shape, index: "BaseIndex"):
+        planner = _Planner(shape, index)
+        #: Pre-order.  The edges keep the shape's vertices alive:
+        #: ``rows_by_type`` is keyed on their ``id()``.
+        self._edges = planner.edges
+        self.edge_plans = planner.edge_plans
+        self.fused_filters = sum(
+            1 for edge in self._edges
+            if edge.fetches and edge.holder.restrict_filter is not None
+        )
+        self.sources: dict[str, str] = {}
+        self._functions: dict[str, Callable] = {}
+        self._codegen_lock = threading.Lock()
+
+    def describe(self) -> str:
+        joins = sum(1 for e in self.edge_plans if e["kind"] in ("join", "self"))
+        return (
+            f"{len(self.edge_plans)} edges specialized "
+            f"({joins} joins, {self.fused_filters} fused filters)"
+        )
+
+    # -- one render: fetch, generated loops, accounting --------------------------
+
+    def run(self, index: "BaseIndex") -> RenderResult:
+        """Render into the tree sink."""
+        found, probes, fetched = self._prepare(index)
+        result = RenderResult(XmlForest(), compiled=True)
+        rows = self._function("tree")(
+            found, probes, result.forest.roots, result.provenance
+        )
+        tally = result.rows_by_type
+        for edge, count in zip(self._edges, rows):
+            if count:
+                key = id(edge.vertex)
+                tally[key] = tally.get(key, 0) + count
+        result.nodes_written, result.nodes_read, result.joins = self._account(
+            rows, found, probes, fetched
+        )
+        return result
+
+    def write(self, index: "BaseIndex", out: TextIO) -> StreamStats:
+        """Render into the text sink: compact XML written to ``out``."""
+        found, probes, fetched = self._prepare(index)
+        rows, characters = self._function("text")(found, probes, out.write)
+        written, _read, joins = self._account(rows, found, probes, fetched)
+        return StreamStats(written, characters, joins)
+
+    def _function(self, sink: str) -> Callable:
+        """The generated function of ``sink``, generated on first use."""
+        with self._codegen_lock:
+            function = self._functions.get(sink)
+            if function is None:
+                with obs.span("engine.compile_render", sink=sink):
+                    generator = _Codegen(self._edges, sink == "text")
+                    source = self.sources[sink] = generator.generate()
+                    namespace = dict(generator.env)
+                    code = compile(source, f"<xmorph-render-{sink}>", "exec")
+                    exec(code, namespace)  # noqa: S102 - our own plan-time source
+                function = self._functions[sink] = namespace["_render"]
+        return function
+
+    def _prepare(self, index: "BaseIndex"):
+        """Per edge slot: candidates, partner lookup, raw sequence length.
+
+        An edge under one whose candidates came back empty can have no
+        instances, so its sequence is not fetched (and charged) at all.
+        """
+        size = len(self._edges)
+        found: list = [()] * size
+        probes: list = [_NO_PARTNERS] * size
+        fetched = [0] * size
+        live = [False] * size
+        for edge in self._edges:
+            slot = edge.slot
+            if edge.parent is not None and not live[edge.parent.slot]:
+                continue
+            if not edge.fetches:
+                live[slot] = True
+                continue
+            nodes = index.nodes_of(edge.source)
+            fetched[slot] = len(nodes)
+            restriction = edge.holder.restrict_filter
+            if restriction is not None:
+                nodes = index.restrict_pass(nodes, edge.source, restriction)
+            found[slot] = nodes
+            if not nodes:
+                continue
+            live[slot] = True
+            if edge.kind == "join":
+                pairs = index.closest_pair_map(edge.anchor, edge.source)
+                if restriction is not None:
+                    allowed = {id(node) for node in nodes}
+                    pairs = {
+                        anchor: kept
+                        for anchor, partners in pairs.items()
+                        if (kept := [node for node in partners if id(node) in allowed])
+                    }
+                probes[slot] = pairs.get
+        return found, probes, fetched
+
+    def _account(self, rows, found, probes, fetched) -> tuple[int, int, int]:
+        """``(nodes_written, nodes_read, joins)`` of one render, counted.
+
+        An edge was evaluated iff its parent has instances; that is all
+        the reference's counters depend on, so they are recomputed here
+        from the per-edge instance counts instead of inside the loops.
+        Under a tracer the reference's ``render.join`` spans, the
+        ``join.comparisons`` counter and the ``join.pairs`` histogram
+        are replayed in the same (shape pre-order) sequence.
+        """
+        traced = obs.enabled()
+        carried: dict[int, Optional[set[int]]] = {}
+        read = joins = 0
+        for edge in self._edges:
+            parent = edge.parent
+            if parent is not None and not rows[parent.slot]:
+                continue
+            slot = edge.slot
+            read += fetched[slot]
+            joined = edge.kind in ("self", "join") and bool(found[slot])
+            joins += joined
+            if traced:
+                above = carried[parent.slot] if parent is not None else None
+                carried[slot] = _trace_join(edge, joined, above, found[slot], probes[slot])
+        written = sum(rows)
+        obs.count("render.nodes_emitted", written)
+        obs.count("render.nodes_read", read)
+        obs.count("render.joins", joins)
+        return written, read, joins
+
+
+def _trace_join(edge: _Edge, joined: bool, above, nodes, probe) -> Optional[set[int]]:
+    """Replay one edge's join accounting; returns the anchors it hands down.
+
+    ``above`` is the set of ``id()``s of the distinct anchor nodes the
+    parent's instances carry (``None``: unanchored).  The merge pass
+    touches each input sequence once (Section VII), hence
+    ``join.comparisons``.
+    """
+    if edge.kind in ("root", "root-wrap", "broadcast"):
+        return {id(node) for node in nodes}
+    if edge.kind not in ("self", "join"):
+        return above
+    if not joined:
+        return set()
+    if edge.kind == "self":
+        below, pairs = above, len(above)
+    else:
+        below, pairs = set(), 0
+        for anchor in above:
+            partners = probe(anchor)
+            if partners:
+                pairs += len(partners)
+                below.update(map(id, partners))
+    with obs.span("render.join", child=edge.holder.out_name) as join_span:
+        pass
+    obs.count("join.comparisons", len(above) + len(nodes))
+    obs.observe("join.pairs", pairs)
+    join_span.annotate(anchors=len(above), candidates=len(nodes), pairs=pairs)
+    return below
+
+
+class _Codegen:
+    """Unrolls the edge list into the nested loops of one sink.
+
+    Level ``d`` of the nesting holds one instance: ``_n{d}`` is the
+    source node it anchors on, and in the tree sink ``_t{d}`` / ``_k{d}``
+    / ``_p{d}`` its output node, child list and Dewey parts (level 0 is
+    the forest: no node, the root list, the empty prefix).  ``r{slot}``
+    counts an edge's instances; the function returns them all.
+    """
+
+    def __init__(self, edges: list[_Edge], text: bool):
+        self.edges = edges
+        self.roots = [edge for edge in edges if edge.parent is None]
+        self.text = text
+        self.env: dict[str, object] = {
+            "_X": XmlNode,
+            "_nw": XmlNode.__new__,
+            "_DW": Dewey,
+            "_dnw": Dewey.__new__,
+            "_EL": NodeKind.ELEMENT,
+            "_AT": NodeKind.ATTRIBUTE,
+            "_none": (None,),
+            "_empty": (),
+            "_discard": _discard,
+        }
+        self._const_names: dict[str, str] = {}
+        self.lines: list[str] = []
+        self.helpers: list[str] = []
+        #: Level at which the function being emitted started, and the
+        #: counters it assigns (a helper declares them ``nonlocal``).
+        self.floor = 0
+        self.assigned: set[int] = set()
+
+    def emit(self, indent: int, text: str) -> None:
+        self.lines.append("    " * indent + text)
+
+    def const(self, value: str) -> str:
+        """A local name bound to the string ``value`` (tag text, names)."""
+        name = self._const_names.get(value)
+        if name is None:
+            name = self._const_names[value] = f"S{len(self._const_names)}"
+            self.env[name] = value
+        return name
+
+    def generate(self) -> str:
+        counters = [f"r{edge.slot}" for edge in self.edges]
+        result = f"[{', '.join(counters)}]"
+        if self.text:
+            self.emit(1, "_b = []; _w = _b.append; _nc = 0")
+            for root in self.roots:
+                self._text_root(root)
+            self.emit(1, "_s = ''.join(_b); _out(_s)")
+            result += ", _nc + len(_s)"
+        else:
+            self.emit(1, "_t0 = None; _p0 = ()")
+            self._tree_children(self.roots, 0, 1)
+        prelude = [f"    {' = '.join(counters)} = 0"] if counters else []
+        for edge in self.edges:
+            if edge.kind == "join":
+                prelude.append(f"    _g{edge.slot} = _G[{edge.slot}]")
+            elif edge.fetches:
+                prelude.append(f"    _c{edge.slot} = _C[{edge.slot}]")
+        # Every constant is bound as a default argument: LOAD_FAST
+        # instead of LOAD_GLOBAL in the hot loops.
+        sink = "_out" if self.text else "_k0, prov"
+        params = ", ".join(f"{name}={name}" for name in self.env)
+        header = f"def _render(_C, _G, {sink}, {params}):"
+        body = [header, *prelude, *self.helpers, *self.lines, f"    return {result}"]
+        return "\n".join(body) + "\n"
+
+    def _sequence(self, edge: _Edge, level: int) -> str:
+        """The expression yielding ``edge``'s anchors under ``_n{level}``."""
+        if edge.kind in ("root", "root-wrap", "broadcast"):
+            return f"_c{edge.slot}"
+        if edge.kind == "root-new":
+            return "_none"
+        if edge.kind == "join":
+            return f"_g{edge.slot}(id(_n{level})) or _empty"
+        if edge.kind == "self":
+            return f"_c{edge.slot} and (_n{level},)"
+        return f"(_n{level},)"
+
+    def _instance(self, edge: _Edge, level: int, indent: int) -> None:
+        """One instance of ``edge`` at ``level``, anchored on ``_n{level}``.
+
+        Inline, until the nesting is :data:`_INLINE_LEVELS` deep; from
+        there on as a call to a helper function holding the subtree.
+        """
+        body = self._text_body if self.text else self._tree_body
+        if level - self.floor < _INLINE_LEVELS or not edge.children:
+            body(edge, level, indent)
             return
-        self.emit(indent + 1, f"_oa = o{m}.append; _aa = a{m}.append")
-        self.emit(indent + 1, f"for _po, _pa in zip(o{k}, a{k}):")
-        self.emit(indent + 2, "_m = _pg(id(_pa))")
-        self.emit(indent + 2, "if _m:")
-        self._hoist_parent(indent + 3)
-        self.emit(indent + 3, "for _n in _m:")
-        make(indent + 4, "_po", False)
-        self._append_child(indent + 4, extra="; _oa(_t); _aa(_n)")
-        self.emit(indent, f"if o{m}:")
-        self._tally(indent + 1, child, f"len(o{m})")
-        self._emit_children(child, m, child_anchor, indent + 1, new_leading=new_leading)
+        up = level - 1
+        params = f"_n{level}, _w" if self.text else f"_n{level}, _t{up}, _k{up}, _p{up}"
+        self.emit(indent, f"_h{edge.slot}({params})")
+        outer = self.lines, self.floor, self.assigned
+        self.lines, self.floor, self.assigned = [], level, set()
+        self.emit(1, f"def _h{edge.slot}({params}):")
+        self.emit(2, "")  # the nonlocal line, once the body says which
+        body(edge, level, 2)
+        names = ", ".join(f"r{slot}" for slot in sorted(self.assigned))
+        self.lines[1] = f"        nonlocal {names}"
+        self.helpers.extend(self.lines)
+        self.lines, self.floor, self.assigned = outer
+
+    # -- tree sink ----------------------------------------------------------------
+
+    def _tree_children(self, children: list[_Edge], level: int, indent: int) -> None:
+        for child in children:
+            self.assigned.add(child.slot)
+            self.emit(indent, f"_m = {self._sequence(child, level)}")
+            self.emit(indent, "if _m:")
+            self.emit(indent + 1, f"r{child.slot} += len(_m)")
+            self.emit(indent + 1, f"for _n{level + 1} in _m:")
+            self._instance(child, level + 1, indent + 2)
+
+    def _tree_body(self, edge: _Edge, d: int, indent: int) -> None:
+        name = self.const(edge.vertex.out_name)
+        up = d - 1
+        # Leaves keep no handle on their child list or Dewey parts.
+        keep_children, keep_parts = (f"_k{d} = ", f"_p{d} = ") if edge.children else ("", "")
+        copied = (
+            f"_t{d}.kind = _n{d}.kind; _t{d}.text = _n{d}.text; prov[id(_t{d})] = _n{d}"
+            if edge.backed
+            else f"_t{d}.kind = _EL; _t{d}.text = ''"
+        )
+        self.emit(
+            indent,
+            f"_t{d} = _nw(_X); _t{d}.name = {name}; {copied}; "
+            f"{keep_children}_t{d}.children = []; _t{d}.parent = _t{up}",
+        )
+        self.emit(
+            indent,
+            f"_k{up}.append(_t{d}); _dd = _dnw(_DW); "
+            f"{keep_parts}_dd._parts = _p{up} + (len(_k{up}),); _t{d}.dewey = _dd",
+        )
+        self._tree_children(edge.children, d, indent)
+
+    # -- text sink ----------------------------------------------------------------
+
+    def _text_root(self, root: _Edge) -> None:
+        """Root instances: always elements, newline-separated, flushed."""
+        self.emit(1, f"_m = {self._sequence(root, 0)}")
+        self.emit(1, f"r{root.slot} = len(_m)")
+        self.emit(1, "for _n1 in _m:")
+        self.emit(2, "if _b or _nc: _w('\\n')")
+        self._instance(root, 1, 2)
+        self.emit(2, f"if len(_b) >= {_FLUSH_CHUNKS}:")
+        self.emit(3, "_s = ''.join(_b); _out(_s); _nc += len(_s); del _b[:]")
+
+    def _text_body(self, edge: _Edge, d: int, indent: int) -> None:
+        """``_n{d}`` written as an element: start tag, attributes, value,
+        element children, end tag — the order ``serialize()`` uses."""
+        name = edge.vertex.out_name
+        if not edge.children:
+            if edge.backed:
+                self.emit(indent, f"_s = _n{d}.text")
+                self.emit(
+                    indent,
+                    f"if _s: _w({self.const(f'<{name}>')}); _w(_s{_ESCAPE_TEXT}); "
+                    f"_w({self.const(f'</{name}>')})",
+                )
+                self.emit(indent, f"else: _w({self.const(f'<{name}/>')})")
+            else:
+                self.emit(indent, f"_w({self.const(f'<{name}/>')})")
+            return
+        self.emit(indent, f"_w({self.const(f'<{name}')})")
+        # First pass over the partner lists: attributes into the start
+        # tag, and whether any element child will follow.
+        self.emit(indent, "_e = False")
+        for child in edge.children:
+            slot = child.slot
+            self.assigned.add(slot)
+            self.emit(indent, f"_m{slot} = {self._sequence(child, d)}")
+            self.emit(indent, f"if _m{slot}:")
+            self.emit(indent + 1, f"r{slot} += len(_m{slot})")
+            if child.backed:
+                attribute = self.const(f' {child.vertex.out_name}="')
+                self.emit(indent + 1, f"for _x in _m{slot}:")
+                self.emit(
+                    indent + 2,
+                    f"if _x.kind is _AT: _w({attribute}); "
+                    f"_w(_x.text{_ESCAPE_ATTR}); _w('\"')",
+                )
+                self.emit(indent + 2, "else: _e = True")
+            else:
+                self.emit(indent + 1, "_e = True")
+        # ``_z{d}`` is how the element ends.  The second pass runs even
+        # for a self-closing one: attribute children still have subtrees
+        # to count.
+        self.emit(indent, f"_s = _n{d}.text" if edge.backed else "_s = ''")
+        self.emit(indent, "if _e or _s:")
+        self.emit(indent + 1, "_w('>')")
+        self.emit(indent + 1, f"if _s: _w(_s{_ESCAPE_TEXT})")
+        self.emit(indent + 1, f"_z{d} = {self.const(f'</{name}>')}")
+        self.emit(indent, "else:")
+        self.emit(indent + 1, f"_z{d} = '/>'")
+        below = d + 1
+        for child in edge.children:
+            loop = f"for _n{below} in _m{child.slot}:"
+            if not child.backed:
+                self.emit(indent, loop)
+                self._instance(child, below, indent + 1)
+            elif not child.children:
+                self.emit(indent, loop)
+                self.emit(indent + 1, f"if _n{below}.kind is _EL:")
+                self._instance(child, below, indent + 2)
+            else:
+                # An attribute's own subtree is never serialized, but
+                # its instances count: walk it with the writer muted.
+                self.emit(indent, f"_v{d} = _w")
+                self.emit(indent, loop)
+                self.emit(indent + 1, f"_w = _discard if _n{below}.kind is _AT else _v{d}")
+                self._instance(child, below, indent + 1)
+                self.emit(indent, f"_w = _v{d}")
+        self.emit(indent, f"_w(_z{d})")
+
+
+def _discard(_chunk: str) -> None:
+    """The text sink's writer inside an attribute's (unserialized) subtree."""

@@ -19,7 +19,7 @@ from repro.algebra.context import DocumentShapeContext
 from repro.algebra.operators import Operator
 from repro.algebra.semantics import EvaluationResult, Evaluator
 from repro.closeness.index import BaseIndex, DocumentIndex
-from repro.engine.compile import CompiledRender, try_compile_render
+from repro.engine.compile import CompiledRender
 from repro.engine.render import RenderResult, render
 from repro.lang.parser import parse_guard
 from repro.shape.shape import Shape
@@ -40,8 +40,9 @@ class TransformResult:
     rendered: Optional[RenderResult] = None
     compile_seconds: float = 0.0
     render_seconds: float = 0.0
-    #: Specialized renderer generated at compile time (a plan artifact,
-    #: cached alongside the shape); ``None`` means interpret.
+    #: The plan's compiled emitter (:mod:`repro.engine.compile`), attached
+    #: by whoever owns the plan (``Database``) and cached alongside the
+    #: shape; ``None`` renders through the reference ``render()``.
     compiled_render: Optional[CompiledRender] = None
 
     @property
@@ -70,17 +71,15 @@ class Interpreter:
     source:
         A parsed :class:`~repro.xmltree.XmlForest` or a prebuilt
         :class:`~repro.closeness.DocumentIndex`.
-    compile_renders:
-        Generate a specialized renderer per compiled guard
-        (:mod:`repro.engine.compile`) and use it in
-        :meth:`render_compiled`.  Off by default so the batch
-        interpreter stays the directly-tested engine; ``Database``
-        turns it on (its plan cache is what amortizes the codegen).
+
+    A guard compiled here has no emitter attached (``compiled_render``
+    is ``None``), so :meth:`transform` renders through the reference
+    ``render()`` — the independent route the parity suites compare the
+    compiled emitter against.
     """
 
-    def __init__(self, source: XmlForest | BaseIndex, compile_renders: bool = False):
+    def __init__(self, source: XmlForest | BaseIndex):
         self.index = source if isinstance(source, BaseIndex) else DocumentIndex(source)
-        self.compile_renders = compile_renders
 
     # -- the pipeline ------------------------------------------------------
 
@@ -91,17 +90,12 @@ class Interpreter:
             evaluation, loss = self._analyze(operator, enforcement)
             with obs.span("typing.enforce"):
                 enforce(loss, enforcement)
-            compiled_render = None
-            if self.compile_renders:
-                with obs.span("engine.compile_render"):
-                    compiled_render = try_compile_render(evaluation.shape, self.index)
         return TransformResult(
             guard=guard,
             target_shape=evaluation.shape,
             loss=loss,
             evaluation=evaluation,
             compile_seconds=compile_span.duration,
-            compiled_render=compiled_render,
         )
 
     def check(self, guard: str) -> LossReport:

@@ -111,7 +111,7 @@ class ProfileReport:
                 f"joins={rendered.joins}"
             )
             compiled = self.result.compiled_render
-            if rendered.compiled and compiled is not None:
+            if compiled is not None:
                 lines.append(f"render.compiled: {compiled.describe()}")
                 for edge in compiled.edge_plans:
                     level = edge["lca_level"]
@@ -121,8 +121,6 @@ class ProfileReport:
                         f"  anchors={edge['anchor_rows']}"
                         f" candidates={edge['child_rows']}{detail}"
                     )
-            elif rendered.compiled:
-                lines.append("render.compiled: yes")
             else:
                 lines.append("render.compiled: no (interpreted)")
         metric_lines = obs.render_metrics(self.tracer.metrics)
@@ -252,9 +250,7 @@ def _durability_events(stats) -> dict:
     return events
 
 
-def profile_document(
-    xml_text: str, guard: str, compile_renders: bool = True
-) -> ProfileReport:
+def profile_document(xml_text: str, guard: str) -> ProfileReport:
     """Profile XML text end to end: shred into a throwaway store, then
     transform — so the trace includes shredding and storage actuals."""
     import os
@@ -264,11 +260,7 @@ def profile_document(
 
     tracer = obs.Tracer()
     with tempfile.TemporaryDirectory(prefix="xmorph-profile-") as scratch:
-        database = Database(
-            os.path.join(scratch, "profile.db"),
-            durable=False,
-            compile_renders=compile_renders,
-        )
+        database = Database(os.path.join(scratch, "profile.db"), durable=False)
         try:
             with obs.tracing(tracer), database.observed(tracer):
                 database.store_document("document", xml_text)

@@ -42,11 +42,11 @@ from concurrent.futures import ThreadPoolExecutor
 from io import StringIO
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.engine.interpreter import TransformResult
 from repro.errors import TransformTimeoutError
 from repro.obs import tracer as obs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.interpreter import TransformResult
     from repro.serve.telemetry import RequestTrace, ServeTelemetry
     from repro.storage.database import Database
 
@@ -70,23 +70,6 @@ def execute(database: "Database", name: str, guard: str, stream: bool, tracer=No
         database.stream_transform(name, guard, sink)
         return sink.getvalue()
     return database.transform(name, guard)
-
-
-def final_xml(result) -> str:
-    """The response text of an :func:`execute` result the caller is done with.
-
-    A rendered forest is unlinked once serialized.  ``parent`` ↔
-    ``children`` is a reference cycle, and a 100 KB response is some 10k
-    such objects: left to the cycle collector they pile into its oldest
-    generation, and every ~9th request stalls ~25 ms while it frees them
-    all.  Unlinked, reference counting frees each tree with its request.
-    """
-    if isinstance(result, str):  # a stream request
-        return result
-    xml = result.xml()
-    if isinstance(result, TransformResult):  # not a worker's pre-serialized text
-        result.forest.unlink()
-    return xml
 
 
 class TransformPool:

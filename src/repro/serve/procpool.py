@@ -63,7 +63,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.errors import StorageError, TransformTimeoutError, XMorphError
 from repro.obs import tracer as obs
-from repro.serve.pool import TransformPool, execute, final_xml
+from repro.serve.pool import TransformPool, execute
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.telemetry import ServeTelemetry
@@ -166,12 +166,10 @@ class RemoteTransformError(XMorphError):
 # -- the worker process ------------------------------------------------------
 
 
-def _worker_main(
-    path: str, conn, cache_pages: int, durable: bool, compile_renders: bool = True
-) -> None:
+def _worker_main(path: str, conn, cache_pages: int, durable: bool) -> None:
     """One worker: open a shared-reader snapshot, serve the pipe until EOF.
 
-    Messages in: ``("req", req_id, doc, guard, stream, budget, trace_id,
+    Messages in: ``("req", req_id, doc, guard, budget, trace_id,
     sampled)``, ``("warm", pairs)``, ``("stats",)``, ``("quit",)``.
     Messages out: ``("ok", req_id, xml, meta)``, ``("err", req_id,
     kind, message, code, meta)``, ``("warmed", n)``, ``("stats", dict)``.
@@ -180,16 +178,10 @@ def _worker_main(
     from repro.storage.database import Database
 
     # The open options mirror the parent handle: each worker compiles
-    # (and ``warm``s) plans in its own process, so the specialized
-    # renderers are generated post-fork against the worker's own
-    # snapshot — nothing compiled crosses the pipe.
-    database = Database(
-        path,
-        mode="r",
-        cache_pages=cache_pages,
-        durable=durable,
-        compile_renders=compile_renders,
-    )
+    # (and ``warm``s) plans in its own process, so the render code is
+    # generated post-fork against the worker's own snapshot — nothing
+    # compiled crosses the pipe.
+    database = Database(path, mode="r", cache_pages=cache_pages, durable=durable)
     try:
         while True:
             try:
@@ -220,8 +212,8 @@ def _worker_main(
                     )
                 )
                 continue
-            # ("req", req_id, doc, guard, stream, budget, trace_id, sampled)
-            _, req_id, doc, guard, stream, budget, trace_id, sampled = message
+            # ("req", req_id, doc, guard, budget, trace_id, sampled)
+            _, req_id, doc, guard, budget, trace_id, sampled = message
             started = time.perf_counter()
             hits_before = database.plan_cache.stats()["hits"]
             tracer = obs.Tracer(trace_id=trace_id) if sampled else None
@@ -229,7 +221,8 @@ def _worker_main(
                 if budget is not None and budget <= 0:
                     # Expired on the way here: refuse it without rendering.
                     raise TransformTimeoutError(doc, guard, 0.0)
-                xml = final_xml(execute(database, doc, guard, stream, tracer))
+                # Text crosses the pipe either way: always the text sink.
+                xml = execute(database, doc, guard, True, tracer)
             except Exception as error:  # a response, never a worker crash
                 meta = {"execute_seconds": time.perf_counter() - started}
                 conn.send(
@@ -402,7 +395,7 @@ class ProcessTransformPool(TransformPool):
         process = self._mp.Process(
             target=_worker_main,
             args=(database._file.path, child_conn, database.pool.capacity,
-                  database.durable, database.compile_renders),
+                  database.durable),
             name="xmorph-serve-worker",
             daemon=True,
         )
@@ -493,7 +486,6 @@ class ProcessTransformPool(TransformPool):
                             task.req_id,
                             task.doc,
                             task.guard,
-                            task.stream,
                             budget,
                             trace.trace_id if trace is not None else None,
                             bool(trace is not None and trace.sampled),

@@ -4,7 +4,6 @@ The protocol is one JSON object per line, chosen so a shell, a test, or
 a load generator can drive it with nothing but pipes::
 
     {"id": 1, "doc": "dblp", "guard": "MORPH author [ name ]"}
-    {"id": 2, "doc": "dblp", "guard": "...", "stream": true}
     {"cmd": "stats"}
     {"cmd": "metrics"}
     {"cmd": "quit"}
@@ -49,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import IO, Optional
 
 from repro.errors import XMorphError
-from repro.serve.pool import TransformPool, final_xml
+from repro.serve.pool import TransformPool
 from repro.serve.telemetry import ServeTelemetry, metrics_snapshot
 
 #: In-flight responses per worker before request reading blocks
@@ -254,9 +253,10 @@ def serve_loop(
                     )
                     continue
                 stats.requests += 1
-                future = pool.submit(
-                    request["doc"], request["guard"], stream=bool(request.get("stream"))
-                )
+                # Every answer is the plan's text sink: a response is
+                # bytes, so no output tree is built for it.  (A request's
+                # "stream" field, from older clients, selects nothing.)
+                future = pool.submit(request["doc"], request["guard"], stream=True)
                 responses.put(("future", request, future))
         finally:
             responses.put(None)
@@ -285,7 +285,7 @@ def _respond(writer, stats: ServeStats, pool, request: dict, future) -> None:
     else:
         stats.ok += 1
         started = time.perf_counter()
-        _write(writer, {"id": request.get("id"), "ok": True, "xml": final_xml(result)})
+        _write(writer, {"id": request.get("id"), "ok": True, "xml": result})
         if trace is not None:
             trace.serialize_seconds = time.perf_counter() - started
     finally:

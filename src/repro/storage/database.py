@@ -20,8 +20,10 @@ from typing import Iterator, Optional, Sequence
 
 from repro.cache import CompiledPlan, PlanCache
 from repro.closeness.index import BaseIndex
+from repro.engine.compile import CompiledRender, StreamStats
 from repro.engine.interpreter import Interpreter, TransformResult
 from repro.errors import DocumentNotFoundError, ReadOnlyDatabaseError, StorageError
+from repro.obs import tracer as obs
 from repro.shape.cardinality import Card
 from repro.shape.shape import Shape
 from repro.shape.types import DataType, ShapeType, TypeTable
@@ -62,7 +64,6 @@ class Database:
         durable: bool = True,
         cache_plans: int = 64,
         mode: str = "w",
-        compile_renders: bool = True,
     ):
         if mode not in ("r", "w"):
             raise StorageError(f"mode must be 'r' or 'w', got {mode!r}")
@@ -120,10 +121,6 @@ class Database:
         #: Compiled guard plans keyed by (guard text, shape fingerprint);
         #: ``cache_plans=0`` disables plan caching entirely.
         self.plan_cache = PlanCache(cache_plans)
-        #: Generate a specialized renderer per plan (the ``--no-compile``
-        #: escape hatch turns this off; rendering falls back to the
-        #: batch interpreter, byte-identically).
-        self.compile_renders = compile_renders
         #: When true, a vmstat-style sample is recorded after every type
         #: sequence load (drives the Figure 11–13 time series).
         self.sample_progress = False
@@ -254,24 +251,27 @@ class Database:
         compiles and the rest wait for its plan.
         """
         index = self.index(name)
-        if self.plan_cache.capacity <= 0:
-            # Caching disabled: compile unconditionally (no single-flight
-            # either — there is nothing to share a result through).
-            self.plan_cache.get(guard, index.fingerprint)  # counts the miss
+
+        def compile_guard() -> TransformResult:
             started = time.perf_counter()
-            result = Interpreter(index, compile_renders=self.compile_renders).compile(guard)
+            result = Interpreter(index).compile(guard)
+            # The emitter rides on the plan; each sink's code is generated
+            # by the first render that asks for it.
+            result.compiled_render = CompiledRender(result.target_shape, index)
             self.stats.observe("plan.compile_seconds", time.perf_counter() - started)
             self._charge_compile(name)
             return result
 
-        def compile_plan() -> CompiledPlan:
-            started = time.perf_counter()
-            result = Interpreter(index, compile_renders=self.compile_renders).compile(guard)
-            self.stats.observe("plan.compile_seconds", time.perf_counter() - started)
-            self._charge_compile(name)
-            return CompiledPlan.from_result(result, index.fingerprint)
-
-        plan = self.plan_cache.get_or_compile(guard, index.fingerprint, compile_plan)
+        if self.plan_cache.capacity <= 0:
+            # Caching disabled: compile unconditionally (no single-flight
+            # either — there is nothing to share a result through).
+            self.plan_cache.get(guard, index.fingerprint)  # counts the miss
+            return compile_guard()
+        plan = self.plan_cache.get_or_compile(
+            guard,
+            index.fingerprint,
+            lambda: CompiledPlan.from_result(compile_guard(), index.fingerprint),
+        )
         return plan.to_result()
 
     def transform_many(
@@ -294,17 +294,16 @@ class Database:
         with TransformPool(self, workers=workers, deadline=deadline) as pool:
             return pool.transform_many(requests)
 
-    def stream_transform(self, name: str, guard: str, out) -> "object":
-        """Compile a guard and stream the rendered XML into ``out``.
+    def stream_transform(self, name: str, guard: str, out) -> StreamStats:
+        """Compile a guard and write the rendered XML (compact) into ``out``.
 
-        The streaming renderer never materializes the output forest, so
-        this is the lowest-memory way to transform a stored document
-        into a file or socket.  Returns the stream statistics.
+        The plan's text sink never builds the output forest, so this is
+        the cheapest way to turn a stored document into bytes for a file
+        or socket; the text equals ``transform(name, guard).xml()``.
         """
-        from repro.engine.stream import render_stream
-
-        compiled = self.compile(name, guard)
-        stats = render_stream(compiled.target_shape, self.index(name), out)
+        compiled = self._plan(name, guard)
+        with obs.span("pipeline.render"):
+            stats = compiled.compiled_render.write(self.index(name), out)
         self.stats.charge_cpu(4 * stats.nodes_written)
         return stats
 

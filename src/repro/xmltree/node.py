@@ -225,21 +225,6 @@ class XmlForest:
         """Order-insensitive fingerprint of the whole forest."""
         return tuple(sorted(root.canonical() for root in self.roots))
 
-    def unlink(self) -> None:
-        """Forget every ``parent`` link, for a forest about to be dropped.
-
-        ``parent`` ↔ ``children`` is a reference cycle, so a dropped tree
-        otherwise waits for the cycle collector; unlinked, reference
-        counting frees it at once (cf. ``xml.dom.minidom.Node.unlink``).
-        Downward navigation and serialization keep working.
-        """
-        stack = list(self.roots)
-        while stack:
-            for child in stack.pop().children:
-                child.parent = None
-                if child.children:
-                    stack.append(child)
-
     def __len__(self) -> int:
         return len(self.roots)
 

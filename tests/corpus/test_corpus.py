@@ -5,6 +5,7 @@ import pytest
 import repro
 
 from tests.corpus.cases import CASES
+from tests.engine.test_parity import assert_parity
 
 
 @pytest.mark.parametrize("case", CASES, ids=[case.name for case in CASES])
@@ -22,15 +23,13 @@ class TestCorpus:
         assert str(result.loss.guard_type) == case.loss, result.loss.pretty()
 
     def test_streaming_agrees(self, case):
-        """Every corpus case must stream to the same output."""
-        from repro.engine.stream import render_to_string
-        from repro.engine.view import ViewGenerationError
-
-        interpreter = repro.Interpreter(repro.parse_document(case.document))
-        compiled = interpreter.compile(case.guard)
-        streamed = render_to_string(compiled.target_shape, interpreter.index)
+        """Every corpus case: reference, tree sink and text sink agree,
+        and the text is the pinned output."""
+        _reference, _tree, text, _stats = assert_parity(
+            repro.parse_document(case.document), case.guard
+        )
         expected = repro.parse_forest(case.expected)
-        assert repro.parse_forest(streamed).canonical() == expected.canonical()
+        assert repro.parse_forest(text).canonical() == expected.canonical()
 
 
 def test_corpus_names_unique():

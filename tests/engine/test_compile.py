@@ -1,10 +1,11 @@
-"""The specialized plan renderer (repro.engine.compile) and its cache
-carry-through: byte-identical parity with the interpreter, counter and
-trace parity, the plan-cache bugfixes that rode along, and the
-single-fetch fix in the interpretive renderer.
+"""The compiled emitter (repro.engine.compile) and its cache
+carry-through: parity with the reference renderer on both sinks, trace
+parity, the plan-cache bugfixes that rode along, and the single-fetch
+fix in the reference renderer.
 """
 
 import gc
+import io
 import os
 import time
 
@@ -23,7 +24,7 @@ from repro.workloads import generate_dblp
 from repro.xmltree.serializer import serialize
 
 from tests.conftest import FIG1A
-from tests.engine.test_parity import GUARD_DIR, corpus_guards
+from tests.engine.test_parity import GUARD_DIR, assert_parity, corpus_guards
 
 DBLP_GUARDS = [
     "CAST MORPH author [ title [ year ] ]",
@@ -35,72 +36,12 @@ DBLP_GUARDS = [
 ]
 
 
-def named_rows(shape, rows_by_type):
-    """rows_by_type re-keyed by out_name (id() keys differ per shape)."""
-    named: dict[str, int] = {}
-
-    def visit(vertex):
-        if id(vertex) in rows_by_type:
-            named[vertex.out_name] = named.get(vertex.out_name, 0) + rows_by_type[
-                id(vertex)
-            ]
-        for child in shape.children(vertex):
-            visit(child)
-
-    for root in shape.roots():
-        visit(root)
-    return named
-
-
-def render_both(forest, guard):
-    """(interpreter RenderResult+shape, compiled RenderResult+shape).
-
-    Each engine gets a *fresh* forest copy and index so join-memo
-    warmth cannot leak between them.
-    """
-    text = serialize(forest)
-
-    interp = Interpreter(repro.parse_forest(text))
-    plan_i = interp.compile(guard)
-    res_i = interp.render_compiled(plan_i)
-    assert res_i.rendered is not None and not res_i.rendered.compiled
-
-    comp = Interpreter(repro.parse_forest(text), compile_renders=True)
-    plan_c = comp.compile(guard)
-    assert plan_c.compiled_render is not None, "specialization unexpectedly fell back"
-    res_c = comp.render_compiled(plan_c)
-    assert res_c.rendered is not None and res_c.rendered.compiled
-    return (res_i, plan_i.evaluation.shape), (res_c, plan_c.evaluation.shape)
-
-
-def assert_identical(forest, guard):
-    (res_i, shape_i), (res_c, shape_c) = render_both(forest, guard)
-    ri, rc = res_i.rendered, res_c.rendered
-    assert rc.forest.canonical() == ri.forest.canonical()
-    assert serialize(rc.forest) == serialize(ri.forest)
-    assert _dewey_walk(rc.forest) == _dewey_walk(ri.forest)
-    assert rc.nodes_written == ri.nodes_written
-    assert rc.nodes_read == ri.nodes_read
-    assert rc.joins == ri.joins
-    assert len(rc.provenance) == len(ri.provenance)
-    assert named_rows(shape_c, rc.rows_by_type) == named_rows(shape_i, ri.rows_by_type)
-    # No zero entries ever appear in rows_by_type (interpreter invariant).
-    assert all(count > 0 for count in rc.rows_by_type.values())
-
-
-def _dewey_walk(forest):
-    """(name, dewey) in document order — inline numbering must equal
-    the interpreter's renumber() pass exactly."""
-    out = []
-
-    def visit(node):
-        out.append((node.name, str(node.dewey)))
-        for child in node.children:
-            visit(child)
-
-    for root in forest.roots:
-        visit(root)
-    return out
+def compiled_plan(interp, guard):
+    """``guard`` compiled over ``interp``'s index with the emitter
+    attached, as ``Database`` attaches it to the plans it caches."""
+    plan = interp.compile(guard)
+    plan.compiled_render = CompiledRender(plan.target_shape, interp.index)
+    return plan
 
 
 @pytest.fixture(scope="module")
@@ -115,15 +56,15 @@ def dblp():
 
 
 class TestCorpusParity:
-    """Every example guard: compiled output is byte-identical."""
+    """Every example guard: all three routes are byte-identical."""
 
     @pytest.mark.parametrize("guard", corpus_guards())
     def test_corpus_guard(self, books, guard):
-        assert_identical(books, guard)
+        assert_parity(books, guard)
 
     @pytest.mark.parametrize("guard", DBLP_GUARDS)
     def test_dblp_guard(self, dblp, guard):
-        assert_identical(dblp, guard)
+        assert_parity(dblp, guard)
 
     def test_fig1a_special_types(self):
         forest = repro.parse_forest(FIG1A)
@@ -132,7 +73,7 @@ class TestCorpusParity:
             "CAST (MUTATE (NEW scribe) [ author ])",
             "CAST (TYPE-FILL MORPH author [ name isbn ])",
         ):
-            assert_identical(forest, guard)
+            assert_parity(forest, guard)
 
 
 class TestTraceParity:
@@ -141,13 +82,13 @@ class TestTraceParity:
     @pytest.mark.parametrize("guard", DBLP_GUARDS)
     def test_traced_metrics_match(self, guard):
         snapshots = []
-        for compile_renders in (False, True):
-            interp = Interpreter(generate_dblp(40), compile_renders=compile_renders)
-            plan = interp.compile(guard)
+        for compiled in (False, True):
+            interp = Interpreter(generate_dblp(40))
+            plan = compiled_plan(interp, guard) if compiled else interp.compile(guard)
             tracer = obs.Tracer()
             with obs.tracing(tracer):
                 result = interp.render_compiled(plan)
-            assert (result.rendered.compiled is True) == compile_renders
+            assert (result.rendered.compiled is True) == compiled
             spans = [
                 (
                     span.name,
@@ -173,44 +114,32 @@ class TestTraceParity:
 
 class TestCompiledArtifact:
     def test_source_and_describe(self, books):
-        interp = Interpreter(books, compile_renders=True)
-        plan = interp.compile("CAST MORPH author [ name ]")
-        artifact = plan.compiled_render
-        assert isinstance(artifact, CompiledRender)
-        assert "def _render(index" in artifact.source_code
+        interp = Interpreter(books)
+        artifact = compiled_plan(interp, "CAST MORPH author [ name ]").compiled_render
         assert "edges specialized" in artifact.describe()
         assert artifact.edge_plans, "edge plans recorded for EXPLAIN ANALYZE"
+        # A sink's function exists once that sink has been asked for.
+        assert artifact.sources == {}
+        artifact.run(interp.index)
+        assert list(artifact.sources) == ["tree"]
+        artifact.write(interp.index, io.StringIO())
+        assert list(artifact.sources) == ["tree", "text"]
+        assert all("def _render(" in source for source in artifact.sources.values())
+        assert "_nw(_X)" not in artifact.sources["text"], "the text sink builds no nodes"
 
     def test_join_levels_and_cardinalities_recorded(self, books):
-        interp = Interpreter(books, compile_renders=True)
-        plan = interp.compile("CAST MORPH author [ title ]")
+        interp = Interpreter(books)
+        plan = compiled_plan(interp, "CAST MORPH author [ title ]")
         joins = [e for e in plan.compiled_render.edge_plans if e["kind"] == "join"]
         assert joins and all(e["lca_level"] is not None for e in joins)
         assert all(e["anchor_rows"] > 0 and e["child_rows"] > 0 for e in joins)
 
     def test_rerun_is_deterministic(self, books):
-        interp = Interpreter(books, compile_renders=True)
-        plan = interp.compile("CAST MORPH author [ name book [ title ] ]")
+        interp = Interpreter(books)
+        plan = compiled_plan(interp, "CAST MORPH author [ name book [ title ] ]")
         first = interp.render_compiled(plan)
         second = interp.render_compiled(plan)
         assert serialize(first.rendered.forest) == serialize(second.rendered.forest)
-
-    def test_try_compile_falls_back_and_counts(self, books, monkeypatch):
-        import repro.engine.compile as compile_module
-
-        def boom(shape, index):
-            raise RuntimeError("injected")
-
-        monkeypatch.setattr(compile_module, "_Codegen", boom)
-        tracer = obs.Tracer()
-        with obs.tracing(tracer):
-            interp = Interpreter(books, compile_renders=True)
-            plan = interp.compile("CAST MORPH author [ name ]")
-        assert plan.compiled_render is None
-        assert tracer.metrics.counters.get("render.compile_fallback") == 1
-        # The transform still works — interpreted.
-        result = interp.render_compiled(plan)
-        assert result.rendered is not None and not result.rendered.compiled
 
 
 class TestDatabaseKnob:
@@ -227,43 +156,48 @@ class TestDatabaseKnob:
         finally:
             db.close()
 
-    def test_no_compile_knob(self, tmp_path):
-        db = Database(str(tmp_path / "off.db"), durable=False, compile_renders=False)
-        try:
-            db.store_document("doc", repro.parse_forest(FIG1A))
-            result = db.transform("doc", "CAST MORPH author [ name ]")
-            assert not result.rendered.compiled
-            assert result.compiled_render is None
-        finally:
-            db.close()
-
     def test_profile_reports_compiled_line(self):
         report = profile_document(FIG1A, "CAST MORPH author [ name ]")
         assert "render.compiled:" in report.pretty()
         assert "edges specialized" in report.pretty()
-        uncompiled = profile_document(
-            FIG1A, "CAST MORPH author [ name ]", compile_renders=False
-        )
-        assert "render.compiled: no (interpreted)" in uncompiled.pretty()
+        assert "author  [root]" in report.pretty()
+        assert "name  [join]" in report.pretty()
 
 
 class TestCompiledBeatsReference:
-    """Specialization has to pay for its 675 lines: on a warm plan the
-    generated renderer is several times faster than the reference
-    ``render()`` it must stay byte-identical to.  Both run interleaved
-    in one process on the same cached plan, so the ratio does not depend
-    on how fast the machine is; 2x leaves room for a loaded runner
-    (2.6-3.9x measured, idle and loaded), not for a regression."""
+    """Specialization has to pay for its code: on a warm plan each sink
+    of the generated emitter is several times faster than the reference
+    route it must stay byte-identical to — the tree sink than
+    ``render()``, the text sink than ``render()`` plus ``serialize()``.
+    Both sides run interleaved in one process on the same cached plan,
+    so the ratio does not depend on how fast the machine is; 2x leaves
+    room for a loaded runner (tree 2.6-3.9x, text ~9x measured), not
+    for a regression."""
 
+    @pytest.mark.parametrize("sink", ["tree", "text"])
     @pytest.mark.parametrize("guard", DBLP_GUARDS[:3])
-    def test_at_least_twice_as_fast_and_byte_identical(self, guard, tmp_path):
+    def test_at_least_twice_as_fast_and_byte_identical(self, guard, sink, tmp_path):
         with Database(str(tmp_path / "dblp.db"), durable=False) as db:
             db.store_document("dblp", generate_dblp(100))
             db.transform("dblp", guard)  # fills the plan cache and join memos
             plan = db.compile("dblp", guard)
             assert db.plan_cache.hits >= 1
-            assert isinstance(plan.compiled_render, CompiledRender)
+            emitter = plan.compiled_render
+            assert isinstance(emitter, CompiledRender)
             index = db.index("dblp")
+
+            def compiled_route():
+                if sink == "tree":
+                    return emitter.run(index).forest
+                out = io.StringIO()
+                emitter.write(index, out)
+                return out.getvalue()
+
+            def reference_route():
+                forest = render(plan.target_shape, index).forest
+                return forest if sink == "tree" else serialize(forest)
+
+            compiled_route()  # generates the sink's function
             compiled_best = reference_best = float("inf")
             # A render allocates an object per output node; a collection
             # would land on whichever side happened to be running.
@@ -272,19 +206,20 @@ class TestCompiledBeatsReference:
             try:
                 for _ in range(5):
                     start = time.perf_counter()
-                    compiled = plan.compiled_render.run(index)
+                    compiled = compiled_route()
                     middle = time.perf_counter()
-                    reference = render(plan.target_shape, index)
+                    reference = reference_route()
                     end = time.perf_counter()
                     compiled_best = min(compiled_best, middle - start)
                     reference_best = min(reference_best, end - middle)
             finally:
                 if gc_was_enabled:
                     gc.enable()
-        assert compiled.compiled and not reference.compiled
-        assert serialize(compiled.forest) == serialize(reference.forest)
+        if sink == "tree":
+            compiled, reference = serialize(compiled), serialize(reference)
+        assert compiled == reference
         speedup = reference_best / compiled_best
-        assert speedup >= 2.0, f"compiled render only {speedup:.2f}x the reference"
+        assert speedup >= 2.0, f"compiled {sink} sink only {speedup:.2f}x the reference"
 
 
 def _plan(guard="G", fingerprint="f" * 16, compiled_render=None):
@@ -388,7 +323,7 @@ class TestSingleFetch:
         # Each type appears once in this shape, so one fetch each.
         assert all(count == 1 for count in index.fetches.values()), index.fetches
         # nodes_read agrees with the compiled engine on the same doc.
-        comp = Interpreter(repro.parse_forest(FIG1A), compile_renders=True)
-        cplan = comp.compile("CAST MORPH author [ name book [ title ] ]")
+        comp = Interpreter(repro.parse_forest(FIG1A))
+        cplan = compiled_plan(comp, "CAST MORPH author [ name book [ title ] ]")
         cres = comp.render_compiled(cplan)
         assert result.rendered.nodes_read == cres.rendered.nodes_read

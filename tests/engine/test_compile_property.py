@@ -1,29 +1,29 @@
-"""Property-based parity: the specialized renderer IS the interpreter.
+"""Property-based parity: the compiled emitter IS the reference.
 
-The compiled renderer's one correctness claim is byte-identity with the
-interpretive Render algorithm on every plan it accepts.  We fuzz that
-claim directly: random small documents over a tiny tag alphabet (the
-shared ``tests.strategies`` corpus — small alphabets maximize repeated
-types and interesting closest joins), random guards over the same
-alphabet, and for every plan that specializes, the compiled output must
-match the interpreter node for node — names, text, Dewey identifiers,
-provenance size and every render counter.
+The emitter's one correctness claim is identity with the reference
+Render algorithm on every plan: the tree sink node for node — names,
+text, Dewey identifiers, provenance size and every render counter — and
+the text sink byte for byte with ``serialize()`` of that tree.  We fuzz
+the claim directly (it is :func:`tests.engine.test_parity.assert_parity`):
+random small documents over a tiny tag alphabet (the shared
+``tests.strategies`` corpus — small alphabets maximize repeated types
+and interesting closest joins), with attributes drawn from the *same*
+alphabet so that attributes and elements share types, and random guards
+over that alphabet.
 
 Guards that fail to type-check on a particular document are out of
-scope (both engines never run); plans where specialization declines
-(``try_compile_render`` returned ``None``) are equally out of scope but
-*counted* — the suite would silently prove nothing if every plan fell
-back, so one sentinel test pins that the common forms do compile.
+scope (no route runs).
 """
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.engine.compile import CompiledRender
 from repro.engine.interpreter import Interpreter
 from repro.errors import XMorphError
-from repro.xmltree.serializer import serialize
 
+from tests.engine.test_parity import assert_parity
 from tests.strategies import TAGS, documents
 
 GUARD_FORMS = [
@@ -45,64 +45,26 @@ def guards(draw):
     return form.format(x=x, y=y, z=z)
 
 
-def compile_pair(forest, guard):
-    """(interpreted result, compiled result) for one plan, or None when
-    the guard does not apply to this document."""
-    text = serialize(forest)
-    try:
-        interp = Interpreter(repro.parse_forest(text))
-        plan_i = interp.compile(f"CAST ({guard})")
-        comp = Interpreter(repro.parse_forest(text), compile_renders=True)
-        plan_c = comp.compile(f"CAST ({guard})")
-    except XMorphError:
-        return None
-    if plan_c.compiled_render is None:
-        return None
-    return interp.render_compiled(plan_i), comp.render_compiled(plan_c)
-
-
-def dewey_walk(forest):
-    out = []
-
-    def visit(node):
-        out.append((node.name, node.text, str(node.dewey)))
-        for child in node.children:
-            visit(child)
-
-    for root in forest.roots:
-        visit(root)
-    return out
-
-
 class TestCompiledParityProperty:
-    @given(forest=documents(), guard=guards())
+    @given(forest=documents(attributes=True), guard=guards())
     @settings(max_examples=120, deadline=None)
     def test_byte_identical(self, forest, guard):
-        pair = compile_pair(forest, guard)
-        assume(pair is not None)
-        res_i, res_c = pair
-        ri, rc = res_i.rendered, res_c.rendered
-        assert rc.compiled and not ri.compiled
-        assert serialize(rc.forest) == serialize(ri.forest)
-        assert dewey_walk(rc.forest) == dewey_walk(ri.forest)
-        assert rc.nodes_written == ri.nodes_written
-        assert rc.nodes_read == ri.nodes_read
-        assert rc.joins == ri.joins
-        assert len(rc.provenance) == len(ri.provenance)
-        assert sorted(rc.rows_by_type.values()) == sorted(ri.rows_by_type.values())
+        try:
+            Interpreter(forest).compile(f"CAST ({guard})")
+        except XMorphError:
+            assume(False)
+        assert_parity(forest, f"CAST ({guard})")
 
     def test_common_forms_do_compile(self):
-        """Sentinel: specialization must not silently decline the basic
-        forms, or the property above vacuously passes."""
+        """Sentinel: the property above must not pass vacuously — the
+        basic forms type-check on a plain document and reach the
+        emitter."""
         forest = repro.parse_forest(
             "<r><a><b>x</b><c>1</c></a><a><b>y</b><c>2</c></a></r>"
         )
-        compiled = 0
         for guard in ("MORPH a [ b ]", "MORPH a [ b [ c ] ]", "MUTATE b [ a ]"):
-            interp = Interpreter(forest, compile_renders=True)
-            plan = interp.compile(f"CAST ({guard})")
-            compiled += plan.compiled_render is not None
-        assert compiled == 3
+            _reference, tree, _text, _stats = assert_parity(forest, f"CAST ({guard})")
+            assert tree.nodes_written > 0
 
 
 class TestEvolutionInvalidationProperty:
@@ -116,11 +78,11 @@ class TestEvolutionInvalidationProperty:
         from repro.cache import CompiledPlan, PlanCache
 
         try:
-            interp = Interpreter(forest, compile_renders=True)
+            interp = Interpreter(forest)
             result = interp.compile("CAST (MORPH a [ b ])")
         except XMorphError:
             assume(False)
-        assume(result.compiled_render is not None)
+        result.compiled_render = CompiledRender(result.target_shape, interp.index)
 
         cache = PlanCache(capacity=8)
         plan = CompiledPlan.from_result(result, fingerprint="doc" + "0" * 13)

@@ -1,27 +1,34 @@
-"""Batch/stream parity: both renderers must produce identical output.
+"""The one parity suite: three routes to the same output.
 
-The streaming renderer (:mod:`repro.engine.stream`) is specified as a
-serialization of exactly the forest the batch renderer
-(:mod:`repro.engine.render`) builds.  This suite pins that property
-across the ``examples/guards/`` corpus, the workload generators, and
-the special shape types (RESTRICT, NEW, TYPE-FILL) — including the
-TYPE-FILL placeholder case for a *source-backed* synthesized type with
-an empty source sequence, which the streaming renderer used to drop.
+``render()`` in :mod:`repro.engine.render` is the reference.  The
+compiled emitter (:mod:`repro.engine.compile`) is specified against it:
+its **tree sink** builds the very forest the reference builds — names,
+text, Dewey numbers, provenance, every counter — and its **text sink**
+writes exactly ``serialize()`` of that forest without building it.
+:func:`assert_parity` is that specification as one assertion; every
+parity test in the repository (``test_compile``, ``test_stream``, the
+golden corpus, the pipeline tests, the Hypothesis property) feeds it
+inputs.
+
+Inputs here: the ``examples/guards/`` corpus, the workload generators,
+the special shape types (RESTRICT, NEW wrapper, both TYPE-FILL
+placeholder forms), and the documents the retired streaming renderer
+got wrong — an attribute and a child element sharing one type.
 """
 
+import io
 import os
 
 import pytest
 
 import repro
 from repro.closeness import DocumentIndex
+from repro.engine.compile import CompiledRender
 from repro.engine.render import render
-from repro.engine.stream import render_to_string
 from repro.shape.cardinality import Card
 from repro.shape.shape import Shape
 from repro.shape.types import ShapeType
 from repro.workloads import generate_dblp, generate_xmark
-from repro.xmltree import parse_forest
 from repro.xmltree.serializer import serialize
 
 GUARD_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "examples", "guards")
@@ -42,14 +49,77 @@ def corpus_guards() -> list[str]:
     return guards
 
 
-def assert_parity(forest, guard):
-    interpreter = repro.Interpreter(forest)
-    result = interpreter.transform(guard)
-    streamed = render_to_string(result.target_shape, interpreter.index)
-    assert parse_forest(streamed).canonical() == result.forest.canonical(), (
-        f"batch/stream divergence for {guard!r}:\n"
-        f"batch:  {serialize(result.forest)}\nstream: {streamed}"
+def named_rows(shape, rows_by_type):
+    """rows_by_type re-keyed by out_name (id() keys differ per shape)."""
+    named: dict[str, int] = {}
+
+    def visit(vertex):
+        if id(vertex) in rows_by_type:
+            named[vertex.out_name] = named.get(vertex.out_name, 0) + rows_by_type[
+                id(vertex)
+            ]
+        for child in shape.children(vertex):
+            visit(child)
+
+    for root in shape.roots():
+        visit(root)
+    return named
+
+
+def dewey_walk(forest):
+    """(name, text, dewey) in document order — the tree sink's inline
+    numbering must equal the reference's renumber() pass exactly."""
+    out = []
+
+    def visit(node):
+        out.append((node.name, node.text, str(node.dewey)))
+        for child in node.children:
+            visit(child)
+
+    for root in forest.roots:
+        visit(root)
+    return out
+
+
+def assert_shape_parity(shape, index):
+    """``render(shape, index)`` against both sinks of the emitter.
+
+    Returns ``(reference RenderResult, tree RenderResult, text,
+    StreamStats)`` for callers with more to say about them.
+    """
+    reference = render(shape, index)
+    emitter = CompiledRender(shape, index)
+    tree = emitter.run(index)
+    sink = io.StringIO()
+    stats = emitter.write(index, sink)
+    text = sink.getvalue()
+    assert tree.compiled and not reference.compiled
+
+    expected = serialize(reference.forest)
+    assert serialize(tree.forest) == expected
+    assert text == expected, f"text sink diverges:\ntree: {expected}\ntext: {text}"
+    assert stats.nodes_written == tree.nodes_written
+    assert stats.characters == len(text)
+    assert stats.joins == tree.joins
+
+    assert dewey_walk(tree.forest) == dewey_walk(reference.forest)
+    assert len(tree.provenance) == len(reference.provenance)
+    assert tree.nodes_written == reference.nodes_written
+    assert tree.nodes_read == reference.nodes_read
+    assert tree.joins == reference.joins
+    assert named_rows(shape, tree.rows_by_type) == named_rows(
+        shape, reference.rows_by_type
     )
+    # No zero entries ever appear in rows_by_type (reference invariant).
+    assert all(count > 0 for count in tree.rows_by_type.values())
+    return reference, tree, text, stats
+
+
+def assert_parity(forest, guard):
+    """Compile ``guard`` over ``forest``; all three routes must agree."""
+    interpreter = repro.Interpreter(forest)
+    compiled = interpreter.compile(guard)
+    return assert_shape_parity(compiled.target_shape, interpreter.index)
 
 
 class TestGuardCorpusParity:
@@ -102,13 +172,11 @@ class TestSpecialTypesParity:
         assert_parity(fig1a, "CAST (TYPE-FILL MORPH author [ name isbn ])")
 
     def test_type_fill_source_backed_empty_sequence(self):
-        """The case the streaming renderer used to drop silently.
-
-        A synthesized type *with* a source whose node sequence is empty
-        must render one placeholder per parent in both renderers.  Such
-        types arise when a compiled shape is evaluated against an index
-        where the backing label has no instances (e.g. a shape-identical
-        document missing the optional label).
+        """A synthesized type *with* a source whose node sequence is
+        empty must render one placeholder per parent on every route.
+        Such types arise when a compiled shape is evaluated against an
+        index where the backing label has no instances (e.g. a
+        shape-identical document missing the optional label).
         """
         forest = repro.parse_forest("<data><a><b>x</b></a><a><b>y</b></a></data>")
         index = DocumentIndex(forest)
@@ -128,8 +196,64 @@ class TestSpecialTypesParity:
         shape.add_edge(root, placeholder, Card(1, 1))
         shape.add_edge(root, child, Card(0, None))
 
-        batch = render(shape, index)
-        streamed = render_to_string(shape, index)
-        assert parse_forest(streamed).canonical() == batch.forest.canonical()
+        _reference, _tree, text, _stats = assert_shape_parity(shape, index)
         # And the placeholders genuinely appear, once per parent instance.
-        assert streamed.count("<phantom/>") == 2
+        assert text.count("<phantom/>") == 2
+
+
+class TestNodeKindParity:
+    """Attribute or element is a property of each source *node*: an
+    attribute and a child element can share one type, and a copied
+    attribute can sit anywhere in the target shape."""
+
+    MIXED = [
+        # (document, guard, what serialize() of the reference gives)
+        (
+            '<r><a id="1"><id>2</id></a><a><id>3</id></a></r>',
+            "MORPH a [ id ]",
+            '<a id="1"><id>2</id></a>\n<a><id>3</id></a>',
+        ),
+        (
+            '<r><a><id>2</id></a><a id="7"/></r>',
+            "CAST MORPH r [ id ]",
+            '<r id="7"><id>2</id></r>',
+        ),
+        # An attribute as root is written as an element; under a parent,
+        # as an attribute whose own subtree is counted but never written.
+        (
+            '<r><a id="1"><b>x</b></a><a id="2"><b>y</b></a></r>',
+            "CAST MORPH id [ b ]",
+            "<id>1<b>x</b></id>\n<id>2<b>y</b></id>",
+        ),
+        (
+            '<r><a id="1"><b>x</b></a><a id="2"><b>y</b></a></r>',
+            "CAST MORPH a [ id [ b ] ]",
+            '<a id="1"/>\n<a id="2"/>',
+        ),
+        (
+            '<r><a t="&lt;&quot;&amp;">1 &lt; 2 &amp; 3 &gt; 2 "q"</a></r>',
+            "MORPH r [ a [ t ] ]",
+            '<r><a t="&lt;&quot;&amp;">1 &lt; 2 &amp; 3 &gt; 2 "q"</a></r>',
+        ),
+    ]
+
+    @pytest.mark.parametrize("document, guard, expected", MIXED)
+    def test_mixed_kinds(self, document, guard, expected):
+        _reference, _tree, text, _stats = assert_parity(
+            repro.parse_forest(document), guard
+        )
+        assert text == expected
+
+    def test_shape_deeper_than_python_nests_blocks(self):
+        """40 levels: past CPython's 20 nested blocks and 100 indents,
+        so the generator must have split the loops into helpers."""
+        depth = 40
+        names = [f"n{level}" for level in range(depth)]
+        document = "".join(f'<{name} k="{name}">' for name in names) + "leaf"
+        document += "".join(f"</{name}>" for name in reversed(names))
+        guard = "MORPH " + " [ ".join(names) + " ]" * (depth - 1)
+        _reference, tree, text, _stats = assert_parity(
+            repro.parse_forest(f"<r>{document}{document}</r>"), guard
+        )
+        assert tree.nodes_written == 2 * depth
+        assert text.count("leaf") == 2

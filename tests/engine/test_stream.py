@@ -1,23 +1,17 @@
-"""Tests for the streaming renderer: must agree with the batch renderer."""
+"""The text sink: inputs from the retired streaming renderer's suite (the
+assertion is :func:`tests.engine.test_parity.assert_parity`), plus what
+only a text sink has — its statistics and how it hands text to ``out``."""
+
+from io import StringIO
 
 import pytest
 
 import repro
-from repro.closeness import DocumentIndex
-from repro.engine.stream import render_stream, render_to_string
+from repro.engine.compile import CompiledRender
 from repro.workloads import generate_dblp
-from repro.xmltree import parse_forest
-from io import StringIO
+from repro.xmltree.serializer import serialize
 
-
-def both_renders(forest, guard):
-    """(batch forest, streamed text) for the same guard."""
-    interpreter = repro.Interpreter(forest)
-    result = interpreter.transform(f"CAST ({guard})")
-    compiled = interpreter.compile(f"CAST ({guard})")
-    streamed = render_to_string(compiled.target_shape, interpreter.index)
-    return result, streamed
-
+from tests.engine.test_parity import assert_parity
 
 GUARDS = [
     "MORPH author [ name book [ title ] ]",
@@ -33,23 +27,19 @@ GUARDS = [
 class TestAgreesWithBatchRenderer:
     @pytest.mark.parametrize("guard", GUARDS)
     def test_same_output_fig1a(self, fig1a, guard):
-        result, streamed = both_renders(fig1a, guard)
-        assert parse_forest(streamed).canonical() == result.forest.canonical()
+        assert_parity(fig1a, f"CAST ({guard})")
 
     @pytest.mark.parametrize("guard", GUARDS[:4])
     def test_same_output_fig1c(self, fig1c, guard):
-        result, streamed = both_renders(fig1c, guard)
-        assert parse_forest(streamed).canonical() == result.forest.canonical()
+        assert_parity(fig1c, f"CAST ({guard})")
 
     def test_dblp_medium_guard(self):
-        forest = generate_dblp(120)
-        result, streamed = both_renders(forest, "MORPH author [ title [ year ] ]")
-        assert parse_forest(streamed).canonical() == result.forest.canonical()
+        assert_parity(generate_dblp(120), "CAST (MORPH author [ title [ year ] ])")
 
     def test_attributes_stream_into_start_tags(self):
         forest = repro.parse_document('<r><item id="i1"><price>3</price></item></r>')
-        _result, streamed = both_renders(forest, "MORPH item [ id price ]")
-        assert 'id="i1"' in streamed
+        _ref, _tree, text, _stats = assert_parity(forest, "CAST (MORPH item [ id price ])")
+        assert 'id="i1"' in text
 
 
 class TestStreamingBehaviour:
@@ -57,34 +47,31 @@ class TestStreamingBehaviour:
         interpreter = repro.Interpreter(fig1a)
         compiled = interpreter.compile("MORPH author [ name ]")
         sink = StringIO()
-        stats = render_stream(compiled.target_shape, interpreter.index, sink)
+        emitter = CompiledRender(compiled.target_shape, interpreter.index)
+        stats = emitter.write(interpreter.index, sink)
         assert stats.nodes_written == 4  # 2 authors + 2 names
         assert stats.characters == len(sink.getvalue())
         assert stats.joins >= 1
 
-    def test_indented_output_parses(self, fig1a):
-        interpreter = repro.Interpreter(fig1a)
-        compiled = interpreter.compile("MORPH author [ name book [ title ] ]")
-        text = render_to_string(compiled.target_shape, interpreter.index, indent=2)
-        assert "\n" in text
-        assert parse_forest(text).canonical() == interpreter.transform(
-            "MORPH author [ name book [ title ] ]"
-        ).forest.canonical()
-
-    def test_incremental_writes(self, fig1a):
-        """Output arrives in many small writes, not one big one."""
+    def test_incremental_writes(self):
+        """Output arrives in several writes, between root instances — not
+        as one string the size of the whole result."""
 
         class CountingSink:
             def __init__(self):
-                self.writes = 0
                 self.pieces = []
 
             def write(self, text):
-                self.writes += 1
                 self.pieces.append(text)
 
-        interpreter = repro.Interpreter(fig1a)
-        compiled = interpreter.compile("MORPH author [ name book [ title ] ]")
+        interpreter = repro.Interpreter(generate_dblp(300))
+        guard = "CAST MORPH author [ title [ year ] ]"
+        compiled = interpreter.compile(guard)
         sink = CountingSink()
-        render_stream(compiled.target_shape, interpreter.index, sink)
-        assert sink.writes > 10
+        emitter = CompiledRender(compiled.target_shape, interpreter.index)
+        stats = emitter.write(interpreter.index, sink)
+        whole = serialize(interpreter.transform(guard).forest)
+        assert "".join(sink.pieces) == whole
+        assert len(sink.pieces) > 3
+        assert max(map(len, sink.pieces)) < len(whole) / 2
+        assert stats.characters == len(whole)

@@ -1,15 +1,18 @@
 """Cross-module integration: realistic end-to-end pipelines."""
 
+import io
+
 import pytest
 
 import repro
 from repro.baseline import ExistStore
 from repro.engine.inference import infer_guard
 from repro.engine.materialize import MaterializedTransform
-from repro.engine.stream import render_to_string
 from repro.storage import Database
 from repro.workloads import generate_dblp, generate_nasa, generate_xmark
 from repro.xmltree import parse_forest
+
+from tests.engine.test_parity import assert_shape_parity
 
 
 class TestStoreGuardQueryPipeline:
@@ -38,11 +41,17 @@ class TestStoreGuardQueryPipeline:
         forest = generate_dblp(150)
         with Database(str(tmp_path / "s.db")) as db:
             db.store_document("dblp", forest)
-            index = db.index("dblp")
-            compiled = db.compile("dblp", "CAST MORPH author [ title ]")
-            streamed = render_to_string(compiled.target_shape, index)
-            batch = db.transform("dblp", "CAST MORPH author [ title ]")
-            assert parse_forest(streamed).canonical() == batch.forest.canonical()
+            guard = "CAST MORPH author [ title ]"
+            compiled = db.compile("dblp", guard)
+            # Reference and both sinks over the *stored* index ...
+            _ref, _tree, text, _stats = assert_shape_parity(
+                compiled.target_shape, db.index("dblp")
+            )
+            # ... are what the database's two entry points answer with.
+            assert db.transform("dblp", guard).xml() == text
+            sink = io.StringIO()
+            db.stream_transform("dblp", guard, sink)
+            assert sink.getvalue() == text
 
 
 class TestInferThenGuard:

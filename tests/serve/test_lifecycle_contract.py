@@ -104,18 +104,22 @@ def stalled_transport(mode, db):
     """Hold every dispatched transform until the block exits."""
     if mode == "thread":
         gate = threading.Event()
-        real = db.transform
 
-        def gated(name, guard):
-            gate.wait(timeout=30)
-            return real(name, guard)
+        def gated(real):
+            def entry(*args):
+                gate.wait(timeout=30)
+                return real(*args)
 
-        db.transform = gated
+            return entry
+
+        # Both sinks: transform_many renders trees, serve_loop text.
+        db.transform = gated(db.transform)
+        db.stream_transform = gated(db.stream_transform)
         try:
             yield
         finally:
             gate.set()
-            del db.transform
+            del db.transform, db.stream_transform
     else:
         workers = [
             child.pid

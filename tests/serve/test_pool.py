@@ -139,8 +139,9 @@ class TestServeLoop:
         assert stats.requests == 10 and stats.ok == 10 and stats.errors == 0
 
     def test_answered_trees_are_freed_without_the_collector(self, db):
-        """The responder unlinks each rendered forest (cyclic through
-        ``parent``), so answered requests do not pile up as garbage."""
+        """Answered requests leave nothing for the cycle collector: a
+        response is written by the text sink, which builds no output
+        tree (a tree is cyclic through ``parent``)."""
         lines = [json.dumps({"id": i, "doc": "doc", "guard": GUARD}) for i in range(5)]
 
         def live_nodes():
@@ -154,6 +155,7 @@ class TestServeLoop:
             _, responses = self._run(db, lines, workers=1)
             assert all(r["ok"] and "<" in r["xml"] for r in responses)
             assert live_nodes() == before
+            assert gc.collect() == 0
         finally:
             gc.enable()
 

@@ -110,6 +110,21 @@ class TestSampledTraceExport:
         assert names[0] == "serve.request"
         root_id = spans[0]["id"]
         assert any(span["parent"] == root_id for span in spans[1:])
+        assert "pipeline.render" in names
+
+    def test_text_sink_request_keeps_its_render_span(self, db, tmp_path):
+        """What ``serve`` submits (``stream=True``) renders under the same
+        ``pipeline.render`` span, joins included, as a tree request."""
+        trace_file = tmp_path / "traces.jsonl"
+        telemetry = ServeTelemetry(
+            stats=db.stats, trace_sample=1, trace_file=str(trace_file)
+        )
+        with TransformPool(db, workers=2, telemetry=telemetry) as pool:
+            pool.stream_many([("doc", GUARD)])
+        records = [json.loads(line) for line in trace_file.read_text().splitlines()]
+        names = [record["name"] for record in records if record["type"] == "span"]
+        assert names[0] == "serve.request"
+        assert "pipeline.render" in names and "render.join" in names
 
     def test_per_request_tracer_does_not_leak(self, db):
         from repro import obs

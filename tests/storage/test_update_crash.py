@@ -15,6 +15,7 @@ back, next batch succeeds).
 
 import pytest
 
+from repro.engine.interpreter import Interpreter
 from repro.errors import StorageError
 from repro.faults import FAULTS, KNOWN_FAILPOINTS, SimulatedCrash
 from repro.storage import Database, DeleteSubtree, InsertSubtree, ReplaceSubtree
@@ -205,14 +206,13 @@ def test_fsck_repair_after_crashed_update(tmp_path, capsys):
 
 
 def test_rendered_output_agrees_after_recovered_update_crash(tmp_path):
-    # After crash + recovery, compiled and interpreted rendering of the
-    # recovered document must still agree.
+    # After crash + recovery, the compiled emitter and the reference
+    # renderer must still agree on the recovered document.
     path = str(tmp_path / "parity.db")
     _commit_baseline(path)
     _update_under_fault(path, "flush.apply", "kill", skip=2)
     guard = "MORPH book [ title ]"
     with Database(path) as db:
         compiled = db.transform("doc", guard).forest.canonical()
-    with Database(path, compile_renders=False) as db:
-        interpreted = db.transform("doc", guard).forest.canonical()
+        interpreted = Interpreter(db.index("doc")).transform(guard).forest.canonical()
     assert compiled == interpreted

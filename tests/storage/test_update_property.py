@@ -9,10 +9,10 @@ delete / replace operations and pins four properties simultaneously:
 * **Fingerprint agreement** — via the catalog comparison.
 * **fsck cleanliness** — the updated store passes the offline integrity
   check (checksums, catalog/table cross-checks) after closing.
-* **Compiled/interpreted render agreement** — the incremental database
-  renders with specialized compiled renderers, the oracle with the
-  interpreter (``compile_renders=False``); their guard outputs must be
-  canonically equal.
+* **Compiled/reference render agreement** — the incremental database
+  renders through its plans' compiled emitters, the oracle through the
+  reference renderer (``Interpreter`` over the re-shredded store's
+  index); their guard outputs must be canonically equal.
 
 Operation *seeds* (abstract indices) are materialized into concrete
 Dewey-addressed operations against a simulation of the evolving
@@ -23,6 +23,7 @@ addresses the state left by the previous one.
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.engine.interpreter import Interpreter
 from repro.errors import StorageError, XMorphError
 from repro.storage import (
     Database,
@@ -95,12 +96,12 @@ def materialize(seeds, base: XmlForest):
     return ops
 
 
-def _render_all(db):
+def _render_all(transform):
     """Canonical output of a one-label guard per resolvable tag."""
     rendered = {}
     for tag in TAGS:
         try:
-            rendered[tag] = db.transform("doc", f"MORPH {tag}").forest.canonical()
+            rendered[tag] = transform(f"MORPH {tag}").forest.canonical()
         except XMorphError:
             rendered[tag] = None  # label absent (or otherwise rejected)
     return rendered
@@ -119,14 +120,16 @@ class TestRandomEditSequences:
             db.apply_batch("doc", ops)
             incremental = snapshot(db, "doc")
             incremental_forest = db.load_forest("doc").canonical()
-            incremental_renders = _render_all(db)  # compiled renderers
-        with Database(
-            str(tmp / "oracle.db"), durable=False, compile_renders=False
-        ) as db:
+            incremental_renders = _render_all(
+                lambda guard: db.transform("doc", guard)  # compiled emitters
+            )
+        with Database(str(tmp / "oracle.db"), durable=False) as db:
             db.store_document("doc", reference_apply(_copy(base), ops))
             oracle = snapshot(db, "doc")
             oracle_forest = db.load_forest("doc").canonical()
-            oracle_renders = _render_all(db)  # interpreter
+            oracle_renders = _render_all(
+                Interpreter(db.index("doc")).transform  # reference render
+            )
 
         incremental_records, incremental_catalog = incremental
         oracle_records, oracle_catalog = oracle

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from repro.xmltree.node import XmlForest, XmlNode, element
+from repro.xmltree.node import XmlForest, XmlNode, attribute, element
 
 TAGS = ["a", "b", "c", "d"]
 
@@ -37,8 +37,14 @@ def xml_trees(
     max_children: int = 3,
     values: st.SearchStrategy = _VALUES,
     wide: bool = False,
+    attributes: bool = False,
 ) -> XmlNode:
     """A random small element tree.
+
+    ``attributes=True`` also draws up to two attributes per element,
+    named from the same :data:`TAGS` as the elements: an attribute and
+    a child element then share a data type (types are name paths), which
+    is where "attribute or element?" has to be asked per node.
 
     ``wide=True`` occasionally emits a long run of same-named siblings
     (the deeply-skewed shape): renumbering edge cases live at sibling
@@ -48,6 +54,9 @@ def xml_trees(
     name = draw(st.sampled_from(TAGS))
     text = draw(values)
     node = element(name, text=text)
+    if attributes:
+        for attr_name in draw(st.lists(st.sampled_from(TAGS), max_size=2, unique=True)):
+            node.append(attribute(attr_name, draw(values)))
     if max_depth > 0:
         if wide and draw(st.booleans()):
             # A skewed run: 4-10 same-named leaf children.
@@ -63,6 +72,7 @@ def xml_trees(
                         max_children=max_children,
                         values=values,
                         wide=wide,
+                        attributes=attributes,
                     )
                 )
             )
