@@ -1,15 +1,15 @@
 """Table I: path cardinality for every pair of types (bibliography shape).
 
 Regenerates the paper's Table I matrix over the normalized bibliography
-instance (Figure 1(c)) and benchmarks the all-pairs computation on a
-realistic shape size (XMark's hundreds of types).
+instance (Figure 1(c)), and on a realistic shape size (XMark's hundreds
+of types) times what a guard compile pays — Definition 6 for the pairs
+the guard names — next to the all-pairs matrix over the same shape.
 """
 
 import pytest
 
 from repro.bench.reporting import SeriesTable
 from repro.shape import extract_shape, path_cardinality_table
-from repro.shape.pathcard import path_card_pairs
 from repro.workloads import generate_xmark
 from repro.xmltree import parse_document
 
@@ -60,10 +60,31 @@ def test_table1_matrix(benchmark):
     assert str(table[(by_name["author.book.title"], by_name["data"])]) == "1..1"
 
 
-def test_allpairs_cost_on_xmark_shape(benchmark):
-    """The loss analysis' all-pairs pass must stay sub-second at XMark scale."""
-    from repro.closeness import DocumentIndex
+XMARK_GUARD = (
+    "CAST MORPH person [ name emailaddress phone street city "
+    "country zipcode education gender age ]"
+)
 
-    shape = DocumentIndex(generate_xmark(0.003)).shape
-    pairs = benchmark.pedantic(lambda: path_card_pairs(shape), rounds=3, iterations=1)
-    assert len(pairs) == len(shape.types()) ** 2
+
+def test_allpairs_cost_on_xmark_shape(benchmark):
+    """Compile evaluates only the guard's pairs; Table I stays sub-second."""
+    import time
+
+    from repro.closeness import DocumentIndex
+    from repro.engine.interpreter import Interpreter
+
+    index = DocumentIndex(generate_xmark(0.003))
+    interpreter = Interpreter(index)
+    compiled = benchmark.pedantic(
+        lambda: interpreter.compile(XMARK_GUARD), rounds=5, iterations=1
+    )
+    assert len(compiled.target_shape.types()) == 11
+
+    shape = index.shape
+    best = float("inf")
+    for _ in range(3):
+        started = time.perf_counter()
+        table = path_cardinality_table(shape)
+        best = min(best, time.perf_counter() - started)
+    assert len(table) == len(shape.types()) ** 2
+    assert best < 1.0

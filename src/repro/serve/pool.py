@@ -29,7 +29,8 @@ faster on more than one core has not been measured yet
 
 Every lifecycle edge feeds ``serve.*`` counters through both
 :meth:`SystemStats.event` (lifetime, shows in ``EXPLAIN ANALYZE``'s
-durability line) and the active tracer.
+durability line) and the active tracer — once per registry, also when
+``Database.observed`` makes the two report to the same one.
 """
 
 from __future__ import annotations
@@ -291,8 +292,13 @@ class TransformPool:
     # -- accounting ----------------------------------------------------------
 
     def _event(self, name: str, count: int = 1) -> None:
-        self.database.stats.event(name, count)
-        obs.count(name, count)
+        stats = self.database.stats
+        stats.event(name, count)
+        # stats.event mirrors into the registry Database.observed attached;
+        # when that is the current tracer's too, counting again doubles it.
+        tracer = obs.get_tracer()
+        if tracer.metrics is not stats.metrics:
+            tracer.count(name, count)
 
     def _record_error(self, error: BaseException, trace) -> None:
         self._event("serve.errors")

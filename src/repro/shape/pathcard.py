@@ -23,78 +23,32 @@ def path_cardinality(shape: Shape, source: ShapeType, target: ShapeType) -> Opti
 
     ``pathCard(S, t, t)`` is ``1..1`` (the empty downward path).
     """
-    meet = shape.lca(source, target)
-    if meet is None:
-        return None
+    above = {source, *shape.ancestors(source)}
     card = Card.exactly_one()
-    for edge in shape.path_down(meet, target):
-        card = card * edge.card
+    node = target
+    while node not in above:  # climb from the target to the LCA
+        up = shape.parent(node)
+        if up is None:
+            return None
+        card = shape.card(up, node) * card
+        node = up
     return card
 
 
 def path_cardinality_table(shape: Shape) -> dict[tuple[ShapeType, ShapeType], Card]:
     """All ordered pairs ``(t, s) -> pathCard(S, t, s)`` (Table I).
 
-    Pairs in different trees of the forest are omitted.
-    """
-    return {
-        pair: Card(lo, hi) for pair, (lo, hi) in path_card_pairs(shape).items()
-    }
-
-
-def path_card_pairs(
-    shape: Shape,
-) -> dict[tuple[ShapeType, ShapeType], tuple[int, Optional[int]]]:
-    """All-pairs path cardinalities as plain ``(lo, hi)`` tuples.
-
-    The loss analysis compares every ordered pair of a realistic shape
-    (XMark has hundreds of types, so ~10⁵ pairs); this implementation
-    precomputes, per vertex ``s``, the cumulative downward product from
-    each of its ancestors, so a pair costs one LCA walk with dict
-    lookups instead of repeated path traversals.  ``hi=None`` encodes an
-    unbounded maximum.
+    Pairs in different trees of the forest are omitted.  Quadratic in
+    the type count by construction: callers that compare a handful of
+    pairs (the loss analysis) ask :func:`path_cardinality` directly.
     """
     types = shape.types()
-    parent = {t: shape.parent(t) for t in types}
-    edge_card: dict[ShapeType, tuple[int, Optional[int]]] = {}
-    for t in types:
-        up = parent[t]
-        if up is not None:
-            card = shape.card(up, t)
-            edge_card[t] = (card.lo, card.hi)
-
-    # cumulative[s][a] = product of edge cards from ancestor a down to s.
-    cumulative: dict[ShapeType, dict[ShapeType, tuple[int, Optional[int]]]] = {}
-    chains: dict[ShapeType, list[ShapeType]] = {}
-    for s in types:
-        chain = [s]
-        running: tuple[int, Optional[int]] = (1, 1)
-        accumulated = {s: running}
-        node = s
-        while (up := parent[node]) is not None:
-            lo, hi = edge_card[node]
-            run_lo, run_hi = running
-            running = (
-                lo * run_lo,
-                None if hi is None or run_hi is None else hi * run_hi,
-            )
-            accumulated[up] = running
-            chain.append(up)
-            node = up
-        cumulative[s] = accumulated
-        chains[s] = chain
-
-    table: dict[tuple[ShapeType, ShapeType], tuple[int, Optional[int]]] = {}
-    for t in types:
-        chain_t = chains[t]
-        for s in types:
-            down = cumulative[s]
-            for ancestor in chain_t:
-                value = down.get(ancestor)
-                if value is not None:
-                    table[(t, s)] = value
-                    break
-    return table
+    return {
+        (source, target): card
+        for source in types
+        for target in types
+        if (card := path_cardinality(shape, source, target)) is not None
+    }
 
 
 def predicted_shape(

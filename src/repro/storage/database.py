@@ -308,7 +308,12 @@ class Database:
         return stats
 
     def _charge_compile(self, name: str) -> None:
-        """Compilation cost model: the loss analysis is all-pairs over types."""
+        """Compilation cost model: ``2·T²`` ops for ``T`` source types.
+
+        Figures 10 and 16 are drawn from this charge, so it stays as
+        fitted; the loss analysis itself evaluates only the pairs a
+        guard names (refitting is ROADMAP item 4).
+        """
         type_count = len(self.index(name).type_table)
         self.stats.charge_cpu(2 * type_count * type_count)
 
@@ -336,14 +341,13 @@ class Database:
         return forest
 
     def grouped_sequence(self, name: str, dotted_type: str) -> list[tuple]:
-        """Read a type's GroupedSequence records: (parent Dewey, Dewey) pairs.
+        """A type's GroupedSequence: (parent Dewey, Dewey) pairs.
 
-        This is Figure 8's fourth table — the per-parent grouping of a
-        type's nodes, stored at shred time.  The pairs come back in
+        Figure 8's fourth table is a view here, not a stored keyspace:
+        a prefix label contains its parent's, so the pairs are derived
+        from the type's TypeToSequence chunks.  They come back in
         document order, which groups children under their parent.
         """
-        import struct
-
         index = self.index(name)
         matches = index.type_table.match_label(dotted_type)
         if not matches:
@@ -351,24 +355,15 @@ class Database:
         pairs: list[tuple] = []
         for data_type in matches:
             prefix = (
-                b"G"
+                b"T"
                 + index.doc_id.to_bytes(4, "big")
                 + data_type.type_id.to_bytes(4, "big")
             )
             for _key, chunk in self.tree.scan_prefix(prefix):
-                offset = 0
-                while offset < len(chunk):
-                    parent_len, own_len = struct.unpack_from("<BB", chunk, offset)
-                    offset += 2
-                    parent = (
-                        tables.decode_dewey(chunk[offset : offset + parent_len])
-                        if parent_len
-                        else None
-                    )
-                    offset += parent_len
-                    own = tables.decode_dewey(chunk[offset : offset + own_len])
-                    offset += own_len
-                    pairs.append((parent, own))
+                pairs.extend(
+                    (record.dewey.parent, record.dewey)
+                    for record in tables.unpack_sequence(data_type.type_id, chunk)
+                )
         return pairs
 
     # -- incremental updates ----------------------------------------------
@@ -534,6 +529,9 @@ class Database:
         self.plan_cache.invalidate(self.index(name).fingerprint)
         prefix = doc_id.to_bytes(4, "big")
         deleted = 0
+        # Nothing writes or reads b"G" (GroupedSequence is a view over the
+        # type sequences), but a document shredded by an earlier build
+        # carries those keys and must leave nothing behind.
         for keyspace in (b"N", b"S", b"T", b"G", b"V"):
             victims = [key for key, _value in self.tree.scan_prefix(keyspace + prefix)]
             for key in victims:

@@ -1,10 +1,12 @@
 """The XMorph data shredder (Figure 8, left).
 
-Shredding takes an XML document and writes the four tables: one Nodes
+Shredding takes an XML document and writes its three tables: one Nodes
 record per vertex, the document's adorned shape, and the per-type
-sequence tables the render algorithm scans.  This is a one-time cost —
-the paper reports it separately (20–115 s for the XMark factors) and
-excludes it from the transformation timings, as do our benchmarks.
+sequences the render algorithm scans (Figure 8's fourth table,
+GroupedSequence, is a view over those: ``Database.grouped_sequence``).
+This is a one-time cost — the paper reports it separately (20–115 s for
+the XMark factors) and excludes it from the transformation timings, as
+do our benchmarks.
 """
 
 from __future__ import annotations
@@ -41,13 +43,6 @@ def shred(tree: BPlusTree, doc_id: int, name: str, forest: XmlForest) -> dict:
             for type_id, records in by_type.items():
                 for chunk_no, chunk in enumerate(tables.pack_sequence(records)):
                     tree.put(tables.sequence_key(doc_id, type_id, chunk_no), chunk)
-                # GroupedSequence: the same nodes keyed for per-parent grouping.
-                # For root-path types document order already groups children
-                # under their parent, so the payload is the (parent, node) pair
-                # stream in that order.
-                grouped = _pack_grouped(records)
-                for chunk_no, chunk in enumerate(grouped):
-                    tree.put(tables.grouped_key(doc_id, type_id, chunk_no), chunk)
 
         obs.count("shred.nodes", node_count)
         obs.count("shred.text_bytes", text_bytes)
@@ -100,27 +95,3 @@ def _shape_descriptor(builder: DataGuideBuilder) -> dict:
         tally[type_.type_id] += 1
     counts = {str(type_id): count for type_id, count in tally.items()}
     return {"types": types, "edges": edges, "counts": counts}
-
-
-def _pack_grouped(records: list[NodeRecord]) -> list[bytes]:
-    """Pack (parent dewey, node dewey) pairs for the GroupedSequence table."""
-    import struct
-
-    chunks: list[bytes] = []
-    buffer = bytearray()
-    for record in records:
-        parent = record.dewey.parent
-        parent_bytes = tables.encode_dewey(parent) if parent is not None else b""
-        own_bytes = tables.encode_dewey(record.dewey)
-        entry = (
-            struct.pack("<BB", len(parent_bytes), len(own_bytes))
-            + parent_bytes
-            + own_bytes
-        )
-        if buffer and len(buffer) + len(entry) > tables.CHUNK_BYTES:
-            chunks.append(bytes(buffer))
-            buffer = bytearray()
-        buffer += entry
-    if buffer:
-        chunks.append(bytes(buffer))
-    return chunks

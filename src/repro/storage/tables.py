@@ -1,5 +1,11 @@
 """The database tables of Figure 8, mapped onto B+tree keyspaces.
 
+Three tables are stored (Nodes, AdornedShapes, TypeToSequence) beside
+the catalog and the text overflow.  Figure 8's fourth, GroupedSequence,
+is not: with prefix labels a node's parent is its Dewey minus the last
+component, so ``Database.grouped_sequence`` derives the (parent, node)
+pairs from TypeToSequence on demand.
+
 Key layout (all multi-byte integers big-endian so byte order is value
 order):
 
@@ -9,7 +15,6 @@ order):
 ``b"N" doc dewey``    Nodes: node id -> (type, kind, value)
 ``b"S" doc chunk``    AdornedShapes: the document's shape (JSON, chunked)
 ``b"T" doc type ck``  TypeToSequence: per-type node sequence (packed, chunked)
-``b"G" doc type ck``  GroupedSequence: per-type (parent, node) pairs (packed)
 ``b"V" doc dewey ck`` Value overflow: long text content, chunked
 ====================  =======================================================
 
@@ -79,10 +84,6 @@ def sequence_key(doc_id: int, type_id: int, chunk: int) -> bytes:
     return b"T" + doc_id.to_bytes(4, "big") + type_id.to_bytes(4, "big") + chunk.to_bytes(4, "big")
 
 
-def grouped_key(doc_id: int, type_id: int, chunk: int) -> bytes:
-    return b"G" + doc_id.to_bytes(4, "big") + type_id.to_bytes(4, "big") + chunk.to_bytes(4, "big")
-
-
 def overflow_key(doc_id: int, dewey: Dewey, chunk: int) -> bytes:
     return b"V" + doc_id.to_bytes(4, "big") + encode_dewey(dewey) + chunk.to_bytes(2, "big")
 
@@ -148,7 +149,7 @@ def decode_node_value(dewey: Dewey, value: bytes) -> NodeRecord:
     return NodeRecord(dewey, type_id, kind, text)
 
 
-# -- packed sequence entries (TypeToSequence / GroupedSequence) -------------
+# -- packed sequence entries (TypeToSequence) --------------------------------
 
 
 def pack_sequence(records: list[NodeRecord]) -> Iterator[bytes]:

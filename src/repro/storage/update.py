@@ -12,7 +12,7 @@ subtree operations (:class:`InsertSubtree` / :class:`DeleteSubtree` /
   same dense Dewey ordinals a re-shred would assign (up-shifts process
   siblings in descending order, down-shifts ascending, so moved keys
   never collide with not-yet-moved ones).
-* **TypeToSequence / GroupedSequence** — each *touched* type's full
+* **TypeToSequence** — each *touched* type's full
   sequence is loaded once, edited in memory, and repacked at commit;
   untouched types keep their chunks byte-for-byte.
 * **Type ids** — re-shredding interns types in first-occurrence
@@ -54,7 +54,6 @@ from repro.cache import shape_fingerprint
 from repro.errors import StorageError
 from repro.faults import FAULTS
 from repro.storage import tables
-from repro.storage.shredder import _pack_grouped
 from repro.storage.tables import NodeRecord
 from repro.xmltree.dewey import Dewey
 from repro.xmltree.node import XmlForest, XmlNode, _number_subtree
@@ -601,25 +600,18 @@ class IncrementalUpdater:
         #    into another type's old id never collides.
         for type_id in sorted(rewrite | set(dead)):
             type_key = type_id.to_bytes(4, "big")
-            for keyspace in (b"T", b"G"):
-                stale = [
-                    key
-                    for key, _value in self.tree.scan_prefix(
-                        keyspace + self._doc + type_key
-                    )
-                ]
-                for key in stale:
-                    self.tree.delete(key)
+            stale = [
+                key
+                for key, _value in self.tree.scan_prefix(b"T" + self._doc + type_key)
+            ]
+            for key in stale:
+                self.tree.delete(key)
         for type_id in sorted(rewrite):
             records = self._seqs[type_id]
             new_id = final_id[type_id]
             for chunk_no, chunk in enumerate(tables.pack_sequence(records)):
                 self.tree.put(
                     tables.sequence_key(self.doc_id, new_id, chunk_no), chunk
-                )
-            for chunk_no, chunk in enumerate(_pack_grouped(records)):
-                self.tree.put(
-                    tables.grouped_key(self.doc_id, new_id, chunk_no), chunk
                 )
 
         # 5. The adorned shape, in final-id space.

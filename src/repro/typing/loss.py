@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.shape.cardinality import Card
-from repro.shape.pathcard import path_card_pairs, predicted_shape
+from repro.shape.pathcard import path_cardinality, predicted_shape
 from repro.shape.shape import Shape
 from repro.shape.types import DataType, ShapeType
 
@@ -118,6 +118,10 @@ class LossReport:
         return "\n".join(lines)
 
 
+#: Path cardinality of a pair in different trees of a shape forest.
+_UNRELATED = Card(0, 0)
+
+
 def analyze_loss(
     source_shape: Shape,
     target_shape: Shape,
@@ -143,12 +147,12 @@ def analyze_loss(
         if vertex.source is not None and vertex.source not in used_sources
     )
 
-    source_table = path_card_pairs(source_shape)
-    predicted_table = path_card_pairs(predicted)
     resolved = {
         t: source_vertex(t.source) for t in backed
     }
 
+    # Definition 6 is evaluated for exactly the ordered pairs the guard
+    # names, never tabulated over the whole source shape.
     for first in backed:
         source_first = resolved[first]
         if source_first is None:
@@ -159,39 +163,27 @@ def analyze_loss(
             source_second = resolved[second]
             if source_second is None:
                 continue
-            src_lo, src_hi = source_table.get((source_first, source_second), (0, 0))
-            pred_lo, pred_hi = predicted_table.get((first, second), (0, 0))
-            lost = src_lo == 0 and pred_lo > 0
-            added = (pred_hi is None and src_hi is not None) or (
-                pred_hi is not None and src_hi is not None and pred_hi > src_hi
+            source_card = (
+                path_cardinality(source_shape, source_first, source_second)
+                or _UNRELATED
             )
-            if not lost and not added:
-                continue
+            predicted_card = path_cardinality(predicted, first, second) or _UNRELATED
             accepted = first.accept_loss or second.accept_loss
-            source_card = Card(src_lo, src_hi)
-            predicted_card = Card(pred_lo, pred_hi)
-            if lost:
-                report.findings.append(
-                    LossFinding(
-                        LossKind.LOST,
-                        source_first.source.dotted,
-                        source_second.source.dotted,
-                        source_card,
-                        predicted_card,
-                        accepted,
+            for kind, violated in (
+                (LossKind.LOST, source_card.min_becomes_nonzero(predicted_card)),
+                (LossKind.ADDED, source_card.max_increases(predicted_card)),
+            ):
+                if violated:
+                    report.findings.append(
+                        LossFinding(
+                            kind,
+                            source_first.source.dotted,
+                            source_second.source.dotted,
+                            source_card,
+                            predicted_card,
+                            accepted,
+                        )
                     )
-                )
-            if added:
-                report.findings.append(
-                    LossFinding(
-                        LossKind.ADDED,
-                        source_first.source.dotted,
-                        source_second.source.dotted,
-                        source_card,
-                        predicted_card,
-                        accepted,
-                    )
-                )
     _dedupe(report)
     return report
 

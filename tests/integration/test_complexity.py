@@ -52,11 +52,11 @@ class TestCompileIndependentOfDataSize:
         assert len(small.findings) == len(large.findings)
 
     def test_pathcard_pairs_quadratic_in_types_only(self):
-        from repro.shape.pathcard import path_card_pairs
+        from repro.shape import path_cardinality_table
 
         for publications in (100, 800):
             index = DocumentIndex(generate_dblp(publications))
-            pairs = path_card_pairs(index.shape)
+            pairs = path_cardinality_table(index.shape)
             assert len(pairs) == len(index.types()) ** 2
 
 

@@ -216,6 +216,51 @@ class TestErrorCounters:
         assert db.stats.events["serve.errors"] == 1
 
 
+class TestEventsCountedOncePerRegistry:
+    """``obs.tracing(t)`` + ``db.observed(t)`` is the standard profiling
+    pairing (``profile_db_transform``): ``t.metrics`` is then both the
+    current tracer's registry and the one ``SystemStats.event`` mirrors
+    into, and each ``serve.*`` edge must land in it once."""
+
+    @pytest.mark.parametrize(
+        "pool_kwargs",
+        [
+            pytest.param({"workers": 1}, id="inline"),
+            pytest.param({"workers": 4}, id="thread"),
+            pytest.param({"workers": 2, "max_queue": 0}, id="degraded"),
+        ],
+    )
+    def test_tracer_registry_agrees_with_lifetime_events(self, db, pool_kwargs):
+        from repro import obs
+
+        tracer = obs.Tracer()
+        with obs.tracing(tracer), db.observed(tracer):
+            with TransformPool(db, **pool_kwargs) as pool:
+                pool.transform_many([("doc", GUARD)] * 3)
+                with pytest.raises(Exception):
+                    pool.transform_many([("doc", "MORPH [[[")])
+        serve_events = {
+            name: count
+            for name, count in db.stats.events.items()
+            if name.startswith("serve.")
+        }
+        assert serve_events["serve.requests"] == 4
+        assert serve_events["serve.completed"] == 3
+        assert serve_events["serve.errors"] == 1
+        if "max_queue" in pool_kwargs:
+            assert serve_events["serve.degraded_serial"] == 4
+        for name, count in serve_events.items():
+            assert tracer.metrics.counter(name) == count, name
+
+    def test_unobserved_tracer_still_counts(self, db):
+        from repro import obs
+
+        with obs.tracing() as tracer:
+            db.transform_many([("doc", GUARD)] * 3, workers=1)
+        assert tracer.metrics.counter("serve.requests") == 3
+        assert tracer.metrics.counter("serve.completed") == 3
+
+
 class TestMetricsEndpoint:
     def test_metrics_cmd_returns_prometheus_text(self, db):
         requests = "\n".join(

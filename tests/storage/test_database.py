@@ -207,6 +207,53 @@ class TestGroupedSequence:
             db.grouped_sequence("a", "nosuch")
 
 
+class TestDocumentWrittenWithGroupedKeys:
+    """A document shredded by a build that still stored GroupedSequence
+    carries ``b"G"`` + doc + type + chunk keys.  Nothing reads them now:
+    the store serves, updates and fscks as if they were absent, and
+    ``drop_document`` sweeps them out with the rest."""
+
+    GUARD = "MORPH author [ name book [ title ] ]"
+
+    def test_serves_updates_fscks_and_drops_clean(self, tmp_path):
+        from repro.storage import InsertSubtree, reference_apply
+        from repro.storage.fsck import fsck
+
+        path = str(tmp_path / "older.db")
+        with Database(path) as db:
+            db.store_document("a", FIG1A)
+            index = db.index("a")
+            doc = index.doc_id.to_bytes(4, "big")
+            for data_type in index.types():
+                for chunk in range(2):
+                    key = (
+                        b"G"
+                        + doc
+                        + data_type.type_id.to_bytes(4, "big")
+                        + chunk.to_bytes(4, "big")
+                    )
+                    # One (parent 1, node 1.1) pair in the old packing.
+                    db.tree.put(key, b"\x03\x06" + b"\0\0\x01" * 3)
+            db.flush()
+
+        op = InsertSubtree("1", "<book><title>Z</title><author><name>C</name></author></book>")
+        with Database(path) as db:
+            assert list(db.tree.scan_prefix(b"G" + doc))
+            before = repro.transform(parse_document(FIG1A), self.GUARD)
+            assert db.transform("a", self.GUARD).xml() == before.xml()
+            db.apply_batch("a", [op])
+            after = repro.transform(reference_apply(parse_document(FIG1A), [op]), self.GUARD)
+            assert db.transform("a", self.GUARD).xml() == after.xml()
+            assert db.grouped_sequence("a", "data") == [(None, Dewey.parse("1"))]
+        assert fsck(path).ok
+
+        with Database(path) as db:
+            db.drop_document("a")
+        with Database(path) as db:
+            assert [key for key, _value in db.tree.scan_prefix(b"")] == [b"C"]
+        assert fsck(path).ok
+
+
 class TestTransformsOverStore:
     GUARD = "MORPH author [ name book [ title ] ]"
 

@@ -63,11 +63,10 @@ class TestCompositeKeys:
             tables.node_key(0, dewey)[:1],
             tables.shape_key(0, 0)[:1],
             tables.sequence_key(0, 0, 0)[:1],
-            tables.grouped_key(0, 0, 0)[:1],
             tables.overflow_key(0, dewey, 0)[:1],
             tables.META_KEY[:1],
         }
-        assert len(prefixes) == 7
+        assert len(prefixes) == 6
 
 
 texts = st.text(max_size=200)
