@@ -9,6 +9,13 @@
 3. **Streaming**: same joins, the compiled emitter's text sink writes
    the output directly, no output tree (the paper's mitigation for
    architecture 1).
+
+The lazy in-situ view (``repro.engine.logical.LogicalTransform``, the
+paper's logical option) is not timed here.  Expanding it costs one
+group lookup per virtual node — ``closest_partners`` reads the index's
+memoized ``group_by_prefix`` groups — so a full expansion is linear in
+the nodes it produces (it used to scan the target type's whole sequence
+per node); ``tests/engine/test_logical.py`` counts the grouping passes.
 """
 
 import io

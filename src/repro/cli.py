@@ -735,6 +735,13 @@ def _cmd_fsck(arguments) -> int:
 
 
 def _cmd_db_transform(arguments) -> int:
+    if arguments.output is not None and arguments.indent is not None:
+        print(
+            "error: -o/--output streams compact XML (the text sink has no "
+            "indented form); drop --indent or --output",
+            file=sys.stderr,
+        )
+        return 2
     with _open_database(arguments.db) as db:
         if arguments.output is not None:
             with open(arguments.output, "w", encoding="utf-8") as sink:

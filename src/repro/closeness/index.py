@@ -15,8 +15,12 @@ numbers in these sequences:
 
 * the *closest pairs* of ``t`` and ``s`` are the cross pairs whose least
   common ancestor sits exactly at the level implied by the type
-  distance, found by grouping both sequences on that Dewey prefix
-  (Section VII's closest join).
+  distance.  Section VII's closest join finds them with one primitive,
+  :func:`group_by_prefix`: group a document-ordered type sequence on
+  the Dewey prefix of that LCA level; the partners of a node are the
+  group under its own prefix.  It is the only grouping loop in this
+  module — pair maps, RESTRICT semi-joins and per-node lookups all read
+  the groups :class:`BaseIndex` memoizes per ``(type, prefix width)``.
 """
 
 from __future__ import annotations
@@ -42,23 +46,33 @@ class BaseIndex:
     :class:`~repro.storage.database.StoredDocumentIndex` reuses the same
     joins with shape-derived distances.
 
-    The base also memoizes per-type-pair closest-join maps
-    (:meth:`closest_pair_map`) and RESTRICT semi-join survivor sets
-    (:meth:`restrict_pass`), shared by the reference renderer and both
-    sinks of the compiled one.  Both memos key on data only (type ids, filter vertex
-    uids) and must be dropped together with the node sequences
+    Every operation reads one memo: a type's sequence grouped on a
+    Dewey prefix width (:func:`group_by_prefix`), built at most once
+    per ``(type, width)``.  On top of it the base memoizes
+    per-type-pair closest-join maps (:meth:`closest_pair_map`) and
+    RESTRICT semi-join survivor sets (:meth:`restrict_pass`), shared by
+    the reference renderer and both sinks of the compiled one.  All
+    three key on data only (type ids, widths, filter vertex uids) and
+    must be dropped together with the node sequences
     (:meth:`drop_join_cache`).
+
+    A group list is *shared*: every anchor under one prefix maps to the
+    same list object, and :meth:`closest_partners` hands it out as is,
+    so a pair map costs one entry per anchor, not one per pair.
+    Callers must treat groups, maps and their lists as immutable.
     """
 
     shape: Shape
     type_table: TypeTable
 
     def __init__(self) -> None:
-        #: (anchor type_id, partner type_id) -> {id(anchor node): [partners]}
+        #: (type_id, prefix width) -> {Dewey prefix: [nodes in document order]}
+        self._groups: dict[tuple[int, int], dict[tuple[int, ...], list[XmlNode]]] = {}
+        #: (anchor type_id, partner type_id) -> {id(anchor node): partner group}
         self._pair_maps: dict[tuple[int, int], dict[int, list[XmlNode]]] = {}
         #: (type_id, filter vertex uid) -> ids of nodes passing the filter
         self._filter_memo: dict[tuple[int, int], set[int]] = {}
-        #: Guards both memos (and, in subclasses, lazy sequence loads):
+        #: Guards the memos (and, in subclasses, lazy sequence loads):
         #: a parallel executor renders many guards over one shared index,
         #: and every hit must see a fully-built map.  Re-entrant because
         #: the filter memo recurses and nests inside the join memo.
@@ -81,9 +95,9 @@ class BaseIndex:
         """Cardinality of a type's sequence (the ``pathcard`` statistic).
 
         Subclasses with stored per-type counts override this to avoid
-        materializing the sequence; the plan compiler uses it both for
-        join-side selection and for baking the synthesized-empty
-        placeholder decision into generated renderers.
+        materializing the sequence; the plan compiler reports it per
+        edge (``EXPLAIN ANALYZE``) and bakes the synthesized-empty
+        placeholder decision into generated renderers from it.
         """
         return len(self.nodes_of(data_type))
 
@@ -111,24 +125,43 @@ class BaseIndex:
             return None
         return (first.level + second.level - distance) // 2
 
+    def _partner_groups(
+        self, first: DataType, second: DataType
+    ) -> tuple[int, dict[tuple[int, ...], list[XmlNode]]]:
+        """``(width, groups)``: ``second``'s sequence grouped on the
+        prefix at which it meets ``first``; the closest partners of a
+        ``first`` node are ``groups.get(node.dewey.prefix(width))``.
+
+        No groups when the types never pair: no shared root, or the same
+        type — a node is never its own closest partner, and at distance
+        0 the prefix is the whole label, so it would be its only one.
+        """
+        level = None if first == second else self.closest_lca_level(first, second)
+        if level is None:
+            return 0, {}
+        width = level + 1
+        with self._memo_lock:
+            groups = self._groups.get((second.type_id, width))
+            if groups is None:
+                groups = group_by_prefix(self.nodes_of(second), width)
+                self._groups[second.type_id, width] = groups
+        return width, groups
+
     def closest_pairs(
         self, first: DataType, second: DataType
     ) -> Iterator[tuple[XmlNode, XmlNode]]:
         """All closest pairs ``(v: first, w: second)`` in document order.
 
-        Implemented as the paper's sort-merge closest join: both type
-        sequences are already in document order, so grouping each on the
-        Dewey prefix of the required LCA level and pairing within equal
-        groups costs a single merge pass plus the output size.
+        The paper's closest join: both type sequences are already in
+        document order, so grouping on the Dewey prefix of the required
+        LCA level and pairing within equal groups costs one pass over
+        each plus the output size.
         """
-        if first == second:
-            return
-        level = self.closest_lca_level(first, second)
-        if level is None:
-            return
-        yield from closest_join(
-            self.nodes_of(first), self.nodes_of(second), level
-        )
+        width, groups = self._partner_groups(first, second)
+        if groups:
+            for anchor in self.nodes_of(first):
+                for partner in groups.get(anchor.dewey.prefix(width), ()):
+                    yield anchor, partner
 
     def closest_pair_map(
         self, first: DataType, second: DataType
@@ -139,7 +172,8 @@ class BaseIndex:
         *complete* type sequences.  Because each anchor's partner list
         depends only on that anchor's Dewey prefix, the full map serves
         any subset of anchors — this is what lets every renderer and
-        sink share one join per shape edge.  Callers
+        sink share one join per shape edge — and every anchor under one
+        prefix holds the *same* list, the memoized group itself.  Callers
         must treat the returned map and its lists as immutable.
         """
         key = (first.type_id, second.type_id)
@@ -153,31 +187,12 @@ class BaseIndex:
             obs.count("join_cache.misses")
             started = time.perf_counter()
             mapping: dict[int, list[XmlNode]] = {}
-            level = self.closest_lca_level(first, second)
-            if level is not None:
-                anchors = self.nodes_of(first)
-                partners = self.nodes_of(second)
-                # Cardinality-driven side selection: hash-group the
-                # smaller sequence, probe the larger.  Probing partners
-                # in document order keeps each anchor's partner list in
-                # document order either way, so the two plans produce
-                # identical maps.
-                if len(anchors) <= len(partners):
-                    width = level + 1
-                    groups: dict[tuple[int, ...], list[XmlNode]] = {}
-                    for anchor in anchors:
-                        if len(anchor.dewey) < width:
-                            continue
-                        groups.setdefault(anchor.dewey.prefix(width), []).append(anchor)
-                    for partner in partners:
-                        if len(partner.dewey) < width:
-                            continue
-                        for anchor in groups.get(partner.dewey.prefix(width), ()):
-                            if partner is not anchor:
-                                mapping.setdefault(id(anchor), []).append(partner)
-                else:
-                    for anchor, partner in closest_join(anchors, partners, level):
-                        mapping.setdefault(id(anchor), []).append(partner)
+            width, groups = self._partner_groups(first, second)
+            if groups:
+                for anchor in self.nodes_of(first):
+                    group = groups.get(anchor.dewey.prefix(width))
+                    if group is not None:
+                        mapping[id(anchor)] = group
             self._pair_maps[key] = mapping
             self.record_timing("join.build_seconds", time.perf_counter() - started)
             return mapping
@@ -189,10 +204,9 @@ class BaseIndex:
 
         A node passes when, for every source-backed child of the filter
         vertex, it has at least one closest partner that itself passes
-        the child's sub-filter.  Instead of scanning the partner type
-        sequence per node (O(n·m)), survivors are computed bottom-up per
-        filter edge with one hash grouping on the closest-LCA Dewey
-        prefix (O(n+m)), and memoized per (type, filter vertex) pair.
+        the child's sub-filter.  Survivors are computed bottom-up per
+        filter edge — one verdict per partner group, one lookup per node
+        (O(n+m)) — and memoized per (type, filter vertex) pair.
         """
         root = filter_shape.roots()[0]
         with self._memo_lock:
@@ -212,57 +226,34 @@ class BaseIndex:
             if child.source is None or not survivors:
                 continue
             partner_ok = self._filter_survivors(child.source, filter_shape, child)
-            level = self.closest_lca_level(data_type, child.source)
-            if level is None:
-                survivors = []
-                break
-            width = level + 1
-            # prefix -> (group size, id of the last member); a survivor
-            # needs a non-empty group that is not just itself (the
-            # closest join never pairs a node with itself).
-            groups: dict[tuple[int, ...], tuple[int, int]] = {}
-            for partner in self.nodes_of(child.source):
-                if id(partner) not in partner_ok or len(partner.dewey) < width:
-                    continue
-                prefix = partner.dewey.prefix(width)
-                count, _ = groups.get(prefix, (0, 0))
-                groups[prefix] = (count + 1, id(partner))
-            kept = []
-            for node in survivors:
-                if len(node.dewey) < width:
-                    continue
-                entry = groups.get(node.dewey.prefix(width))
-                if entry is None:
-                    continue
-                count, sole = entry
-                if count == 1 and sole == id(node):
-                    continue
-                kept.append(node)
-            survivors = kept
+            width, groups = self._partner_groups(data_type, child.source)
+            alive = {
+                prefix
+                for prefix, group in groups.items()
+                if any(id(partner) in partner_ok for partner in group)
+            }
+            survivors = [
+                node for node in survivors if node.dewey.prefix(width) in alive
+            ]
         result = {id(node) for node in survivors}
         self._filter_memo[key] = result
         return result
 
     def drop_join_cache(self) -> None:
-        """Forget memoized joins/filters (on node sequence invalidation)."""
+        """Forget memoized groups/joins/filters (on node sequence invalidation)."""
         with self._memo_lock:
+            self._groups.clear()
             self._pair_maps.clear()
             self._filter_memo.clear()
 
     def closest_partners(self, anchor: XmlNode, target: DataType) -> list[XmlNode]:
-        """The ``target``-typed nodes closest to one ``anchor`` node."""
-        anchor_type = self.type_of(anchor)
-        level = self.closest_lca_level(anchor_type, target)
-        if level is None:
-            return []
-        prefix = anchor.dewey.prefix(level + 1)
-        if len(prefix) < level + 1:
-            return []
-        return [
-            node
-            for node in self.nodes_of(target)
-            if node.dewey.prefix(level + 1) == prefix and node is not anchor
-        ]
+        """The ``target``-typed nodes closest to one ``anchor`` node.
+
+        The memoized group under the anchor's prefix, shared with every
+        other anchor of that group: treat it as immutable.
+        """
+        width, groups = self._partner_groups(self.type_of(anchor), target)
+        return groups.get(anchor.dewey.prefix(width), [])
 
 
 class DocumentIndex(BaseIndex):
@@ -336,6 +327,22 @@ class DocumentIndex(BaseIndex):
         return (first.level - deepest) + (second.level - deepest)
 
 
+def group_by_prefix(
+    nodes: list[XmlNode], width: int
+) -> dict[tuple[int, ...], list[XmlNode]]:
+    """Section VII's grouping: ``nodes`` by their first ``width`` Dewey
+    components, each group in input (document) order.
+
+    A node shallower than ``width`` has no ancestor-or-self at that
+    level and joins no group.
+    """
+    groups: dict[tuple[int, ...], list[XmlNode]] = {}
+    for node in nodes:
+        if len(node.dewey) >= width:
+            groups.setdefault(node.dewey.prefix(width), []).append(node)
+    return groups
+
+
 def closest_join(
     parents: list[XmlNode], children: list[XmlNode], lca_level: int
 ) -> Iterator[tuple[XmlNode, XmlNode]]:
@@ -347,14 +354,8 @@ def closest_join(
     the output size.
     """
     width = lca_level + 1
-    child_groups: dict[tuple[int, ...], list[XmlNode]] = {}
-    for child in children:
-        if len(child.dewey) < width:
-            continue
-        child_groups.setdefault(child.dewey.prefix(width), []).append(child)
+    child_groups = group_by_prefix(children, width)
     for parent in parents:
-        if len(parent.dewey) < width:
-            continue
         for child in child_groups.get(parent.dewey.prefix(width), ()):  # doc order
             if child is not parent:
                 yield parent, child

@@ -165,10 +165,7 @@ class Database:
         return descriptor
 
     def document_names(self) -> list[str]:
-        return [
-            key[1:].decode()
-            for key, _value in self.tree.scan_prefix(b"D")
-        ]
+        return [name for name, _value in tables.catalog_entries(self.tree)]
 
     def describe(self, name: str) -> dict:
         raw = self.tree.get(tables.catalog_key(name))
@@ -322,11 +319,10 @@ class Database:
         descriptor = self.describe(name)
         doc_id = descriptor["doc_id"]
         index = self.index(name)
-        prefix = b"N" + doc_id.to_bytes(4, "big")
         forest = XmlForest()
         by_dewey: dict[tuple, XmlNode] = {}
-        for key, value in self.tree.scan_prefix(prefix):
-            dewey = tables.decode_dewey(key[len(prefix):])
+        for key, value in self.tree.scan_prefix(tables.nodes_prefix(doc_id)):
+            dewey = tables.node_key_dewey(key)
             record = tables.decode_node_value(dewey, value)
             data_type = index.type_table.by_id(record.type_id)
             node = XmlNode(data_type.name, record.kind, tables.read_text(self.tree, doc_id, record))
@@ -354,16 +350,12 @@ class Database:
             raise StorageError(f"no type matching {dotted_type!r} in {name!r}")
         pairs: list[tuple] = []
         for data_type in matches:
-            prefix = (
-                b"T"
-                + index.doc_id.to_bytes(4, "big")
-                + data_type.type_id.to_bytes(4, "big")
-            )
-            for _key, chunk in self.tree.scan_prefix(prefix):
-                pairs.extend(
-                    (record.dewey.parent, record.dewey)
-                    for record in tables.unpack_sequence(data_type.type_id, chunk)
+            pairs.extend(
+                (record.dewey.parent, record.dewey)
+                for record in tables.read_sequence(
+                    self.tree, index.doc_id, data_type.type_id
                 )
+            )
         return pairs
 
     # -- incremental updates ----------------------------------------------
@@ -527,13 +519,9 @@ class Database:
         descriptor = self.describe(name)
         doc_id: int = descriptor["doc_id"]
         self.plan_cache.invalidate(self.index(name).fingerprint)
-        prefix = doc_id.to_bytes(4, "big")
         deleted = 0
-        # Nothing writes or reads b"G" (GroupedSequence is a view over the
-        # type sequences), but a document shredded by an earlier build
-        # carries those keys and must leave nothing behind.
-        for keyspace in (b"N", b"S", b"T", b"G", b"V"):
-            victims = [key for key, _value in self.tree.scan_prefix(keyspace + prefix)]
+        for prefix in tables.document_prefixes(doc_id):
+            victims = [key for key, _value in self.tree.scan_prefix(prefix)]
             for key in victims:
                 self.tree.delete(key)
             deleted += len(victims)
@@ -646,9 +634,7 @@ class StoredDocumentIndex(BaseIndex):
         self.doc_id: int = descriptor["doc_id"]
         self.name: str = descriptor["name"]
         self._node_count: int = descriptor["nodes"]
-        shape_chunks = tables.load_chunks(
-            database.tree, b"S" + self.doc_id.to_bytes(4, "big")
-        )
+        shape_chunks = tables.load_chunks(database.tree, tables.shape_prefix(self.doc_id))
         if not shape_chunks:
             raise StorageError(f"document {self.name!r} has no stored shape")
         shape_info = tables.decode_shape(shape_chunks)
@@ -712,22 +698,16 @@ class StoredDocumentIndex(BaseIndex):
             if cached is not None:
                 return cached
             tree = self.database.tree
-            prefix = (
-                b"T"
-                + self.doc_id.to_bytes(4, "big")
-                + data_type.type_id.to_bytes(4, "big")
-            )
             nodes: list[XmlNode] = []
-            for _key, chunk in tree.scan_prefix(prefix):
-                for record in tables.unpack_sequence(data_type.type_id, chunk):
-                    node = XmlNode(
-                        data_type.name,
-                        record.kind,
-                        tables.read_text(tree, self.doc_id, record),
-                    )
-                    node.dewey = record.dewey
-                    self._type_of[id(node)] = data_type
-                    nodes.append(node)
+            for record in tables.read_sequence(tree, self.doc_id, data_type.type_id):
+                node = XmlNode(
+                    data_type.name,
+                    record.kind,
+                    tables.read_text(tree, self.doc_id, record),
+                )
+                node.dewey = record.dewey
+                self._type_of[id(node)] = data_type
+                nodes.append(node)
             self._sequences[data_type.type_id] = nodes
             footprint = sum(_NODE_OVERHEAD + len(n.text) for n in nodes)
             self._loaded_bytes += footprint

@@ -193,8 +193,7 @@ def _check_structure(file: PagedFile, stats: SystemStats, report: FsckReport) ->
         return
     report.btree_problems.extend(tree.check())
     try:
-        for key, value in tree.scan_prefix(b"D"):
-            name = key[1:].decode(errors="replace")
+        for name, value in tables.catalog_entries(tree):
             report.documents.append(name)
             try:
                 descriptor = json.loads(value.decode())

@@ -72,20 +72,55 @@ def catalog_key(name: str) -> bytes:
     return b"D" + name.encode()
 
 
+def catalog_entries(tree: BPlusTree) -> Iterator[tuple[str, bytes]]:
+    """``(document name, raw descriptor)`` for every catalog record."""
+    for key, value in tree.scan_prefix(b"D"):
+        yield key[1:].decode(errors="replace"), value
+
+
+def nodes_prefix(doc_id: int) -> bytes:
+    return b"N" + doc_id.to_bytes(4, "big")
+
+
 def node_key(doc_id: int, dewey: Dewey) -> bytes:
-    return b"N" + doc_id.to_bytes(4, "big") + encode_dewey(dewey)
+    """A node's key — and, components being fixed-width, the prefix of
+    exactly its subtree's keys."""
+    return nodes_prefix(doc_id) + encode_dewey(dewey)
+
+
+def node_key_dewey(key: bytes) -> Dewey:
+    return decode_dewey(key[5:])
+
+
+def shape_prefix(doc_id: int) -> bytes:
+    return b"S" + doc_id.to_bytes(4, "big")
 
 
 def shape_key(doc_id: int, chunk: int) -> bytes:
-    return b"S" + doc_id.to_bytes(4, "big") + chunk.to_bytes(4, "big")
+    return shape_prefix(doc_id) + chunk.to_bytes(4, "big")
+
+
+def sequence_prefix(doc_id: int, type_id: int) -> bytes:
+    return b"T" + doc_id.to_bytes(4, "big") + type_id.to_bytes(4, "big")
 
 
 def sequence_key(doc_id: int, type_id: int, chunk: int) -> bytes:
-    return b"T" + doc_id.to_bytes(4, "big") + type_id.to_bytes(4, "big") + chunk.to_bytes(4, "big")
+    return sequence_prefix(doc_id, type_id) + chunk.to_bytes(4, "big")
 
 
 def overflow_key(doc_id: int, dewey: Dewey, chunk: int) -> bytes:
     return b"V" + doc_id.to_bytes(4, "big") + encode_dewey(dewey) + chunk.to_bytes(2, "big")
+
+
+def document_prefixes(doc_id: int) -> list[bytes]:
+    """One prefix per keyspace holding a document's records.
+
+    Nothing writes or reads ``b"G"`` (GroupedSequence is a view over the
+    type sequences), but a document shredded by an earlier build carries
+    those keys and must leave nothing behind when dropped.
+    """
+    doc = doc_id.to_bytes(4, "big")
+    return [keyspace + doc for keyspace in (b"N", b"S", b"T", b"G", b"V")]
 
 
 META_KEY = b"C"
@@ -172,6 +207,12 @@ def pack_sequence(records: list[NodeRecord]) -> Iterator[bytes]:
         yield bytes(buffer)
 
 
+def read_sequence(tree: BPlusTree, doc_id: int, type_id: int) -> Iterator[NodeRecord]:
+    """A type's stored sequence, in document order across its chunks."""
+    for _key, chunk in tree.scan_prefix(sequence_prefix(doc_id, type_id)):
+        yield from unpack_sequence(type_id, chunk)
+
+
 def unpack_sequence(type_id: int, chunk: bytes) -> Iterator[NodeRecord]:
     offset = 0
     while offset < len(chunk):
@@ -226,8 +267,7 @@ def verify_document(tree: BPlusTree, descriptor: dict) -> list[str]:
     doc_id = descriptor.get("doc_id")
     if not isinstance(doc_id, int):
         return [f"document {name!r}: descriptor has no valid doc_id"]
-    doc_key = doc_id.to_bytes(4, "big")
-    shape_chunks = load_chunks(tree, b"S" + doc_key)
+    shape_chunks = load_chunks(tree, shape_prefix(doc_id))
     if not shape_chunks:
         problems.append(f"document {name!r}: no AdornedShapes records")
     else:
@@ -239,7 +279,7 @@ def verify_document(tree: BPlusTree, descriptor: dict) -> list[str]:
         except (ValueError, KeyError, TypeError) as error:
             problems.append(f"document {name!r}: shape undecodable: {error}")
     expected_nodes = descriptor.get("nodes")
-    stored_nodes = sum(1 for _ in tree.scan_prefix(b"N" + doc_key))
+    stored_nodes = sum(1 for _ in tree.scan_prefix(nodes_prefix(doc_id)))
     if expected_nodes is not None and stored_nodes != expected_nodes:
         problems.append(
             f"document {name!r}: catalog says {expected_nodes} nodes, "

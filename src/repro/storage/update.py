@@ -257,8 +257,7 @@ class IncrementalUpdater:
         self.name = name
         self.descriptor = database.describe(name)
         self.doc_id: int = self.descriptor["doc_id"]
-        self._doc = self.doc_id.to_bytes(4, "big")
-        shape_chunks = tables.load_chunks(self.tree, b"S" + self._doc)
+        shape_chunks = tables.load_chunks(self.tree, tables.shape_prefix(self.doc_id))
         if not shape_chunks:
             raise StorageError(f"document {name!r} has no stored shape")
         shape_info = tables.decode_shape(shape_chunks)
@@ -344,23 +343,18 @@ class IncrementalUpdater:
     def _scan_subtree(self, root: Dewey) -> list[NodeRecord]:
         """Every staged record in the subtree, in document order.
 
-        Components are fixed-width (3 bytes), so the encoded prefix
-        matches exactly the root and its descendants.
+        Components are fixed-width (3 bytes), so the root's key is the
+        prefix of exactly the root's and its descendants' keys.
         """
-        prefix = b"N" + self._doc + tables.encode_dewey(root)
-        records = []
-        for key, value in self.tree.scan_prefix(prefix):
-            dewey = tables.decode_dewey(key[5:])
-            records.append(tables.decode_node_value(dewey, value))
-        return records
+        return [
+            tables.decode_node_value(tables.node_key_dewey(key), value)
+            for key, value in self.tree.scan_prefix(tables.node_key(self.doc_id, root))
+        ]
 
     def _sequence(self, type_id: int) -> list[NodeRecord]:
         seq = self._seqs.get(type_id)
         if seq is None:
-            prefix = b"T" + self._doc + type_id.to_bytes(4, "big")
-            seq = []
-            for _key, chunk in self.tree.scan_prefix(prefix):
-                seq.extend(tables.unpack_sequence(type_id, chunk))
+            seq = list(tables.read_sequence(self.tree, self.doc_id, type_id))
             self._seqs[type_id] = seq
         return seq
 
@@ -599,11 +593,8 @@ class IncrementalUpdater:
         #    then write every new chunk — two phases, so a type moving
         #    into another type's old id never collides.
         for type_id in sorted(rewrite | set(dead)):
-            type_key = type_id.to_bytes(4, "big")
-            stale = [
-                key
-                for key, _value in self.tree.scan_prefix(b"T" + self._doc + type_key)
-            ]
+            prefix = tables.sequence_prefix(self.doc_id, type_id)
+            stale = [key for key, _value in self.tree.scan_prefix(prefix)]
             for key in stale:
                 self.tree.delete(key)
         for type_id in sorted(rewrite):
@@ -617,7 +608,8 @@ class IncrementalUpdater:
         # 5. The adorned shape, in final-id space.
         shape_descriptor = self._shape_descriptor(final_id)
         stale_shape = [
-            key for key, _value in self.tree.scan_prefix(b"S" + self._doc)
+            key
+            for key, _value in self.tree.scan_prefix(tables.shape_prefix(self.doc_id))
         ]
         for key in stale_shape:
             self.tree.delete(key)
@@ -648,10 +640,8 @@ class IncrementalUpdater:
         return descriptor
 
     def _first_stored_dewey(self, type_id: int) -> tuple[int, ...]:
-        prefix = b"T" + self._doc + type_id.to_bytes(4, "big")
-        for _key, chunk in self.tree.scan_prefix(prefix):
-            for record in tables.unpack_sequence(type_id, chunk):
-                return record.dewey.parts
+        for record in tables.read_sequence(self.tree, self.doc_id, type_id):
+            return record.dewey.parts
         raise StorageError(
             f"document {self.name!r}: type {type_id} has instances but no "
             "stored sequence"

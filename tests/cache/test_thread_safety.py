@@ -7,7 +7,8 @@ Three families:
   invariant, all hammered by thread pools;
 * the closest-join memos — concurrent ``closest_pair_map`` calls on one
   index return the *same* memo object (a second compute would silently
-  produce different node identities for the id-keyed maps);
+  produce different node identities for the id-keyed maps), and
+  ``closest_partners`` / ``restrict_pass`` racing it share one grouping;
 * the counters — ``SystemStats.event`` and ``MetricsRegistry.inc`` are
   increments, so N threads x M increments must total exactly N*M.
 """
@@ -173,6 +174,61 @@ class TestJoinMemoSingleFlight:
         assert all(m is maps[0] for m in maps), (
             "closest_pair_map computed more than one memo for the same pair"
         )
+
+    def test_mixed_join_entry_points_share_one_grouping(self, monkeypatch):
+        # closest_partners takes the memo lock on its own, restrict_pass
+        # and closest_pair_map reach the group memo from inside theirs:
+        # whichever thread gets there first, each (type, width) is grouped
+        # once and every caller is handed that one list.
+        import sys
+
+        from repro.closeness import DocumentIndex
+        from repro.closeness import index as index_module
+        from repro.xmltree import parse_forest
+
+        from tests.closeness.test_index import filter_of
+
+        forest = parse_forest(
+            "<r>" + "".join(f"<a><b>x{i}</b><b>y{i}</b><c/></a>" for i in range(40)) + "</r>"
+        )
+        index = DocumentIndex(forest)
+        by_dotted = {t.dotted: t for t in index.types()}
+        a, b, c = by_dotted["r.a"], by_dotted["r.a.b"], by_dotted["r.a.c"]
+        grouped = index_module.group_by_prefix
+        calls = []
+
+        def slow_grouping(nodes, width):
+            calls.append((id(nodes), width))
+            time.sleep(0.01)  # hold the build open so the others pile up
+            return grouped(nodes, width)
+
+        monkeypatch.setattr(index_module, "group_by_prefix", slow_grouping)
+        started = threading.Barrier(THREADS)
+
+        def task(i):
+            started.wait()
+            anchors = index.nodes_of(c)
+            if i % 3 == 0:
+                lists = [index.closest_partners(node, b) for node in anchors]
+            elif i % 3 == 1:
+                mapping = index.closest_pair_map(c, b)
+                lists = [mapping[id(node)] for node in anchors]
+            else:
+                shape = filter_of((a, [(b, [])]))
+                assert len(index.restrict_pass(index.nodes_of(a), a, shape)) == 40
+                lists = [index.closest_partners(node, b) for node in anchors]
+            return lists
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            results = _hammer(THREADS, task)
+        finally:
+            sys.setswitchinterval(interval)
+        for lists in results:
+            assert all(got is want for got, want in zip(lists, results[0], strict=True))
+        assert all(len(partners) == 2 for partners in results[0])
+        assert sorted(calls) == sorted(set(calls)), "a (type, width) was grouped twice"
 
 
 class TestCounterAtomicity:

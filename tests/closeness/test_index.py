@@ -7,12 +7,13 @@ with it on every input, including random forests (property tests).
 from hypothesis import given, settings
 
 from repro.closeness import DocumentIndex, closest_graph
+from repro.closeness.index import closest_join, group_by_prefix
 from repro.shape.cardinality import Card
 from repro.shape.shape import Shape
 from repro.shape.types import ShapeType
 from repro.xmltree import parse_document
 
-from tests.strategies import documents
+from tests.strategies import documents, xml_forests
 
 
 def data_type(index, dotted):
@@ -166,32 +167,170 @@ class TestAgainstBruteForce:
         self.check(forest)
 
 
+def graph_pair_maps(forest):
+    """Ground truth for every pair map, from the brute-force closest graph:
+    ``{(anchor type path, partner type path): {anchor Dewey: [partner
+    Deweys in document order]}}``.  Shares no code with ``index.py``."""
+    type_path = {node.dewey: node.type_path() for node in forest.iter_nodes()}
+    expected: dict = {}
+    for edge in closest_graph(forest).edges:
+        v, w = tuple(edge)
+        for anchor, partner in ((v, w), (w, v)):
+            by_anchor = expected.setdefault((type_path[anchor], type_path[partner]), {})
+            by_anchor.setdefault(anchor, []).append(partner)
+    for by_anchor in expected.values():
+        for partners in by_anchor.values():
+            partners.sort()
+    return expected
+
+
+def check_pair_maps(index, forest):
+    """Every ordered type pair (self pairs included): the map's keys are
+    anchors of the first type, and each anchor's list is exactly its
+    graph neighbours of the second type, in document order."""
+    expected = graph_pair_maps(forest)
+    for first in index.types():
+        dewey_of = {id(node): node.dewey for node in index.nodes_of(first)}
+        for second in index.types():
+            mapping = index.closest_pair_map(first, second)
+            got = {
+                dewey_of[key]: [node.dewey for node in partners]
+                for key, partners in mapping.items()
+            }
+            assert got == expected.get((first.path, second.path), {}), (first, second)
+
+
+def filter_of(spec, shape=None, parent=None):
+    """The filter shape of ``RESTRICT t [ ... ]`` from ``(type, [child specs])``."""
+    data_type, children = spec
+    shape = Shape() if shape is None else shape
+    vertex = shape.add_type(ShapeType.for_source(data_type))
+    if parent is not None:
+        shape.add_edge(parent, vertex, Card(1, 1))
+    for child in children:
+        filter_of(child, shape, vertex)
+    return shape
+
+
+def passes(index, node, node_type, filter_shape, vertex):
+    """RESTRICT for one node, straight from Definition 1: under every
+    filter child, some *other* node at exactly the type distance passes
+    the child's own filter.  O(n·m) per edge, no grouping."""
+    for child in filter_shape.children(vertex):
+        if child.source is None:
+            continue
+        wanted = index.type_distance(node_type, child.source)
+        if wanted is None or not any(
+            partner is not node
+            and node.dewey.distance(partner.dewey) == wanted
+            and passes(index, partner, child.source, filter_shape, child)
+            for partner in index.nodes_of(child.source)
+        ):
+            return False
+    return True
+
+
+def check_restrict(index, filter_shape):
+    root = filter_shape.roots()[0]
+    nodes = index.nodes_of(root.source)
+    fast = index.restrict_pass(nodes, root.source, filter_shape)
+    slow = [n for n in nodes if passes(index, n, root.source, filter_shape, root)]
+    assert [n.dewey for n in fast] == [n.dewey for n in slow]
+    # Any subset of the sequence is filtered by the same survivors.
+    assert index.restrict_pass(nodes[::2], root.source, filter_shape) == [
+        n for n in nodes[::2] if n in fast
+    ]
+
+
+def check_guard_restricts(index, guard):
+    """Every RESTRICT filter a real guard compiles to, against ``passes``."""
+    import repro
+
+    result = repro.Interpreter(index).compile(guard)
+    filters = [
+        vertex.restrict_filter
+        for vertex in result.target_shape.types()
+        if vertex.restrict_filter is not None and vertex.source is not None
+    ]
+    assert filters
+    for filter_shape in filters:
+        check_restrict(index, filter_shape)
+
+
+def check_random_restricts(index):
+    """Hand-built filters over whatever types a random document has:
+    every ordered pair ``t [ s ]`` (``t [ t ]`` included), and chains
+    and fans over the first few types."""
+    types = index.types()
+    for first in types:
+        for second in types:
+            check_restrict(index, filter_of((first, [(second, [])])))
+    for first in types[:4]:
+        for second in types[:4]:
+            for third in types[:4]:
+                check_restrict(index, filter_of((first, [(second, [(third, [])])])))
+                check_restrict(index, filter_of((first, [(second, []), (third, [])])))
+
+
+class TestJoinPrimitives:
+    """``group_by_prefix`` / ``closest_join`` at arbitrary levels, nodes
+    shallower than the prefix width included."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(xml_forests(max_roots=2, max_depth=3, max_children=3))
+    def test_join_at_every_level(self, forest):
+        nodes = list(forest.iter_nodes())
+        for level in range(max(len(n.dewey) for n in nodes) + 1):
+            expected = [
+                (v.dewey, w.dewey)
+                for v in nodes
+                for w in nodes
+                if v is not w and v.dewey.common_prefix_length(w.dewey) > level
+            ]
+            joined = [(v.dewey, w.dewey) for v, w in closest_join(nodes, nodes, level)]
+            assert joined == expected
+            groups = group_by_prefix(nodes, level + 1)
+            assert [n for group in groups.values() for n in group] == [
+                n for n in nodes if len(n.dewey) > level
+            ]
+
+
 class TestClosestPairMapMemo:
     """The memoized per-type-pair join map shared by both renderers."""
 
-    def check_map_matches_pairs(self, index):
-        for first in index.types():
-            for second in index.types():
-                if first == second:
-                    continue
-                expected: dict[int, list] = {}
-                for anchor, partner in index.closest_pairs(first, second):
-                    expected.setdefault(id(anchor), []).append(partner)
-                mapping = index.closest_pair_map(first, second)
-                assert {
-                    key: [n.dewey for n in value] for key, value in mapping.items()
-                } == {
-                    key: [n.dewey for n in value] for key, value in expected.items()
-                }
-
     def test_fig1_instances(self, fig1_all):
         for forest in fig1_all.values():
-            self.check_map_matches_pairs(DocumentIndex(forest))
+            check_pair_maps(DocumentIndex(forest), forest)
 
     @settings(max_examples=25, deadline=None)
     @given(documents(max_depth=3, max_children=3))
     def test_random_documents(self, forest):
-        self.check_map_matches_pairs(DocumentIndex(forest))
+        check_pair_maps(DocumentIndex(forest), forest)
+
+    @settings(max_examples=25, deadline=None)
+    @given(xml_forests(max_roots=3, max_depth=2, max_children=3))
+    def test_random_forests(self, forest):
+        check_pair_maps(DocumentIndex(forest), forest)
+
+    def test_workload_in_memory_and_stored(self, tmp_path):
+        from repro.storage import Database
+        from repro.workloads import generate_dblp
+
+        forest = generate_dblp(60)
+        check_pair_maps(DocumentIndex(forest), forest)
+        with Database(str(tmp_path / "dblp.db")) as db:
+            db.store_document("dblp", forest)
+            check_pair_maps(db.index("dblp"), forest)
+
+    def test_anchors_of_one_group_share_its_list(self, fig1c):
+        # In (c) both books of an author meet it at the author: one group.
+        index = DocumentIndex(fig1c)
+        book = data_type(index, "data.author.book")
+        name = data_type(index, "data.author.name")
+        mapping = index.closest_pair_map(book, name)
+        first, second = index.nodes_of(book)[:2]
+        assert mapping[id(first)] is mapping[id(second)]
+        assert mapping[id(first)] is index.closest_partners(first, name)
 
     def test_second_lookup_is_cached(self, fig1a):
         index = DocumentIndex(fig1a)
@@ -211,87 +350,56 @@ class TestClosestPairMapMemo:
         index.drop_join_cache()
         again = index.closest_pair_map(author, title)
         assert again is not first
+        assert next(iter(again.values())) is not next(iter(first.values()))
         assert index.join_cache_misses == 2
 
 
 class TestRestrictPass:
-    """The hash-grouped RESTRICT semi-join vs the per-node reference."""
-
-    @staticmethod
-    def reference_pass(index, node, filter_shape, vertex):
-        """The original O(n·m) per-node filter, kept as ground truth."""
-        for child in filter_shape.children(vertex):
-            if child.source is None:
-                continue
-            partners = [
-                partner
-                for partner in index.closest_partners(node, child.source)
-                if TestRestrictPass.reference_pass(index, partner, filter_shape, child)
-            ]
-            if not partners:
-                return False
-        return True
-
-    def check_guard(self, forest, guard):
-        import repro
-        from repro.shape.shape import Shape as _Shape
-
-        interpreter = repro.Interpreter(forest)
-        result = interpreter.compile(guard)
-        index = interpreter.index
-        checked = 0
-        for vertex in result.target_shape.types():
-            if vertex.restrict_filter is None or vertex.source is None:
-                continue
-            filter_shape: _Shape = vertex.restrict_filter
-            nodes = index.nodes_of(vertex.source)
-            fast = index.restrict_pass(nodes, vertex.source, filter_shape)
-            root = filter_shape.roots()[0]
-            slow = [
-                node
-                for node in nodes
-                if self.reference_pass(index, node, filter_shape, root)
-            ]
-            assert [n.dewey for n in fast] == [n.dewey for n in slow]
-            checked += 1
-        assert checked > 0
+    """The grouped RESTRICT semi-join vs the per-node definition."""
 
     def test_restrict_single_level(self, fig1a):
-        self.check_guard(fig1a, "CAST MORPH (RESTRICT name [ author ])")
+        check_guard_restricts(DocumentIndex(fig1a), "CAST MORPH (RESTRICT name [ author ])")
 
     def test_restrict_nested_filter(self, fig1a):
-        self.check_guard(
-            fig1a, "CAST MORPH (RESTRICT book [ author [ name ] ])"
+        check_guard_restricts(
+            DocumentIndex(fig1a), "CAST MORPH (RESTRICT book [ author [ name ] ])"
         )
 
     def test_restrict_multiple_requirements(self, fig1a):
-        self.check_guard(
-            fig1a, "CAST MORPH (RESTRICT book [ author publisher ])"
+        check_guard_restricts(
+            DocumentIndex(fig1a), "CAST MORPH (RESTRICT book [ author publisher ])"
         )
 
-    def test_restrict_workload(self):
+    def test_fig1_instances(self, fig1_all):
+        for forest in fig1_all.values():
+            check_random_restricts(DocumentIndex(forest))
+
+    @settings(max_examples=20, deadline=None)
+    @given(documents(max_depth=3, max_children=2))
+    def test_random_documents(self, forest):
+        check_random_restricts(DocumentIndex(forest))
+
+    @settings(max_examples=20, deadline=None)
+    @given(xml_forests(max_roots=3, max_depth=2, max_children=2))
+    def test_random_forests(self, forest):
+        check_random_restricts(DocumentIndex(forest))
+
+    def test_restrict_workload(self, tmp_path):
+        from repro.storage import Database
         from repro.workloads import generate_dblp
 
-        self.check_guard(
-            generate_dblp(60), "CAST MORPH (RESTRICT article [ ee crossref ])"
-        )
+        guard = "CAST MORPH (RESTRICT article [ ee crossref ])"
+        forest = generate_dblp(60)
+        check_guard_restricts(DocumentIndex(forest), guard)
+        with Database(str(tmp_path / "dblp.db")) as db:
+            db.store_document("dblp", forest)
+            check_guard_restricts(db.index("dblp"), guard)
 
     def test_self_type_group_excluded(self, fig1a):
-        # A node is never its own closest partner: RESTRICTing a type on
-        # itself keeps only nodes with a *sibling* instance at the LCA.
+        # A node is never its own closest partner, and at type distance 0
+        # it has no other: RESTRICTing a type on itself keeps nothing.
         index = DocumentIndex(fig1a)
         author = data_type(index, "data.book.author")
-        shape = Shape()
-        root_vertex = ShapeType.for_source(author)
-        child_vertex = ShapeType.for_source(author)
-        shape.add_type(root_vertex)
-        shape.add_type(child_vertex)
-        shape.add_edge(root_vertex, child_vertex, Card(1, 1))
-        nodes = index.nodes_of(author)
-        fast = index.restrict_pass(nodes, author, shape)
-        slow = [
-            node
-            for node in nodes
-            if self.reference_pass(index, node, shape, root_vertex)
-        ]
-        assert [n.dewey for n in fast] == [n.dewey for n in slow]
+        shape = filter_of((author, [(author, [])]))
+        check_restrict(index, shape)
+        assert index.restrict_pass(index.nodes_of(author), author, shape) == []

@@ -327,3 +327,29 @@ class TestSingleFetch:
         cplan = compiled_plan(comp, "CAST MORPH author [ name book [ title ] ]")
         cres = comp.render_compiled(cplan)
         assert result.rendered.nodes_read == cres.rendered.nodes_read
+
+
+class TestSharedPartnerListsStayIntact:
+    def test_restrict_intersections_copy(self, dblp):
+        """A pair map's lists are the index's memoized groups, shared by
+        every anchor of a group and every plan over the index; a RESTRICT
+        on the joined type must narrow a copy (``_prepare`` / ``_join``),
+        never the list it was handed."""
+        interp = Interpreter(dblp)
+        index = interp.index
+        by_dotted = {t.dotted: t for t in index.types()}
+        author, title = by_dotted["dblp.article.author"], by_dotted["dblp.article.title"]
+        before = {
+            anchor: list(partners)
+            for anchor, partners in index.closest_pair_map(author, title).items()
+        }
+        full = interp.compile("CAST MORPH author [ title ]")
+        narrowed = compiled_plan(interp, "CAST MORPH author [ (RESTRICT title [ ee ]) ]")
+        expected = interp.render_compiled(full).xml()
+        restricted = render(narrowed.target_shape, index)  # reference: _join
+        emitter = narrowed.compiled_render
+        assert emitter.run(index).nodes_written == restricted.nodes_written  # _prepare
+        emitter.write(index, io.StringIO())
+        assert restricted.nodes_written < interp.render_compiled(full).rendered.nodes_written
+        assert index.closest_pair_map(author, title) == before
+        assert interp.render_compiled(full).xml() == expected

@@ -68,6 +68,31 @@ class TestLaziness:
         first = root.children
         assert root.children is first
 
+    def test_full_expansion_groups_per_edge_not_per_node(self, monkeypatch):
+        # Every expanded node looks its partners up in the index's
+        # memoized groups, so 4x the data means 4x the nodes but the
+        # same number of grouping passes (it used to scan the whole
+        # target sequence once per node).
+        from repro.closeness import index as index_module
+        from repro.workloads import generate_dblp
+
+        grouped = index_module.group_by_prefix
+        passes, nodes = {}, {}
+        for publications in (40, 160):
+            calls = []
+            monkeypatch.setattr(
+                index_module,
+                "group_by_prefix",
+                lambda nodes, width: calls.append(width) or grouped(nodes, width),
+            )
+            view = LogicalTransform(
+                generate_dblp(publications), "CAST MORPH author [ title [ year ] ]"
+            )
+            nodes[publications] = sum(root.descendant_count() for root in view.roots)
+            passes[publications] = len(calls)
+        assert nodes[160] > 3 * nodes[40]
+        assert 0 < passes[160] == passes[40]
+
 
 class TestViewMetadata:
     def test_loss_report_available(self, fig1c):

@@ -7,11 +7,18 @@ is a single merge pass, and compilation cost depends on the number of
 *types*, not the amount of *data*.
 """
 
+from collections import Counter
+
+import pytest
+
 from repro.closeness import DocumentIndex
+from repro.closeness import index as index_module
 from repro.closeness.index import closest_join
 from repro.workloads import generate_dblp
 
 import repro
+
+from tests.closeness.test_index import filter_of
 
 
 def _counted_join(publications):
@@ -74,3 +81,50 @@ class TestWriteSideQuadraticOnlyWhenDuplicating:
         authors = len(forest.find_named("author"))
         titles_written = len(result.forest.find_named("title"))
         assert titles_written <= authors
+
+
+def _worst_case(k):
+    """``benchmarks/bench_quadratic_write.py``'s document: one book whose
+    k authors are all closest to its k titles."""
+    authors = "".join(f"<author><name>A{i}</name></author>" for i in range(k))
+    titles = "".join(f"<title>T{i}</title>" for i in range(k))
+    index = DocumentIndex(repro.parse_document(f"<data><book>{authors}{titles}</book></data>"))
+    by_name = {t.dotted: t for t in index.types()}
+    return index, by_name["data.book.author"], by_name["data.book.title"]
+
+
+@pytest.mark.parametrize("k", [8, 64])
+class TestReadSideMemoIsLinear:
+    """The write is quadratic when data duplicates; what the index keeps
+    to answer it is not (counted, not timed)."""
+
+    def test_pair_map_holds_one_list_not_k_squared_entries(self, k):
+        index, author, title = _worst_case(k)
+        mapping = index.closest_pair_map(author, title)
+        assert len(mapping) == k
+        assert sum(len(partners) for partners in mapping.values()) == k * k
+        assert len({id(partners) for partners in mapping.values()}) == 1
+
+    def test_grouping_runs_once_per_type_and_width(self, k, monkeypatch):
+        index, author, title = _worst_case(k)
+        calls: Counter = Counter()
+        grouped = index_module.group_by_prefix
+
+        def counted(nodes, width):
+            # DocumentIndex hands out one list per type: its id is the type.
+            calls[id(nodes), width] += 1
+            return grouped(nodes, width)
+
+        monkeypatch.setattr(index_module, "group_by_prefix", counted)
+        authors, titles = index.nodes_of(author), index.nodes_of(title)
+        for _ in range(2):
+            index.closest_pair_map(author, title)
+            index.closest_pair_map(title, author)
+            # Fresh filter shapes: the survivor memo misses, the groups hit.
+            restrict_author = filter_of((author, [(title, [])]))
+            restrict_title = filter_of((title, [(author, [])]))
+            assert index.restrict_pass(authors, author, restrict_author) == authors
+            assert index.restrict_pass(titles, title, restrict_title) == titles
+            for node in authors:
+                assert len(index.closest_partners(node, title)) == k
+        assert calls == {(id(authors), 2): 1, (id(titles), 2): 1}

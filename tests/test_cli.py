@@ -111,6 +111,22 @@ class TestCommands:
         streamed = repro.parse_forest(open(out).read())
         assert len(streamed.roots) == 2
 
+    def test_db_stream_transform_refuses_indent(self, doc, tmp_path, capsys):
+        # The text sink behind -o has no indented form; dropping --indent
+        # silently would hand back compact XML under a pretty-print flag.
+        db = str(tmp_path / "s.db")
+        out = tmp_path / "out.xml"
+        assert main(["shred", "--db", db, "books", doc]) == 0
+        capsys.readouterr()
+        code = main(
+            ["db-transform", "--db", db, "books", "MORPH author", "--indent", "2", "-o", str(out)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--indent" in captured.err and "--output" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.out == "" and not out.exists()
+
     def test_shred_ls_and_db_transform(self, doc, tmp_path, capsys):
         db = str(tmp_path / "bib.db")
         assert main(["shred", "--db", db, "books", doc]) == 0
