@@ -3,9 +3,17 @@
 This is the reproduction's stand-in for BerkeleyDB JE: an embedded,
 ordered map from byte-string keys to byte-string values, stored in
 fixed-size pages.  Leaves are chained for range scans; internal nodes
-hold separator keys.  Inserts split full nodes bottom-up; deletes are
-lazy (no rebalancing — the paper's workload is write-once shredding
-followed by scans, and lazy deletion keeps the code honest and small).
+hold separator keys.  Deletes are lazy (no rebalancing — the paper's
+workload is write-once shredding followed by scans, and lazy deletion
+keeps the code honest and small).
+
+There is one insert algorithm, :meth:`BPlusTree.put_many`: a *run* of
+entries in ascending key order descends the tree once, each page on the
+way is decoded once per run and written at most once, and a node that
+outgrew its page is cut into the fewest pages that hold it, evenly
+filled — two halves for one entry too many, packed pages for a long
+run.  ``put`` is a run of one.  The shredder's Dewey keys, whose byte
+order is document order, arrive as exactly such runs.
 
 Values must fit in a page (callers chunk large values; see
 :mod:`repro.storage.tables`).  Page 0 of the file is the tree's meta
@@ -15,8 +23,8 @@ page holding the root pointer.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left
-from typing import Iterator, Optional
+from bisect import bisect_left, bisect_right
+from typing import Iterable, Iterator, Optional
 
 from repro.errors import StorageError
 from repro.storage.pages import PAGE_SIZE, BufferPool
@@ -164,19 +172,38 @@ class BPlusTree:
     # -- writes ----------------------------------------------------------------
 
     def put(self, key: bytes, value: bytes) -> None:
-        """Insert or replace.
+        """Insert or replace one entry: a run of length one."""
+        self.put_many(((key, value),))
 
-        Runs under the pool lock so an in-process reader (a
+    def put_many(self, items: Iterable[tuple[bytes, bytes]]) -> None:
+        """Insert or replace a run of entries in strictly ascending key order.
+
+        The whole run is validated before the first page is touched: an
+        oversized entry or a key that does not sort after its
+        predecessor raises :class:`~repro.errors.StorageError` and
+        leaves the tree as it was.  The run then descends once — every
+        page on the way is decoded once per *run*, not per key — inside
+        one :meth:`BufferPool.writing` section: an in-process reader (a
         :class:`~repro.serve.TransformPool` worker descending the tree)
-        never observes a half-finished split: descents deserialize node
-        copies, and both sides serialize on the same re-entrant lock.
+        never observes a half-finished split, and no journal batch is
+        cut between a split and the parent rewrite that completes it.
         """
-        if len(key) + len(value) > MAX_ENTRY:
-            raise StorageError(
-                f"entry too large ({len(key)}+{len(value)} bytes > {MAX_ENTRY})"
-            )
-        with self.pool.locked():
-            promotions = self._insert(self._root, key, value)
+        run = list(items)
+        previous = None
+        for key, value in run:
+            if len(key) + len(value) > MAX_ENTRY:
+                raise StorageError(
+                    f"entry too large ({len(key)}+{len(value)} bytes > {MAX_ENTRY})"
+                )
+            if previous is not None and key <= previous:
+                raise StorageError(
+                    f"run not in strictly ascending key order at {key!r}"
+                )
+            previous = key
+        if not run:
+            return
+        with self.pool.writing():
+            promotions, _end = self._insert_run(self._root, run, 0, None)
             while promotions:
                 old_root = self._root
                 new_root = self.pool.allocate()
@@ -191,7 +218,7 @@ class BPlusTree:
 
     def delete(self, key: bytes) -> bool:
         """Remove a key (lazy: leaves may become sparse)."""
-        with self.pool.locked():
+        with self.pool.writing():
             node, path = self._descend(key)
             index = bisect_left(node.keys, key)
             if index >= len(node.keys) or node.keys[index] != key:
@@ -227,30 +254,61 @@ class BPlusTree:
             metrics.inc("btree.page_reads", len(path))
         return node, path
 
-    def _insert(self, page_id: int, key: bytes, value: bytes) -> list[tuple[bytes, int]]:
+    def _insert_run(
+        self, page_id: int, run: list, start: int, upper: Optional[bytes]
+    ) -> tuple[list[tuple[bytes, int]], int]:
+        """Merge ``run[start:]`` into the subtree at ``page_id``, up to ``upper``.
+
+        Consumes every entry whose key is below ``upper`` (the page's
+        upper separator; ``None`` on the rightmost spine) and returns
+        the promotions for the parent plus the index of the first entry
+        left over.  Each page is decoded once and written at most once.
+        """
         node = _read_node(self.pool, page_id)
+        keys, values = node.keys, node.values
+        position = start
         if node.kind == _LEAF:
-            index = bisect_left(node.keys, key)
-            if index < len(node.keys) and node.keys[index] == key:
-                node.values[index] = value
-            else:
-                node.keys.insert(index, key)
-                node.values.insert(index, value)
-            return self._store_with_split(page_id, node)
-        child = node.child_for(key)
-        for separator, right_page in self._insert(child, key, value):
-            index = bisect_left(node.keys, separator)
-            node.keys.insert(index, separator)
-            node.values.insert(index, right_page)
-        return self._store_with_split(page_id, node)
+            while position < len(run):
+                key, value = run[position]
+                if upper is not None and key >= upper:
+                    break
+                if not keys or key > keys[-1]:
+                    keys.append(key)
+                    values.append(value)
+                else:
+                    index = bisect_left(keys, key)
+                    if keys[index] == key:
+                        values[index] = value
+                    else:
+                        keys.insert(index, key)
+                        values.insert(index, value)
+                position += 1
+            return self._store_with_split(page_id, node), position
+        changed = False
+        while position < len(run):
+            key = run[position][0]
+            if upper is not None and key >= upper:
+                break
+            # The child responsible for ``key`` and the separator above it;
+            # promotions from the child all sort below that separator, so
+            # they land at ``index`` and the next key looks to their right.
+            index = bisect_right(keys, key)
+            child = values[index - 1] if index else node.child0
+            child_upper = keys[index] if index < len(keys) else upper
+            promotions, position = self._insert_run(child, run, position, child_upper)
+            if promotions:
+                keys[index:index] = [separator for separator, _ in promotions]
+                values[index:index] = [page for _, page in promotions]
+                changed = True
+        if not changed:
+            return [], position
+        return self._store_with_split(page_id, node), position
 
     def _store_with_split(self, page_id: int, node: "_Node") -> list[tuple[bytes, int]]:
         """Write ``node``, splitting into as many pages as needed.
 
-        Returns the separators/pages to insert into the parent.  A
-        greedy size-based partition is used because entries are
-        variable-length: a half-split is not guaranteed to fit when a
-        node holds a few near-page-size entries.
+        Returns the separators/pages to insert into the parent (see
+        :func:`_partition` for where the cuts fall).
         """
         if node.serialized_size() <= PAGE_SIZE:
             _write_node(self.pool, page_id, node)
@@ -302,12 +360,8 @@ class _Node:
         self.values = values
 
     def child_for(self, key: bytes) -> int:
-        index = bisect_left(self.keys, key)
-        if index < len(self.keys) and self.keys[index] == key:
-            index += 1
-        if index == 0:
-            return self.child0
-        return self.values[index - 1]
+        index = bisect_right(self.keys, key)
+        return self.values[index - 1] if index else self.child0
 
     def serialized_size(self) -> int:
         size = _HEADER.size
@@ -321,20 +375,29 @@ class _Node:
 
 
 def _partition(node: "_Node") -> list[tuple[list, list]]:
-    """Greedily partition an oversized node's entries into fitting groups.
+    """Partition an oversized node's entries into groups that each fit a page.
 
-    Aims for balanced halves when possible (the classic B+tree split)
-    but falls back to more groups when large entries force it.  Each
-    group is guaranteed to fit because a single entry always fits.
+    The fewest pages that hold the entries, filled evenly: a node one
+    entry over splits into halves (the classic B+tree split, leaving
+    both sides room), a node many pages over — a sorted run merged into
+    one leaf — into pages that are each nearly full.  Entries are
+    variable-length, so the cut is greedy and a large entry may force
+    one more group; each group fits because a single entry always does.
     """
-    target = max(PAGE_SIZE // 2, 1)
+    leaf = node.kind == _LEAF
+    sizes = [
+        2 + len(key) + (2 + len(value) if leaf else 4)
+        for key, value in zip(node.keys, node.values)
+    ]
+    total = sum(sizes)
+    pages = -(-total // (PAGE_SIZE - _HEADER.size))
+    target = _HEADER.size + total // pages
     groups: list[tuple[list, list]] = []
     keys: list[bytes] = []
     values: list = []
     size = _HEADER.size
-    for key, value in zip(node.keys, node.values):
-        entry = 2 + len(key) + (2 + len(value) if node.kind == _LEAF else 4)
-        if keys and (size + entry > PAGE_SIZE or size >= target and len(groups) == 0):
+    for key, value, entry in zip(node.keys, node.values, sizes):
+        if keys and (size + entry > PAGE_SIZE or size >= target):
             groups.append((keys, values))
             keys, values = [], []
             size = _HEADER.size

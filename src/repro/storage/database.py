@@ -150,13 +150,25 @@ class Database:
     # -- document management ------------------------------------------------
 
     def store_document(self, name: str, source: str | XmlForest) -> dict:
-        """Shred a document (XML text or a parsed forest) into the store."""
+        """Shred a document (XML text or a parsed forest) into the store.
+
+        The records stage in the buffer pool and commit through one
+        journaled flush; an error before it rolls the staged pages back
+        and leaves this handle live on the unchanged store.
+        """
         if self.mode == "r":
             raise ReadOnlyDatabaseError(self._file.path, f"store document {name!r}")
         if self.tree.get(tables.catalog_key(name)) is not None:
             raise StorageError(f"document {name!r} already stored")
         forest = parse_forest(source) if isinstance(source, str) else source
-        descriptor = shred(self.tree, self._next_doc_id(), name, forest)
+        try:
+            descriptor = shred(self.tree, self._next_doc_id(), name, forest)
+        except Exception:
+            # Pre-commit failure (an entry the tree refuses, a Dewey
+            # component past the storage limit): drop the staged pages, or
+            # the next flush would commit records no catalog entry names.
+            self._rollback_staged(name)
+            raise
         self.pool.flush()
         # Conservatively recompile against the fresh index epoch: plans
         # cached under this shape fingerprint may hold data types from a

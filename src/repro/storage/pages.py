@@ -28,7 +28,8 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from typing import Mapping, Optional
+from contextlib import contextmanager
+from typing import Iterator, Mapping, Optional
 
 from repro.errors import ChecksumError, FormatError, PageError, ReadOnlyDatabaseError
 from repro.faults import FAULTS
@@ -236,7 +237,10 @@ class BufferPool:
     half-installed page.  Evicting a page another thread still holds is
     safe — the holder keeps the buffer object; eviction only forgets
     the cache entry.  Multi-page *structures* (a B+tree descent) hold
-    the same lock across their page reads via :meth:`locked`.
+    the same lock across their page reads via :meth:`locked`; multi-page
+    *writes* (a B+tree insert run and the splits it causes) run inside
+    :meth:`writing`, which also keeps the pool from committing a batch
+    in the middle of them.
     """
 
     def __init__(self, file: PagedFile, capacity: int = 1024, journal=None):
@@ -256,6 +260,8 @@ class BufferPool:
         #: files cache zero-copy ``memoryview``s into the mapping.
         self._pages: OrderedDict[int, "bytearray | memoryview"] = OrderedDict()
         self._dirty: set[int] = set()
+        #: Depth of open :meth:`writing` sections (under ``lock``).
+        self._writing = 0
         #: Cache accounting (feeds the ``buffer.hit_ratio`` metric).
         self.hits = 0
         self.misses = 0
@@ -267,6 +273,31 @@ class BufferPool:
                 ...  # several get() calls, atomically vs. other threads
         """
         return self.lock
+
+    @contextmanager
+    def writing(self) -> Iterator[None]:
+        """The pool lock plus a promise: no flush happens inside.
+
+        A structure that rewrites several pages (a leaf split and then
+        its parent) is only sound once the last of them is written, so
+        a commit point must not fall between them — a journal batch
+        holding the split leaves but not the parent's new separator is
+        a tree whose leaf chain and descent disagree.  Inside the
+        section an all-dirty pool therefore grows past ``capacity``
+        instead of flushing; leaving the outermost section trims it
+        back (flushing first if it must), at a point where every
+        structure is whole.
+        """
+        with self.lock:
+            self._writing += 1
+            try:
+                yield
+            finally:
+                self._writing -= 1
+            # Reached only when the section completed: after an exception
+            # the structure may be half-written, and the caller discards it.
+            if not self._writing:
+                self._trim()
 
     @property
     def stats(self) -> SystemStats:
@@ -368,23 +399,31 @@ class BufferPool:
         self._pages[page_id] = data
         self._pages.move_to_end(page_id)
         self.stats.allocate(PAGE_SIZE)
+        self._trim(keep=page_id)
+
+    def _trim(self, keep: Optional[int] = None) -> None:
+        """Evict down to ``capacity``, never the page ``keep``."""
         while len(self._pages) > self.capacity:
             # Dirty pages are pinned: evicting one would have to write it
             # back alone, while its co-dirty siblings stay unjournaled —
             # breaking the journal's all-or-nothing batch promise.  Evict
             # the least-recently-used *clean* page instead; when the pool
             # is all-dirty, commit the whole batch first (one journaled
-            # flush), which also cleans every page.
-            victim = self._clean_victim(page_id)
+            # flush), which also cleans every page — unless a writing()
+            # section is open, whose half-written structure must not be
+            # committed: then the pool stays over capacity until it ends.
+            victim = self._clean_victim(keep)
             if victim is None:
+                if self._writing:
+                    return
                 self.flush()
-                victim = self._clean_victim(page_id)
+                victim = self._clean_victim(keep)
                 if victim is None:
                     break  # only the just-installed page is resident
             del self._pages[victim]
             self.stats.release(PAGE_SIZE)
 
-    def _clean_victim(self, keep: int) -> Optional[int]:
+    def _clean_victim(self, keep: Optional[int]) -> Optional[int]:
         """The least-recently-used clean page other than ``keep``."""
         for page_id in self._pages:
             if page_id != keep and page_id not in self._dirty:

@@ -7,6 +7,15 @@ GroupedSequence, is a view over those: ``Database.grouped_sequence``).
 This is a one-time cost — the paper reports it separately (20–115 s for
 the XMark factors) and excludes it from the transformation timings, as
 do our benchmarks.
+
+Nothing is written node by node.  Dewey keys sort in document order, so
+the records of each keyspace come out of the walk already sorted; the
+shredder gathers them — Nodes, overflow chunks, type sequences, shape
+chunks — into one list, sorts it and hands it to
+:meth:`~repro.storage.btree.BPlusTree.put_many` as a single run, which
+decodes each page it passes once and leaves the leaves it fills packed.
+The catalog record follows alone: it carries the shred's duration, and
+a document exists once its catalog entry does.
 """
 
 from __future__ import annotations
@@ -26,15 +35,20 @@ def shred(tree: BPlusTree, doc_id: int, name: str, forest: XmlForest) -> dict:
         builder = DataGuideBuilder().build(forest)
 
         by_type: dict[int, list[NodeRecord]] = {}
+        #: Every record but the catalog's (N, V, T and S keys): one run.
+        run: list[tuple[bytes, bytes]] = []
         node_count = 0
         text_bytes = 0
         with obs.span("storage.shred.nodes"):
             for node in forest.iter_nodes():
                 data_type = builder.type_of[id(node)]
                 text_bytes += len(node.text)
-                inline, overflow = tables.write_text(tree, doc_id, node.dewey, node.text)
-                record = NodeRecord(node.dewey, data_type.type_id, node.kind, inline, overflow)
-                tree.put(tables.node_key(doc_id, node.dewey), tables.encode_node_value(record))
+                inline, overflow = tables.write_text(doc_id, node.dewey, node.text)
+                record = NodeRecord(
+                    node.dewey, data_type.type_id, node.kind, inline, len(overflow)
+                )
+                run.append(tables.node_entry(doc_id, record))
+                run.extend(overflow)
                 by_type.setdefault(data_type.type_id, []).append(record)
                 node_count += 1
         tree.pool.stats.charge_cpu(node_count * 4)
@@ -42,13 +56,22 @@ def shred(tree: BPlusTree, doc_id: int, name: str, forest: XmlForest) -> dict:
         with obs.span("storage.shred.sequences"):
             for type_id, records in by_type.items():
                 for chunk_no, chunk in enumerate(tables.pack_sequence(records)):
-                    tree.put(tables.sequence_key(doc_id, type_id, chunk_no), chunk)
+                    run.append((tables.sequence_key(doc_id, type_id, chunk_no), chunk))
+
+        shape_descriptor = _shape_descriptor(builder)
+        for chunk_no, chunk in enumerate(tables.encode_shape(shape_descriptor)):
+            run.append((tables.shape_key(doc_id, chunk_no), chunk))
+
+        with obs.span("storage.shred.write", entries=len(run)):
+            # Emitted keyspace by keyspace in document order, so the sort
+            # only has to interleave a few already-sorted stretches.
+            run.sort()
+            tree.put_many(run)
 
         obs.count("shred.nodes", node_count)
         obs.count("shred.text_bytes", text_bytes)
         shred_span.annotate(nodes=node_count, text_bytes=text_bytes)
 
-    shape_descriptor = _shape_descriptor(builder)
     descriptor = {
         "doc_id": doc_id,
         "name": name,
@@ -61,11 +84,10 @@ def shred(tree: BPlusTree, doc_id: int, name: str, forest: XmlForest) -> dict:
         "shape_fingerprint": shape_fingerprint(shape_descriptor),
         "shred_seconds": shred_span.duration,
     }
-    shape_chunks = tables.encode_shape(descriptor["shape"])
-    for chunk_no, chunk in enumerate(shape_chunks):
-        tree.put(tables.shape_key(doc_id, chunk_no), chunk)
     catalog = dict(descriptor)
     del catalog["shape"]  # the shape lives in its own (chunked) records
+    # Last, and alone: it carries the span's duration, and a document
+    # exists once its catalog entry does.
     tree.put(tables.catalog_key(name), tables.encode_shape(catalog)[0])
     return descriptor
 

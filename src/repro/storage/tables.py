@@ -142,15 +142,24 @@ class NodeRecord:
     overflow_chunks: int = 0  # > 0 when text lives in the overflow keyspace
 
 
-def write_text(tree: BPlusTree, doc_id: int, dewey: Dewey, text: str) -> tuple[str, int]:
-    """Store long text in overflow; returns (inline text, chunk count)."""
+def write_text(
+    doc_id: int, dewey: Dewey, text: str
+) -> tuple[str, list[tuple[bytes, bytes]]]:
+    """Split a node's text into its inline part and its overflow entries.
+
+    Returns ``(inline text, overflow entries)``: short text stays inline
+    and the list is empty; long text leaves ``""`` inline and comes back
+    as ``(overflow key, chunk)`` entries in key order, which the caller
+    adds to the run it writes (their number is the record's
+    ``overflow_chunks``).  Nothing is written here.
+    """
     raw = text.encode()
     if len(raw) <= INLINE_TEXT:
-        return text, 0
-    chunks = [raw[i : i + CHUNK_BYTES] for i in range(0, len(raw), CHUNK_BYTES)]
-    for number, chunk in enumerate(chunks):
-        tree.put(overflow_key(doc_id, dewey, number), chunk)
-    return "", len(chunks)
+        return text, []
+    return "", [
+        (overflow_key(doc_id, dewey, number), raw[start : start + CHUNK_BYTES])
+        for number, start in enumerate(range(0, len(raw), CHUNK_BYTES))
+    ]
 
 
 def read_text(tree: BPlusTree, doc_id: int, record: NodeRecord) -> str:
@@ -173,6 +182,11 @@ def encode_node_value(record: NodeRecord) -> bytes:
         return head
     raw = record.text.encode()
     return _NODE_HEAD.pack(record.type_id, kind_bit, len(raw)) + raw
+
+
+def node_entry(doc_id: int, record: NodeRecord) -> tuple[bytes, bytes]:
+    """A node's ``(key, value)`` entry, as a run for ``put_many`` takes it."""
+    return node_key(doc_id, record.dewey), encode_node_value(record)
 
 
 def decode_node_value(dewey: Dewey, value: bytes) -> NodeRecord:

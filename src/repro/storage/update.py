@@ -404,6 +404,7 @@ class IncrementalUpdater:
                     chunks.append(self.tree.get(key) or b"")
                     self.tree.delete(key)
                 overflow[record.dewey.parts] = chunks
+        run: list[tuple[bytes, bytes]] = []
         for record in records:
             new_dewey = Dewey(new_root.parts + record.dewey.parts[depth:])
             moved = replace(record, dewey=new_dewey)
@@ -420,14 +421,11 @@ class IncrementalUpdater:
             # so a moved dewey never collides with an unmoved one.
             del seq[index]
             insort(seq, moved, key=_parts_key)
-            self.tree.put(
-                tables.node_key(self.doc_id, new_dewey),
-                tables.encode_node_value(moved),
-            )
+            run.append(tables.node_entry(self.doc_id, moved))
             for number, chunk in enumerate(overflow.get(record.dewey.parts, ())):
-                self.tree.put(
-                    tables.overflow_key(self.doc_id, new_dewey, number), chunk
-                )
+                run.append((tables.overflow_key(self.doc_id, new_dewey, number), chunk))
+        run.sort()
+        self.tree.put_many(run)
         self.result.nodes_renumbered += len(records)
 
     def _type_for(self, path: tuple[str, ...]) -> int:
@@ -445,6 +443,7 @@ class IncrementalUpdater:
     def _write_subtree(self, node: XmlNode, base_path: tuple[str, ...]) -> None:
         """Stage a numbered, detached subtree's records (no sibling shifts)."""
         limit = tables._COMPONENT_MAX
+        run: list[tuple[bytes, bytes]] = []
         for vertex in node.iter_subtree():
             if vertex.dewey.parts[-1] > limit:
                 raise StorageError(
@@ -453,14 +452,10 @@ class IncrementalUpdater:
                 )
             path = base_path + vertex.type_path()
             type_id = self._type_for(path)
-            inline, overflow = tables.write_text(
-                self.tree, self.doc_id, vertex.dewey, vertex.text
-            )
-            record = NodeRecord(vertex.dewey, type_id, vertex.kind, inline, overflow)
-            self.tree.put(
-                tables.node_key(self.doc_id, vertex.dewey),
-                tables.encode_node_value(record),
-            )
+            inline, overflow = tables.write_text(self.doc_id, vertex.dewey, vertex.text)
+            record = NodeRecord(vertex.dewey, type_id, vertex.kind, inline, len(overflow))
+            run.append(tables.node_entry(self.doc_id, record))
+            run.extend(overflow)
             seq = self._touch(type_id)
             insort(seq, record, key=_parts_key)
             self.counts[type_id] += 1
@@ -468,6 +463,8 @@ class IncrementalUpdater:
             self.node_count += 1
             self.text_bytes += len(vertex.text)
             self.result.nodes_added += 1
+        run.sort()
+        self.tree.put_many(run)
 
     # -- operations --------------------------------------------------------
 
@@ -578,20 +575,21 @@ class IncrementalUpdater:
         }
         rewrite = set(self._dirty_types) | set(remap)
 
+        # Everything the commit writes is gathered here and written as one
+        # sorted run at the end, after every stale key is deleted.
+        run: list[tuple[bytes, bytes]] = []
+
         # 3. Remapped node values: the Nodes records embed the type id.
         for type_id, new_id in remap.items():
             seq = self._sequence(type_id)
             for index, record in enumerate(seq):
                 renamed = replace(record, type_id=new_id)
                 seq[index] = renamed
-                self.tree.put(
-                    tables.node_key(self.doc_id, record.dewey),
-                    tables.encode_node_value(renamed),
-                )
+                run.append(tables.node_entry(self.doc_id, renamed))
 
-        # 4. Sequence chunks: delete every stale key first (old-id space),
-        #    then write every new chunk — two phases, so a type moving
-        #    into another type's old id never collides.
+        # 4. Sequence chunks: every stale key (old-id space) is deleted
+        #    before any new chunk is written — two phases, so a type
+        #    moving into another type's old id never collides.
         for type_id in sorted(rewrite | set(dead)):
             prefix = tables.sequence_prefix(self.doc_id, type_id)
             stale = [key for key, _value in self.tree.scan_prefix(prefix)]
@@ -601,9 +599,7 @@ class IncrementalUpdater:
             records = self._seqs[type_id]
             new_id = final_id[type_id]
             for chunk_no, chunk in enumerate(tables.pack_sequence(records)):
-                self.tree.put(
-                    tables.sequence_key(self.doc_id, new_id, chunk_no), chunk
-                )
+                run.append((tables.sequence_key(self.doc_id, new_id, chunk_no), chunk))
 
         # 5. The adorned shape, in final-id space.
         shape_descriptor = self._shape_descriptor(final_id)
@@ -614,7 +610,7 @@ class IncrementalUpdater:
         for key in stale_shape:
             self.tree.delete(key)
         for chunk_no, chunk in enumerate(tables.encode_shape(shape_descriptor)):
-            self.tree.put(tables.shape_key(self.doc_id, chunk_no), chunk)
+            run.append((tables.shape_key(self.doc_id, chunk_no), chunk))
 
         # 6. The catalog descriptor (same key order as the shredder's, so
         #    the stored bytes match a re-shred modulo shred_seconds).
@@ -622,9 +618,9 @@ class IncrementalUpdater:
         descriptor["nodes"] = self.node_count
         descriptor["text_bytes"] = self.text_bytes
         descriptor["shape_fingerprint"] = shape_fingerprint(shape_descriptor)
-        self.tree.put(
-            tables.catalog_key(self.name), tables.encode_shape(descriptor)[0]
-        )
+        run.append((tables.catalog_key(self.name), tables.encode_shape(descriptor)[0]))
+        run.sort()
+        self.tree.put_many(run)
 
         self.result.types_added = len(
             [t for t in self.paths if t not in self._old_type_ids]

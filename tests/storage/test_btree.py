@@ -1,8 +1,12 @@
-"""Tests for the B+tree, including a model-based property test."""
+"""Tests for the B+tree, including model-based property tests."""
+
+import shutil
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.errors import StorageError
 from repro.storage.btree import MAX_ENTRY, BPlusTree
@@ -162,3 +166,128 @@ class TestModelBased:
                 assert tree.get(key) == value
         finally:
             file.close()
+
+
+class TestRuns:
+    def test_run_into_an_empty_tree(self, tree):
+        run = [(f"k{i:05d}".encode(), f"v{i}".encode() * 5) for i in range(3000)]
+        tree.put_many(run)
+        assert list(tree.scan()) == run
+        assert tree.check() == []
+
+    def test_run_merges_into_a_populated_tree(self, tree):
+        evens = [(f"k{i:05d}".encode(), b"even") for i in range(0, 2000, 2)]
+        odds = [(f"k{i:05d}".encode(), b"odd" * 10) for i in range(1, 2000, 2)]
+        tree.put_many(evens)
+        tree.put_many([(b"k00000", b"replaced")] + odds)
+        expected = dict(evens + odds)
+        expected[b"k00000"] = b"replaced"
+        assert list(tree.scan()) == sorted(expected.items())
+        assert tree.check() == []
+
+    def test_runs_through_a_three_level_tree(self, tree):
+        # Long keys: an internal page holds ~25 separators, so a few
+        # hundred leaves need two internal levels, and the second run
+        # splits leaves under every one of them.
+        def key(n):
+            return b"%0150d" % n
+
+        first = [(key(n), b"a" * 150) for n in range(0, 4000, 2)]
+        second = [(key(n), b"b" * 150) for n in range(1, 4000, 2)]
+        tree.put_many(first)
+        assert len(tree._descend(key(0))[1]) >= 3
+        tree.put_many(second)
+        assert list(tree.scan()) == sorted(first + second)
+        assert tree.check() == []
+
+    def test_empty_run_and_generator(self, tree):
+        tree.put_many([])
+        tree.put_many((bytes([i]), b"v") for i in range(10))
+        assert tree.count() == 10
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            [(b"b", b"1"), (b"a", b"2")],
+            [(b"a", b"1"), (b"a", b"2")],
+            [(b"a", b"1"), (b"b", b"x" * MAX_ENTRY)],
+        ],
+        ids=["unsorted", "duplicated", "oversized"],
+    )
+    def test_refused_run_touches_nothing(self, tree, run):
+        tree.put_many((f"seed{i:03d}".encode(), b"v" * 30) for i in range(300))
+        tree.pool.flush()
+        with pytest.raises(StorageError):
+            tree.put_many(run)
+        assert tree.pool._dirty == set()
+        assert tree.count() == 300
+        assert tree.get(b"a") is None
+
+
+#: Keys from a small alphabet, so runs collide with stored keys (replace)
+#: and land between them (insert) about equally often.
+_KEYS = st.binary(min_size=0, max_size=3).map(lambda raw: bytes(b % 7 + 97 for b in raw))
+_VALUES = st.one_of(
+    st.binary(max_size=40),
+    # Near the entry limit: one or two such entries fill a page.
+    st.integers(MAX_ENTRY - 40, MAX_ENTRY - 3).map(lambda size: b"\xee" * size),
+    st.integers(900, 2100).map(lambda size: b"\xdd" * size),
+)
+
+
+class BTreeAgainstDict(RuleBasedStateMachine):
+    """Runs, single puts, deletes and reopens, against a ``dict``."""
+
+    def __init__(self):
+        super().__init__()
+        self.directory = tempfile.mkdtemp(prefix="btree-model-")
+        self.model: dict[bytes, bytes] = {}
+        self.file = None
+        self._open()
+
+    def _open(self):
+        self.file = PagedFile(self.directory + "/m.db", SystemStats())
+        self.tree = BPlusTree(BufferPool(self.file, capacity=8))
+
+    def teardown(self):
+        self.file.close()
+        shutil.rmtree(self.directory)
+
+    @rule(entries=st.dictionaries(_KEYS, _VALUES, max_size=12))
+    def put_many(self, entries):
+        self.tree.put_many(sorted(entries.items()))
+        self.model.update(entries)
+
+    @rule(first=st.integers(0, 60000), count=st.integers(0, 400), size=st.integers(0, 60))
+    def put_long_run(self, first, count, size):
+        # Dense numbered keys: a run that straddles many leaves.
+        run = [(b"n%06d" % n, b"%d" % n * size) for n in range(first, first + count)]
+        self.tree.put_many(run)
+        self.model.update(run)
+
+    @rule(key=_KEYS, value=_VALUES)
+    def put(self, key, value):
+        self.tree.put(key, value)
+        self.model[key] = value
+
+    @rule(key=_KEYS)
+    def delete(self, key):
+        assert self.tree.delete(key) == (key in self.model)
+        self.model.pop(key, None)
+
+    @rule()
+    def reopen(self):
+        self.tree.pool.flush()
+        self.file.close()
+        self._open()
+
+    @invariant()
+    def matches_model(self):
+        assert list(self.tree.scan()) == sorted(self.model.items())
+        assert self.tree.check() == []
+
+
+BTreeAgainstDict.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=25, deadline=None
+)
+TestBTreeAgainstDict = BTreeAgainstDict.TestCase

@@ -1,0 +1,55 @@
+"""Counted, not timed: what storing a document costs the B+tree.
+
+A shredded document arrives as one sorted run, so every page on its way
+is decoded once per run — not once per key — and the leaves the run
+fills are written packed.
+"""
+
+import pytest
+
+from repro.storage import Database, btree, tables
+from repro.storage.pages import PAGE_SIZE
+from repro.workloads.dblp import generate_dblp
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """Page ids ``btree._read_node`` decoded, in order."""
+    seen: list[int] = []
+    read_node = btree._read_node
+
+    def counting(pool, page_id):
+        seen.append(page_id)
+        return read_node(pool, page_id)
+
+    monkeypatch.setattr(btree, "_read_node", counting)
+    return seen
+
+
+@pytest.mark.parametrize("publications", [40, 160])
+def test_storing_decodes_no_more_pages_than_the_file_has(tmp_path, decodes, publications):
+    forest = generate_dblp(publications)
+    with Database(str(tmp_path / "c.db")) as db:
+        nodes = db.store_document("dblp", forest)["nodes"]
+        assert nodes > 10 * publications
+        # Per-key descents decoded ~1.8 pages per key; a run decodes the
+        # pages it passes once, whatever the document's size.
+        assert len(decodes) <= db.pool.file.page_count
+        assert len(decodes) < nodes // 20
+
+
+def test_a_runs_leaves_are_packed(tmp_path):
+    with Database(str(tmp_path / "f.db")) as db:
+        doc_id = db.store_document("dblp", generate_dblp(160))["doc_id"]
+        prefix = tables.nodes_prefix(doc_id)
+        fills = []
+        for page_id in range(1, db.pool.file.page_count):
+            node = btree._read_node(db.pool, page_id)
+            if node.kind == btree._LEAF and all(k.startswith(prefix) for k in node.keys):
+                fills.append(node.serialized_size() / PAGE_SIZE)
+        # Sequential single puts half-split every leaf (~0.5 full).  One
+        # leaf still is: the catalog record is written after the run, into
+        # the packed first leaf, and splits it.
+        fills.sort()
+        assert len(fills) >= 10
+        assert fills[1] >= 0.9

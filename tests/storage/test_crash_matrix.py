@@ -23,6 +23,7 @@ from repro.errors import DocumentNotFoundError, StorageError
 from repro.faults import FAULTS, KNOWN_FAILPOINTS, SimulatedCrash
 from repro.storage import Database
 from repro.storage.fsck import fsck
+from repro.workloads.dblp import generate_dblp_xml
 from repro.xmltree.parser import parse_forest
 
 from tests.conftest import FIG1A
@@ -180,3 +181,69 @@ def test_batch_stream_parity_after_recovered_crash(tmp_path):
         sink = io.StringIO()
         db.stream_transform("committed", guard, sink)
         assert sink.getvalue() == batch
+
+
+# -- a pool smaller than one document's run ----------------------------------
+
+
+def test_every_commit_point_is_a_sound_tree(tmp_path, monkeypatch):
+    # Eight pool pages against a ~30-page document: the pool has to
+    # commit journal batches on its own while the document and the
+    # update batch are being written.  None of them may fall between a
+    # leaf split and the parent rewrite that completes it.
+    import shutil
+
+    from repro.storage.pages import BufferPool
+    from repro.storage.update import InsertSubtree
+
+    path = str(tmp_path / "small.db")
+    snapshots: list[str] = []
+    flush = BufferPool.flush
+
+    def flush_and_copy(pool):
+        wrote = bool(pool._dirty)
+        flush(pool)
+        if wrote:
+            snapshots.append(str(tmp_path / f"commit{len(snapshots)}.db"))
+            shutil.copyfile(path, snapshots[-1])
+
+    monkeypatch.setattr(BufferPool, "flush", flush_and_copy)
+    with Database(path, cache_pages=8) as db:
+        db.store_document("dblp", generate_dblp_xml(100))
+        stored = len(snapshots)
+        db.apply_batch(
+            "dblp",
+            [
+                InsertSubtree((1,), f"<article><title>N{i}</title></article>", 1 + 7 * i)
+                for i in range(10)
+            ],
+        )
+    # The run's trim and the final flush, then the batch's own commits.
+    assert stored >= 2 and len(snapshots) > stored
+    for snapshot in snapshots:
+        assert fsck(snapshot).btree_problems == [], snapshot
+
+
+@pytest.mark.parametrize(
+    "failpoint",
+    ["journal.write", "journal.fsync", "flush.apply", "pages.pwrite", "pages.fsync"],
+)
+@pytest.mark.parametrize("skip", [0, 1])
+def test_crash_matrix_small_pool_store(tmp_path, failpoint, skip):
+    # The same store, killed at (and a little past) each commit-path
+    # failpoint: reopen is clean and the document is absent or complete.
+    path = str(tmp_path / "small.db")
+    expected = _commit_baseline(path)
+    source = generate_dblp_xml(100)
+    db = Database(path, cache_pages=8)
+    with FAULTS.armed(failpoint, action="kill", skip=skip) as armed:
+        with pytest.raises(SimulatedCrash):
+            db.store_document("dblp", source)
+        assert armed.fired
+    db.abandon()
+    with Database(path) as db:
+        assert db.load_forest("committed").canonical() == expected
+        if "dblp" in db.document_names():
+            assert db.load_forest("dblp").canonical() == _canonical(source)
+    report = fsck(path)
+    assert report.ok, report.pretty()

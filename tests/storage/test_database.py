@@ -96,6 +96,41 @@ class TestDocumentLifecycle:
             assert len(result.forest.roots) == 2
 
 
+class TestFailedStoreLeavesNothing:
+    """A store the tree refuses rolls its staged records back."""
+
+    def test_refused_catalog_entry_leaks_no_records(self, tmp_path):
+        from repro.storage.fsck import fsck
+
+        path = str(tmp_path / "leak.db")
+        with Database(path) as db:
+            db.store_document("ok", FIG1A)
+            before = list(db.tree.scan())
+            image = open(path, "rb").read()
+            # The name rides in the catalog key, the last record written:
+            # by then the document's N/T/S records are staged.
+            with pytest.raises(StorageError, match="entry too large"):
+                db.store_document("n" * 5000, "<a><b>1</b><c>2</c></a>")
+            db.flush()
+            after = list(db.tree.scan())
+            assert open(path, "rb").read() == image
+            assert db.document_names() == ["ok"]
+            # Only the document-id counter may differ, and it does not:
+            # the rollback forgot the staged increment too.
+            assert after == before
+            # The handle is live: the next document stores and reads back.
+            db.store_document("next", FIG1B)
+            assert db.load_forest("next").canonical() == parse_document(FIG1B).canonical()
+            assert db.document_names() == ["next", "ok"]
+        report = fsck(path)
+        assert report.ok and report.documents == ["next", "ok"]
+        with Database(path) as db:
+            assert len(list(db.tree.scan())) > len(before)
+            db.drop_document("next")
+            # All that is left of "next" is its turn of the id counter.
+            assert list(db.tree.scan())[1:] == before[1:]
+
+
 class TestDropDocument:
     def test_drop_removes_everything(self, db):
         db.store_document("a", FIG1A)

@@ -216,6 +216,36 @@ class TestBufferPool:
         assert file.read_page(pages[0])[0] == 7
         assert file.read_page(pages[1])[0] == 7
 
+    def test_writing_section_defers_the_flush_and_trims_on_exit(self, paged):
+        file, _ = paged
+        pool = BufferPool(file, capacity=2)
+        with pool.writing():
+            with pool.writing():  # nests; only the outermost exit trims
+                pages = [pool.allocate() for _ in range(4)]
+                for page in pages:
+                    pool.get(page)[0] = 7
+                    pool.mark_dirty(page)
+            # All dirty and over capacity, yet nothing was committed.
+            assert pool.resident == 4
+            assert file.read_page(pages[0])[0] == 0
+        assert pool.resident == 2
+        assert [file.read_page(page)[0] for page in pages] == [7] * 4
+
+    def test_failed_writing_section_commits_nothing(self, paged):
+        file, _ = paged
+        pool = BufferPool(file, capacity=2)
+        with pytest.raises(RuntimeError):
+            with pool.writing():
+                pages = [pool.allocate() for _ in range(4)]
+                for page in pages:
+                    pool.get(page)[0] = 7
+                    pool.mark_dirty(page)
+                raise RuntimeError("mid-split")
+        # Half-written structures are the caller's to discard.
+        assert [file.read_page(page)[0] for page in pages] == [0] * 4
+        pool.discard()
+        assert pool.resident == 0
+
     def test_flush_persists(self, paged):
         file, _ = paged
         pool = BufferPool(file, capacity=4)
