@@ -13,22 +13,22 @@ from repro.bench.reporting import SeriesTable
 from repro.closeness import DocumentIndex
 from repro.closeness.index import closest_join
 from repro.workloads import generate_dblp
+from repro.xmltree.dewey import prefixes
 
 from benchmarks.conftest import register_table
 
 
 def nested_loop_join(parents, children, lca_level):
-    """The O(n·m) baseline: test every pair against the predicate."""
+    """The O(n·m) baseline: test every pair of labels against the predicate."""
     width = lca_level + 1
+    child_heads = prefixes(children, width)
     pairs = []
-    for parent in parents:
-        if len(parent.dewey) < width:
+    for position, head in enumerate(prefixes(parents, width)):
+        if head is None:
             continue
-        for child in children:
-            if child is parent or len(child.dewey) < width:
-                continue
-            if parent.dewey.prefix(width) == child.dewey.prefix(width):
-                pairs.append((parent, child))
+        for partner, child_head in enumerate(child_heads):
+            if child_head == head and children[partner] != parents[position]:
+                pairs.append((position, partner))
     return pairs
 
 
@@ -37,7 +37,7 @@ def _setup(publications):
     author = next(t for t in index.types() if t.dotted == "dblp.article.author")
     title = next(t for t in index.types() if t.dotted == "dblp.article.title")
     level = index.closest_lca_level(author, title)
-    return index.nodes_of(author), index.nodes_of(title), level
+    return index.nodes_of(author).labels, index.nodes_of(title).labels, level
 
 
 _costs: dict[str, dict[int, float]] = {"sort-merge": {}, "nested-loop": {}}
@@ -83,6 +83,6 @@ def test_join_strategy(benchmark, publications, strategy):
 
 def test_join_results_agree():
     parents, children, level = _setup(400)
-    merged = {(id(a), id(b)) for a, b in closest_join(parents, children, level)}
-    nested = {(id(a), id(b)) for a, b in nested_loop_join(parents, children, level)}
-    assert merged == nested
+    assert set(closest_join(parents, children, level)) == set(
+        nested_loop_join(parents, children, level)
+    )

@@ -67,9 +67,15 @@ def measured_transform(db: Database, name: str, guard: str, cold: bool = True) -
     matching the paper's methodology)."""
     if cold:
         db.drop_cache()
+
+    def transform():
+        result = db.transform(name, guard)
+        result.rendered  # noqa: B018 - the measured transformation builds its output
+        return result
+
     return _measure(
         db.stats,
-        lambda: db.transform(name, guard),
+        transform,
         label=f"transform:{name}",
         guard=guard,
         cold=cold,

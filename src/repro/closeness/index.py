@@ -2,9 +2,12 @@
 
 This is the in-memory form of what the shredder stores (Figure 8's
 ``TypeToSequence`` table plus the adorned shape): for every data type, a
-document-ordered sequence of its nodes.  Everything the render algorithm
-needs — type distances and closest joins — is computed from the Dewey
-numbers in these sequences:
+document-ordered sequence of its nodes, held as **parallel columns** — a
+:class:`TypeSequence` of packed Dewey labels, values and attribute flags
+— in which a node *is* its position.  Everything the render algorithm
+needs — type distances and closest joins — is computed from the labels
+(:mod:`repro.xmltree.dewey`: byte order is document order, ancestor-of
+is prefix-of), so a read never builds an object per node:
 
 * ``typeDistance(t, s)`` is ``level(t) + level(s) - 2 * L`` where ``L``
   is the deepest level at which a ``t`` node and an ``s`` node share an
@@ -16,11 +19,18 @@ numbers in these sequences:
 * the *closest pairs* of ``t`` and ``s`` are the cross pairs whose least
   common ancestor sits exactly at the level implied by the type
   distance.  Section VII's closest join finds them with one primitive,
-  :func:`group_by_prefix`: group a document-ordered type sequence on
-  the Dewey prefix of that LCA level; the partners of a node are the
-  group under its own prefix.  It is the only grouping loop in this
-  module — pair maps, RESTRICT semi-joins and per-node lookups all read
-  the groups :class:`BaseIndex` memoizes per ``(type, prefix width)``.
+  :func:`group_by_prefix`: group the positions of a document-ordered
+  label column on the label prefix of that LCA level; the partners of a
+  node are the group under its own prefix.  It is the only grouping loop
+  in this module — pair maps, RESTRICT semi-joins and per-node lookups
+  all read the groups :class:`BaseIndex` memoizes per ``(type, prefix
+  width)``.
+
+``XmlNode`` + ``Dewey`` objects exist only at the API edge: a sequence
+materializes its nodes once, the first time somebody indexes or
+iterates it (the tree sink's provenance, the reference renderer, the
+logical view), and the index then remembers each node's ``(type,
+position)`` — the one ``id()``-keyed map left here.
 """
 
 from __future__ import annotations
@@ -33,49 +43,109 @@ from repro.obs import tracer as obs
 from repro.shape.dataguide import DataGuideBuilder
 from repro.shape.shape import Shape
 from repro.shape.types import DataType, ShapeType, TypeTable
-from repro.xmltree.node import XmlForest, XmlNode
+from repro.xmltree.dewey import pack, prefix, prefixes, unpack
+from repro.xmltree.node import NodeKind, XmlForest, XmlNode
+
+
+class TypeSequence:
+    """One data type's nodes in document order, as parallel columns.
+
+    ``labels[i]`` is node ``i``'s packed Dewey label, ``values[i]`` its
+    text and ``attributes[i]`` non-zero iff it is an attribute; the
+    position ``i`` is what joins, pair maps and generated renderers pass
+    around.  The columns are immutable once built, and two loads of one
+    type yield the same positions.
+
+    Indexing or iterating the sequence hands out the nodes as
+    ``XmlNode`` s (:attr:`nodes`), built on first use and then kept.
+    """
+
+    __slots__ = ("data_type", "labels", "values", "attributes", "_nodes", "_index")
+
+    def __init__(
+        self,
+        index: "BaseIndex",
+        data_type: DataType,
+        labels: list[bytes],
+        values: list[str],
+        attributes: bytes | bytearray,
+        nodes: Optional[list[XmlNode]] = None,
+    ):
+        self.data_type = data_type
+        self.labels = labels
+        self.values = values
+        self.attributes = attributes
+        self._nodes = nodes
+        self._index = index
+
+    @property
+    def nodes(self) -> list[XmlNode]:
+        """The sequence as node objects (materialized once, then shared)."""
+        nodes = self._nodes
+        if nodes is None:
+            nodes = self._index._materialize(self)
+        return nodes
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, position):
+        return self.nodes[position]
+
+    def __iter__(self) -> Iterator[XmlNode]:
+        return iter(self.nodes)
+
+    def __eq__(self, other: object):
+        # For tests only: tests/engine/test_parity.py asserts
+        # ``nodes_of(phantom) == []`` and stays byte-unchanged as the
+        # independent oracle.  Comparing to a list materializes every
+        # node of the type; nothing under src/ does it.
+        return self.nodes == other if isinstance(other, list) else self is other
+
+    __hash__ = object.__hash__
 
 
 class BaseIndex:
     """Shared closest-join machinery over abstract type sequences.
 
-    Subclasses provide ``type_distance``, ``nodes_of``, ``type_of`` and
-    the shape/type-table attributes; this base derives the closest-pair
+    Subclasses provide ``type_distance``, ``nodes_of`` and the
+    shape/type-table attributes; this base derives the closest-pair
     operations from them.  :class:`DocumentIndex` is the in-memory
     implementation with *exact* data type distances; the storage-backed
     :class:`~repro.storage.database.StoredDocumentIndex` reuses the same
     joins with shape-derived distances.
 
-    Every operation reads one memo: a type's sequence grouped on a
-    Dewey prefix width (:func:`group_by_prefix`), built at most once
-    per ``(type, width)``.  On top of it the base memoizes
-    per-type-pair closest-join maps (:meth:`closest_pair_map`) and
-    RESTRICT semi-join survivor sets (:meth:`restrict_pass`), shared by
-    the reference renderer and both sinks of the compiled one.  All
-    three key on data only (type ids, widths, filter vertex uids) and
-    must be dropped together with the node sequences
-    (:meth:`drop_join_cache`).
+    There is one join memo, on positions and keyed on data only (type
+    ids, widths, filter vertex uids): a type's positions grouped on a
+    label prefix width (:func:`group_by_prefix`, built at most once per
+    ``(type, width)``), and on top of that per-type-pair closest-join
+    maps (:meth:`closest_pair_map`) and RESTRICT semi-join survivors
+    (:meth:`restrict_pass`), shared by the reference renderer and both
+    sinks of the compiled one.  It is dropped together with the
+    sequences (:meth:`drop_join_cache`).
 
     A group list is *shared*: every anchor under one prefix maps to the
-    same list object, and :meth:`closest_partners` hands it out as is,
-    so a pair map costs one entry per anchor, not one per pair.
-    Callers must treat groups, maps and their lists as immutable.
+    same list object, so a pair map costs one entry per anchor, not one
+    per pair.  Callers must treat groups, maps and their lists as
+    immutable.
     """
 
     shape: Shape
     type_table: TypeTable
 
     def __init__(self) -> None:
-        #: (type_id, prefix width) -> {Dewey prefix: [nodes in document order]}
-        self._groups: dict[tuple[int, int], dict[tuple[int, ...], list[XmlNode]]] = {}
-        #: (anchor type_id, partner type_id) -> {id(anchor node): partner group}
-        self._pair_maps: dict[tuple[int, int], dict[int, list[XmlNode]]] = {}
-        #: (type_id, filter vertex uid) -> ids of nodes passing the filter
-        self._filter_memo: dict[tuple[int, int], set[int]] = {}
-        #: Guards the memos (and, in subclasses, lazy sequence loads):
-        #: a parallel executor renders many guards over one shared index,
-        #: and every hit must see a fully-built map.  Re-entrant because
-        #: the filter memo recurses and nests inside the join memo.
+        #: ("groups", type_id, width) -> {label prefix: [positions]};
+        #: ("pairs", anchor type_id, partner type_id) -> [partner group
+        #: or None, per anchor position]; ("survivors", type_id, filter
+        #: vertex uid) -> [positions passing the filter].
+        self._joins: dict[tuple, object] = {}
+        #: id(materialized node) -> (its type, its position).
+        self._position_of: dict[int, tuple[DataType, int]] = {}
+        #: Guards the memo, node materialization and, in subclasses, lazy
+        #: sequence loads: a parallel executor renders many guards over
+        #: one shared index, and every hit must see a fully-built value.
+        #: Re-entrant because the survivors recurse and nest inside the
+        #: group memo.
         self._memo_lock = threading.RLock()
         self.join_cache_hits = 0
         self.join_cache_misses = 0
@@ -85,18 +155,15 @@ class BaseIndex:
     def type_distance(self, first: DataType, second: DataType) -> Optional[int]:
         raise NotImplementedError
 
-    def nodes_of(self, data_type: DataType) -> list[XmlNode]:
-        raise NotImplementedError
-
-    def type_of(self, node: XmlNode) -> DataType:
+    def nodes_of(self, data_type: DataType) -> TypeSequence:
         raise NotImplementedError
 
     def count_of(self, data_type: DataType) -> int:
         """Cardinality of a type's sequence (the ``pathcard`` statistic).
 
         Subclasses with stored per-type counts override this to avoid
-        materializing the sequence; the plan compiler reports it per
-        edge (``EXPLAIN ANALYZE``) and bakes the synthesized-empty
+        loading the sequence; the plan compiler reports it per edge
+        (``EXPLAIN ANALYZE``) and bakes the synthesized-empty
         placeholder decision into generated renderers from it.
         """
         return len(self.nodes_of(data_type))
@@ -109,6 +176,38 @@ class BaseIndex:
         current tracer; storage-backed indexes also feed the database's
         lifetime histograms."""
         obs.observe(name, seconds)
+
+    def charge_render(self, nodes_written: int, nodes_read: int) -> None:
+        """Account one render in the owner's cost model (stored indexes)."""
+
+    # Nodes at the API edge ------------------------------------------------------
+
+    def _materialize(self, sequence: TypeSequence) -> list[XmlNode]:
+        """Build ``sequence``'s nodes and remember where each one sits."""
+        with self._memo_lock:
+            if sequence._nodes is None:
+                data_type = sequence.data_type
+                nodes = []
+                for position, label in enumerate(sequence.labels):
+                    kind = (
+                        NodeKind.ATTRIBUTE
+                        if sequence.attributes[position]
+                        else NodeKind.ELEMENT
+                    )
+                    node = XmlNode(data_type.name, kind, sequence.values[position])
+                    node.dewey = unpack(label)
+                    self._position_of[id(node)] = (data_type, position)
+                    nodes.append(node)
+                sequence._nodes = nodes
+            return sequence._nodes
+
+    def position_of(self, node: XmlNode) -> tuple[DataType, int]:
+        """``(type, position)`` of a node this index handed out."""
+        return self._position_of[id(node)]
+
+    def type_of(self, node: XmlNode) -> DataType:
+        """The paper's ``typeOf(v)`` for a node of the indexed document."""
+        return self._position_of[id(node)][0]
 
     # Derived operations ----------------------------------------------------------
 
@@ -127,10 +226,10 @@ class BaseIndex:
 
     def _partner_groups(
         self, first: DataType, second: DataType
-    ) -> tuple[int, dict[tuple[int, ...], list[XmlNode]]]:
-        """``(width, groups)``: ``second``'s sequence grouped on the
+    ) -> tuple[int, dict[bytes, list[int]]]:
+        """``(width, groups)``: ``second``'s positions grouped on the
         prefix at which it meets ``first``; the closest partners of a
-        ``first`` node are ``groups.get(node.dewey.prefix(width))``.
+        ``first`` node are ``groups.get(prefix(label, width))``.
 
         No groups when the types never pair: no shared root, or the same
         type — a node is never its own closest partner, and at distance
@@ -140,45 +239,31 @@ class BaseIndex:
         if level is None:
             return 0, {}
         width = level + 1
+        key = ("groups", second.type_id, width)
         with self._memo_lock:
-            groups = self._groups.get((second.type_id, width))
+            groups = self._joins.get(key)
             if groups is None:
-                groups = group_by_prefix(self.nodes_of(second), width)
-                self._groups[second.type_id, width] = groups
+                groups = group_by_prefix(self.nodes_of(second).labels, width)
+                self._joins[key] = groups
         return width, groups
-
-    def closest_pairs(
-        self, first: DataType, second: DataType
-    ) -> Iterator[tuple[XmlNode, XmlNode]]:
-        """All closest pairs ``(v: first, w: second)`` in document order.
-
-        The paper's closest join: both type sequences are already in
-        document order, so grouping on the Dewey prefix of the required
-        LCA level and pairing within equal groups costs one pass over
-        each plus the output size.
-        """
-        width, groups = self._partner_groups(first, second)
-        if groups:
-            for anchor in self.nodes_of(first):
-                for partner in groups.get(anchor.dewey.prefix(width), ()):
-                    yield anchor, partner
 
     def closest_pair_map(
         self, first: DataType, second: DataType
-    ) -> dict[int, list[XmlNode]]:
-        """Memoized full closest join, grouped by ``first``-typed anchor.
+    ) -> list[Optional[list[int]]]:
+        """Memoized full closest join, aligned with ``first``'s positions.
 
-        Returns ``{id(anchor): [partners in document order]}`` over the
-        *complete* type sequences.  Because each anchor's partner list
-        depends only on that anchor's Dewey prefix, the full map serves
-        any subset of anchors — this is what lets every renderer and
-        sink share one join per shape edge — and every anchor under one
-        prefix holds the *same* list, the memoized group itself.  Callers
-        must treat the returned map and its lists as immutable.
+        Entry ``i`` is the list of ``second`` positions closest to
+        ``first``'s node ``i``, in document order, or ``None`` when it
+        has no partner.  Because each anchor's partner list depends only
+        on that anchor's label prefix, the full map serves any subset of
+        anchors — this is what lets every renderer and sink share one
+        join per shape edge — and every anchor under one prefix holds
+        the *same* list, the memoized group itself.  Callers must treat
+        the returned map and its lists as immutable.
         """
-        key = (first.type_id, second.type_id)
+        key = ("pairs", first.type_id, second.type_id)
         with self._memo_lock:
-            cached = self._pair_maps.get(key)
+            cached = self._joins.get(key)
             if cached is not None:
                 self.join_cache_hits += 1
                 obs.count("join_cache.hits")
@@ -186,74 +271,88 @@ class BaseIndex:
             self.join_cache_misses += 1
             obs.count("join_cache.misses")
             started = time.perf_counter()
-            mapping: dict[int, list[XmlNode]] = {}
+            labels = self.nodes_of(first).labels
             width, groups = self._partner_groups(first, second)
             if groups:
-                for anchor in self.nodes_of(first):
-                    group = groups.get(anchor.dewey.prefix(width))
-                    if group is not None:
-                        mapping[id(anchor)] = group
-            self._pair_maps[key] = mapping
+                mapping = list(map(groups.get, prefixes(labels, width)))
+            else:
+                mapping = [None] * len(labels)
+            self._joins[key] = mapping
             self.record_timing("join.build_seconds", time.perf_counter() - started)
             return mapping
 
-    def restrict_pass(
-        self, nodes: list[XmlNode], data_type: DataType, filter_shape: Shape
-    ) -> list[XmlNode]:
-        """The subset of ``nodes`` passing a RESTRICT filter shape.
+    def restrict_pass(self, data_type: DataType, filter_shape: Shape) -> list[int]:
+        """The positions of ``data_type`` passing a RESTRICT filter shape.
 
         A node passes when, for every source-backed child of the filter
         vertex, it has at least one closest partner that itself passes
         the child's sub-filter.  Survivors are computed bottom-up per
         filter edge — one verdict per partner group, one lookup per node
-        (O(n+m)) — and memoized per (type, filter vertex) pair.
+        (O(n+m)) — and memoized per (type, filter vertex) pair; the
+        returned list is the memo's, in document order.
         """
         root = filter_shape.roots()[0]
         with self._memo_lock:
-            allowed = self._filter_survivors(data_type, filter_shape, root)
-        return [node for node in nodes if id(node) in allowed]
+            return self._filter_survivors(data_type, filter_shape, root)
 
     def _filter_survivors(
         self, data_type: DataType, filter_shape: Shape, vertex: ShapeType
-    ) -> set[int]:
+    ) -> list[int]:
         # Caller holds _memo_lock (re-entrant, so recursion is free).
-        key = (data_type.type_id, vertex.uid)
-        cached = self._filter_memo.get(key)
+        key = ("survivors", data_type.type_id, vertex.uid)
+        cached = self._joins.get(key)
         if cached is not None:
             return cached
-        survivors = list(self.nodes_of(data_type))
+        labels = self.nodes_of(data_type).labels
+        survivors = list(range(len(labels)))
         for child in filter_shape.children(vertex):
             if child.source is None or not survivors:
                 continue
-            partner_ok = self._filter_survivors(child.source, filter_shape, child)
+            partner_ok = set(self._filter_survivors(child.source, filter_shape, child))
             width, groups = self._partner_groups(data_type, child.source)
             alive = {
-                prefix
-                for prefix, group in groups.items()
-                if any(id(partner) in partner_ok for partner in group)
+                head
+                for head, group in groups.items()
+                if not partner_ok.isdisjoint(group)
             }
-            survivors = [
-                node for node in survivors if node.dewey.prefix(width) in alive
-            ]
-        result = {id(node) for node in survivors}
-        self._filter_memo[key] = result
-        return result
+            heads = prefixes(labels, width)
+            survivors = [p for p in survivors if heads[p] in alive]
+        self._joins[key] = survivors
+        return survivors
 
     def drop_join_cache(self) -> None:
-        """Forget memoized groups/joins/filters (on node sequence invalidation)."""
+        """Forget memoized groups/joins/filters (on sequence invalidation)."""
         with self._memo_lock:
-            self._groups.clear()
-            self._pair_maps.clear()
-            self._filter_memo.clear()
+            self._joins.clear()
+
+    # Node-level views of the joins (tests, the logical view) ----------------------
+
+    def closest_pairs(
+        self, first: DataType, second: DataType
+    ) -> Iterator[tuple[XmlNode, XmlNode]]:
+        """All closest pairs ``(v: first, w: second)`` in document order.
+
+        The paper's closest join: both type sequences are already in
+        document order, so grouping on the label prefix of the required
+        LCA level and pairing within equal groups costs one pass over
+        each plus the output size.
+        """
+        width, groups = self._partner_groups(first, second)
+        if groups:
+            anchors, partners = self.nodes_of(first), self.nodes_of(second).nodes
+            for anchor, label in zip(anchors, anchors.labels):
+                for position in groups.get(prefix(label, width), ()):
+                    yield anchor, partners[position]
 
     def closest_partners(self, anchor: XmlNode, target: DataType) -> list[XmlNode]:
-        """The ``target``-typed nodes closest to one ``anchor`` node.
-
-        The memoized group under the anchor's prefix, shared with every
-        other anchor of that group: treat it as immutable.
-        """
-        width, groups = self._partner_groups(self.type_of(anchor), target)
-        return groups.get(anchor.dewey.prefix(width), [])
+        """The ``target``-typed nodes closest to one ``anchor`` node."""
+        data_type, position = self._position_of[id(anchor)]
+        width, groups = self._partner_groups(data_type, target)
+        if not groups:
+            return []
+        label = self.nodes_of(data_type).labels[position]
+        partners = self.nodes_of(target).nodes
+        return [partners[p] for p in groups.get(prefix(label, width), ())]
 
 
 class DocumentIndex(BaseIndex):
@@ -268,10 +367,15 @@ class DocumentIndex(BaseIndex):
         self.is_attribute: dict[DataType, bool] = builder.is_attribute
         self.has_text: dict[DataType, bool] = builder.has_text
         self._shape_of: dict[DataType, ShapeType] = builder.shape_of
-        self._type_of: dict[int, DataType] = builder.type_of
-        self._sequences: dict[DataType, list[XmlNode]] = {}
+        #: The forest's own nodes per type, in document order.
+        self._nodes: dict[DataType, list[XmlNode]] = {}
         for node in forest.iter_nodes():
-            self._sequences.setdefault(self._type_of[id(node)], []).append(node)
+            data_type = builder.type_of[id(node)]
+            nodes = self._nodes.setdefault(data_type, [])
+            self._position_of[id(node)] = (data_type, len(nodes))
+            nodes.append(node)
+        #: Their columns, packed the first time a type is asked for.
+        self._sequences: dict[DataType, TypeSequence] = {}
         self._distance_cache: dict[tuple[DataType, DataType], Optional[int]] = {}
 
     # -- basic lookups ---------------------------------------------------
@@ -279,20 +383,30 @@ class DocumentIndex(BaseIndex):
     def types(self) -> list[DataType]:
         return list(self.type_table)
 
-    def type_of(self, node: XmlNode) -> DataType:
-        """The paper's ``typeOf(v)`` for a node of the indexed forest."""
-        return self._type_of[id(node)]
-
-    def nodes_of(self, data_type: DataType) -> list[XmlNode]:
+    def nodes_of(self, data_type: DataType) -> TypeSequence:
         """Document-ordered sequence of the nodes of a type."""
-        return self._sequences.get(data_type, [])
+        sequence = self._sequences.get(data_type)
+        if sequence is None:
+            with self._memo_lock:
+                sequence = self._sequences.get(data_type)
+                if sequence is None:
+                    nodes = self._nodes.get(data_type, [])
+                    sequence = self._sequences[data_type] = TypeSequence(
+                        self,
+                        data_type,
+                        [pack(node.dewey) for node in nodes],
+                        [node.text for node in nodes],
+                        bytes(node.kind is NodeKind.ATTRIBUTE for node in nodes),
+                        nodes,
+                    )
+        return sequence
 
     def shape_vertex(self, data_type: DataType) -> Optional[ShapeType]:
         """The vertex of ``data_type`` in the source shape."""
         return self._shape_of.get(data_type)
 
     def node_count(self) -> int:
-        return sum(len(nodes) for nodes in self._sequences.values())
+        return sum(len(nodes) for nodes in self._nodes.values())
 
     # -- type distance (Definition 1's typeDistance) -----------------------
 
@@ -317,8 +431,8 @@ class DocumentIndex(BaseIndex):
         return distance
 
     def _compute_distance(self, first: DataType, second: DataType) -> Optional[int]:
-        left = self._sequences.get(first, [])
-        right = self._sequences.get(second, [])
+        left = self._nodes.get(first, [])
+        right = self._nodes.get(second, [])
         if not left or not right:
             return None
         deepest = _deepest_shared_level(left, right)
@@ -327,38 +441,41 @@ class DocumentIndex(BaseIndex):
         return (first.level - deepest) + (second.level - deepest)
 
 
-def group_by_prefix(
-    nodes: list[XmlNode], width: int
-) -> dict[tuple[int, ...], list[XmlNode]]:
-    """Section VII's grouping: ``nodes`` by their first ``width`` Dewey
-    components, each group in input (document) order.
+def group_by_prefix(labels: list[bytes], width: int) -> dict[bytes, list[int]]:
+    """Section VII's grouping: the positions of ``labels`` by their first
+    ``width`` components, each group in input (document) order.
 
     A node shallower than ``width`` has no ancestor-or-self at that
     level and joins no group.
     """
-    groups: dict[tuple[int, ...], list[XmlNode]] = {}
-    for node in nodes:
-        if len(node.dewey) >= width:
-            groups.setdefault(node.dewey.prefix(width), []).append(node)
+    groups: dict[bytes, list[int]] = {}
+    for position, head in enumerate(prefixes(labels, width)):
+        if head is not None:
+            group = groups.get(head)
+            if group is None:
+                groups[head] = [position]
+            else:
+                group.append(position)
     return groups
 
 
 def closest_join(
-    parents: list[XmlNode], children: list[XmlNode], lca_level: int
-) -> Iterator[tuple[XmlNode, XmlNode]]:
-    """Pair up nodes whose LCA sits exactly at ``lca_level``.
+    parents: list[bytes], children: list[bytes], lca_level: int
+) -> Iterator[tuple[int, int]]:
+    """Pair up positions whose nodes' LCA sits exactly at ``lca_level``.
 
-    Both inputs must be in document order (sorted by Dewey id).  Output
-    pairs are grouped by parent, parents in document order, children of
-    each parent in document order.  Cost is linear in the inputs plus
-    the output size.
+    Both inputs are label columns in document order.  Output pairs
+    ``(parent position, child position)`` are grouped by parent, parents
+    in document order, children of each parent in document order; a node
+    is never paired with itself.  Cost is linear in the inputs plus the
+    output size.
     """
     width = lca_level + 1
     child_groups = group_by_prefix(children, width)
-    for parent in parents:
-        for child in child_groups.get(parent.dewey.prefix(width), ()):  # doc order
-            if child is not parent:
-                yield parent, child
+    for position, head in enumerate(prefixes(parents, width)):
+        for partner in child_groups.get(head, ()):  # doc order
+            if children[partner] != parents[position]:
+                yield position, partner
 
 
 def _deepest_shared_level(left: list[XmlNode], right: list[XmlNode]) -> Optional[int]:

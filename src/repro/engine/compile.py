@@ -24,13 +24,21 @@ the per-node snippet chosen by **sink**:
   Dewey number is final before its children exist, so the sibling
   ordinal is the child-list length at append time) and records
   provenance: a :class:`RenderResult`, as the reference produces;
-* the **text sink** (:meth:`CompiledRender.write`) appends escaped XML
-  to a chunk buffer that is flushed to ``out`` between root instances:
-  no output node is ever allocated.  Whether a copied node is an
+* the **text sink** (:meth:`CompiledRender.write` into a file-like,
+  :meth:`CompiledRender.text` into a string) appends escaped XML to a
+  chunk buffer that is flushed to ``out`` between root instances: no
+  output node is ever allocated.  Whether a copied node is an
   attribute or an element is decided per source node, and whether a
   start tag self-closes is decided from its partner lists before the
   tag is closed, so the text is byte-identical to ``serialize()`` of
   the tree (compact form).
+
+In both sinks a source node is its **position** in its type's
+:class:`~repro.closeness.index.TypeSequence`: candidates are position
+ranges, a partner lookup is a list index, and the text sink reads a
+node's text and attribute flag from the sequence's columns — it touches
+no ``XmlNode`` and no ``Dewey``.  Only the tree sink asks a sequence for
+its node objects, because provenance hands them to the caller.
 
 A sink's function is generated, ``exec``'d and kept the first time that
 sink is asked for; the artifact lives on the
@@ -43,13 +51,13 @@ list, shared by both sinks — an untraced render pays one truth test for
 the trace bookkeeping, not one per edge or node.
 
 Safety: the functions bind only plan-stable values — ``DataType`` is
-value-equal across index epochs, node sequences are fetched through
-``index.nodes_of`` at render time (so lazy loading, block-I/O charging
-and the id()-keyed join memos keep working), and per-type counts are
-covered by the shape fingerprint that keys the cache.  Both sinks are
-byte-identical to the reference, the tree sink down to counters,
-provenance and trace (the parity and Hypothesis suites in
-``tests/engine`` pin this down).  A codegen failure is a bug and
+value-equal across index epochs, type sequences are fetched through
+``index.nodes_of`` at render time (so lazy loading and block-I/O
+charging keep working; positions are the same in every load of a
+type), and per-type counts are covered by the shape fingerprint that
+keys the cache.  Both sinks are byte-identical to the reference, the
+tree sink down to counters, provenance and trace (the parity and
+Hypothesis suites in ``tests/engine`` pin this down).  A codegen failure is a bug and
 propagates like any engine error.
 """
 
@@ -59,6 +67,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, TextIO
 
+from repro.closeness.index import TypeSequence
 from repro.obs import tracer as obs
 from repro.engine.render import RenderResult
 from repro.shape.shape import Shape
@@ -74,6 +83,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _INLINE_LEVELS = 12
 #: What an edge without candidates answers for every anchor.
 _NO_PARTNERS = {}.get
+#: The sequence of an edge no render reached: no nodes.
+_NO_SEQUENCE = TypeSequence(None, None, [], [], b"", [])
 #: The text sink hands its chunks to ``out`` once this many are buffered.
 _FLUSH_CHUNKS = 1024
 # ``escape_text`` / ``escape_attr`` of :mod:`repro.xmltree.serializer`,
@@ -89,6 +100,7 @@ class StreamStats:
     nodes_written: int = 0
     characters: int = 0
     joins: int = 0
+    nodes_read: int = 0
 
 
 @dataclass(eq=False)
@@ -256,7 +268,8 @@ class CompiledRender:
 
     ``run(index)`` produces a :class:`RenderResult` identical to
     ``render(shape, index)``; ``write(index, out)`` writes
-    ``serialize()`` of that forest into ``out`` without building it.
+    ``serialize()`` of that forest into ``out`` without building it,
+    and ``text(index)`` returns it as one string.
     ``edge_plans`` is the per-edge join plan for ``EXPLAIN ANALYZE``,
     ``sources`` the generated Python per sink (for debugging and the
     test suite).
@@ -287,10 +300,10 @@ class CompiledRender:
 
     def run(self, index: "BaseIndex") -> RenderResult:
         """Render into the tree sink."""
-        found, probes, fetched = self._prepare(index)
+        sequences, found, probes = self._prepare(index)
         result = RenderResult(XmlForest(), compiled=True)
         rows = self._function("tree")(
-            found, probes, result.forest.roots, result.provenance
+            sequences, found, probes, result.forest.roots, result.provenance
         )
         tally = result.rows_by_type
         for edge, count in zip(self._edges, rows):
@@ -298,16 +311,25 @@ class CompiledRender:
                 key = id(edge.vertex)
                 tally[key] = tally.get(key, 0) + count
         result.nodes_written, result.nodes_read, result.joins = self._account(
-            rows, found, probes, fetched
+            rows, sequences, found, probes
         )
         return result
 
     def write(self, index: "BaseIndex", out: TextIO) -> StreamStats:
         """Render into the text sink: compact XML written to ``out``."""
-        found, probes, fetched = self._prepare(index)
-        rows, characters = self._function("text")(found, probes, out.write)
-        written, _read, joins = self._account(rows, found, probes, fetched)
-        return StreamStats(written, characters, joins)
+        return self._emit(index, out.write)
+
+    def text(self, index: "BaseIndex") -> tuple[str, StreamStats]:
+        """Render into the text sink: the compact XML as one string."""
+        chunks: list[str] = []
+        stats = self._emit(index, chunks.append)
+        return "".join(chunks), stats
+
+    def _emit(self, index: "BaseIndex", out: Callable[[str], object]) -> StreamStats:
+        sequences, found, probes = self._prepare(index)
+        rows, characters = self._function("text")(sequences, found, probes, out)
+        written, read, joins = self._account(rows, sequences, found, probes)
+        return StreamStats(written, characters, joins, read)
 
     def _function(self, sink: str) -> Callable:
         """The generated function of ``sink``, generated on first use."""
@@ -324,15 +346,19 @@ class CompiledRender:
         return function
 
     def _prepare(self, index: "BaseIndex"):
-        """Per edge slot: candidates, partner lookup, raw sequence length.
+        """Per edge slot: type sequence, candidate positions, partner lookup.
 
         An edge under one whose candidates came back empty can have no
         instances, so its sequence is not fetched (and charged) at all.
+        Nothing here walks a sequence: candidates are a ``range`` or the
+        index's memoized RESTRICT survivors, a lookup is the memoized
+        pair map's ``__getitem__`` (narrowed only when the joined type
+        is RESTRICTed).
         """
         size = len(self._edges)
+        sequences: list = [_NO_SEQUENCE] * size
         found: list = [()] * size
         probes: list = [_NO_PARTNERS] * size
-        fetched = [0] * size
         live = [False] * size
         for edge in self._edges:
             slot = edge.slot
@@ -340,29 +366,33 @@ class CompiledRender:
                 continue
             if not edge.fetches:
                 live[slot] = True
+                if edge.kind == "leading":
+                    # Its wrapper was made from these very nodes.
+                    sequences[slot] = sequences[edge.parent.slot]
                 continue
-            nodes = index.nodes_of(edge.source)
-            fetched[slot] = len(nodes)
+            sequence = sequences[slot] = index.nodes_of(edge.source)
             restriction = edge.holder.restrict_filter
             if restriction is not None:
-                nodes = index.restrict_pass(nodes, edge.source, restriction)
-            found[slot] = nodes
-            if not nodes:
+                positions = index.restrict_pass(edge.source, restriction)
+            else:
+                positions = range(len(sequence))
+            found[slot] = positions
+            if not positions:
                 continue
             live[slot] = True
             if edge.kind == "join":
                 pairs = index.closest_pair_map(edge.anchor, edge.source)
                 if restriction is not None:
-                    allowed = {id(node) for node in nodes}
-                    pairs = {
-                        anchor: kept
-                        for anchor, partners in pairs.items()
-                        if (kept := [node for node in partners if id(node) in allowed])
-                    }
-                probes[slot] = pairs.get
-        return found, probes, fetched
+                    allowed = set(positions)
+                    pairs = [
+                        partners
+                        and [position for position in partners if position in allowed]
+                        for partners in pairs
+                    ]
+                probes[slot] = pairs.__getitem__
+        return sequences, found, probes
 
-    def _account(self, rows, found, probes, fetched) -> tuple[int, int, int]:
+    def _account(self, rows, sequences, found, probes) -> tuple[int, int, int]:
         """``(nodes_written, nodes_read, joins)`` of one render, counted.
 
         An edge was evaluated iff its parent has instances; that is all
@@ -380,7 +410,8 @@ class CompiledRender:
             if parent is not None and not rows[parent.slot]:
                 continue
             slot = edge.slot
-            read += fetched[slot]
+            if edge.fetches:
+                read += len(sequences[slot])
             joined = edge.kind in ("self", "join") and bool(found[slot])
             joins += joined
             if traced:
@@ -393,16 +424,16 @@ class CompiledRender:
         return written, read, joins
 
 
-def _trace_join(edge: _Edge, joined: bool, above, nodes, probe) -> Optional[set[int]]:
+def _trace_join(edge: _Edge, joined: bool, above, positions, probe) -> Optional[set[int]]:
     """Replay one edge's join accounting; returns the anchors it hands down.
 
-    ``above`` is the set of ``id()``s of the distinct anchor nodes the
+    ``above`` is the set of positions of the distinct anchor nodes the
     parent's instances carry (``None``: unanchored).  The merge pass
     touches each input sequence once (Section VII), hence
     ``join.comparisons``.
     """
     if edge.kind in ("root", "root-wrap", "broadcast"):
-        return {id(node) for node in nodes}
+        return set(positions)
     if edge.kind not in ("self", "join"):
         return above
     if not joined:
@@ -415,12 +446,12 @@ def _trace_join(edge: _Edge, joined: bool, above, nodes, probe) -> Optional[set[
             partners = probe(anchor)
             if partners:
                 pairs += len(partners)
-                below.update(map(id, partners))
+                below.update(partners)
     with obs.span("render.join", child=edge.holder.out_name) as join_span:
         pass
-    obs.count("join.comparisons", len(above) + len(nodes))
+    obs.count("join.comparisons", len(above) + len(positions))
     obs.observe("join.pairs", pairs)
-    join_span.annotate(anchors=len(above), candidates=len(nodes), pairs=pairs)
+    join_span.annotate(anchors=len(above), candidates=len(positions), pairs=pairs)
     return below
 
 
@@ -428,27 +459,31 @@ class _Codegen:
     """Unrolls the edge list into the nested loops of one sink.
 
     Level ``d`` of the nesting holds one instance: ``_n{d}`` is the
-    source node it anchors on, and in the tree sink ``_t{d}`` / ``_k{d}``
-    / ``_p{d}`` its output node, child list and Dewey parts (level 0 is
-    the forest: no node, the root list, the empty prefix).  ``r{slot}``
-    counts an edge's instances; the function returns them all.
+    position of the source node it anchors on, and in the tree sink
+    ``_t{d}`` / ``_k{d}`` / ``_p{d}`` its output node, child list and
+    Dewey parts (level 0 is the forest: no node, the root list, the
+    empty prefix).  A backed edge reads its source nodes through its
+    sequence's columns — ``_x{slot}`` values and ``_a{slot}`` attribute
+    flags in the text sink, ``_N{slot}`` node objects in the tree sink.
+    ``r{slot}`` counts an edge's instances; the function returns them
+    all.
     """
 
     def __init__(self, edges: list[_Edge], text: bool):
         self.edges = edges
         self.roots = [edge for edge in edges if edge.parent is None]
         self.text = text
-        self.env: dict[str, object] = {
-            "_X": XmlNode,
-            "_nw": XmlNode.__new__,
-            "_DW": Dewey,
-            "_dnw": Dewey.__new__,
-            "_EL": NodeKind.ELEMENT,
-            "_AT": NodeKind.ATTRIBUTE,
-            "_none": (None,),
-            "_empty": (),
-            "_discard": _discard,
-        }
+        self.env: dict[str, object] = {"_none": (None,), "_empty": ()}
+        if text:
+            self.env["_discard"] = _discard
+        else:
+            self.env.update(
+                _X=XmlNode,
+                _nw=XmlNode.__new__,
+                _DW=Dewey,
+                _dnw=Dewey.__new__,
+                _EL=NodeKind.ELEMENT,
+            )
         self._const_names: dict[str, str] = {}
         self.lines: list[str] = []
         self.helpers: list[str] = []
@@ -482,15 +517,22 @@ class _Codegen:
             self._tree_children(self.roots, 0, 1)
         prelude = [f"    {' = '.join(counters)} = 0"] if counters else []
         for edge in self.edges:
+            slot = edge.slot
             if edge.kind == "join":
-                prelude.append(f"    _g{edge.slot} = _G[{edge.slot}]")
+                prelude.append(f"    _g{slot} = _G[{slot}]")
             elif edge.fetches:
-                prelude.append(f"    _c{edge.slot} = _C[{edge.slot}]")
+                prelude.append(f"    _c{slot} = _C[{slot}]")
+            if edge.backed and self.text:
+                prelude.append(
+                    f"    _x{slot} = _S[{slot}].values; _a{slot} = _S[{slot}].attributes"
+                )
+            elif edge.backed:
+                prelude.append(f"    _N{slot} = _S[{slot}].nodes")
         # Every constant is bound as a default argument: LOAD_FAST
         # instead of LOAD_GLOBAL in the hot loops.
         sink = "_out" if self.text else "_k0, prov"
         params = ", ".join(f"{name}={name}" for name in self.env)
-        header = f"def _render(_C, _G, {sink}, {params}):"
+        header = f"def _render(_S, _C, _G, {sink}, {params}):"
         body = [header, *prelude, *self.helpers, *self.lines, f"    return {result}"]
         return "\n".join(body) + "\n"
 
@@ -501,7 +543,7 @@ class _Codegen:
         if edge.kind == "root-new":
             return "_none"
         if edge.kind == "join":
-            return f"_g{edge.slot}(id(_n{level})) or _empty"
+            return f"_g{edge.slot}(_n{level}) or _empty"
         if edge.kind == "self":
             return f"_c{edge.slot} and (_n{level},)"
         return f"(_n{level},)"
@@ -546,7 +588,8 @@ class _Codegen:
         # Leaves keep no handle on their child list or Dewey parts.
         keep_children, keep_parts = (f"_k{d} = ", f"_p{d} = ") if edge.children else ("", "")
         copied = (
-            f"_t{d}.kind = _n{d}.kind; _t{d}.text = _n{d}.text; prov[id(_t{d})] = _n{d}"
+            f"_q = _N{edge.slot}[_n{d}]; _t{d}.kind = _q.kind; _t{d}.text = _q.text; "
+            f"prov[id(_t{d})] = _q"
             if edge.backed
             else f"_t{d}.kind = _EL; _t{d}.text = ''"
         )
@@ -580,7 +623,7 @@ class _Codegen:
         name = edge.vertex.out_name
         if not edge.children:
             if edge.backed:
-                self.emit(indent, f"_s = _n{d}.text")
+                self.emit(indent, f"_s = _x{edge.slot}[_n{d}]")
                 self.emit(
                     indent,
                     f"if _s: _w({self.const(f'<{name}>')}); _w(_s{_ESCAPE_TEXT}); "
@@ -605,8 +648,8 @@ class _Codegen:
                 self.emit(indent + 1, f"for _x in _m{slot}:")
                 self.emit(
                     indent + 2,
-                    f"if _x.kind is _AT: _w({attribute}); "
-                    f"_w(_x.text{_ESCAPE_ATTR}); _w('\"')",
+                    f"if _a{slot}[_x]: _w({attribute}); "
+                    f"_w(_x{slot}[_x]{_ESCAPE_ATTR}); _w('\"')",
                 )
                 self.emit(indent + 2, "else: _e = True")
             else:
@@ -614,7 +657,7 @@ class _Codegen:
         # ``_z{d}`` is how the element ends.  The second pass runs even
         # for a self-closing one: attribute children still have subtrees
         # to count.
-        self.emit(indent, f"_s = _n{d}.text" if edge.backed else "_s = ''")
+        self.emit(indent, f"_s = _x{edge.slot}[_n{d}]" if edge.backed else "_s = ''")
         self.emit(indent, "if _e or _s:")
         self.emit(indent + 1, "_w('>')")
         self.emit(indent + 1, f"if _s: _w(_s{_ESCAPE_TEXT})")
@@ -629,14 +672,16 @@ class _Codegen:
                 self._instance(child, below, indent + 1)
             elif not child.children:
                 self.emit(indent, loop)
-                self.emit(indent + 1, f"if _n{below}.kind is _EL:")
+                self.emit(indent + 1, f"if not _a{child.slot}[_n{below}]:")
                 self._instance(child, below, indent + 2)
             else:
                 # An attribute's own subtree is never serialized, but
                 # its instances count: walk it with the writer muted.
                 self.emit(indent, f"_v{d} = _w")
                 self.emit(indent, loop)
-                self.emit(indent + 1, f"_w = _discard if _n{below}.kind is _AT else _v{d}")
+                self.emit(
+                    indent + 1, f"_w = _discard if _a{child.slot}[_n{below}] else _v{d}"
+                )
                 self._instance(child, below, indent + 1)
                 self.emit(indent, f"_w = _v{d}")
         self.emit(indent, f"_w(_z{d})")

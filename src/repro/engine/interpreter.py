@@ -9,7 +9,7 @@ adorned shape, never the data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.obs import tracer as obs
@@ -31,28 +31,68 @@ from repro.xmltree.serializer import serialize
 
 @dataclass
 class TransformResult:
-    """Everything produced by one guard evaluation."""
+    """Everything produced by one guard evaluation.
+
+    A result is *checked* (compile only: ``rendered`` is ``None``),
+    *rendered* (``Interpreter.transform``), or — from
+    ``Database.transform`` — *planned*: it carries the index to render
+    from (``source``) and renders on first touch.  ``xml()`` on a
+    planned result writes the plan's text sink and builds no output
+    tree; ``forest`` / ``rendered`` / ``xml(indent=n)`` build the tree
+    through the tree sink, once.  Whichever sink runs first fixes
+    ``render_counts`` and ``render_seconds`` and is charged to the
+    source's cost model, once.
+    """
 
     guard: str
     target_shape: Shape
     loss: LossReport
     evaluation: EvaluationResult
-    rendered: Optional[RenderResult] = None
     compile_seconds: float = 0.0
     render_seconds: float = 0.0
     #: The plan's compiled emitter (:mod:`repro.engine.compile`), attached
     #: by whoever owns the plan (``Database``) and cached alongside the
     #: shape; ``None`` renders through the reference ``render()``.
     compiled_render: Optional[CompiledRender] = None
+    #: The index a planned result renders from when first read.
+    source: Optional[BaseIndex] = None
+    #: ``(nodes_written, nodes_read, joins)`` of the first render.
+    render_counts: Optional[tuple[int, int, int]] = None
+    _rendered: Optional[RenderResult] = field(default=None, repr=False)
+    _text: Optional[str] = field(default=None, repr=False)
+
+    @property
+    def rendered(self) -> Optional[RenderResult]:
+        """The output tree with its bookkeeping (built now, if planned)."""
+        if self._rendered is None and self.source is not None:
+            with obs.span("pipeline.render") as render_span:
+                self._rendered = self.compiled_render.run(self.source)
+            self._account(self._rendered, render_span.duration)
+        return self._rendered
 
     @property
     def forest(self) -> XmlForest:
-        if self.rendered is None:
+        rendered = self.rendered
+        if rendered is None:
             raise ValueError("guard was checked, not rendered")
-        return self.rendered.forest
+        return rendered.forest
 
     def xml(self, indent: int | None = None) -> str:
+        if indent is None and self._rendered is None and self.source is not None:
+            if self._text is None:
+                with obs.span("pipeline.render") as render_span:
+                    self._text, stats = self.compiled_render.text(self.source)
+                self._account(stats, render_span.duration)
+            return self._text
         return serialize(self.forest, indent=indent)
+
+    def _account(self, counted, seconds: float) -> None:
+        """Record the first render's counters, and charge them once."""
+        if self.render_counts is None:
+            self.render_counts = (counted.nodes_written, counted.nodes_read, counted.joins)
+            self.render_seconds = seconds
+            if self.source is not None:
+                self.source.charge_render(counted.nodes_written, counted.nodes_read)
 
     def label_report(self) -> str:
         """The paper's label-to-type report."""
@@ -155,10 +195,10 @@ class Interpreter:
         )
         with obs.span("pipeline.render") as render_span:
             if result.compiled_render is not None:
-                result.rendered = result.compiled_render.run(self.index)
+                result._rendered = result.compiled_render.run(self.index)
             else:
-                result.rendered = render(result.target_shape, self.index)
-        result.render_seconds = render_span.duration
+                result._rendered = render(result.target_shape, self.index)
+        result._account(result._rendered, render_span.duration)
         return result
 
     # -- stages ---------------------------------------------------------------

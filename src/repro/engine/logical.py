@@ -181,7 +181,7 @@ class LogicalTransform:
     def _instances_of(self, shape_type: ShapeType) -> list[XmlNode]:
         if shape_type.source is None:
             return []
-        return self.index.nodes_of(shape_type.source)
+        return self.index.nodes_of(shape_type.source).nodes
 
 
 def guarded_query_lazy(source: XmlForest, guard: str, query: str):

@@ -224,6 +224,7 @@ def profile_db_transform(database, name: str, guard: str) -> ProfileReport:
     simulated_before = stats.simulated_seconds
     with obs.tracing(tracer), database.observed(tracer):
         result = database.transform(name, guard)
+        result.rendered  # noqa: B018 - render inside the profiled region
     return ProfileReport(
         guard=guard,
         result=result,
@@ -265,6 +266,7 @@ def profile_document(xml_text: str, guard: str) -> ProfileReport:
             with obs.tracing(tracer), database.observed(tracer):
                 database.store_document("document", xml_text)
                 result = database.transform("document", guard)
+                result.rendered  # noqa: B018 - render inside the profiled region
             storage = {
                 "blocks": database.stats.cumulative_blocks,
                 "simulated_seconds": database.stats.simulated_seconds,

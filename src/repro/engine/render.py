@@ -77,6 +77,9 @@ class _Renderer:
         self.shape = shape
         self.index = index
         self.result = RenderResult(XmlForest())
+        #: The node objects of every type read so far (the index keeps
+        #: positions; this renderer works on nodes throughout).
+        self._nodes: dict = {}
 
     def run(self) -> RenderResult:
         for root in self.shape.roots():
@@ -111,13 +114,20 @@ class _Renderer:
         self._tally(shape_type)
         return _Instance(out, anchor)
 
-    def _source_nodes(self, shape_type: ShapeType) -> list[XmlNode]:
-        nodes = self.index.nodes_of(shape_type.source)
+    def _read(self, data_type) -> list[XmlNode]:
+        """One read of a type's sequence, as its node objects."""
+        nodes = self._nodes[data_type] = self.index.nodes_of(data_type).nodes
         self.result.nodes_read += len(nodes)
+        return nodes
+
+    def _restricted(self, shape_type: ShapeType, nodes: list[XmlNode]) -> list[XmlNode]:
+        survivors = self.index.restrict_pass(shape_type.source, shape_type.restrict_filter)
+        return [nodes[position] for position in survivors]
+
+    def _source_nodes(self, shape_type: ShapeType) -> list[XmlNode]:
+        nodes = self._read(shape_type.source)
         if shape_type.restrict_filter is not None:
-            nodes = self.index.restrict_pass(
-                nodes, shape_type.source, shape_type.restrict_filter
-            )
+            nodes = self._restricted(shape_type, nodes)
         return nodes
 
     def _root_instances(self, root: ShapeType) -> list[_Instance]:
@@ -148,16 +158,13 @@ class _Renderer:
                 # the join below; the emptiness test is on the raw
                 # sequence — a RESTRICT filter emptying a *backed* type
                 # must not turn it into a placeholder.
-                raw = self.index.nodes_of(child_type.source)
-                self.result.nodes_read += len(raw)
+                raw = self._read(child_type.source)
                 if child_type.synthesized and not raw:
                     self._attach_placeholder(child_type, instances)
                 else:
                     candidates = raw
                     if child_type.restrict_filter is not None:
-                        candidates = self.index.restrict_pass(
-                            raw, child_type.source, child_type.restrict_filter
-                        )
+                        candidates = self._restricted(child_type, raw)
                     self._attach_backed(child_type, instances, candidates)
             elif child_type.synthesized:
                 self._attach_placeholder(child_type, instances)
@@ -217,6 +224,7 @@ class _Renderer:
             by_type: dict[int, list[XmlNode]] = {}
             for anchor in anchors:
                 by_type.setdefault(self.index.type_of(anchor).type_id, []).append(anchor)
+            partners = self._nodes[child_type.source]
             for type_id, typed_anchors in by_type.items():
                 anchor_type = self.index.type_table.by_id(type_id)
                 if anchor_type == child_type.source:
@@ -227,14 +235,14 @@ class _Renderer:
                     continue
                 full = self.index.closest_pair_map(anchor_type, child_type.source)
                 for anchor in typed_anchors:
-                    matched = full.get(id(anchor))
-                    if not matched:
-                        continue
+                    matched = [
+                        partners[position]
+                        for position in full[self.index.position_of(anchor)[1]] or ()
+                    ]
                     if allowed is not None:
                         matched = [node for node in matched if id(node) in allowed]
-                        if not matched:
-                            continue
-                    pair_map[id(anchor)] = matched
+                    if matched:
+                        pair_map[id(anchor)] = matched
         if obs.enabled():
             # The merge pass touches each input sequence once (Section VII).
             obs.count("join.comparisons", len(anchors) + len(candidates))

@@ -292,6 +292,47 @@ class ReadOnlyDatabaseError(StorageError):
         self.operation = operation
 
 
+class DepthLimitError(StorageError):
+    """A node is nested deeper than a type-sequence entry can label.
+
+    A ``T`` entry stores its label's byte length in one byte, so a node
+    more than 85 components deep cannot be sequenced; the document (or
+    update batch) holding it is refused before it commits.
+    """
+
+    code = "XM560"
+
+    def __init__(self, dewey: str, depth: int, limit: int):
+        super().__init__(
+            f"[XM560] node {dewey} is {depth} levels deep; a stored document "
+            f"may nest at most {limit} levels"
+        )
+        self.depth = depth
+        self.limit = limit
+
+
+class RetiredDocumentError(StorageError):
+    """A not-yet-rendered result was read after its document changed.
+
+    ``Database.transform`` plans now and renders on first touch.  Once
+    the document is updated or dropped, or the handle closed, the pages
+    under the plan are no longer the ones it was compiled against, so a
+    type sequence the result had not loaded yet is refused rather than
+    rendered from mixed state.  Results rendered before the change keep
+    answering.
+    """
+
+    code = "XM570"
+
+    def __init__(self, name: str, reason: str):
+        super().__init__(
+            f"[XM570] document {name!r} was {reason} after this result was "
+            "planned and before it was rendered; transform it again"
+        )
+        self.name = name
+        self.reason = reason
+
+
 class DocumentNotFoundError(StorageError):
     """Raised when a named document is absent from the database."""
 

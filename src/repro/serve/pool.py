@@ -57,7 +57,10 @@ def execute(database: "Database", name: str, guard: str, stream: bool, tracer=No
 
     With ``tracer`` (a sampled or slow-logged request) the transform runs
     under it, inside a ``serve.request`` span, and the previous tracer is
-    restored afterwards.
+    restored afterwards.  ``Database.transform`` renders on first read;
+    the tree is built here, on the executing worker, so the deadline and
+    the parallelism cover the render and the caller gets a finished
+    result.
     """
     if tracer is not None:
         previous = obs.set_tracer(tracer)
@@ -70,7 +73,9 @@ def execute(database: "Database", name: str, guard: str, stream: bool, tracer=No
         sink = StringIO()
         database.stream_transform(name, guard, sink)
         return sink.getvalue()
-    return database.transform(name, guard)
+    result = database.transform(name, guard)
+    result.rendered  # noqa: B018 - forces the render on this worker
+    return result
 
 
 class TransformPool:

@@ -55,10 +55,10 @@ def collection_statistics(source: XmlForest | DocumentIndex) -> ShapeStatistics:
     text_bytes = 0
     depth_total = 0
     for data_type in index.types():
-        nodes = index.nodes_of(data_type)
-        node_count += len(nodes)
-        depth_total += data_type.level * len(nodes)
-        text_bytes += sum(len(node.text) for node in nodes)
+        sequence = index.nodes_of(data_type)
+        node_count += len(sequence)
+        depth_total += data_type.level * len(sequence)
+        text_bytes += sum(map(len, sequence.values))
 
     return ShapeStatistics(
         type_count=len(shape.types()),

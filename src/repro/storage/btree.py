@@ -44,20 +44,40 @@ class BPlusTree:
 
     def __init__(self, pool: BufferPool):
         self.pool = pool
-        if self.pool.file.page_count == 0:
+        #: This handle allocated the file's first pages; until its first
+        #: flush the meta record exists only in the pool.
+        self._created = self.pool.file.page_count == 0
+        if self._created:
             meta = self.pool.allocate()
             assert meta == 0
-            root = self.pool.allocate()
-            _write_node(self.pool, root, _Node(_LEAF, _NO_PAGE, [], []))
-            self._set_root(root)
+            self._write_empty_root(self.pool.allocate())
         else:
-            buffer = self.pool.get(0)
-            magic, root = _META.unpack_from(buffer, 0)
-            if magic != _META_MAGIC:
-                raise StorageError("not an XMorph B+tree file")
-            self._root = root
+            self._read_meta()
 
     # -- meta --------------------------------------------------------------
+
+    def _read_meta(self) -> None:
+        magic, root = _META.unpack_from(self.pool.get(0), 0)
+        if magic != _META_MAGIC:
+            raise StorageError("not an XMorph B+tree file")
+        self._root = root
+
+    def _write_empty_root(self, page_id: int) -> None:
+        _write_node(self.pool, page_id, _Node(_LEAF, _NO_PAGE, [], []))
+        self._set_root(page_id)
+
+    def rollback(self) -> None:
+        """Forget every staged (never-flushed) page: back to the disk state.
+
+        On a file this handle created and has not flushed yet, the disk
+        state is two pages of zeroes, so the tree returns to what
+        ``__init__`` made of them: empty.
+        """
+        self.pool.discard()
+        if self._created and not any(self.pool.get(0)[: _META.size]):
+            self._write_empty_root(1)
+        else:
+            self._read_meta()
 
     def _set_root(self, page_id: int) -> None:
         self._root = page_id

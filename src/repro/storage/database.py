@@ -19,10 +19,15 @@ from contextlib import contextmanager
 from typing import Iterator, Optional, Sequence
 
 from repro.cache import CompiledPlan, PlanCache
-from repro.closeness.index import BaseIndex
+from repro.closeness.index import BaseIndex, TypeSequence
 from repro.engine.compile import CompiledRender, StreamStats
 from repro.engine.interpreter import Interpreter, TransformResult
-from repro.errors import DocumentNotFoundError, ReadOnlyDatabaseError, StorageError
+from repro.errors import (
+    DocumentNotFoundError,
+    ReadOnlyDatabaseError,
+    RetiredDocumentError,
+    StorageError,
+)
 from repro.obs import tracer as obs
 from repro.shape.cardinality import Card
 from repro.shape.shape import Shape
@@ -32,6 +37,7 @@ from repro.storage.btree import BPlusTree
 from repro.storage.pages import BufferPool, PagedFile
 from repro.storage.shredder import shred
 from repro.storage.stats import CostModel, SystemStats
+from repro.xmltree.dewey import parent, unpack
 from repro.xmltree.node import XmlForest, XmlNode
 from repro.xmltree.parser import parse_forest
 
@@ -118,6 +124,12 @@ class Database:
         #: Guards the index map (transform_many workers race to build
         #: the per-document index on first touch).
         self._index_lock = threading.RLock()
+        #: Per document name, how often this handle updated or dropped it
+        #: and the last such change.  An index remembers the count it was
+        #: built at and stops loading once the document has moved on
+        #: (see :meth:`changed_since`), registered here or not.
+        self._generations: dict[str, tuple[int, str]] = {}
+        self._closed = False
         #: Compiled guard plans keyed by (guard text, shape fingerprint);
         #: ``cache_plans=0`` disables plan caching entirely.
         self.plan_cache = PlanCache(cache_plans)
@@ -194,14 +206,17 @@ class Database:
     # -- evaluation -------------------------------------------------------------
 
     def transform(self, name: str, guard: str) -> TransformResult:
-        """Compile, type-check and render a guard over a stored document."""
-        compiled = self._plan(name, guard)
-        result = Interpreter(self.index(name)).render_compiled(compiled)
-        if result.rendered is not None:
-            # Output construction: copies, joins and provenance tracking.
-            self.stats.charge_cpu(
-                6 * result.rendered.nodes_written + 2 * result.rendered.nodes_read
-            )
+        """Compile and type-check a guard over a stored document; the
+        result renders when it is first read.
+
+        ``xml()`` answers from the plan's text sink and builds no output
+        tree; ``forest`` / ``rendered`` / ``xml(indent=n)`` build it.  A
+        result still unread when the document is updated or dropped, or
+        this handle closed, raises :class:`~repro.errors.
+        RetiredDocumentError` (``XM570``) instead of rendering.
+        """
+        result = self._plan(name, guard)
+        result.source = self.index(name)
         return result
 
     def compile(self, name: str, guard: str) -> TransformResult:
@@ -362,12 +377,10 @@ class Database:
             raise StorageError(f"no type matching {dotted_type!r} in {name!r}")
         pairs: list[tuple] = []
         for data_type in matches:
-            pairs.extend(
-                (record.dewey.parent, record.dewey)
-                for record in tables.read_sequence(
-                    self.tree, index.doc_id, data_type.type_id
-                )
-            )
+            labels = tables.sequence_columns(self.tree, index.doc_id, data_type.type_id)[0]
+            for label in labels:
+                above = parent(label)
+                pairs.append((unpack(above) if above is not None else None, unpack(label)))
         return pairs
 
     # -- incremental updates ----------------------------------------------
@@ -428,7 +441,7 @@ class Database:
         result = updater.result
         result.old_fingerprint = old_fingerprint
         result.shape_changed = result.new_fingerprint != old_fingerprint
-        self._indexes.pop(name, None)
+        self._retire(name, "updated")
         self._reconcile_plans(name, old_index, result)
         result.seconds = time.perf_counter() - started
         self.stats.event("update.batches")
@@ -458,16 +471,42 @@ class Database:
 
         return self.apply_batch(name, [ReplaceSubtree(target, subtree)])
 
+    def _retire(self, name: str, reason: str) -> None:
+        """Forget ``name``'s index and move the document's generation on.
+
+        Results planned against any earlier index of ``name`` — the one
+        registered here or one ``drop_cache`` or a rollback orphaned —
+        may still be unread; what they have already loaded is a
+        consistent pre-change snapshot, anything else is refused
+        (``XM570``).
+        """
+        with self._index_lock:
+            self._indexes.pop(name, None)
+            self._generations[name] = (self.generation(name) + 1, reason)
+
+    def generation(self, name: str) -> int:
+        """How often this handle has updated or dropped ``name``."""
+        return self._generations.get(name, (0, ""))[0]
+
+    def changed_since(self, name: str, generation: int) -> Optional[str]:
+        """Why an index of ``name`` built at ``generation`` must not load
+        from the store any more ("updated", "dropped", "closed"), or
+        ``None`` while its pages are still the ones it describes."""
+        if self._closed:
+            return "closed"
+        current, reason = self._generations.get(name, (generation, ""))
+        return reason if current != generation else None
+
     def _rollback_staged(self, name: str) -> None:
         """Forget a staged (never-flushed) batch: back to the disk state.
 
         The buffer pool drops every cached page — dirty ones included —
-        and the B+tree re-reads its meta page, so the tree object again
-        describes exactly what is on disk.  Cheap: no I/O beyond
-        re-reading page 0 on next access.
+        and the B+tree re-reads its meta page, so the tree again
+        describes exactly what is on disk (on a store whose first flush
+        never happened: a freshly initialised, empty tree).  Cheap: no
+        I/O beyond re-reading page 0.
         """
-        self.pool.discard()
-        self.tree = BPlusTree(self.pool)
+        self.tree.rollback()
         self._indexes.pop(name, None)
         self.stats.event("update.rollbacks")
 
@@ -538,7 +577,7 @@ class Database:
                 self.tree.delete(key)
             deleted += len(victims)
         self.tree.delete(tables.catalog_key(name))
-        self._indexes.pop(name, None)
+        self._retire(name, "dropped")
         self.pool.flush()
         return deleted + 1
 
@@ -585,6 +624,7 @@ class Database:
         self._file.sync()
 
     def close(self) -> None:
+        self._closed = True
         if self.mode != "r":
             self.pool.flush()
         else:
@@ -645,6 +685,8 @@ class StoredDocumentIndex(BaseIndex):
         self.database = database
         self.doc_id: int = descriptor["doc_id"]
         self.name: str = descriptor["name"]
+        #: The document's generation everything below is read at.
+        self.generation: int = database.generation(self.name)
         self._node_count: int = descriptor["nodes"]
         shape_chunks = tables.load_chunks(database.tree, tables.shape_prefix(self.doc_id))
         if not shape_chunks:
@@ -673,8 +715,7 @@ class StoredDocumentIndex(BaseIndex):
             )
         for type_id, count in shape_info["counts"].items():
             self._counts[int(type_id)] = count
-        self._sequences: dict[int, list[XmlNode]] = {}
-        self._type_of: dict[int, DataType] = {}
+        self._sequences: dict[int, TypeSequence] = {}
         self._loaded_bytes = 0
 
     # -- BaseIndex interface ----------------------------------------------------
@@ -684,9 +725,6 @@ class StoredDocumentIndex(BaseIndex):
 
     def shape_vertex(self, data_type: DataType) -> Optional[ShapeType]:
         return self._shape_of.get(data_type)
-
-    def type_of(self, node: XmlNode) -> DataType:
-        return self._type_of[id(node)]
 
     def type_distance(self, first: DataType, second: DataType) -> Optional[int]:
         if first == second:
@@ -700,34 +738,34 @@ class StoredDocumentIndex(BaseIndex):
             return None
         return (first.level - (shared - 1)) + (second.level - (shared - 1))
 
-    def nodes_of(self, data_type: DataType) -> list[XmlNode]:
-        # The memo lock makes the lazy load single-flight: without it,
-        # two TransformPool workers loading the same type would build
-        # two node lists with *different* Python ids, and the paper's
-        # id()-keyed closest-join maps would silently miss every pair.
+    def nodes_of(self, data_type: DataType) -> TypeSequence:
+        # The memo lock makes the lazy load single-flight.  Two loads of
+        # one type would yield the same positions, so a race could not
+        # make a join miss; the lock saves the second walk.
         with self._memo_lock:
             cached = self._sequences.get(data_type.type_id)
             if cached is not None:
                 return cached
+            stale = self.database.changed_since(self.name, self.generation)
+            if stale is not None:
+                raise RetiredDocumentError(self.name, stale)
             tree = self.database.tree
-            nodes: list[XmlNode] = []
-            for record in tables.read_sequence(tree, self.doc_id, data_type.type_id):
-                node = XmlNode(
-                    data_type.name,
-                    record.kind,
-                    tables.read_text(tree, self.doc_id, record),
+            labels, values, attributes, overflowed = tables.sequence_columns(
+                tree, self.doc_id, data_type.type_id
+            )
+            for position, chunks in overflowed.items():
+                values[position] = tables.read_overflow(
+                    tree, self.doc_id, labels[position], chunks
                 )
-                node.dewey = record.dewey
-                self._type_of[id(node)] = data_type
-                nodes.append(node)
-            self._sequences[data_type.type_id] = nodes
-            footprint = sum(_NODE_OVERHEAD + len(n.text) for n in nodes)
+            sequence = TypeSequence(self, data_type, labels, values, attributes)
+            self._sequences[data_type.type_id] = sequence
+            footprint = _NODE_OVERHEAD * len(labels) + sum(map(len, values))
             self._loaded_bytes += footprint
         self.database.stats.allocate(footprint)
-        self.database.stats.charge_cpu(len(nodes))
+        self.database.stats.charge_cpu(len(labels))
         if self.database.sample_progress:
             self.database.stats.sample(f"load:{data_type.dotted}")
-        return nodes
+        return sequence
 
     # -- extras -----------------------------------------------------------------
 
@@ -738,6 +776,10 @@ class StoredDocumentIndex(BaseIndex):
         # calling super() too would double-count under observed().
         self.database.stats.observe(name, seconds)
 
+    def charge_render(self, nodes_written: int, nodes_read: int) -> None:
+        # Output construction: copies, joins and provenance tracking.
+        self.database.stats.charge_cpu(6 * nodes_written + 2 * nodes_read)
+
     def node_count(self) -> int:
         return self._node_count
 
@@ -747,8 +789,8 @@ class StoredDocumentIndex(BaseIndex):
     def drop_cache(self) -> None:
         with self._memo_lock:
             self._sequences.clear()
-            self._type_of.clear()
-            # Join/filter memos hold references into the dropped sequences.
+            self._position_of.clear()
+            # The join memo holds positions of the dropped sequences.
             self.drop_join_cache()
             released = self._loaded_bytes
             self._loaded_bytes = 0

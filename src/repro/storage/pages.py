@@ -383,8 +383,8 @@ class BufferPool:
         read to the on-disk, pre-batch state.  Pages the batch allocated
         past the old end of file become unreferenced (they were sealed
         as zeroes at allocation time), exactly like lazily-deleted
-        B+tree pages.  Callers must rebuild any structure that caches
-        page contents (e.g. construct a fresh ``BPlusTree``) afterwards.
+        B+tree pages.  Callers must refresh any structure that caches
+        page contents afterwards (``BPlusTree.rollback`` wraps both).
         """
         with self.lock:
             self.stats.release(len(self._pages) * PAGE_SIZE)

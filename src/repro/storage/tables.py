@@ -18,12 +18,22 @@ order):
 ``b"V" doc dewey ck`` Value overflow: long text content, chunked
 ====================  =======================================================
 
-Dewey identifiers encode each component as 3 bytes big-endian, so
-lexicographic byte order equals document order (shorter ids sort before
-their descendants, matching tuple order).
+Dewey identifiers are stored as packed labels
+(:func:`repro.xmltree.dewey.pack`: fixed-width big-endian components),
+so lexicographic byte order equals document order (shorter ids sort
+before their descendants, matching tuple order).
 
 Values larger than ~3.5 KiB never enter the tree: long node text goes
 to the overflow keyspace and sequences/shapes are chunked.
+
+A ``T`` chunk is parsed in exactly one place, :func:`parse_chunk`,
+which walks it with index arithmetic into the caller's parallel columns
+— labels (the stored bytes, untouched), inline text values, attribute
+flags — and builds no object per entry.  The read side
+(:func:`sequence_columns` for ``StoredDocumentIndex.nodes_of``) gathers
+a type's chunks into one set of columns and keeps them; the write side
+(the updater, :func:`read_sequence`) gets its :class:`NodeRecord` s
+built from each chunk's columns in turn.
 """
 
 from __future__ import annotations
@@ -33,9 +43,9 @@ import struct
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.errors import StorageError
+from repro.errors import DepthLimitError
 from repro.storage.btree import BPlusTree
-from repro.xmltree.dewey import Dewey
+from repro.xmltree.dewey import Dewey, max_depth, pack, unpack
 from repro.xmltree.node import NodeKind
 
 #: Payload budget per chunk, comfortably under the B+tree entry limit.
@@ -43,29 +53,15 @@ CHUNK_BYTES = 3200
 #: Text longer than this goes to the overflow keyspace.
 INLINE_TEXT = 1500
 
-_COMPONENT_MAX = (1 << 24) - 1
+#: A ``T`` entry stores its label's byte length in one byte, so a node
+#: deeper than ``MAX_DEPTH`` components cannot be sequenced.
+_MAX_LABEL_BYTES = 255
+MAX_DEPTH = max_depth(_MAX_LABEL_BYTES)
 
 
 # ---------------------------------------------------------------------------
-# Dewey and key encoding
+# Key encoding
 # ---------------------------------------------------------------------------
-
-
-def encode_dewey(dewey: Dewey) -> bytes:
-    out = bytearray()
-    for part in dewey.parts:
-        if part > _COMPONENT_MAX:
-            raise StorageError(f"Dewey component {part} exceeds storage limit")
-        out += part.to_bytes(3, "big")
-    return bytes(out)
-
-
-def decode_dewey(data: bytes) -> Dewey:
-    parts = tuple(
-        int.from_bytes(data[offset : offset + 3], "big")
-        for offset in range(0, len(data), 3)
-    )
-    return Dewey(parts)
 
 
 def catalog_key(name: str) -> bytes:
@@ -85,11 +81,11 @@ def nodes_prefix(doc_id: int) -> bytes:
 def node_key(doc_id: int, dewey: Dewey) -> bytes:
     """A node's key — and, components being fixed-width, the prefix of
     exactly its subtree's keys."""
-    return nodes_prefix(doc_id) + encode_dewey(dewey)
+    return nodes_prefix(doc_id) + pack(dewey)
 
 
 def node_key_dewey(key: bytes) -> Dewey:
-    return decode_dewey(key[5:])
+    return unpack(key[5:])
 
 
 def shape_prefix(doc_id: int) -> bytes:
@@ -109,7 +105,11 @@ def sequence_key(doc_id: int, type_id: int, chunk: int) -> bytes:
 
 
 def overflow_key(doc_id: int, dewey: Dewey, chunk: int) -> bytes:
-    return b"V" + doc_id.to_bytes(4, "big") + encode_dewey(dewey) + chunk.to_bytes(2, "big")
+    return _overflow_key(doc_id, pack(dewey), chunk)
+
+
+def _overflow_key(doc_id: int, label: bytes, chunk: int) -> bytes:
+    return b"V" + doc_id.to_bytes(4, "big") + label + chunk.to_bytes(2, "big")
 
 
 def document_prefixes(doc_id: int) -> list[bytes]:
@@ -165,9 +165,14 @@ def write_text(
 def read_text(tree: BPlusTree, doc_id: int, record: NodeRecord) -> str:
     if record.overflow_chunks == 0:
         return record.text
+    return read_overflow(tree, doc_id, pack(record.dewey), record.overflow_chunks)
+
+
+def read_overflow(tree: BPlusTree, doc_id: int, label: bytes, chunks: int) -> str:
+    """The overflowed text of the node labelled ``label``."""
     pieces = [
-        tree.get(overflow_key(doc_id, record.dewey, number)) or b""
-        for number in range(record.overflow_chunks)
+        tree.get(_overflow_key(doc_id, label, number)) or b""
+        for number in range(chunks)
     ]
     return b"".join(pieces).decode()
 
@@ -202,17 +207,27 @@ def decode_node_value(dewey: Dewey, value: bytes) -> NodeRecord:
 
 
 def pack_sequence(records: list[NodeRecord]) -> Iterator[bytes]:
-    """Pack records into chunk values of at most CHUNK_BYTES."""
+    """Pack records into chunk values of at most CHUNK_BYTES.
+
+    An entry is ``label length (1 byte) | label | flags (1) | extra
+    (2, little-endian) | inline text``: flag bit 0 marks an attribute,
+    bit 1 an overflowed text, and ``extra`` is the inline text's byte
+    length or, overflowed, its chunk count.  The one-byte length is why
+    a node deeper than :data:`MAX_DEPTH` levels is refused here (coded,
+    before the caller has written anything).
+    """
     buffer = bytearray()
     for record in records:
-        dewey_bytes = encode_dewey(record.dewey)
+        label = pack(record.dewey)
+        if len(label) > _MAX_LABEL_BYTES:
+            raise DepthLimitError(str(record.dewey), len(record.dewey), MAX_DEPTH)
         kind_bit = 1 if record.kind is NodeKind.ATTRIBUTE else 0
         if record.overflow_chunks:
             body = struct.pack("<BH", kind_bit | 2, record.overflow_chunks)
         else:
             raw = record.text.encode()
             body = struct.pack("<BH", kind_bit, len(raw)) + raw
-        entry = struct.pack("<B", len(dewey_bytes)) + dewey_bytes + body
+        entry = bytes((len(label),)) + label + body
         if buffer and len(buffer) + len(entry) > CHUNK_BYTES:
             yield bytes(buffer)
             buffer = bytearray()
@@ -221,28 +236,76 @@ def pack_sequence(records: list[NodeRecord]) -> Iterator[bytes]:
         yield bytes(buffer)
 
 
-def read_sequence(tree: BPlusTree, doc_id: int, type_id: int) -> Iterator[NodeRecord]:
-    """A type's stored sequence, in document order across its chunks."""
-    for _key, chunk in tree.scan_prefix(sequence_prefix(doc_id, type_id)):
-        yield from unpack_sequence(type_id, chunk)
+def parse_chunk(
+    chunk: bytes,
+    labels: list[bytes],
+    values: list[str],
+    attributes: bytearray,
+    overflowed: dict[int, int],
+) -> None:
+    """Append one ``T`` chunk's entries to the caller's columns.
 
-
-def unpack_sequence(type_id: int, chunk: bytes) -> Iterator[NodeRecord]:
+    The only parser of the entry layout :func:`pack_sequence` writes —
+    including its one-byte label length, so whatever that packer refuses
+    (a label past 255 bytes) never reaches this walk.  Index arithmetic
+    only: no ``struct``, no generator and no object per entry.
+    """
     offset = 0
-    while offset < len(chunk):
-        (dewey_len,) = struct.unpack_from("<B", chunk, offset)
-        offset += 1
-        dewey = decode_dewey(chunk[offset : offset + dewey_len])
-        offset += dewey_len
-        flags, extra = struct.unpack_from("<BH", chunk, offset)
-        offset += 3
-        kind = NodeKind.ATTRIBUTE if flags & 1 else NodeKind.ELEMENT
+    end = len(chunk)
+    while offset < end:
+        body = offset + 1 + chunk[offset]
+        labels.append(chunk[offset + 1 : body])
+        flags = chunk[body]
+        extra = chunk[body + 1] | chunk[body + 2] << 8
+        offset = body + 3
+        attributes.append(flags & 1)
         if flags & 2:
-            yield NodeRecord(dewey, type_id, kind, "", overflow_chunks=extra)
-        else:
-            text = chunk[offset : offset + extra].decode()
+            overflowed[len(values)] = extra
+            values.append("")
+        elif extra:
+            values.append(chunk[offset : offset + extra].decode())
             offset += extra
-            yield NodeRecord(dewey, type_id, kind, text)
+        else:
+            values.append("")
+
+
+def sequence_columns(
+    tree: BPlusTree, doc_id: int, type_id: int
+) -> tuple[list[bytes], list[str], bytearray, dict[int, int]]:
+    """A type's stored sequence as parallel columns, in document order.
+
+    ``(labels, values, attributes, overflowed)``: entry ``i`` is the node
+    labelled ``labels[i]`` (the stored bytes), with inline text
+    ``values[i]``, an attribute iff ``attributes[i]``; ``overflowed``
+    maps the positions whose text lives in the overflow keyspace (their
+    ``values[i]`` is ``""``) to its chunk count.
+    """
+    labels: list[bytes] = []
+    values: list[str] = []
+    attributes = bytearray()
+    overflowed: dict[int, int] = {}
+    for _key, chunk in tree.scan_prefix(sequence_prefix(doc_id, type_id)):
+        parse_chunk(chunk, labels, values, attributes, overflowed)
+    return labels, values, attributes, overflowed
+
+
+def read_sequence(tree: BPlusTree, doc_id: int, type_id: int) -> Iterator[NodeRecord]:
+    """A type's stored sequence as records, for the code that rewrites it.
+
+    Lazy chunk by chunk: a caller that wants only the first record (the
+    updater orders untouched types by it) decodes one chunk.
+    """
+    for _key, chunk in tree.scan_prefix(sequence_prefix(doc_id, type_id)):
+        labels: list[bytes] = []
+        values: list[str] = []
+        attributes = bytearray()
+        overflowed: dict[int, int] = {}
+        parse_chunk(chunk, labels, values, attributes, overflowed)
+        for position, label in enumerate(labels):
+            kind = NodeKind.ATTRIBUTE if attributes[position] else NodeKind.ELEMENT
+            yield NodeRecord(
+                unpack(label), type_id, kind, values[position], overflowed.get(position, 0)
+            )
 
 
 # -- shape serialization ------------------------------------------------------------

@@ -55,6 +55,7 @@ from repro.errors import StorageError
 from repro.faults import FAULTS
 from repro.storage import tables
 from repro.storage.tables import NodeRecord
+from repro.xmltree import dewey as labels
 from repro.xmltree.dewey import Dewey
 from repro.xmltree.node import XmlForest, XmlNode, _number_subtree
 
@@ -319,7 +320,7 @@ class IncrementalUpdater:
         found by exponential probing plus binary search — O(log n)
         B+tree point reads instead of a subtree scan.
         """
-        limit = tables._COMPONENT_MAX
+        limit = labels.COMPONENT_MAX
 
         def occupied(ordinal: int) -> bool:
             return self._record_at(self._slot(parent, ordinal)) is not None
@@ -442,7 +443,7 @@ class IncrementalUpdater:
 
     def _write_subtree(self, node: XmlNode, base_path: tuple[str, ...]) -> None:
         """Stage a numbered, detached subtree's records (no sibling shifts)."""
-        limit = tables._COMPONENT_MAX
+        limit = labels.COMPONENT_MAX
         run: list[tuple[bytes, bytes]] = []
         for vertex in node.iter_subtree():
             if vertex.dewey.parts[-1] > limit:
@@ -487,10 +488,10 @@ class IncrementalUpdater:
             raise StorageError(
                 f"insert position {position} out of range 1..{count + 1}"
             )
-        if count + 1 > tables._COMPONENT_MAX:
+        if count + 1 > labels.COMPONENT_MAX:
             raise StorageError(
                 f"Dewey renumber overflow: {count + 1} siblings exceed the "
-                f"storage limit {tables._COMPONENT_MAX} under "
+                f"storage limit {labels.COMPONENT_MAX} under "
                 f"{parent if parent is not None else '<roots>'}"
             )
         node = materialize_subtree(op.subtree)

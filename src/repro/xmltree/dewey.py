@@ -10,12 +10,24 @@ Two properties make these numbers the workhorse of the closest join:
   common prefix of their numbers, so the tree distance between nodes
   ``v`` and ``w`` is ``level(v) + level(w) - 2 * level(lca(v, w))``
   without touching the tree at all.
+
+The second half of the module is the *packed* form of the same numbers:
+a **label** is a Dewey number as ``bytes``, each component a fixed
+:data:`COMPONENT_BYTES` big-endian, which is what the store keeps and
+what a loaded type sequence holds per node.  Both properties survive
+the packing — byte order on labels is document order, and ancestor-of
+is ``startswith`` — so the closest join runs on labels and never builds
+a :class:`Dewey`.  The label functions below are the only code that
+knows the component width: nothing outside this module slices a label
+or imports :data:`COMPONENT_BYTES`.
 """
 
 from __future__ import annotations
 
 from functools import total_ordering
-from typing import Iterator
+from typing import Iterable, Iterator, Optional
+
+from repro.errors import StorageError
 
 
 @total_ordering
@@ -150,3 +162,75 @@ class Dewey:
 
     def __repr__(self) -> str:
         return f"Dewey({self})"
+
+
+# ---------------------------------------------------------------------------
+# Packed labels
+# ---------------------------------------------------------------------------
+
+#: Bytes per packed component; a ``width``-component prefix of a label
+#: is its first ``width * COMPONENT_BYTES`` bytes.
+COMPONENT_BYTES = 3
+#: Largest ordinal a packed component holds.
+COMPONENT_MAX = (1 << (8 * COMPONENT_BYTES)) - 1
+
+
+def max_depth(label_bytes: int) -> int:
+    """Components of the deepest label that fits in ``label_bytes`` bytes."""
+    return label_bytes // COMPONENT_BYTES
+
+
+def pack(parts: Iterable[int]) -> bytes:
+    """The label of a Dewey number (a :class:`Dewey` or its components)."""
+    try:
+        return b"".join([part.to_bytes(COMPONENT_BYTES, "big") for part in parts])
+    except OverflowError:
+        raise StorageError(
+            f"Dewey component in {tuple(parts)} exceeds storage limit {COMPONENT_MAX}"
+        ) from None
+
+
+def unpack(label: bytes) -> Dewey:
+    """The :class:`Dewey` a label packs."""
+    return Dewey(
+        tuple(
+            int.from_bytes(label[offset : offset + COMPONENT_BYTES], "big")
+            for offset in range(0, len(label), COMPONENT_BYTES)
+        )
+    )
+
+
+def prefix(label: bytes, width: int) -> bytes:
+    """The label of the first ``width`` components (``pack(parts[:width])``):
+    the ancestor-or-self at level ``width - 1``, and the closest join's
+    group key.  A label with fewer components comes back whole."""
+    return label[: width * COMPONENT_BYTES]
+
+
+def prefixes(labels: list[bytes], width: int) -> list[Optional[bytes]]:
+    """A label column's ``width``-component prefixes — the closest join's
+    group key per node — with ``None`` where the node is shallower than
+    ``width`` (it has no ancestor-or-self at that level)."""
+    stop = width * COMPONENT_BYTES
+    return [label[:stop] if len(label) >= stop else None for label in labels]
+
+
+def parent(label: bytes) -> Optional[bytes]:
+    """The parent's label, or ``None`` for a root."""
+    return label[:-COMPONENT_BYTES] if len(label) > COMPONENT_BYTES else None
+
+
+def lca_level(first: bytes, second: bytes) -> int:
+    """Level of the two nodes' least common ancestor; ``-1`` across roots.
+
+    ``Dewey.common_prefix_length`` minus one, on labels.
+    """
+    shared = 0
+    limit = min(len(first), len(second))
+    while (
+        shared < limit
+        and first[shared : shared + COMPONENT_BYTES]
+        == second[shared : shared + COMPONENT_BYTES]
+    ):
+        shared += COMPONENT_BYTES
+    return shared // COMPONENT_BYTES - 1

@@ -179,7 +179,7 @@ class TestJoinMemoSingleFlight:
         # closest_partners takes the memo lock on its own, restrict_pass
         # and closest_pair_map reach the group memo from inside theirs:
         # whichever thread gets there first, each (type, width) is grouped
-        # once and every caller is handed that one list.
+        # once and every caller reads that one grouping.
         import sys
 
         from repro.closeness import DocumentIndex
@@ -197,27 +197,25 @@ class TestJoinMemoSingleFlight:
         grouped = index_module.group_by_prefix
         calls = []
 
-        def slow_grouping(nodes, width):
-            calls.append((id(nodes), width))
+        def slow_grouping(labels, width):
+            calls.append((id(labels), width))
             time.sleep(0.01)  # hold the build open so the others pile up
-            return grouped(nodes, width)
+            return grouped(labels, width)
 
         monkeypatch.setattr(index_module, "group_by_prefix", slow_grouping)
         started = threading.Barrier(THREADS)
 
         def task(i):
             started.wait()
-            anchors = index.nodes_of(c)
-            if i % 3 == 0:
-                lists = [index.closest_partners(node, b) for node in anchors]
-            elif i % 3 == 1:
-                mapping = index.closest_pair_map(c, b)
-                lists = [mapping[id(node)] for node in anchors]
-            else:
+            if i % 3 == 1:
+                return list(index.closest_pair_map(c, b))  # the groups themselves
+            if i % 3 == 2:
                 shape = filter_of((a, [(b, [])]))
-                assert len(index.restrict_pass(index.nodes_of(a), a, shape)) == 40
-                lists = [index.closest_partners(node, b) for node in anchors]
-            return lists
+                assert len(index.restrict_pass(a, shape)) == 40
+            return [
+                [index.position_of(partner)[1] for partner in index.closest_partners(node, b)]
+                for node in index.nodes_of(c)
+            ]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -225,8 +223,9 @@ class TestJoinMemoSingleFlight:
             results = _hammer(THREADS, task)
         finally:
             sys.setswitchinterval(interval)
-        for lists in results:
-            assert all(got is want for got, want in zip(lists, results[0], strict=True))
+        assert all(lists == results[0] for lists in results)
+        for lists in results[1::3]:
+            assert all(got is want for got, want in zip(lists, results[1], strict=True))
         assert all(len(partners) == 2 for partners in results[0])
         assert sorted(calls) == sorted(set(calls)), "a (type, width) was grouped twice"
 

@@ -339,10 +339,10 @@ class TestSharedPartnerListsStayIntact:
         index = interp.index
         by_dotted = {t.dotted: t for t in index.types()}
         author, title = by_dotted["dblp.article.author"], by_dotted["dblp.article.title"]
-        before = {
-            anchor: list(partners)
-            for anchor, partners in index.closest_pair_map(author, title).items()
-        }
+        before = [
+            partners and list(partners)
+            for partners in index.closest_pair_map(author, title)
+        ]
         full = interp.compile("CAST MORPH author [ title ]")
         narrowed = compiled_plan(interp, "CAST MORPH author [ (RESTRICT title [ ee ]) ]")
         expected = interp.render_compiled(full).xml()

@@ -7,6 +7,7 @@ is a single merge pass, and compilation cost depends on the number of
 *types*, not the amount of *data*.
 """
 
+import gc
 from collections import Counter
 
 import pytest
@@ -26,8 +27,9 @@ def _counted_join(publications):
     author = next(t for t in index.types() if t.dotted == "dblp.article.author")
     title = next(t for t in index.types() if t.dotted == "dblp.article.title")
     level = index.closest_lca_level(author, title)
-    pairs = list(closest_join(index.nodes_of(author), index.nodes_of(title), level))
-    inputs = len(index.nodes_of(author)) + len(index.nodes_of(title))
+    authors, titles = index.nodes_of(author).labels, index.nodes_of(title).labels
+    pairs = list(closest_join(authors, titles, level))
+    inputs = len(authors) + len(titles)
     return inputs, len(pairs)
 
 
@@ -102,18 +104,18 @@ class TestReadSideMemoIsLinear:
         index, author, title = _worst_case(k)
         mapping = index.closest_pair_map(author, title)
         assert len(mapping) == k
-        assert sum(len(partners) for partners in mapping.values()) == k * k
-        assert len({id(partners) for partners in mapping.values()}) == 1
+        assert sum(len(partners) for partners in mapping) == k * k
+        assert len({id(partners) for partners in mapping}) == 1
 
     def test_grouping_runs_once_per_type_and_width(self, k, monkeypatch):
         index, author, title = _worst_case(k)
         calls: Counter = Counter()
         grouped = index_module.group_by_prefix
 
-        def counted(nodes, width):
-            # DocumentIndex hands out one list per type: its id is the type.
-            calls[id(nodes), width] += 1
-            return grouped(nodes, width)
+        def counted(labels, width):
+            # An index hands out one label column per type: its id is the type.
+            calls[id(labels), width] += 1
+            return grouped(labels, width)
 
         monkeypatch.setattr(index_module, "group_by_prefix", counted)
         authors, titles = index.nodes_of(author), index.nodes_of(title)
@@ -123,8 +125,42 @@ class TestReadSideMemoIsLinear:
             # Fresh filter shapes: the survivor memo misses, the groups hit.
             restrict_author = filter_of((author, [(title, [])]))
             restrict_title = filter_of((title, [(author, [])]))
-            assert index.restrict_pass(authors, author, restrict_author) == authors
-            assert index.restrict_pass(titles, title, restrict_title) == titles
+            assert index.restrict_pass(author, restrict_author) == list(range(k))
+            assert index.restrict_pass(title, restrict_title) == list(range(k))
             for node in authors:
                 assert len(index.closest_partners(node, title)) == k
-        assert calls == {(id(authors), 2): 1, (id(titles), 2): 1}
+        assert calls == {(id(authors.labels), 2): 1, (id(titles.labels), 2): 1}
+
+
+class TestColdTextPathBuildsNoNodeObjects:
+    """A cold ``transform().xml()`` goes from pages to text through
+    packed columns and positions (counted, not timed)."""
+
+    GUARD = "CAST MORPH author [ title [ year ] ]"
+
+    @staticmethod
+    def _live():
+        from repro.xmltree.dewey import Dewey
+        from repro.xmltree.node import XmlNode
+
+        gc.collect()
+        kinds = [type(thing) for thing in gc.get_objects()]
+        return kinds.count(XmlNode), kinds.count(Dewey)
+
+    def test_objects_appear_only_when_the_forest_is_touched(self, tmp_path):
+        from repro.storage import Database
+        from repro.xmltree.serializer import serialize
+
+        with Database(str(tmp_path / "cold.db"), durable=False) as db:
+            db.store_document("dblp", generate_dblp(50))
+            db.drop_cache()
+            before = self._live()
+            result = db.transform("dblp", self.GUARD)
+            text = result.xml()
+            assert self._live() == before
+            forest = result.forest
+            nodes, deweys = self._live()
+            assert nodes > before[0] and deweys > before[1]
+            assert serialize(forest) == text
+            source = result.compiled_render.sources["text"]
+        assert ".text" not in source and ".kind" not in source and "id(" not in source

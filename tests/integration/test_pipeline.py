@@ -35,7 +35,7 @@ class TestStoreGuardQueryPipeline:
         with Database(str(tmp_path / "n.db")) as db:
             db.store_document("nasa", forest)
             stored = db.transform("nasa", guard)
-        assert stored.forest.canonical() == memory.forest.canonical()
+            assert stored.forest.canonical() == memory.forest.canonical()
 
     def test_streamed_render_over_store(self, tmp_path):
         forest = generate_dblp(150)

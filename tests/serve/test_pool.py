@@ -68,6 +68,21 @@ class TestDeadlines:
         finally:
             gate.set()
 
+    def test_deadline_covers_the_render(self, db):
+        """``Database.transform`` renders on first read; the pool reads
+        in the worker, so a render that outlives the budget is a worker's
+        miss — not a result handed back in time for the caller to pay."""
+        k = 300  # every author closest to every title: k * k copies
+        authors = "".join(f"<author><name>A{i}</name></author>" for i in range(k))
+        titles = "".join(f"<title>T{i}</title>" for i in range(k))
+        db.store_document("worst", f"<data><book>{authors}{titles}</book></data>")
+        guard = "CAST-WIDENING MORPH author [ name title ]"
+        db.compile("worst", guard)  # planning is not what the budget is for
+        with pytest.raises(TransformTimeoutError) as excinfo:
+            db.transform_many([("worst", guard)], workers=2, deadline=0.03)
+        assert excinfo.value.code == "XM540"
+        assert db.stats.events.get("serve.timeouts") == 1
+
     def test_no_deadline_waits(self, db):
         with TransformPool(db, workers=2) as pool:
             results = pool.transform_many([("doc", GUARD)] * 4)

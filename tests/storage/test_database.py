@@ -6,8 +6,10 @@ from hypothesis import given, settings
 import repro
 from repro.errors import DocumentNotFoundError, StorageError
 from repro.storage import Database
-from repro.storage.tables import decode_dewey, encode_dewey, pack_sequence, unpack_sequence, NodeRecord
+from repro.storage import tables
+from repro.storage.tables import pack_sequence, NodeRecord
 from repro.xmltree import Dewey, parse_document
+from repro.xmltree.dewey import pack, unpack
 from repro.xmltree.node import NodeKind
 
 from tests.conftest import FIG1A, FIG1B, FIG1C
@@ -25,32 +27,38 @@ class TestCodecs:
     def test_dewey_roundtrip(self):
         for text in ["1", "1.2.3", "1.1.1.1.1"]:
             dewey = Dewey.parse(text)
-            assert decode_dewey(encode_dewey(dewey)) == dewey
+            assert unpack(pack(dewey)) == dewey
 
     def test_dewey_key_order_is_document_order(self):
         ids = [Dewey.parse(t) for t in ["1", "1.1", "1.1.2", "1.2", "2", "10.1"]]
-        encoded = [encode_dewey(d) for d in ids]
-        assert [decode_dewey(e) for e in sorted(encoded)] == sorted(ids)
+        encoded = [pack(d) for d in ids]
+        assert [unpack(e) for e in sorted(encoded)] == sorted(ids)
 
-    def test_sequence_pack_roundtrip(self):
+    @staticmethod
+    def _stored(db, type_id, chunks):
+        """The records read back from ``chunks`` written as one sequence."""
+        db.tree.put_many(
+            [(tables.sequence_key(77, type_id, n), chunk) for n, chunk in enumerate(chunks)]
+        )
+        return list(tables.read_sequence(db.tree, 77, type_id))
+
+    def test_sequence_pack_roundtrip(self, db):
         records = [
             NodeRecord(Dewey.parse("1.1"), 3, NodeKind.ELEMENT, "hello"),
             NodeRecord(Dewey.parse("1.2"), 3, NodeKind.ATTRIBUTE, "x" * 100),
             NodeRecord(Dewey.parse("1.3"), 3, NodeKind.ELEMENT, "", overflow_chunks=2),
         ]
         chunks = list(pack_sequence(records))
-        unpacked = [r for chunk in chunks for r in unpack_sequence(3, chunk)]
-        assert unpacked == records
+        assert self._stored(db, 3, chunks) == records
 
-    def test_sequence_chunking(self):
+    def test_sequence_chunking(self, db):
         records = [
             NodeRecord(Dewey((1, i)), 1, NodeKind.ELEMENT, "v" * 200)
             for i in range(1, 101)
         ]
         chunks = list(pack_sequence(records))
         assert len(chunks) > 1
-        unpacked = [r for chunk in chunks for r in unpack_sequence(1, chunk)]
-        assert unpacked == records
+        assert self._stored(db, 1, chunks) == records
 
 
 class TestDocumentLifecycle:
@@ -67,6 +75,41 @@ class TestDocumentLifecycle:
     def test_missing_document(self, db):
         with pytest.raises(DocumentNotFoundError):
             db.describe("nope")
+
+    def test_failed_first_store_reports_its_own_error(self, tmp_path):
+        """The rollback of a store whose meta page was never flushed used
+        to die re-reading it ("not an XMorph B+tree file") and mask the
+        refusal that caused it."""
+        from repro.storage.fsck import fsck
+
+        path = str(tmp_path / "fresh.db")
+        with Database(path) as db:
+            with pytest.raises(StorageError) as excinfo:
+                db.store_document("n" * 5000, "<a><b>1</b></a>")
+            assert str(excinfo.value).startswith("entry too large")
+            assert excinfo.value.code is None
+            assert db.document_names() == []
+            db.store_document("a", FIG1A)
+        with Database(path) as db:
+            assert db.document_names() == ["a"]
+            assert db.transform("a", "MORPH author [ name ]").xml()
+        assert fsck(path).ok
+
+    def test_document_deeper_than_a_label_holds_is_refused(self, db):
+        """86 levels make a 258-byte label; a ``T`` entry's length byte
+        holds 255.  It used to be a ``struct.error``."""
+        from repro.errors import DepthLimitError
+
+        db.store_document("a", FIG1A)
+        before = list(db.tree.scan_prefix(b""))
+        with pytest.raises(DepthLimitError) as excinfo:
+            db.store_document("deep", "<a>" * 86 + "x" + "</a>" * 86)
+        assert excinfo.value.code == "XM560"
+        assert (excinfo.value.depth, excinfo.value.limit) == (86, 85)
+        assert "86 levels" in str(excinfo.value) and "85 levels" in str(excinfo.value)
+        assert list(db.tree.scan_prefix(b"")) == before
+        db.store_document("deep", "<a>" * 85 + "x" + "</a>" * 85)
+        assert db.load_forest("deep").node_count() == 85
 
     def test_descriptor_contents(self, db):
         descriptor = db.store_document("a", FIG1A)
@@ -314,7 +357,9 @@ class TestTransformsOverStore:
         db.store_document("a", FIG1A)
         db.drop_cache()
         index = db.index("a")
-        db.transform("a", "MORPH author [ name ]")
+        result = db.transform("a", "MORPH author [ name ]")
+        assert not index._sequences  # planned, nothing read yet
+        result.xml()
         assert index._sequences.keys() == {
             index.type_table.match_label("author")[0].type_id,
             index.type_table.match_label("author.name")[0].type_id,

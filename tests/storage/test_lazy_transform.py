@@ -1,0 +1,174 @@
+"""``Database.transform`` plans now and renders when the result is read.
+
+What that laziness must not change: the bytes, the counters, the
+simulated-cost charge (once, whichever sink ran first) — and what it
+must add: a result still unread when its document is updated or dropped,
+or its handle closed, refuses with ``XM570`` instead of rendering an old
+plan over new pages.
+"""
+
+import pytest
+
+from repro.errors import RetiredDocumentError, StorageError
+from repro.storage import Database, InsertSubtree
+from repro.workloads import generate_dblp
+from repro.xmltree.serializer import serialize
+
+GUARD = "CAST MORPH author [ title [ year ] ]"
+
+
+@pytest.fixture
+def db(tmp_path):
+    database = Database(str(tmp_path / "lazy.db"), durable=False)
+    database.store_document("dblp", generate_dblp(30))
+    yield database
+    database.close()
+
+
+def _charges(db, monkeypatch):
+    """Every ``charge_cpu`` amount from here on, in order."""
+    charged = []
+    real = db.stats.charge_cpu
+
+    def recording(operations):
+        charged.append(operations)
+        real(operations)
+
+    monkeypatch.setattr(db.stats, "charge_cpu", recording)
+    return charged
+
+
+class TestRendersOnFirstRead:
+    def test_transform_reads_no_sequence(self, db):
+        db.drop_cache()
+        result = db.transform("dblp", GUARD)
+        assert not db.index("dblp")._sequences
+        assert result.render_counts is None and result.render_seconds == 0.0
+        assert result.xml()
+        assert db.index("dblp")._sequences
+
+    def test_xml_first_and_forest_first_agree(self, db, monkeypatch):
+        outcomes = []
+        for tree_first in (False, True):
+            db.drop_cache()
+            charged = _charges(db, monkeypatch)
+            result = db.transform("dblp", GUARD)
+            if tree_first:
+                forest, text = result.forest, result.xml()
+            else:
+                text, forest = result.xml(), result.forest
+            assert result.xml() == text == serialize(forest)
+            assert result.forest is forest
+            rendered = result.rendered
+            assert result.render_counts == (
+                rendered.nodes_written,
+                rendered.nodes_read,
+                rendered.joins,
+            )
+            assert result.render_seconds > 0
+            render_charge = 6 * rendered.nodes_written + 2 * rendered.nodes_read
+            assert charged.count(render_charge) == 1
+            outcomes.append((text, result.render_counts, sorted(charged)))
+        assert outcomes[0] == outcomes[1]
+
+    def test_indented_xml_is_the_serialized_tree(self, db):
+        result = db.transform("dblp", GUARD)
+        indented = result.xml(indent=2)
+        assert indented == serialize(result.forest, indent=2)
+        assert indented != result.xml()
+
+    def test_compile_only_result_stays_unrendered(self, db):
+        checked = db.compile("dblp", GUARD)
+        assert checked.rendered is None
+        with pytest.raises(ValueError):
+            checked.xml()
+
+
+CHANGES = {
+    "updated": lambda db: db.apply_batch(
+        "dblp", [InsertSubtree("1", "<article><author>Zed</author><title>New</title></article>")]
+    ),
+    "dropped": lambda db: db.drop_document("dblp"),
+    "closed": lambda db: db.close(),
+}
+
+
+def _rolled_back_batch(db):
+    with pytest.raises(StorageError):
+        db.apply_batch("dblp", [InsertSubtree("1.99.99", "<x/>")])
+
+
+#: What drops the registered index without changing the document: the
+#: result's index is then one the database no longer knows about.
+ORPHANINGS = {
+    "registered": lambda db: None,
+    "drop_cache": lambda db: db.drop_cache(),
+    "rollback": _rolled_back_batch,
+}
+
+
+@pytest.mark.parametrize("reason", sorted(CHANGES))
+class TestRetiredDocument:
+    @pytest.mark.parametrize("orphaning", sorted(ORPHANINGS))
+    def test_unread_result_refuses(self, tmp_path, reason, orphaning):
+        db = Database(str(tmp_path / "r.db"), durable=False)
+        try:
+            db.store_document("dblp", generate_dblp(30))
+            unread = db.transform("dblp", GUARD)
+            ORPHANINGS[orphaning](db)
+            CHANGES[reason](db)
+            for touch in (unread.xml, lambda: unread.forest, lambda: unread.xml(indent=2)):
+                with pytest.raises(RetiredDocumentError) as excinfo:
+                    touch()
+                assert excinfo.value.code == "XM570"
+                assert reason in str(excinfo.value)
+        finally:
+            if reason != "closed":
+                db.close()
+
+    def test_rendered_result_still_answers(self, tmp_path, reason):
+        db = Database(str(tmp_path / "r.db"), durable=False)
+        try:
+            db.store_document("dblp", generate_dblp(30))
+            read = db.transform("dblp", GUARD)
+            text = read.xml()
+            CHANGES[reason](db)
+            # Every sequence the plan needs was loaded before the change:
+            # a consistent snapshot, so even the tree can still be built.
+            assert read.xml() == text
+            assert serialize(read.forest) == text
+            if reason == "updated":
+                assert db.transform("dblp", GUARD).xml() != text
+        finally:
+            if reason != "closed":
+                db.close()
+
+
+class TestUnchangedDocumentKeepsAnswering:
+    """``drop_cache`` and a rolled-back batch leave the document as it
+    was: a result planned before them reloads and renders the same."""
+
+    @pytest.mark.parametrize("orphaning", ["drop_cache", "rollback"])
+    def test_unread_result_reloads(self, db, orphaning):
+        expected = db.transform("dblp", GUARD).xml()
+        unread = db.transform("dblp", GUARD)
+        ORPHANINGS[orphaning](db)
+        assert unread.xml() == expected
+
+    def test_restored_name_is_a_new_document(self, db):
+        unread = db.transform("dblp", GUARD)
+        db.drop_cache()
+        db.drop_document("dblp")
+        db.store_document("dblp", generate_dblp(12))
+        with pytest.raises(RetiredDocumentError):
+            unread.xml()
+        assert db.transform("dblp", GUARD).xml()
+
+    def test_read_result_cannot_reload_changed_pages(self, db):
+        read = db.transform("dblp", GUARD)
+        text = read.xml()
+        db.drop_cache()
+        CHANGES["updated"](db)
+        assert read.xml() == text
+        with pytest.raises(RetiredDocumentError):
+            serialize(read.forest)

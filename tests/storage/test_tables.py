@@ -1,17 +1,23 @@
-"""Property tests for the table key/record codecs.
+"""Property tests for the packed labels and the table key/record codecs.
 
 The critical invariant: every key encoding must preserve the order the
-scans rely on — Dewey byte order is document order, and each keyspace's
-composite keys sort by their components.
+scans rely on — label byte order is document order, ancestor-of is
+prefix-of, and each keyspace's composite keys sort by their components.
 """
+
+import struct
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.closeness import DocumentIndex
 from repro.errors import StorageError
-from repro.storage import tables
-from repro.xmltree.dewey import Dewey
+from repro.storage import Database, tables
+from repro.workloads import generate_dblp, generate_nasa, generate_xmark
+from repro.xmltree import parse_document
+from repro.xmltree import dewey as label_ops
+from repro.xmltree.dewey import Dewey, lca_level, pack, parent, prefix, unpack
 from repro.xmltree.node import NodeKind
 
 dewey_parts = st.lists(st.integers(min_value=1, max_value=5000), min_size=1, max_size=6)
@@ -21,20 +27,51 @@ class TestDeweyEncoding:
     @given(dewey_parts)
     def test_roundtrip(self, parts):
         dewey = Dewey(tuple(parts))
-        assert tables.decode_dewey(tables.encode_dewey(dewey)) == dewey
+        assert unpack(pack(dewey)) == dewey
+        assert pack(tuple(parts)) == pack(dewey)
 
     @given(dewey_parts, dewey_parts)
     def test_byte_order_is_document_order(self, first, second):
         a, b = Dewey(tuple(first)), Dewey(tuple(second))
-        assert (tables.encode_dewey(a) < tables.encode_dewey(b)) == (a < b)
+        assert (pack(a) < pack(b)) == (a < b)
 
     def test_component_limit_enforced(self):
         with pytest.raises(StorageError):
-            tables.encode_dewey(Dewey((1 << 24,)))
+            pack(Dewey((1 << 24,)))
 
     def test_component_limit_boundary(self):
         boundary = Dewey(((1 << 24) - 1,))
-        assert tables.decode_dewey(tables.encode_dewey(boundary)) == boundary
+        assert unpack(pack(boundary)) == boundary
+
+    @given(dewey_parts, st.integers(min_value=0, max_value=7))
+    def test_prefix_is_the_label_of_the_leading_components(self, parts, width):
+        assert prefix(pack(parts), width) == pack(parts[:width])
+
+    @given(st.lists(dewey_parts, max_size=6), st.integers(min_value=0, max_value=7))
+    def test_prefixes_is_prefix_per_label_or_none_when_shallower(self, column, width):
+        expected = [pack(p[:width]) if len(p) >= width else None for p in column]
+        assert label_ops.prefixes([pack(p) for p in column], width) == expected
+
+    def test_max_depth_is_the_deepest_label_that_fits(self):
+        depth = label_ops.max_depth(255)
+        assert depth == tables.MAX_DEPTH == 85
+        assert len(pack((1,) * depth)) <= 255 < len(pack((1,) * (depth + 1)))
+
+    @given(dewey_parts)
+    def test_parent_drops_the_last_component(self, parts):
+        expected = pack(parts[:-1]) if len(parts) > 1 else None
+        assert parent(pack(parts)) == expected
+
+    @given(dewey_parts, dewey_parts)
+    def test_lca_level_is_the_shared_prefix(self, first, second):
+        a, b = Dewey(tuple(first)), Dewey(tuple(second))
+        assert lca_level(pack(a), pack(b)) == a.common_prefix_length(b) - 1
+
+    @given(dewey_parts, dewey_parts)
+    def test_ancestor_or_self_is_startswith(self, first, second):
+        a, b = Dewey(tuple(first)), Dewey(tuple(second))
+        assert pack(b).startswith(pack(a)) == a.is_ancestor_or_self_of(b)
+        assert a.is_ancestor_of(b) == (pack(b).startswith(pack(a)) and a != b)
 
 
 class TestCompositeKeys:
@@ -93,10 +130,101 @@ class TestRecordCodecs:
             for parts, text in entries
         ]
         chunks = list(tables.pack_sequence(records))
-        unpacked = [r for chunk in chunks for r in tables.unpack_sequence(5, chunk)]
-        assert unpacked == records
+        assert list(tables.read_sequence(_Chunks(chunks), 0, 5)) == records
+        assert [r for chunk in chunks for r in parent_unpack_sequence(5, chunk)] == records
 
     @given(st.dictionaries(st.text(max_size=10), st.integers(), max_size=20))
     def test_shape_chunks_roundtrip(self, mapping):
         chunks = tables.encode_shape(mapping)
         assert tables.decode_shape(chunks) == mapping
+
+
+# ---------------------------------------------------------------------------
+# The one chunk walker, against the decoder it replaced
+# ---------------------------------------------------------------------------
+
+
+class _Chunks:
+    """A tree holding one type's sequence chunks and nothing else."""
+
+    def __init__(self, chunks):
+        self.chunks = chunks
+
+    def scan_prefix(self, prefix):
+        return ((prefix + n.to_bytes(4, "big"), c) for n, c in enumerate(self.chunks))
+
+
+def parent_unpack_sequence(type_id, chunk):
+    """``tables.unpack_sequence`` as it was before the chunk walker (one
+    ``struct`` call, one ``Dewey`` and one ``NodeRecord`` per entry),
+    kept here as the oracle."""
+    offset = 0
+    while offset < len(chunk):
+        (dewey_len,) = struct.unpack_from("<B", chunk, offset)
+        offset += 1
+        data = chunk[offset : offset + dewey_len]
+        dewey = Dewey(
+            tuple(int.from_bytes(data[o : o + 3], "big") for o in range(0, len(data), 3))
+        )
+        offset += dewey_len
+        flags, extra = struct.unpack_from("<BH", chunk, offset)
+        offset += 3
+        kind = NodeKind.ATTRIBUTE if flags & 1 else NodeKind.ELEMENT
+        if flags & 2:
+            yield tables.NodeRecord(dewey, type_id, kind, "", overflow_chunks=extra)
+        else:
+            text = chunk[offset : offset + extra].decode()
+            offset += extra
+            yield tables.NodeRecord(dewey, type_id, kind, text)
+
+
+LONG = "long text, " * 200  # > INLINE_TEXT bytes: lives in the overflow keyspace
+CORPORA = {
+    "dblp": lambda: generate_dblp(60),
+    "xmark": lambda: generate_xmark(0.002),
+    "nasa": lambda: generate_nasa(12),
+    "attributes+overflow": lambda: parse_document(
+        f'<r id="1" note="{LONG}"><a k="v&amp;w">x</a><a k="">{LONG}</a><b/></r>'
+    ),
+}
+
+
+class TestColumns:
+    @pytest.mark.parametrize("corpus", sorted(CORPORA))
+    def test_stored_columns_equal_in_memory_columns(self, tmp_path, corpus):
+        forest = CORPORA[corpus]()
+        memory = DocumentIndex(forest)
+        with Database(str(tmp_path / "c.db"), durable=False) as db:
+            db.store_document("doc", forest)
+            db.drop_cache()
+            stored = db.index("doc")
+            assert len(stored.types()) == len(memory.types())
+            for data_type in memory.types():
+                ours = stored.nodes_of(stored.type_table.get(data_type.path))
+                theirs = memory.nodes_of(data_type)
+                assert ours.labels == theirs.labels
+                assert ours.values == theirs.values
+                assert bytes(ours.attributes) == bytes(theirs.attributes)
+                assert [(n.name, n.kind, n.text, n.dewey) for n in ours] == [
+                    (n.name, n.kind, n.text, n.dewey) for n in theirs
+                ]
+
+    @pytest.mark.parametrize("corpus", sorted(CORPORA))
+    def test_read_sequence_yields_what_the_old_decoder_yielded(self, tmp_path, corpus):
+        with Database(str(tmp_path / "c.db"), durable=False) as db:
+            db.store_document("doc", CORPORA[corpus]())
+            index = db.index("doc")
+            overflowed = 0
+            for data_type in index.types():
+                prefix_ = tables.sequence_prefix(index.doc_id, data_type.type_id)
+                expected = [
+                    record
+                    for _key, chunk in db.tree.scan_prefix(prefix_)
+                    for record in parent_unpack_sequence(data_type.type_id, chunk)
+                ]
+                records = list(
+                    tables.read_sequence(db.tree, index.doc_id, data_type.type_id)
+                )
+                assert records == expected
+                overflowed += sum(1 for record in records if record.overflow_chunks)
+            assert (overflowed > 0) == (corpus == "attributes+overflow")

@@ -33,7 +33,7 @@ from repro.storage import (
     fsck,
     reference_apply,
 )
-from repro.storage import tables
+from repro.xmltree import dewey as labels
 from repro.xmltree.node import XmlForest, element
 
 from tests.storage.test_update_parity import snapshot
@@ -184,7 +184,7 @@ class TestDeweyRenumberOverflow:
         db = self._store(tmp_path, children=3)
         try:
             before = snapshot(db, "doc")
-            monkeypatch.setattr(tables, "_COMPONENT_MAX", 3)
+            monkeypatch.setattr(labels, "COMPONENT_MAX", 3)
             with pytest_raises_storage("Dewey renumber overflow"):
                 db.apply_batch("doc", [InsertSubtree("1", "<c>3</c>")])
             assert snapshot(db, "doc") == before
@@ -196,7 +196,7 @@ class TestDeweyRenumberOverflow:
         db = self._store(tmp_path, children=1)
         try:
             before = snapshot(db, "doc")
-            monkeypatch.setattr(tables, "_COMPONENT_MAX", 3)
+            monkeypatch.setattr(labels, "COMPONENT_MAX", 3)
             wide = element("w")
             for i in range(5):  # five children > the patched limit
                 wide.append(element("k", text=str(i)))
