@@ -6,90 +6,162 @@ every node of type ``t`` has between ``n`` and ``m`` children of type
 ``u``.  Because ``typeOf`` is the root path, the shape of a document is
 exactly its DataGuide tree, and extraction is a single document-order
 pass counting per-parent child occurrences.
+
+:class:`DataGuideBuilder` is that pass's accumulator, fed node by node:
+:meth:`~DataGuideBuilder.enter` when a node opens and
+:meth:`~DataGuideBuilder.leave` when one with children closes.  Whoever
+walks the document calls them — :meth:`~DataGuideBuilder.build` for a
+forest in memory, the shredder from the walk it is making anyway — and
+the per-node work is integer ids and one ``{name: id}`` lookup: a path
+tuple is built once per *type*.  The :class:`Shape` objects are built
+when first asked for; a caller that wants the edges as numbers
+(:meth:`~DataGuideBuilder.edges`) never pays for them.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from functools import cached_property
+from typing import Iterator, Optional
 
 from repro.shape.cardinality import Card
 from repro.shape.shape import Shape
 from repro.shape.types import DataType, ShapeType, TypeTable
-from repro.xmltree.node import XmlForest, XmlNode
+from repro.xmltree.node import NodeKind, XmlForest
 
 
 class DataGuideBuilder:
-    """Builds the adorned shape, type table and type map of a collection.
+    """Accumulates the adorned shape and type table of a collection.
 
-    After :meth:`build`:
+    Fed by :meth:`enter` / :meth:`leave`:
 
-    * ``shape`` is the adorned :class:`Shape` (one :class:`ShapeType`
-      per data type),
-    * ``type_table`` interns every :class:`DataType` seen,
-    * ``type_of`` maps each :class:`~repro.xmltree.XmlNode` to its
-      :class:`DataType`, and
-    * ``shape_of`` maps each :class:`DataType` to its vertex in ``shape``.
+    * ``type_table`` interns every :class:`DataType` seen, ids dense in
+      first-occurrence order,
+    * ``counts[type id]`` is the number of nodes of the type,
+    * ``is_attribute`` tells whether a type's instances are attributes
+      (first-seen kind),
+    * :meth:`edges` yields the adorned edges as ids and bounds, and
+    * ``shape`` / ``shape_of`` are the adorned :class:`Shape` and each
+      :class:`DataType`'s vertex in it, built on first use — read them
+      only once the walk is over.
+
+    :meth:`build` walks a forest through those two calls and also fills
+    ``type_of`` (each :class:`~repro.xmltree.XmlNode`'s
+    :class:`DataType`, by ``id(node)``) and ``has_text`` (whether any
+    instance of a type carries text content).
     """
 
     def __init__(self) -> None:
         self.type_table = TypeTable()
-        self.shape = Shape()
-        self.shape_of: dict[DataType, ShapeType] = {}
-        self.type_of: dict[int, DataType] = {}
-        #: Whether the type's instances are attributes (first-seen kind).
+        self.counts: list[int] = []
         self.is_attribute: dict[DataType, bool] = {}
-        #: Whether any instance of the type carries text content.
         self.has_text: dict[DataType, bool] = {}
-        # (parent type, child type) -> [min seen, max seen, parents seen]
-        self._edge_counts: dict[tuple[DataType, DataType], list[int]] = {}
-        self._parent_totals: Counter[DataType] = Counter()
+        self.type_of: dict[int, DataType] = {}
+        #: ``{name: type id}`` of the root types, then of each type's children.
+        self._root_ids: dict[str, int] = {}
+        self._child_ids: list[dict[str, int]] = []
+        #: A type has one parent type (it is a root path), so an edge is
+        #: named by its child: child type id -> [min, max, parents seen].
+        self._edge_stats: dict[int, list[int]] = {}
+        self._parent_of: list[Optional[int]] = []
+
+    # -- the accumulator ---------------------------------------------------
+
+    def enter(self, parent: Optional[int], name: str, is_attribute: bool) -> int:
+        """Count one node named ``name`` under a node of type ``parent``
+        (``None`` for a root); returns the node's type id."""
+        ids = self._root_ids if parent is None else self._child_ids[parent]
+        type_id = ids.get(name)
+        if type_id is None:
+            above = () if parent is None else self.type_table.by_id(parent).path
+            data_type = self.type_table.intern(above + (name,))
+            type_id = ids[name] = data_type.type_id
+            self.counts.append(0)
+            self._child_ids.append({})
+            self._parent_of.append(parent)
+            self.is_attribute[data_type] = is_attribute
+            self.has_text[data_type] = False
+        self.counts[type_id] += 1
+        return type_id
+
+    def leave(self, tally: dict[int, int]) -> None:
+        """Fold one finished node's children — ``{child type id: how
+        many}`` — into the edges.  A node without children has nothing
+        to fold and need not be reported."""
+        stats = self._edge_stats
+        for type_id, count in tally.items():
+            edge = stats.get(type_id)
+            if edge is None:
+                stats[type_id] = [count, count, 1]
+            else:
+                if count < edge[0]:
+                    edge[0] = count
+                elif count > edge[1]:
+                    edge[1] = count
+                edge[2] += 1
+
+    def edges(self) -> Iterator[tuple[int, int, int, int]]:
+        """``(parent type id, child type id, lo, hi)`` per adorned edge.
+
+        The one adornment rule: ``lo`` and ``hi`` are the fewest and the
+        most children of the type under one parent that has any, and a
+        parent with *none* drags ``lo`` to 0.
+        """
+        for child, (low, high, parents_seen) in self._edge_stats.items():
+            parent = self._parent_of[child]
+            if parents_seen < self.counts[parent]:
+                low = 0
+            yield parent, child, low, high
+
+    # -- a forest in memory ------------------------------------------------
 
     def build(self, forest: XmlForest) -> "DataGuideBuilder":
-        for root in forest.roots:
-            self._visit(root, ())
-        self._finish()
-        return self
-
-    # -- internals -------------------------------------------------------
-
-    def _visit(self, node: XmlNode, parent_path: tuple[str, ...]) -> DataType:
-        path = parent_path + (node.name,)
-        data_type = self.type_table.intern(path)
-        self.type_of[id(node)] = data_type
-        if data_type not in self.shape_of:
-            vertex = ShapeType.for_source(data_type)
-            self.shape_of[data_type] = vertex
-            self.shape.add_type(vertex)
-            self.is_attribute[data_type] = node.is_attribute
-            self.has_text[data_type] = False
-        if node.text.strip():
-            self.has_text[data_type] = True
-        self._parent_totals[data_type] += 1
-
-        child_counts: Counter[DataType] = Counter()
-        for child in node.children:
-            child_type = self._visit(child, path)
-            child_counts[child_type] += 1
-        for child_type, count in child_counts.items():
-            stats = self._edge_counts.get((data_type, child_type))
-            if stats is None:
-                self._edge_counts[(data_type, child_type)] = [count, count, 1]
+        enter = self.enter
+        by_id = self.type_table.by_id
+        type_of = self.type_of
+        has_text = self.has_text
+        with_text: set[int] = set()
+        attribute = NodeKind.ATTRIBUTE
+        # One frame per open node: the siblings still to visit, their
+        # parent's type and the parent's child tally so far.
+        above: list[tuple[Iterator, Optional[int], dict[int, int]]] = []
+        siblings, parent, tally = iter(forest.roots), None, {}
+        while True:
+            for node in siblings:
+                type_id = enter(parent, node.name, node.kind is attribute)
+                tally[type_id] = tally.get(type_id, 0) + 1
+                data_type = type_of[id(node)] = by_id(type_id)
+                if type_id not in with_text and node.text.strip():
+                    with_text.add(type_id)
+                    has_text[data_type] = True
+                if node.children:
+                    above.append((siblings, parent, tally))
+                    siblings, parent, tally = iter(node.children), type_id, {}
+                    break
             else:
-                stats[0] = min(stats[0], count)
-                stats[1] = max(stats[1], count)
-                stats[2] += 1
-        return data_type
+                if not above:
+                    return self
+                self.leave(tally)
+                siblings, parent, tally = above.pop()
 
-    def _finish(self) -> None:
-        for (parent_type, child_type), (low, high, parents_seen) in self._edge_counts.items():
-            # Parents that had *no* child of this type drag the minimum to 0.
-            if parents_seen < self._parent_totals[parent_type]:
-                low = 0
-            self.shape.add_edge(
-                self.shape_of[parent_type],
-                self.shape_of[child_type],
-                Card(low, high),
-            )
+    # -- the shape, as objects -----------------------------------------------
+
+    @cached_property
+    def shape_of(self) -> dict[DataType, ShapeType]:
+        """Each :class:`DataType`'s vertex in :attr:`shape`."""
+        return {
+            data_type: ShapeType.for_source(data_type) for data_type in self.type_table
+        }
+
+    @cached_property
+    def shape(self) -> Shape:
+        """The adorned :class:`Shape` (one :class:`ShapeType` per data type)."""
+        shape = Shape()
+        vertices = list(self.shape_of.values())
+        for vertex in vertices:
+            shape.add_type(vertex)
+        for parent, child, low, high in self.edges():
+            shape.add_edge(vertices[parent], vertices[child], Card(low, high))
+        return shape
 
 
 def extract_shape(forest: XmlForest) -> Shape:

@@ -39,7 +39,6 @@ from repro.storage.shredder import shred
 from repro.storage.stats import CostModel, SystemStats
 from repro.xmltree.dewey import parent, unpack
 from repro.xmltree.node import XmlForest, XmlNode
-from repro.xmltree.parser import parse_forest
 
 
 class Database:
@@ -164,6 +163,8 @@ class Database:
     def store_document(self, name: str, source: str | XmlForest) -> dict:
         """Shred a document (XML text or a parsed forest) into the store.
 
+        Text goes from the tokenizer straight into the shredder: no
+        forest is built for a document that is only being stored.
         The records stage in the buffer pool and commit through one
         journaled flush; an error before it rolls the staged pages back
         and leaves this handle live on the unchanged store.
@@ -172,13 +173,13 @@ class Database:
             raise ReadOnlyDatabaseError(self._file.path, f"store document {name!r}")
         if self.tree.get(tables.catalog_key(name)) is not None:
             raise StorageError(f"document {name!r} already stored")
-        forest = parse_forest(source) if isinstance(source, str) else source
         try:
-            descriptor = shred(self.tree, self._next_doc_id(), name, forest)
+            descriptor = shred(self.tree, self._next_doc_id(), name, source)
         except Exception:
-            # Pre-commit failure (an entry the tree refuses, a Dewey
-            # component past the storage limit): drop the staged pages, or
-            # the next flush would commit records no catalog entry names.
+            # Pre-commit failure (text that does not parse, an entry the
+            # tree refuses, a Dewey component past the storage limit):
+            # drop the staged pages, or the next flush would commit
+            # records no catalog entry names.
             self._rollback_staged(name)
             raise
         self.pool.flush()

@@ -26,7 +26,13 @@ before their descendants, matching tuple order).
 Values larger than ~3.5 KiB never enter the tree: long node text goes
 to the overflow keyspace and sequences/shapes are chunked.
 
-A ``T`` chunk is parsed in exactly one place, :func:`parse_chunk`,
+What a node writes is encoded in exactly one place,
+:func:`encode_node`: its ``N`` value and its ``T`` entry share every
+byte after the type id, so both come from one call — made by the
+shredder once per node, and by the updater through :func:`node_entry`
+and :func:`pack_sequence`.
+
+A ``T`` chunk is parsed in exactly one place too, :func:`parse_chunk`,
 which walks it with index arithmetic into the caller's parallel columns
 — labels (the stored bytes, untouched), inline text values, attribute
 flags — and builds no object per entry.  The read side
@@ -145,19 +151,27 @@ class NodeRecord:
 def write_text(
     doc_id: int, dewey: Dewey, text: str
 ) -> tuple[str, list[tuple[bytes, bytes]]]:
-    """Split a node's text into its inline part and its overflow entries.
+    """:func:`split_text` for a record: ``(inline text, overflow
+    entries)``, the entries' number being its ``overflow_chunks``."""
+    inline, overflow = split_text(doc_id, pack(dewey), text.encode())
+    return ("" if overflow else text), overflow
 
-    Returns ``(inline text, overflow entries)``: short text stays inline
-    and the list is empty; long text leaves ``""`` inline and comes back
-    as ``(overflow key, chunk)`` entries in key order, which the caller
-    adds to the run it writes (their number is the record's
-    ``overflow_chunks``).  Nothing is written here.
+
+def split_text(
+    doc_id: int, label: bytes, raw: bytes
+) -> tuple[bytes, list[tuple[bytes, bytes]]]:
+    """Split the UTF-8 text of the node labelled ``label`` into its
+    inline part and its overflow entries.
+
+    Short text stays inline and the list is empty; text longer than
+    :data:`INLINE_TEXT` leaves ``b""`` inline and comes back as ``(overflow
+    key, chunk)`` entries in key order, which the caller adds to the run
+    it writes.  Nothing is written here.
     """
-    raw = text.encode()
     if len(raw) <= INLINE_TEXT:
-        return text, []
-    return "", [
-        (overflow_key(doc_id, dewey, number), raw[start : start + CHUNK_BYTES])
+        return raw, []
+    return b"", [
+        (_overflow_key(doc_id, label, number), raw[start : start + CHUNK_BYTES])
         for number, start in enumerate(range(0, len(raw), CHUNK_BYTES))
     ]
 
@@ -180,18 +194,50 @@ def read_overflow(tree: BPlusTree, doc_id: int, label: bytes, chunks: int) -> st
 _NODE_HEAD = struct.Struct("<IBH")  # type_id, kind+overflow flag, chunks/text len
 
 
+def encode_node(
+    label: bytes, type_id: int, is_attribute: bool, raw: bytes, overflow_chunks: int = 0
+) -> tuple[bytes, bytes]:
+    """What the node labelled ``label`` stores: ``(N value, T entry)``.
+
+    The value is ``type id (4, little-endian) | flags (1) | extra (2,
+    little-endian) | inline text`` and the entry ``label length (1) |
+    label`` followed by the same bytes from ``flags`` on: flag bit 0
+    marks an attribute, bit 1 an overflowed text, and ``extra`` is the
+    byte length of ``raw`` (the inline text as UTF-8) or, overflowed
+    (``raw`` is then empty), its chunk count.  The one-byte length is
+    why a node deeper than :data:`MAX_DEPTH` levels is refused here
+    (coded, before the caller has written anything).
+    """
+    if len(label) > _MAX_LABEL_BYTES:
+        dewey = unpack(label)
+        raise DepthLimitError(str(dewey), len(dewey), MAX_DEPTH)
+    if overflow_chunks:
+        value = _NODE_HEAD.pack(type_id, is_attribute | 2, overflow_chunks)
+    else:
+        value = _NODE_HEAD.pack(type_id, is_attribute, len(raw)) + raw
+    return value, bytes((len(label),)) + label + value[4:]
+
+
+def _encode_record(record: NodeRecord) -> tuple[bytes, bytes, bytes]:
+    """``(label, N value, T entry)`` of a record."""
+    label = pack(record.dewey)
+    return label, *encode_node(
+        label,
+        record.type_id,
+        record.kind is NodeKind.ATTRIBUTE,
+        record.text.encode(),
+        record.overflow_chunks,
+    )
+
+
 def encode_node_value(record: NodeRecord) -> bytes:
-    kind_bit = 1 if record.kind is NodeKind.ATTRIBUTE else 0
-    if record.overflow_chunks:
-        head = _NODE_HEAD.pack(record.type_id, kind_bit | 2, record.overflow_chunks)
-        return head
-    raw = record.text.encode()
-    return _NODE_HEAD.pack(record.type_id, kind_bit, len(raw)) + raw
+    return _encode_record(record)[1]
 
 
 def node_entry(doc_id: int, record: NodeRecord) -> tuple[bytes, bytes]:
     """A node's ``(key, value)`` entry, as a run for ``put_many`` takes it."""
-    return node_key(doc_id, record.dewey), encode_node_value(record)
+    label, value, _entry = _encode_record(record)
+    return nodes_prefix(doc_id) + label, value
 
 
 def decode_node_value(dewey: Dewey, value: bytes) -> NodeRecord:
@@ -206,34 +252,22 @@ def decode_node_value(dewey: Dewey, value: bytes) -> NodeRecord:
 # -- packed sequence entries (TypeToSequence) --------------------------------
 
 
-def pack_sequence(records: list[NodeRecord]) -> Iterator[bytes]:
-    """Pack records into chunk values of at most CHUNK_BYTES.
+def append_entry(chunks: list[bytearray], entry: bytes) -> None:
+    """Add one ``T`` entry to a type's chunks, opening a new chunk when
+    the last would grow past :data:`CHUNK_BYTES`."""
+    if chunks and len(chunks[-1]) + len(entry) <= CHUNK_BYTES:
+        chunks[-1] += entry
+    else:
+        chunks.append(bytearray(entry))
 
-    An entry is ``label length (1 byte) | label | flags (1) | extra
-    (2, little-endian) | inline text``: flag bit 0 marks an attribute,
-    bit 1 an overflowed text, and ``extra`` is the inline text's byte
-    length or, overflowed, its chunk count.  The one-byte length is why
-    a node deeper than :data:`MAX_DEPTH` levels is refused here (coded,
-    before the caller has written anything).
-    """
-    buffer = bytearray()
+
+def pack_sequence(records: list[NodeRecord]) -> Iterator[bytes]:
+    """Pack records into chunk values of at most CHUNK_BYTES
+    (:func:`encode_node` entries, back to back)."""
+    chunks: list[bytearray] = []
     for record in records:
-        label = pack(record.dewey)
-        if len(label) > _MAX_LABEL_BYTES:
-            raise DepthLimitError(str(record.dewey), len(record.dewey), MAX_DEPTH)
-        kind_bit = 1 if record.kind is NodeKind.ATTRIBUTE else 0
-        if record.overflow_chunks:
-            body = struct.pack("<BH", kind_bit | 2, record.overflow_chunks)
-        else:
-            raw = record.text.encode()
-            body = struct.pack("<BH", kind_bit, len(raw)) + raw
-        entry = bytes((len(label),)) + label + body
-        if buffer and len(buffer) + len(entry) > CHUNK_BYTES:
-            yield bytes(buffer)
-            buffer = bytearray()
-        buffer += entry
-    if buffer:
-        yield bytes(buffer)
+        append_entry(chunks, _encode_record(record)[2])
+    return map(bytes, chunks)
 
 
 def parse_chunk(
@@ -245,8 +279,8 @@ def parse_chunk(
 ) -> None:
     """Append one ``T`` chunk's entries to the caller's columns.
 
-    The only parser of the entry layout :func:`pack_sequence` writes —
-    including its one-byte label length, so whatever that packer refuses
+    The only parser of the entry layout :func:`encode_node` writes —
+    including its one-byte label length, so whatever that encoder refuses
     (a label past 255 bytes) never reaches this walk.  Index arithmetic
     only: no ``struct``, no generator and no object per entry.
     """

@@ -280,6 +280,8 @@ class IncrementalUpdater:
         self._next_type_id = max(self.paths, default=-1) + 1
         #: Loaded (possibly edited) sequences, sorted by Dewey.
         self._seqs: dict[int, list[NodeRecord]] = {}
+        #: Each loaded sequence's first Dewey as it was stored.
+        self._first_loaded: dict[int, tuple[int, ...]] = {}
         #: Types whose sequence membership or numbering changed.
         self._dirty_types: set[int] = set()
         #: Types whose instance count changed (triggers cardinality
@@ -357,6 +359,8 @@ class IncrementalUpdater:
         if seq is None:
             seq = list(tables.read_sequence(self.tree, self.doc_id, type_id))
             self._seqs[type_id] = seq
+            if seq:
+                self._first_loaded[type_id] = seq[0].dewey.parts
         return seq
 
     def _touch(self, type_id: int) -> list[NodeRecord]:
@@ -558,17 +562,27 @@ class IncrementalUpdater:
             self._seqs[type_id].sort(key=_parts_key)
 
         # 2. Recover re-shred intern order: ascending minimum Dewey.
-        #    Touched types read it from their staged sequence; untouched
-        #    types from the first record of their first stored chunk.
-        min_dewey: dict[int, tuple[int, ...]] = {}
-        for type_id in self.paths:
-            seq = self._seqs.get(type_id)
-            if seq:
-                min_dewey[type_id] = seq[0].dewey.parts
-            else:
-                min_dewey[type_id] = self._first_stored_dewey(type_id)
-        order = sorted(self.paths, key=lambda type_id: min_dewey[type_id])
-        final_id = {type_id: position for position, type_id in enumerate(order)}
+        #    Stored ids are already dense in that order, so it stands —
+        #    and no untouched type is read — when the batch added and
+        #    retired no type and every loaded sequence still starts where
+        #    it did.  Otherwise touched types give their minimum from
+        #    their staged sequence, untouched types from the first record
+        #    of their first stored chunk.
+        if self.paths.keys() == self._old_type_ids and all(
+            seq and seq[0].dewey.parts == self._first_loaded.get(type_id)
+            for type_id, seq in self._seqs.items()
+        ):
+            final_id = {type_id: type_id for type_id in self.paths}
+        else:
+            min_dewey: dict[int, tuple[int, ...]] = {}
+            for type_id in self.paths:
+                seq = self._seqs.get(type_id)
+                if seq:
+                    min_dewey[type_id] = seq[0].dewey.parts
+                else:
+                    min_dewey[type_id] = self._first_stored_dewey(type_id)
+            order = sorted(self.paths, key=lambda type_id: min_dewey[type_id])
+            final_id = {type_id: position for position, type_id in enumerate(order)}
         remap = {
             type_id: new_id
             for type_id, new_id in final_id.items()

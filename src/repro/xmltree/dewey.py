@@ -65,7 +65,12 @@ class Dewey:
 
     def child(self, ordinal: int) -> "Dewey":
         """The identifier of this node's ``ordinal``-th child (1-based)."""
-        return Dewey(self._parts + (ordinal,))
+        if ordinal < 1:
+            raise ValueError(f"Dewey components must be positive: {ordinal}")
+        # This number's own components were checked when it was built.
+        child = Dewey.__new__(Dewey)
+        child._parts = self._parts + (ordinal,)
+        return child
 
     # -- structure ------------------------------------------------------
 
@@ -192,12 +197,27 @@ def pack(parts: Iterable[int]) -> bytes:
 
 def unpack(label: bytes) -> Dewey:
     """The :class:`Dewey` a label packs."""
-    return Dewey(
-        tuple(
-            int.from_bytes(label[offset : offset + COMPONENT_BYTES], "big")
-            for offset in range(0, len(label), COMPONENT_BYTES)
-        )
+    return Dewey(_components(label))
+
+
+def _components(label: bytes) -> tuple[int, ...]:
+    return tuple(
+        int.from_bytes(label[offset : offset + COMPONENT_BYTES], "big")
+        for offset in range(0, len(label), COMPONENT_BYTES)
     )
+
+
+def child(label: bytes, ordinal: int) -> bytes:
+    """The label of the ``ordinal``-th child (1-based) of the node
+    labelled ``label`` — of the forest itself when ``label`` is empty:
+    ``pack(parts + (ordinal,))``, one component appended."""
+    try:
+        return label + ordinal.to_bytes(COMPONENT_BYTES, "big")
+    except OverflowError:
+        raise StorageError(
+            f"Dewey component in {_components(label) + (ordinal,)} exceeds "
+            f"storage limit {COMPONENT_MAX}"
+        ) from None
 
 
 def prefix(label: bytes, width: int) -> bytes:

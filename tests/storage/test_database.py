@@ -174,6 +174,72 @@ class TestFailedStoreLeavesNothing:
             assert list(db.tree.scan())[1:] == before[1:]
 
 
+class TestHostileDocumentsAreRefused:
+    """Text that does not parse, or nests deeper than a label holds, is
+    refused with a located or coded error; nothing is staged and the
+    handle stays usable."""
+
+    @pytest.fixture
+    def stored(self, db):
+        db.store_document("a", FIG1A)
+        db.flush()
+        return db, list(db.tree.scan())
+
+    @staticmethod
+    def still_usable(db, before):
+        assert list(db.tree.scan()) == before
+        db.flush()
+        assert list(db.tree.scan()) == before
+        db.store_document("next", FIG1B)
+        assert db.transform("next", "MORPH author [ name ]").xml()
+
+    def test_a_surrogate_character_reference(self, stored):
+        from repro.errors import XmlParseError
+
+        db, before = stored
+        with pytest.raises(XmlParseError) as excinfo:
+            db.store_document("s", "<a>\n<b>&#xD800;</b></a>")
+        assert "invalid character reference" in str(excinfo.value)
+        assert (excinfo.value.line, excinfo.value.column) == (2, 4)
+        assert db.document_names() == ["a"]
+        self.still_usable(db, before)
+
+    def test_600_levels_of_text(self, stored):
+        from repro.errors import XmlParseError
+
+        db, before = stored
+        with pytest.raises(XmlParseError, match="levels deep") as excinfo:
+            db.store_document("deep", "<a>" * 600 + "x" + "</a>" * 600)
+        assert excinfo.value.line == 1 and excinfo.value.column > 3 * tables.MAX_DEPTH
+        self.still_usable(db, before)
+
+    def test_text_that_is_too_deep_and_does_not_parse_says_it_does_not_parse(self, stored):
+        from repro.errors import XmlParseError
+
+        db, before = stored
+        with pytest.raises(XmlParseError, match="mismatched end tag"):
+            db.store_document("deep", "<a>" * 90 + "x" + "</a>" * 89 + "</b>")
+        self.still_usable(db, before)
+
+    @pytest.mark.parametrize("source", ["text", "forest"])
+    def test_between_the_stores_limit_and_the_parsers(self, stored, source):
+        """More than 85 levels parse (the parser's limit is higher) and
+        ``store_document`` refuses them, from text and from a forest."""
+        from repro.errors import DepthLimitError
+        from repro.xmltree import parser
+
+        db, before = stored
+        depth = (tables.MAX_DEPTH + parser.MAX_NESTING) // 2
+        text = "<a>" * depth + "x" + "</a>" * depth
+        forest = parse_document(text)
+        assert forest.node_count() == depth
+        with pytest.raises(DepthLimitError) as excinfo:
+            db.store_document("deep", text if source == "text" else forest)
+        assert excinfo.value.code == "XM560"
+        assert (excinfo.value.depth, excinfo.value.limit) == (86, 85)
+        self.still_usable(db, before)
+
+
 class TestDropDocument:
     def test_drop_removes_everything(self, db):
         db.store_document("a", FIG1A)

@@ -367,6 +367,34 @@ class TestErrors:
         assert captured.err == f"error: no such database: {db!r}\n"
         assert sorted(os.listdir(tmp_path)) == before
 
+    @pytest.mark.parametrize(
+        "text, complaint",
+        [
+            ("<a>&#xD800;</a>", "invalid character reference"),
+            ("<a>" * 600 + "x" + "</a>" * 600, "levels deep"),
+        ],
+        ids=["surrogate-reference", "600-levels"],
+    )
+    def test_shred_of_hostile_text_is_one_error_line(
+        self, doc, tmp_path, capsys, text, complaint
+    ):
+        from repro.storage import Database
+
+        db = str(tmp_path / "h.db")
+        assert main(["shred", "--db", db, "books", doc]) == 0
+        with Database(db, mode="r") as handle:
+            before = handle.tree.count()
+        hostile = tmp_path / "hostile.xml"
+        hostile.write_text(text)
+        capsys.readouterr()
+        assert main(["shred", "--db", db, "hostile", str(hostile)]) != 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and complaint in err[0]
+        assert "line 1, column" in err[0]
+        assert main(["fsck", "--db", db]) == 0
+        with Database(db, mode="r") as handle:
+            assert handle.tree.count() == before
+
     def test_shred_creates_the_store(self, doc, tmp_path, capsys):
         db = str(tmp_path / "new.db")
         assert main(["shred", "--db", db, "books", doc]) == 0
