@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from typing import Iterator, Optional
 
 from repro.obs import tracer as obs
@@ -58,6 +59,12 @@ class TypeSequence:
 
     Indexing or iterating the sequence hands out the nodes as
     ``XmlNode`` s (:attr:`nodes`), built on first use and then kept.
+
+    The index owns its sequences, not the reverse: a sequence refers to
+    its index weakly (it needs it once, to materialize), so an index
+    nothing else holds — a stored document's after every update — is
+    freed with its columns and join memo when it is let go, not when
+    the collector next gets round to a cycle.
     """
 
     __slots__ = ("data_type", "labels", "values", "attributes", "_nodes", "_index")
@@ -76,7 +83,7 @@ class TypeSequence:
         self.values = values
         self.attributes = attributes
         self._nodes = nodes
-        self._index = index
+        self._index = index if index is None else weakref.proxy(index)
 
     @property
     def nodes(self) -> list[XmlNode]:

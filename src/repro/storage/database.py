@@ -38,7 +38,7 @@ from repro.storage.pages import BufferPool, PagedFile
 from repro.storage.shredder import shred
 from repro.storage.stats import CostModel, SystemStats
 from repro.xmltree.dewey import parent, unpack
-from repro.xmltree.node import XmlForest, XmlNode
+from repro.xmltree.node import NodeKind, XmlForest, XmlNode
 
 
 class Database:
@@ -344,24 +344,23 @@ class Database:
 
     def load_forest(self, name: str) -> XmlForest:
         """Reconstruct a full document from its Nodes records."""
-        descriptor = self.describe(name)
-        doc_id = descriptor["doc_id"]
         index = self.index(name)
+        prefix = tables.nodes_prefix(index.doc_id)
         forest = XmlForest()
-        by_dewey: dict[tuple, XmlNode] = {}
-        for key, value in self.tree.scan_prefix(tables.nodes_prefix(doc_id)):
-            dewey = tables.node_key_dewey(key)
-            record = tables.decode_node_value(dewey, value)
-            data_type = index.type_table.by_id(record.type_id)
-            node = XmlNode(data_type.name, record.kind, tables.read_text(self.tree, doc_id, record))
-            node.dewey = dewey
-            by_dewey[dewey.parts] = node
-            parent = dewey.parent
-            if parent is None:
-                forest.append(node)
-            else:
-                by_dewey[parent.parts].append(node)
-        self.stats.charge_cpu(len(by_dewey))
+        by_label: dict[bytes, XmlNode] = {}
+        for key, value in self.tree.scan_prefix(prefix):
+            label = key[len(prefix) :]
+            type_id, is_attribute, _overflow_chunks = tables.node_head(value)
+            node = XmlNode(
+                index.type_table.by_id(type_id).name,
+                NodeKind.ATTRIBUTE if is_attribute else NodeKind.ELEMENT,
+                tables.node_text(self.tree, index.doc_id, label, value),
+            )
+            node.dewey = unpack(label)
+            by_label[label] = node
+            above = parent(label)
+            (forest if above is None else by_label[above]).append(node)
+        self.stats.charge_cpu(len(by_label))
         return forest
 
     def grouped_sequence(self, name: str, dotted_type: str) -> list[tuple]:
@@ -569,18 +568,24 @@ class Database:
         if self.mode == "r":
             raise ReadOnlyDatabaseError(self._file.path, f"drop document {name!r}")
         descriptor = self.describe(name)
-        doc_id: int = descriptor["doc_id"]
-        self.plan_cache.invalidate(self.index(name).fingerprint)
-        deleted = 0
-        for prefix in tables.document_prefixes(doc_id):
-            victims = [key for key, _value in self.tree.scan_prefix(prefix)]
-            for key in victims:
-                self.tree.delete(key)
-            deleted += len(victims)
-        self.tree.delete(tables.catalog_key(name))
-        self._retire(name, "dropped")
+        deleted = 1
+        try:
+            for prefix in tables.document_prefixes(descriptor["doc_id"]):
+                victims = [key for key, _value in self.tree.scan_prefix(prefix)]
+                for key in victims:
+                    self.tree.delete(key)
+                deleted += len(victims)
+            self.tree.delete(tables.catalog_key(name))
+        except Exception:
+            # Pre-commit failure (a page that fails its checksum, an
+            # injected read fault): drop the staged deletes, or the next
+            # flush would commit a document with half its records.
+            self._rollback_staged(name)
+            raise
         self.pool.flush()
-        return deleted + 1
+        self.plan_cache.invalidate(descriptor["shape_fingerprint"])
+        self._retire(name, "dropped")
+        return deleted
 
     # -- observability ---------------------------------------------------------------
 

@@ -26,33 +26,32 @@ before their descendants, matching tuple order).
 Values larger than ~3.5 KiB never enter the tree: long node text goes
 to the overflow keyspace and sequences/shapes are chunked.
 
-What a node writes is encoded in exactly one place,
-:func:`encode_node`: its ``N`` value and its ``T`` entry share every
-byte after the type id, so both come from one call — made by the
-shredder once per node, and by the updater through :func:`node_entry`
-and :func:`pack_sequence`.
+A stored node has one codec, and it works on bytes.  :func:`encode_node`
+is the one encoder: a node's ``N`` value and its ``T`` entry share every
+byte after the type id, so both come from one call, made once per node
+by the shredder's sink and by the updater for each node it inserts.
+:func:`parse_chunk` is the one decoder of ``T`` entries: it walks a
+chunk with index arithmetic into the caller's parallel columns — labels
+(the stored bytes, untouched), inline text values, attribute flags —
+and builds no object per entry; :func:`sequence_columns` gathers a
+type's chunks that way for ``StoredDocumentIndex.nodes_of``.
 
-A ``T`` chunk is parsed in exactly one place too, :func:`parse_chunk`,
-which walks it with index arithmetic into the caller's parallel columns
-— labels (the stored bytes, untouched), inline text values, attribute
-flags — and builds no object per entry.  The read side
-(:func:`sequence_columns` for ``StoredDocumentIndex.nodes_of``) gathers
-a type's chunks into one set of columns and keeps them; the write side
-(the updater, :func:`read_sequence`) gets its :class:`NodeRecord` s
-built from each chunk's columns in turn.
+The updater edits what is stored undecoded: :func:`sequence_entries`
+cuts a type's chunks into ``(label, entry)`` byte pairs, :func:`relabel`
+and :func:`node_value` re-address one, :func:`node_head` and
+:func:`node_text` read an ``N`` value.  No other module indexes into a
+value or an entry.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
 from typing import Iterator
 
 from repro.errors import DepthLimitError
 from repro.storage.btree import BPlusTree
-from repro.xmltree.dewey import Dewey, max_depth, pack, unpack
-from repro.xmltree.node import NodeKind
+from repro.xmltree.dewey import max_depth, unpack
 
 #: Payload budget per chunk, comfortably under the B+tree entry limit.
 CHUNK_BYTES = 3200
@@ -81,17 +80,9 @@ def catalog_entries(tree: BPlusTree) -> Iterator[tuple[str, bytes]]:
 
 
 def nodes_prefix(doc_id: int) -> bytes:
+    """A node's key is this plus its label — and, components being
+    fixed-width, the prefix of exactly its subtree's keys."""
     return b"N" + doc_id.to_bytes(4, "big")
-
-
-def node_key(doc_id: int, dewey: Dewey) -> bytes:
-    """A node's key — and, components being fixed-width, the prefix of
-    exactly its subtree's keys."""
-    return nodes_prefix(doc_id) + pack(dewey)
-
-
-def node_key_dewey(key: bytes) -> Dewey:
-    return unpack(key[5:])
 
 
 def shape_prefix(doc_id: int) -> bytes:
@@ -110,11 +101,7 @@ def sequence_key(doc_id: int, type_id: int, chunk: int) -> bytes:
     return sequence_prefix(doc_id, type_id) + chunk.to_bytes(4, "big")
 
 
-def overflow_key(doc_id: int, dewey: Dewey, chunk: int) -> bytes:
-    return _overflow_key(doc_id, pack(dewey), chunk)
-
-
-def _overflow_key(doc_id: int, label: bytes, chunk: int) -> bytes:
+def overflow_key(doc_id: int, label: bytes, chunk: int) -> bytes:
     return b"V" + doc_id.to_bytes(4, "big") + label + chunk.to_bytes(2, "big")
 
 
@@ -137,26 +124,6 @@ META_KEY = b"C"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class NodeRecord:
-    """One vertex as stored: type, kind, and (possibly overflowed) text."""
-
-    dewey: Dewey
-    type_id: int
-    kind: NodeKind
-    text: str
-    overflow_chunks: int = 0  # > 0 when text lives in the overflow keyspace
-
-
-def write_text(
-    doc_id: int, dewey: Dewey, text: str
-) -> tuple[str, list[tuple[bytes, bytes]]]:
-    """:func:`split_text` for a record: ``(inline text, overflow
-    entries)``, the entries' number being its ``overflow_chunks``."""
-    inline, overflow = split_text(doc_id, pack(dewey), text.encode())
-    return ("" if overflow else text), overflow
-
-
 def split_text(
     doc_id: int, label: bytes, raw: bytes
 ) -> tuple[bytes, list[tuple[bytes, bytes]]]:
@@ -171,21 +138,15 @@ def split_text(
     if len(raw) <= INLINE_TEXT:
         return raw, []
     return b"", [
-        (_overflow_key(doc_id, label, number), raw[start : start + CHUNK_BYTES])
+        (overflow_key(doc_id, label, number), raw[start : start + CHUNK_BYTES])
         for number, start in enumerate(range(0, len(raw), CHUNK_BYTES))
     ]
-
-
-def read_text(tree: BPlusTree, doc_id: int, record: NodeRecord) -> str:
-    if record.overflow_chunks == 0:
-        return record.text
-    return read_overflow(tree, doc_id, pack(record.dewey), record.overflow_chunks)
 
 
 def read_overflow(tree: BPlusTree, doc_id: int, label: bytes, chunks: int) -> str:
     """The overflowed text of the node labelled ``label``."""
     pieces = [
-        tree.get(_overflow_key(doc_id, label, number)) or b""
+        tree.get(overflow_key(doc_id, label, number)) or b""
         for number in range(chunks)
     ]
     return b"".join(pieces).decode()
@@ -218,35 +179,29 @@ def encode_node(
     return value, bytes((len(label),)) + label + value[4:]
 
 
-def _encode_record(record: NodeRecord) -> tuple[bytes, bytes, bytes]:
-    """``(label, N value, T entry)`` of a record."""
-    label = pack(record.dewey)
-    return label, *encode_node(
-        label,
-        record.type_id,
-        record.kind is NodeKind.ATTRIBUTE,
-        record.text.encode(),
-        record.overflow_chunks,
-    )
+def node_head(value: bytes) -> tuple[int, bool, int]:
+    """An ``N`` value's ``(type id, is an attribute, overflow chunks)``."""
+    type_id, flags, extra = _NODE_HEAD.unpack_from(value)
+    return type_id, bool(flags & 1), extra if flags & 2 else 0
 
 
-def encode_node_value(record: NodeRecord) -> bytes:
-    return _encode_record(record)[1]
+def node_text(tree: BPlusTree, doc_id: int, label: bytes, value: bytes) -> str:
+    """The text of the node labelled ``label`` whose ``N`` value is ``value``."""
+    chunks = node_head(value)[2]
+    if chunks:
+        return read_overflow(tree, doc_id, label, chunks)
+    return value[_NODE_HEAD.size :].decode()
 
 
-def node_entry(doc_id: int, record: NodeRecord) -> tuple[bytes, bytes]:
-    """A node's ``(key, value)`` entry, as a run for ``put_many`` takes it."""
-    label, value, _entry = _encode_record(record)
-    return nodes_prefix(doc_id) + label, value
+def node_value(type_id: int, entry: bytes) -> bytes:
+    """The ``N`` value of ``entry``'s node under ``type_id``: the id,
+    then what follows the label in the entry."""
+    return type_id.to_bytes(4, "little") + entry[1 + entry[0] :]
 
 
-def decode_node_value(dewey: Dewey, value: bytes) -> NodeRecord:
-    type_id, flags, extra = _NODE_HEAD.unpack_from(value, 0)
-    kind = NodeKind.ATTRIBUTE if flags & 1 else NodeKind.ELEMENT
-    if flags & 2:
-        return NodeRecord(dewey, type_id, kind, "", overflow_chunks=extra)
-    text = value[_NODE_HEAD.size : _NODE_HEAD.size + extra].decode()
-    return NodeRecord(dewey, type_id, kind, text)
+def relabel(entry: bytes, label: bytes) -> bytes:
+    """``entry`` as the node labelled ``label`` would store it."""
+    return bytes((len(label),)) + label + entry[1 + entry[0] :]
 
 
 # -- packed sequence entries (TypeToSequence) --------------------------------
@@ -259,15 +214,6 @@ def append_entry(chunks: list[bytearray], entry: bytes) -> None:
         chunks[-1] += entry
     else:
         chunks.append(bytearray(entry))
-
-
-def pack_sequence(records: list[NodeRecord]) -> Iterator[bytes]:
-    """Pack records into chunk values of at most CHUNK_BYTES
-    (:func:`encode_node` entries, back to back)."""
-    chunks: list[bytearray] = []
-    for record in records:
-        append_entry(chunks, _encode_record(record)[2])
-    return map(bytes, chunks)
 
 
 def parse_chunk(
@@ -323,23 +269,24 @@ def sequence_columns(
     return labels, values, attributes, overflowed
 
 
-def read_sequence(tree: BPlusTree, doc_id: int, type_id: int) -> Iterator[NodeRecord]:
-    """A type's stored sequence as records, for the code that rewrites it.
-
-    Lazy chunk by chunk: a caller that wants only the first record (the
-    updater orders untouched types by it) decodes one chunk.
+def sequence_entries(
+    tree: BPlusTree, doc_id: int, type_id: int
+) -> Iterator[tuple[bytes, bytes]]:
+    """A type's stored sequence as ``(label, entry)`` byte pairs in
+    document order: the chunks cut at their entry boundaries, nothing
+    decoded.  Lazy chunk by chunk, so a caller that wants only the first
+    label (the updater orders untouched types by it) reads one chunk.
     """
     for _key, chunk in tree.scan_prefix(sequence_prefix(doc_id, type_id)):
-        labels: list[bytes] = []
-        values: list[str] = []
-        attributes = bytearray()
-        overflowed: dict[int, int] = {}
-        parse_chunk(chunk, labels, values, attributes, overflowed)
-        for position, label in enumerate(labels):
-            kind = NodeKind.ATTRIBUTE if attributes[position] else NodeKind.ELEMENT
-            yield NodeRecord(
-                unpack(label), type_id, kind, values[position], overflowed.get(position, 0)
-            )
+        offset = 0
+        end = len(chunk)
+        while offset < end:
+            body = offset + 1 + chunk[offset]
+            stop = body + 3
+            if not chunk[body] & 2:
+                stop += chunk[body + 1] | chunk[body + 2] << 8
+            yield chunk[offset + 1 : body], chunk[offset:stop]
+            offset = stop
 
 
 # -- shape serialization ------------------------------------------------------------

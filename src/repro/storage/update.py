@@ -11,13 +11,14 @@ subtree operations (:class:`InsertSubtree` / :class:`DeleteSubtree` /
   deleted) eagerly; displaced sibling subtrees are renumbered with the
   same dense Dewey ordinals a re-shred would assign (up-shifts process
   siblings in descending order, down-shifts ascending, so moved keys
-  never collide with not-yet-moved ones).
-* **TypeToSequence** — each *touched* type's full
-  sequence is loaded once, edited in memory, and repacked at commit;
-  untouched types keep their chunks byte-for-byte.
+  never collide with not-yet-moved ones).  A renumbered node's key and
+  entry get the new label prefix; its value moves as stored.
+* **TypeToSequence** — each *touched* type's full sequence is loaded
+  once as ``(label, entry)`` byte pairs, edited in memory, and repacked
+  at commit; untouched types keep their chunks byte-for-byte.
 * **Type ids** — re-shredding interns types in first-occurrence
   (pre-order) document order.  The commit recomputes that order from
-  each surviving type's minimum Dewey and, when it differs from the
+  each surviving type's first label and, when it differs from the
   stored ids, rewrites exactly the affected types' node values and
   re-keys their sequence chunks, so ids stay dense and parity with a
   re-shred is exact.
@@ -47,17 +48,17 @@ test_update_parity.py``); see ``docs/UPDATES.md`` for the full design.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import groupby
 from typing import Optional, Union
 
 from repro.cache import shape_fingerprint
 from repro.errors import StorageError
 from repro.faults import FAULTS
 from repro.storage import tables
-from repro.storage.tables import NodeRecord
 from repro.xmltree import dewey as labels
 from repro.xmltree.dewey import Dewey
-from repro.xmltree.node import XmlForest, XmlNode, _number_subtree
+from repro.xmltree.node import NodeKind, XmlForest, XmlNode
 
 
 # ---------------------------------------------------------------------------
@@ -144,26 +145,32 @@ class UpdateResult:
         )
 
 
-def resolve_ref(ref: DeweyRef) -> Dewey:
-    """Normalize a Dewey reference (object, dotted text, or tuple)."""
-    if isinstance(ref, Dewey):
-        return ref
-    if isinstance(ref, str):
-        return Dewey.parse(ref)
-    if isinstance(ref, (tuple, list)):
-        return Dewey(tuple(ref))
-    raise StorageError(f"not a Dewey reference: {ref!r}")
+def resolve_ref(ref: DeweyRef) -> bytes:
+    """The label a node reference names — checked here, at the API edge,
+    and packed once: everything past this line works on the label."""
+    try:
+        parts = ref.split(".") if isinstance(ref, str) else ref
+        return labels.pack(Dewey(tuple(int(part) for part in parts)))
+    except (TypeError, ValueError):
+        raise StorageError(f"not a node reference: {ref!r}") from None
+
+
+def insert_position(op: InsertSubtree, count: int) -> int:
+    """The slot ``op`` fills among ``count`` siblings (default: the last)."""
+    position = count + 1 if op.position is None else op.position
+    if not isinstance(position, int):
+        raise StorageError(f"insert position {position!r} is not an integer")
+    if not 1 <= position <= count + 1:
+        raise StorageError(f"insert position {position} out of range 1..{count + 1}")
+    return position
 
 
 def materialize_subtree(source: SubtreeSource) -> XmlNode:
-    """A detached deep copy of the subtree to insert.
-
-    Copying guarantees the staged records never alias a caller-owned
-    tree, and that ``type_path()`` on any descendant stops at the
-    subtree root.
-    """
+    """The root of the subtree an op carries: the node itself, or the
+    single root its text parses to.  Not a copy: the updater only reads
+    it, :func:`reference_apply` copies what it grafts."""
     if isinstance(source, XmlNode):
-        return source.copy_subtree()
+        return source
     from repro.xmltree.parser import parse_forest
 
     forest = parse_forest(source)
@@ -171,7 +178,7 @@ def materialize_subtree(source: SubtreeSource) -> XmlNode:
         raise StorageError(
             f"a subtree must have exactly one root, got {len(forest.roots)}"
         )
-    return forest.roots[0].copy_subtree()
+    return forest.roots[0]
 
 
 # ---------------------------------------------------------------------------
@@ -189,29 +196,27 @@ def reference_apply(forest: XmlForest, ops: list[UpdateOp]) -> XmlForest:
     byte-identical store to :meth:`Database.apply_batch` — the parity
     suite pins that down.
     """
+
+    def node_at(ref: DeweyRef) -> XmlNode:
+        dewey = labels.unpack(resolve_ref(ref))
+        node = forest.node_by_dewey(dewey)
+        if node is None:
+            raise StorageError(f"no node at {dewey}")
+        return node
+
     forest.renumber()
     for op in ops:
         if isinstance(op, InsertSubtree):
-            node = materialize_subtree(op.subtree)
-            if op.parent is None:
-                siblings, parent = forest.roots, None
-            else:
-                parent = forest.node_by_dewey(resolve_ref(op.parent))
-                if parent is None:
-                    raise StorageError(f"no node at {resolve_ref(op.parent)}")
-                siblings = parent.children
-            position = op.position if op.position is not None else len(siblings) + 1
-            if not 1 <= position <= len(siblings) + 1:
-                raise StorageError(
-                    f"insert position {position} out of range 1..{len(siblings) + 1}"
-                )
+            parent = None if op.parent is None else node_at(op.parent)
+            if parent is not None and parent.kind is NodeKind.ATTRIBUTE:
+                raise StorageError(f"cannot insert under the attribute at {parent.dewey}")
+            siblings = forest.roots if parent is None else parent.children
+            position = insert_position(op, len(siblings))
+            node = materialize_subtree(op.subtree).copy_subtree()
             node.parent = parent
             siblings.insert(position - 1, node)
         elif isinstance(op, DeleteSubtree):
-            target = resolve_ref(op.target)
-            node = forest.node_by_dewey(target)
-            if node is None:
-                raise StorageError(f"no node at {target}")
+            node = node_at(op.target)
             if node.parent is None:
                 if len(forest.roots) == 1:
                     raise StorageError("cannot delete the only root of a document")
@@ -219,11 +224,8 @@ def reference_apply(forest: XmlForest, ops: list[UpdateOp]) -> XmlForest:
             else:
                 node.parent.children.remove(node)
         elif isinstance(op, ReplaceSubtree):
-            target = resolve_ref(op.target)
-            node = forest.node_by_dewey(target)
-            if node is None:
-                raise StorageError(f"no node at {target}")
-            fresh = materialize_subtree(op.subtree)
+            node = node_at(op.target)
+            fresh = materialize_subtree(op.subtree).copy_subtree()
             fresh.parent = node.parent
             siblings = forest.roots if node.parent is None else node.parent.children
             siblings[siblings.index(node)] = fresh
@@ -238,10 +240,6 @@ def reference_apply(forest: XmlForest, ops: list[UpdateOp]) -> XmlForest:
 # ---------------------------------------------------------------------------
 
 
-def _parts_key(record: NodeRecord) -> tuple[int, ...]:
-    return record.dewey.parts
-
-
 class IncrementalUpdater:
     """Stages one update batch against a stored document.
 
@@ -250,14 +248,20 @@ class IncrementalUpdater:
     flushes.  The updater never mutates the document's
     ``StoredDocumentIndex`` — the database drops and reloads it after
     commit.
+
+    It works on the stored bytes.  A node is its label; the forest's own
+    "label" is ``b""``, so a root is a child like any other.  A loaded
+    type sequence is a label-sorted list of ``(label, T entry)`` pairs,
+    which is document order, and :mod:`~repro.storage.tables` alone
+    knows what a value or an entry holds.
     """
 
     def __init__(self, database, name: str):
-        self.db = database
         self.tree = database.tree
         self.name = name
         self.descriptor = database.describe(name)
         self.doc_id: int = self.descriptor["doc_id"]
+        self._nodes = tables.nodes_prefix(self.doc_id)
         shape_chunks = tables.load_chunks(self.tree, tables.shape_prefix(self.doc_id))
         if not shape_chunks:
             raise StorageError(f"document {name!r} has no stored shape")
@@ -273,15 +277,16 @@ class IncrementalUpdater:
             int(type_id): count for type_id, count in shape_info["counts"].items()
         }
         self._old_type_ids = set(self.paths)
-        self._old_cards: dict[tuple[int, int], tuple[int, int]] = {
-            (parent, child): (lo, hi)
-            for parent, child, lo, hi in shape_info["edges"]
+        #: Stored adornments keyed (child old-id, parent old-id); types
+        #: interned by this batch have no stored edge and always recompute.
+        self._stored_cards: dict[tuple[int, int], tuple[int, int]] = {
+            (child, parent): (lo, hi) for parent, child, lo, hi in shape_info["edges"]
         }
         self._next_type_id = max(self.paths, default=-1) + 1
-        #: Loaded (possibly edited) sequences, sorted by Dewey.
-        self._seqs: dict[int, list[NodeRecord]] = {}
-        #: Each loaded sequence's first Dewey as it was stored.
-        self._first_loaded: dict[int, tuple[int, ...]] = {}
+        #: Loaded (possibly edited) sequences.
+        self._seqs: dict[int, list[tuple[bytes, bytes]]] = {}
+        #: Each loaded sequence's first label as it was stored.
+        self._first_loaded: dict[int, bytes] = {}
         #: Types whose sequence membership or numbering changed.
         self._dirty_types: set[int] = set()
         #: Types whose instance count changed (triggers cardinality
@@ -308,14 +313,16 @@ class IncrementalUpdater:
 
     # -- primitive reads ---------------------------------------------------
 
-    def _record_at(self, dewey: Dewey) -> Optional[NodeRecord]:
-        raw = self.tree.get(tables.node_key(self.doc_id, dewey))
-        return tables.decode_node_value(dewey, raw) if raw is not None else None
+    def _head_at(self, label: bytes) -> tuple[int, bool, int]:
+        """``tables.node_head`` of the staged node labelled ``label``."""
+        value = self.tree.get(self._nodes + label)
+        if value is None:
+            raise StorageError(
+                f"document {self.name!r} has no node at {labels.unpack(label)}"
+            )
+        return tables.node_head(value)
 
-    def _slot(self, parent: Optional[Dewey], ordinal: int) -> Dewey:
-        return parent.child(ordinal) if parent is not None else Dewey.root(ordinal)
-
-    def _child_count(self, parent: Optional[Dewey]) -> int:
+    def _child_count(self, parent: bytes) -> int:
         """Number of children (sibling slots) under ``parent``.
 
         Dewey ordinals are dense, so the last occupied slot can be
@@ -325,7 +332,7 @@ class IncrementalUpdater:
         limit = labels.COMPONENT_MAX
 
         def occupied(ordinal: int) -> bool:
-            return self._record_at(self._slot(parent, ordinal)) is not None
+            return self.tree.get(self._nodes + labels.child(parent, ordinal)) is not None
 
         if not occupied(1):
             return 0
@@ -343,95 +350,86 @@ class IncrementalUpdater:
                 high = mid
         return low
 
-    def _scan_subtree(self, root: Dewey) -> list[NodeRecord]:
-        """Every staged record in the subtree, in document order.
-
-        Components are fixed-width (3 bytes), so the root's key is the
-        prefix of exactly the root's and its descendants' keys.
-        """
+    def _scan_subtree(self, root: bytes) -> list[tuple[bytes, bytes]]:
+        """The staged ``(label, N value)`` of every node in the subtree,
+        in document order: the root's key is the prefix of exactly the
+        root's and its descendants' keys."""
+        cut = len(self._nodes)
         return [
-            tables.decode_node_value(tables.node_key_dewey(key), value)
-            for key, value in self.tree.scan_prefix(tables.node_key(self.doc_id, root))
+            (key[cut:], value)
+            for key, value in self.tree.scan_prefix(self._nodes + root)
         ]
 
-    def _sequence(self, type_id: int) -> list[NodeRecord]:
+    def _sequence(self, type_id: int) -> list[tuple[bytes, bytes]]:
         seq = self._seqs.get(type_id)
         if seq is None:
-            seq = list(tables.read_sequence(self.tree, self.doc_id, type_id))
+            seq = list(tables.sequence_entries(self.tree, self.doc_id, type_id))
             self._seqs[type_id] = seq
             if seq:
-                self._first_loaded[type_id] = seq[0].dewey.parts
+                self._first_loaded[type_id] = seq[0][0]
         return seq
 
-    def _touch(self, type_id: int) -> list[NodeRecord]:
+    def _touch(self, type_id: int) -> list[tuple[bytes, bytes]]:
         self._dirty_types.add(type_id)
         return self._sequence(type_id)
 
+    def _take(self, type_id: int, label: bytes) -> bytes:
+        """Remove the node labelled ``label`` from its type's sequence;
+        returns its entry."""
+        seq = self._touch(type_id)
+        index = bisect_left(seq, (label,))
+        if index == len(seq) or seq[index][0] != label:
+            raise StorageError(
+                f"sequence for type {type_id} lost node {labels.unpack(label)}"
+            )
+        return seq.pop(index)[1]
+
     # -- structural edits --------------------------------------------------
 
-    def _remove_subtree(self, root: Dewey) -> int:
-        records = self._scan_subtree(root)
-        for record in records:
-            seq = self._touch(record.type_id)
-            index = bisect_left(seq, record.dewey.parts, key=_parts_key)
-            if index >= len(seq) or seq[index].dewey.parts != record.dewey.parts:
-                raise StorageError(
-                    f"sequence for type {record.type_id} lost node {record.dewey}"
-                )
-            del seq[index]
-            self.counts[record.type_id] -= 1
-            self._count_changed.add(record.type_id)
-            self.text_bytes -= len(tables.read_text(self.tree, self.doc_id, record))
-            for number in range(record.overflow_chunks):
-                self.tree.delete(tables.overflow_key(self.doc_id, record.dewey, number))
-            self.tree.delete(tables.node_key(self.doc_id, record.dewey))
-        self.node_count -= len(records)
-        self.result.nodes_removed += len(records)
-        return len(records)
+    def _remove_subtree(self, root: bytes) -> None:
+        doomed = self._scan_subtree(root)
+        for label, value in doomed:
+            type_id, _is_attribute, overflow_chunks = tables.node_head(value)
+            self._take(type_id, label)
+            self.counts[type_id] -= 1
+            self._count_changed.add(type_id)
+            self.text_bytes -= len(tables.node_text(self.tree, self.doc_id, label, value))
+            for number in range(overflow_chunks):
+                self.tree.delete(tables.overflow_key(self.doc_id, label, number))
+            self.tree.delete(self._nodes + label)
+        self.node_count -= len(doomed)
+        self.result.nodes_removed += len(doomed)
 
-    def _shift_subtree(self, old_root: Dewey, new_root: Dewey) -> None:
+    def _shift_subtree(self, old_root: bytes, new_root: bytes) -> None:
         """Renumber a whole subtree: ``old_root`` prefix → ``new_root``.
 
-        All old keys are deleted before any new key is written, so a
-        shift never collides with itself; callers order sibling shifts
-        (descending for up-shifts, ascending for down-shifts) so shifts
-        never collide with each other.
+        Only labels change: an ``N`` value does not hold its label and
+        moves as it is, a ``T`` entry is relabelled, overflow chunks are
+        re-keyed.  All old keys are deleted before any new key is
+        written, so a shift never collides with itself; callers order
+        sibling shifts (descending for up-shifts, ascending for
+        down-shifts) so a moved label never collides with an unmoved one
+        — in the tree or in a sequence, which each node leaves before it
+        re-enters (an in-place swap would leave a type with several
+        nodes in the subtree transiently unsorted under the next bisect).
         """
-        records = self._scan_subtree(old_root)
-        depth = len(old_root.parts)
-        overflow: dict[tuple, list[bytes]] = {}
-        for record in records:
-            self.tree.delete(tables.node_key(self.doc_id, record.dewey))
-            if record.overflow_chunks:
-                chunks = []
-                for number in range(record.overflow_chunks):
-                    key = tables.overflow_key(self.doc_id, record.dewey, number)
-                    chunks.append(self.tree.get(key) or b"")
-                    self.tree.delete(key)
-                overflow[record.dewey.parts] = chunks
+        moved = self._scan_subtree(old_root)
         run: list[tuple[bytes, bytes]] = []
-        for record in records:
-            new_dewey = Dewey(new_root.parts + record.dewey.parts[depth:])
-            moved = replace(record, dewey=new_dewey)
-            seq = self._touch(record.type_id)
-            index = bisect_left(seq, record.dewey.parts, key=_parts_key)
-            if index >= len(seq) or seq[index].dewey.parts != record.dewey.parts:
-                raise StorageError(
-                    f"sequence for type {record.type_id} lost node {record.dewey}"
-                )
-            # Remove-then-insort (not in-place replacement): a subtree
-            # holding several records of one type would otherwise leave
-            # the list transiently unsorted and break the next bisect.
-            # Sibling shifts are ordered (descending up, ascending down)
-            # so a moved dewey never collides with an unmoved one.
-            del seq[index]
-            insort(seq, moved, key=_parts_key)
-            run.append(tables.node_entry(self.doc_id, moved))
-            for number, chunk in enumerate(overflow.get(record.dewey.parts, ())):
-                run.append((tables.overflow_key(self.doc_id, new_dewey, number), chunk))
+        for label, value in moved:
+            type_id, _is_attribute, overflow_chunks = tables.node_head(value)
+            new_label = new_root + label[len(old_root) :]
+            self.tree.delete(self._nodes + label)
+            run.append((self._nodes + new_label, value))
+            for number in range(overflow_chunks):
+                key = tables.overflow_key(self.doc_id, label, number)
+                chunk = self.tree.get(key) or b""
+                self.tree.delete(key)
+                run.append((tables.overflow_key(self.doc_id, new_label, number), chunk))
+            entry = self._take(type_id, label)
+            insort(self._seqs[type_id], (new_label, tables.relabel(entry, new_label)))
         run.sort()
         self.tree.put_many(run)
-        self.result.nodes_renumbered += len(records)
+        self.result.nodes_renumbered += len(moved)
 
     def _type_for(self, path: tuple[str, ...]) -> int:
         type_id = self.ids_by_path.get(path)
@@ -445,99 +443,91 @@ class IncrementalUpdater:
             self._dirty_types.add(type_id)
         return type_id
 
-    def _write_subtree(self, node: XmlNode, base_path: tuple[str, ...]) -> None:
-        """Stage a numbered, detached subtree's records (no sibling shifts)."""
+    def _write_subtree(self, root: XmlNode, label: bytes, base_path: tuple[str, ...]) -> None:
+        """Stage a subtree's records with its root at ``label`` (no
+        sibling shifts).  A node is labelled, typed and encoded as the
+        shredder's sink does it: its parent's label plus its ordinal,
+        its parent's path plus its name, ``split_text``, ``encode_node``."""
         limit = labels.COMPONENT_MAX
         run: list[tuple[bytes, bytes]] = []
-        for vertex in node.iter_subtree():
-            if vertex.dewey.parts[-1] > limit:
-                raise StorageError(
-                    f"Dewey component {vertex.dewey.parts[-1]} exceeds the "
-                    f"storage limit {limit} (sibling overflow in inserted subtree)"
-                )
-            path = base_path + vertex.type_path()
+        pending = [(root, label, base_path + (root.name,))]
+        while pending:
+            node, label, path = pending.pop()
             type_id = self._type_for(path)
-            inline, overflow = tables.write_text(self.doc_id, vertex.dewey, vertex.text)
-            record = NodeRecord(vertex.dewey, type_id, vertex.kind, inline, len(overflow))
-            run.append(tables.node_entry(self.doc_id, record))
+            inline, overflow = tables.split_text(self.doc_id, label, node.text.encode())
+            value, entry = tables.encode_node(
+                label, type_id, node.kind is NodeKind.ATTRIBUTE, inline, len(overflow)
+            )
+            run.append((self._nodes + label, value))
             run.extend(overflow)
-            seq = self._touch(type_id)
-            insort(seq, record, key=_parts_key)
+            insort(self._touch(type_id), (label, entry))
             self.counts[type_id] += 1
             self._count_changed.add(type_id)
             self.node_count += 1
-            self.text_bytes += len(vertex.text)
+            self.text_bytes += len(node.text)
             self.result.nodes_added += 1
+            if len(node.children) > limit:
+                raise StorageError(
+                    f"Dewey component {len(node.children)} exceeds the "
+                    f"storage limit {limit} (sibling overflow in inserted subtree)"
+                )
+            for ordinal, child in enumerate(node.children, 1):
+                pending.append((child, labels.child(label, ordinal), path + (child.name,)))
         run.sort()
         self.tree.put_many(run)
 
     # -- operations --------------------------------------------------------
 
     def _apply_insert(self, op: InsertSubtree) -> None:
-        parent: Optional[Dewey]
-        base_path: tuple[str, ...]
-        if op.parent is None:
-            parent, base_path = None, ()
-        else:
+        parent, base_path = b"", ()
+        if op.parent is not None:
             parent = resolve_ref(op.parent)
-            parent_record = self._record_at(parent)
-            if parent_record is None:
+            type_id, is_attribute, _overflow_chunks = self._head_at(parent)
+            if is_attribute:
                 raise StorageError(
-                    f"document {self.name!r} has no node at {parent}"
+                    f"cannot insert under the attribute at {labels.unpack(parent)}"
                 )
-            base_path = self.paths[parent_record.type_id]
+            base_path = self.paths[type_id]
         count = self._child_count(parent)
-        position = op.position if op.position is not None else count + 1
-        if not 1 <= position <= count + 1:
-            raise StorageError(
-                f"insert position {position} out of range 1..{count + 1}"
-            )
+        position = insert_position(op, count)
         if count + 1 > labels.COMPONENT_MAX:
             raise StorageError(
                 f"Dewey renumber overflow: {count + 1} siblings exceed the "
                 f"storage limit {labels.COMPONENT_MAX} under "
-                f"{parent if parent is not None else '<roots>'}"
+                f"{labels.unpack(parent) if parent else '<roots>'}"
             )
         node = materialize_subtree(op.subtree)
         # Up-shift displaced siblings, last first, so moved keys never
         # land on a slot that still holds its old subtree.
         for ordinal in range(count, position - 1, -1):
             self._shift_subtree(
-                self._slot(parent, ordinal), self._slot(parent, ordinal + 1)
+                labels.child(parent, ordinal), labels.child(parent, ordinal + 1)
             )
-        _number_subtree(node, self._slot(parent, position))
-        self._write_subtree(node, base_path)
+        self._write_subtree(node, labels.child(parent, position), base_path)
 
     def _apply_delete(self, op: DeleteSubtree) -> None:
         target = resolve_ref(op.target)
-        if self._record_at(target) is None:
-            raise StorageError(f"document {self.name!r} has no node at {target}")
-        parent = target.parent
+        self._head_at(target)
+        parent = labels.parent(target) or b""
         count = self._child_count(parent)
-        if parent is None and count == 1:
+        if not parent and count == 1:
             raise StorageError("cannot delete the only root of a document")
         self._remove_subtree(target)
         # Down-shift later siblings, first first (ascending).
-        position = target.parts[-1]
+        position = int.from_bytes(target[len(parent) :], "big")
         for ordinal in range(position + 1, count + 1):
             self._shift_subtree(
-                self._slot(parent, ordinal), self._slot(parent, ordinal - 1)
+                labels.child(parent, ordinal), labels.child(parent, ordinal - 1)
             )
 
     def _apply_replace(self, op: ReplaceSubtree) -> None:
         target = resolve_ref(op.target)
-        if self._record_at(target) is None:
-            raise StorageError(f"document {self.name!r} has no node at {target}")
-        parent = target.parent
-        if parent is None:
-            base_path: tuple[str, ...] = ()
-        else:
-            parent_record = self._record_at(parent)
-            base_path = self.paths[parent_record.type_id]
+        self._head_at(target)
+        parent = labels.parent(target)
+        base_path = self.paths[self._head_at(parent)[0]] if parent else ()
         node = materialize_subtree(op.subtree)
         self._remove_subtree(target)
-        _number_subtree(node, target)
-        self._write_subtree(node, base_path)
+        self._write_subtree(node, target, base_path)
 
     # -- commit ------------------------------------------------------------
 
@@ -558,30 +548,21 @@ class IncrementalUpdater:
                 del self.ids_by_path[self.paths.pop(type_id)]
                 self._seqs[type_id] = []
                 self._dirty_types.discard(type_id)
-        for type_id in self._dirty_types:
-            self._seqs[type_id].sort(key=_parts_key)
 
-        # 2. Recover re-shred intern order: ascending minimum Dewey.
+        # 2. Recover re-shred intern order: ascending first label.
         #    Stored ids are already dense in that order, so it stands —
         #    and no untouched type is read — when the batch added and
         #    retired no type and every loaded sequence still starts where
-        #    it did.  Otherwise touched types give their minimum from
-        #    their staged sequence, untouched types from the first record
+        #    it did.  Otherwise touched types give their first label from
+        #    their staged sequence, untouched types from the first entry
         #    of their first stored chunk.
         if self.paths.keys() == self._old_type_ids and all(
-            seq and seq[0].dewey.parts == self._first_loaded.get(type_id)
+            seq and seq[0][0] == self._first_loaded.get(type_id)
             for type_id, seq in self._seqs.items()
         ):
             final_id = {type_id: type_id for type_id in self.paths}
         else:
-            min_dewey: dict[int, tuple[int, ...]] = {}
-            for type_id in self.paths:
-                seq = self._seqs.get(type_id)
-                if seq:
-                    min_dewey[type_id] = seq[0].dewey.parts
-                else:
-                    min_dewey[type_id] = self._first_stored_dewey(type_id)
-            order = sorted(self.paths, key=lambda type_id: min_dewey[type_id])
+            order = sorted(self.paths, key=self._first_label)
             final_id = {type_id: position for position, type_id in enumerate(order)}
         remap = {
             type_id: new_id
@@ -594,13 +575,11 @@ class IncrementalUpdater:
         # sorted run at the end, after every stale key is deleted.
         run: list[tuple[bytes, bytes]] = []
 
-        # 3. Remapped node values: the Nodes records embed the type id.
+        # 3. Remapped node values: a Nodes value leads with its type id,
+        #    the rest of it is in the node's entry.
         for type_id, new_id in remap.items():
-            seq = self._sequence(type_id)
-            for index, record in enumerate(seq):
-                renamed = replace(record, type_id=new_id)
-                seq[index] = renamed
-                run.append(tables.node_entry(self.doc_id, renamed))
+            for label, entry in self._sequence(type_id):
+                run.append((self._nodes + label, tables.node_value(new_id, entry)))
 
         # 4. Sequence chunks: every stale key (old-id space) is deleted
         #    before any new chunk is written — two phases, so a type
@@ -611,10 +590,12 @@ class IncrementalUpdater:
             for key in stale:
                 self.tree.delete(key)
         for type_id in sorted(rewrite):
-            records = self._seqs[type_id]
-            new_id = final_id[type_id]
-            for chunk_no, chunk in enumerate(tables.pack_sequence(records)):
-                run.append((tables.sequence_key(self.doc_id, new_id, chunk_no), chunk))
+            chunks: list[bytearray] = []
+            for _label, entry in self._seqs[type_id]:
+                tables.append_entry(chunks, entry)
+            for chunk_no, chunk in enumerate(chunks):
+                key = tables.sequence_key(self.doc_id, final_id[type_id], chunk_no)
+                run.append((key, bytes(chunk)))
 
         # 5. The adorned shape, in final-id space.
         shape_descriptor = self._shape_descriptor(final_id)
@@ -650,9 +631,12 @@ class IncrementalUpdater:
         descriptor["shape"] = shape_descriptor
         return descriptor
 
-    def _first_stored_dewey(self, type_id: int) -> tuple[int, ...]:
-        for record in tables.read_sequence(self.tree, self.doc_id, type_id):
-            return record.dewey.parts
+    def _first_label(self, type_id: int) -> bytes:
+        seq = self._seqs.get(type_id)
+        if seq:
+            return seq[0][0]
+        for label, _entry in tables.sequence_entries(self.tree, self.doc_id, type_id):
+            return label
         raise StorageError(
             f"document {self.name!r}: type {type_id} has instances but no "
             "stored sequence"
@@ -686,11 +670,11 @@ class IncrementalUpdater:
             if (
                 type_id in self._dirty_types
                 or parent_id in self._count_changed
-                or (type_id, parent_id) not in self._edge_cache()
+                or (type_id, parent_id) not in self._stored_cards
             ):
                 lo, hi = self._recompute_card(type_id, parent_id)
             else:
-                lo, hi = self._edge_cache()[(type_id, parent_id)]
+                lo, hi = self._stored_cards[(type_id, parent_id)]
             edges.append([final_id[parent_id], final_id[type_id], lo, hi])
         edges.sort()
         counts = {
@@ -699,47 +683,24 @@ class IncrementalUpdater:
         }
         return {"types": types, "edges": edges, "counts": counts}
 
-    def _edge_cache(self) -> dict[tuple[int, int], tuple[int, int]]:
-        # Stored adornments keyed (child old-id, parent old-id); types
-        # interned by this batch have no stored edge and always recompute.
-        if not hasattr(self, "_edge_lookup"):
-            self._edge_lookup = {
-                (child, parent): (lo, hi)
-                for (parent, child), (lo, hi) in self._old_cards.items()
-            }
-        return self._edge_lookup
-
     def _recompute_card(self, type_id: int, parent_id: int) -> tuple[int, int]:
         """Re-derive one edge's (lo, hi) from the child's sequence.
 
-        Nodes of one type all sit at one depth, so records sharing a
-        parent are consecutive in the Dewey-sorted sequence; one linear
-        pass yields the per-parent group sizes.  ``lo`` drops to 0 when
-        some parent instance has no child of this type — the
-        :class:`~repro.shape.dataguide.DataGuideBuilder` adornment rule.
+        Nodes of one type all sit at one depth, so those sharing a
+        parent — a label prefix — are consecutive in the sorted
+        sequence; one pass yields the per-parent group sizes.  ``lo``
+        drops to 0 when some parent instance has no child of this type —
+        the :class:`~repro.shape.dataguide.DataGuideBuilder` adornment
+        rule.
         """
-        seq = self._sequence(type_id)
-        parents_seen = 0
-        lo = None
-        hi = 0
-        current: Optional[tuple[int, ...]] = None
-        run = 0
-        for record in seq:
-            parent_key = record.dewey.parts[:-1]
-            if parent_key != current:
-                if current is not None:
-                    lo = run if lo is None else min(lo, run)
-                    hi = max(hi, run)
-                current = parent_key
-                parents_seen += 1
-                run = 1
-            else:
-                run += 1
-        if current is not None:
-            lo = run if lo is None else min(lo, run)
-            hi = max(hi, run)
-        if lo is None:
+        sizes = [
+            len(list(group))
+            for _parent, group in groupby(
+                self._sequence(type_id), key=lambda pair: labels.parent(pair[0])
+            )
+        ]
+        if not sizes:
             return (0, 0)
-        if parents_seen < self.counts.get(parent_id, 0):
-            lo = 0
-        return (lo, hi)
+        if len(sizes) < self.counts.get(parent_id, 0):
+            return (0, max(sizes))
+        return (min(sizes), max(sizes))

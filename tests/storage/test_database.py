@@ -7,10 +7,8 @@ import repro
 from repro.errors import DocumentNotFoundError, StorageError
 from repro.storage import Database
 from repro.storage import tables
-from repro.storage.tables import pack_sequence, NodeRecord
 from repro.xmltree import Dewey, parse_document
 from repro.xmltree.dewey import pack, unpack
-from repro.xmltree.node import NodeKind
 
 from tests.conftest import FIG1A, FIG1B, FIG1C
 from tests.strategies import xml_forests
@@ -35,30 +33,44 @@ class TestCodecs:
         assert [unpack(e) for e in sorted(encoded)] == sorted(ids)
 
     @staticmethod
-    def _stored(db, type_id, chunks):
-        """The records read back from ``chunks`` written as one sequence."""
+    def _stored(db, type_id, nodes):
+        """``nodes`` — ``(dotted dewey, is attribute, text, overflow
+        chunks)`` — encoded, written as one sequence, and read back both
+        ways: decoded by ``parse_chunk`` and cut by ``sequence_entries``."""
+        entries = [
+            tables.encode_node(
+                pack(Dewey.parse(dewey)), type_id, is_attribute, text.encode(), overflow_chunks
+            )[1]
+            for dewey, is_attribute, text, overflow_chunks in nodes
+        ]
+        chunks: list[bytearray] = []
+        for entry in entries:
+            tables.append_entry(chunks, entry)
         db.tree.put_many(
-            [(tables.sequence_key(77, type_id, n), chunk) for n, chunk in enumerate(chunks)]
+            [(tables.sequence_key(77, type_id, n), bytes(c)) for n, c in enumerate(chunks)]
         )
-        return list(tables.read_sequence(db.tree, 77, type_id))
+        labels, values, attributes, overflowed = tables.sequence_columns(db.tree, 77, type_id)
+        read = [
+            (str(unpack(label)), bool(attributes[n]), values[n], overflowed.get(n, 0))
+            for n, label in enumerate(labels)
+        ]
+        assert [entry for _label, entry in tables.sequence_entries(db.tree, 77, type_id)] == entries
+        return read, chunks
 
     def test_sequence_pack_roundtrip(self, db):
-        records = [
-            NodeRecord(Dewey.parse("1.1"), 3, NodeKind.ELEMENT, "hello"),
-            NodeRecord(Dewey.parse("1.2"), 3, NodeKind.ATTRIBUTE, "x" * 100),
-            NodeRecord(Dewey.parse("1.3"), 3, NodeKind.ELEMENT, "", overflow_chunks=2),
+        nodes = [
+            ("1.1", False, "hello", 0),
+            ("1.2", True, "x" * 100, 0),
+            ("1.3", False, "", 2),
         ]
-        chunks = list(pack_sequence(records))
-        assert self._stored(db, 3, chunks) == records
+        assert self._stored(db, 3, nodes)[0] == nodes
 
     def test_sequence_chunking(self, db):
-        records = [
-            NodeRecord(Dewey((1, i)), 1, NodeKind.ELEMENT, "v" * 200)
-            for i in range(1, 101)
-        ]
-        chunks = list(pack_sequence(records))
+        nodes = [(f"1.{i}", False, "v" * 200, 0) for i in range(1, 101)]
+        read, chunks = self._stored(db, 1, nodes)
         assert len(chunks) > 1
-        assert self._stored(db, 1, chunks) == records
+        assert max(map(len, chunks)) <= tables.CHUNK_BYTES
+        assert read == nodes
 
 
 class TestDocumentLifecycle:
@@ -267,6 +279,40 @@ class TestDropDocument:
         db.store_document("big", f"<r><t>{big}</t></r>")
         db.drop_document("big")
         assert not list(db.tree.scan_prefix(b"V"))
+
+    def test_a_failed_drop_does_not_half_commit(self, tmp_path):
+        """A read that fails inside the delete loop used to leave the
+        deletes staged so far for the next flush to commit: a catalog
+        entry naming nodes the Nodes keyspace no longer held."""
+        from repro.errors import InjectedFaultError
+        from repro.faults import FAULTS
+        from repro.storage.fsck import fsck
+        from repro.workloads.dblp import generate_dblp
+
+        path = str(tmp_path / "drop.db")
+        guard = "MORPH article [ title ]"
+        with Database(path, cache_pages=8) as db:
+            db.store_document("dblp", generate_dblp(30))
+            expected = db.transform("dblp", guard).xml()
+            keys = db.tree.count()
+            failures = 0
+            while True:  # fail the first read, then the second, ... until none is left
+                db.drop_cache()
+                try:
+                    with FAULTS.armed("pages.pread", action="raise", skip=failures):
+                        db.drop_document("dblp")
+                    break
+                except InjectedFaultError:
+                    failures += 1
+                # The handle is live on the whole document.
+                assert db.tree.count() == keys
+                assert db.transform("dblp", guard).xml() == expected
+            assert failures > 4  # some of them struck with deletes staged
+            assert db.document_names() == []
+            db.store_document("next", FIG1B)  # a later flush
+            assert db.tree.count() < keys
+        report = fsck(path)
+        assert report.ok and report.documents == ["next"]
 
 
 class TestStoredIndex:

@@ -1,25 +1,30 @@
-"""The one-pass shredder writes what the three-walk shredder wrote.
+"""No format change: a store's bytes are pinned, corpus by corpus.
 
-No format change: for every corpus below, the keys and values stored
-from text (tokenizer → sink), from a forest (walk → sink) and by the
-frozen parent shredder (``parent_shredder.shred``) are equal, byte for
-byte — the catalog record modulo ``shred_seconds`` — the store is
-``fsck``-clean, and an update batch on top still matches a re-shred.
+For every corpus below, the keys and values stored from text (tokenizer
+→ sink) and from a forest (walk → sink) are equal, byte for byte — the
+catalog record modulo ``shred_seconds`` — and hash to a digest committed
+here.  The digests were computed at commit b4db01c, where the live
+shredder was held to the frozen three-walk shredder of commit 634eb68
+and the updater still built a record object per node: they are what
+both wrote.  The store is ``fsck``-clean, and an update batch on top
+matches a re-shred and its own digest from the same commit.  A digest
+changes only with the format (``XPG2``): regenerate them in the PR that
+bumps it, from ``digest(entries(db))``.
 """
 
+import hashlib
 import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.storage import Database, InsertSubtree, ReplaceSubtree, database, reference_apply
+from repro.storage import Database, InsertSubtree, ReplaceSubtree, reference_apply
 from repro.storage.fsck import fsck
 from repro.workloads.dblp import generate_dblp_xml
 from repro.workloads.nasa import generate_nasa_xml
 from repro.workloads.xmark import generate_xmark_xml
 from repro.xmltree import parse_forest, serialize
 
-from tests.storage import parent_shredder
 from tests.strategies import documents
 
 CORPORA = {
@@ -33,6 +38,26 @@ CORPORA = {
         + "wörd " * 900 + "</t><t lang='de'>kurz</t></r>"
     ),
 }
+
+
+#: ``digest(entries(db))`` per corpus, as shredded at commit b4db01c.
+SHREDDED = {
+    "dblp": "4a3b7ce6336eefed37318d12982b25f76cbe0e60b83b915a2699bab48cac9f82",
+    "xmark": "05368fd8d6fdc68600eba9e42c66311464edab1fb83b7138a293eda4cef50399",
+    "nasa": "a7f7066f44a81e84cfd2deadfabae079a4fead07464c7a5d784052ae6bda0da3",
+    "multi-root": "f5b7e16a96086ad31b95cb71d85ce254ec4eed18f9787e213d711732698c2167",
+    "overflow": "9d0aaa546dd2c1ca12dab7e2946989201c3759743c8261d0a08eb3c25a93c5bf",
+}
+#: The same after ``BATCH`` on top, as updated at commit b4db01c.
+UPDATED = {
+    "dblp": "a833af30b8daef2b4aa9c8cc5ddb38be8a9cb2d577e2296620819e4c92730c09",
+    "multi-root": "e46e7c2e0c19f4222d09e84bfb6835d0ff45d5c892d0830dd8e35122f8ba7101",
+    "overflow": "d8998d02e63237c74bb727ae0d9fd817904a83f14676c49ce96a0f039df5275f",
+}
+BATCH = [
+    InsertSubtree("1", "<extra k='v'><title>new</title></extra>"),
+    ReplaceSubtree("1.1", "<swapped>" + "x" * 4000 + "</swapped>"),
+]
 
 
 def entries(db):
@@ -58,24 +83,23 @@ def written(path, source, batch=()):
     return found
 
 
-@pytest.fixture
-def parent_shred(monkeypatch):
-    """``Database.store_document`` through the parent's shredder."""
-
-    return lambda: monkeypatch.setattr(database, "shred", parent_shredder.shred)
+def digest(found):
+    """sha256 over every entry, each key and value behind its length."""
+    sha = hashlib.sha256()
+    for key, value in found:
+        sha.update(len(key).to_bytes(4, "big") + key + len(value).to_bytes(4, "big") + value)
+    return sha.hexdigest()
 
 
 @pytest.mark.parametrize("name", CORPORA)
-def test_text_forest_and_parent_shredder_store_the_same_bytes(tmp_path, parent_shred, name):
+def test_text_forest_and_parent_shredder_store_the_same_bytes(tmp_path, name):
     text = CORPORA[name]
     from_text = written(tmp_path / "text.db", text)
     from_forest = written(tmp_path / "forest.db", parse_forest(text))
-    parent_shred()
-    from_parent = written(tmp_path / "parent.db", parse_forest(text))
-    assert [key for key, _ in from_text] == [key for key, _ in from_parent]
-    assert from_text == from_parent
-    assert from_forest == from_parent
-    assert {key[:1] for key, _ in from_parent} >= {b"D", b"N", b"S", b"T"}
+    assert [key for key, _ in from_text] == [key for key, _ in from_forest]
+    assert from_text == from_forest
+    assert digest(from_text) == SHREDDED[name]
+    assert {key[:1] for key, _ in from_text} >= {b"D", b"N", b"S", b"T"}
 
 
 def test_the_overflow_corpus_overflows(tmp_path):
@@ -83,7 +107,7 @@ def test_the_overflow_corpus_overflows(tmp_path):
     assert sum(key[:1] == b"V" for key in keys) == 3  # the text's two, the note's one
 
 
-def test_positions_not_stale_deweys_number_a_forest(tmp_path, parent_shred):
+def test_positions_not_stale_deweys_number_a_forest(tmp_path):
     """A hand-built (or edited, not renumbered) forest stores by position."""
     forest = parse_forest("<r><a>1</a><b>2</b><c>3</c></r>")
     root = forest.roots[0]
@@ -92,17 +116,13 @@ def test_positions_not_stale_deweys_number_a_forest(tmp_path, parent_shred):
     assert stale == written(tmp_path / "text.db", "<r><c>3</c><b>2</b><a>1</a></r>")
 
 
-@pytest.mark.parametrize("name", ["dblp", "multi-root", "overflow"])
-def test_an_update_on_top_still_matches_a_reshred(tmp_path, parent_shred, name):
+@pytest.mark.parametrize("name", UPDATED)
+def test_an_update_on_top_still_matches_a_reshred(tmp_path, name):
     text = CORPORA[name]
-    batch = [
-        InsertSubtree("1", "<extra k='v'><title>new</title></extra>"),
-        ReplaceSubtree("1.1", "<swapped>" + "x" * 4000 + "</swapped>"),
-    ]
-    updated = written(tmp_path / "updated.db", text, batch)
-    expected = reference_apply(parse_forest(text), list(batch))
-    parent_shred()
+    updated = written(tmp_path / "updated.db", text, BATCH)
+    expected = reference_apply(parse_forest(text), list(BATCH))
     assert updated == written(tmp_path / "reshred.db", expected)
+    assert digest(updated) == UPDATED[name]
 
 
 @settings(
@@ -114,11 +134,7 @@ def test_an_update_on_top_still_matches_a_reshred(tmp_path, parent_shred, name):
 def test_generated_documents_store_the_same_bytes(tmp_path_factory, forest):
     scratch = tmp_path_factory.mktemp("identity")
     text = serialize(forest)
-    from_forest = written(scratch / "forest.db", forest)
+    # Parsing normalizes white-space-only text, so the text route is
+    # held to the forest route over the same text, parsed.
     from_text = written(scratch / "text.db", text)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(database, "shred", parent_shredder.shred)
-        assert from_forest == written(scratch / "parent.db", forest)
-        # Parsing normalizes white-space-only text, so the text route is
-        # held to the parent's shred of the same text, parsed.
-        assert from_text == written(scratch / "parsed.db", parse_forest(text))
+    assert from_text == written(scratch / "parsed.db", parse_forest(text))

@@ -6,6 +6,7 @@ prefix-of, and each keyspace's composite keys sort by their components.
 """
 
 import struct
+from collections import namedtuple
 
 import pytest
 from hypothesis import given
@@ -18,7 +19,6 @@ from repro.workloads import generate_dblp, generate_nasa, generate_xmark
 from repro.xmltree import parse_document
 from repro.xmltree import dewey as label_ops
 from repro.xmltree.dewey import Dewey, lca_level, pack, parent, prefix, unpack
-from repro.xmltree.node import NodeKind
 
 dewey_parts = st.lists(st.integers(min_value=1, max_value=5000), min_size=1, max_size=6)
 
@@ -82,8 +82,8 @@ class TestCompositeKeys:
         dewey_parts,
     )
     def test_node_keys_sort_by_doc_then_dewey(self, doc_a, doc_b, parts_a, parts_b):
-        key_a = tables.node_key(doc_a, Dewey(tuple(parts_a)))
-        key_b = tables.node_key(doc_b, Dewey(tuple(parts_b)))
+        key_a = tables.nodes_prefix(doc_a) + pack(parts_a)
+        key_b = tables.nodes_prefix(doc_b) + pack(parts_b)
         if doc_a != doc_b:
             assert (key_a < key_b) == (doc_a < doc_b)
         else:
@@ -94,13 +94,12 @@ class TestCompositeKeys:
         assert keys == sorted(keys)
 
     def test_keyspaces_disjoint(self):
-        dewey = Dewey((1,))
         prefixes = {
             tables.catalog_key("x")[:1],
-            tables.node_key(0, dewey)[:1],
+            tables.nodes_prefix(0)[:1],
             tables.shape_key(0, 0)[:1],
             tables.sequence_key(0, 0, 0)[:1],
-            tables.overflow_key(0, dewey, 0)[:1],
+            tables.overflow_key(0, pack((1,)), 0)[:1],
             tables.META_KEY[:1],
         }
         assert len(prefixes) == 6
@@ -109,29 +108,66 @@ class TestCompositeKeys:
 texts = st.text(max_size=200)
 
 
+def columns(chunks):
+    """``(label, text, is attribute, overflow chunks)`` per entry, as
+    :func:`tables.parse_chunk` reads the chunks."""
+    labels, values, attributes, overflowed = [], [], bytearray(), {}
+    for chunk in chunks:
+        tables.parse_chunk(chunk, labels, values, attributes, overflowed)
+    return [
+        Stored(unpack(label), values[n], bool(attributes[n]), overflowed.get(n, 0))
+        for n, label in enumerate(labels)
+    ]
+
+
 class TestRecordCodecs:
+    """One codec: what ``encode_node`` writes, ``parse_chunk`` (entries)
+    and ``node_head`` / ``node_text`` (values) read back, and the
+    updater's byte-level helpers agree with both."""
+
     @given(dewey_parts, st.integers(min_value=0, max_value=10000), texts, st.booleans())
     def test_node_value_roundtrip(self, parts, type_id, text, is_attribute):
-        record = tables.NodeRecord(
-            Dewey(tuple(parts)),
-            type_id,
-            NodeKind.ATTRIBUTE if is_attribute else NodeKind.ELEMENT,
-            text,
-        )
-        decoded = tables.decode_node_value(
-            record.dewey, tables.encode_node_value(record)
-        )
-        assert decoded == record
+        label = pack(parts)
+        value, entry = tables.encode_node(label, type_id, is_attribute, text.encode())
+        assert tables.node_head(value) == (type_id, is_attribute, 0)
+        assert tables.node_text(None, 0, label, value) == text
+        assert columns([entry]) == [Stored(Dewey(tuple(parts)), text, is_attribute, 0)]
+        assert tables.node_value(type_id, entry) == value
+        assert tables.node_value(type_id + 1, entry) == tables.encode_node(
+            label, type_id + 1, is_attribute, text.encode()
+        )[0]
+
+    @given(dewey_parts, dewey_parts, texts, st.booleans(), st.integers(0, 3))
+    def test_relabel_is_encoding_under_the_other_label(self, old, new, text, attribute, overflow):
+        raw = b"" if overflow else text.encode()
+        entry = tables.encode_node(pack(old), 7, attribute, raw, overflow)[1]
+        assert tables.relabel(entry, pack(new)) == tables.encode_node(
+            pack(new), 7, attribute, raw, overflow
+        )[1]
+
+    def test_an_overflowed_value_names_its_chunks_and_reads_them(self):
+        label = pack((1, 2))
+        inline, overflow = tables.split_text(4, label, ("wörd " * 900).encode())
+        assert inline == b"" and len(overflow) == 2
+        value, entry = tables.encode_node(label, 9, True, inline, len(overflow))
+        assert tables.node_head(value) == (9, True, 2)
+        assert columns([entry]) == [Stored(Dewey((1, 2)), "", True, 2)]
+        assert tables.node_text(dict(overflow), 4, label, value)  # a dict answers get() == "wörd " * 900
 
     @given(st.lists(st.tuples(dewey_parts, texts), max_size=60))
     def test_sequence_roundtrip(self, entries):
-        records = [
-            tables.NodeRecord(Dewey(tuple(parts)), 5, NodeKind.ELEMENT, text)
+        encoded = [
+            (pack(parts), tables.encode_node(pack(parts), 5, False, text.encode())[1])
             for parts, text in entries
         ]
-        chunks = list(tables.pack_sequence(records))
-        assert list(tables.read_sequence(_Chunks(chunks), 0, 5)) == records
-        assert [r for chunk in chunks for r in parent_unpack_sequence(5, chunk)] == records
+        chunks: list[bytearray] = []
+        for _label, entry in encoded:
+            tables.append_entry(chunks, entry)
+        chunks = [bytes(chunk) for chunk in chunks]
+        expected = [Stored(Dewey(tuple(parts)), text, False, 0) for parts, text in entries]
+        assert columns(chunks) == expected
+        assert list(tables.sequence_entries(_Chunks(chunks), 0, 5)) == encoded
+        assert [r for chunk in chunks for r in parent_unpack_sequence(chunk)] == expected
 
     @given(st.dictionaries(st.text(max_size=10), st.integers(), max_size=20))
     def test_shape_chunks_roundtrip(self, mapping):
@@ -154,10 +190,14 @@ class _Chunks:
         return ((prefix + n.to_bytes(4, "big"), c) for n, c in enumerate(self.chunks))
 
 
-def parent_unpack_sequence(type_id, chunk):
+#: What one entry says about its node.
+Stored = namedtuple("Stored", "dewey text is_attribute overflow_chunks")
+
+
+def parent_unpack_sequence(chunk):
     """``tables.unpack_sequence`` as it was before the chunk walker (one
-    ``struct`` call, one ``Dewey`` and one ``NodeRecord`` per entry),
-    kept here as the oracle."""
+    ``struct`` call and one ``Dewey`` per entry), kept here as the
+    oracle; it yields :class:`Stored` where it built a record."""
     offset = 0
     while offset < len(chunk):
         (dewey_len,) = struct.unpack_from("<B", chunk, offset)
@@ -169,13 +209,12 @@ def parent_unpack_sequence(type_id, chunk):
         offset += dewey_len
         flags, extra = struct.unpack_from("<BH", chunk, offset)
         offset += 3
-        kind = NodeKind.ATTRIBUTE if flags & 1 else NodeKind.ELEMENT
         if flags & 2:
-            yield tables.NodeRecord(dewey, type_id, kind, "", overflow_chunks=extra)
+            yield Stored(dewey, "", bool(flags & 1), extra)
         else:
             text = chunk[offset : offset + extra].decode()
             offset += extra
-            yield tables.NodeRecord(dewey, type_id, kind, text)
+            yield Stored(dewey, text, bool(flags & 1), 0)
 
 
 LONG = "long text, " * 200  # > INLINE_TEXT bytes: lives in the overflow keyspace
@@ -211,20 +250,22 @@ class TestColumns:
 
     @pytest.mark.parametrize("corpus", sorted(CORPORA))
     def test_read_sequence_yields_what_the_old_decoder_yielded(self, tmp_path, corpus):
+        """Both readers of a stored sequence — ``sequence_columns`` for
+        the index, ``sequence_entries`` for the updater — against the
+        decoder they replaced."""
         with Database(str(tmp_path / "c.db"), durable=False) as db:
             db.store_document("doc", CORPORA[corpus]())
             index = db.index("doc")
             overflowed = 0
             for data_type in index.types():
-                prefix_ = tables.sequence_prefix(index.doc_id, data_type.type_id)
-                expected = [
-                    record
-                    for _key, chunk in db.tree.scan_prefix(prefix_)
-                    for record in parent_unpack_sequence(data_type.type_id, chunk)
-                ]
-                records = list(
-                    tables.read_sequence(db.tree, index.doc_id, data_type.type_id)
+                chunks = tables.load_chunks(
+                    db.tree, tables.sequence_prefix(index.doc_id, data_type.type_id)
                 )
-                assert records == expected
-                overflowed += sum(1 for record in records if record.overflow_chunks)
+                expected = [r for chunk in chunks for r in parent_unpack_sequence(chunk)]
+                assert columns(chunks) == expected
+                pairs = list(tables.sequence_entries(db.tree, index.doc_id, data_type.type_id))
+                assert [unpack(label) for label, _entry in pairs] == [r.dewey for r in expected]
+                assert columns(entry for _label, entry in pairs) == expected
+                assert b"".join(entry for _label, entry in pairs) == b"".join(chunks)
+                overflowed += sum(1 for record in expected if record.overflow_chunks)
             assert (overflowed > 0) == (corpus == "attributes+overflow")

@@ -366,6 +366,41 @@ class TestErrorsLeaveStoreUntouched:
         with pytest.raises(StorageError):
             db.apply_batch("doc", [InsertSubtree("1", "<x/><y/>")])
 
+    @pytest.mark.parametrize("ref", ["1.x", "", "1.0", "1..2", "-1", (1, 0), (), (1, "b"), 7, 1.5])
+    def test_malformed_reference_refused_at_the_edge(self, db, ref):
+        """Not a ``ValueError`` out of ``Dewey.parse``, nor a ``TypeError``
+        from further in: the engine and the reference both name it."""
+        before = snapshot(db, "doc")
+        for op in (DeleteSubtree(ref), ReplaceSubtree(ref, "<z/>"), InsertSubtree(ref, "<z/>")):
+            with pytest.raises(StorageError, match="not a node reference"):
+                db.apply_batch("doc", [op])
+            with pytest.raises(StorageError, match="not a node reference"):
+                reference_apply(parse_forest(LIB), [op])
+        assert snapshot(db, "doc") == before
+
+    @pytest.mark.parametrize("position", ["2", 1.5])
+    def test_non_integer_position_refused(self, db, position):
+        op = InsertSubtree("1", "<x/>", position=position)
+        with pytest.raises(StorageError, match="not an integer"):
+            db.apply_batch("doc", [op])
+        with pytest.raises(StorageError, match="not an integer"):
+            reference_apply(parse_forest(LIB), [op])
+
+    def test_insert_under_an_attribute_refused(self, db):
+        """It used to be acknowledged and counted, and then no serializer
+        wrote it: the store stopped equalling a re-shred of its own text."""
+        from repro.xmltree import serialize
+
+        before = snapshot(db, "doc")
+        text = serialize(db.load_forest("doc"))
+        op = InsertSubtree((1, 1, 1), "<z>q</z>")  # under book b1's id="b1"
+        with pytest.raises(StorageError, match="attribute at 1.1.1"):
+            db.apply_batch("doc", [op])
+        with pytest.raises(StorageError, match="attribute at 1.1.1"):
+            reference_apply(parse_forest(LIB), [op])
+        assert snapshot(db, "doc") == before
+        assert serialize(db.load_forest("doc")) == text
+
 
 class TestDurabilityAcrossReopen:
     def test_committed_batch_survives_reopen(self, tmp_path):

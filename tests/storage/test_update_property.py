@@ -34,7 +34,7 @@ from repro.storage import (
     reference_apply,
 )
 from repro.xmltree import dewey as labels
-from repro.xmltree.node import XmlForest, element
+from repro.xmltree.node import NodeKind, XmlForest, element
 
 from tests.storage.test_update_parity import snapshot
 from tests.strategies import (
@@ -60,6 +60,7 @@ op_seeds = st.lists(
 
 base_documents = st.one_of(
     documents(max_depth=3, max_children=3),
+    documents(max_depth=2, max_children=3, attributes=True),
     skewed_documents(max_depth=2),
 )
 
@@ -81,6 +82,9 @@ def materialize(seeds, base: XmlForest):
         nodes = list(sim.iter_nodes())
         target = nodes[a % len(nodes)]
         if kind == "insert":
+            # An attribute takes no children: both engines refuse it.
+            elements = [node for node in nodes if node.kind is not NodeKind.ATTRIBUTE]
+            target = elements[a % len(elements)]
             slots = len(target.children) + 1
             op = InsertSubtree(str(target.dewey), subtree, b % slots + 1)
         elif kind == "delete":

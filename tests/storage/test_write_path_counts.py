@@ -3,9 +3,14 @@
 Storing a document is one pass: text goes from the tokenizer into the
 shredder's sink without a tree in between, a node's label is its
 parent's plus one component (nothing packs a whole Dewey), the DataGuide
-interns a path once per type, and nothing recurses per level.  A commit
-that leaves the intern order alone reads no untouched type's sequence.
+interns a path once per type, and nothing recurses per level.  An update
+edits the stored bytes: a sibling shift builds a ``Dewey`` per reference
+an op carries, none per node it renumbers, and a commit that leaves the
+intern order alone reads no untouched type's sequence.
 """
+
+import gc
+import weakref
 
 import pytest
 
@@ -14,6 +19,7 @@ from repro.shape.types import TypeTable
 from repro.storage import Database, InsertSubtree, ReplaceSubtree, reference_apply, tables
 from repro.workloads.dblp import generate_dblp
 from repro.xmltree import dewey, parse_forest, serialize
+from repro.xmltree.dewey import Dewey
 from repro.xmltree.node import XmlForest, XmlNode
 
 
@@ -39,16 +45,16 @@ def db(tmp_path):
 def test_storing_text_builds_no_node_and_no_record(db, monkeypatch):
     text = serialize(generate_dblp(50))
     nodes = count_calls(monkeypatch, XmlNode, "__init__")
-    records = count_calls(monkeypatch, tables.NodeRecord, "__init__")
+    deweys = count_calls(monkeypatch, Dewey, "__init__")
     descriptor = db.store_document("dblp", text)
     assert descriptor["nodes"] > 500
     assert len(nodes) == 0
-    assert len(records) == 0
+    assert len(deweys) == 0
 
 
 def test_storing_a_forest_packs_no_dewey_and_interns_once_per_type(db, monkeypatch):
     forest = generate_dblp(50)
-    packs = count_calls(monkeypatch, dewey, "pack") + count_calls(monkeypatch, tables, "pack")
+    packs = count_calls(monkeypatch, dewey, "pack")  # repro.storage imports it nowhere by name
     interns = count_calls(monkeypatch, TypeTable, "intern")
     descriptor = db.store_document("dblp", forest)
     assert packs == []
@@ -66,6 +72,36 @@ def test_the_dataguide_of_a_2000_deep_chain_needs_no_recursion():
     assert sorted(builder.edges()) == [(n, n + 1, 1, 1) for n in range(1999)]
     deepest = builder.type_table.by_id(1999)
     assert builder.has_text[deepest] and builder.type_of[id(node)] is deepest
+
+
+def test_a_middle_sibling_insert_builds_deweys_per_op_not_per_shifted_node(db, monkeypatch):
+    db.store_document("dblp", generate_dblp(80))
+    thesis = "<phdthesis><author>A</author><title>T</title></phdthesis>"
+    batch = [InsertSubtree("1", thesis, position=5), InsertSubtree((1,), thesis, position=9)]
+    unpacks = count_calls(monkeypatch, dewey, "unpack") + count_calls(monkeypatch, tables, "unpack")
+    deweys = count_calls(monkeypatch, Dewey, "__init__")
+    result = db.apply_batch("dblp", batch)
+    assert result.nodes_renumbered >= 200
+    assert unpacks == []
+    # A reference resolves through one Dewey; parsing a subtree's text
+    # numbers its root with another.
+    assert len(deweys) == 2 * len(batch)
+
+
+def test_an_update_frees_the_index_it_retires_without_the_collector(db):
+    """A sequence refers to its index weakly, so the two are no cycle:
+    the columns and join memo of every index an update retires used to
+    wait for the collector (perfbench's update-mix reads that as RSS)."""
+    db.store_document("dblp", generate_dblp(30))
+    db.transform("dblp", "MORPH author [ title ]").xml()
+    retired = weakref.ref(db.index("dblp"))
+    gc.collect()
+    gc.disable()
+    try:
+        db.apply_batch("dblp", [InsertSubtree("1", "<article><title>t</title></article>")])
+        assert retired() is None
+    finally:
+        gc.enable()
 
 
 class TestCommitReadsTouchedTypesOnly:
@@ -89,7 +125,7 @@ class TestCommitReadsTouchedTypesOnly:
 
     def test_an_append_reads_the_types_it_adds_to(self, db, monkeypatch):
         _forest, by_name = self.store(db)
-        reads = count_calls(monkeypatch, tables, "read_sequence")
+        reads = count_calls(monkeypatch, tables, "sequence_entries")
         thesis = "<phdthesis><author>A</author><title>T</title></phdthesis>"
         result = db.apply_batch("dblp", [InsertSubtree("1", thesis)])
         assert result.type_ids_remapped == 0
@@ -106,7 +142,7 @@ class TestCommitReadsTouchedTypesOnly:
         assert target.name == "article"
         touched = {by_name["dblp.article." + child.name] for child in target.children}
         touched.add(by_name["dblp.article"])
-        reads = count_calls(monkeypatch, tables, "read_sequence")
+        reads = count_calls(monkeypatch, tables, "sequence_entries")
         same_shape = serialize(target).replace("</title>", " (2nd ed.)</title>")
         result = db.apply_batch("dblp", [ReplaceSubtree(str(target.dewey), same_shape)])
         assert result.type_ids_remapped == 0

@@ -199,6 +199,28 @@ class TestUpdateCommand:
         assert "error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "flag, operand",
+        [
+            ("--delete", "1.x"),
+            ("--delete", ""),
+            ("--delete", "1.0"),
+            ("--insert", "1.0=<z/>"),
+            ("--replace", "1..2=<z/>"),
+        ],
+    )
+    def test_a_malformed_reference_is_one_error_line(self, stored, capsys, flag, operand):
+        """It used to be a ``ValueError`` traceback out of ``Dewey.parse``."""
+        with open(stored, "rb") as handle:
+            image = handle.read()
+        capsys.readouterr()
+        assert main(["update", "--db", stored, "doc", flag, operand]) == 1
+        error = capsys.readouterr().err
+        assert error.startswith("error: not a node reference: ") and error.count("\n") == 1
+        with open(stored, "rb") as handle:
+            assert handle.read() == image
+
+
 class TestRunAndTrace:
     def test_run_prints_xml_by_default(self, doc, capsys):
         assert main(["run", doc, "MORPH author [ name ]"]) == 0
