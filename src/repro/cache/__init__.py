@@ -4,9 +4,9 @@ Two caches make repeated guard evaluation cheap:
 
 * the **plan cache** (:class:`PlanCache`): compiled guard plans keyed by
   ``(guard text, document shape fingerprint)``, so a repeat
-  ``transform``/``compile``/``stream_transform`` over an unchanged
-  document skips the lexer → parser → typing → algebra stages entirely
-  (wired into :class:`repro.storage.Database` via ``cache_plans=``);
+  ``transform``/``compile``/``stream_transform`` over any document with
+  that shape skips the lexer → parser → typing → algebra stages entirely
+  (every :class:`repro.storage.Database` holds one);
 * the **closest-join memo** (on
   :class:`repro.closeness.index.BaseIndex`): per-type-pair closest-join
   maps shared between the reference renderer and both sinks of the

@@ -95,10 +95,9 @@ class CompiledPlan:
     compile_seconds: float
     #: The plan's compiled emitter (:mod:`repro.engine.compile`), with
     #: whichever sink functions renders have asked for so far; ``None``
-    #: on a plan nobody attached one to.  Because it is a plan field,
-    #: eviction, :meth:`PlanCache.invalidate` and
-    #: :meth:`PlanCache.apply_evolution` drop it together with the rest
-    #: of the plan — no separate invalidation channel to get wrong.
+    #: on a plan nobody attached one to.  Like the rest of the plan it
+    #: reads only the shape, so it serves every document whose
+    #: fingerprint matches and leaves the cache only with the plan.
     compiled_render: "Optional[CompiledRender]" = None
 
     @classmethod
@@ -130,13 +129,16 @@ class CompiledPlan:
 class PlanCache:
     """An LRU cache of :class:`CompiledPlan` keyed by (guard, fingerprint).
 
-    ``capacity <= 0`` disables the cache (every lookup misses, nothing
-    is retained) — the ``Database(cache_plans=0)`` knob.
+    A plan depends on nothing but its key, so no write to the store
+    makes one wrong: an update that changes a document's shape changes
+    its fingerprint, and the old plans serve every document that still
+    (or again) has the old one.  Entries leave only by LRU eviction or
+    :meth:`clear`.
 
     The cache is thread-safe: one re-entrant lock guards the LRU map and
     the counters, so a :class:`~repro.serve.TransformPool`'s workers can
-    hit it concurrently without losing invalidations or corrupting the
-    recency order.  :meth:`get_or_compile` adds *single-flight*
+    hit it concurrently without corrupting the recency order.
+    :meth:`get_or_compile` adds *single-flight*
     compilation on top: when N threads miss on the same key at once, one
     compiles while the rest wait on a per-key event and reuse the
     result — ``contended`` (metric ``plan_cache.contended``) counts the
@@ -152,7 +154,6 @@ class PlanCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.invalidations = 0
         self.contended = 0
 
     def __len__(self) -> int:
@@ -176,8 +177,6 @@ class PlanCache:
             return plan
 
     def put(self, plan: CompiledPlan) -> None:
-        if self.capacity <= 0:
-            return
         with self._lock:
             key = (plan.guard, plan.fingerprint)
             self._plans[key] = plan
@@ -197,21 +196,10 @@ class PlanCache:
 
         At most one thread runs ``compile_plan`` for a given key at a
         time; concurrent requesters block until it finishes, then re-read
-        the cache.  If the compiling thread fails (or the plan was
-        invalidated before the waiter woke), the waiter takes over and
-        compiles itself — an invalidation between compile and wake-up
-        must win, never be papered over by a stale shared result.
+        the cache.  If the compiling thread fails (or its plan was
+        evicted before the waiter woke), the waiter takes over and
+        compiles itself.
         """
-        if self.capacity <= 0:
-            # Disabled cache: `put` is a no-op, so single-flight would
-            # degenerate — waiters block on the leader, re-loop, never
-            # find a cached plan, and end up compiling *serially* while
-            # inflating `contended`.  Compile directly (and concurrently)
-            # instead; only the miss is counted.
-            with self._lock:
-                self.misses += 1
-                obs.count("plan_cache.misses")
-            return compile_plan()
         key = (guard, fingerprint)
         while True:
             with self._lock:
@@ -243,56 +231,8 @@ class PlanCache:
             else:
                 pending.wait()
                 # Loop: either the leader's plan is now cached (hit), or
-                # it failed/was invalidated and this thread becomes the
-                # new leader.
-
-    def apply_evolution(self, fingerprint: str, verdicts: "dict[str, str]") -> dict:
-        """Selectively invalidate after a schema evolution.
-
-        ``verdicts`` maps guard text to the evolution analyzer's verdict
-        (``compatible`` / ``degraded`` / ``broken``).  Plans compiled
-        against ``fingerprint`` whose guard the analyzer marked
-        non-compatible are dropped — they would compute the wrong (or
-        no) answer under the evolved shape; compatible ones stay, and
-        guards the analyzer never saw are left alone.  Returns
-        ``{"kept": n, "invalidated": m}``.
-        """
-        with self._lock:
-            kept = invalidated = 0
-            for key in list(self._plans):
-                guard, plan_fingerprint = key
-                if plan_fingerprint != fingerprint or guard not in verdicts:
-                    continue
-                if verdicts[guard] == "compatible":
-                    kept += 1
-                else:
-                    del self._plans[key]
-                    invalidated += 1
-            self.invalidations += invalidated
-            if invalidated:
-                obs.count("plan_cache.invalidations", invalidated)
-            return {"kept": kept, "invalidated": invalidated}
-
-    def guards_for(self, fingerprint: str) -> list[str]:
-        """Guard texts of every plan cached against one fingerprint.
-
-        The incremental-update commit path uses this as the corpus for
-        its evolution grading: only guards that actually hold a cached
-        plan are worth classifying before deciding what to invalidate.
-        """
-        with self._lock:
-            return [guard for guard, fp in self._plans if fp == fingerprint]
-
-    def invalidate(self, fingerprint: str) -> int:
-        """Drop every plan compiled against one shape fingerprint."""
-        with self._lock:
-            victims = [key for key in self._plans if key[1] == fingerprint]
-            for key in victims:
-                del self._plans[key]
-            self.invalidations += len(victims)
-            if victims:
-                obs.count("plan_cache.invalidations", len(victims))
-            return len(victims)
+                # it failed/was evicted and this thread becomes the new
+                # leader.
 
     def clear(self) -> None:
         with self._lock:
@@ -306,6 +246,5 @@ class PlanCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "invalidations": self.invalidations,
                 "contended": self.contended,
             }

@@ -125,11 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     evolve.add_argument(
         "--db",
         default=None,
-        help=(
-            "treat OLD and NEW as stored document names; also invalidates "
-            "the database's non-compatible cached plans and pre-warms "
-            "compatible ones under the new shape"
-        ),
+        help="treat OLD and NEW as stored document names",
     )
     evolve.add_argument(
         "--guards",

@@ -42,8 +42,8 @@ its node objects, because provenance hands them to the caller.
 
 A sink's function is generated, ``exec``'d and kept the first time that
 sink is asked for; the artifact lives on the
-:class:`~repro.cache.CompiledPlan`, so eviction and invalidation drop
-it with the plan.  The generated code holds only the loops.  Fetching
+:class:`~repro.cache.CompiledPlan`, so eviction drops it with the
+plan.  The generated code holds only the loops.  Fetching
 the candidate sequences and partner maps before them, and the counters
 (``nodes_read``, ``joins``, ``rows_by_type``) and traced ``render.join``
 accounting after them, are plain table-driven passes over the edge

@@ -57,7 +57,6 @@ HELP_TEXTS = {
     "plan_cache.hits": "compiled-plan cache hits",
     "plan_cache.misses": "compiled-plan cache misses",
     "plan_cache.evictions": "compiled plans evicted by the LRU",
-    "plan_cache.invalidations": "compiled plans dropped on store/drop",
     "plan_cache.contended": "threads that waited on an in-flight compile",
     "buffer.hits": "buffer-pool page hits",
     "buffer.misses": "buffer-pool page misses",

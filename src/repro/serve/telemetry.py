@@ -294,7 +294,7 @@ def metrics_snapshot(
         counters["storage.blocks_written"] = stats.blocks_out
         allocated = stats.allocated
     cache_stats = database.plan_cache.stats()
-    for name in ("hits", "misses", "evictions", "invalidations", "contended"):
+    for name in ("hits", "misses", "evictions", "contended"):
         counters[f"plan_cache.{name}"] = cache_stats[name]
     counters["buffer.hits"] = database.pool.hits
     counters["buffer.misses"] = database.pool.misses

@@ -59,6 +59,10 @@ class Database:
     buffer pool, B+tree descents, plan cache and join memos are all
     lock-guarded, which is what :meth:`transform_many` and
     :class:`repro.serve.TransformPool` build on.
+
+    Compiled plans live in one LRU keyed by ``(guard text, shape
+    fingerprint)``; storing, updating or dropping a document never
+    touches it, and only :meth:`drop_cache` empties it.
     """
 
     def __init__(
@@ -67,7 +71,6 @@ class Database:
         cache_pages: int = 2048,
         model: Optional[CostModel] = None,
         durable: bool = True,
-        cache_plans: int = 64,
         mode: str = "w",
     ):
         if mode not in ("r", "w"):
@@ -129,9 +132,8 @@ class Database:
         #: (see :meth:`changed_since`), registered here or not.
         self._generations: dict[str, tuple[int, str]] = {}
         self._closed = False
-        #: Compiled guard plans keyed by (guard text, shape fingerprint);
-        #: ``cache_plans=0`` disables plan caching entirely.
-        self.plan_cache = PlanCache(cache_plans)
+        #: Compiled guard plans keyed by (guard text, shape fingerprint).
+        self.plan_cache = PlanCache()
         #: When true, a vmstat-style sample is recorded after every type
         #: sequence load (drives the Figure 11–13 time series).
         self.sample_progress = False
@@ -183,10 +185,6 @@ class Database:
             self._rollback_staged(name)
             raise
         self.pool.flush()
-        # Conservatively recompile against the fresh index epoch: plans
-        # cached under this shape fingerprint may hold data types from a
-        # document that was dropped and re-stored.
-        self.plan_cache.invalidate(descriptor["shape_fingerprint"])
         return descriptor
 
     def document_names(self) -> list[str]:
@@ -224,48 +222,27 @@ class Database:
         """Everything but rendering — touches only shape records."""
         return self._plan(name, guard)
 
-    def check_evolution(self, old_name: str, new_name: str, guards, warm: bool = True):
+    def check_evolution(self, old_name: str, new_name: str, guards):
         """Grade a guard corpus across two stored arrangements of the data.
 
         ``old_name`` holds the current arrangement, ``new_name`` the
         evolved one (store it first); ``guards`` is anything
-        :func:`repro.analysis.analyze_evolution` accepts.  Beyond the
-        report, this keeps the plan cache honest: plans compiled against
-        the old fingerprint whose guard the analyzer marked degraded or
-        broken are invalidated — exactly those, compatible plans stay —
-        and (with ``warm=True``) compatible guards are pre-compiled
-        under the new fingerprint so the first post-evolution request
-        hits the cache.  Counts ``evolve.compatible`` / ``.degraded`` /
-        ``.broken`` / ``.plans_invalidated`` / ``.plans_warmed`` events,
-        visible in metrics and ``EXPLAIN ANALYZE``.
+        :func:`repro.analysis.analyze_evolution` accepts.  A report for
+        whoever migrates, nothing more: the plan cache is left as it is
+        (a plan is keyed by its shape, so no verdict can make one
+        wrong).  Counts ``evolve.compatible`` / ``.degraded`` /
+        ``.broken`` events, visible in metrics and ``EXPLAIN ANALYZE``.
         """
         from repro.analysis.evolve import analyze_evolution
 
-        old_index = self.index(old_name)
-        report = analyze_evolution(old_index, self.index(new_name), guards)
+        report = analyze_evolution(self.index(old_name), self.index(new_name), guards)
         for verdict_name, count in report.counts.items():
             if count:
                 self.stats.event(f"evolve.{verdict_name}", count)
-        cache_outcome = self.plan_cache.apply_evolution(
-            old_index.fingerprint,
-            {verdict.guard: verdict.verdict for verdict in report.verdicts},
-        )
-        if cache_outcome["invalidated"]:
-            self.stats.event("evolve.plans_invalidated", cache_outcome["invalidated"])
-        if warm and self.plan_cache.capacity > 0:
-            for verdict in report.compatible:
-                try:
-                    self._plan(new_name, verdict.guard)
-                except Exception:
-                    # "compatible" is a relative judgement: a guard that
-                    # was already rejected under the old shape (same
-                    # unpermitted loss on both sides) still won't compile.
-                    continue
-                self.stats.event("evolve.plans_warmed")
         return report
 
     def _plan(self, name: str, guard: str) -> TransformResult:
-        """Compile a guard, reusing a cached plan for an unchanged shape.
+        """Compile a guard, reusing a cached plan for the same shape.
 
         Plans are keyed by ``(guard text, shape fingerprint)``: the
         compile stages touch only the adorned shape, so any document
@@ -287,11 +264,6 @@ class Database:
             self._charge_compile(name)
             return result
 
-        if self.plan_cache.capacity <= 0:
-            # Caching disabled: compile unconditionally (no single-flight
-            # either — there is nothing to share a result through).
-            self.plan_cache.get(guard, index.fingerprint)  # counts the miss
-            return compile_guard()
         plan = self.plan_cache.get_or_compile(
             guard,
             index.fingerprint,
@@ -327,9 +299,10 @@ class Database:
         or socket; the text equals ``transform(name, guard).xml()``.
         """
         compiled = self._plan(name, guard)
+        index = self.index(name)
         with obs.span("pipeline.render"):
-            stats = compiled.compiled_render.write(self.index(name), out)
-        self.stats.charge_cpu(4 * stats.nodes_written)
+            stats = compiled.compiled_render.write(index, out)
+        index.charge_render(stats.nodes_written, stats.nodes_read)
         return stats
 
     def _charge_compile(self, name: str) -> None:
@@ -399,13 +372,10 @@ class Database:
         injected fault) rolls the staged pages back and leaves this
         handle live on the unchanged document.
 
-        After the commit the plan cache is *selectively* maintained: if
-        the adorned shape is unchanged every cached plan survives;
-        otherwise each cached guard is graded by the evolution analyzer
-        (:func:`repro.analysis.evolve.check_guard_evolution`) and only
-        degraded/broken plans are dropped, with compatible guards
-        recompiled ("warmed") against the new fingerprint.  Returns the
-        batch's :class:`~repro.storage.update.UpdateResult`.
+        The plan cache is not touched: a changed shape is a new
+        fingerprint, and plans cached under the old one stay right for
+        it.  Returns the batch's
+        :class:`~repro.storage.update.UpdateResult`.
         """
         from repro.storage.update import IncrementalUpdater
 
@@ -415,13 +385,9 @@ class Database:
         if not ops:
             raise StorageError("update batch is empty")
         started = time.perf_counter()
-        # The pre-batch index: its shape, counts and fingerprint load
-        # eagerly, so it stays a faithful "old side" for the evolution
-        # grading even after the store underneath it is patched.
-        old_index = self.index(name)
-        old_fingerprint = old_index.fingerprint
+        # Reads only: nothing is staged until the first op applies.
+        updater = IncrementalUpdater(self, name)
         try:
-            updater = IncrementalUpdater(self, name)
             for op in ops:
                 updater.apply(op)
             updater.commit()
@@ -439,10 +405,7 @@ class Database:
         # journal (all-or-nothing), so no rollback handling wraps it.
         self.pool.flush()
         result = updater.result
-        result.old_fingerprint = old_fingerprint
-        result.shape_changed = result.new_fingerprint != old_fingerprint
         self._retire(name, "updated")
-        self._reconcile_plans(name, old_index, result)
         result.seconds = time.perf_counter() - started
         self.stats.event("update.batches")
         self.stats.event("update.ops", result.ops)
@@ -504,59 +467,12 @@ class Database:
         and the B+tree re-reads its meta page, so the tree again
         describes exactly what is on disk (on a store whose first flush
         never happened: a freshly initialised, empty tree).  Cheap: no
-        I/O beyond re-reading page 0.
+        I/O beyond re-reading page 0.  Counted first: that re-read can
+        fail too, after the staged pages are already gone.
         """
+        self.stats.event("storage.rollbacks")
         self.tree.rollback()
         self._indexes.pop(name, None)
-        self.stats.event("update.rollbacks")
-
-    def _reconcile_plans(self, name: str, old_index, result) -> None:
-        """Selective plan-cache maintenance after a committed batch."""
-        if not result.shape_changed:
-            # Same fingerprint, same plans: every cached entry stays valid
-            # (plans depend only on guard text + adorned shape).
-            self.stats.event("update.shape_unchanged")
-            result.plans_kept = len(self.plan_cache.guards_for(old_index.fingerprint))
-            return
-        guards = self.plan_cache.guards_for(old_index.fingerprint)
-        if not guards:
-            return
-        from repro.analysis.evolve import check_guard_evolution
-        from repro.shape.diff import diff_shapes
-
-        new_index = self.index(name)
-        diff = diff_shapes(old_index.shape, new_index.shape)
-        evolution_text = diff.pretty()
-        verdicts: dict[str, str] = {}
-        for guard in guards:
-            verdicts[guard] = check_guard_evolution(
-                old_index,
-                new_index,
-                guard,
-                diff=diff,
-                evolution_text=evolution_text,
-            ).verdict
-        outcome = self.plan_cache.apply_evolution(old_index.fingerprint, verdicts)
-        result.plans_kept = outcome["kept"]
-        result.plans_invalidated = outcome["invalidated"]
-        if outcome["invalidated"]:
-            self.stats.event("update.plans_invalidated", outcome["invalidated"])
-        if outcome["kept"]:
-            self.stats.event("update.plans_kept", outcome["kept"])
-        if self.plan_cache.capacity > 0:
-            for guard, verdict in verdicts.items():
-                if verdict != "compatible":
-                    continue
-                try:
-                    self._plan(name, guard)
-                except Exception:
-                    # Compatibility is relative: a guard rejected under
-                    # the old shape for a reason the evolution preserves
-                    # still will not compile.
-                    continue
-                result.plans_warmed += 1
-            if result.plans_warmed:
-                self.stats.event("update.plans_warmed", result.plans_warmed)
 
     def drop_document(self, name: str) -> int:
         """Remove a document and all its records; returns entries deleted.
@@ -583,7 +499,6 @@ class Database:
             self._rollback_staged(name)
             raise
         self.pool.flush()
-        self.plan_cache.invalidate(descriptor["shape_fingerprint"])
         self._retire(name, "dropped")
         return deleted
 

@@ -122,9 +122,6 @@ class UpdateResult:
     shape_changed: bool = False
     old_fingerprint: str = ""
     new_fingerprint: str = ""
-    plans_kept: int = 0
-    plans_invalidated: int = 0
-    plans_warmed: int = 0
     seconds: float = 0.0
 
     def as_dict(self) -> dict:
@@ -139,9 +136,7 @@ class UpdateResult:
             f"+{self.nodes_added}/-{self.nodes_removed} nodes, "
             f"{self.nodes_renumbered} renumbered, "
             f"{self.types_rewritten} type sequence(s) rewritten "
-            f"({self.nodes_total} nodes total); shape {shape}, plans "
-            f"kept={self.plans_kept} invalidated={self.plans_invalidated} "
-            f"warmed={self.plans_warmed}"
+            f"({self.nodes_total} nodes total); shape {shape}"
         )
 
 
@@ -627,7 +622,11 @@ class IncrementalUpdater:
         self.result.type_ids_remapped = len(remap)
         self.result.types_rewritten = len(rewrite)
         self.result.nodes_total = self.node_count
+        self.result.old_fingerprint = self.descriptor["shape_fingerprint"]
         self.result.new_fingerprint = descriptor["shape_fingerprint"]
+        self.result.shape_changed = (
+            self.result.new_fingerprint != self.result.old_fingerprint
+        )
         descriptor["shape"] = shape_descriptor
         return descriptor
 

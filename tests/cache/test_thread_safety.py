@@ -3,8 +3,8 @@
 Three families:
 
 * the plan cache — single-flight compilation (no duplicate compiles
-  beyond one leader per key), no lost invalidations, and the LRU size
-  invariant, all hammered by thread pools;
+  beyond one leader per key) and the LRU size invariant, hammered by
+  thread pools;
 * the closest-join memos — concurrent ``closest_pair_map`` calls on one
   index return the *same* memo object (a second compute would silently
   produce different node identities for the id-keyed maps), and
@@ -109,38 +109,6 @@ class TestSingleFlight:
         assert sum(1 for r in results if r is None) == 1
         assert sum(1 for r in results if r is not None) == 1
         assert len(attempts) == 2
-
-    def test_invalidation_during_compile_is_not_lost(self):
-        """A plan put after an invalidation is a *fresh* compile, and an
-        invalidation always empties the fingerprint's entries at the
-        moment it runs — concurrency may re-add, never resurrect."""
-        cache = PlanCache(capacity=64)
-        stop = threading.Event()
-
-        def churn(i):
-            count = 0
-            while not stop.is_set():
-                cache.get_or_compile("g", "doc", lambda: _plan("g", "doc"))
-                count += 1
-            return count
-
-        def invalidate(i):
-            dropped = 0
-            for _ in range(200):
-                dropped += cache.invalidate("doc")
-            stop.set()
-            return dropped
-
-        with ThreadPoolExecutor(max_workers=THREADS) as pool:
-            churners = [pool.submit(churn, i) for i in range(THREADS - 1)]
-            dropper = pool.submit(invalidate, 0)
-            dropped = dropper.result()
-            for f in churners:
-                f.result()
-        assert cache.stats()["invalidations"] == dropped
-        # After a final quiescent invalidation nothing survives.
-        cache.invalidate("doc")
-        assert ("g", "doc") not in cache
 
     def test_lru_capacity_invariant_under_threads(self):
         cache = PlanCache(capacity=8)

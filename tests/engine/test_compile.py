@@ -13,7 +13,7 @@ import pytest
 
 import repro
 from repro import obs
-from repro.cache import CompiledPlan, PlanCache, shape_fingerprint
+from repro.cache import shape_fingerprint
 from repro.closeness import DocumentIndex
 from repro.engine.compile import CompiledRender
 from repro.engine.interpreter import Interpreter
@@ -220,57 +220,6 @@ class TestCompiledBeatsReference:
         assert compiled == reference
         speedup = reference_best / compiled_best
         assert speedup >= 2.0, f"compiled {sink} sink only {speedup:.2f}x the reference"
-
-
-def _plan(guard="G", fingerprint="f" * 16, compiled_render=None):
-    return CompiledPlan(
-        guard=guard,
-        fingerprint=fingerprint,
-        target_shape=None,
-        loss=None,
-        evaluation=None,
-        compile_seconds=0.0,
-        compiled_render=compiled_render,
-    )
-
-
-class TestPlanCacheCarryThrough:
-    def test_apply_evolution_drops_compiled_render_with_plan(self):
-        cache = PlanCache(capacity=8)
-        marker = object()
-        cache.put(_plan("compatible-guard", "doc1", compiled_render=marker))
-        cache.put(_plan("broken-guard", "doc1", compiled_render=marker))
-        outcome = cache.apply_evolution(
-            "doc1", {"compatible-guard": "compatible", "broken-guard": "broken"}
-        )
-        assert outcome == {"kept": 1, "invalidated": 1}
-        kept = cache.get("compatible-guard", "doc1")
-        assert kept is not None and kept.compiled_render is marker
-        assert cache.get("broken-guard", "doc1") is None
-
-    def test_invalidate_drops_compiled_render(self):
-        cache = PlanCache(capacity=8)
-        cache.put(_plan("g", "doc1", compiled_render=object()))
-        assert cache.invalidate("doc1") == 1
-        assert cache.get("g", "doc1") is None
-
-    def test_get_or_compile_capacity_zero_short_circuits(self):
-        """Bugfix: a disabled cache must compile directly, not enter the
-        single-flight protocol (which would serialize all compilers
-        behind a leader whose `put` is a no-op)."""
-        cache = PlanCache(capacity=0)
-        calls = []
-
-        def compile_plan():
-            calls.append(1)
-            return _plan("g")
-
-        first = cache.get_or_compile("g", "f" * 16, compile_plan)
-        second = cache.get_or_compile("g", "f" * 16, compile_plan)
-        assert first is not second and len(calls) == 2
-        assert cache.misses == 2
-        assert cache.contended == 0
-        assert len(cache) == 0
 
 
 class TestFingerprintCollisions:

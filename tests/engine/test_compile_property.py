@@ -19,7 +19,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.engine.compile import CompiledRender
 from repro.engine.interpreter import Interpreter
 from repro.errors import XMorphError
 
@@ -65,46 +64,3 @@ class TestCompiledParityProperty:
         for guard in ("MORPH a [ b ]", "MORPH a [ b [ c ] ]", "MUTATE b [ a ]"):
             _reference, tree, _text, _stats = assert_parity(forest, f"CAST ({guard})")
             assert tree.nodes_written > 0
-
-
-class TestEvolutionInvalidationProperty:
-    @given(forest=documents())
-    @settings(max_examples=25, deadline=None)
-    def test_non_compatible_verdicts_drop_compiled_plans(self, forest):
-        """After ``apply_evolution``, a surviving cached plan still
-        carries its compiled renderer and a dropped one is gone — no
-        half-invalidated state where a stale specialized renderer
-        outlives its plan."""
-        from repro.cache import CompiledPlan, PlanCache
-
-        try:
-            interp = Interpreter(forest)
-            result = interp.compile("CAST (MORPH a [ b ])")
-        except XMorphError:
-            assume(False)
-        result.compiled_render = CompiledRender(result.target_shape, interp.index)
-
-        cache = PlanCache(capacity=8)
-        plan = CompiledPlan.from_result(result, fingerprint="doc" + "0" * 13)
-        cache.put(plan)
-        other = CompiledPlan.from_result(result, fingerprint="doc" + "0" * 13)
-        other = type(other)(
-            guard="other-guard",
-            fingerprint=other.fingerprint,
-            target_shape=other.target_shape,
-            loss=other.loss,
-            evaluation=other.evaluation,
-            compile_seconds=0.0,
-            compiled_render=other.compiled_render,
-        )
-        cache.put(other)
-
-        outcome = cache.apply_evolution(
-            plan.fingerprint,
-            {plan.guard: "compatible", "other-guard": "degraded"},
-        )
-        assert outcome == {"kept": 1, "invalidated": 1}
-        survivor = cache.get(plan.guard, plan.fingerprint)
-        assert survivor is not None
-        assert survivor.compiled_render is result.compiled_render
-        assert cache.get("other-guard", plan.fingerprint) is None

@@ -71,6 +71,24 @@ class TestRendersOnFirstRead:
             outcomes.append((text, result.render_counts, sorted(charged)))
         assert outcomes[0] == outcomes[1]
 
+    def test_both_text_sink_routes_charge_the_same(self, tmp_path):
+        """``xml()`` and ``stream_transform`` render one plan into one
+        sink; on fresh handles their simulated cost is equal too."""
+        import io
+
+        path = str(tmp_path / "routes.db")
+        with Database(path, durable=False) as db:
+            db.store_document("dblp", generate_dblp(50))
+        with Database(path, durable=False) as db:
+            text = db.transform("dblp", GUARD).xml()
+            lazy_cpu = db.stats.cpu_seconds
+        with Database(path, durable=False) as db:
+            out = io.StringIO()
+            db.stream_transform("dblp", GUARD, out)
+            streamed_cpu = db.stats.cpu_seconds
+        assert out.getvalue() == text
+        assert streamed_cpu == lazy_cpu > 0
+
     def test_indented_xml_is_the_serialized_tree(self, db):
         result = db.transform("dblp", GUARD)
         indented = result.xml(indent=2)
