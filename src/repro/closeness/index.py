@@ -40,6 +40,7 @@ import time
 import weakref
 from typing import Iterator, Optional
 
+from repro.errors import RetiredDocumentError
 from repro.obs import tracer as obs
 from repro.shape.dataguide import DataGuideBuilder
 from repro.shape.shape import Shape
@@ -64,10 +65,14 @@ class TypeSequence:
     its index weakly (it needs it once, to materialize), so an index
     nothing else holds — a stored document's after every update — is
     freed with its columns and join memo when it is let go, not when
-    the collector next gets round to a cycle.
+    the collector next gets round to a cycle.  A stored sequence asked
+    for its nodes after that raises
+    :class:`~repro.errors.RetiredDocumentError` (``XM570``).
     """
 
-    __slots__ = ("data_type", "labels", "values", "attributes", "_nodes", "_index")
+    __slots__ = (
+        "data_type", "labels", "values", "attributes", "_nodes", "_index", "_document"
+    )
 
     def __init__(
         self,
@@ -84,13 +89,21 @@ class TypeSequence:
         self.attributes = attributes
         self._nodes = nodes
         self._index = index if index is None else weakref.proxy(index)
+        #: The stored document's name, for when the index is gone.
+        self._document = getattr(index, "name", None)
 
     @property
     def nodes(self) -> list[XmlNode]:
         """The sequence as node objects (materialized once, then shared)."""
         nodes = self._nodes
         if nodes is None:
-            nodes = self._index._materialize(self)
+            try:
+                materialize = self._index._materialize
+            except ReferenceError:
+                raise RetiredDocumentError(
+                    self._document, "released by its handle"
+                ) from None
+            nodes = materialize(self)
         return nodes
 
     def __len__(self) -> int:

@@ -13,6 +13,11 @@ Every AST node is annotated with its source :class:`~repro.lang.span.Span`
 (:mod:`repro.analysis`) uses to point findings at the exact guard text
 responsible.  Spans are carried in ``compare=False`` fields, so ASTs
 still compare equal regardless of where they were parsed from.
+
+Guards nest at most :data:`MAX_NESTING` levels — brackets, parentheses
+and prefix operators all count — so that the parser and every stage
+that walks its tree stay within Python's recursion limit.  Deeper guard
+text is a located :class:`~repro.errors.GuardSyntaxError`.
 """
 
 from __future__ import annotations
@@ -46,6 +51,10 @@ _CAST_MODES = {
     TokenType.CAST_WIDENING: CastMode.WIDENING,
 }
 
+#: The deepest a guard nests: terms inside brackets, parentheses and
+#: prefix operators (``DROP``, ``CAST``, ...) each open one level.
+MAX_NESTING = 100
+
 _TERM_START = {
     TokenType.LABEL,
     TokenType.BANG,
@@ -78,6 +87,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.last: Token | None = None  # last consumed token
+        self.depth = 0  # guards and terms open around the current one
 
     # -- guard level -------------------------------------------------------
 
@@ -93,6 +103,12 @@ class _Parser:
         )
 
     def parse_unit(self) -> Guard:
+        self.open_level()
+        unit = self._unit()
+        self.depth -= 1
+        return unit
+
+    def _unit(self) -> Guard:
         token = self.peek()
         if token.type in _CAST_MODES:
             self.advance()
@@ -170,6 +186,12 @@ class _Parser:
         return Pattern(tuple(terms), span=merge_spans(*(t.span for t in terms)))
 
     def parse_term(self) -> Term:
+        self.open_level()
+        term = self._term()
+        self.depth -= 1
+        return term
+
+    def _term(self) -> Term:
         token = self.peek()
         if token.type is TokenType.CHILDREN:
             self.advance()
@@ -258,6 +280,16 @@ class _Parser:
         )
 
     # -- machinery --------------------------------------------------------------
+
+    def open_level(self) -> None:
+        """Enter one more nesting level, or refuse past :data:`MAX_NESTING`."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            token = self.peek()
+            raise GuardSyntaxError(
+                f"guard nests deeper than {MAX_NESTING} levels at {token}",
+                span=token.span,
+            )
 
     def peek(self, ahead: int = 0) -> Token:
         index = min(self.pos + ahead, len(self.tokens) - 1)

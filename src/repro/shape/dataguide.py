@@ -23,7 +23,6 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterator, Optional
 
-from repro.shape.cardinality import Card
 from repro.shape.shape import Shape
 from repro.shape.types import DataType, ShapeType, TypeTable
 from repro.xmltree.node import NodeKind, XmlForest
@@ -146,22 +145,14 @@ class DataGuideBuilder:
     # -- the shape, as objects -----------------------------------------------
 
     @cached_property
-    def shape_of(self) -> dict[DataType, ShapeType]:
-        """Each :class:`DataType`'s vertex in :attr:`shape`."""
-        return {
-            data_type: ShapeType.for_source(data_type) for data_type in self.type_table
-        }
-
-    @cached_property
     def shape(self) -> Shape:
         """The adorned :class:`Shape` (one :class:`ShapeType` per data type)."""
-        shape = Shape()
-        vertices = list(self.shape_of.values())
-        for vertex in vertices:
-            shape.add_type(vertex)
-        for parent, child, low, high in self.edges():
-            shape.add_edge(vertices[parent], vertices[child], Card(low, high))
-        return shape
+        return Shape.of_data_types(self.type_table, self.edges())
+
+    @cached_property
+    def shape_of(self) -> dict[DataType, ShapeType]:
+        """Each :class:`DataType`'s vertex in :attr:`shape`."""
+        return dict(zip(self.type_table, self.shape.types()))
 
 
 def extract_shape(forest: XmlForest) -> Shape:

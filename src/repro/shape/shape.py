@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.shape.cardinality import Card
-from repro.shape.types import ShapeType
+from repro.shape.types import DataType, ShapeType
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,6 +46,38 @@ class Shape:
         """A shape holding one lone (leaf) type."""
         shape = cls()
         shape.add_type(shape_type)
+        return shape
+
+    @classmethod
+    def of_data_types(
+        cls,
+        data_types: Iterable[DataType],
+        edges: Iterable[tuple[int, int, int, int]],
+    ) -> "Shape":
+        """The adorned shape of a collection (Definition 3), in one pass.
+
+        One vertex per data type, in the order given (type id order, so
+        ``types()[i]`` backs type ``i``), and one edge per ``(parent id,
+        child id, lo, hi)``.  A data type is its root path, so an edge is
+        sound exactly when the parent's path is the child's path minus
+        its last step; that alone keeps the forest acyclic, without the
+        ancestor walk of :meth:`add_edge`.  An edge that breaks it, or a
+        second edge into one child, raises :class:`ValueError`.
+        """
+        shape = cls()
+        vertices = [ShapeType.for_source(data_type) for data_type in data_types]
+        shape._types = dict.fromkeys(vertices)
+        children = shape._children = {vertex: [] for vertex in vertices}
+        parents, cards = shape._parent, shape._card
+        for parent_id, child_id, low, high in edges:
+            parent, child = vertices[parent_id], vertices[child_id]
+            if parent.source.path != child.source.path[:-1]:
+                raise ValueError(f"edge {parent} -> {child} does not follow the type's path")
+            if child in parents:
+                raise ValueError(f"type {child} has two parents")
+            parents[child] = parent
+            children[parent].append(child)
+            cards[(parent, child)] = Card(low, high)
         return shape
 
     @classmethod

@@ -68,6 +68,8 @@ class TypeTable:
     def __init__(self) -> None:
         self._by_path: dict[tuple[str, ...], DataType] = {}
         self._by_id: list[DataType] = []
+        #: Lower-cased element name -> the types it names, in id order.
+        self._by_name: dict[str, list[DataType]] = {}
 
     def intern(self, path: tuple[str, ...]) -> DataType:
         """Return the canonical :class:`DataType` for a root path."""
@@ -77,6 +79,7 @@ class TypeTable:
         data_type = DataType(len(self._by_id), path)
         self._by_path[path] = data_type
         self._by_id.append(data_type)
+        self._by_name.setdefault(path[-1].lower(), []).append(data_type)
         return data_type
 
     def get(self, path: tuple[str, ...]) -> DataType | None:
@@ -102,13 +105,17 @@ class TypeTable:
         therefore matches every ``author`` type anywhere in the shape,
         and a user disambiguates with a longer suffix such as
         ``book.author`` vs ``journal.author``.  Matching is
-        case-insensitive, like the rest of the language.
+        case-insensitive, like the rest of the language.  Only the types
+        whose name is the label's last part are compared.
         """
         want = tuple(part.lower() for part in label.split("."))
         width = len(want)
+        named = self._by_name.get(want[-1], [])
+        if width == 1:
+            return list(named)
         return [
             data_type
-            for data_type in self._by_id
+            for data_type in named
             if len(data_type.path) >= width
             and tuple(part.lower() for part in data_type.path[-width:]) == want
         ]

@@ -13,7 +13,10 @@ way is decoded once per run and written at most once, and a node that
 outgrew its page is cut into the fewest pages that hold it, evenly
 filled — two halves for one entry too many, packed pages for a long
 run.  ``put`` is a run of one.  The shredder's Dewey keys, whose byte
-order is document order, arrive as exactly such runs.
+order is document order, arrive as exactly such runs.  Reads descend
+through internal nodes decoded once per residency of their page: the
+buffer pool keeps each one beside its frame until the frame is
+evicted or rewritten.
 
 Values must fit in a page (callers chunk large values; see
 :mod:`repro.storage.tables`).  Page 0 of the file is the tree's meta
@@ -258,16 +261,18 @@ class BPlusTree:
         pointers always resolve against a consistent tree).  ``scan``
         continues leaf-to-leaf outside the lock: each leaf is read
         atomically and deserialized into a private copy, so the iterator
-        never aliases a buffer a writer might rewrite.
+        never aliases a buffer a writer might rewrite.  Internal nodes
+        are the pool's shared decodes (:func:`_resident_node`), which
+        nothing mutates.
         """
         with self.pool.locked():
             page_id = self._root
             path = [page_id]
-            node = _read_node(self.pool, page_id)
+            node = _resident_node(self.pool, page_id)
             while node.kind == _INTERNAL:
                 page_id = node.child_for(key)
                 path.append(page_id)
-                node = _read_node(self.pool, page_id)
+                node = _resident_node(self.pool, page_id)
         metrics = self.pool.stats.metrics
         if metrics is not None:
             # Logical page reads (the pool decides physical vs cached).
@@ -283,6 +288,8 @@ class BPlusTree:
         upper separator; ``None`` on the rightmost spine) and returns
         the promotions for the parent plus the index of the first entry
         left over.  Each page is decoded once and written at most once.
+        The decode is private, never the pool's shared one: the run
+        edits the node's lists in place.
         """
         node = _read_node(self.pool, page_id)
         keys, values = node.keys, node.values
@@ -440,7 +447,26 @@ def _partition(node: "_Node") -> list[tuple[list, list]]:
     return groups
 
 
+def _resident_node(pool: BufferPool, page_id: int) -> _Node:
+    """The node on ``page_id``, for reading only.
+
+    An internal node is decoded once per residency of its page and then
+    shared from the pool (:meth:`BufferPool.remember`), frozen into
+    tuples so that no writer can edit it in place; a leaf, which a
+    caller may edit and which holds the values, is decoded every time.
+    """
+    with pool.lock:
+        node = pool.decoded(page_id)
+        if node is None:
+            node = _read_node(pool, page_id)
+            if node.kind == _INTERNAL:
+                node.keys, node.values = tuple(node.keys), tuple(node.values)
+                pool.remember(page_id, node)
+        return node
+
+
 def _read_node(pool: BufferPool, page_id: int) -> _Node:
+    """Decode the page into a private :class:`_Node`."""
     buffer = pool.get(page_id)
     kind, count, link = _HEADER.unpack_from(buffer, 0)
     offset = _HEADER.size

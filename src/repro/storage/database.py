@@ -29,7 +29,6 @@ from repro.errors import (
     StorageError,
 )
 from repro.obs import tracer as obs
-from repro.shape.cardinality import Card
 from repro.shape.shape import Shape
 from repro.shape.types import DataType, ShapeType, TypeTable
 from repro.storage import tables
@@ -592,13 +591,16 @@ class StoredDocumentIndex(BaseIndex):
     """A document index backed by the store.
 
     The shape and type table load eagerly from the (tiny) AdornedShapes
-    records; node sequences load lazily per type, charging block I/O
-    and simulated memory.  Type distances derive from root paths: the
-    distance between two types is the distance between their paths'
-    common prefix and each type — exact whenever the two types co-occur
-    under a common-prefix instance, which holds for DataGuide-shaped
-    data (the in-memory :class:`~repro.closeness.DocumentIndex` is the
-    exact reference; tests cross-check the two).
+    records, in one pass (:meth:`Shape.of_data_types`: an edge that does
+    not follow its types' paths is a :class:`~repro.errors.StorageError`,
+    never a different shape); node sequences load lazily per type,
+    charging block I/O and simulated memory.  Type distances derive
+    from root paths: the distance between two types is the distance
+    between their paths' common prefix and each type — exact whenever
+    the two types co-occur under a common-prefix instance, which holds
+    for DataGuide-shaped data (the in-memory
+    :class:`~repro.closeness.DocumentIndex` is the exact reference;
+    tests cross-check the two).
     """
 
     def __init__(self, database: Database, descriptor: dict):
@@ -617,25 +619,22 @@ class StoredDocumentIndex(BaseIndex):
         #: cache.  Stored in the catalog at shred and update time.
         self.fingerprint: str = descriptor["shape_fingerprint"]
         self.type_table = TypeTable()
-        self._counts: dict[int, int] = {}
-        for type_id, path in sorted(shape_info["types"]):
-            interned = self.type_table.intern(tuple(path))
-            if interned.type_id != type_id:
-                raise StorageError("type table corrupted: id mismatch")
-        self.shape = Shape()
-        self._shape_of: dict[DataType, ShapeType] = {}
-        for data_type in self.type_table:
-            vertex = ShapeType.for_source(data_type)
-            self._shape_of[data_type] = vertex
-            self.shape.add_type(vertex)
-        for parent_id, child_id, low, high in shape_info["edges"]:
-            self.shape.add_edge(
-                self._shape_of[self.type_table.by_id(parent_id)],
-                self._shape_of[self.type_table.by_id(child_id)],
-                Card(low, high),
-            )
-        for type_id, count in shape_info["counts"].items():
-            self._counts[int(type_id)] = count
+        try:
+            for type_id, path in sorted(shape_info["types"]):
+                interned = self.type_table.intern(tuple(path))
+                if interned.type_id != type_id:
+                    raise StorageError("type table corrupted: id mismatch")
+            self.shape = Shape.of_data_types(self.type_table, shape_info["edges"])
+        except (ValueError, IndexError, TypeError) as error:
+            raise StorageError(
+                f"document {self.name!r} has a corrupted stored shape: {error}"
+            ) from error
+        self._shape_of: dict[DataType, ShapeType] = dict(
+            zip(self.type_table, self.shape.types())
+        )
+        self._counts: dict[int, int] = {
+            int(type_id): count for type_id, count in shape_info["counts"].items()
+        }
         self._sequences: dict[int, TypeSequence] = {}
         self._loaded_bytes = 0
 

@@ -241,6 +241,16 @@ class BufferPool:
     *writes* (a B+tree insert run and the splits it causes) run inside
     :meth:`writing`, which also keeps the pool from committing a batch
     in the middle of them.
+
+    Beside a resident frame the pool may keep one *decoded* form of its
+    page (:meth:`remember`; the B+tree keeps its internal nodes there),
+    so a page that stays resident is decoded once, not once per read.
+    The decoded form lives exactly as long as the bytes it was decoded
+    from: it goes when the frame is evicted, marked dirty,
+    :meth:`discard` -ed or :meth:`drop_cache` -d, so only a resident
+    page ever has one (and :meth:`allocate`, whose page id was never
+    resident, installs a frame without one).  Its holder must treat it
+    as immutable.
     """
 
     def __init__(self, file: PagedFile, capacity: int = 1024, journal=None):
@@ -259,6 +269,8 @@ class BufferPool:
         #: Writable files cache ``bytearray`` buffers; read-only mmap'd
         #: files cache zero-copy ``memoryview``s into the mapping.
         self._pages: OrderedDict[int, "bytearray | memoryview"] = OrderedDict()
+        #: Page id -> the decoded form of its resident frame.
+        self._decoded: dict[int, object] = {}
         self._dirty: set[int] = set()
         #: Depth of open :meth:`writing` sections (under ``lock``).
         self._writing = 0
@@ -337,11 +349,29 @@ class BufferPool:
             self._install(page_id, data)
             return data
 
+    def decoded(self, page_id: int):
+        """The decoded form kept beside the page's frame, or ``None``.
+
+        A hit is a :meth:`get` of the page as far as recency and the
+        hit counters go; a miss touches nothing."""
+        with self.lock:
+            node = self._decoded.get(page_id)
+            if node is not None:
+                self.get(page_id)
+            return node
+
+    def remember(self, page_id: int, node) -> None:
+        """Keep ``node`` as the decoded form of the resident page."""
+        with self.lock:
+            if page_id in self._pages:
+                self._decoded[page_id] = node
+
     def mark_dirty(self, page_id: int) -> None:
         with self.lock:
             if page_id not in self._pages:
                 raise PageError(f"page {page_id} is not resident")
             self._dirty.add(page_id)
+            self._decoded.pop(page_id, None)
 
     def flush(self) -> None:
         """Write back every dirty page (keeps them cached).
@@ -372,6 +402,7 @@ class BufferPool:
             self.flush()
             self.stats.release(len(self._pages) * PAGE_SIZE)
             self._pages.clear()
+            self._decoded.clear()
 
     def discard(self) -> None:
         """Forget every cached page — *including dirty ones* — without
@@ -389,6 +420,7 @@ class BufferPool:
         with self.lock:
             self.stats.release(len(self._pages) * PAGE_SIZE)
             self._pages.clear()
+            self._decoded.clear()
             self._dirty.clear()
 
     @property
@@ -421,6 +453,7 @@ class BufferPool:
                 if victim is None:
                     break  # only the just-installed page is resident
             del self._pages[victim]
+            self._decoded.pop(victim, None)
             self.stats.release(PAGE_SIZE)
 
     def _clean_victim(self, keep: Optional[int]) -> Optional[int]:

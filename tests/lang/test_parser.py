@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro.analysis import analyze
+from repro.engine.interpreter import Interpreter
 from repro.errors import GuardSyntaxError
 from repro.lang import parse_guard, CastMode
+from repro.lang.parser import MAX_NESTING
+from repro.storage import Database
+from repro.xmltree.parser import parse_forest
 from repro.lang.ast import (
     Cast,
     Clone,
@@ -184,3 +189,65 @@ class TestErrors:
     def test_rejects(self, source):
         with pytest.raises(GuardSyntaxError):
             parse_guard(source)
+
+
+def _brackets(depth: int) -> str:
+    """A MORPH nesting ``depth`` levels: the guard, then one term per level."""
+    opens = depth - 2
+    return "MORPH " + "".join("ab"[i % 2] + " [ " for i in range(opens)) + "a" + " ]" * opens
+
+
+#: Each form of nesting, as guard text ``depth`` levels deep.
+NESTINGS = {
+    "brackets": _brackets,
+    "parentheses": lambda depth: "(" * (depth - 3) + "MORPH a [ b ]" + ")" * (depth - 3),
+    "casts": lambda depth: "CAST " * (depth - 3) + "MORPH a [ b ]",
+    "drops": lambda depth: "MORPH r [ " + "DROP " * (depth - 3) + "a ]",
+}
+
+DOCUMENT = "<r>" + "<a><b>x</b></a>" * 3 + "</r>"
+
+
+def _assert_refused_at_the_budget(error: GuardSyntaxError, guard: str) -> None:
+    """Located at the token that opened one level too many, which the
+    analyzer reports as ``XM102`` at the same place."""
+    assert f"deeper than {MAX_NESTING} levels" in str(error)
+    assert error.line == 1 and error.column == error.span.start + 1 > 1
+    (diagnostic,) = analyze(DOCUMENT, guard).errors
+    assert diagnostic.code == "XM102"
+    assert diagnostic.span == error.span
+
+
+@pytest.mark.parametrize("form", sorted(NESTINGS))
+class TestNestingBudget:
+    """Guard text nests at most ``MAX_NESTING`` levels; past that every
+    entry point raises a located ``GuardSyntaxError`` (``XM102``), never
+    a ``RecursionError``."""
+
+    def test_the_budget_itself_parses_and_runs(self, form):
+        guard = NESTINGS[form](MAX_NESTING)
+        parse_guard(guard)
+        Interpreter(parse_forest(DOCUMENT)).transform(guard)
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 500])
+    def test_parser_refuses_deeper(self, form, depth):
+        guard = NESTINGS[form](depth)
+        with pytest.raises(GuardSyntaxError) as excinfo:
+            parse_guard(guard)
+        _assert_refused_at_the_budget(excinfo.value, guard)
+
+    def test_interpreter_transform_refuses(self, form):
+        guard = NESTINGS[form](500)
+        with pytest.raises(GuardSyntaxError) as excinfo:
+            Interpreter(parse_forest(DOCUMENT)).transform(guard)
+        _assert_refused_at_the_budget(excinfo.value, guard)
+
+    def test_database_transform_refuses(self, form, tmp_path):
+        guard = NESTINGS[form](500)
+        with Database(str(tmp_path / "deep.db"), durable=False) as db:
+            db.store_document("d", DOCUMENT)
+            with pytest.raises(GuardSyntaxError) as excinfo:
+                db.transform("d", guard)
+            _assert_refused_at_the_budget(excinfo.value, guard)
+            # The refusal leaves the handle serving.
+            assert db.transform("d", "MORPH a [ b ]").xml()

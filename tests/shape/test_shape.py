@@ -185,3 +185,47 @@ class TestDisplay:
     def test_walk_yields_depths(self):
         shape, (a, b, c) = chain("a", "b", "c")
         assert list(shape.walk()) == [(a, 0), (b, 1), (c, 2)]
+
+
+class TestOfDataTypes:
+    """The one-pass constructor behind every stored and extracted shape."""
+
+    @staticmethod
+    def table(*paths):
+        table = TypeTable()
+        for path in paths:
+            table.intern(tuple(path.split(".")))
+        return table
+
+    def test_vertices_in_id_order_and_edges_in_given_order(self):
+        table = self.table("r", "r.a", "r.b", "r.a.c")
+        shape = Shape.of_data_types(table, [(0, 2, 1, 1), (0, 1, 0, 3), (1, 3, 2, 2)])
+        r, a, b, c = shape.types()
+        assert [t.source for t in (r, a, b, c)] == list(table)
+        assert shape.children(r) == [b, a]
+        assert shape.card(r, a) == Card(0, 3) and shape.card(a, c) == Card(2, 2)
+        assert shape.roots() == [r]
+
+    def test_same_shape_as_edge_by_edge(self):
+        table = self.table("r", "r.a", "r.a.c", "s")
+        edges = [(0, 1, 1, 2), (1, 2, 0, 1)]
+        expected = Shape()
+        vertices = [expected.add_type(ShapeType.for_source(t)) for t in table]
+        for parent, child, low, high in edges:
+            expected.add_edge(vertices[parent], vertices[child], Card(low, high))
+        assert Shape.of_data_types(table, edges).fingerprint() == expected.fingerprint()
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 2, 1, 1)],  # skips a level: r -> r.a.c
+            [(1, 0, 1, 1)],  # upwards: would close a cycle
+            [(1, 1, 1, 1)],  # onto itself
+            [(3, 1, 1, 1)],  # from another root
+            [(0, 1, 1, 1), (0, 1, 1, 1)],  # a second edge into one child
+        ],
+        ids=["skip", "upwards", "self", "foreign", "two-parents"],
+    )
+    def test_refuses_an_edge_that_does_not_follow_the_path(self, edges):
+        with pytest.raises(ValueError):
+            Shape.of_data_types(self.table("r", "r.a", "r.a.c", "s"), edges)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.errors import StorageError
+from repro.storage import btree
 from repro.storage.btree import MAX_ENTRY, BPlusTree
 from repro.storage.pages import BufferPool, PagedFile
 from repro.storage.stats import SystemStats
@@ -136,6 +137,29 @@ class TestPersistence:
         file.close()
 
 
+class TestDecodedInternalNodes:
+    def test_a_kept_decode_is_still_a_buffer_hit(self, tree):
+        tree.put_many((f"k{i:05d}".encode(), b"v" * 40) for i in range(2000))
+        root, leaf = tree._descend(b"k01000")[1]
+        pool = tree.pool
+        assert pool.decoded(root) is not None and pool.decoded(leaf) is None
+        hits, misses = pool.hits, pool.misses
+        assert tree.get(b"k01000") == b"v" * 40
+        # The root comes from its kept decode, the leaf is decoded again:
+        # two gets, both hits, and the leaf is now the most recent page.
+        assert (pool.hits - hits, pool.misses - misses) == (2, 0)
+        assert list(pool._pages)[-2:] == [root, leaf]
+
+    def test_a_rewritten_root_is_decoded_again(self, tree):
+        tree.put_many((f"k{i:05d}".encode(), b"v" * 40) for i in range(2000))
+        root = tree._descend(b"")[1][0]
+        kept = tree.pool.decoded(root)
+        tree.put_many((f"k{i:05d}x".encode(), b"w" * 40) for i in range(0, 2000, 7))
+        assert tree.pool.decoded(root) is None
+        assert tree.get(b"k00007x") == b"w" * 40
+        assert tree.pool.decoded(tree._root) is not kept
+
+
 class TestModelBased:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -235,8 +259,19 @@ _VALUES = st.one_of(
 )
 
 
+#: Keys a lookup may ask for: the small alphabet and the dense numbered
+#: keys of ``put_long_run``, so most lookups hit a stored key.
+_LOOKUPS = st.one_of(_KEYS, st.integers(0, 60400).map(lambda n: b"n%06d" % n))
+
+
 class BTreeAgainstDict(RuleBasedStateMachine):
-    """Runs, single puts, deletes and reopens, against a ``dict``."""
+    """Runs, single puts, deletes, lookups, reopens, cache drops and
+    rolled-back batches, against a ``dict``.
+
+    The pool holds 8 pages, so root splits, evictions, discards and
+    rollbacks all meet the internal nodes it keeps decoded beside their
+    frames; the invariant checks each of those against a fresh decode.
+    """
 
     def __init__(self):
         super().__init__()
@@ -275,15 +310,52 @@ class BTreeAgainstDict(RuleBasedStateMachine):
         assert self.tree.delete(key) == (key in self.model)
         self.model.pop(key, None)
 
+    @rule(key=_LOOKUPS)
+    def get(self, key):
+        assert self.tree.get(key) == self.model.get(key)
+
     @rule()
     def reopen(self):
         self.tree.pool.flush()
         self.file.close()
         self._open()
 
+    @rule()
+    def drop_cache(self):
+        self.tree.pool.drop_cache()
+
+    @rule(entries=st.dictionaries(_KEYS, _VALUES, min_size=1, max_size=12))
+    def rollback_staged(self, entries):
+        self.tree.pool.flush()
+        self.tree.put_many(sorted(entries.items()))
+        # A batch that outgrew the all-dirty pool was committed when its
+        # writing section ended; otherwise it is still only staged.
+        committed = not self.tree.pool._dirty
+        self.tree.rollback()
+        if committed:
+            self.model.update(entries)
+
+    def _decoded_nodes_match_their_pages(self):
+        """Only a resident internal page has a decoded node, and it is
+        what decoding the page afresh gives."""
+        pool = self.tree.pool
+        for page_id, node in list(pool._decoded.items()):
+            assert page_id in pool._pages
+            fresh = btree._read_node(pool, page_id)
+            assert fresh.kind == btree._INTERNAL
+            assert (node.child0, list(node.keys), list(node.values)) == (
+                fresh.child0,
+                fresh.keys,
+                fresh.values,
+            )
+
     @invariant()
     def matches_model(self):
+        # Decoded nodes before and after the scan, which evicts pages;
+        # check() re-reads every page, so it comes last.
+        self._decoded_nodes_match_their_pages()
         assert list(self.tree.scan()) == sorted(self.model.items())
+        self._decoded_nodes_match_their_pages()
         assert self.tree.check() == []
 
 

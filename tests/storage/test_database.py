@@ -320,6 +320,28 @@ class TestDropDocument:
         assert report.ok and report.documents == ["next"]
 
 
+def _skip_a_level(info):
+    """Re-hang a grandchild edge on its grandparent."""
+    parent_of = {child: parent for parent, child, _lo, _hi in info["edges"]}
+    edge = next(edge for edge in info["edges"] if edge[0] in parent_of)
+    edge[0] = parent_of[edge[0]]
+
+
+def _upwards(info):
+    """Turn an edge around, closing a cycle with the child's own edge."""
+    edge = info["edges"][-1]
+    edge[0], edge[1] = edge[1], edge[0]
+
+
+#: Ways a stored shape record can disagree with its own type paths.
+SHAPE_CORRUPTIONS = {
+    "skips-a-level": _skip_a_level,
+    "upwards": _upwards,
+    "second-parent": lambda info: info["edges"].append(list(info["edges"][-1])),
+    "unknown-type": lambda info: info["edges"].append([0, len(info["types"]), 1, 1]),
+}
+
+
 class TestStoredIndex:
     def test_shape_matches_in_memory(self, db):
         db.store_document("a", FIG1A)
@@ -370,6 +392,23 @@ class TestStoredIndex:
         book = index.type_table.match_label("book")[0]
         assert index.count_of(book) == 2
         assert index.node_count() == parse_document(FIG1A).node_count()
+
+    @pytest.mark.parametrize("corruption", sorted(SHAPE_CORRUPTIONS))
+    def test_corrupted_shape_record_is_refused(self, db, corruption):
+        db.store_document("a", FIG1A)
+        doc_id = db.describe("a")["doc_id"]
+        prefix = tables.shape_prefix(doc_id)
+        info = tables.decode_shape(tables.load_chunks(db.tree, prefix))
+        SHAPE_CORRUPTIONS[corruption](info)
+        for key in [key for key, _ in db.tree.scan_prefix(prefix)]:
+            db.tree.delete(key)
+        db.tree.put_many(
+            (tables.shape_key(doc_id, number), chunk)
+            for number, chunk in enumerate(tables.encode_shape(info))
+        )
+        db.drop_cache()
+        with pytest.raises(StorageError, match="corrupted stored shape"):
+            db.index("a")
 
 
 class TestGroupedSequence:

@@ -190,3 +190,18 @@ class TestUnchangedDocumentKeepsAnswering:
         assert read.xml() == text
         with pytest.raises(RetiredDocumentError):
             serialize(read.forest)
+
+
+@pytest.mark.parametrize("orphaning", ["drop_cache", "rollback"])
+def test_sequence_outliving_its_index_is_retired(db, orphaning):
+    """A sequence holds its index weakly: once the handle lets the index
+    go, asking the sequence for nodes is ``XM570``, not a bare
+    ``ReferenceError`` from a dead weak reference."""
+    author = db.index("dblp").type_table.match_label("author")[0]
+    sequence = db.index("dblp").nodes_of(author)
+    ORPHANINGS[orphaning](db)
+    assert len(sequence) > 0
+    with pytest.raises(RetiredDocumentError) as excinfo:
+        list(sequence)
+    assert excinfo.value.code == "XM570"
+    assert "'dblp'" in str(excinfo.value)

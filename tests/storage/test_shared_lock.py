@@ -25,6 +25,7 @@ from repro.errors import (
 )
 from repro.faults import FAULTS, SimulatedCrash
 from repro.storage import Database
+from repro.workloads import generate_dblp
 
 from tests.conftest import FIG1A
 
@@ -139,6 +140,58 @@ class TestLockMatrix:
     def test_invalid_mode_rejected(self, store):
         with pytest.raises(StorageError):
             Database(store, mode="a")
+
+
+class TestColdReadsBesideDropCache:
+    """Four threads read cold through one read-only handle while a fifth
+    empties its caches in a loop: pages, the decoded B+tree nodes kept
+    beside them, indexes and plans all vanish under the readers, and
+    every output still equals the reference."""
+
+    GUARDS = [
+        "CAST MORPH author [ title ]",
+        "CAST MORPH author [ title [ year ] ]",
+        "CAST MORPH dblp [ author [ title ] ]",
+    ]
+
+    def test_every_output_equals_the_reference(self, tmp_path):
+        path = str(tmp_path / "cold.db")
+        with Database(path) as writer:
+            writer.store_document("dblp", generate_dblp(120))
+        with Database(path, mode="r", cache_pages=16) as db:
+            expected = {guard: db.transform("dblp", guard).xml() for guard in self.GUARDS}
+            assert len(db.tree._descend(b"")[1]) >= 2
+            readers_done = threading.Event()
+            barrier = threading.Barrier(5)
+            outputs: list[list] = [[] for _ in range(4)]
+            errors: list[BaseException] = []
+
+            def read(number):
+                barrier.wait()
+                try:
+                    for round_ in range(6):
+                        for guard in self.GUARDS[round_ % 3 :] + self.GUARDS[: round_ % 3]:
+                            outputs[number].append((guard, db.transform("dblp", guard).xml()))
+                except BaseException as error:  # reported below, with the outputs
+                    errors.append(error)
+
+            def drop():
+                barrier.wait()
+                while not readers_done.is_set():
+                    db.drop_cache()
+
+            dropper = threading.Thread(target=drop)
+            readers = [threading.Thread(target=read, args=(n,)) for n in range(4)]
+            for thread in [dropper, *readers]:
+                thread.start()
+            for thread in readers:
+                thread.join(timeout=120)
+            readers_done.set()
+            dropper.join(timeout=30)
+            assert errors == []
+            for produced in outputs:
+                assert len(produced) == 6 * len(self.GUARDS)
+                assert all(xml == expected[guard] for guard, xml in produced)
 
 
 class TestReadOnlyEnforcement:
