@@ -17,7 +17,7 @@ from benchmarks.conftest import register_table
 
 POOL_SIZES = [16, 64, 256, 2048]
 
-_rows: dict[int, tuple[int, float]] = {}
+_rows: dict[int, int] = {}
 
 
 def _table():
@@ -26,7 +26,7 @@ def _table():
         SeriesTable(
             "Ablation: buffer pool size (XMark factor 0.004, MUTATE site)",
             "pool pages",
-            ["blocks", "simulated s"],
+            ["blocks"],
         ),
     )
 
@@ -48,15 +48,14 @@ def test_pool_size(benchmark, pool_pages, forest, tmp_path):
         )
     finally:
         db.close()
-    _rows[pool_pages] = (measurement.blocks, measurement.simulated_seconds)
+    _rows[pool_pages] = measurement.blocks
 
     if len(_rows) == len(POOL_SIZES):
         for pages in sorted(_rows):
-            blocks, sim = _rows[pages]
-            _table().add_row(pages, blocks, sim)
+            _table().add_row(pages, _rows[pages])
         # Shrinking the pool must not blow I/O up disproportionately:
         # sequential scans stay sequential.
-        small = _rows[POOL_SIZES[0]][0]
-        large = _rows[POOL_SIZES[-1]][0]
+        small = _rows[POOL_SIZES[0]]
+        large = _rows[POOL_SIZES[-1]]
         _table().note(f"I/O ratio tiny-pool/big-pool = {small / max(large, 1):.2f}")
         assert small <= 5 * max(large, 1)

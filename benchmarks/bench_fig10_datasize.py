@@ -8,10 +8,20 @@ Expected shape (paper): XMorph render grows linearly with document
 size; XMorph compile is flat and a vanishing fraction of the total;
 the eXist dump is the baseline's best case and stays below the full
 471-type mutation.
+
+Asserted on counts: the render reads and writes every node once (so its
+work is linear in the document), the compile evaluates ``k·(k−1)``
+ordered type pairs for ``k`` types (``typing.loss.pairs``, growing with
+the shape, not the data), and the dump reads fewer blocks than the
+transformation.  Wall times are reported beside them; the measured
+compile share is reported, not asserted (EXPERIMENTS.md discusses it).
 """
+
+from dataclasses import dataclass
 
 import pytest
 
+from repro import obs
 from repro.bench import measured_compile, measured_dump, measured_transform
 from repro.bench.plots import AsciiChart
 from repro.bench.reporting import SeriesTable
@@ -20,6 +30,56 @@ from benchmarks.conftest import XMARK_FACTORS, register_chart, register_table
 
 GUARD = "MUTATE site"
 
+
+@dataclass(frozen=True)
+class _Point:
+    nodes: int
+    types: int
+    pairs: int
+    written: int
+    read: int
+    transform_blocks: int
+    dump_blocks: int
+    compile_wall: float
+    render_wall: float
+    transform_wall: float
+    dump_wall: float
+
+
+_points: dict[float, _Point] = {}
+
+
+def _point(factor, xmark_dbs, xmark_exist, benchmark=None) -> _Point:
+    """Measure one factor once: a traced compile for its pair count, then
+    an untraced cold transformation and a cold eXist dump."""
+    if factor in _points:
+        return _points[factor]
+    db = xmark_dbs[factor]
+    with obs.tracing() as tracer:
+        measured_compile(db, "xmark", GUARD)
+    run = lambda: measured_transform(db, "xmark", GUARD)  # noqa: E731
+    if benchmark is not None:
+        transform_m = benchmark.pedantic(run, rounds=1, iterations=1)
+    else:
+        transform_m = run()
+    dump_m = measured_dump(xmark_exist[factor], "xmark")
+    written, read, _joins = transform_m.result.render_counts
+    point = _points[factor] = _Point(
+        nodes=db.describe("xmark")["nodes"],
+        types=len(db.index("xmark").type_table),
+        pairs=tracer.metrics.counter("typing.loss.pairs"),
+        written=written,
+        read=read,
+        transform_blocks=transform_m.blocks,
+        dump_blocks=dump_m.blocks,
+        compile_wall=transform_m.result.compile_seconds,
+        render_wall=transform_m.result.render_seconds,
+        transform_wall=transform_m.wall_seconds,
+        dump_wall=dump_m.wall_seconds,
+    )
+    return point
+
+
 _table = lambda: register_table(  # noqa: E731
     "fig10_datasize",
     SeriesTable(
@@ -27,11 +87,14 @@ _table = lambda: register_table(  # noqa: E731
         "factor",
         [
             "nodes",
-            "xmorph compile (sim s)",
-            "xmorph render (sim s)",
-            "exist dump (sim s)",
+            "types",
+            "compile pairs",
+            "render nodes w/r",
+            "transform blocks",
+            "dump blocks",
             "compile wall",
             "render wall",
+            "dump wall",
             "compile %",
         ],
     ),
@@ -40,65 +103,53 @@ _table = lambda: register_table(  # noqa: E731
 
 @pytest.mark.parametrize("factor", XMARK_FACTORS)
 def test_fig10_point(benchmark, factor, xmark_dbs, xmark_exist):
-    db = xmark_dbs[factor]
-    exist = xmark_exist[factor]
-
-    compile_m = measured_compile(db, "xmark", GUARD)
-    transform_m = benchmark.pedantic(
-        lambda: measured_transform(db, "xmark", GUARD), rounds=1, iterations=1
-    )
-    dump_m = measured_dump(exist, "xmark")
-
-    render_sim = transform_m.simulated_seconds - compile_m.simulated_seconds
-    render_wall = transform_m.result.render_seconds
-    total = max(transform_m.simulated_seconds, 1e-12)
+    point = _point(factor, xmark_dbs, xmark_exist, benchmark)
     _table().add_row(
         factor,
-        db.describe("xmark")["nodes"],
-        compile_m.simulated_seconds,
-        max(render_sim, 0.0),
-        dump_m.simulated_seconds,
-        transform_m.result.compile_seconds,
-        render_wall,
-        f"{100 * compile_m.simulated_seconds / total:.1f}%",
+        point.nodes,
+        point.types,
+        point.pairs,
+        f"{point.written}/{point.read}",
+        point.transform_blocks,
+        point.dump_blocks,
+        point.compile_wall,
+        point.render_wall,
+        point.dump_wall,
+        f"{100 * point.compile_wall / point.transform_wall:.1f}%",
     )
 
-    # The paper's qualitative claims, asserted:
-    # the eXist dump (sequential read of the stored document) costs less
-    # than the full mutation (which must also build and write output).
-    assert dump_m.simulated_seconds < transform_m.simulated_seconds
+    # The full mutation reads and writes every node exactly once ...
+    assert point.written == point.read == point.nodes
+    # ... its compile evaluates every ordered pair of distinct types ...
+    assert point.pairs == point.types * (point.types - 1)
+    # ... and the eXist dump (a sequential read of the stored text)
+    # reads fewer blocks than the transformation.
+    assert point.dump_blocks < point.transform_blocks
 
     table = _table()
     if len(table.rows) == len(XMARK_FACTORS):
         chart = AsciiChart(
-            "Figure 10 (ASCII): simulated seconds vs XMark factor", height=10, width=56
+            "Figure 10 (ASCII): wall seconds vs XMark factor", height=10, width=56
         )
-        chart.add_series("render", [(row[0], row[3]) for row in table.rows])
-        chart.add_series("compile", [(row[0], row[2]) for row in table.rows])
-        chart.add_series("exist dump", [(row[0], row[4]) for row in table.rows])
+        chart.add_series("render", [(row[0], row[8]) for row in table.rows])
+        chart.add_series("compile", [(row[0], row[7]) for row in table.rows])
+        chart.add_series("exist dump", [(row[0], row[9]) for row in table.rows])
         register_chart("fig10_datasize", chart)
 
 
 def test_fig10_shape(xmark_dbs, xmark_exist, benchmark):
-    """Linearity and the vanishing compile fraction, across factors."""
-    points = []
-    for factor in (XMARK_FACTORS[0], XMARK_FACTORS[-1]):
-        db = xmark_dbs[factor]
-        compile_m = measured_compile(db, "xmark", GUARD)
-        transform_m = measured_transform(db, "xmark", GUARD)
-        points.append((factor, compile_m, transform_m, db.describe("xmark")["nodes"]))
+    """Render work linear in the data, compile work growing with the shape."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
-    (f0, c0, t0, n0), (f1, c1, t1, n1) = points
-    size_ratio = n1 / n0
-    cost_ratio = t1.simulated_seconds / t0.simulated_seconds
-    # Render cost is linear in document size: the cost ratio tracks the
-    # size ratio (generously bracketed: pure-Python noise and constant
-    # offsets are real).
-    assert 0.4 * size_ratio <= cost_ratio <= 2.5 * size_ratio
-    # Compile cost is roughly flat in the data size...
-    assert c1.simulated_seconds < 3 * max(c0.simulated_seconds, 1e-9)
-    # ... so its share of the total shrinks as documents grow.
-    share0 = c0.simulated_seconds / t0.simulated_seconds
-    share1 = c1.simulated_seconds / t1.simulated_seconds
-    assert share1 < share0
+    small, large = (
+        _point(factor, xmark_dbs, xmark_exist)
+        for factor in (XMARK_FACTORS[0], XMARK_FACTORS[-1])
+    )
+    size_ratio = large.nodes / small.nodes
+    # Render work tracks the document size exactly.
+    assert (large.written + large.read) / (small.written + small.read) == pytest.approx(
+        size_ratio
+    )
+    # Compile work depends on the shape's types, which grow far more
+    # slowly than the data (283 -> 355 types for 3,124 -> 15,202 nodes).
+    assert large.pairs / small.pairs < size_ratio
+    assert large.dump_blocks < large.transform_blocks

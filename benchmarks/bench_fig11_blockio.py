@@ -12,7 +12,7 @@ import pytest
 from repro.bench import measured_transform
 from repro.bench.reporting import SeriesTable
 
-from benchmarks.conftest import XMARK_FACTORS, register_table
+from benchmarks.conftest import XMARK_FACTORS, register_table, sampling_loads
 
 GUARD = "MUTATE site"
 
@@ -20,17 +20,11 @@ GUARD = "MUTATE site"
 @pytest.mark.parametrize("factor", [XMARK_FACTORS[0], XMARK_FACTORS[2], XMARK_FACTORS[-1]])
 def test_fig11_cumulative_io(benchmark, factor, xmark_dbs):
     db = xmark_dbs[factor]
-    db.stats.samples.clear()
-    db.sample_progress = True
-    try:
-        baseline = db.stats.cumulative_blocks
+    baseline = db.stats.cumulative_blocks
+    with sampling_loads(db) as samples:
         measurement = benchmark.pedantic(
             lambda: measured_transform(db, "xmark", GUARD), rounds=1, iterations=1
         )
-    finally:
-        db.sample_progress = False
-
-    samples = list(db.stats.samples)
     assert samples, "sequence loads must produce samples"
 
     table = register_table(
@@ -44,19 +38,18 @@ def test_fig11_cumulative_io(benchmark, factor, xmark_dbs):
     # Report ~8 evenly spaced progress points per factor.
     step = max(1, len(samples) // 8)
     for position in range(0, len(samples), step):
-        sample = samples[position]
         table.add_row(
             f"{100 * (position + 1) // len(samples)}%",
             factor,
-            sample.blocks_in + sample.blocks_out - baseline,
+            samples[position][1] - baseline,
         )
 
     # Steady growth: cumulative I/O never decreases and no single step
     # dominates the whole run (no bulk spike).
-    series = [s.blocks_in + s.blocks_out for s in samples]
+    series = [blocks for _label, blocks in samples]
     assert all(b >= a for a, b in zip(series, series[1:]))
-    total = series[-1] - (series[0])
+    total = series[-1] - series[0]
     if total > 0 and len(series) > 4:
         biggest_step = max(b - a for a, b in zip(series, series[1:]))
         assert biggest_step <= 0.7 * (total + 1)
-    assert measurement.blocks >= 0
+    assert measurement.blocks >= series[-1] - baseline

@@ -1,61 +1,56 @@
-"""Figure 13: available memory during the Figure 10 transformation.
+"""Figure 13: memory taken by the Figure 10 transformation.
 
 The paper observes the JVM grabbing all available memory "within the
-first 30% of an experiment", after which availability is flat.  Our
-analog: the buffer pool plus materialized type sequences allocate
-against a fixed budget; available memory drops as sequences load and
-then levels off.
+first 30% of an experiment".  We measure the memory a cold ``MUTATE
+site`` actually allocates, as the ``tracemalloc`` peak over the run, on
+the two smallest factors (tracing every allocation slows the run about
+twentyfold), and assert that it grows with the document.
 """
+
+import tracemalloc
 
 import pytest
 
 from repro.bench import measured_transform
 from repro.bench.reporting import SeriesTable
-from repro.storage.stats import CostModel
 
 from benchmarks.conftest import XMARK_FACTORS, register_table
 
 GUARD = "MUTATE site"
+FACTORS = XMARK_FACTORS[:2]
+
+_peaks: dict[float, int] = {}
 
 
-@pytest.mark.parametrize("factor", [XMARK_FACTORS[2], XMARK_FACTORS[-1]])
-def test_fig13_available_memory(benchmark, factor, xmark_dbs):
-    db = xmark_dbs[factor]
-    db.stats.reset()
-    db.stats.samples.clear()
-    db.sample_progress = True
+def _traced_peak(db) -> int:
+    """Peak bytes allocated by one cold transformation."""
+    tracemalloc.start()
     try:
-        benchmark.pedantic(
-            lambda: measured_transform(db, "xmark", GUARD), rounds=1, iterations=1
-        )
+        measured_transform(db, "xmark", GUARD)
+        return tracemalloc.get_traced_memory()[1]
     finally:
-        db.sample_progress = False
+        tracemalloc.stop()
 
-    samples = list(db.stats.samples)
-    assert samples
+
+@pytest.mark.parametrize("factor", FACTORS)
+def test_fig13_peak_memory(benchmark, factor, xmark_dbs):
+    db = xmark_dbs[factor]
+    peak = benchmark.pedantic(lambda: _traced_peak(db), rounds=1, iterations=1)
+    _peaks[factor] = peak
 
     table = register_table(
         "fig13_memory",
         SeriesTable(
-            "Figure 13: available memory during MUTATE site",
-            "progress",
-            ["factor", "available MB"],
+            "Figure 13: tracemalloc peak during MUTATE site",
+            "factor",
+            ["nodes", "peak MB"],
         ),
     )
-    step = max(1, len(samples) // 8)
-    for position in range(0, len(samples), step):
-        sample = samples[position]
-        table.add_row(
-            f"{100 * (position + 1) // len(samples)}%",
-            factor,
-            round(sample.available_memory / 1e6, 2),
-        )
+    table.add_row(factor, db.describe("xmark")["nodes"], round(peak / 1e6, 2))
     if not table.notes:
-        table.note("availability falls as sequences materialize, then levels off")
+        table.note("peak of Python allocations over one cold run (tracemalloc)")
 
-    # Memory availability is non-increasing over the run (allocations
-    # accumulate; the pool holds pages) and ends below where it began.
-    availability = [s.available_memory for s in samples]
-    assert availability[-1] <= availability[0]
-    budget = CostModel().total_memory
-    assert availability[-1] < budget
+    assert peak > 0
+    if len(_peaks) == len(FACTORS):
+        peaks = [_peaks[f] for f in FACTORS]
+        assert peaks == sorted(peaks) and peaks[0] < peaks[-1]

@@ -8,13 +8,18 @@ Every bench registers its paper-style series table here; the tables are
 printed and written to ``bench_results/`` at session end, so they
 survive ``--benchmark-only`` runs and feed EXPERIMENTS.md.  Alongside
 the tables, every measured phase (one span per ``measured_*`` call,
-with wall seconds, simulated seconds and blocks) is written to
-``bench_results/trace.jsonl`` so the perf trajectory is machine-readable.
+with wall seconds and blocks) is written to ``bench_results/trace.jsonl``
+so the perf trajectory is machine-readable.
+
+Each bench asserts its paper shape on deterministic counts (blocks,
+nodes, pairs evaluated) or on a wall-clock ratio with a wide margin;
+the wall-clock columns of the tables drift from run to run.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 
 import pytest
 
@@ -22,7 +27,7 @@ from repro.baseline import ExistStore
 from repro.bench.harness import session_tracer
 from repro.bench.reporting import SeriesTable, write_report
 from repro.obs import write_json_lines
-from repro.storage import Database
+from repro.storage import Database, StoredDocumentIndex
 from repro.workloads import generate_dblp, generate_nasa, generate_xmark
 
 #: Paper factors 0.1–0.5 scaled by 1/50 to keep a pure-Python run short;
@@ -44,6 +49,34 @@ def register_table(key: str, table: SeriesTable) -> SeriesTable:
 
 def register_chart(key: str, chart) -> None:
     _CHARTS[key] = chart
+
+
+@contextmanager
+def sampling_loads(db: Database):
+    """Sample ``db``'s cumulative block I/O after every type-sequence load.
+
+    Wraps :meth:`StoredDocumentIndex.nodes_of` for the duration of the
+    block and yields the list it fills with ``(dotted type, blocks in +
+    out)`` pairs, one per sequence loaded from ``db`` — the progress
+    points of Figure 11's time series.
+    """
+    samples: list[tuple[str, int]] = []
+    loaded: set[tuple[int, int]] = set()
+    real = StoredDocumentIndex.nodes_of
+
+    def sampled(index, data_type):
+        sequence = real(index, data_type)
+        key = (id(index), data_type.type_id)
+        if index.database is db and key not in loaded:
+            loaded.add(key)
+            samples.append((data_type.dotted, db.stats.cumulative_blocks))
+        return sequence
+
+    StoredDocumentIndex.nodes_of = sampled
+    try:
+        yield samples
+    finally:
+        StoredDocumentIndex.nodes_of = real
 
 
 def pytest_sessionfinish(session, exitstatus):

@@ -61,9 +61,8 @@ def main() -> None:
             print("\n== storage engine statistics (vmstat analog) ==")
             stats = db.stats
             print(f"blocks in/out: {stats.blocks_in}/{stats.blocks_out}")
-            print(f"simulated time: {stats.simulated_seconds:.3f}s "
-                  f"(wait {stats.wait_percent:.0f}%)")
-            print(f"peak simulated allocation: {stats.peak_allocated / 1e6:.1f} MB")
+            reads = stats.timing_snapshot()["storage.page_read_seconds"]
+            print(f"page reads: {reads.count} in {reads.total * 1e3:.2f} ms (measured)")
 
 
 if __name__ == "__main__":

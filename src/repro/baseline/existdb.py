@@ -3,40 +3,34 @@
 eXist 1.4 stores an XML document *in document order on disk pages*, so
 dumping a document "is essentially that of reading the document from
 disk to a String object" — the paper calls this the baseline's best
-case.  Path queries are accelerated by a structural index (element name
-→ node list), but result *reconstruction* walks and copies subtrees by
-navigation: an equivalent of a large XMorph transformation needs one
-nested ``for`` per level ("471 variable bindings"!), touching each
-output node once per enclosing level.
+case.  Queries run over the in-memory DOM (eXist's local XML:DB API),
+and result *reconstruction* walks and copies subtrees by navigation: an
+equivalent of a large XMorph transformation needs one nested ``for``
+per level ("471 variable bindings"!).
 
-The cost model, charged to the shared :class:`SystemStats`:
+Both paths do the real work and count only what they do in the shared
+:class:`SystemStats`:
 
-* **dump**: sequential page reads over the whole document + one CPU
-  charge per character appended;
-* **query**: index lookup (cheap) + page reads covering the matched
-  subtrees (document-order locality) + CPU per node *visited during
-  evaluation*, where FLWOR nesting multiplies visits — exactly the
-  navigation behaviour that makes deep reconstructions expensive.
+* **dump** reads the document's pages in order (one block each, on a
+  cold pool) and decodes the text;
+* **query** evaluates XQuery-lite over the DOM and reads no page.
 
-Both paths do the real work (serialization / query evaluation), so
-wall-clock numbers show the same shape as the simulated ones.
+The comparison with XMorph is then measured wall time (Figures 10 and
+14) and counted blocks (Figure 10's dump vs transform).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import DocumentNotFoundError
 from repro.storage.pages import PAGE_SIZE, BufferPool, PagedFile
-from repro.storage.stats import CostModel, SystemStats
-from repro.xmltree.node import XmlForest, XmlNode
+from repro.storage.stats import SystemStats
+from repro.xmltree.node import XmlForest
 from repro.xmltree.parser import parse_forest
 from repro.xmltree.serializer import serialize
 from repro.xquery.evaluator import QueryContext, Sequence, evaluate
 from repro.xquery import parser as xq_parser
-from repro.xquery import ast as xq_ast
 
 
 @dataclass
@@ -44,19 +38,15 @@ class _StoredDocument:
     name: str
     first_page: int
     page_count: int
-    char_count: int
+    byte_count: int
     forest: XmlForest  # the in-memory DOM eXist's local API works on
-    #: element name -> nodes in document order (the structural index)
-    index: dict[str, list[XmlNode]]
-    #: per-node serialized size estimate (for page-read accounting)
-    subtree_chars: dict[int, int]
 
 
 class ExistStore:
-    """Documents in document order on pages + a structural name index."""
+    """Documents in document order on pages, queried over their DOM."""
 
-    def __init__(self, path: str, cache_pages: int = 2048, model: Optional[CostModel] = None):
-        self.stats = SystemStats(model or CostModel())
+    def __init__(self, path: str, cache_pages: int = 2048):
+        self.stats = SystemStats()
         self._file = PagedFile(path, self.stats)
         self.pool = BufferPool(self._file, capacity=cache_pages)
         self._documents: dict[str, _StoredDocument] = {}
@@ -75,34 +65,15 @@ class ExistStore:
             buffer[: len(chunk)] = chunk
             self.pool.mark_dirty(page)
         self.pool.flush()
-
-        index: dict[str, list[XmlNode]] = {}
-        subtree_chars: dict[int, int] = {}
-        for node in forest.iter_nodes():
-            index.setdefault(node.name, []).append(node)
-        self._measure(forest, subtree_chars)
         document = _StoredDocument(
             name=name,
             first_page=first_page,
             page_count=self._file.page_count - first_page,
-            char_count=len(text),
+            byte_count=len(raw),
             forest=forest,
-            index=index,
-            subtree_chars=subtree_chars,
         )
         self._documents[name] = document
         return document
-
-    def _measure(self, forest: XmlForest, sizes: dict[int, int]) -> None:
-        def measure(node: XmlNode) -> int:
-            total = len(node.name) * 2 + 5 + len(node.text)
-            for child in node.children:
-                total += measure(child)
-            sizes[id(node)] = total
-            return total
-
-        for root in forest.roots:
-            measure(root)
 
     def _get(self, name: str) -> _StoredDocument:
         try:
@@ -118,55 +89,16 @@ class ExistStore:
         pieces: list[bytes] = []
         for page in range(document.first_page, document.first_page + document.page_count):
             pieces.append(bytes(self.pool.get(page)))
-        self.stats.charge_cpu(document.char_count // 16)
-        raw = b"".join(pieces)[: document.char_count]
+        raw = b"".join(pieces)[: document.byte_count]
         return raw.decode()
 
     # -- path queries with reconstruction -------------------------------------
 
     def query(self, name: str, query_text: str) -> Sequence:
-        """Evaluate an XQuery-lite query against a stored document.
-
-        Does the real evaluation over the in-memory DOM (eXist's local
-        XML:DB API) and charges the modeled costs: page reads covering
-        every subtree the evaluation *visits* (tracked by instrumenting
-        the node iterators is overkill — we charge the matched result
-        subtrees plus the navigation paths), and CPU per visited node
-        with the FLWOR nesting factor.
-        """
+        """Evaluate an XQuery-lite query against a stored document's DOM."""
         document = self._get(name)
         expr = xq_parser.parse_query(query_text)
-        context = QueryContext.for_forest(document.forest, name)
-        items = evaluate(expr, context)
-
-        depth = max(1, _flwor_depth(expr))
-        visited_chars = 0
-        visited_nodes = 0
-        for item in items:
-            if isinstance(item, XmlNode):
-                visited_chars += self._result_chars(document, item)
-                visited_nodes += item.descendant_count()
-            else:
-                visited_chars += len(str(item))
-                visited_nodes += 1
-        # Structural index lookup: a handful of B+tree page touches.
-        self.stats.block_read(1 + int(math.log2(1 + len(document.index))))
-        # Document-order pages covering the touched subtrees.
-        self.stats.block_read(max(1, visited_chars // PAGE_SIZE))
-        # Navigation & reconstruction: each output node is touched once
-        # per enclosing FLWOR level.
-        self.stats.charge_cpu(visited_nodes * depth * 4)
-        return items
-
-    def _result_chars(self, document: _StoredDocument, item: XmlNode) -> int:
-        size = document.subtree_chars.get(id(item))
-        if size is not None:
-            return size
-        # A constructed node: sum its source pieces.
-        total = len(item.name) * 2 + 5 + len(item.text)
-        for child in item.children:
-            total += self._result_chars(document, child)
-        return total
+        return evaluate(expr, QueryContext.for_forest(document.forest, name))
 
     # -- maintenance -----------------------------------------------------------
 
@@ -183,25 +115,3 @@ class ExistStore:
     def __exit__(self, *exc) -> None:
         self.close()
 
-
-def _flwor_depth(expr) -> int:
-    """Nesting depth of FLWOR/constructor reconstruction in a query."""
-    if isinstance(expr, xq_ast.Flwor):
-        inner = max(
-            [_flwor_depth(clause.source if isinstance(clause, xq_ast.ForClause) else clause.value)
-             for clause in expr.clauses] + [0]
-        )
-        return 1 + max(inner, _flwor_depth(expr.body))
-    if isinstance(expr, xq_ast.Constructor):
-        parts = [p for p in expr.content if not isinstance(p, str)]
-        return max([_flwor_depth(part) for part in parts] + [0])
-    if isinstance(expr, xq_ast.Path):
-        start = _flwor_depth(expr.start) if expr.start is not None else 0
-        return start
-    if isinstance(expr, xq_ast.Sequence):
-        return max([_flwor_depth(item) for item in expr.items] + [0])
-    if isinstance(expr, xq_ast.Binary):
-        return max(_flwor_depth(expr.left), _flwor_depth(expr.right))
-    if isinstance(expr, xq_ast.FunctionCall):
-        return max([_flwor_depth(arg) for arg in expr.args] + [0])
-    return 0

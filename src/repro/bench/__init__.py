@@ -1,7 +1,7 @@
 """Harness, tables and plots for ``benchmarks/``, which regenerates the
-paper's Section IX figures: wall-clock seconds (pytest-benchmark) beside
-the storage cost model's deterministic blocks, simulated seconds and
-wait percentage.  :mod:`repro.bench.reporting` writes the series tables
+paper's Section IX figures: the shapes asserted on deterministic counts
+(blocks, nodes, pairs evaluated), measured wall time reported beside
+them.  :mod:`repro.bench.reporting` writes the series tables
 under ``bench_results/`` so EXPERIMENTS.md can quote them.
 
 The system's own serve, read, ingest and update paths are measured by

@@ -1,7 +1,7 @@
-"""Measured operations: run a system step and capture wall + model costs.
+"""Measured operations: run a system step and capture wall time + blocks.
 
 Every measurement is also recorded as a span on a benchmark-session
-tracer (label, wall seconds, simulated seconds, blocks), so the per-phase
+tracer (label, wall seconds, blocks), so the per-phase
 numbers behind ``bench_results/*.txt`` are available machine-readably;
 ``benchmarks/conftest.py`` writes them to ``bench_results/trace.jsonl``
 at session end.  The session tracer is *not* installed as the current
@@ -29,36 +29,30 @@ def session_tracer() -> Tracer:
 
 @dataclass(frozen=True, slots=True)
 class Measurement:
-    """Wall-clock and simulated costs of one operation."""
+    """Measured wall time and counted block I/O of one operation."""
 
     wall_seconds: float
-    simulated_seconds: float
     blocks: int
     result: object = None
 
     def throughput(self, units: int) -> float:
-        """Units per simulated second (Figure 15's y-axis)."""
-        if self.simulated_seconds == 0:
+        """Units per wall second (Figure 15's y-axis)."""
+        if self.wall_seconds == 0:
             return float("inf")
-        return units / self.simulated_seconds
+        return units / self.wall_seconds
 
 
 def _measure(stats, operation, label: str = "operation", **attrs) -> Measurement:
     wall_start = time.perf_counter()
-    sim_start = stats.simulated_seconds
     blocks_start = stats.cumulative_blocks
     with _SESSION_TRACER.span(label, **attrs) as phase:
         result = operation()
     measurement = Measurement(
         wall_seconds=time.perf_counter() - wall_start,
-        simulated_seconds=stats.simulated_seconds - sim_start,
         blocks=stats.cumulative_blocks - blocks_start,
         result=result,
     )
-    phase.annotate(
-        simulated_seconds=measurement.simulated_seconds,
-        blocks=measurement.blocks,
-    )
+    phase.annotate(blocks=measurement.blocks)
     return measurement
 
 

@@ -751,9 +751,10 @@ def _cmd_db_transform(arguments) -> int:
             print(result.xml(indent=arguments.indent))
         if arguments.stats:
             stats = db.stats
+            reads = stats.timing_snapshot().get("storage.page_read_seconds")
             print(
-                f"blocks: {stats.cumulative_blocks}, simulated "
-                f"{stats.simulated_seconds:.3f}s, wait {stats.wait_percent:.0f}%",
+                f"blocks read: {stats.blocks_in}, written: {stats.blocks_out}, "
+                f"page reads: {1e3 * (reads.total if reads else 0.0):.3f} ms",
                 file=sys.stderr,
             )
     return 0

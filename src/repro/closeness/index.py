@@ -197,9 +197,6 @@ class BaseIndex:
         lifetime histograms."""
         obs.observe(name, seconds)
 
-    def charge_render(self, nodes_written: int, nodes_read: int) -> None:
-        """Account one render in the owner's cost model (stored indexes)."""
-
     # Nodes at the API edge ------------------------------------------------------
 
     def _materialize(self, sequence: TypeSequence) -> list[XmlNode]:

@@ -53,7 +53,7 @@ the trace bookkeeping, not one per edge or node.
 Safety: the functions bind only plan-stable values — ``DataType`` is
 value-equal across index epochs, type sequences are fetched through
 ``index.nodes_of`` at render time (so lazy loading and block-I/O
-charging keep working; positions are the same in every load of a
+counting keep working; positions are the same in every load of a
 type), and per-type counts are covered by the shape fingerprint that
 keys the cache.  Both sinks are byte-identical to the reference, the
 tree sink down to counters, provenance and trace (the parity and
@@ -349,7 +349,7 @@ class CompiledRender:
         """Per edge slot: type sequence, candidate positions, partner lookup.
 
         An edge under one whose candidates came back empty can have no
-        instances, so its sequence is not fetched (and charged) at all.
+        instances, so its sequence is not fetched (or counted) at all.
         Nothing here walks a sequence: candidates are a ``range`` or the
         index's memoized RESTRICT survivors, a lookup is the memoized
         pair map's ``__getitem__`` (narrowed only when the joined type

@@ -40,8 +40,7 @@ class TransformResult:
     planned result writes the plan's text sink and builds no output
     tree; ``forest`` / ``rendered`` / ``xml(indent=n)`` build the tree
     through the tree sink, once.  Whichever sink runs first fixes
-    ``render_counts`` and ``render_seconds`` and is charged to the
-    source's cost model, once.
+    ``render_counts`` and ``render_seconds``.
     """
 
     guard: str
@@ -87,12 +86,10 @@ class TransformResult:
         return serialize(self.forest, indent=indent)
 
     def _account(self, counted, seconds: float) -> None:
-        """Record the first render's counters, and charge them once."""
+        """Record the first render's counters."""
         if self.render_counts is None:
             self.render_counts = (counted.nodes_written, counted.nodes_read, counted.joins)
             self.render_seconds = seconds
-            if self.source is not None:
-                self.source.charge_render(counted.nodes_written, counted.nodes_read)
 
     def label_report(self) -> str:
         """The paper's label-to-type report."""

@@ -8,10 +8,10 @@ of the same evaluation:
   algorithm emitted for it (``rows=``) and its source type;
 * the **span tree** — wall-clock timings for every pipeline stage
   (parse, per-operator type analysis, loss check, render, shred);
-* the **storage actuals** — block I/O, buffer hit ratio, B+tree page
-  reads and the modelled (vmstat-analog) costs, taken from the same
-  :class:`~repro.storage.stats.SystemStats` charges that drive the
-  paper's Figures 11–13.
+* the **storage actuals** — blocks read and written, the measured
+  page-read time, buffer hit ratio and B+tree page reads, taken from
+  the same :class:`~repro.storage.stats.SystemStats` counters that
+  drive the paper's Figures 11–12.
 
 Entry points: :func:`profile_transform` for an in-memory forest or
 index, :func:`profile_db_transform` for a stored document, and
@@ -48,7 +48,7 @@ class ProfileReport:
     guard: str
     result: TransformResult
     tracer: obs.Tracer
-    #: Snapshot of the storage cost model deltas (None for pure in-memory runs).
+    #: Storage counter deltas (None for pure in-memory runs).
     storage: Optional[dict] = None
 
     # -- structured accessors ----------------------------------------------
@@ -130,10 +130,10 @@ class ProfileReport:
         if self.storage is not None:
             lines.append("")
             lines.append(
-                "storage (modelled): "
-                f"blocks={self.storage['blocks']} "
-                f"simulated={self.storage['simulated_seconds']:.4f}s "
-                f"wait={self.storage['wait_percent']:.0f}% "
+                "storage: "
+                f"blocks_read={self.storage['blocks_read']} "
+                f"blocks_written={self.storage['blocks_written']} "
+                f"page_reads={obs.format_duration(self.storage['page_read_seconds'])} "
                 f"buffer_hit_ratio={self.storage['buffer_hit_ratio']:.2f}"
             )
             plan_cache = self.storage.get("plan_cache")
@@ -177,8 +177,7 @@ class ProfileReport:
                     )
             timings = self.storage.get("timings") or {}
             if any(histogram.count for histogram in timings.values()):
-                # Lifetime latency percentiles (measured wall clock, not
-                # the cost model) for this database handle.
+                # Lifetime latency percentiles for this database handle.
                 lines.append("latency percentiles (lifetime):")
                 for name in sorted(timings):
                     histogram = timings[name]
@@ -219,27 +218,34 @@ def profile_transform(source, guard: str) -> ProfileReport:
 def profile_db_transform(database, name: str, guard: str) -> ProfileReport:
     """Profile a guard over a stored document, with storage actuals."""
     tracer = obs.Tracer()
-    stats = database.stats
-    blocks_before = stats.cumulative_blocks
-    simulated_before = stats.simulated_seconds
+    before = _io_counts(database.stats)
     with obs.tracing(tracer), database.observed(tracer):
         result = database.transform(name, guard)
         result.rendered  # noqa: B018 - render inside the profiled region
     return ProfileReport(
-        guard=guard,
-        result=result,
-        tracer=tracer,
-        storage={
-            "blocks": stats.cumulative_blocks - blocks_before,
-            "simulated_seconds": stats.simulated_seconds - simulated_before,
-            "wait_percent": stats.wait_percent,
-            "available_memory": stats.available_memory,
-            "buffer_hit_ratio": database.pool.hit_ratio,
-            "plan_cache": database.plan_cache.stats(),
-            "events": _durability_events(stats),
-            "timings": stats.timing_snapshot(),
-        },
+        guard=guard, result=result, tracer=tracer, storage=_storage(database, before)
     )
+
+
+def _io_counts(stats) -> tuple[int, int, float]:
+    """Blocks read, blocks written and measured page-read seconds so far."""
+    reads = stats.timing_snapshot().get("storage.page_read_seconds")
+    return stats.blocks_in, stats.blocks_out, reads.total if reads is not None else 0.0
+
+
+def _storage(database, before: tuple[int, int, float]) -> dict:
+    """The storage actuals of a profiled run: I/O since ``before``,
+    plus the handle's caches, events and lifetime histograms."""
+    now = _io_counts(database.stats)
+    return {
+        "blocks_read": now[0] - before[0],
+        "blocks_written": now[1] - before[1],
+        "page_read_seconds": now[2] - before[2],
+        "buffer_hit_ratio": database.pool.hit_ratio,
+        "plan_cache": database.plan_cache.stats(),
+        "events": _durability_events(database.stats),
+        "timings": database.stats.timing_snapshot(),
+    }
 
 
 def _durability_events(stats) -> dict:
@@ -263,20 +269,12 @@ def profile_document(xml_text: str, guard: str) -> ProfileReport:
     with tempfile.TemporaryDirectory(prefix="xmorph-profile-") as scratch:
         database = Database(os.path.join(scratch, "profile.db"), durable=False)
         try:
+            before = _io_counts(database.stats)
             with obs.tracing(tracer), database.observed(tracer):
                 database.store_document("document", xml_text)
                 result = database.transform("document", guard)
                 result.rendered  # noqa: B018 - render inside the profiled region
-            storage = {
-                "blocks": database.stats.cumulative_blocks,
-                "simulated_seconds": database.stats.simulated_seconds,
-                "wait_percent": database.stats.wait_percent,
-                "available_memory": database.stats.available_memory,
-                "buffer_hit_ratio": database.pool.hit_ratio,
-                "plan_cache": database.plan_cache.stats(),
-                "events": _durability_events(database.stats),
-                "timings": database.stats.timing_snapshot(),
-            }
+            storage = _storage(database, before)
         finally:
             database.close()
     return ProfileReport(guard=guard, result=result, tracer=tracer, storage=storage)

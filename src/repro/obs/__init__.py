@@ -9,8 +9,8 @@ Three pieces, one import:
 * **metrics** (:mod:`repro.obs.metrics`): counters, gauges and
   histograms (``btree.page_reads``, ``join.comparisons``,
   ``buffer.hit_ratio``, ``render.nodes_emitted``...), fed both by call
-  sites and by the :class:`~repro.storage.stats.SystemStats` cost model
-  so simulated figures and real traces share one source of truth;
+  sites and by the :class:`~repro.storage.stats.SystemStats` counters
+  so the paper's figures and real traces share one source of truth;
 * **exporters** (:mod:`repro.obs.export`, :mod:`repro.obs.prom`): a
   human-readable tree, a lossless JSON-lines format, and Prometheus
   text exposition for live serve processes.

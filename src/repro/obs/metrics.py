@@ -186,7 +186,7 @@ class MetricsRegistry:
 
     Updates are atomic: counter increments are read-modify-write, and a
     registry attached to a :class:`~repro.storage.stats.SystemStats`
-    receives charges from every worker thread of a
+    receives counts from every worker thread of a
     :class:`~repro.serve.TransformPool` at once.  One shared lock keeps
     the unobserved path cheap (the registry is only attached while a
     tracer is active) and the observed path exact.

@@ -63,7 +63,6 @@ HELP_TEXTS = {
     "buffer.hit_ratio": "fraction of page requests served from the buffer pool",
     "storage.blocks_read": "physical blocks read",
     "storage.blocks_written": "physical blocks written",
-    "storage.allocated_bytes": "simulated bytes allocated by the storage layer",
     "serve.pending": "requests queued or running on the pool",
     "serve.workers": "transform pool worker threads",
     "plan_cache.entries": "compiled plans currently cached",

@@ -292,7 +292,6 @@ def metrics_snapshot(
         counters: dict = dict(stats.events)
         counters["storage.blocks_read"] = stats.blocks_in
         counters["storage.blocks_written"] = stats.blocks_out
-        allocated = stats.allocated
     cache_stats = database.plan_cache.stats()
     for name in ("hits", "misses", "evictions", "contended"):
         counters[f"plan_cache.{name}"] = cache_stats[name]
@@ -302,7 +301,6 @@ def metrics_snapshot(
         "buffer.hit_ratio": database.pool.hit_ratio,
         "buffer.resident_pages": database.pool.resident,
         "plan_cache.entries": cache_stats["entries"],
-        "storage.allocated_bytes": float(allocated),
     }
     if pool is not None:
         gauges["serve.pending"] = float(pool.pending)

@@ -4,7 +4,7 @@ The paper's implementation shreds XML into BerkeleyDB JE tables; we
 implement the equivalent embedded store from scratch:
 
 * :mod:`repro.storage.pages` — a paged file with an LRU buffer pool;
-  every block read/write is counted and charged simulated device time.
+  every block read/write is counted.
 * :mod:`repro.storage.btree` — a B+tree ordered key-value store over
   the buffer pool (the BerkeleyDB substitute).
 * :mod:`repro.storage.tables` — the four tables of Figure 8 (Nodes,
@@ -16,8 +16,8 @@ implement the equivalent embedded store from scratch:
   re-shredding (``docs/UPDATES.md``).
 * :mod:`repro.storage.database` — the user-facing :class:`Database`
   with a storage-backed document index for guard evaluation.
-* :mod:`repro.storage.stats` — vmstat-analog instrumentation (block
-  I/O, CPU wait percentage, available memory) behind Figures 11–13.
+* :mod:`repro.storage.stats` — vmstat-analog counters (block I/O,
+  events, measured latencies) behind Figures 11–12.
 * :mod:`repro.storage.checksum` — the on-disk format magics and the
   CRC-32 behind page trailers and the journal seal (torn-write
   detection on every physical read).
@@ -31,7 +31,7 @@ Every syscall site reports to :mod:`repro.faults` so crash tests can
 tear or kill it; see ``docs/STORAGE.md`` for the recovery protocol.
 """
 
-from repro.storage.stats import SystemStats, CostModel
+from repro.storage.stats import SystemStats
 from repro.storage.pages import PagedFile, BufferPool, PAGE_SIZE, SLOT_SIZE
 from repro.storage.btree import BPlusTree
 from repro.storage.database import Database, StoredDocumentIndex
@@ -47,7 +47,6 @@ from repro.storage.update import (
 
 __all__ = [
     "SystemStats",
-    "CostModel",
     "PagedFile",
     "BufferPool",
     "PAGE_SIZE",

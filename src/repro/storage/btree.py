@@ -486,7 +486,6 @@ def _read_node(pool: BufferPool, page_id: int) -> _Node:
             (child,) = struct.unpack_from("<I", buffer, offset)
             offset += 4
             values.append(child)
-    pool.stats.charge_cpu(count)
     return _Node(kind, link, keys, values)
 
 
@@ -510,7 +509,6 @@ def _write_node(pool: BufferPool, page_id: int, node: _Node) -> None:
             offset += 4
     buffer[offset:] = bytes(PAGE_SIZE - offset)
     pool.mark_dirty(page_id)
-    pool.stats.charge_cpu(len(node.keys))
 
 
 def _prefix_upper_bound(prefix: bytes) -> Optional[bytes]:

@@ -35,7 +35,7 @@ from repro.storage import tables
 from repro.storage.btree import BPlusTree
 from repro.storage.pages import BufferPool, PagedFile
 from repro.storage.shredder import shred
-from repro.storage.stats import CostModel, SystemStats
+from repro.storage.stats import SystemStats
 from repro.xmltree.dewey import parent, unpack
 from repro.xmltree.node import NodeKind, XmlForest, XmlNode
 
@@ -68,7 +68,6 @@ class Database:
         self,
         path: str,
         cache_pages: int = 2048,
-        model: Optional[CostModel] = None,
         durable: bool = True,
         mode: str = "w",
     ):
@@ -79,7 +78,7 @@ class Database:
         #: processes must match it so every snapshot overlays (or
         #: ignores) a sealed journal identically.
         self.durable = durable
-        self.stats = SystemStats(model or CostModel())
+        self.stats = SystemStats()
         # Single-writer / many-reader advisory lock: two live writers
         # interleaving journaled flushes would corrupt each other's
         # batches; readers only conflict with writers.
@@ -133,9 +132,6 @@ class Database:
         self._closed = False
         #: Compiled guard plans keyed by (guard text, shape fingerprint).
         self.plan_cache = PlanCache()
-        #: When true, a vmstat-style sample is recorded after every type
-        #: sequence load (drives the Figure 11–13 time series).
-        self.sample_progress = False
 
     def _open_snapshot(self, path: str, durable: bool) -> PagedFile:
         """Open ``path`` read-only, shadowed by any sealed journal batch.
@@ -246,10 +242,10 @@ class Database:
         Plans are keyed by ``(guard text, shape fingerprint)``: the
         compile stages touch only the adorned shape, so any document
         whose shape descriptor hashes identically reuses the plan and
-        skips lexing, parsing, typing and algebra entirely (and pays no
-        simulated compile CPU).  The lookup is *single-flight*: when N
-        worker threads request the same (guard, shape) at once, one
-        compiles and the rest wait for its plan.
+        skips lexing, parsing, typing and algebra entirely.  The lookup
+        is *single-flight*: when N worker threads request the same
+        (guard, shape) at once, one compiles and the rest wait for its
+        plan.
         """
         index = self.index(name)
 
@@ -260,7 +256,6 @@ class Database:
             # by the first render that asks for it.
             result.compiled_render = CompiledRender(result.target_shape, index)
             self.stats.observe("plan.compile_seconds", time.perf_counter() - started)
-            self._charge_compile(name)
             return result
 
         plan = self.plan_cache.get_or_compile(
@@ -298,21 +293,8 @@ class Database:
         or socket; the text equals ``transform(name, guard).xml()``.
         """
         compiled = self._plan(name, guard)
-        index = self.index(name)
         with obs.span("pipeline.render"):
-            stats = compiled.compiled_render.write(index, out)
-        index.charge_render(stats.nodes_written, stats.nodes_read)
-        return stats
-
-    def _charge_compile(self, name: str) -> None:
-        """Compilation cost model: ``2·T²`` ops for ``T`` source types.
-
-        Figures 10 and 16 are drawn from this charge, so it stays as
-        fitted; the loss analysis itself evaluates only the pairs a
-        guard names (refitting is ROADMAP item 4).
-        """
-        type_count = len(self.index(name).type_table)
-        self.stats.charge_cpu(2 * type_count * type_count)
+            return compiled.compiled_render.write(self.index(name), out)
 
     def load_forest(self, name: str) -> XmlForest:
         """Reconstruct a full document from its Nodes records."""
@@ -332,7 +314,6 @@ class Database:
             by_label[label] = node
             above = parent(label)
             (forest if above is None else by_label[above]).append(node)
-        self.stats.charge_cpu(len(by_label))
         return forest
 
     def grouped_sequence(self, name: str, dotted_type: str) -> list[tuple]:
@@ -505,11 +486,11 @@ class Database:
 
     @contextmanager
     def observed(self, tracer) -> Iterator["Database"]:
-        """Mirror this database's cost-model charges into a tracer.
+        """Mirror this database's counters into a tracer.
 
-        While the block runs, every :class:`SystemStats` charge (block
-        I/O, CPU ops, allocation) also feeds the tracer's metric
-        counters, and buffer/btree counters activate; on exit the
+        While the block runs, every :class:`SystemStats` count (block
+        I/O, events, latencies) also feeds the tracer's metrics, and
+        buffer/btree counters activate; on exit the
         buffer pool's hit ratio is recorded as a gauge.  Used by
         ``EXPLAIN ANALYZE`` (:mod:`repro.engine.profile`) and
         ``xmorph run --profile``.
@@ -583,18 +564,14 @@ class Database:
         return next_id
 
 
-#: Rough per-node memory footprint used for the Figure 13 accounting.
-_NODE_OVERHEAD = 120
-
-
 class StoredDocumentIndex(BaseIndex):
     """A document index backed by the store.
 
     The shape and type table load eagerly from the (tiny) AdornedShapes
     records, in one pass (:meth:`Shape.of_data_types`: an edge that does
     not follow its types' paths is a :class:`~repro.errors.StorageError`,
-    never a different shape); node sequences load lazily per type,
-    charging block I/O and simulated memory.  Type distances derive
+    never a different shape); node sequences load lazily per type.
+    Type distances derive
     from root paths: the distance between two types is the distance
     between their paths' common prefix and each type — exact whenever
     the two types co-occur under a common-prefix instance, which holds
@@ -636,7 +613,6 @@ class StoredDocumentIndex(BaseIndex):
             int(type_id): count for type_id, count in shape_info["counts"].items()
         }
         self._sequences: dict[int, TypeSequence] = {}
-        self._loaded_bytes = 0
 
     # -- BaseIndex interface ----------------------------------------------------
 
@@ -679,12 +655,6 @@ class StoredDocumentIndex(BaseIndex):
                 )
             sequence = TypeSequence(self, data_type, labels, values, attributes)
             self._sequences[data_type.type_id] = sequence
-            footprint = _NODE_OVERHEAD * len(labels) + sum(map(len, values))
-            self._loaded_bytes += footprint
-        self.database.stats.allocate(footprint)
-        self.database.stats.charge_cpu(len(labels))
-        if self.database.sample_progress:
-            self.database.stats.sample(f"load:{data_type.dotted}")
         return sequence
 
     # -- extras -----------------------------------------------------------------
@@ -695,10 +665,6 @@ class StoredDocumentIndex(BaseIndex):
         # which already mirror into any attached tracer registry —
         # calling super() too would double-count under observed().
         self.database.stats.observe(name, seconds)
-
-    def charge_render(self, nodes_written: int, nodes_read: int) -> None:
-        # Output construction: copies, joins and provenance tracking.
-        self.database.stats.charge_cpu(6 * nodes_written + 2 * nodes_read)
 
     def node_count(self) -> int:
         return self._node_count
@@ -712,6 +678,3 @@ class StoredDocumentIndex(BaseIndex):
             self._position_of.clear()
             # The join memo holds positions of the dropped sequences.
             self.drop_join_cache()
-            released = self._loaded_bytes
-            self._loaded_bytes = 0
-        self.database.stats.release(released)

@@ -226,9 +226,7 @@ def _fsync_dir(path: str) -> None:
 class BufferPool:
     """An LRU cache of pages over a :class:`PagedFile`.
 
-    ``capacity`` is in pages.  Cached page buffers count against the
-    simulated memory budget, so Figure 13's available-memory curve
-    reflects the pool filling up.
+    ``capacity`` is in pages.
 
     The pool is thread-safe for the read path: one re-entrant ``lock``
     guards the LRU map, the dirty set and eviction, so concurrent
@@ -400,7 +398,6 @@ class BufferPool:
         """Flush and forget everything (the benchmarks' 'cold cache')."""
         with self.lock:
             self.flush()
-            self.stats.release(len(self._pages) * PAGE_SIZE)
             self._pages.clear()
             self._decoded.clear()
 
@@ -418,7 +415,6 @@ class BufferPool:
         page contents afterwards (``BPlusTree.rollback`` wraps both).
         """
         with self.lock:
-            self.stats.release(len(self._pages) * PAGE_SIZE)
             self._pages.clear()
             self._decoded.clear()
             self._dirty.clear()
@@ -430,7 +426,6 @@ class BufferPool:
     def _install(self, page_id: int, data) -> None:
         self._pages[page_id] = data
         self._pages.move_to_end(page_id)
-        self.stats.allocate(PAGE_SIZE)
         self._trim(keep=page_id)
 
     def _trim(self, keep: Optional[int] = None) -> None:
@@ -454,7 +449,6 @@ class BufferPool:
                     break  # only the just-installed page is resident
             del self._pages[victim]
             self._decoded.pop(victim, None)
-            self.stats.release(PAGE_SIZE)
 
     def _clean_victim(self, keep: Optional[int]) -> Optional[int]:
         """The least-recently-used clean page other than ``keep``."""

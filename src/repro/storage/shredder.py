@@ -57,7 +57,6 @@ def shred(tree: BPlusTree, doc_id: int, name: str, source: str | XmlForest) -> d
                 _walk(source, sink)
         if sink.refusal is not None:
             raise sink.refusal
-        tree.pool.stats.charge_cpu(sink.nodes * 4)
 
         #: Every record but the catalog's (N, V, T and S keys): one run.
         run = sink.run

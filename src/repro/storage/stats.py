@@ -1,30 +1,23 @@
-"""vmstat-analog instrumentation (Figures 11–13).
+"""I/O and event counters of one store (the paper's ``vmstat`` analog).
 
-The paper measures its experiments with the Linux ``vmstat`` tool:
-cumulative block I/O, the CPU *wait percentage* (time blocked on I/O),
-and available memory.  We measure the same quantities at the layer they
-arise — the storage engine — with a deterministic cost model, so the
-figures are reproducible on any machine:
+The paper reads its experiments off the Linux ``vmstat`` tool.  We count
+the same block I/O at the layer it arises — the storage engine — and
+keep only what is counted or measured:
 
-* every block read/written adds one to the cumulative I/O counter and
-  charges :attr:`CostModel.block_seconds` of device time;
-* computational work charges :attr:`CostModel.cpu_op_seconds` per
-  operation via :meth:`SystemStats.charge_cpu`;
-* the buffer pool and materialized objects report allocation through
-  :meth:`SystemStats.allocate` / :meth:`SystemStats.release`, and
-  "available memory" is a fixed budget minus the allocation.
-
-``wait percentage`` is ``io_time / (io_time + cpu_time)``, the fraction
-of the run the (single) CPU would have been blocked.  Benchmarks call
-:meth:`SystemStats.sample` at progress points to build the time series
-the paper plots.
+* every physical block read/written adds one to ``blocks_in`` /
+  ``blocks_out`` (Figure 11's cumulative block I/O);
+* durability and serving events count per name in ``events``;
+* measured wall-clock latencies (page reads, fsyncs, compiles, serve
+  requests) land in the lifetime ``timings`` histograms, so the share
+  of a run spent reading pages (Figure 12) is a sum over
+  ``storage.page_read_seconds``.
 
 When a :class:`~repro.obs.metrics.MetricsRegistry` is attached via
-:attr:`SystemStats.metrics`, every charge is mirrored into the metric
-counters (``storage.blocks_read``, ``storage.blocks_written``,
-``storage.cpu_ops``), so ``EXPLAIN ANALYZE`` traces and the Figure
-11–13 series are fed by the same charging calls.  The attribute is
-``None`` by default: the unobserved hot path pays one ``is None`` test.
+:attr:`SystemStats.metrics`, every count is mirrored into the metric
+counters (``storage.blocks_read``, ``storage.blocks_written``, events),
+so ``EXPLAIN ANALYZE`` traces and the figures read the same calls.  The
+attribute is ``None`` by default: the unobserved hot path pays one
+``is None`` test.
 """
 
 from __future__ import annotations
@@ -37,45 +30,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs is standalone)
     from repro.obs.metrics import Histogram, MetricsRegistry
 
 
-@dataclass(frozen=True, slots=True)
-class CostModel:
-    """Deterministic device/CPU cost parameters.
-
-    Defaults model the paper's 2008-era RAID-1 spinning disks and a
-    2.66 GHz CPU: 0.1 ms per 4 KiB block, 0.2 µs per charged CPU
-    operation, 3.5 GB of RAM.
-    """
-
-    block_seconds: float = 1e-4
-    cpu_op_seconds: float = 2e-7
-    total_memory: int = 3_500_000_000
-
-
-@dataclass(frozen=True, slots=True)
-class StatSample:
-    """One vmstat-style sample."""
-
-    label: str
-    blocks_in: int
-    blocks_out: int
-    io_seconds: float
-    cpu_seconds: float
-    wait_percent: float
-    available_memory: int
-
-
 @dataclass
 class SystemStats:
     """Mutable counters shared by every storage component of one database."""
 
-    model: CostModel = field(default_factory=CostModel)
     blocks_in: int = 0
     blocks_out: int = 0
-    io_seconds: float = 0.0
-    cpu_seconds: float = 0.0
-    allocated: int = 0
-    peak_allocated: int = 0
-    samples: list[StatSample] = field(default_factory=list)
     #: Durability/recovery event counters (``recovery.*``, ``fsck.*``,
     #: ``pages.checksum_failures`` …): lifetime counts per name, kept
     #: here so events fired before a tracer attaches (e.g. journal
@@ -87,9 +47,9 @@ class SystemStats:
     #: kept for the process lifetime so the Prometheus endpoint and
     #: ``{"cmd": "metrics"}`` can report p50/p95/p99 of a live server.
     timings: dict[str, "Histogram"] = field(default_factory=dict)
-    #: Optional metrics sink; when set, charges also bump trace counters.
+    #: Optional metrics sink; when set, counts also bump trace counters.
     metrics: Optional["MetricsRegistry"] = None
-    #: Guards every read-modify-write above.  Charges arrive from all of
+    #: Guards every read-modify-write above.  Counts arrive from all of
     #: a :class:`~repro.serve.TransformPool`'s worker threads at once;
     #: an unguarded ``+=`` is two bytecodes and drops counts under
     #: contention.
@@ -97,40 +57,19 @@ class SystemStats:
         default_factory=threading.Lock, repr=False, compare=False
     )
 
-    # -- charging ---------------------------------------------------------
+    # -- counting -----------------------------------------------------------
 
     def block_read(self, count: int = 1) -> None:
         with self._lock:
             self.blocks_in += count
-            self.io_seconds += count * self.model.block_seconds
         if self.metrics is not None:
             self.metrics.inc("storage.blocks_read", count)
 
     def block_write(self, count: int = 1) -> None:
         with self._lock:
             self.blocks_out += count
-            self.io_seconds += count * self.model.block_seconds
         if self.metrics is not None:
             self.metrics.inc("storage.blocks_written", count)
-
-    def charge_cpu(self, operations: int) -> None:
-        with self._lock:
-            self.cpu_seconds += operations * self.model.cpu_op_seconds
-        if self.metrics is not None:
-            self.metrics.inc("storage.cpu_ops", operations)
-
-    def allocate(self, size: int) -> None:
-        with self._lock:
-            self.allocated += size
-            self.peak_allocated = max(self.peak_allocated, self.allocated)
-        if self.metrics is not None:
-            self.metrics.gauge("storage.allocated_bytes", self.allocated)
-
-    def release(self, size: int) -> None:
-        with self._lock:
-            self.allocated = max(0, self.allocated - size)
-        if self.metrics is not None:
-            self.metrics.gauge("storage.allocated_bytes", self.allocated)
 
     def event(self, name: str, count: int = 1) -> None:
         """Count a durability/serving event (``recovery.*``, ``serve.*``)."""
@@ -142,10 +81,10 @@ class SystemStats:
     def observe(self, name: str, seconds: float) -> None:
         """Record a wall-clock latency sample into a lifetime histogram.
 
-        Unlike the modelled ``io_seconds``/``cpu_seconds`` charges these
-        are *measured* durations (plan compiles, page reads, fsyncs,
-        serve requests), so tail quantiles reflect the actual machine.
-        Mirrored into any attached metrics registry, like :meth:`event`.
+        These are *measured* durations (plan compiles, page reads,
+        fsyncs, serve requests), so tail quantiles reflect the actual
+        machine.  Mirrored into any attached metrics registry, like
+        :meth:`event`.
         """
         from repro.obs.metrics import Histogram
 
@@ -169,51 +108,12 @@ class SystemStats:
                 snapshot[name] = copy
         return snapshot
 
-    # -- derived quantities ---------------------------------------------------
-
     @property
     def cumulative_blocks(self) -> int:
         """Total blocks in + out (Figure 11's y-axis)."""
         return self.blocks_in + self.blocks_out
 
-    @property
-    def wait_percent(self) -> float:
-        """Simulated CPU wait percentage (Figure 12's y-axis)."""
-        total = self.io_seconds + self.cpu_seconds
-        if total == 0:
-            return 0.0
-        return 100.0 * self.io_seconds / total
-
-    @property
-    def available_memory(self) -> int:
-        """Simulated free memory (Figure 13's y-axis)."""
-        return max(0, self.model.total_memory - self.allocated)
-
-    @property
-    def simulated_seconds(self) -> float:
-        """Total modeled run time (device + CPU)."""
-        return self.io_seconds + self.cpu_seconds
-
-    # -- sampling ----------------------------------------------------------------
-
-    def sample(self, label: str) -> StatSample:
-        with self._lock:
-            snapshot = StatSample(
-                label=label,
-                blocks_in=self.blocks_in,
-                blocks_out=self.blocks_out,
-                io_seconds=self.io_seconds,
-                cpu_seconds=self.cpu_seconds,
-                wait_percent=self.wait_percent,
-                available_memory=self.available_memory,
-            )
-            self.samples.append(snapshot)
-        return snapshot
-
     def reset(self) -> None:
         with self._lock:
             self.blocks_in = 0
             self.blocks_out = 0
-            self.io_seconds = 0.0
-            self.cpu_seconds = 0.0
-            self.samples.clear()

@@ -21,6 +21,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro.obs import tracer as obs
 from repro.shape.cardinality import Card
 from repro.shape.pathcard import path_cardinality, predicted_shape
 from repro.shape.shape import Shape
@@ -153,6 +154,7 @@ def analyze_loss(
 
     # Definition 6 is evaluated for exactly the ordered pairs the guard
     # names, never tabulated over the whole source shape.
+    pairs = 0
     for first in backed:
         source_first = resolved[first]
         if source_first is None:
@@ -163,6 +165,7 @@ def analyze_loss(
             source_second = resolved[second]
             if source_second is None:
                 continue
+            pairs += 1
             source_card = (
                 path_cardinality(source_shape, source_first, source_second)
                 or _UNRELATED
@@ -184,6 +187,7 @@ def analyze_loss(
                             accepted,
                         )
                     )
+    obs.count("typing.loss.pairs", pairs)
     _dedupe(report)
     return report
 

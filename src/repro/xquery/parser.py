@@ -5,6 +5,12 @@ Precedence (loosest to tightest): ``,`` sequence — FLWOR/if — ``or`` —
 predicates — primary.  Direct element constructors switch the parser
 into raw-XML scanning; each ``{...}`` hole recursively re-enters
 expression parsing at the brace's offset.
+
+A query nests at most :data:`MAX_NESTING` levels below its top
+expression — every parenthesis, predicate, argument, clause, ``{...}``
+hole and nested constructor opens one — so the parser and the
+evaluator that walks its tree stay within Python's recursion limit.
+Deeper query text is a located :class:`~repro.errors.QuerySyntaxError`.
 """
 
 from __future__ import annotations
@@ -12,6 +18,11 @@ from __future__ import annotations
 from repro.errors import QuerySyntaxError
 from repro.xquery import ast
 from repro.xquery.lexer import KEYWORDS, QTok, Token, name_char, name_start, scan_token, skip_trivia
+
+#: The deepest a query nests.  One level of parentheses costs the
+#: recursive descent ten Python frames and a ``{...}`` hole thirteen, so
+#: the deepest query parses and evaluates in about 700 frames.
+MAX_NESTING = 50
 
 
 def parse_query(source: str) -> ast.Expr:
@@ -30,9 +41,10 @@ def parse_query(source: str) -> ast.Expr:
 
 
 class _Parser:
-    def __init__(self, source: str, pos: int = 0):
+    def __init__(self, source: str, pos: int = 0, depth: int = 0):
         self.source = source
         self.pos = pos
+        self.depth = depth  # expressions open around the current one
 
     # -- token machinery --------------------------------------------------
 
@@ -66,6 +78,12 @@ class _Parser:
             raise QuerySyntaxError(f"expected '{word}', found {token}", token.position)
         self.advance()
 
+    def open_level(self) -> None:
+        """Enter one more nesting level, or refuse past :data:`MAX_NESTING`."""
+        if self.depth > MAX_NESTING:
+            raise QuerySyntaxError(f"query nests deeper than {MAX_NESTING} levels", self.pos)
+        self.depth += 1
+
     # -- grammar ------------------------------------------------------------
 
     def parse_sequence(self) -> ast.Expr:
@@ -78,13 +96,17 @@ class _Parser:
         return ast.Sequence(tuple(items))
 
     def parse_expr(self) -> ast.Expr:
+        self.open_level()
         if self.at_keyword("for") or self.at_keyword("let"):
-            return self.parse_flwor()
-        if self.at_keyword("if"):
-            return self.parse_if()
-        if (self.at_keyword("some") or self.at_keyword("every")) and self.peek(1).type is QTok.VARIABLE:
-            return self.parse_quantified()
-        return self.parse_or()
+            expr = self.parse_flwor()
+        elif self.at_keyword("if"):
+            expr = self.parse_if()
+        elif (self.at_keyword("some") or self.at_keyword("every")) and self.peek(1).type is QTok.VARIABLE:
+            expr = self.parse_quantified()
+        else:
+            expr = self.parse_or()
+        self.depth -= 1
+        return expr
 
     def parse_quantified(self) -> ast.Expr:
         mode = self.advance().text
@@ -405,17 +427,20 @@ class _Parser:
             self.pos += 1
 
     def _finish_nested_constructor(self) -> ast.Expr:
+        self.open_level()
         name = self._scan_xml_name()
         attributes = self._scan_attributes()
-        if self._consume_raw("/>"):
-            return ast.Constructor(name, attributes, ())
-        self._expect_raw(">")
-        return ast.Constructor(name, attributes, self._scan_content(name))
+        content: tuple[str | ast.Expr, ...] = ()
+        if not self._consume_raw("/>"):
+            self._expect_raw(">")
+            content = self._scan_content(name)
+        self.depth -= 1
+        return ast.Constructor(name, attributes, content)
 
     def _scan_hole(self) -> ast.Expr:
         """Parse an embedded ``{expr}`` starting at the '{'."""
         self._expect_raw("{")
-        inner = _Parser(self.source, self.pos)
+        inner = _Parser(self.source, self.pos, self.depth)
         expr = inner.parse_sequence()
         self.pos = skip_trivia(self.source, inner.pos)
         self._expect_raw("}")

@@ -6,6 +6,7 @@ import pytest
 
 from repro import obs
 from repro.cache import CompiledPlan, PlanCache, shape_fingerprint
+from repro.engine.interpreter import Interpreter
 from repro.engine.profile import profile_db_transform
 from repro.errors import StorageError
 from repro.storage import Database
@@ -98,12 +99,17 @@ class TestDatabasePlanCache:
         assert db.plan_cache.stats()["hits"] == 1
         assert second.forest.canonical() == first.forest.canonical()
 
-    def test_cached_plan_skips_simulated_compile_cpu(self, db):
-        db.transform("a", GUARD)
-        cold_cpu = db.stats.cpu_seconds
-        db.compile("a", GUARD)
-        # The all-pairs loss-analysis CPU charge is not paid again.
-        assert db.stats.cpu_seconds == cold_cpu
+    def test_cached_plan_skips_the_loss_analysis(self, db, monkeypatch):
+        compiles = count_calls(monkeypatch, Interpreter, "compile")
+        with obs.tracing() as miss:
+            db.transform("a", GUARD)
+        assert len(compiles) == 1
+        assert miss.metrics.counter("typing.loss.pairs") > 0
+        with obs.tracing() as hit:
+            db.compile("a", GUARD)
+        # No compile, so no pair of the loss analysis is evaluated again.
+        assert len(compiles) == 1
+        assert hit.metrics.counter("typing.loss.pairs") == 0
 
     def test_compile_and_stream_share_plans(self, db):
         import io
@@ -203,12 +209,10 @@ class TestColdVersusWarmMetrics:
             assert "plan_cache.misses" not in warm.tracer.metrics.counters
             assert warm.tracer.metrics.counters["plan_cache.hits"] == 1
 
-            # The warm run pays no compile spans and less simulated cost.
+            # The warm run pays no compile spans and reads fewer blocks.
             assert warm.span_duration("lang.parse") is None
             assert cold.span_duration("lang.parse") is not None
-            assert (
-                warm.storage["simulated_seconds"] < cold.storage["simulated_seconds"]
-            )
+            assert warm.storage["blocks_read"] < cold.storage["blocks_read"]
 
             # EXPLAIN ANALYZE prints the plan-cache line and counters.
             pretty = warm.pretty()

@@ -7,7 +7,6 @@ import pytest
 import repro
 from repro.baseline import ExistStore
 from repro.engine.inference import infer_guard
-from repro.engine.materialize import MaterializedTransform
 from repro.storage import Database
 from repro.workloads import generate_dblp, generate_nasa, generate_xmark
 from repro.xmltree import parse_forest
@@ -71,16 +70,6 @@ class TestInferThenGuard:
         guarded = repro.GuardedQuery(f"CAST ({inferred.guard})", query)
         outcome = guarded.run(forest)
         assert len(outcome.items) > 0
-
-
-class TestMaterializedOverWorkloads:
-    def test_updates_against_generated_data(self):
-        forest = generate_dblp(80)
-        view = MaterializedTransform(forest, "CAST MORPH author [ title ]")
-        title = forest.find_named("title")[0]
-        affected = view.update_text(title, "Rewritten Title.")
-        assert affected
-        assert "Rewritten Title." in view.xml()
 
 
 class TestBaselineAgreement:

@@ -1,7 +1,7 @@
 """``Database.transform`` plans now and renders when the result is read.
 
-What that laziness must not change: the bytes, the counters, the
-simulated-cost charge (once, whichever sink ran first) — and what it
+What that laziness must not change: the bytes and the counters (the
+first read renders and counts, whichever sink it runs) — and what it
 must add: a result still unread when its document is updated or dropped,
 or its handle closed, refuses with ``XM570`` instead of rendering an old
 plan over new pages.
@@ -9,6 +9,7 @@ plan over new pages.
 
 import pytest
 
+from repro import obs
 from repro.errors import RetiredDocumentError, StorageError
 from repro.storage import Database, InsertSubtree
 from repro.workloads import generate_dblp
@@ -25,19 +26,6 @@ def db(tmp_path):
     database.close()
 
 
-def _charges(db, monkeypatch):
-    """Every ``charge_cpu`` amount from here on, in order."""
-    charged = []
-    real = db.stats.charge_cpu
-
-    def recording(operations):
-        charged.append(operations)
-        real(operations)
-
-    monkeypatch.setattr(db.stats, "charge_cpu", recording)
-    return charged
-
-
 class TestRendersOnFirstRead:
     def test_transform_reads_no_sequence(self, db):
         db.drop_cache()
@@ -47,16 +35,21 @@ class TestRendersOnFirstRead:
         assert result.xml()
         assert db.index("dblp")._sequences
 
-    def test_xml_first_and_forest_first_agree(self, db, monkeypatch):
+    def test_xml_first_and_forest_first_agree(self, db):
         outcomes = []
         for tree_first in (False, True):
             db.drop_cache()
-            charged = _charges(db, monkeypatch)
             result = db.transform("dblp", GUARD)
-            if tree_first:
-                forest, text = result.forest, result.xml()
-            else:
-                text, forest = result.xml(), result.forest
+            with obs.tracing() as first_read:
+                if tree_first:
+                    forest = result.forest
+                else:
+                    text = result.xml()
+            with obs.tracing() as second_read:
+                if tree_first:
+                    text = result.xml()
+                else:
+                    forest = result.forest
             assert result.xml() == text == serialize(forest)
             assert result.forest is forest
             rendered = result.rendered
@@ -66,28 +59,48 @@ class TestRendersOnFirstRead:
                 rendered.joins,
             )
             assert result.render_seconds > 0
-            render_charge = 6 * rendered.nodes_written + 2 * rendered.nodes_read
-            assert charged.count(render_charge) == 1
-            outcomes.append((text, result.render_counts, sorted(charged)))
+            # The first read renders once and counts what it emitted, by
+            # whichever sink; xml() of a built tree only serializes it.
+            emitted = first_read.metrics.counter("render.nodes_emitted")
+            assert emitted == rendered.nodes_written
+            if tree_first:
+                assert second_read.metrics.counter("render.nodes_emitted") == 0
+            outcomes.append((text, result.render_counts, emitted))
         assert outcomes[0] == outcomes[1]
 
-    def test_both_text_sink_routes_charge_the_same(self, tmp_path):
+    def test_both_text_sink_routes_count_the_same(self, tmp_path):
         """``xml()`` and ``stream_transform`` render one plan into one
-        sink; on fresh handles their simulated cost is equal too."""
+        sink; on fresh handles they read, emit and join the same."""
         import io
 
         path = str(tmp_path / "routes.db")
         with Database(path, durable=False) as db:
             db.store_document("dblp", generate_dblp(50))
-        with Database(path, durable=False) as db:
-            text = db.transform("dblp", GUARD).xml()
-            lazy_cpu = db.stats.cpu_seconds
-        with Database(path, durable=False) as db:
+
+        def streamed(db):
             out = io.StringIO()
             db.stream_transform("dblp", GUARD, out)
-            streamed_cpu = db.stats.cpu_seconds
-        assert out.getvalue() == text
-        assert streamed_cpu == lazy_cpu > 0
+            return out.getvalue()
+
+        counted, texts = [], []
+        for route in (lambda db: db.transform("dblp", GUARD).xml(), streamed):
+            with Database(path, durable=False) as db, obs.tracing() as tracer:
+                with db.observed(tracer):
+                    texts.append(route(db))
+            counted.append(
+                {
+                    name: tracer.metrics.counter(name)
+                    for name in (
+                        "render.nodes_emitted",
+                        "render.nodes_read",
+                        "render.joins",
+                        "storage.blocks_read",
+                    )
+                }
+            )
+        assert texts[0] == texts[1]
+        assert counted[0] == counted[1]
+        assert counted[0]["render.nodes_emitted"] > 0 and counted[0]["storage.blocks_read"] > 0
 
     def test_indented_xml_is_the_serialized_tree(self, db):
         result = db.transform("dblp", GUARD)

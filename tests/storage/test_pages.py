@@ -50,7 +50,8 @@ class TestPagedFile:
         file.read_page(page)
         assert stats.blocks_out == 2
         assert stats.blocks_in == 1
-        assert stats.io_seconds > 0
+        # Every physical read is timed too.
+        assert stats.timings["storage.page_read_seconds"].count == 1
 
     def test_reopen_preserves_pages(self, tmp_path):
         stats = SystemStats()
@@ -270,7 +271,8 @@ class TestBufferPool:
         pool = BufferPool(file, capacity=8)
         for _ in range(3):
             pool.allocate()
-        assert stats.allocated == 3 * PAGE_SIZE
+        # The pool's memory is its resident pages, nothing modelled.
+        assert pool.resident == 3
 
     def test_capacity_validated(self, paged):
         file, _ = paged

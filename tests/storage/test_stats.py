@@ -1,14 +1,14 @@
-"""Tests for the vmstat-analog statistics (the Figures 11–13 substrate)."""
+"""Tests for the vmstat-analog counters (the Figures 11–12 substrate)."""
 
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.storage.stats import CostModel, SystemStats
+from repro.storage.stats import SystemStats
 
 
 @pytest.fixture
 def stats():
-    return SystemStats(CostModel(block_seconds=1e-3, cpu_op_seconds=1e-6, total_memory=1000))
+    return SystemStats()
 
 
 class TestCharging:
@@ -18,111 +18,20 @@ class TestCharging:
         assert stats.blocks_in == 3
         assert stats.blocks_out == 2
         assert stats.cumulative_blocks == 5
-        assert stats.io_seconds == pytest.approx(5e-3)
 
-    def test_cpu(self, stats):
-        stats.charge_cpu(1000)
-        assert stats.cpu_seconds == pytest.approx(1e-3)
-
-    def test_simulated_seconds_sums(self, stats):
+    def test_reset_clears_counters(self, stats):
         stats.block_read(1)
-        stats.charge_cpu(500)
-        assert stats.simulated_seconds == pytest.approx(1e-3 + 5e-4)
-
-
-class TestWaitPercent:
-    def test_zero_when_idle(self, stats):
-        assert stats.wait_percent == 0.0
-
-    def test_pure_io_is_hundred(self, stats):
-        stats.block_read(1)
-        assert stats.wait_percent == 100.0
-
-    def test_balanced(self, stats):
-        stats.block_read(1)  # 1 ms
-        stats.charge_cpu(1000)  # 1 ms
-        assert stats.wait_percent == pytest.approx(50.0)
-
-
-class TestMemoryAccounting:
-    def test_allocate_release(self, stats):
-        stats.allocate(600)
-        assert stats.available_memory == 400
-        stats.release(200)
-        assert stats.available_memory == 600
-        assert stats.peak_allocated == 600
-
-    def test_available_never_negative(self, stats):
-        stats.allocate(5000)
-        assert stats.available_memory == 0
-
-    def test_release_floor(self, stats):
-        stats.release(100)
-        assert stats.allocated == 0
-
-
-class TestSampling:
-    def test_sample_snapshot(self, stats):
-        stats.block_read(2)
-        stats.charge_cpu(100)
-        stats.allocate(300)
-        sample = stats.sample("midpoint")
-        assert sample.label == "midpoint"
-        assert sample.blocks_in == 2
-        assert sample.wait_percent == stats.wait_percent
-        assert sample.available_memory == 700
-        assert stats.samples == [sample]
-
-    def test_reset_clears_counters_not_model(self, stats):
-        stats.block_read(1)
-        stats.sample("x")
+        stats.block_write(1)
         stats.reset()
         assert stats.cumulative_blocks == 0
-        assert stats.samples == []
-        assert stats.model.block_seconds == 1e-3
 
-
-    def test_sample_ordering_preserved(self, stats):
-        """Samples append in call order — the Figures 11–13 time series."""
-        for step in range(5):
-            stats.block_read()
-            stats.sample(f"step-{step}")
-        assert [sample.label for sample in stats.samples] == [
-            f"step-{step}" for step in range(5)
-        ]
-        blocks = [sample.blocks_in for sample in stats.samples]
-        assert blocks == sorted(blocks) == [1, 2, 3, 4, 5]
-        io = [sample.io_seconds for sample in stats.samples]
-        assert io == sorted(io)
-
-    def test_wait_percent_monotonic_under_pure_io(self, stats):
-        stats.charge_cpu(1000)
-        series = []
-        for _ in range(3):
-            stats.block_read()
-            series.append(stats.sample("io").wait_percent)
-        assert series == sorted(series)
-        assert 0.0 < series[0] < series[-1] < 100.0
-
-
-class TestCostModelDefaults:
-    def test_paper_era_defaults(self):
-        model = CostModel()
-        assert model.block_seconds == pytest.approx(1e-4)
-        assert model.total_memory == 3_500_000_000
-
-    def test_charging_scales_with_model(self):
-        cheap = SystemStats(CostModel(block_seconds=1e-5, cpu_op_seconds=1e-8))
-        dear = SystemStats(CostModel(block_seconds=1e-3, cpu_op_seconds=1e-6))
-        for stats in (cheap, dear):
-            stats.block_read(10)
-            stats.charge_cpu(10)
-        assert dear.io_seconds == pytest.approx(cheap.io_seconds * 100)
-        assert dear.cpu_seconds == pytest.approx(cheap.cpu_seconds * 100)
+    def test_only_counted_and_measured_fields(self):
+        names = {name for name in vars(SystemStats()) if not name.startswith("_")}
+        assert names == {"blocks_in", "blocks_out", "events", "timings", "metrics"}
 
 
 class TestMetricsFeed:
-    """With a registry attached, charges mirror into trace counters."""
+    """With a registry attached, counts mirror into trace counters."""
 
     def test_block_io_feeds_counters(self, stats):
         stats.metrics = MetricsRegistry()
@@ -131,32 +40,31 @@ class TestMetricsFeed:
         assert stats.metrics.counter("storage.blocks_read") == 3
         assert stats.metrics.counter("storage.blocks_written") == 2
 
-    def test_cpu_feeds_counter(self, stats):
+    def test_events_and_timings_feed_the_registry(self, stats):
         stats.metrics = MetricsRegistry()
-        stats.charge_cpu(250)
-        assert stats.metrics.counter("storage.cpu_ops") == 250
-
-    def test_allocation_feeds_gauge(self, stats):
-        stats.metrics = MetricsRegistry()
-        stats.allocate(600)
-        assert stats.metrics.gauges["storage.allocated_bytes"] == 600
-        stats.release(200)
-        assert stats.metrics.gauges["storage.allocated_bytes"] == 400
+        stats.event("recovery.replays", 2)
+        stats.observe("storage.page_read_seconds", 0.5)
+        assert stats.events == {"recovery.replays": 2}
+        assert stats.metrics.counter("recovery.replays") == 2
+        assert stats.timings["storage.page_read_seconds"].count == 1
+        assert stats.metrics.histograms["storage.page_read_seconds"].total == 0.5
 
     def test_detached_by_default(self, stats):
         assert stats.metrics is None
         stats.block_read()  # must not raise
 
-    def test_model_figures_unchanged_by_mirroring(self, stats):
-        """Attaching metrics must not perturb the cost model's numbers."""
-        mirrored = SystemStats(stats.model, metrics=MetricsRegistry())
+    def test_mirroring_leaves_counts_unchanged(self, stats):
+        """Attaching metrics must not perturb the counters themselves."""
+        mirrored = SystemStats(metrics=MetricsRegistry())
         for target in (stats, mirrored):
             target.block_read(4)
             target.block_write(1)
-            target.charge_cpu(100)
-        assert mirrored.io_seconds == stats.io_seconds
-        assert mirrored.cpu_seconds == stats.cpu_seconds
-        assert mirrored.wait_percent == stats.wait_percent
+            target.event("serve.requests")
+        assert (mirrored.blocks_in, mirrored.blocks_out, mirrored.events) == (
+            stats.blocks_in,
+            stats.blocks_out,
+            stats.events,
+        )
 
     def test_reset_keeps_registry_attached(self, stats):
         stats.metrics = MetricsRegistry()

@@ -135,7 +135,8 @@ class TestCommands:
         assert main(["db-transform", "--db", db, "books", "MORPH title", "--stats"]) == 0
         captured = capsys.readouterr()
         assert "<title>" in captured.out
-        assert "blocks" in captured.err
+        assert captured.err.startswith("blocks read: ")
+        assert "page reads: " in captured.err
 
 
 class TestUpdateCommand:
@@ -235,7 +236,7 @@ class TestRunAndTrace:
         assert "lang.parse" in out
         assert "typing.type-analysis" in out
         assert "pipeline.render" in out
-        assert "storage (modelled):" in out
+        assert "storage: blocks_read=" in out
 
     def test_run_profile_json_is_valid_and_complete(self, doc, tmp_path, capsys):
         import json
@@ -268,7 +269,7 @@ class TestRunAndTrace:
         assert main(["run", "--db", db, "books", "MORPH author [ name ]", "--profile"]) == 0
         out = capsys.readouterr().out
         assert "EXPLAIN ANALYZE" in out
-        assert "storage (modelled):" in out
+        assert "storage: blocks_read=" in out
 
     def test_trace_prints_span_tree(self, doc, capsys):
         assert main(["trace", doc, "MORPH author [ name ]"]) == 0

@@ -5,7 +5,8 @@ Two properties, neither of them a timing:
 * *Counted*: compiling a guard whose target has ``k`` source-backed
   types asks ``path_cardinality`` for at most ``2·k·(k−1)`` pairs
   (source side and predicted side of every ordered pair) — the same
-  number on a 27-type dblp shape and on XMark's 283-type shape.
+  number on a 27-type dblp shape and on XMark's 283-type shape — and
+  the ``typing.loss.pairs`` counter reports the ordered pairs.
 * *Parity*: Table I (``path_cardinality_table``, the all-pairs matrix)
   is the oracle; findings recomputed from it equal ``analyze_loss``'s
   report for every guard the repository ships.
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from perfbench.corpus import LARGE_GUARDS, SMALL_GUARDS, XMARK_GUARDS
+from repro import obs
 from repro.analysis.evolve import load_guards
 from repro.engine.interpreter import Interpreter
 from repro.shape import Card, path_cardinality_table
@@ -79,6 +81,20 @@ def counted_compile(monkeypatch, interpreter, guard):
     result = interpreter.compile(guard)
     backed = [t for t in result.target_shape.types() if t.source is not None]
     return len(calls), len(backed)
+
+
+def test_pairs_counter_equals_the_wrapped_calls(monkeypatch, interpreters):
+    """Each counted pair is one source-side and one predicted-side call."""
+    for key, guard in (
+        ("xmark", "CAST MORPH person [ name emailaddress phone ]"),
+        ("dblp", "CAST MORPH dblp [ author [ title [ year ] ] ]"),
+        ("books", "MUTATE data"),
+    ):
+        with obs.tracing() as tracer:
+            calls, k = counted_compile(monkeypatch, interpreters(key), guard)
+        pairs = tracer.metrics.counter("typing.loss.pairs")
+        assert calls == 2 * pairs
+        assert pairs == k * (k - 1) > 0, key
 
 
 def test_pairs_evaluated_depend_on_the_guard_not_the_shape(monkeypatch, interpreters):
