@@ -6,9 +6,10 @@ vertices are *closest* when their distance equals the type distance of
 their types.  The closest graph has a closest edge for every such pair.
 
 :class:`DocumentIndex` computes exact type distances and closest pairs
-from Dewey numbers without materializing the O(n²) closest graph;
-:class:`ClosestGraph` materializes it brute-force for validation and for
-the end-to-end reversibility checks in tests.
+from Dewey numbers (Section VII's closest join); :func:`closest_graph`
+materializes a :class:`ClosestGraph` as the union of those joins over
+every type pair, for the quantified-loss report and the reversibility
+checks.
 """
 
 from repro.closeness.index import BaseIndex, DocumentIndex

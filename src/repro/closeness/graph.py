@@ -1,10 +1,14 @@
-"""Brute-force closest graphs (Definitions 1, 2 and 5).
+"""Closest graphs (Definitions 1, 2 and 5), built by the closest join.
 
 The closest graph of a collection has an (undirected) edge for every
 pair of vertices whose distance equals the type distance of their types.
-Materializing it costs O(n²), which is exactly why the engine never does
-so — but tests and the quantified-loss report do, to validate the
-information-loss theorems against ground truth: a transformation is
+Every node of a type sits at the type's depth, so a pair's closeness
+depends on its two types alone: the edges between types ``t`` and ``s``
+are exactly the index's closest pairs of ``t`` and ``s`` (Section VII's
+prefix join), and the graph is their union over the type pairs.  Each
+pair costs one pass over its two type sequences plus its edges.
+
+Information loss reads the graph (Section V-A): a transformation is
 *inclusive* iff the source graph is a subset of the result's graph,
 *non-additive* iff the converse, *reversible* iff both.
 """
@@ -13,6 +17,8 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Optional
 
+from repro.closeness.index import DocumentIndex
+from repro.shape.types import DataType
 from repro.xmltree.node import XmlForest, XmlNode
 
 NodeKey = Hashable
@@ -67,7 +73,7 @@ def closest_graph(
     forest: XmlForest,
     key: Optional[Callable[[XmlNode], NodeKey]] = None,
 ) -> ClosestGraph:
-    """Materialize the closest graph of a forest, brute force.
+    """Materialize the closest graph of a forest.
 
     ``key`` maps each vertex to the identity used in the graph; by
     default the vertex's Dewey id.  Passing a provenance key (output
@@ -78,41 +84,28 @@ def closest_graph(
     """
     if key is None:
         key = lambda node: node.dewey  # noqa: E731 - tiny local default
+    index = DocumentIndex(forest)
+    return ClosestGraph(
+        {key(node) for node in forest.iter_nodes()},
+        closest_edges(index, index.types(), key),
+    )
 
-    nodes = list(forest.iter_nodes())
-    type_of = {id(node): node.type_path() for node in nodes}
 
-    # Pass 1: exact type distances (minimum pairwise distance per type pair).
-    type_distance: dict[frozenset, int] = {}
-    for i, first in enumerate(nodes):
-        first_type = type_of[id(first)]
-        for second in nodes[i + 1 :]:
-            distance = first.dewey.distance(second.dewey)
-            if distance is None:
-                continue
-            pair = frozenset((first_type, type_of[id(second)]))
-            if len(pair) == 1:
-                # Same-type pairs: typeDistance(t, t) = 0 (attained by
-                # v = w), so distinct same-type vertices are never closest.
-                continue
-            best = type_distance.get(pair)
-            if best is None or distance < best:
-                type_distance[pair] = distance
+def closest_edges(
+    index: DocumentIndex,
+    types: list[DataType],
+    key: Callable[[XmlNode], NodeKey],
+) -> set[frozenset]:
+    """The closest edges between nodes of ``types``, as ``key`` pairs.
 
-    # Pass 2: closest edges = pairs at exactly the type distance.
+    Same-type pairs are never joined: ``typeDistance(t, t) = 0`` is
+    attained only by ``v = w``.
+    """
     edges: set[frozenset] = set()
-    for i, first in enumerate(nodes):
-        first_type = type_of[id(first)]
-        for second in nodes[i + 1 :]:
-            second_type = type_of[id(second)]
-            if first_type == second_type:
-                continue
-            distance = first.dewey.distance(second.dewey)
-            if distance is None:
-                continue
-            if distance == type_distance[frozenset((first_type, second_type))]:
-                first_key, second_key = key(first), key(second)
-                if first_key != second_key:
-                    edges.add(frozenset((first_key, second_key)))
-
-    return ClosestGraph({key(node) for node in nodes}, edges)
+    for i, first in enumerate(types):
+        for second in types[i + 1 :]:
+            for v, w in index.closest_pairs(first, second):
+                v_key, w_key = key(v), key(w)
+                if v_key != w_key:
+                    edges.add(frozenset((v_key, w_key)))
+    return edges

@@ -16,8 +16,10 @@ still compare equal regardless of where they were parsed from.
 
 Guards nest at most :data:`MAX_NESTING` levels — brackets, parentheses
 and prefix operators all count — so that the parser and every stage
-that walks its tree stay within Python's recursion limit.  Deeper guard
-text is a located :class:`~repro.errors.GuardSyntaxError`.
+that walks its tree stay within Python's recursion limit, and hold at
+most :data:`MAX_TERMS` labels, because the loss analysis compares every
+pair of a guard's types.  Deeper or longer guard text is a located
+:class:`~repro.errors.GuardSyntaxError`.
 """
 
 from __future__ import annotations
@@ -55,6 +57,9 @@ _CAST_MODES = {
 #: prefix operators (``DROP``, ``CAST``, ...) each open one level.
 MAX_NESTING = 100
 
+#: The most labels a guard holds; n labels can type n² pairs.
+MAX_TERMS = 1000
+
 _TERM_START = {
     TokenType.LABEL,
     TokenType.BANG,
@@ -70,7 +75,14 @@ _TERM_START = {
 
 def parse_guard(source: str) -> Guard:
     """Parse guard text into an AST; raises :class:`GuardSyntaxError`."""
-    parser = _Parser(tokenize(source))
+    tokens = tokenize(source)
+    labels = [token for token in tokens if token.type is TokenType.LABEL]
+    if len(labels) > MAX_TERMS:
+        token = labels[MAX_TERMS]
+        raise GuardSyntaxError(
+            f"guard has more than {MAX_TERMS} labels at {token}", span=token.span
+        )
+    parser = _Parser(tokens)
     guard = parser.parse_compose()
     parser.expect(TokenType.END)
     return guard

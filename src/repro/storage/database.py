@@ -573,11 +573,15 @@ class StoredDocumentIndex(BaseIndex):
     never a different shape); node sequences load lazily per type.
     Type distances derive
     from root paths: the distance between two types is the distance
-    between their paths' common prefix and each type — exact whenever
-    the two types co-occur under a common-prefix instance, which holds
-    for DataGuide-shaped data (the in-memory
-    :class:`~repro.closeness.DocumentIndex` is the exact reference;
-    tests cross-check the two).
+    between their paths' common prefix and each type.  That equals
+    Definition 1's minimum over the instances only when some instance
+    of the common prefix holds nodes of both types.  When none does,
+    the stored distance is smaller than the in-memory
+    :class:`~repro.closeness.DocumentIndex`'s exact one, and the two
+    render differently: in ``<r><a><b/></a><a><c/></a></r>`` the
+    stored ``b``–``c`` distance is 2 and the exact one is 4.
+    ``tests/storage/test_database.py`` pins that case as an expected
+    failure; docs/STORAGE.md gives the numbers on the corpora.
     """
 
     def __init__(self, database: Database, descriptor: dict):

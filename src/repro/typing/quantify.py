@@ -7,9 +7,13 @@ materializing the closest graphs of the source and of the rendered
 output (output vertices mapped back to their source vertices through
 render provenance) and comparing edge sets.
 
-Closest graphs are O(n²) to build, so this is a *diagnostic* for
-small-to-medium collections — exactly the role the paper assigns it;
-the cardinality-based analysis remains the scalable gate.
+Both graphs come from the closest join, so the cost is the index builds
+plus the edges: the source side joins only the types the guard keeps.
+The report is still a *diagnostic* run after rendering — exactly the
+role the paper assigns it; the cardinality-based analysis remains the
+gate a guard passes before it renders.  A guard that keeps every type
+of a wide document is bounded by its output: every pair of fields that
+meet at the root is an edge.
 
 Semantics note: the measurement is *strict* — the output's closest
 graph is recomputed from the output document's own structure.  Under
@@ -25,8 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.closeness.graph import closest_graph
+from repro.closeness import DocumentIndex
+from repro.closeness.graph import closest_edges, closest_graph
 from repro.engine.interpreter import TransformResult
+from repro.xmltree.dewey import Dewey
 from repro.xmltree.node import XmlForest
 
 
@@ -84,40 +90,21 @@ def quantify_loss(source: XmlForest, result: TransformResult) -> LossQuantificat
         t.source.path for t in result.target_shape.types() if t.source is not None
     }
 
-    # Source graph restricted to the participating types.
-    source_graph = closest_graph(source)
-    participating = {
-        node.dewey
-        for node in source.iter_nodes()
-        if node.type_path() in used_paths
-    }
-    source_edges = {
-        edge for edge in source_graph.edges if all(v in participating for v in edge)
-    }
-
-    manufactured = 0
+    # The source's closest edges among the participating types: a pair's
+    # closeness depends on its two types alone, so joining only these
+    # types is the full graph restricted to them.
+    index = DocumentIndex(source)
+    types = [t for t in index.types() if t.path in used_paths]
+    participating = {node.dewey for t in types for node in index.nodes_of(t)}
+    source_edges = closest_edges(index, types, lambda node: node.dewey)
 
     def key(node):
-        nonlocal manufactured
         origin = rendered.source_of(node)
-        if origin is None:
-            return ("new", id(node))
-        return origin.dewey
+        return ("new", id(node)) if origin is None else origin.dewey
 
     result_graph = closest_graph(result.forest, key=key)
-    manufactured = sum(
-        1 for v in result_graph.vertices if isinstance(v, tuple) and v and v[0] == "new"
-    )
-    result_edges = {
-        edge
-        for edge in result_graph.edges
-        if not any(isinstance(v, tuple) and v and v[0] == "new" for v in edge)
-    }
-
-    surviving_vertices = {
-        v for v in result_graph.vertices if not (isinstance(v, tuple) and v and v[0] == "new")
-    }
-    lost_vertices = len(participating - surviving_vertices)
+    surviving = {v for v in result_graph.vertices if isinstance(v, Dewey)}
+    result_edges = {edge for edge in result_graph.edges if edge <= surviving}
 
     preserved = source_edges & result_edges
     return LossQuantification(
@@ -126,6 +113,6 @@ def quantify_loss(source: XmlForest, result: TransformResult) -> LossQuantificat
         preserved_edges=len(preserved),
         lost_edges=len(source_edges - result_edges),
         added_edges=len(result_edges - source_edges),
-        lost_vertices=lost_vertices,
-        manufactured_vertices=manufactured,
+        lost_vertices=len(participating - surviving),
+        manufactured_vertices=len(result_graph.vertices) - len(surviving),
     )

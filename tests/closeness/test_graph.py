@@ -1,7 +1,19 @@
-"""Tests for brute-force closest graphs (Definitions 1, 2, 5)."""
+"""Tests for closest graphs (Definitions 1, 2, 5).
 
+The graph is the union of the index's closest joins; the brute-force
+graph in ``tests/closeness/oracle.py`` is the ground truth it must equal.
+"""
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import repro
 from repro.closeness import closest_graph, ClosestGraph
+from repro.errors import XMorphError
 from repro.xmltree import Dewey, parse_document
+
+from tests.closeness.oracle import brute_force_closest_graph
+from tests.strategies import documents, guards, xml_forests
 
 
 def edge(a: str, b: str) -> frozenset:
@@ -75,3 +87,44 @@ class TestProvenanceKeys:
         graph = closest_graph(forest, key=lambda node: node.name)
         assert graph.vertices == {"r", "a"}
         assert graph.edges == {frozenset(("r", "a"))}
+
+
+#: Single-rooted documents and multi-rooted forests, with attributes
+#: (an attribute and a same-named child element share a type).
+FORESTS = st.one_of(
+    documents(max_depth=3, max_children=3, attributes=True),
+    xml_forests(max_roots=3, max_depth=3, max_children=3, attributes=True),
+)
+
+
+class TestAgainstOracle:
+    """The closest join gives the brute-force graph, whatever the key."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(FORESTS)
+    def test_dewey_key(self, forest):
+        assert closest_graph(forest) == brute_force_closest_graph(forest)
+
+    @settings(max_examples=60, deadline=None)
+    @given(FORESTS)
+    def test_merging_key(self, forest):
+        def key(node):
+            return node.name
+
+        assert closest_graph(forest, key=key) == brute_force_closest_graph(forest, key=key)
+
+    @settings(max_examples=60, deadline=None)
+    @given(documents(max_depth=2, max_children=3, attributes=True), guards())
+    def test_provenance_key(self, forest, guard):
+        try:
+            rendered = repro.transform(forest, guard).rendered
+        except XMorphError:
+            assume(False)
+
+        def key(node):
+            origin = rendered.source_of(node)
+            return ("new", id(node)) if origin is None else origin.dewey
+
+        assert closest_graph(rendered.forest, key=key) == brute_force_closest_graph(
+            rendered.forest, key=key
+        )

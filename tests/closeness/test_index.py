@@ -6,7 +6,7 @@ with it on every input, including random forests (property tests).
 
 from hypothesis import given, settings
 
-from repro.closeness import DocumentIndex, closest_graph
+from repro.closeness import DocumentIndex
 from repro.closeness.index import closest_join, group_by_prefix
 from repro.shape.cardinality import Card
 from repro.shape.shape import Shape
@@ -14,6 +14,7 @@ from repro.shape.types import ShapeType
 from repro.xmltree import parse_document
 from repro.xmltree.dewey import pack
 
+from tests.closeness.oracle import brute_force_closest_graph
 from tests.strategies import documents, xml_forests
 
 
@@ -124,7 +125,7 @@ class TestAgainstBruteForce:
 
     def check(self, forest):
         index = DocumentIndex(forest)
-        graph = closest_graph(forest)
+        graph = brute_force_closest_graph(forest)
         # 1. Type distances equal brute-force minima.
         nodes = list(forest.iter_nodes())
         for first_type in index.types():
@@ -139,6 +140,11 @@ class TestAgainstBruteForce:
                             expected = d
                 assert index.type_distance(first_type, second_type) == expected
         # 2. Closest pairs equal the graph's edges for each type pair.
+        type_path = {node.dewey: node.type_path() for node in nodes}
+        edges_by_types: dict = {}
+        for edge in graph.edges:
+            ends = frozenset(type_path[vertex] for vertex in edge)
+            edges_by_types.setdefault(ends, set()).add(edge)
         for first_type in index.types():
             for second_type in index.types():
                 if first_type is second_type:
@@ -147,16 +153,8 @@ class TestAgainstBruteForce:
                     frozenset((v.dewey, w.dewey))
                     for v, w in index.closest_pairs(first_type, second_type)
                 }
-                expected_edges = {
-                    edge
-                    for edge in graph.edges
-                    if {
-                        forest.node_by_dewey(min(edge)).type_path(),
-                        forest.node_by_dewey(max(edge)).type_path(),
-                    }
-                    == {first_type.path, second_type.path}
-                }
-                assert pairs == expected_edges
+                ends = frozenset((first_type.path, second_type.path))
+                assert pairs == edges_by_types.get(ends, set())
 
     def test_fig1_instances(self, fig1_all):
         for forest in fig1_all.values():
@@ -174,7 +172,7 @@ def graph_pair_maps(forest):
     Deweys in document order]}}``.  Shares no code with ``index.py``."""
     type_path = {node.dewey: node.type_path() for node in forest.iter_nodes()}
     expected: dict = {}
-    for edge in closest_graph(forest).edges:
+    for edge in brute_force_closest_graph(forest).edges:
         v, w = tuple(edge)
         for anchor, partner in ((v, w), (w, v)):
             by_anchor = expected.setdefault((type_path[anchor], type_path[partner]), {})

@@ -1,12 +1,15 @@
 """Tests for the guard parser, including every guard printed in the paper."""
 
+import time
+
 import pytest
 
 from repro.analysis import analyze
+from repro.cli import main
 from repro.engine.interpreter import Interpreter
 from repro.errors import GuardSyntaxError
 from repro.lang import parse_guard, CastMode
-from repro.lang.parser import MAX_NESTING
+from repro.lang.parser import MAX_NESTING, MAX_TERMS
 from repro.storage import Database
 from repro.xmltree.parser import parse_forest
 from repro.lang.ast import (
@@ -251,3 +254,92 @@ class TestNestingBudget:
             _assert_refused_at_the_budget(excinfo.value, guard)
             # The refusal leaves the handle serving.
             assert db.transform("d", "MORPH a [ b ]").xml()
+
+
+def _labels(count: int) -> str:
+    """A MORPH holding ``count`` labels: ``r`` and ``count - 1`` copies of ``a``."""
+    return "MORPH r [ " + "a " * (count - 1) + "]"
+
+
+#: Where the first label past the budget starts in ``_labels(n)``, n > budget.
+_PAST_THE_BUDGET = len("MORPH r [ ") + 2 * (MAX_TERMS - 1)
+
+TWO_NODES = "<r><a>x</a></r>"
+
+
+def _assert_refused_at_the_label_budget(error: GuardSyntaxError, guard: str) -> None:
+    """Located at the first label past the budget, which the analyzer
+    reports as ``XM102`` at the same place."""
+    assert f"more than {MAX_TERMS} labels" in str(error)
+    assert error.span.start == _PAST_THE_BUDGET
+    assert error.line == 1 and error.column == _PAST_THE_BUDGET + 1
+    (diagnostic,) = analyze(TWO_NODES, guard).errors
+    assert diagnostic.code == "XM102"
+    assert diagnostic.span == error.span
+
+
+class TestTermBudget:
+    """A guard holds at most ``MAX_TERMS`` labels; past that every entry
+    point refuses it, located and fast, before the loss analysis (which
+    compares every pair of the guard's types) runs."""
+
+    def test_the_budget_itself_parses(self):
+        guard = parse_guard(_labels(MAX_TERMS))
+        (term,) = guard.pattern.terms
+        assert len(term.children) == MAX_TERMS - 1
+
+    def test_the_budget_itself_runs_everywhere(self, tmp_path):
+        # MAX_TERMS labels that compile at once: renamings need no
+        # pairwise typing, where MAX_TERMS terms take seconds.
+        pairs = ["a -> b"] + [f"x{i} -> y{i}" for i in range((MAX_TERMS - 4) // 2)]
+        guard = "MORPH r [ a ] | TRANSLATE " + ", ".join(pairs)
+        assert guard.count(" -> ") * 2 + 2 == MAX_TERMS
+        assert Interpreter(parse_forest(TWO_NODES)).transform(guard).xml() == "<r><b>x</b></r>"
+        with Database(str(tmp_path / "limit.db"), durable=False) as db:
+            db.store_document("d", TWO_NODES)
+            assert db.transform("d", guard).xml() == "<r><b>x</b></r>"
+        # The x labels are unknown (XM201); the budget is not exceeded.
+        assert "XM102" not in {d.code for d in analyze(TWO_NODES, guard).diagnostics}
+
+    @pytest.mark.parametrize("count", [MAX_TERMS + 1, 5000])
+    def test_parser_refuses_more(self, count):
+        guard = _labels(count)
+        started = time.perf_counter()
+        with pytest.raises(GuardSyntaxError) as excinfo:
+            parse_guard(guard)
+        assert time.perf_counter() - started < 0.1
+        _assert_refused_at_the_label_budget(excinfo.value, guard)
+
+    @pytest.mark.parametrize("count", [MAX_TERMS + 1, 5000])
+    def test_interpreter_transform_refuses(self, count):
+        guard = _labels(count)
+        interpreter = Interpreter(parse_forest(TWO_NODES))
+        started = time.perf_counter()
+        with pytest.raises(GuardSyntaxError) as excinfo:
+            interpreter.transform(guard)
+        assert time.perf_counter() - started < 0.1
+        _assert_refused_at_the_label_budget(excinfo.value, guard)
+
+    @pytest.mark.parametrize("count", [MAX_TERMS + 1, 5000])
+    def test_database_transform_refuses(self, count, tmp_path):
+        guard = _labels(count)
+        with Database(str(tmp_path / "long.db"), durable=False) as db:
+            db.store_document("d", TWO_NODES)
+            started = time.perf_counter()
+            with pytest.raises(GuardSyntaxError) as excinfo:
+                db.transform("d", guard)
+            assert time.perf_counter() - started < 0.1
+            _assert_refused_at_the_label_budget(excinfo.value, guard)
+            # The refusal leaves the handle serving.
+            assert db.transform("d", "MORPH r [ a ]").xml()
+
+    @pytest.mark.parametrize("count", [MAX_TERMS + 1, 5000])
+    def test_check_command_refuses(self, count, tmp_path, capsys):
+        path = tmp_path / "two.xml"
+        path.write_text(TWO_NODES)
+        started = time.perf_counter()
+        assert main(["check", str(path), _labels(count)]) == 1
+        assert time.perf_counter() - started < 0.1
+        out = capsys.readouterr().out
+        assert f"<guard>:1:{_PAST_THE_BUDGET + 1}: error[XM102]" in out
+        assert f"more than {MAX_TERMS} labels" in out

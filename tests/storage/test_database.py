@@ -363,6 +363,26 @@ class TestStoredIndex:
                         memory.type_distance(first, second)
                     )
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="stored type distances come from root paths, not instances",
+    )
+    def test_type_distance_follows_the_instances(self, db):
+        # No <a> holds both a <b> and a <c>: the closest b-c pairs meet at
+        # <r>, distance 4, but the root paths meet at r.a, distance 2.
+        text = "<r><a><b>1</b></a><a><c>2</c></a></r>"
+        guard = "CAST MORPH b [ c ]"
+        db.store_document("d", text)
+        stored = db.index("d")
+        memory = repro.DocumentIndex(parse_document(text))
+        b, c = ("r", "a", "b"), ("r", "a", "c")
+        assert memory.type_distance(memory.type_table.get(b), memory.type_table.get(c)) == 4
+        expected = repro.Interpreter(parse_document(text)).transform(guard).xml()
+        assert expected == "<b>1<c>2</c></b>"
+        assert db.transform("d", guard).xml() == expected
+        assert stored.type_distance(stored.type_table.get(b), stored.type_table.get(c)) == 4
+
     def test_lazy_sequences_charge_io(self, db):
         # Big enough that sequence chunks live on pages of their own.
         books = "".join(

@@ -122,3 +122,27 @@ def skewed_documents(draw, max_depth: int = 3) -> XmlForest:
             )
         )
     return XmlForest([root]).renumber()
+
+
+@st.composite
+def guards(draw) -> str:
+    """A random guard over :data:`TAGS` plus the missing label ``z``.
+
+    A ``MUTATE`` or ``MORPH`` of one head and one or two children, in the
+    manner of the loss-theorem properties, where each child may be
+    ``!``-marked (its loss accepted) or a ``NEW`` wrapper, and the guard
+    may sit under ``TYPE-FILL`` (which synthesizes ``z``).  Wrapped in
+    ``CAST`` so a lossy guard still renders.  Guards that do not fit a
+    given document raise an ``XMorphError``; callers skip those.
+    """
+    labels = st.sampled_from(TAGS + ["z"])
+    children = []
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        name = draw(labels)
+        form = draw(st.sampled_from(["{}", "!{}", "(NEW n) [ {} ]"]))
+        children.append(form.format(name))
+    operator = draw(st.sampled_from(["MUTATE", "MORPH"]))
+    guard = f"{operator} {draw(labels)} [ {' '.join(children)} ]"
+    if draw(st.booleans()):
+        guard = f"TYPE-FILL {guard}"
+    return f"CAST ({guard})"

@@ -17,6 +17,8 @@ import repro
 from repro.errors import GuardTypeError
 from repro.typing import GuardType, LossKind
 
+from tests.closeness.oracle import brute_force_closest_graph
+
 
 def check(forest, guard):
     return repro.check(forest, guard)
@@ -151,7 +153,7 @@ class TestGroundTruthAgainstClosestGraphs:
     """
 
     def graph_pair(self, forest, guard):
-        source_graph = repro.closest_graph(forest)
+        source_graph = brute_force_closest_graph(forest)
         result = repro.transform(forest, f"CAST ({guard})")
         rendered = result.rendered
 
@@ -159,7 +161,7 @@ class TestGroundTruthAgainstClosestGraphs:
             origin = rendered.source_of(node)
             return origin.dewey if origin is not None else ("new", node.name)
 
-        result_graph = repro.closest_graph(rendered.forest, key=provenance_key)
+        result_graph = brute_force_closest_graph(rendered.forest, key=provenance_key)
         return source_graph, result_graph
 
     def test_identity_is_reversible(self, fig1a):

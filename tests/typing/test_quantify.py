@@ -1,9 +1,15 @@
 """Tests for quantified information loss against the predictions."""
 
 import pytest
+from hypothesis import assume, given, settings
 
 import repro
+from repro.errors import XMorphError
 from repro.typing.quantify import quantify_loss
+
+from tests.closeness.oracle import brute_force_loss
+from tests.strategies import documents, guards
+from tests.typing.oracle_cases import MEASURED
 
 
 def run(forest, guard):
@@ -76,3 +82,23 @@ class TestAccounting:
     def test_counts_are_consistent(self, fig1c):
         quantity, _ = run(fig1c, "MORPH author [ name book [ title ] ]")
         assert quantity.preserved_edges + quantity.lost_edges == quantity.source_edges
+
+
+class TestAgainstOracle:
+    """The closest join gives the figures the brute-force graphs give."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(documents(max_depth=2, max_children=3, attributes=True), guards())
+    def test_random_guards(self, forest, guard):
+        try:
+            result = repro.transform(forest, guard)
+        except XMorphError:
+            assume(False)
+        assert quantify_loss(forest, result) == brute_force_loss(forest, result)
+
+    @pytest.mark.parametrize("case", sorted(MEASURED))
+    def test_measured_cases(self, case):
+        # The oracle's figures; tests/typing/oracle_cases.py recomputes them.
+        make, guard, expected = MEASURED[case]
+        forest = make()
+        assert quantify_loss(forest, repro.Interpreter(forest).transform(guard)) == expected
