@@ -23,7 +23,6 @@ Examples::
     xmorph serve --db bib.db --workers 8 --readonly
     xmorph serve --db bib.db --port 9900 --trace-sample 10 --slow-ms 50
     xmorph metrics --port 9900
-    xmorph top --port 9900 --plain
 """
 
 from __future__ import annotations
@@ -352,16 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=4, help="transform pool workers"
     )
     serve.add_argument(
-        "--mode",
-        choices=("thread", "process"),
-        default="thread",
-        help=(
-            "executor flavor: 'thread' shares one handle under the GIL, "
-            "'process' forks workers over shared-reader snapshots "
-            "(implies --readonly; see docs/CONCURRENCY.md)"
-        ),
-    )
-    serve.add_argument(
         "--deadline",
         type=float,
         default=None,
@@ -420,32 +409,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=None, help="scrape a live serve process"
     )
     metrics.set_defaults(handler=_cmd_metrics)
-
-    top = commands.add_parser(
-        "top",
-        help="live dashboard over a serve process's metrics endpoint",
-        description=(
-            "Poll GET /metrics of an `xmorph serve --port` process and "
-            "render requests/s, in-flight, windowed and lifetime latency "
-            "quantiles, cache hit ratios and degraded-serial/timeout "
-            "events.  Uses curses on a terminal, plain text otherwise."
-        ),
-    )
-    top.add_argument("--host", default="127.0.0.1")
-    top.add_argument("--port", type=int, required=True)
-    top.add_argument(
-        "--interval", type=float, default=2.0, help="seconds between polls"
-    )
-    top.add_argument(
-        "--iterations",
-        type=int,
-        default=None,
-        help="stop after N polls (default: run until interrupted)",
-    )
-    top.add_argument(
-        "--plain", action="store_true", help="force plain-text output (no curses)"
-    )
-    top.set_defaults(handler=_cmd_top)
 
     return parser
 
@@ -827,11 +790,7 @@ def _cmd_explain(arguments) -> int:
 def _cmd_serve(arguments) -> int:
     from repro.serve import ServeTelemetry, serve_forever, serve_loop
 
-    # Process workers each reopen the store as a shared reader, so the
-    # serving handle must be one too (a writer's LOCK_EX would refuse
-    # the workers' LOCK_SH).
-    mode = "r" if arguments.readonly or arguments.mode == "process" else "w"
-    with _open_database(arguments.db, mode=mode) as db:
+    with _open_database(arguments.db, mode="r" if arguments.readonly else "w") as db:
         trace_file = arguments.trace_file
         if trace_file is None and arguments.trace_sample > 0:
             trace_file = arguments.db + ".traces.jsonl"
@@ -852,7 +811,6 @@ def _cmd_serve(arguments) -> int:
                 workers=arguments.workers,
                 deadline=arguments.deadline,
                 telemetry=telemetry,
-                pool_mode=arguments.mode,
             )
             host, port = server.server_address[:2]
             print(f"serving {arguments.db} on {host}:{port}", file=sys.stderr)
@@ -868,14 +826,14 @@ def _cmd_serve(arguments) -> int:
                 server.shutdown()
                 server.server_close()
             return 0
+        # Binary stdin: the request-size limit counts bytes, as on a socket.
         stats = serve_loop(
             db,
-            sys.stdin,
+            sys.stdin.buffer,
             sys.stdout,
             workers=arguments.workers,
             deadline=arguments.deadline,
             telemetry=telemetry,
-            pool_mode=arguments.mode,
         )
         print(
             f"served {stats.requests} requests "
@@ -885,15 +843,29 @@ def _cmd_serve(arguments) -> int:
     return 0
 
 
+def _fetch_metrics(host: str, port: int, timeout: float = 2.0) -> str:
+    """One ``GET /metrics`` scrape of a serve process; the exposition text."""
+    import socket
+
+    with socket.create_connection((host, port), timeout=timeout) as conn:
+        conn.sendall(b"GET /metrics HTTP/1.0\r\n\r\n")
+        chunks = []
+        while chunk := conn.recv(65536):
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).decode("utf-8", errors="replace").partition("\r\n\r\n")
+    status = head.splitlines()[0] if head else ""
+    if "200" not in status:
+        raise ConnectionError(f"metrics endpoint answered: {status or 'nothing'}")
+    return body
+
+
 def _cmd_metrics(arguments) -> int:
     if (arguments.port is None) == (arguments.db is None):
         print("error: pass exactly one of --port or --db", file=sys.stderr)
         return 2
     if arguments.port is not None:
-        from repro.serve.top import fetch_metrics
-
         try:
-            text = fetch_metrics(arguments.host, arguments.port)
+            text = _fetch_metrics(arguments.host, arguments.port)
         except OSError as error:
             print(
                 f"error: cannot scrape {arguments.host}:{arguments.port}: {error}",
@@ -907,21 +879,6 @@ def _cmd_metrics(arguments) -> int:
     with _open_database(arguments.db, mode="r") as db:
         print(render_database_metrics(db), end="")
     return 0
-
-
-def _cmd_top(arguments) -> int:
-    from repro.serve.top import run_top
-
-    try:
-        return run_top(
-            arguments.host,
-            arguments.port,
-            interval=arguments.interval,
-            iterations=arguments.iterations,
-            plain=arguments.plain,
-        )
-    except KeyboardInterrupt:  # pragma: no cover - interactive exit
-        return 0
 
 
 if __name__ == "__main__":

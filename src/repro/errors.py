@@ -333,6 +333,22 @@ class RetiredDocumentError(StorageError):
         self.reason = reason
 
 
+class RequestTooLargeError(StorageError):
+    """A serve request line ran past ``serve.server.MAX_REQUEST_BYTES``.
+
+    The loop stops reading at the limit, so it cannot find where the
+    next request starts: the refusal is the session's last response.
+    """
+
+    code = "XM580"
+
+    def __init__(self, limit: int):
+        super().__init__(
+            f"[XM580] request line longer than {limit} bytes; the session ends here"
+        )
+        self.limit = limit
+
+
 class DocumentNotFoundError(StorageError):
     """Raised when a named document is absent from the database."""
 

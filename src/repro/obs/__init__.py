@@ -42,7 +42,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     estimate_quantile,
 )
-from repro.obs.prom import parse_prometheus, render_prometheus
+from repro.obs.prom import render_prometheus
 from repro.obs.tracer import (
     DISABLED,
     Span,
@@ -76,7 +76,6 @@ __all__ = [
     "BUCKET_BOUNDS",
     "estimate_quantile",
     "render_prometheus",
-    "parse_prometheus",
     "SpanRecord",
     "TraceRecord",
     "render_tree",

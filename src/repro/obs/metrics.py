@@ -41,9 +41,9 @@ def estimate_quantile(
     back exactly and estimates never leave the observed range.  Returns
     ``None`` when no observations were bucketed.
 
-    Shared by :meth:`Histogram.quantile` and windowed consumers
-    (``xmorph top`` diffs cumulative bucket counters between polls and
-    estimates the window's quantiles from the deltas).
+    Shared by :meth:`Histogram.quantile` and windowed consumers (a
+    scraper that diffs cumulative bucket counters between polls gets the
+    window's quantiles from the deltas).
     """
     observed = sum(counts)
     if observed == 0:

@@ -17,9 +17,8 @@ scraper understands::
 
 Dotted metric names map to ``xmorph_<name with _>``; counters gain the
 conventional ``_total`` suffix; histogram buckets are cumulative over
-the shared log-spaced bounds (``le`` labels).  :func:`parse_prometheus`
-reads the same format back (used by ``xmorph top`` and the tests), so
-the round trip is covered in-repo.
+the shared log-spaced bounds (``le`` labels).  ``tests/obs/prom_reader.py``
+reads the same format back, so the round trip is covered in-repo.
 
 Serving processes expose this via ``GET /metrics`` on the TCP server,
 ``{"cmd": "metrics"}`` on the line protocol, and ``xmorph metrics``;
@@ -170,75 +169,3 @@ def _bucket_worth_emitting(histogram: Histogram, index: int) -> bool:
     if not populated:
         return False
     return populated[0] <= index <= populated[-1]
-
-
-# -- parsing (xmorph top, tests) -------------------------------------------
-
-_SAMPLE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>.*)\})?\s+(?P<value>\S+)$"
-)
-_LABEL = re.compile(r'(?P<key>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<value>(?:\\.|[^"\\])*)"')
-
-
-def _unescape(value: str) -> str:
-    return (
-        value.replace("\\n", "\n").replace('\\"', '"').replace("\\\\", "\\")
-    )
-
-
-def parse_prometheus(text: str) -> dict[str, dict[tuple[tuple[str, str], ...], float]]:
-    """Parse exposition text: name → {sorted label tuple → value}.
-
-    A minimal reader for what :func:`render_prometheus` emits (and any
-    conventional exposition text): comments are skipped, label values
-    are unescaped, values parse as floats (``+Inf`` included).
-    """
-    samples: dict[str, dict[tuple[tuple[str, str], ...], float]] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        match = _SAMPLE.match(line)
-        if match is None:
-            continue
-        labels = tuple(
-            sorted(
-                (found.group("key"), _unescape(found.group("value")))
-                for found in _LABEL.finditer(match.group("labels") or "")
-            )
-        )
-        try:
-            value = float(match.group("value").replace("+Inf", "inf"))
-        except ValueError:
-            continue
-        samples.setdefault(match.group("name"), {})[labels] = value
-    return samples
-
-
-def sample_value(
-    samples: dict[str, dict[tuple[tuple[str, str], ...], float]],
-    name: str,
-    default: float = 0.0,
-) -> float:
-    """The first sample of a family, ignoring labels (our families are
-    single-sample apart from ``le`` buckets)."""
-    family = samples.get(name)
-    if not family:
-        return default
-    return next(iter(family.values()))
-
-
-def histogram_buckets(
-    samples: dict[str, dict[tuple[tuple[str, str], ...], float]],
-    name: str,
-) -> list[tuple[float, float]]:
-    """``(le, cumulative_count)`` pairs of a histogram family, sorted."""
-    family = samples.get(f"{name}_bucket", {})
-    buckets: list[tuple[float, float]] = []
-    for labels, value in family.items():
-        le = dict(labels).get("le")
-        if le is None:
-            continue
-        buckets.append((float(le.replace("+Inf", "inf")), value))
-    return sorted(buckets)

@@ -6,36 +6,26 @@ reads exist.  This package is the serving layer on top of the
 thread-safe storage/cache substrate:
 
 * :class:`TransformPool` — the one request lifecycle (admit, route,
-  execute, wait) over a bounded thread pool: per-request deadlines
-  (``XM540`` on miss), graceful degradation to serial execution on
-  queue exhaustion, ``serve.*`` counters wired into :mod:`repro.obs`;
-  the right transport on free-threaded builds;
-* :class:`ProcessTransformPool` — the same lifecycle (a subclass) over
-  forked shared-reader workers (``Database(mode="r")``, zero-copy
-  mmap'd page frames): plan-cost inline routing, worker respawn, plan-
-  cache warmup; the transport that beats the GIL for pure-Python renders;
+  execute, wait) over a bounded thread pool sharing one handle:
+  per-request deadlines (``XM540`` on miss), graceful degradation to
+  serial execution on queue exhaustion, ``serve.*`` counters wired into
+  :mod:`repro.obs`;
 * :func:`serve_loop` / :func:`serve_forever` — a line-oriented JSON
-  request loop (stdin/stdout or TCP) behind ``xmorph serve``, taking
-  either pool flavor (``--mode thread|process``);
+  request loop (stdin/stdout or TCP) behind ``xmorph serve``, with
+  request lines bounded by ``MAX_REQUEST_BYTES`` (``XM580`` past it);
 * :meth:`Database.transform_many <repro.storage.Database.transform_many>`
   — the batched convenience API.
 
-Concurrency model, the thread-vs-process decision table and pool sizing
-advice live in ``docs/CONCURRENCY.md``.  Correctness is pinned by the
-property-based suite in ``tests/serve``: parallel output is
-byte-identical to serial, in every mode.
+The concurrency model, the measured thread-vs-process comparison that
+left one pool, and pool sizing advice live in ``docs/CONCURRENCY.md``.
+Correctness is pinned by the property-based suite in ``tests/serve``:
+parallel output is byte-identical to serial.
 """
 
 from repro.serve.pool import TransformPool
-from repro.serve.procpool import (
-    ProcessTransformPool,
-    RemoteTransformError,
-    RemoteTransformResult,
-    plan_cost_estimate,
-)
 from repro.serve.server import (
+    MAX_REQUEST_BYTES,
     ServeStats,
-    make_pool,
     render_database_metrics,
     serve_forever,
     serve_loop,
@@ -44,14 +34,10 @@ from repro.serve.telemetry import RequestTrace, ServeTelemetry, metrics_snapshot
 
 __all__ = [
     "TransformPool",
-    "ProcessTransformPool",
-    "RemoteTransformError",
-    "RemoteTransformResult",
-    "plan_cost_estimate",
+    "MAX_REQUEST_BYTES",
     "ServeStats",
     "ServeTelemetry",
     "RequestTrace",
-    "make_pool",
     "serve_forever",
     "serve_loop",
     "metrics_snapshot",

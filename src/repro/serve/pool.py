@@ -1,16 +1,16 @@
-"""The request lifecycle of serving, and its thread transport.
+"""The request lifecycle of serving, over a thread pool.
 
 Every served transform goes through one lifecycle, written once here:
 
 1. **admit** — :meth:`TransformPool.submit` counts the request, resolves
    its deadline and starts its telemetry trace;
-2. **route** — a request the transport may not take (a serial pool, a
-   transform too small for IPC) or cannot take (``max_queue`` requests
-   already in flight) runs inline on the submitting thread, the latter
-   counted as ``serve.degraded_serial``; everything else is dispatched;
+2. **route** — a request a serial pool (``workers=1``) cannot hand off,
+   or one that finds ``max_queue`` requests already in flight, runs
+   inline on the submitting thread, the latter counted as
+   ``serve.degraded_serial``; everything else goes to a pool thread;
 3. **execute** — :func:`execute` is the only call into
    ``Database.transform`` / ``Database.stream_transform``, whether it
-   runs on a pool thread, inline, or in a forked worker;
+   runs on a pool thread or inline;
 4. **wait** — :meth:`TransformPool.result` is the only deadline wait;
    a miss raises :class:`~repro.errors.TransformTimeoutError`
    (``XM540``).  Python cannot preempt a running transform: a late
@@ -18,14 +18,9 @@ Every served transform goes through one lifecycle, written once here:
    inline transform that overran its budget raises ``XM540`` *instead
    of* returning the late result.
 
-A :class:`TransformPool` dispatches to a ``ThreadPoolExecutor`` over the
-one shared :class:`~repro.storage.Database` handle (one buffer pool,
-plan cache and join-memo set for all workers);
-:class:`~repro.serve.procpool.ProcessTransformPool` overrides only the
-routing test and the transport.  Results are byte-identical to serial
-evaluation in both (``tests/serve`` pins this).  Which of the two is
-faster on more than one core has not been measured yet
-(``docs/CONCURRENCY.md``, "Measured numbers").
+The threads share the one :class:`~repro.storage.Database` handle (one
+buffer pool, plan cache and join-memo set for all workers), and results
+are byte-identical to serial evaluation (``tests/serve`` pins this).
 
 Every lifecycle edge feeds ``serve.*`` counters through both
 :meth:`SystemStats.event` (lifetime, shows in ``EXPLAIN ANALYZE``'s
@@ -83,12 +78,9 @@ class TransformPool:
 
     ``workers <= 1`` short-circuits to inline serial execution (no
     threads are created), so callers can scale down without branching.
-    A pool is a context manager; exiting shuts the transport down after
+    A pool is a context manager; exiting shuts the threads down after
     draining in-flight work.
     """
-
-    #: Transport flavor (``"process"`` in ProcessTransformPool).
-    mode = "thread"
 
     def __init__(
         self,
@@ -111,7 +103,11 @@ class TransformPool:
         self.max_queue = max_queue if max_queue is not None else self.workers * 4
         self._pending = 0
         self._pending_lock = threading.Lock()
-        self._start()
+        self._executor: Optional[ThreadPoolExecutor] = None
+        if self.workers > 1:
+            self._executor = ThreadPoolExecutor(
+                max_workers=self.workers, thread_name_prefix="xmorph-serve"
+            )
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -120,14 +116,6 @@ class TransformPool:
 
     def __exit__(self, *exc) -> None:
         self.shutdown()
-
-    def _start(self) -> None:
-        """Bring the transport up (called once, at the end of ``__init__``)."""
-        self._executor: Optional[ThreadPoolExecutor] = None
-        if self.workers > 1:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="xmorph-serve"
-            )
 
     def shutdown(self, wait: bool = True) -> None:
         if self._executor is not None:
@@ -150,7 +138,8 @@ class TransformPool:
         memory, no rejection.  The inline path still honors ``deadline``
         (defaulting to the pool's) after the fact, and its phase timings
         land in the same ``serve.*`` histograms, so degraded requests
-        never silently vanish from the p95s.
+        never silently vanish from the p95s.  A ``workers=1`` pool is
+        serial by construction, not degradation, so it counts nothing.
 
         With telemetry attached, the future carries its
         :class:`~repro.serve.telemetry.RequestTrace` as
@@ -162,45 +151,31 @@ class TransformPool:
         trace = (
             self.telemetry.start(name, guard) if self.telemetry is not None else None
         )
-        if self._admit(name, guard, trace):
+        executor = self._executor
+        if executor is not None:
             with self._pending_lock:
                 saturated = self._pending >= self.max_queue
                 if not saturated:
                     self._pending += 1
             if not saturated:
-                future = self._dispatch(name, guard, stream, deadline, trace)
+                # Run the worker in a copy of the submitter's context so an
+                # outer tracer (EXPLAIN ANALYZE over transform_many, a test's
+                # obs.tracing block) still sees worker spans, and a
+                # per-request tracer installed by the worker never leaks
+                # outside its task.
+                context = contextvars.copy_context()
+                future = executor.submit(
+                    context.run, self._execute, name, guard, stream, trace, True
+                )
                 future.xmorph_trace = trace
                 return future
-            self._degrade(trace)
-        future: "concurrent.futures.Future" = concurrent.futures.Future()
+            self._event("serve.degraded_serial")
+            if trace is not None:
+                trace.degraded = True
+        future = concurrent.futures.Future()
         future.xmorph_trace = trace
         self._run_inline(future, name, guard, stream, deadline, trace)
         return future
-
-    def _admit(self, name: str, guard: str, trace) -> bool:
-        """Whether the transport may take this request (else it runs inline).
-
-        A ``workers=1`` pool is serial by construction, not degradation,
-        so turning a request away here counts nothing.
-        """
-        return self._executor is not None
-
-    def _dispatch(self, name, guard, stream, deadline, trace):
-        """Hand an admitted request to the transport; returns its future."""
-        # Run the worker in a copy of the submitter's context so an outer
-        # tracer (EXPLAIN ANALYZE over transform_many, a test's
-        # obs.tracing block) still sees worker spans, and a per-request
-        # tracer installed by the worker never leaks outside its task.
-        context = contextvars.copy_context()
-        return self._executor.submit(
-            context.run, self._execute, name, guard, stream, trace, True
-        )
-
-    def _degrade(self, trace) -> None:
-        """Count a request the transport should have taken but could not."""
-        self._event("serve.degraded_serial")
-        if trace is not None:
-            trace.degraded = True
 
     # -- execution -----------------------------------------------------------
 
@@ -265,9 +240,14 @@ class TransformPool:
             future.cancel()
             raise self._timed_out(name, guard, deadline, future.xmorph_trace) from None
 
-    def _collect(self, requests, stream: bool, deadline: Optional[float]) -> list:
+    def transform_many(
+        self,
+        requests: Sequence[tuple[str, str]],
+        deadline: Optional[float] = None,
+    ) -> list["TransformResult"]:
+        """Evaluate ``(document, guard)`` requests; results in order."""
         futures = [
-            (name, guard, self.submit(name, guard, stream=stream, deadline=deadline))
+            (name, guard, self.submit(name, guard, deadline=deadline))
             for name, guard in requests
         ]
         results = []
@@ -277,22 +257,6 @@ class TransformPool:
             finally:
                 self._finish(future.xmorph_trace)
         return results
-
-    def transform_many(
-        self,
-        requests: Sequence[tuple[str, str]],
-        deadline: Optional[float] = None,
-    ) -> list["TransformResult"]:
-        """Evaluate ``(document, guard)`` requests; results in order."""
-        return self._collect(requests, stream=False, deadline=deadline)
-
-    def stream_many(
-        self,
-        requests: Sequence[tuple[str, str]],
-        deadline: Optional[float] = None,
-    ) -> list[str]:
-        """Stream-render each request; returns the XML texts in order."""
-        return self._collect(requests, stream=True, deadline=deadline)
 
     # -- accounting ----------------------------------------------------------
 
@@ -317,9 +281,9 @@ class TransformPool:
     def _timed_out(self, name, guard, deadline, trace) -> TransformTimeoutError:
         """Count one deadline miss and build its error.
 
-        Every miss — a waiter giving up, an inline overrun, a budget
-        that expired before or at a worker process — goes through here,
-        so ``serve.timeouts == serve.errors.XM540`` on every path.
+        Every miss — a waiter giving up or an inline overrun — goes
+        through here, so ``serve.timeouts == serve.errors.XM540`` on
+        every path.
         """
         self._event("serve.timeouts")
         error = TransformTimeoutError(name, guard, deadline)
@@ -334,7 +298,7 @@ class TransformPool:
 
     @property
     def pending(self) -> int:
-        """Requests currently queued for or running on the transport."""
+        """Requests currently queued for or running on a pool thread."""
         with self._pending_lock:
             return self._pending
 

@@ -15,13 +15,16 @@ Responses mirror the ids, in request order::
 
 (``code`` is the stable XM-code when the failure has one — lock
 conflicts are ``XM520``, timeouts ``XM540``, read-only violations
-``XM550`` — and ``null`` for uncoded type/parse errors.)
+``XM550`` — and ``null`` for uncoded type/parse errors.)  A request
+line is at most :data:`MAX_REQUEST_BYTES` long: a longer one is
+answered with ``XM580`` and ends the session, since the loop cannot
+find the next request inside a line it did not read.
 
 ``{"cmd": "metrics"}`` answers with the database's Prometheus text
 exposition in a JSON envelope, and a raw ``GET /metrics HTTP/1.x``
 request line on the same port gets a one-shot HTTP response — the TCP
 server doubles as a scrape endpoint (``curl http://host:port/metrics``,
-``xmorph top``); see ``docs/OBSERVABILITY.md``.
+``xmorph metrics --port``); see ``docs/OBSERVABILITY.md``.
 
 The loop pipelines: the reader thread keeps submitting requests to the
 pool while a responder thread writes each response the moment its turn
@@ -47,7 +50,7 @@ import time
 from dataclasses import dataclass, field
 from typing import IO, Optional
 
-from repro.errors import XMorphError
+from repro.errors import RequestTooLargeError, XMorphError
 from repro.serve.pool import TransformPool
 from repro.serve.telemetry import ServeTelemetry, metrics_snapshot
 
@@ -55,29 +58,9 @@ from repro.serve.telemetry import ServeTelemetry, metrics_snapshot
 #: (bounded buffering = backpressure on a fast client).
 _WINDOW_PER_WORKER = 2
 
-
-def make_pool(
-    database,
-    workers: int = 4,
-    deadline: Optional[float] = None,
-    telemetry: Optional[ServeTelemetry] = None,
-    mode: str = "thread",
-):
-    """The right executor for ``mode``: thread or process pool.
-
-    ``"thread"`` shares the caller's handle (any open mode);
-    ``"process"`` forks workers that each reopen the store read-only,
-    so the parent handle must itself be ``mode="r"`` — the pool raises
-    ``StorageError`` otherwise.  See ``docs/CONCURRENCY.md#decision``
-    for when each wins.
-    """
-    if mode == "process":
-        from repro.serve.procpool import ProcessTransformPool as pool_class
-    elif mode == "thread":
-        pool_class = TransformPool
-    else:
-        raise ValueError(f"unknown pool mode: {mode!r} (use 'thread' or 'process')")
-    return pool_class(database, workers=workers, deadline=deadline, telemetry=telemetry)
+#: The longest request line the loop reads, newline not counted.  The
+#: reader never holds more of one line than this (plus one byte).
+MAX_REQUEST_BYTES = 1 << 20
 
 
 def render_database_metrics(database, pool=None) -> str:
@@ -131,20 +114,21 @@ class ServeStats:
 
 def serve_loop(
     database,
-    reader: IO[str],
+    reader: IO,
     writer: IO[str],
     workers: int = 4,
     deadline: Optional[float] = None,
     telemetry: Optional[ServeTelemetry] = None,
-    pool_mode: str = "thread",
-    pool=None,
+    pool: Optional[TransformPool] = None,
 ) -> ServeStats:
     """Serve newline-delimited JSON requests until EOF or ``quit``.
 
-    ``pool`` lends an already-running executor (``serve_forever`` shares
+    ``reader`` yields text or UTF-8 bytes; with bytes (a socket, binary
+    stdin) :data:`MAX_REQUEST_BYTES` counts bytes, with text characters.
+    ``pool`` lends an already-running pool (``serve_forever`` shares
     one across every connection) and leaves its shutdown to the owner;
-    ``workers``, ``deadline``, ``telemetry`` and ``pool_mode`` then do
-    not apply.  Otherwise a pool is built from them and torn down at EOF.
+    ``workers``, ``deadline`` and ``telemetry`` then do not apply.
+    Otherwise a pool is built from them and torn down at EOF.
     """
     stats = ServeStats()
     if pool is not None:
@@ -154,12 +138,8 @@ def serve_loop(
             # Even an unconfigured loop (no sampling, no slow log) records
             # request latency histograms, so /metrics always has quantiles.
             telemetry = ServeTelemetry(stats=database.stats)
-        pool_context = make_pool(
-            database,
-            workers=workers,
-            deadline=deadline,
-            telemetry=telemetry,
-            mode=pool_mode,
+        pool_context = TransformPool(
+            database, workers=workers, deadline=deadline, telemetry=telemetry
         )
     with pool_context as pool:
         # One responder thread writes responses in request order, each
@@ -208,7 +188,18 @@ def serve_loop(
         pump = threading.Thread(target=responder, name="xmorph-respond", daemon=True)
         pump.start()
         try:
-            for line in reader:
+            while True:
+                raw = reader.readline(MAX_REQUEST_BYTES + 1)
+                line = raw.decode("utf-8", errors="replace") if isinstance(raw, bytes) else raw
+                if not line:
+                    break
+                if len(raw) > MAX_REQUEST_BYTES and not line.endswith("\n"):
+                    # The rest of the line is still unread: refuse, end.
+                    stats.requests += 1
+                    error = RequestTooLargeError(MAX_REQUEST_BYTES)
+                    refusal = {"id": None, "ok": False, "error": str(error), "code": error.code}
+                    responses.put(("literal", None, refusal))
+                    break
                 line = line.strip()
                 if not line:
                     continue
@@ -234,10 +225,10 @@ def serve_loop(
                 if command == "metrics":
                     responses.put(("metrics", None, None))
                     continue
-                if (
-                    not isinstance(request, dict)
-                    or "doc" not in request
-                    or "guard" not in request
+                if not (
+                    isinstance(request, dict)
+                    and isinstance(request.get("doc"), str)
+                    and isinstance(request.get("guard"), str)
                 ):
                     stats.requests += 1
                     responses.put(
@@ -247,7 +238,7 @@ def serve_loop(
                             {
                                 "id": request.get("id") if isinstance(request, dict) else None,
                                 "ok": False,
-                                "error": "request needs 'doc' and 'guard' fields",
+                                "error": "request needs string 'doc' and 'guard' fields",
                             },
                         )
                     )
@@ -305,30 +296,27 @@ def serve_forever(
     workers: int = 4,
     deadline: Optional[float] = None,
     telemetry: Optional[ServeTelemetry] = None,
-    pool_mode: str = "thread",
 ):
     """A threading TCP server running :func:`serve_loop` per connection.
 
     Returns the listening ``socketserver.ThreadingTCPServer`` (so the
     caller can read ``server_address`` and drive ``serve_forever()`` /
     ``shutdown()`` itself).  Every connection shares the one database
-    handle and one pool, built here and torn down in ``server_close``:
-    ``max_queue`` bounds the requests in flight across the whole server,
-    and process workers are forked once, not per connection.
+    handle and one pool, built here and torn down in ``server_close``,
+    so ``max_queue`` bounds the requests in flight across the whole
+    server.
     """
     import socketserver
 
     if telemetry is None:
         telemetry = ServeTelemetry(stats=database.stats)
-    pool = make_pool(
-        database, workers=workers, deadline=deadline, telemetry=telemetry, mode=pool_mode
+    pool = TransformPool(
+        database, workers=workers, deadline=deadline, telemetry=telemetry
     )
 
     class Handler(socketserver.StreamRequestHandler):
         def handle(self) -> None:  # pragma: no cover - exercised via TCP tests
-            serve_loop(
-                database, _decode_lines(self.rfile), _EncodedWriter(self.wfile), pool=pool
-            )
+            serve_loop(database, self.rfile, _EncodedWriter(self.wfile), pool=pool)
 
     class Server(socketserver.ThreadingTCPServer):
         allow_reuse_address = True
@@ -343,11 +331,6 @@ def serve_forever(
     except BaseException:  # the bind failed: no server_close will ever run
         pool.shutdown()
         raise
-
-
-def _decode_lines(binary_reader):
-    for raw in binary_reader:
-        yield raw.decode("utf-8", errors="replace")
 
 
 class _EncodedWriter:

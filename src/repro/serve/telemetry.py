@@ -8,7 +8,7 @@ execute / serialize phase breakdown, and its outcome (status + XM code).
 * **latency histograms** — every request's phase timings feed the
   database's lifetime :class:`~repro.obs.metrics.Histogram` sinks
   (``serve.request_seconds`` and friends), which the Prometheus
-  endpoint, ``{"cmd": "metrics"}`` and ``xmorph top`` read;
+  endpoint, ``{"cmd": "metrics"}`` and ``xmorph metrics`` read;
 * **sampled JSONL traces** (``--trace-sample=N``) — one request in N
   runs under its own enabled :class:`~repro.obs.Tracer` (installed on
   the worker thread via the tracer contextvar), so pipeline spans —
@@ -73,10 +73,6 @@ class RequestTrace:
     status: str = "ok"
     code: Optional[str] = None
     error: Optional[str] = None
-    #: Plan-cache outcome reported by a *worker process* — the parent's
-    #: tracer never sees a remote worker's counters, so the pool fills
-    #: this in from the response message instead.
-    remote_plan_cache: Optional[bool] = None
     _done: bool = False
 
     # -- lifecycle (called from the pool worker) ----------------------------
@@ -114,8 +110,6 @@ class RequestTrace:
     @property
     def plan_cache_hit(self) -> Optional[bool]:
         """Whether this request hit the plan cache (None when unknown)."""
-        if self.remote_plan_cache is not None:
-            return self.remote_plan_cache
         if self.tracer is None:
             return None
         hits = self.tracer.metrics.counter("plan_cache.hits")
@@ -205,24 +199,6 @@ class ServeTelemetry:
             and trace.total_seconds * 1e3 >= self.slow_ms
         ):
             self._log_slow(trace)
-
-    def write_remote_trace(self, trace: RequestTrace, text: str) -> None:
-        """Record a JSONL trace a *worker process* already rendered.
-
-        Process-pool workers run sampled requests under their own
-        tracer (same ``trace_id``) and ship the exported lines back
-        over the pipe; the parent appends them here so one trace file
-        holds every mode's traces.  Marks the trace as exported so
-        :meth:`finish` does not re-export the parent's span-less tracer.
-        """
-        with self._lock:
-            self.sampled_traces += 1
-            if self.trace_file:
-                with open(self.trace_file, "a", encoding="utf-8") as handle:
-                    handle.write(text + "\n")
-        trace.sampled = False  # already exported; finish() must not redo it
-        if self.stats is not None:
-            self.stats.event("serve.traces_sampled")
 
     # -- sinks ---------------------------------------------------------------
 

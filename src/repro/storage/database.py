@@ -74,9 +74,8 @@ class Database:
         if mode not in ("r", "w"):
             raise StorageError(f"mode must be 'r' or 'w', got {mode!r}")
         self.mode = mode
-        #: Whether this handle consults the write-ahead journal; worker
-        #: processes must match it so every snapshot overlays (or
-        #: ignores) a sealed journal identically.
+        #: Whether this handle consults the write-ahead journal (a
+        #: ``mode="r"`` open overlays a sealed one, or ignores it).
         self.durable = durable
         self.stats = SystemStats()
         # Single-writer / many-reader advisory lock: two live writers

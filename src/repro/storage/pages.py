@@ -58,11 +58,12 @@ class PagedFile:
 
     A read-only file is additionally **memory-mapped** (``PROT_READ``):
     :meth:`read_page` returns a zero-copy :class:`memoryview` over the
-    mapping instead of a heap ``bytearray``.  The mapping is file-backed,
-    so N reader *processes* (a :class:`~repro.serve.ProcessTransformPool`'s
-    forked workers) share one physical copy of every hot page through
-    the OS page cache — only the small header fields a B+tree node
-    decode unpacks are copied per process ("copy-on-read headers").
+    mapping instead of a heap ``bytearray``, so a ``mode="r"`` read
+    copies no page.  The mapping is file-backed, so separate reader
+    *processes* (two ``xmorph serve --readonly`` on one store, say)
+    share one physical copy of every hot page through the OS page
+    cache — only the small header fields a B+tree node decode unpacks
+    are copied per process ("copy-on-read headers").
     The CRC-32 trailer is still verified on first touch, directly over
     the mapped slot, without materializing the payload.
     """
@@ -329,8 +330,8 @@ class BufferPool:
         """The page's buffer (cached); mutations need :meth:`mark_dirty`.
 
         Writable files yield ``bytearray``s; read-only mmap'd files
-        yield read-only ``memoryview``s (zero-copy, shared across any
-        forked reader processes)."""
+        yield read-only ``memoryview``s (zero-copy, shared with any
+        other reader process of the same file)."""
         with self.lock:
             cached = self._pages.get(page_id)
             metrics = self.stats.metrics

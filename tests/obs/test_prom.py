@@ -7,12 +7,11 @@ from repro.obs.prom import (
     escape_help,
     escape_label_value,
     format_value,
-    histogram_buckets,
     metric_name,
-    parse_prometheus,
     render_prometheus,
-    sample_value,
 )
+
+from tests.obs.prom_reader import histogram_buckets, parse_prometheus, sample_value
 
 
 class TestNames:

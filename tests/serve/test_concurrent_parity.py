@@ -7,8 +7,8 @@ same plan cache, same join memos, same buffer pool, no interleaving
 visible in the results.  This suite pins that with Hypothesis-generated
 random forests (200+ examples across the two properties) and with the
 shipped ``examples/guards/`` corpus, for both the batch renderer
-(:meth:`TransformPool.transform_many`) and the streaming renderer
-(:meth:`TransformPool.stream_many`).
+(:meth:`TransformPool.transform_many`) and the text sink the serve loop
+answers with (``submit(..., stream=True)``).
 
 Every example builds a fresh throwaway store: parity must hold from a
 cold cache (the first parallel batch races the single-flight compile)
@@ -54,6 +54,12 @@ def throwaway_db(forest):
             yield db
         finally:
             db.close()
+
+
+def stream_all(pool, requests) -> list[str]:
+    """Submit every request to the text sink, then wait for each in order."""
+    futures = [(name, guard, pool.submit(name, guard, stream=True)) for name, guard in requests]
+    return [pool.result(future, name, guard) for name, guard, future in futures]
 
 
 def corpus_guards() -> list[str]:
@@ -107,7 +113,7 @@ class TestFuzzedParity:
                 db.stream_transform("doc", guard, sink)
                 serial[guard] = sink.getvalue()
             with TransformPool(db, workers=WORKERS) as pool:
-                streamed = pool.stream_many(requests)
+                streamed = stream_all(pool, requests)
             for (_name, guard), text in zip(requests, streamed):
                 assert text == serial[guard], (
                     f"parallel stream output diverged from serial for {guard!r}"
@@ -144,7 +150,7 @@ class TestCorpusParity:
             serial[guard] = sink.getvalue()
         requests = [("books", g) for g in guards for _ in range(4)]
         with TransformPool(books_db, workers=WORKERS) as pool:
-            streamed = pool.stream_many(requests)
+            streamed = stream_all(pool, requests)
         for (_name, guard), text in zip(requests, streamed):
             assert text == serial[guard]
 
@@ -172,75 +178,3 @@ class TestCorpusParity:
         events = books_db.stats.events
         assert events.get("serve.requests", 0) - before.get("serve.requests", 0) == 6
         assert events.get("serve.completed", 0) - before.get("serve.completed", 0) == 6
-
-
-@contextmanager
-def throwaway_reader(forest):
-    """A store written then reopened read-only (the process pool's diet)."""
-    with tempfile.TemporaryDirectory(prefix="xmorph-parity-") as scratch:
-        path = os.path.join(scratch, "t.db")
-        with Database(path, durable=False) as writer:
-            writer.store_document("doc", forest)
-        db = Database(path, mode="r", durable=False)
-        try:
-            yield db
-        finally:
-            db.close()
-
-
-class TestProcessModeParity:
-    """Forked workers over mmap snapshots change nothing, bytewise.
-
-    Fewer examples than the thread-pool properties (each one forks a
-    fleet), but the same contract: serial, thread-pool and process-pool
-    rendering of Hypothesis-generated forests are byte-identical.
-    ``inline_threshold=None`` forces every request across the pipe —
-    cost routing must never be what makes parity hold.
-    """
-
-    @settings(
-        max_examples=15,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(documents(max_depth=3, max_children=3))
-    def test_process_batch_parity(self, forest):
-        from repro.serve import ProcessTransformPool
-
-        requests = [("doc", guard) for guard in FUZZ_GUARDS for _ in range(REPS)]
-        with throwaway_reader(forest) as db:
-            serial = {guard: db.transform("doc", guard).xml() for guard in FUZZ_GUARDS}
-            with ProcessTransformPool(
-                db, workers=2, inline_threshold=None, max_queue=len(requests)
-            ) as pool:
-                results = pool.transform_many(requests)
-            assert len(results) == len(requests)
-            for (_name, guard), result in zip(requests, results):
-                assert result.xml() == serial[guard], (
-                    f"process-pool output diverged from serial for {guard!r}"
-                )
-
-    @settings(
-        max_examples=10,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(documents(max_depth=3, max_children=3))
-    def test_process_stream_parity(self, forest):
-        from repro.serve import ProcessTransformPool
-
-        requests = [("doc", guard) for guard in FUZZ_GUARDS for _ in range(REPS)]
-        with throwaway_reader(forest) as db:
-            serial = {}
-            for guard in FUZZ_GUARDS:
-                sink = StringIO()
-                db.stream_transform("doc", guard, sink)
-                serial[guard] = sink.getvalue()
-            with ProcessTransformPool(
-                db, workers=2, inline_threshold=None, max_queue=len(requests)
-            ) as pool:
-                streamed = pool.stream_many(requests)
-            for (_name, guard), text in zip(requests, streamed):
-                assert text == serial[guard], (
-                    f"process-pool stream diverged from serial for {guard!r}"
-                )

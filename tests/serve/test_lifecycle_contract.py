@@ -1,32 +1,26 @@
-"""One request lifecycle, two transports: the contract both pools keep.
+"""One request lifecycle: the contract the pool keeps on every path.
 
-Whatever path a request takes — dispatched to the transport, serial or
-too small for it, turned away by a full queue, failing, abandoned by its
-waiter, or overrunning its budget inline — the thread and the process
-pool must account for it identically: the same ``serve.*`` counter
-deltas, the same exception type and XM code, one sample in each of the
-four ``serve.*_seconds`` histograms, the same outcome on
-``future.xmorph_trace``.  Every (mode, path) cell is held to one
-expectation table, so the modes agree with each other by construction.
+Whatever path a request takes — dispatched to a pool thread, run on a
+serial pool, turned away by a full queue, failing, abandoned by its
+waiter, or overrunning its budget inline — the pool accounts for it by
+one table: the ``serve.*`` counter deltas, the exception type and XM
+code, one sample in each of the four ``serve.*_seconds`` histograms,
+and the outcome on ``future.xmorph_trace``.
 
 Public API only: pools are driven through ``submit`` / ``result``, and
-stalls are induced from outside (a gated ``Database.transform``; SIGSTOP
-to the worker processes ``multiprocessing`` reports).
+stalls are induced from outside (a gated ``Database.transform``).
 """
 
 import contextlib
 import io
 import json
-import multiprocessing
-import os
-import signal
 import threading
 import time
 
 import pytest
 
 from repro.errors import TransformTimeoutError
-from repro.serve import ProcessTransformPool, ServeTelemetry, TransformPool, serve_loop
+from repro.serve import ServeTelemetry, TransformPool, serve_loop
 from repro.storage import Database
 
 from tests.conftest import FIG1A
@@ -34,7 +28,6 @@ from tests.conftest import FIG1A
 GUARD = "MORPH author [ name ]"
 BAD_GUARD = "MORPH nosuchlabel [ x ]"
 
-#: Large enough to clear the process pool's default inline threshold.
 BULK = "<data>" + "".join(
     f"<book><title>T{i}</title><author><name>A{i % 7}</name></author></book>"
     for i in range(40)
@@ -50,8 +43,8 @@ HISTOGRAMS = (
 TIMEOUT = {"timeouts": 1, "errors": 1, "errors.XM540": 1}
 
 #: path -> (pool options, document, guard, counter deltas, error type name,
-#: XM code, trace.degraded).  ``serial`` stands for whatever keeps a
-#: healthy pool from dispatching: one worker (thread), a tiny plan (process).
+#: XM code, trace.degraded).  ``serial`` is a one-worker pool, which
+#: never dispatches.
 PATHS = {
     "dispatched": ({}, "doc", GUARD, {"completed": 1}, None, None, False),
     "serial": ({"serial": True}, "tiny", GUARD, {"completed": 1}, None, None, False),
@@ -89,51 +82,30 @@ def db(store):
         yield reader
 
 
-def make_pool(mode, db, telemetry, serial=False, **options):
-    if mode == "thread":
-        return TransformPool(
-            db, workers=1 if serial else 2, telemetry=telemetry, **options
-        )
-    if not serial:
-        options["inline_threshold"] = None  # everything crosses the pipe
-    return ProcessTransformPool(db, workers=1, telemetry=telemetry, **options)
+def make_pool(pool_class, db, telemetry, serial=False, **options):
+    return pool_class(db, workers=1 if serial else 2, telemetry=telemetry, **options)
 
 
 @contextlib.contextmanager
-def stalled_transport(mode, db):
+def stalled_transport(db):
     """Hold every dispatched transform until the block exits."""
-    if mode == "thread":
-        gate = threading.Event()
+    gate = threading.Event()
 
-        def gated(real):
-            def entry(*args):
-                gate.wait(timeout=30)
-                return real(*args)
+    def gated(real):
+        def entry(*args):
+            gate.wait(timeout=30)
+            return real(*args)
 
-            return entry
+        return entry
 
-        # Both sinks: transform_many renders trees, serve_loop text.
-        db.transform = gated(db.transform)
-        db.stream_transform = gated(db.stream_transform)
-        try:
-            yield
-        finally:
-            gate.set()
-            del db.transform, db.stream_transform
-    else:
-        workers = [
-            child.pid
-            for child in multiprocessing.active_children()
-            if child.name == "xmorph-serve-worker"
-        ]
-        assert workers
-        for pid in workers:
-            os.kill(pid, signal.SIGSTOP)
-        try:
-            yield
-        finally:
-            for pid in workers:
-                os.kill(pid, signal.SIGCONT)
+    # Both sinks: transform_many renders trees, serve_loop text.
+    db.transform = gated(db.transform)
+    db.stream_transform = gated(db.stream_transform)
+    try:
+        yield
+    finally:
+        gate.set()
+        del db.transform, db.stream_transform
 
 
 def drain(pool):
@@ -149,9 +121,13 @@ def histogram_counts(db):
     return {name: snapshot[name].count if name in snapshot else 0 for name in HISTOGRAMS}
 
 
+#: The transports the contract holds for, by test id.
+TRANSPORTS = pytest.mark.parametrize("pool_class", [TransformPool], ids=["thread"])
+
+
 @pytest.mark.parametrize("path", PATHS)
-@pytest.mark.parametrize("mode", ["thread", "process"])
-def test_every_path_is_accounted_for_identically(mode, path, db):
+@TRANSPORTS
+def test_every_path_is_accounted_for_identically(pool_class, path, db):
     options, doc, guard, expected, error_name, code, degraded = PATHS[path]
     telemetry = ServeTelemetry(stats=db.stats)
     stall = contextlib.nullcontext()
@@ -169,9 +145,9 @@ def test_every_path_is_accounted_for_identically(mode, path, db):
         db.transform = slow  # the inline path runs on this very handle
 
     # ``db`` is a fresh handle, so its lifetime counters are this request's.
-    with make_pool(mode, db, telemetry, **options) as pool:
+    with make_pool(pool_class, db, telemetry, **options) as pool:
         if path == "waiter-timeout":
-            stall = stalled_transport(mode, db)
+            stall = stalled_transport(db)
         error = None
         with stall:
             future = pool.submit(doc, guard, deadline=deadline)
@@ -184,9 +160,6 @@ def test_every_path_is_accounted_for_identically(mode, path, db):
         drain(pool)
 
     delta = pool.stats()
-    # The one routing counter only the process pool has.
-    inline_small = delta.pop("inline_small", 0)
-    assert inline_small == (1 if mode == "process" and options.get("serial") else 0)
     assert delta == {"requests": 1, **expected}
 
     # serve.errors is the sum of its per-code breakdown, on every path.
@@ -198,8 +171,7 @@ def test_every_path_is_accounted_for_identically(mode, path, db):
         assert error is None
         assert (result if isinstance(result, str) else result.xml()).startswith("<")
     else:
-        # A worker process's exception type crosses the pipe as ``kind``.
-        assert getattr(error, "kind", type(error).__name__) == error_name
+        assert type(error).__name__ == error_name
         assert getattr(error, "code", None) == code
         if code == "XM540":
             assert isinstance(error, TransformTimeoutError)
@@ -214,14 +186,14 @@ def test_every_path_is_accounted_for_identically(mode, path, db):
     )
 
 
-@pytest.mark.parametrize("mode", ["thread", "process"])
-def test_responder_timeout_is_a_coded_response(mode, db):
+@TRANSPORTS
+def test_responder_timeout_is_a_coded_response(pool_class, db):
     """``serve_loop``'s responder waits through the same ``result``."""
     request = json.dumps({"id": 7, "doc": "doc", "guard": GUARD}) + "\n"
     out = io.StringIO()
     telemetry = ServeTelemetry(stats=db.stats)
-    with make_pool(mode, db, telemetry, deadline=0.2) as pool:
-        with stalled_transport(mode, db):
+    with make_pool(pool_class, db, telemetry, deadline=0.2) as pool:
+        with stalled_transport(db):
             stats = serve_loop(db, io.StringIO(request), out, pool=pool)
         drain(pool)
     response = json.loads(out.getvalue())
@@ -229,13 +201,3 @@ def test_responder_timeout_is_a_coded_response(mode, db):
     assert (stats.requests, stats.ok, stats.errors) == (1, 0, 1)
     assert pool.stats() == {"requests": 1, "completed": 1, **TIMEOUT}
     assert histogram_counts(db) == {name: 1 for name in HISTOGRAMS}
-
-
-def test_process_pool_only_overrides_routing_and_transport():
-    assert issubclass(ProcessTransformPool, TransformPool)
-    inherited = {
-        "submit", "result", "_run_inline", "_record_error", "_collect",
-        "transform_many", "stream_many", "stats", "pending", "_event",
-    }
-    assert not inherited & set(vars(ProcessTransformPool))
-    assert inherited <= set(vars(TransformPool))

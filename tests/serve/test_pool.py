@@ -10,7 +10,7 @@ import time
 import pytest
 
 from repro.errors import TransformTimeoutError
-from repro.serve import ServeStats, TransformPool, serve_forever, serve_loop
+from repro.serve import MAX_REQUEST_BYTES, ServeStats, TransformPool, serve_forever, serve_loop
 from repro.storage import Database
 from repro.xmltree.node import XmlNode
 
@@ -245,6 +245,107 @@ class TestServeForever:
             server.shutdown()
             server.server_close()
             thread.join(timeout=10)
+
+
+def padded_request(length: int) -> str:
+    """A valid request line of exactly ``length`` characters, newline excluded."""
+    head = {"id": 1, "doc": "doc", "guard": GUARD, "pad": ""}
+    pad = length - len(json.dumps(head))
+    assert pad >= 0
+    return json.dumps({**head, "pad": "x" * pad})
+
+
+def tcp_session(db, payload: bytes, close_after_send: bool = True) -> list[dict]:
+    """Send ``payload`` to a fresh ``serve_forever`` and read every response
+    line until the server ends the session."""
+    server = serve_forever(db, port=0, workers=2)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        with socket.create_connection(server.server_address, timeout=10) as conn:
+            conn.sendall(payload)
+            if close_after_send:
+                conn.shutdown(socket.SHUT_WR)
+            lines = []
+            with conn.makefile("rb") as reader:
+                try:
+                    while line := reader.readline():
+                        lines.append(json.loads(line))
+                except ConnectionResetError:
+                    pass  # the server closed with part of the line unread
+        return lines
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+class TestRequestBounds:
+    """A request line is at most ``MAX_REQUEST_BYTES`` long; a longer one
+    gets one coded refusal and ends the session."""
+
+    REFUSAL = {"id": None, "ok": False, "code": "XM580"}
+
+    def refused(self, response: dict) -> bool:
+        return {key: response.get(key) for key in self.REFUSAL} == self.REFUSAL
+
+    def test_a_line_of_exactly_the_limit_is_served(self, db):
+        line = padded_request(MAX_REQUEST_BYTES)
+        out = io.StringIO()
+        stats = serve_loop(db, io.StringIO(line + "\n" + line + "\n"), out, workers=2)
+        responses = [json.loads(text) for text in out.getvalue().splitlines()]
+        assert [(r["id"], r["ok"]) for r in responses] == [(1, True), (1, True)]
+        assert stats.requests == 2 and stats.errors == 0
+
+    def test_a_line_past_the_limit_ends_a_text_session(self, db):
+        lines = [
+            padded_request(MAX_REQUEST_BYTES + 1),
+            json.dumps({"id": 2, "doc": "doc", "guard": GUARD}),
+        ]
+        out = io.StringIO()
+        stats = serve_loop(db, io.StringIO("\n".join(lines) + "\n"), out, workers=2)
+        responses = [json.loads(text) for text in out.getvalue().splitlines()]
+        assert len(responses) == 1 and self.refused(responses[0])
+        assert str(MAX_REQUEST_BYTES) in responses[0]["error"]
+        assert (stats.requests, stats.ok, stats.errors) == (1, 0, 1)
+        assert "serve.requests" not in stats.counters  # the pool never saw it
+
+    def test_a_line_of_exactly_the_limit_is_served_over_tcp(self, db):
+        line = padded_request(MAX_REQUEST_BYTES).encode()
+        responses = tcp_session(db, line + b"\n" + b'{"cmd": "quit"}\n')
+        assert [(r["id"], r["ok"]) for r in responses] == [(1, True)]
+
+    def test_a_line_past_the_limit_ends_a_tcp_session(self, db):
+        line = padded_request(MAX_REQUEST_BYTES + 1).encode()
+        follow = json.dumps({"id": 2, "doc": "doc", "guard": GUARD}).encode()
+        responses = tcp_session(db, line + b"\n" + follow + b"\n")
+        assert len(responses) == 1 and self.refused(responses[0])
+
+    def test_the_limit_counts_bytes_on_a_socket(self, db):
+        # 2-byte characters: within the limit in characters, past it in bytes.
+        line = padded_request(MAX_REQUEST_BYTES // 2 + 64).replace("x", "é").encode()
+        assert len(line) > MAX_REQUEST_BYTES
+        responses = tcp_session(db, line + b"\n")
+        assert len(responses) == 1 and self.refused(responses[0])
+
+    def test_an_endless_line_is_refused_while_the_client_keeps_its_side_open(self, db):
+        responses = tcp_session(db, b"x" * (MAX_REQUEST_BYTES + 1), close_after_send=False)
+        assert len(responses) == 1 and self.refused(responses[0])
+
+    @pytest.mark.parametrize("value", [5, None, ["x"]], ids=["int", "null", "list"])
+    @pytest.mark.parametrize("field", ["doc", "guard"])
+    def test_a_non_string_field_is_a_protocol_refusal(self, db, field, value):
+        request = {"id": 4, "doc": "doc", "guard": GUARD, field: value}
+        out = io.StringIO()
+        stats = serve_loop(db, io.StringIO(json.dumps(request) + "\n"), out, workers=2)
+        assert json.loads(out.getvalue()) == {
+            "id": 4,
+            "ok": False,
+            "error": "request needs string 'doc' and 'guard' fields",
+        }
+        assert (stats.requests, stats.errors) == (1, 1)
+        assert stats.counters.get("serve.errors.uncoded", 0) == 0
+        assert "serve.requests" not in stats.counters  # refused before submit
 
 
 class TestDegradedInlineDeadlines:

@@ -120,7 +120,9 @@ class TestSampledTraceExport:
             stats=db.stats, trace_sample=1, trace_file=str(trace_file)
         )
         with TransformPool(db, workers=2, telemetry=telemetry) as pool:
-            pool.stream_many([("doc", GUARD)])
+            future = pool.submit("doc", GUARD, stream=True)
+            pool.result(future, "doc", GUARD)
+            telemetry.finish(future.xmorph_trace)
         records = [json.loads(line) for line in trace_file.read_text().splitlines()]
         names = [record["name"] for record in records if record["type"] == "span"]
         assert names[0] == "serve.request"

@@ -335,6 +335,56 @@ class TestToolingCommands:
         assert "ONLY these types" in out
 
 
+class TestServeCommands:
+    def test_metrics_port_scrapes_a_live_server(self, doc, tmp_path, capsys):
+        import threading
+
+        from repro.serve import serve_forever
+        from repro.storage import Database
+
+        db = str(tmp_path / "m.db")
+        assert main(["shred", "--db", db, "books", doc]) == 0
+        with Database(db, mode="r") as handle:
+            handle.transform("books", "MORPH author [ name ]").xml()
+            server = serve_forever(handle, port=0, workers=2)
+            thread = threading.Thread(target=server.serve_forever, daemon=True)
+            thread.start()
+            try:
+                capsys.readouterr()
+                port = server.server_address[1]
+                assert main(["metrics", "--port", str(port)]) == 0
+            finally:
+                server.shutdown()
+                server.server_close()
+                thread.join(timeout=10)
+        out = capsys.readouterr().out
+        assert "# TYPE xmorph_serve_workers gauge" in out
+        assert "xmorph_serve_workers 2" in out
+
+    def test_metrics_port_with_nothing_listening_is_an_error(self, capsys):
+        import socket
+
+        with socket.socket() as probe:  # a port nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        assert main(["metrics", "--port", str(port)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot scrape 127.0.0.1:{port}")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--db", "x.db", "--mode", "process"],
+            ["top", "--port", "9900"],
+        ],
+        ids=["serve --mode", "top"],
+    )
+    def test_removed_serve_surface_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+
 class TestErrors:
     def test_bad_guard_reports_error(self, doc, capsys):
         assert main(["check", doc, "MORPH ["]) == 1
@@ -371,7 +421,6 @@ class TestErrors:
             ["evolve", "old", "new", "--db", "{db}", "--guards", "{guards}"],
             ["serve", "--db", "{db}"],
             ["serve", "--db", "{db}", "--readonly"],
-            ["serve", "--db", "{db}", "--mode", "process"],
             ["metrics", "--db", "{db}"],
         ],
         ids=lambda argv: " ".join(part for part in argv if "{" not in part),
