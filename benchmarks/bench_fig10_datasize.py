@@ -10,11 +10,13 @@ the eXist dump is the baseline's best case and stays below the full
 471-type mutation.
 
 Asserted on counts: the render reads and writes every node once (so its
-work is linear in the document), the compile evaluates ``k·(k−1)``
-ordered type pairs for ``k`` types (``typing.loss.pairs``, growing with
-the shape, not the data), and the dump reads fewer blocks than the
-transformation.  Wall times are reported beside them; the measured
-compile share is reported, not asserted (EXPERIMENTS.md discusses it).
+work is linear in the document), the compile compares no pair of types
+(``typing.loss.pairs`` is 0: ``MUTATE site`` moves no type, so no path
+cardinality can change, however many types the shape has), and the
+dump reads fewer blocks than the transformation.  Wall times are
+reported beside them, with the compile share of the transformation
+(EXPERIMENTS.md discusses it); at the largest factor the compile is
+asserted to take less wall time than the render.
 """
 
 from dataclasses import dataclass
@@ -120,8 +122,8 @@ def test_fig10_point(benchmark, factor, xmark_dbs, xmark_exist):
 
     # The full mutation reads and writes every node exactly once ...
     assert point.written == point.read == point.nodes
-    # ... its compile evaluates every ordered pair of distinct types ...
-    assert point.pairs == point.types * (point.types - 1)
+    # ... its compile compares no pair of types, since it moves none ...
+    assert point.pairs == 0
     # ... and the eXist dump (a sequential read of the stored text)
     # reads fewer blocks than the transformation.
     assert point.dump_blocks < point.transform_blocks
@@ -138,7 +140,7 @@ def test_fig10_point(benchmark, factor, xmark_dbs, xmark_exist):
 
 
 def test_fig10_shape(xmark_dbs, xmark_exist, benchmark):
-    """Render work linear in the data, compile work growing with the shape."""
+    """Render work linear in the data, compile work flat and a minority."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     small, large = (
         _point(factor, xmark_dbs, xmark_exist)
@@ -149,7 +151,9 @@ def test_fig10_shape(xmark_dbs, xmark_exist, benchmark):
     assert (large.written + large.read) / (small.written + small.read) == pytest.approx(
         size_ratio
     )
-    # Compile work depends on the shape's types, which grow far more
-    # slowly than the data (283 -> 355 types for 3,124 -> 15,202 nodes).
-    assert large.pairs / small.pairs < size_ratio
+    # Compile work compares no type pair at either end, although the
+    # shape grows (283 -> 355 types for 3,124 -> 15,202 nodes) ...
+    assert small.types < large.types and small.pairs == large.pairs == 0
+    # ... and, measured, is the smaller part of the largest transformation.
+    assert large.compile_wall < large.render_wall
     assert large.dump_blocks < large.transform_blocks

@@ -3,16 +3,20 @@
 Regenerates the paper's Table I matrix over the normalized bibliography
 instance (Figure 1(c)), and on a realistic shape size (XMark's hundreds
 of types) counts what a guard compile pays — Definition 6 for the pairs
-the guard names — next to the all-pairs matrix over the same shape.
+of the guard's types that involve a moved type — next to the all-pairs
+matrix over the same shape (``path_cardinality_table``, which lives
+with the tests' oracles: nothing in ``src/`` enumerates type pairs).
 """
 
 from repro import obs
 from repro.bench.reporting import SeriesTable
-from repro.shape import extract_shape, pathcard, path_cardinality_table
+from repro.shape import extract_shape
 from repro.workloads import generate_xmark
 from repro.xmltree import parse_document
 
 from benchmarks.conftest import register_table
+from tests.typing import oracle
+from tests.typing.oracle import path_cardinality_table
 
 BIBLIO = """
 <data>
@@ -65,8 +69,15 @@ XMARK_GUARD = (
 )
 
 
+#: Ordered pairs of the guard's 11 types that hold a moved type.
+#: ``person`` and its direct children ``name``, ``emailaddress`` and
+#: ``phone`` stay on their source chain, so the 12 pairs among them are
+#: not compared; the address and profile fields move up one level.
+XMARK_GUARD_PAIRS = 98
+
+
 def test_allpairs_cost_on_xmark_shape(benchmark, monkeypatch):
-    """Compile evaluates only the guard's k·(k−1) pairs; Table I all T²."""
+    """Compile compares 98 of the guard's k·(k−1) = 110 pairs; Table I all T²."""
     from repro.closeness import DocumentIndex
     from repro.engine.interpreter import Interpreter
 
@@ -79,16 +90,16 @@ def test_allpairs_cost_on_xmark_shape(benchmark, monkeypatch):
     assert k == 11
     with obs.tracing() as tracer:
         interpreter.compile(XMARK_GUARD)
-    assert tracer.metrics.counter("typing.loss.pairs") == k * (k - 1)
+    assert tracer.metrics.counter("typing.loss.pairs") == XMARK_GUARD_PAIRS < k * (k - 1)
 
     evaluations = []
-    real = pathcard.path_cardinality
+    real = oracle.path_cardinality
 
     def counting(shape, source, target):
         evaluations.append((source, target))
         return real(shape, source, target)
 
-    monkeypatch.setattr(pathcard, "path_cardinality", counting)
+    monkeypatch.setattr(oracle, "path_cardinality", counting)
     shape = index.shape
     table = path_cardinality_table(shape)
     types = len(shape.types())

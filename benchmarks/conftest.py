@@ -33,7 +33,7 @@ from repro.workloads import generate_dblp, generate_nasa, generate_xmark
 #: Paper factors 0.1–0.5 scaled by 1/50 to keep a pure-Python run short;
 #: document size remains linear in the factor, which is what Figure 10
 #: plots.
-XMARK_FACTORS = [0.002, 0.004, 0.006, 0.008, 0.010]
+XMARK_FACTORS = [0.002, 0.004, 0.006, 0.008, 0.010, 0.020]
 
 #: Paper slices 134/268/402/518 MB ~ 350k–1.4M records, scaled to
 #: record counts a pure-Python run can shred in seconds.

@@ -40,7 +40,7 @@ from repro.xmltree import (
     parse_forest,
     serialize,
 )
-from repro.shape import Card, Shape, extract_shape, path_cardinality, path_cardinality_table
+from repro.shape import Card, Shape, extract_shape, path_cardinality
 from repro.closeness import ClosestGraph, DocumentIndex, closest_graph
 from repro.lang import parse_guard
 from repro.typing import GuardType, LossReport, analyze_loss
@@ -73,7 +73,6 @@ __all__ = [
     "Shape",
     "extract_shape",
     "path_cardinality",
-    "path_cardinality_table",
     "DocumentIndex",
     "ClosestGraph",
     "closest_graph",

@@ -12,7 +12,7 @@ from repro.shape.cardinality import Card, UNBOUNDED
 from repro.shape.types import DataType, ShapeType, TypeTable
 from repro.shape.shape import Shape, ShapeEdge
 from repro.shape.dataguide import extract_shape, DataGuideBuilder
-from repro.shape.pathcard import path_cardinality, path_cardinality_table, predicted_shape
+from repro.shape.pathcard import path_cardinality, predicted_shape
 
 __all__ = [
     "Card",
@@ -25,6 +25,5 @@ __all__ = [
     "extract_shape",
     "DataGuideBuilder",
     "path_cardinality",
-    "path_cardinality_table",
     "predicted_shape",
 ]

@@ -4,9 +4,10 @@
 node of type ``t`` *to* the nodes of type ``s``: walk up from ``t`` to
 the least common ancestor (always ``1..1`` upward) and multiply the edge
 cardinalities down from the LCA to ``s``.  Table I of the paper is the
-matrix of these values for the bibliography shape; the information-loss
-theorems compare source path cardinalities against the *predicted*
-cardinalities of the target shape.
+matrix of these values for the bibliography shape (the tests tabulate
+it; nothing here enumerates type pairs); the information-loss theorems
+compare source path cardinalities against the *predicted* cardinalities
+of the target shape.
 """
 
 from __future__ import annotations
@@ -33,22 +34,6 @@ def path_cardinality(shape: Shape, source: ShapeType, target: ShapeType) -> Opti
         card = shape.card(up, node) * card
         node = up
     return card
-
-
-def path_cardinality_table(shape: Shape) -> dict[tuple[ShapeType, ShapeType], Card]:
-    """All ordered pairs ``(t, s) -> pathCard(S, t, s)`` (Table I).
-
-    Pairs in different trees of the forest are omitted.  Quadratic in
-    the type count by construction: callers that compare a handful of
-    pairs (the loss analysis) ask :func:`path_cardinality` directly.
-    """
-    types = shape.types()
-    return {
-        (source, target): card
-        for source in types
-        for target in types
-        if (card := path_cardinality(shape, source, target)) is not None
-    }
 
 
 def predicted_shape(

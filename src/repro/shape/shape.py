@@ -62,13 +62,16 @@ class Shape:
         sound exactly when the parent's path is the child's path minus
         its last step; that alone keeps the forest acyclic, without the
         ancestor walk of :meth:`add_edge`.  An edge that breaks it, or a
-        second edge into one child, raises :class:`ValueError`.
+        second edge into one child, raises :class:`ValueError`.  Edges
+        with one range share one (frozen) :class:`Card`.
         """
         shape = cls()
-        vertices = [ShapeType.for_source(data_type) for data_type in data_types]
+        # ShapeType.for_source, inlined: a stored document's open builds one per type.
+        vertices = [ShapeType(data_type, data_type.path[-1]) for data_type in data_types]
         shape._types = dict.fromkeys(vertices)
         children = shape._children = {vertex: [] for vertex in vertices}
         parents, cards = shape._parent, shape._card
+        ranges: dict[tuple[int, int], Card] = {}
         for parent_id, child_id, low, high in edges:
             parent, child = vertices[parent_id], vertices[child_id]
             if parent.source.path != child.source.path[:-1]:
@@ -77,7 +80,10 @@ class Shape:
                 raise ValueError(f"type {child} has two parents")
             parents[child] = parent
             children[parent].append(child)
-            cards[(parent, child)] = Card(low, high)
+            card = ranges.get((low, high))
+            if card is None:
+                card = ranges[(low, high)] = Card(low, high)
+            cards[(parent, child)] = card
         return shape
 
     @classmethod

@@ -609,9 +609,8 @@ class StoredDocumentIndex(BaseIndex):
             raise StorageError(
                 f"document {self.name!r} has a corrupted stored shape: {error}"
             ) from error
-        self._shape_of: dict[DataType, ShapeType] = dict(
-            zip(self.type_table, self.shape.types())
-        )
+        #: ``types()[i]`` backs type id ``i`` (``Shape.of_data_types``).
+        self._vertices: list[ShapeType] = self.shape.types()
         self._counts: dict[int, int] = {
             int(type_id): count for type_id, count in shape_info["counts"].items()
         }
@@ -623,7 +622,12 @@ class StoredDocumentIndex(BaseIndex):
         return list(self.type_table)
 
     def shape_vertex(self, data_type: DataType) -> Optional[ShapeType]:
-        return self._shape_of.get(data_type)
+        type_id = data_type.type_id
+        if 0 <= type_id < len(self._vertices):
+            vertex = self._vertices[type_id]
+            if vertex.source is data_type or vertex.source == data_type:
+                return vertex
+        return None
 
     def type_distance(self, first: DataType, second: DataType) -> Optional[int]:
         if first == second:

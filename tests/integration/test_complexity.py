@@ -61,7 +61,7 @@ class TestCompileIndependentOfDataSize:
         assert len(small.findings) == len(large.findings)
 
     def test_pathcard_pairs_quadratic_in_types_only(self):
-        from repro.shape import path_cardinality_table
+        from tests.typing.oracle import path_cardinality_table
 
         for publications in (100, 800):
             index = DocumentIndex(generate_dblp(publications))

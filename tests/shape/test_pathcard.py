@@ -6,10 +6,11 @@ from repro.shape import (
     ShapeType,
     extract_shape,
     path_cardinality,
-    path_cardinality_table,
     predicted_shape,
 )
 from repro.shape.dataguide import DataGuideBuilder
+
+from tests.typing.oracle import path_cardinality_table
 
 
 def vertex(shape, dotted):

@@ -124,25 +124,41 @@ def skewed_documents(draw, max_depth: int = 3) -> XmlForest:
     return XmlForest([root]).renumber()
 
 
+#: How a generated guard term is written: plain, ``!``-marked (its loss
+#: accepted), under a ``NEW`` wrapper, or ``CLONE``-d.
+_TERM_FORMS = ["{}", "!{}", "(NEW n) [ {} ]", "CLONE {}"]
+
+
 @st.composite
-def guards(draw) -> str:
+def _guard_terms(draw, depth: int = 1, max_depth: int = 3) -> str:
+    """One pattern term over :data:`TAGS` plus ``z``, nested at most
+    ``max_depth`` levels; a bracket sometimes repeats its first child
+    (n copies of one label, the twins of the loss analysis)."""
+    term = draw(st.sampled_from(TAGS + ["z"]))
+    if depth < max_depth and draw(st.booleans()):
+        children = draw(st.lists(_guard_terms(depth + 1, max_depth), min_size=1, max_size=2))
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            children += children[:1] * draw(st.integers(min_value=1, max_value=2))
+        term = f"{term} [ {' '.join(children)} ]"
+    return draw(st.sampled_from(_TERM_FORMS)).format(term)
+
+
+@st.composite
+def guards(draw, max_depth: int = 3) -> str:
     """A random guard over :data:`TAGS` plus the missing label ``z``.
 
-    A ``MUTATE`` or ``MORPH`` of one head and one or two children, in the
-    manner of the loss-theorem properties, where each child may be
-    ``!``-marked (its loss accepted) or a ``NEW`` wrapper, and the guard
-    may sit under ``TYPE-FILL`` (which synthesizes ``z``).  Wrapped in
-    ``CAST`` so a lossy guard still renders.  Guards that do not fit a
-    given document raise an ``XMorphError``; callers skip those.
+    A ``MUTATE`` or ``MORPH`` of one or two top-level terms (a pattern
+    forest; an ambiguous label also yields a target forest), each nested
+    at most ``max_depth`` levels, where a term may be ``!``-marked (its
+    loss accepted), a ``NEW`` wrapper or a ``CLONE`` and a bracket may
+    repeat a label.  The guard may sit under ``TYPE-FILL`` (which
+    synthesizes ``z``).  Wrapped in ``CAST`` so a lossy guard still
+    renders.  Guards that do not fit a given document raise an
+    ``XMorphError``; callers skip those.
     """
-    labels = st.sampled_from(TAGS + ["z"])
-    children = []
-    for _ in range(draw(st.integers(min_value=1, max_value=2))):
-        name = draw(labels)
-        form = draw(st.sampled_from(["{}", "!{}", "(NEW n) [ {} ]"]))
-        children.append(form.format(name))
+    terms = draw(st.lists(_guard_terms(max_depth=max_depth), min_size=1, max_size=2))
     operator = draw(st.sampled_from(["MUTATE", "MORPH"]))
-    guard = f"{operator} {draw(labels)} [ {' '.join(children)} ]"
+    guard = f"{operator} {' '.join(terms)}"
     if draw(st.booleans()):
         guard = f"TYPE-FILL {guard}"
     return f"CAST ({guard})"

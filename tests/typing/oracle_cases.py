@@ -1,17 +1,20 @@
-"""The measured quantified-loss cases, against the brute-force oracle.
+"""The oracles at their full size: too slow for every tier-1 run.
 
 Each case's :class:`LossQuantification` below is what
 :func:`~tests.closeness.oracle.brute_force_loss` gives, which is also
 what ``quantify_loss`` gave while it built its graphs by brute force.
 ``tests/typing/test_quantify.py`` holds the closest join to these
 figures on every tier-1 run.  This module recomputes them with the
-oracle, which takes about 20 s, so the tier-1 run does not collect it
-(its name does not match ``test_*.py``); run it by name:
+oracle, and runs ``tests/typing/test_loss_oracle.py``'s property (the
+loss analysis against the all-pairs ``pairwise_loss``) on many more
+examples.  Together that takes about two minutes, so the tier-1 run does
+not collect it (its name does not match ``test_*.py``); run it by name:
 
     PYTHONPATH=src python -m pytest -q tests/typing/oracle_cases.py
 """
 
 import pytest
+from hypothesis import given, settings
 
 import repro
 from repro.closeness import closest_graph
@@ -19,6 +22,8 @@ from repro.typing.quantify import LossQuantification
 from repro.workloads import generate_dblp, generate_nasa
 
 from tests.closeness.oracle import brute_force_closest_graph, brute_force_loss
+from tests.strategies import guards
+from tests.typing.test_loss_oracle import SOURCES, assert_same_report
 
 #: ``examples/astronomy_catalog.py``'s guard; its catalog is NASA-25.
 ASTRONOMY_GUARD = "CAST MORPH dataset [ title keyword para year ]"
@@ -80,3 +85,9 @@ def test_oracle_gives_the_measured_figures(case):
 def test_join_graph_equals_the_oracle_graph(make):
     forest = make()
     assert closest_graph(forest) == brute_force_closest_graph(forest)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(SOURCES, guards())
+def test_loss_report_equals_the_pairwise_loop(forest, guard):
+    assert_same_report(forest, guard)

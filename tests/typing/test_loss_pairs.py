@@ -1,15 +1,21 @@
-"""The loss analysis evaluates Definition 6 on demand, pair by pair.
+"""The loss analysis compares only the pairs a guard can have changed.
 
-Two properties, neither of them a timing:
+Three properties, none of them a timing:
 
-* *Counted*: compiling a guard whose target has ``k`` source-backed
-  types asks ``path_cardinality`` for at most ``2·k·(k−1)`` pairs
-  (source side and predicted side of every ordered pair) — the same
-  number on a 27-type dblp shape and on XMark's 283-type shape — and
-  the ``typing.loss.pairs`` counter reports the ordered pairs.
-* *Parity*: Table I (``path_cardinality_table``, the all-pairs matrix)
-  is the oracle; findings recomputed from it equal ``analyze_loss``'s
-  report for every guard the repository ships.
+* *Counted*: ``typing.loss.pairs`` is the number of ordered pairs of
+  one predicted tree holding a *changed* type — one whose predicted
+  chain does not follow its source vertex's chain, or whose source
+  vertex backs another target type too.  The count depends on the
+  guard, not on the shape: one chain of four types costs the same on a
+  27-type dblp shape and on XMark's 283-type shape, and ``MUTATE`` of
+  the whole document compares no pair at all.
+* *Hostile input*: n copies of one label compare a constant number of
+  pairs (twins are compared once per group), so the guard budget's
+  1,000 labels compile at once.
+* *Parity*: two all-pairs oracles give the same report as
+  ``analyze_loss`` for every guard the repository ships —
+  ``pairwise_loss``, the loop ``analyze_loss`` replaced, and findings
+  recomputed from two Table I matrices (``path_cardinality_table``).
 """
 
 from pathlib import Path
@@ -20,13 +26,15 @@ from perfbench.corpus import LARGE_GUARDS, SMALL_GUARDS, XMARK_GUARDS
 from repro import obs
 from repro.analysis.evolve import load_guards
 from repro.engine.interpreter import Interpreter
-from repro.shape import Card, path_cardinality_table
-from repro.typing import loss
+from repro.lang.parser import MAX_TERMS
+from repro.shape import Card
+from repro.storage import Database
 from repro.typing.loss import LossFinding, LossKind, LossReport
 from repro.workloads import generate_dblp, generate_xmark
-from repro.xmltree import parse_document
+from repro.xmltree import parse_document, parse_forest
 
 from tests.corpus.cases import CASES
+from tests.typing.oracle import pairwise_loss, path_cardinality_table
 
 GUARD_DIR = Path(__file__).resolve().parents[2] / "examples" / "guards"
 
@@ -68,49 +76,101 @@ def source_tables(interpreters):
 # -- counted ------------------------------------------------------------------
 
 
-def counted_compile(monkeypatch, interpreter, guard):
-    """Compile ``guard``; returns (pairs evaluated, backed type count)."""
-    calls = []
-    real = loss.path_cardinality
+def changed_pairs(index, predicted) -> int:
+    """Ordered pairs of one predicted tree holding a changed type, read
+    off the definition: a type is unchanged when every type on its
+    predicted chain is backed by a source vertex no other target type
+    shares, and each predicted parent by the source parent of the
+    vertex below it."""
+    backed = [t for t in predicted.types() if t.source is not None]
+    vertex = {t: index.shape_vertex(t.source) for t in backed}
+    backing = [v for v in vertex.values() if v is not None]
+    assert len(backing) == len(set(backing)), "no twins in the counted guards"
 
-    def counting(shape, source, target):
-        calls.append((source, target))
-        return real(shape, source, target)
+    def unchanged(t) -> bool:
+        chain = [t, *predicted.ancestors(t)]
+        return all(vertex.get(node) is not None for node in chain) and all(
+            vertex[parent] is index.shape.parent(vertex[child])
+            for child, parent in zip(chain, chain[1:])
+        )
 
-    monkeypatch.setattr(loss, "path_cardinality", counting)
-    result = interpreter.compile(guard)
-    backed = [t for t in result.target_shape.types() if t.source is not None]
-    return len(calls), len(backed)
+    return sum(
+        1
+        for first in backed
+        for second in backed
+        if first is not second
+        and vertex[first] is not None
+        and vertex[second] is not None
+        and predicted.root_of(first) is predicted.root_of(second)
+        and not (unchanged(first) and unchanged(second))
+    )
 
 
-def test_pairs_counter_equals_the_wrapped_calls(monkeypatch, interpreters):
-    """Each counted pair is one source-side and one predicted-side call."""
-    for key, guard in (
-        ("xmark", "CAST MORPH person [ name emailaddress phone ]"),
-        ("dblp", "CAST MORPH dblp [ author [ title [ year ] ] ]"),
-        ("books", "MUTATE data"),
+def counted_compile(interpreter, guard) -> tuple[int, int, int]:
+    """Compile ``guard``: (pairs counted, changed pairs, backed types)."""
+    with obs.tracing() as tracer:
+        compiled = interpreter.compile(guard)
+    predicted = compiled.target_shape  # compile() left Definition 7 on it
+    backed = [t for t in predicted.types() if t.source is not None]
+    return (
+        tracer.metrics.counter("typing.loss.pairs"),
+        changed_pairs(interpreter.index, predicted),
+        len(backed),
+    )
+
+
+def test_pairs_counter_equals_the_changed_pairs(interpreters):
+    """The counter is the changed-pair count; unchanged pairs cost nothing."""
+    for key, guard, expected in (
+        ("xmark", "CAST MORPH person [ name emailaddress phone ]", 0),
+        ("xmark", "CAST MORPH person [ name [ emailaddress [ phone ] ] ]", 10),
+        ("dblp", "CAST MORPH dblp [ author [ title [ year ] ] ]", 90),
+        ("books", "MUTATE data", 0),
     ):
-        with obs.tracing() as tracer:
-            calls, k = counted_compile(monkeypatch, interpreters(key), guard)
-        pairs = tracer.metrics.counter("typing.loss.pairs")
-        assert calls == 2 * pairs
-        assert pairs == k * (k - 1) > 0, key
+        pairs, changed, k = counted_compile(interpreters(key), guard)
+        assert pairs == changed == expected, (key, guard)
+        assert pairs <= k * (k - 1)
 
 
-def test_pairs_evaluated_depend_on_the_guard_not_the_shape(monkeypatch, interpreters):
+def test_pairs_evaluated_depend_on_the_guard_not_the_shape(interpreters):
     dblp, xmark = interpreters("dblp"), interpreters("xmark")
     assert len(dblp.index.shape.types()) == 27
     assert len(xmark.index.shape.types()) == 283
 
-    on_xmark, k = counted_compile(
-        monkeypatch, xmark, "CAST MORPH person [ name emailaddress phone ]"
+    # One chain of four types, the lower two moved off their source chain.
+    on_xmark, changed, k = counted_compile(
+        xmark, "CAST MORPH person [ name [ emailaddress [ phone ] ] ]"
     )
-    on_dblp, k_dblp = counted_compile(
-        monkeypatch, dblp, "CAST MORPH phdthesis [ author title school ]"
+    on_dblp, changed_dblp, k_dblp = counted_compile(
+        dblp, "CAST MORPH phdthesis [ author [ title [ school ] ] ]"
     )
     assert k == k_dblp == 4
-    assert 0 < on_xmark <= 2 * k * (k - 1)
-    assert on_dblp == on_xmark
+    assert on_xmark == changed and on_dblp == changed_dblp
+    assert on_dblp == on_xmark == 10
+    # The whole document, unmoved, compares nothing on either shape.
+    assert counted_compile(xmark, "MUTATE site")[0] == 0
+    assert counted_compile(dblp, "MUTATE dblp")[0] == 0
+
+
+TWO_NODES = "<r><a>1</a></r>"
+
+
+@pytest.mark.parametrize("count", [10, 400, MAX_TERMS - 1])
+def test_repeated_labels_compare_a_constant_number_of_pairs(count):
+    """``MORPH r [ a a ... a ]``: the copies of ``a`` are twins, compared
+    as one group — ``r``→``a``, ``a``→``r`` and ``a``→``a`` — however
+    many there are."""
+    guard = "MORPH r [ " + "a " * count + "]"
+    interpreter = Interpreter(parse_forest(TWO_NODES))
+    with obs.tracing() as tracer:
+        compiled = interpreter.compile(guard)
+    assert len(compiled.target_shape.types()) == count + 1
+    assert tracer.metrics.counter("typing.loss.pairs") == 3
+    if count == 10:
+        index = interpreter.index
+        assert compiled.loss == pairwise_loss(
+            index.shape, compiled.target_shape, index.shape_vertex
+        )
 
 
 # -- parity with the Table I oracle --------------------------------------------
@@ -189,3 +249,28 @@ def test_parity_covers_lossy_guards(interpreters):
         document, guard = param.values
         kinds.update(f.kind for f in interpreters(document).compile(guard).loss.findings)
     assert kinds == {LossKind.LOST, LossKind.ADDED}
+
+
+# -- parity with the pairwise oracle -------------------------------------------
+
+
+@pytest.mark.parametrize("document, guard", GUARDS)
+def test_report_equals_pairwise_oracle(interpreters, document, guard):
+    interpreter = interpreters(document)
+    compiled = interpreter.compile(guard)
+    index = interpreter.index
+    oracle = pairwise_loss(index.shape, compiled.target_shape, index.shape_vertex)
+    assert compiled.loss == oracle  # findings in order, omitted, synthesized
+
+
+def test_stored_report_equals_pairwise_oracle(tmp_path):
+    """The same through a stored document's index (``shape_vertex`` by type id)."""
+    documents = {case.document: f"doc{i}" for i, case in enumerate(CASES)}
+    with Database(str(tmp_path / "corpus.db"), durable=False) as db:
+        for text, name in documents.items():
+            db.store_document(name, text)
+        for case in CASES:
+            index = db.index(documents[case.document])
+            compiled = Interpreter(index).compile(case.guard)
+            oracle = pairwise_loss(index.shape, compiled.target_shape, index.shape_vertex)
+            assert compiled.loss == oracle, case.name
