@@ -21,7 +21,7 @@ GUARD = "MUTATE site"
 
 def _page_reads(db) -> tuple[int, float]:
     """(reads timed, seconds spent reading) over the handle's lifetime."""
-    histogram = db.stats.timing_snapshot().get("storage.page_read_seconds")
+    histogram = db.stats.histogram("storage.page_read_seconds")
     return (histogram.count, histogram.total) if histogram is not None else (0, 0.0)
 
 

@@ -61,7 +61,7 @@ def main() -> None:
             print("\n== storage engine statistics (vmstat analog) ==")
             stats = db.stats
             print(f"blocks in/out: {stats.blocks_in}/{stats.blocks_out}")
-            reads = stats.timing_snapshot()["storage.page_read_seconds"]
+            reads = stats.histogram("storage.page_read_seconds")
             print(f"page reads: {reads.count} in {reads.total * 1e3:.2f} ms (measured)")
 
 

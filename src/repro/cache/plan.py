@@ -13,8 +13,9 @@ lexer → parser → typing → algebra stages entirely on a repeat guard.
 ``edges`` / ``counts`` dict the shredder stores) into a short stable
 hash; :class:`PlanCache` is an LRU of :class:`CompiledPlan` entries
 keyed by ``(guard text, fingerprint)``.  Hits, misses and evictions are
-counted both on the cache object and as ``plan_cache.*`` metrics on the
-current tracer, so ``EXPLAIN ANALYZE`` shows them.
+counted as ``plan_cache.*`` in the registry the cache is given (a
+database's :class:`~repro.storage.stats.SystemStats`, which reports them
+to the current tracer too, so ``EXPLAIN ANALYZE`` shows them).
 
 Cached plans are shared between calls: treat the ``target_shape``,
 ``loss`` and ``evaluation`` of a cached result as immutable.
@@ -29,13 +30,12 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.obs import tracer as obs
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.algebra.semantics import EvaluationResult
     from repro.engine.compile import CompiledRender
     from repro.engine.interpreter import TransformResult
     from repro.shape.shape import Shape
+    from repro.storage.stats import SystemStats
     from repro.typing.loss import LossReport
 
 
@@ -135,26 +135,23 @@ class PlanCache:
     (or again) has the old one.  Entries leave only by LRU eviction or
     :meth:`clear`.
 
-    The cache is thread-safe: one re-entrant lock guards the LRU map and
-    the counters, so a :class:`~repro.serve.TransformPool`'s workers can
-    hit it concurrently without corrupting the recency order.
-    :meth:`get_or_compile` adds *single-flight*
-    compilation on top: when N threads miss on the same key at once, one
-    compiles while the rest wait on a per-key event and reuse the
-    result — ``contended`` (metric ``plan_cache.contended``) counts the
-    waiters that would have duplicated work.
+    The cache is thread-safe: one re-entrant lock guards the LRU map, so
+    a :class:`~repro.serve.TransformPool`'s workers can hit it
+    concurrently without corrupting the recency order.
+    :meth:`get_or_compile` adds *single-flight* compilation on top:
+    when N threads miss on the same key at once, one compiles while the
+    rest wait on a per-key event and reuse the result —
+    ``plan_cache.contended`` counts the waiters that would have
+    duplicated work.  Every count goes to ``registry``.
     """
 
-    def __init__(self, capacity: int = 64):
+    def __init__(self, registry: "SystemStats", capacity: int = 64):
+        self.registry = registry
         self.capacity = capacity
         self._lock = threading.RLock()
         self._plans: OrderedDict[tuple[str, str], CompiledPlan] = OrderedDict()
         #: Keys currently being compiled by some thread (single-flight).
         self._in_flight: dict[tuple[str, str], threading.Event] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.contended = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -168,11 +165,9 @@ class PlanCache:
         with self._lock:
             plan = self._plans.get((guard, fingerprint))
             if plan is None:
-                self.misses += 1
-                obs.count("plan_cache.misses")
+                self.registry.count("plan_cache.misses")
                 return None
-            self.hits += 1
-            obs.count("plan_cache.hits")
+            self.registry.count("plan_cache.hits")
             self._plans.move_to_end((guard, fingerprint))
             return plan
 
@@ -183,8 +178,7 @@ class PlanCache:
             self._plans.move_to_end(key)
             while len(self._plans) > self.capacity:
                 self._plans.popitem(last=False)
-                self.evictions += 1
-                obs.count("plan_cache.evictions")
+                self.registry.count("plan_cache.evictions")
 
     def get_or_compile(
         self,
@@ -205,19 +199,16 @@ class PlanCache:
             with self._lock:
                 plan = self._plans.get(key)
                 if plan is not None:
-                    self.hits += 1
-                    obs.count("plan_cache.hits")
+                    self.registry.count("plan_cache.hits")
                     self._plans.move_to_end(key)
                     return plan
                 pending = self._in_flight.get(key)
                 if pending is None:
-                    self.misses += 1
-                    obs.count("plan_cache.misses")
+                    self.registry.count("plan_cache.misses")
                     pending = self._in_flight[key] = threading.Event()
                     leader = True
                 else:
-                    self.contended += 1
-                    obs.count("plan_cache.contended")
+                    self.registry.count("plan_cache.contended")
                     leader = False
             if leader:
                 try:
@@ -239,12 +230,12 @@ class PlanCache:
             self._plans.clear()
 
     def stats(self) -> dict:
-        with self._lock:
-            return {
-                "entries": len(self._plans),
-                "capacity": self.capacity,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "contended": self.contended,
-            }
+        counter = self.registry.counter
+        return {
+            "entries": len(self),
+            "capacity": self.capacity,
+            **{
+                name: counter(f"plan_cache.{name}")
+                for name in ("hits", "misses", "evictions", "contended")
+            },
+        }

@@ -714,7 +714,7 @@ def _cmd_db_transform(arguments) -> int:
             print(result.xml(indent=arguments.indent))
         if arguments.stats:
             stats = db.stats
-            reads = stats.timing_snapshot().get("storage.page_read_seconds")
+            reads = stats.histogram("storage.page_read_seconds")
             print(
                 f"blocks read: {stats.blocks_in}, written: {stats.blocks_out}, "
                 f"page reads: {1e3 * (reads.total if reads else 0.0):.3f} ms",

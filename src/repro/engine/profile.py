@@ -9,9 +9,10 @@ of the same evaluation:
 * the **span tree** — wall-clock timings for every pipeline stage
   (parse, per-operator type analysis, loss check, render, shred);
 * the **storage actuals** — blocks read and written, the measured
-  page-read time, buffer hit ratio and B+tree page reads, taken from
-  the same :class:`~repro.storage.stats.SystemStats` counters that
-  drive the paper's Figures 11–12.
+  page-read time, buffer hit ratio and B+tree page reads: the counts
+  the database's :class:`~repro.storage.stats.SystemStats` registry
+  (which drives the paper's Figures 11–12) reported to the profile's
+  tracer, so they are this evaluation's and no other thread's.
 
 Entry points: :func:`profile_transform` for an in-memory forest or
 index, :func:`profile_db_transform` for a stored document, and
@@ -48,7 +49,7 @@ class ProfileReport:
     guard: str
     result: TransformResult
     tracer: obs.Tracer
-    #: Storage counter deltas (None for pure in-memory runs).
+    #: Storage actuals (None for pure in-memory runs).
     storage: Optional[dict] = None
 
     # -- structured accessors ----------------------------------------------
@@ -218,43 +219,36 @@ def profile_transform(source, guard: str) -> ProfileReport:
 def profile_db_transform(database, name: str, guard: str) -> ProfileReport:
     """Profile a guard over a stored document, with storage actuals."""
     tracer = obs.Tracer()
-    before = _io_counts(database.stats)
-    with obs.tracing(tracer), database.observed(tracer):
+    with obs.tracing(tracer):
         result = database.transform(name, guard)
         result.rendered  # noqa: B018 - render inside the profiled region
     return ProfileReport(
-        guard=guard, result=result, tracer=tracer, storage=_storage(database, before)
+        guard=guard, result=result, tracer=tracer, storage=_storage(database, tracer)
     )
 
 
-def _io_counts(stats) -> tuple[int, int, float]:
-    """Blocks read, blocks written and measured page-read seconds so far."""
-    reads = stats.timing_snapshot().get("storage.page_read_seconds")
-    return stats.blocks_in, stats.blocks_out, reads.total if reads is not None else 0.0
+def _storage(database, tracer: obs.Tracer) -> dict:
+    """The storage actuals of a profiled run — the I/O its tracer saw —
+    plus the handle's caches, lifetime events (with global failpoint
+    fires) and lifetime histograms."""
+    from repro.faults import FAULTS
+    from repro.storage.stats import event_counts
 
-
-def _storage(database, before: tuple[int, int, float]) -> dict:
-    """The storage actuals of a profiled run: I/O since ``before``,
-    plus the handle's caches, events and lifetime histograms."""
-    now = _io_counts(database.stats)
+    tracer.gauge("buffer.hit_ratio", database.pool.hit_ratio)
+    metrics = tracer.metrics
+    reads = metrics.histogram("storage.page_read_seconds")
+    lifetime = database.stats.copy()
+    events = event_counts(lifetime.counters)
+    events.update(FAULTS.counters())
     return {
-        "blocks_read": now[0] - before[0],
-        "blocks_written": now[1] - before[1],
-        "page_read_seconds": now[2] - before[2],
+        "blocks_read": metrics.counter("storage.blocks_read"),
+        "blocks_written": metrics.counter("storage.blocks_written"),
+        "page_read_seconds": reads.total if reads is not None else 0.0,
         "buffer_hit_ratio": database.pool.hit_ratio,
         "plan_cache": database.plan_cache.stats(),
-        "events": _durability_events(database.stats),
-        "timings": database.stats.timing_snapshot(),
+        "events": events,
+        "timings": lifetime.histograms,
     }
-
-
-def _durability_events(stats) -> dict:
-    """Lifetime recovery/checksum events plus global failpoint fires."""
-    from repro.faults import FAULTS
-
-    events = dict(stats.events)
-    events.update(FAULTS.counters())
-    return events
 
 
 def profile_document(xml_text: str, guard: str) -> ProfileReport:
@@ -269,12 +263,11 @@ def profile_document(xml_text: str, guard: str) -> ProfileReport:
     with tempfile.TemporaryDirectory(prefix="xmorph-profile-") as scratch:
         database = Database(os.path.join(scratch, "profile.db"), durable=False)
         try:
-            before = _io_counts(database.stats)
-            with obs.tracing(tracer), database.observed(tracer):
+            with obs.tracing(tracer):
                 database.store_document("document", xml_text)
                 result = database.transform("document", guard)
                 result.rendered  # noqa: B018 - render inside the profiled region
-            storage = _storage(database, before)
+            storage = _storage(database, tracer)
         finally:
             database.close()
     return ProfileReport(guard=guard, result=result, tracer=tracer, storage=storage)

@@ -9,8 +9,9 @@ Three pieces, one import:
 * **metrics** (:mod:`repro.obs.metrics`): counters, gauges and
   histograms (``btree.page_reads``, ``join.comparisons``,
   ``buffer.hit_ratio``, ``render.nodes_emitted``...), fed both by call
-  sites and by the :class:`~repro.storage.stats.SystemStats` counters
-  so the paper's figures and real traces share one source of truth;
+  sites and by every count of a database's
+  :class:`~repro.storage.stats.SystemStats` registry, so the paper's
+  figures and real traces share one source of truth;
 * **exporters** (:mod:`repro.obs.export`, :mod:`repro.obs.prom`): a
   human-readable tree, a lossless JSON-lines format, and Prometheus
   text exposition for live serve processes.
@@ -27,10 +28,7 @@ See ``docs/OBSERVABILITY.md`` for the span and metric catalogues.
 """
 
 from repro.obs.export import (
-    SpanRecord,
-    TraceRecord,
     format_duration,
-    from_json_lines,
     render_metrics,
     render_tree,
     to_json_lines,
@@ -48,7 +46,6 @@ from repro.obs.tracer import (
     Span,
     Tracer,
     count,
-    current_trace_id,
     enabled,
     get_tracer,
     new_trace_id,
@@ -70,18 +67,14 @@ __all__ = [
     "set_tracer",
     "tracing",
     "new_trace_id",
-    "current_trace_id",
     "Histogram",
     "MetricsRegistry",
     "BUCKET_BOUNDS",
     "estimate_quantile",
     "render_prometheus",
-    "SpanRecord",
-    "TraceRecord",
     "render_tree",
     "render_metrics",
     "format_duration",
     "to_json_lines",
-    "from_json_lines",
     "write_json_lines",
 ]

@@ -107,20 +107,8 @@ class Histogram:
     # -- quantiles ---------------------------------------------------------
 
     def quantile(self, q: float) -> Optional[float]:
-        """Estimated ``q``-quantile (``None`` for an empty histogram).
-
-        Histograms deserialized from pre-bucket traces carry counts but
-        empty buckets; those fall back to interpolating the observed
-        min–max range so old traces keep rendering.
-        """
-        if self.count == 0:
-            return None
-        estimate = estimate_quantile(self.buckets, q, self.minimum, self.maximum)
-        if estimate is not None:
-            return estimate
-        low = self.minimum if self.minimum is not None else 0.0
-        high = self.maximum if self.maximum is not None else low
-        return low + (high - low) * min(max(q, 0.0), 1.0)
+        """Estimated ``q``-quantile (``None`` for an empty histogram)."""
+        return estimate_quantile(self.buckets, q, self.minimum, self.maximum)
 
     @property
     def p50(self) -> Optional[float]:
@@ -182,14 +170,12 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """All counters/gauges/histograms of one tracer.
+    """All counters/gauges/histograms of one tracer or one database.
 
     Updates are atomic: counter increments are read-modify-write, and a
-    registry attached to a :class:`~repro.storage.stats.SystemStats`
+    database's registry (:class:`~repro.storage.stats.SystemStats`)
     receives counts from every worker thread of a
-    :class:`~repro.serve.TransformPool` at once.  One shared lock keeps
-    the unobserved path cheap (the registry is only attached while a
-    tracer is active) and the observed path exact.
+    :class:`~repro.serve.TransformPool` at once.
     """
 
     __slots__ = ("counters", "gauges", "histograms", "_lock")
@@ -241,6 +227,17 @@ class MetricsRegistry:
             if mine is None:
                 mine = self.histograms[name] = Histogram()
             mine.merge(histogram)
+
+    def copy(self) -> "MetricsRegistry":
+        """A consistent copy, for exporters reading a live registry."""
+        snapshot = MetricsRegistry()
+        with self._lock:
+            snapshot.counters.update(self.counters)
+            snapshot.gauges.update(self.gauges)
+            for name, histogram in self.histograms.items():
+                snapshot.histograms[name] = Histogram()
+                snapshot.histograms[name].merge(histogram)
+        return snapshot
 
     def as_dict(self) -> dict:
         return {

@@ -60,6 +60,8 @@ HELP_TEXTS = {
     "buffer.hits": "buffer-pool page hits",
     "buffer.misses": "buffer-pool page misses",
     "buffer.hit_ratio": "fraction of page requests served from the buffer pool",
+    "btree.page_reads": "B+tree pages visited by descents (cached or not)",
+    "btree.splits": "B+tree page splits",
     "storage.blocks_read": "physical blocks read",
     "storage.blocks_written": "physical blocks written",
     "serve.pending": "requests queued or running on the pool",

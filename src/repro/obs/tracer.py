@@ -197,11 +197,6 @@ def set_tracer(tracer: Tracer) -> Tracer:
     return previous
 
 
-def current_trace_id() -> Optional[str]:
-    """The active request's trace id, if the current tracer has one."""
-    return _current.get().trace_id
-
-
 @contextmanager
 def tracing(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
     """Activate a tracer (a fresh enabled one by default) for a block."""

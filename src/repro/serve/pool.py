@@ -22,10 +22,10 @@ The threads share the one :class:`~repro.storage.Database` handle (one
 buffer pool, plan cache and join-memo set for all workers), and results
 are byte-identical to serial evaluation (``tests/serve`` pins this).
 
-Every lifecycle edge feeds ``serve.*`` counters through both
-:meth:`SystemStats.event` (lifetime, shows in ``EXPLAIN ANALYZE``'s
-durability line) and the active tracer — once per registry, also when
-``Database.observed`` makes the two report to the same one.
+Every lifecycle edge counts one ``serve.*`` counter with
+:meth:`SystemStats.count <repro.storage.stats.SystemStats.count>`: once
+in the database's lifetime registry (``{"cmd": "stats"}``, ``EXPLAIN
+ANALYZE``'s serving line) and once on the active tracer.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ class TransformPool:
         ``future.xmorph_trace`` (``None`` otherwise) so the response
         writer can time the serialize phase and finish the trace.
         """
-        self._event("serve.requests")
+        self.database.stats.count("serve.requests")
         deadline = deadline if deadline is not None else self.deadline
         trace = (
             self.telemetry.start(name, guard) if self.telemetry is not None else None
@@ -169,7 +169,7 @@ class TransformPool:
                 )
                 future.xmorph_trace = trace
                 return future
-            self._event("serve.degraded_serial")
+            self.database.stats.count("serve.degraded_serial")
             if trace is not None:
                 trace.degraded = True
         future = concurrent.futures.Future()
@@ -195,7 +195,7 @@ class TransformPool:
             self._record_error(error, trace)
             raise
         else:
-            self._event("serve.completed")
+            self.database.stats.count("serve.completed")
             return result
         finally:
             if trace is not None:
@@ -260,21 +260,12 @@ class TransformPool:
 
     # -- accounting ----------------------------------------------------------
 
-    def _event(self, name: str, count: int = 1) -> None:
-        stats = self.database.stats
-        stats.event(name, count)
-        # stats.event mirrors into the registry Database.observed attached;
-        # when that is the current tracer's too, counting again doubles it.
-        tracer = obs.get_tracer()
-        if tracer.metrics is not stats.metrics:
-            tracer.count(name, count)
-
     def _record_error(self, error: BaseException, trace) -> None:
-        self._event("serve.errors")
+        self.database.stats.count("serve.errors")
         code = getattr(error, "code", None)
         # Per-code breakdown: {"cmd": "stats"} distinguishes timeouts
         # (XM540) from lock conflicts (XM520) from uncoded failures.
-        self._event(f"serve.errors.{code}" if code else "serve.errors.uncoded")
+        self.database.stats.count(f"serve.errors.{code}" if code else "serve.errors.uncoded")
         if trace is not None:
             trace.fail(error)
 
@@ -285,7 +276,7 @@ class TransformPool:
         through here, so ``serve.timeouts == serve.errors.XM540`` on
         every path.
         """
-        self._event("serve.timeouts")
+        self.database.stats.count("serve.timeouts")
         error = TransformTimeoutError(name, guard, deadline)
         self._record_error(error, trace)
         return error
@@ -304,9 +295,9 @@ class TransformPool:
 
     def stats(self) -> dict:
         """The pool's lifetime ``serve.*`` counters (from the database)."""
-        events = self.database.stats.events
+        counters = self.database.stats.copy().counters
         return {
             name.removeprefix("serve."): count
-            for name, count in sorted(events.items())
+            for name, count in sorted(counters.items())
             if name.startswith("serve.")
         }

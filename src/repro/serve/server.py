@@ -210,7 +210,7 @@ def serve_loop(
                     break
                 try:
                     request = json.loads(line)
-                except ValueError:
+                except (ValueError, RecursionError):  # nested past the decoder's depth
                     stats.requests += 1
                     responses.put(
                         ("literal", None, {"id": None, "ok": False, "error": "bad JSON line"})
@@ -256,7 +256,7 @@ def serve_loop(
             raise failure[0]
     stats.counters = {
         name: count
-        for name, count in sorted(database.stats.events.items())
+        for name, count in sorted(database.stats.copy().counters.items())
         if name.startswith("serve.")
     }
     return stats

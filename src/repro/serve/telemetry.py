@@ -140,7 +140,7 @@ class ServeTelemetry:
 
     def __init__(
         self,
-        stats: Optional["SystemStats"] = None,
+        stats: "SystemStats",
         trace_sample: int = 0,
         trace_file: Optional[str] = None,
         slow_ms: Optional[float] = None,
@@ -187,11 +187,10 @@ class ServeTelemetry:
         if trace.executed is None and trace.started is not None:
             trace.end_execute()
         stats = self.stats
-        if stats is not None:
-            stats.observe("serve.request_seconds", trace.total_seconds)
-            stats.observe("serve.queue_seconds", trace.queue_seconds)
-            stats.observe("serve.execute_seconds", trace.execute_seconds)
-            stats.observe("serve.serialize_seconds", trace.serialize_seconds)
+        stats.observe("serve.request_seconds", trace.total_seconds)
+        stats.observe("serve.queue_seconds", trace.queue_seconds)
+        stats.observe("serve.execute_seconds", trace.execute_seconds)
+        stats.observe("serve.serialize_seconds", trace.serialize_seconds)
         if trace.sampled and trace.tracer is not None:
             self._export_trace(trace)
         if (
@@ -217,8 +216,7 @@ class ServeTelemetry:
             if self.trace_file:
                 with open(self.trace_file, "a", encoding="utf-8") as handle:
                     handle.write(text + "\n")
-        if self.stats is not None:
-            self.stats.event("serve.traces_sampled")
+        self.stats.count("serve.traces_sampled")
 
     def _log_slow(self, trace: RequestTrace) -> None:
         record = {
@@ -245,8 +243,7 @@ class ServeTelemetry:
             if self.slow_log:
                 with open(self.slow_log, "a", encoding="utf-8") as handle:
                     handle.write(json.dumps(record) + "\n")
-        if self.stats is not None:
-            self.stats.event("serve.slow_queries")
+        self.stats.count("serve.slow_queries")
 
 
 # -- metrics snapshot (the Prometheus endpoint's data source) ---------------
@@ -257,29 +254,17 @@ def metrics_snapshot(
 ) -> tuple[dict, dict, dict]:
     """``(counters, gauges, histograms)`` of a live database + pool.
 
-    Everything a scrape needs in one consistent-enough read: lifetime
-    event counters (``serve.*``, ``recovery.*``, ...), plan-cache and
-    buffer-pool counters, capacity/occupancy gauges, and the lifetime
-    latency histograms.  Feed straight into
-    :func:`repro.obs.prom.render_prometheus`.
+    A copy of the database's lifetime registry — every counter and
+    latency histogram it ever counted — plus capacity/occupancy gauges.
+    Feed straight into :func:`repro.obs.prom.render_prometheus`.
     """
-    stats = database.stats
-    with stats._lock:
-        counters: dict = dict(stats.events)
-        counters["storage.blocks_read"] = stats.blocks_in
-        counters["storage.blocks_written"] = stats.blocks_out
-    cache_stats = database.plan_cache.stats()
-    for name in ("hits", "misses", "evictions", "contended"):
-        counters[f"plan_cache.{name}"] = cache_stats[name]
-    counters["buffer.hits"] = database.pool.hits
-    counters["buffer.misses"] = database.pool.misses
+    lifetime = database.stats.copy()
     gauges: dict = {
         "buffer.hit_ratio": database.pool.hit_ratio,
         "buffer.resident_pages": database.pool.resident,
-        "plan_cache.entries": cache_stats["entries"],
+        "plan_cache.entries": len(database.plan_cache),
     }
     if pool is not None:
         gauges["serve.pending"] = float(pool.pending)
         gauges["serve.workers"] = float(pool.workers)
-    histograms = stats.timing_snapshot()
-    return counters, gauges, histograms
+    return lifetime.counters, gauges, lifetime.histograms

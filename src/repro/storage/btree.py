@@ -273,10 +273,8 @@ class BPlusTree:
                 page_id = node.child_for(key)
                 path.append(page_id)
                 node = _resident_node(self.pool, page_id)
-        metrics = self.pool.stats.metrics
-        if metrics is not None:
-            # Logical page reads (the pool decides physical vs cached).
-            metrics.inc("btree.page_reads", len(path))
+        # Logical page reads (the pool decides physical vs cached).
+        self.pool.stats.count("btree.page_reads", len(path))
         return node, path
 
     def _insert_run(
@@ -341,9 +339,7 @@ class BPlusTree:
             _write_node(self.pool, page_id, node)
             return []
         groups = _partition(node)
-        metrics = self.pool.stats.metrics
-        if metrics is not None:
-            metrics.inc("btree.splits")
+        self.pool.stats.count("btree.splits")
         promotions: list[tuple[bytes, int]] = []
         if node.kind == _LEAF:
             pages = [page_id] + [self.pool.allocate() for _ in groups[1:]]

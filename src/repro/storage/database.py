@@ -15,8 +15,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.cache import CompiledPlan, PlanCache
 from repro.closeness.index import BaseIndex, TypeSequence
@@ -130,7 +129,7 @@ class Database:
         self._generations: dict[str, tuple[int, str]] = {}
         self._closed = False
         #: Compiled guard plans keyed by (guard text, shape fingerprint).
-        self.plan_cache = PlanCache()
+        self.plan_cache = PlanCache(self.stats)
 
     def _open_snapshot(self, path: str, durable: bool) -> PagedFile:
         """Open ``path`` read-only, shadowed by any sealed journal batch.
@@ -151,7 +150,7 @@ class Database:
             status, batch = Journal(path + ".journal", stats=self.stats).inspect()
             if status == "sealed" and batch:
                 overlay = dict(batch)
-                self.stats.event("recovery.snapshot_overlay_pages", len(overlay))
+                self.stats.count("recovery.snapshot_overlay_pages", len(overlay))
         return PagedFile(path, self.stats, readonly=True, overlay=overlay)
 
     # -- document management ------------------------------------------------
@@ -232,7 +231,7 @@ class Database:
         report = analyze_evolution(self.index(old_name), self.index(new_name), guards)
         for verdict_name, count in report.counts.items():
             if count:
-                self.stats.event(f"evolve.{verdict_name}", count)
+                self.stats.count(f"evolve.{verdict_name}", count)
         return report
 
     def _plan(self, name: str, guard: str) -> TransformResult:
@@ -386,12 +385,12 @@ class Database:
         result = updater.result
         self._retire(name, "updated")
         result.seconds = time.perf_counter() - started
-        self.stats.event("update.batches")
-        self.stats.event("update.ops", result.ops)
+        self.stats.count("update.batches")
+        self.stats.count("update.ops", result.ops)
         for field in ("nodes_added", "nodes_removed", "nodes_renumbered"):
             count = getattr(result, field)
             if count:
-                self.stats.event(f"update.{field}", count)
+                self.stats.count(f"update.{field}", count)
         self.stats.observe("update.batch_seconds", result.seconds)
         return result
 
@@ -449,7 +448,7 @@ class Database:
         I/O beyond re-reading page 0.  Counted first: that re-read can
         fail too, after the staged pages are already gone.
         """
-        self.stats.event("storage.rollbacks")
+        self.stats.count("storage.rollbacks")
         self.tree.rollback()
         self._indexes.pop(name, None)
 
@@ -480,28 +479,6 @@ class Database:
         self.pool.flush()
         self._retire(name, "dropped")
         return deleted
-
-    # -- observability ---------------------------------------------------------------
-
-    @contextmanager
-    def observed(self, tracer) -> Iterator["Database"]:
-        """Mirror this database's counters into a tracer.
-
-        While the block runs, every :class:`SystemStats` count (block
-        I/O, events, latencies) also feeds the tracer's metrics, and
-        buffer/btree counters activate; on exit the
-        buffer pool's hit ratio is recorded as a gauge.  Used by
-        ``EXPLAIN ANALYZE`` (:mod:`repro.engine.profile`) and
-        ``xmorph run --profile``.
-        """
-        previous = self.stats.metrics
-        self.stats.metrics = tracer.metrics if tracer.enabled else None
-        try:
-            yield self
-        finally:
-            self.stats.metrics = previous
-            if tracer.enabled:
-                tracer.metrics.gauge("buffer.hit_ratio", self.pool.hit_ratio)
 
     # -- maintenance ----------------------------------------------------------------
 
@@ -669,8 +646,8 @@ class StoredDocumentIndex(BaseIndex):
     def record_timing(self, name: str, seconds: float) -> None:
         # Join builds on a stored document land in the database's
         # lifetime histograms (the Prometheus endpoint reads those),
-        # which already mirror into any attached tracer registry —
-        # calling super() too would double-count under observed().
+        # which report to the current tracer too: super() would count
+        # the sample twice there.
         self.database.stats.observe(name, seconds)
 
     def node_count(self) -> int:

@@ -25,8 +25,7 @@ Five passes, cheapest first:
    (:func:`repro.storage.tables.verify_document`).
 
 All counts land in ``fsck.*`` / ``recovery.*`` events on the report's
-:class:`~repro.storage.stats.SystemStats`, mirrored into any attached
-metrics registry.
+:class:`~repro.storage.stats.SystemStats`, and on the current tracer.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from repro.storage.btree import BPlusTree
 from repro.storage.journal import Journal
 from repro.storage.lockfile import FileLock
 from repro.storage.pages import BufferPool, PagedFile
-from repro.storage.stats import SystemStats
+from repro.storage.stats import SystemStats, event_counts
 
 
 @dataclass
@@ -123,7 +122,7 @@ def fsck(path: str, repair: bool = False, stats: SystemStats | None = None) -> F
         # PagedFile and FileLock create what they do not find; a check
         # of a mistyped path must not report a fresh empty store clean.
         raise StorageError(f"no such database: {path!r}")
-    stats = stats or SystemStats()
+    stats = stats if stats is not None else SystemStats()
     report = FsckReport(path=path)
 
     lock = FileLock(path + ".lock")
@@ -149,7 +148,7 @@ def fsck(path: str, repair: bool = False, stats: SystemStats | None = None) -> F
                 file.close()
         except FormatError as error:
             report.errors.append(str(error))
-        report.events = dict(stats.events)
+        report.events = event_counts(stats.counters)
         return report
     finally:
         lock.release()
@@ -161,8 +160,8 @@ def _repair_journal(
     if report.journal_status == "sealed":
         applied = journal.recover(file)
         report.journal_status = "replayed"
-        stats.event("fsck.journals_replayed")
-        stats.event("fsck.pages_replayed", applied)
+        stats.count("fsck.journals_replayed")
+        stats.count("fsck.pages_replayed", applied)
     elif report.journal_status == "corrupt":
         journal.quarantine()
         report.journal_status = "quarantined"
@@ -177,9 +176,9 @@ def _scan_pages(file: PagedFile, stats: SystemStats, report: FsckReport) -> None
         except PageError:
             report.checksum_failures.append(page_id)
     report.pages_scanned = file.page_count
-    stats.event("fsck.pages_scanned", file.page_count)
+    stats.count("fsck.pages_scanned", file.page_count)
     if report.checksum_failures:
-        stats.event("fsck.checksum_failures", len(report.checksum_failures))
+        stats.count("fsck.checksum_failures", len(report.checksum_failures))
 
 
 def _check_structure(file: PagedFile, stats: SystemStats, report: FsckReport) -> None:
@@ -207,4 +206,4 @@ def _check_structure(file: PagedFile, stats: SystemStats, report: FsckReport) ->
         # A torn page mid-scan: the per-page failures are already
         # reported; record that the logical check could not finish.
         report.document_problems.append(f"catalog scan aborted: {error}")
-    stats.event("fsck.documents_checked", len(report.documents))
+    stats.count("fsck.documents_checked", len(report.documents))

@@ -44,17 +44,14 @@ _ENTRY_HEADER = struct.Struct("<I")
 class Journal:
     """The write-ahead journal of one database file.
 
-    ``stats`` (optional) receives ``recovery.*`` event counts —
-    journals replayed, pages reapplied, corrupt journals quarantined.
+    ``stats`` (a fresh registry when omitted) receives ``recovery.*``
+    event counts — journals replayed, pages reapplied, corrupt journals
+    quarantined.
     """
 
     def __init__(self, path: str, stats: Optional[SystemStats] = None):
         self.path = path
-        self.stats = stats
-
-    def _event(self, name: str, count: int = 1) -> None:
-        if self.stats is not None:
-            self.stats.event(name, count)
+        self.stats = stats if stats is not None else SystemStats()
 
     # -- writing ------------------------------------------------------------
 
@@ -80,10 +77,7 @@ class Journal:
             FAULTS.fire("journal.fsync")
             started = time.perf_counter()
             os.fsync(fd)
-            if self.stats is not None:
-                self.stats.observe(
-                    "journal.fsync_seconds", time.perf_counter() - started
-                )
+            self.stats.observe("journal.fsync_seconds", time.perf_counter() - started)
         finally:
             os.close(fd)
         # The data is durable; now make the *name* durable too, or a
@@ -140,7 +134,7 @@ class Journal:
         target = self.path + ".corrupt"
         os.replace(self.path, target)
         _fsync_dir(os.path.dirname(self.path))
-        self._event("recovery.discarded_journals")
+        self.stats.count("recovery.discarded_journals")
         return target
 
     def pending(self) -> dict[int, bytes] | None:
@@ -167,8 +161,8 @@ class Journal:
             file.write_page(page_id, data)
         file.sync()
         self.clear()
-        self._event("recovery.journals_replayed")
-        self._event("recovery.replayed_pages", len(pages))
+        self.stats.count("recovery.journals_replayed")
+        self.stats.count("recovery.replayed_pages", len(pages))
         return len(pages)
 
 

@@ -120,7 +120,7 @@ class PagedFile:
         page_id = self._page_count
         self._page_count += 1
         os.pwrite(self._fd, seal_page(page_id, bytes(PAGE_SIZE)), page_id * SLOT_SIZE)
-        self.stats.block_write()
+        self.stats.count("storage.blocks_written")
         return page_id
 
     def read_page(self, page_id: int):
@@ -129,7 +129,7 @@ class PagedFile:
         self._check(page_id)
         shadowed = self._overlay.get(page_id)
         if shadowed is not None:
-            self.stats.block_read()
+            self.stats.count("storage.blocks_read")
             return bytearray(shadowed)
         if (
             self._mmap is not None
@@ -140,9 +140,9 @@ class PagedFile:
         started = time.perf_counter()
         slot = os.pread(self._fd, SLOT_SIZE, page_id * SLOT_SIZE)
         self.stats.observe("storage.page_read_seconds", time.perf_counter() - started)
-        self.stats.block_read()
+        self.stats.count("storage.blocks_read")
         if len(slot) != SLOT_SIZE:
-            self.stats.event("pages.checksum_failures")
+            self.stats.count("pages.checksum_failures")
             raise PageError(
                 f"short read on page {page_id} of {self.path} "
                 f"({len(slot)} of {SLOT_SIZE} bytes)"
@@ -161,7 +161,7 @@ class PagedFile:
             payload = self._verify(page_id, slot)
             self._verified.add(page_id)
         self.stats.observe("storage.page_read_seconds", time.perf_counter() - started)
-        self.stats.block_read()
+        self.stats.count("storage.blocks_read")
         return payload
 
     def _verify(self, page_id: int, slot):
@@ -169,7 +169,7 @@ class PagedFile:
         try:
             return verify_page(self.path, page_id, slot)
         except ChecksumError:
-            self.stats.event("pages.checksum_failures")
+            self.stats.count("pages.checksum_failures")
             raise
 
     def write_page(self, page_id: int, data: bytes) -> None:
@@ -185,7 +185,7 @@ class PagedFile:
             partial=lambda: os.pwrite(self._fd, slot[: SLOT_SIZE // 2], offset),
         )
         os.pwrite(self._fd, slot, offset)
-        self.stats.block_write()
+        self.stats.count("storage.blocks_written")
 
     def sync(self) -> None:
         if self.readonly:
@@ -273,9 +273,6 @@ class BufferPool:
         self._dirty: set[int] = set()
         #: Depth of open :meth:`writing` sections (under ``lock``).
         self._writing = 0
-        #: Cache accounting (feeds the ``buffer.hit_ratio`` metric).
-        self.hits = 0
-        self.misses = 0
 
     def locked(self) -> "threading.RLock":
         """The pool lock, for callers composing multi-page operations::
@@ -317,8 +314,9 @@ class BufferPool:
     @property
     def hit_ratio(self) -> float:
         """Fraction of :meth:`get` calls served from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+        hits = self.stats.counter("buffer.hits")
+        total = hits + self.stats.counter("buffer.misses")
+        return hits / total if total else 0.0
 
     def allocate(self) -> int:
         with self.lock:
@@ -334,16 +332,11 @@ class BufferPool:
         other reader process of the same file)."""
         with self.lock:
             cached = self._pages.get(page_id)
-            metrics = self.stats.metrics
             if cached is not None:
-                self.hits += 1
-                if metrics is not None:
-                    metrics.inc("buffer.hits")
+                self.stats.count("buffer.hits")
                 self._pages.move_to_end(page_id)
                 return cached
-            self.misses += 1
-            if metrics is not None:
-                metrics.inc("buffer.misses")
+            self.stats.count("buffer.misses")
             data = self.file.read_page(page_id)
             self._install(page_id, data)
             return data

@@ -296,8 +296,8 @@ class TestDatabaseIntegration:
             {"titles": "MORPH book [ title ]", "by_name": "MORPH name [ book ]"},
         )
         assert report.counts["compatible"] == 1
-        assert db.stats.events["evolve.compatible"] == 1
-        assert db.stats.events["evolve.degraded"] == 1
+        assert db.stats.counters["evolve.compatible"] == 1
+        assert db.stats.counters["evolve.degraded"] == 1
 
     def test_cached_plans_keep_serving_hits(self, db):
         """The report changes no cache entry: a plan graded degraded is
@@ -308,11 +308,11 @@ class TestDatabaseIntegration:
         report = db.check_evolution("v1", "v2", guards)
         assert (report.counts["compatible"], report.counts["degraded"]) == (1, 1)
         assert len(db.plan_cache) == entries
-        hits = db.plan_cache.hits
+        hits = db.plan_cache.stats()["hits"]
         for guard, text in before.items():
             assert db.transform("v1", guard).xml() == text
-        assert db.plan_cache.hits == hits + len(guards)
-        assert not [name for name in db.stats.events if name.startswith("evolve.plans")]
+        assert db.plan_cache.stats()["hits"] == hits + len(guards)
+        assert not [name for name in db.stats.counters if name.startswith("evolve.plans")]
 
     def test_unknown_guards_are_left_alone(self, db):
         other = "MORPH author [ name ]"

@@ -73,7 +73,9 @@ class TestMeasuredOperations:
 class TestSessionTrace:
     def test_measurements_recorded_as_phases(self, db):
         from repro.bench.harness import session_tracer
-        from repro.obs import from_json_lines, to_json_lines
+        from repro.obs import to_json_lines
+
+        from tests.obs.trace_reader import from_json_lines
 
         before = len(session_tracer().roots)
         measurement = measured_transform(db, "a", "MORPH author [ name ]")

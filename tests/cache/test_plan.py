@@ -9,7 +9,7 @@ from repro.cache import CompiledPlan, PlanCache, shape_fingerprint
 from repro.engine.interpreter import Interpreter
 from repro.engine.profile import profile_db_transform
 from repro.errors import StorageError
-from repro.storage import Database
+from repro.storage import Database, SystemStats
 from repro.workloads import generate_dblp
 
 from tests.conftest import FIG1A, FIG1B
@@ -60,14 +60,15 @@ def _plan(guard="G", fingerprint="f" * 16):
 
 class TestPlanCacheLru:
     def test_hit_and_miss_counting(self):
-        cache = PlanCache(capacity=4)
+        cache = PlanCache(SystemStats(), capacity=4)
         assert cache.get("G", "f") is None
         cache.put(_plan("G", "f"))
         assert cache.get("G", "f") is not None
-        assert (cache.hits, cache.misses) == (1, 1)
+        assert cache.registry.counter("plan_cache.hits") == 1
+        assert cache.registry.counter("plan_cache.misses") == 1
 
     def test_lru_eviction_order(self):
-        cache = PlanCache(capacity=2)
+        cache = PlanCache(SystemStats(), capacity=2)
         cache.put(_plan("a"))
         cache.put(_plan("b"))
         assert cache.get("a", "f" * 16) is not None  # refresh "a"
@@ -75,10 +76,10 @@ class TestPlanCacheLru:
         assert cache.get("b", "f" * 16) is None
         assert cache.get("a", "f" * 16) is not None
         assert cache.get("c", "f" * 16) is not None
-        assert cache.evictions == 1
+        assert cache.stats()["evictions"] == 1
 
     def test_stats_shape(self):
-        stats = PlanCache(capacity=3).stats()
+        stats = PlanCache(SystemStats(), capacity=3).stats()
         assert set(stats) == {
             "entries", "capacity", "hits", "misses", "evictions", "contended",
         }
@@ -188,9 +189,11 @@ class TestPlansOutliveWrites:
         db.insert_subtree("a", "1", EXTRA_BOOK)
         assert db.transform("a", GUARD).xml() != before
         db.delete_subtree("a", "1.3")
-        hits, misses = db.plan_cache.hits, db.plan_cache.misses
+        before_stats = db.plan_cache.stats()
         assert db.transform("a", GUARD).xml() == before
-        assert (db.plan_cache.hits, db.plan_cache.misses) == (hits + 1, misses)
+        after_stats = db.plan_cache.stats()
+        assert after_stats["hits"] == before_stats["hits"] + 1
+        assert after_stats["misses"] == before_stats["misses"]
 
 
 class TestColdVersusWarmMetrics:

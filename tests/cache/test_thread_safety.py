@@ -42,7 +42,7 @@ def _hammer(workers: int, task) -> list:
 
 class TestSingleFlight:
     def test_one_compile_per_key(self):
-        cache = PlanCache(capacity=64)
+        cache = PlanCache(SystemStats(), capacity=64)
         compiles = []
         compile_lock = threading.Lock()
         started = threading.Barrier(THREADS)
@@ -66,7 +66,7 @@ class TestSingleFlight:
         assert stats["hits"] >= THREADS - 1  # waiters re-read the cache
 
     def test_distinct_keys_compile_concurrently(self):
-        cache = PlanCache(capacity=64)
+        cache = PlanCache(SystemStats(), capacity=64)
         compiles = []
         lock = threading.Lock()
 
@@ -82,7 +82,7 @@ class TestSingleFlight:
         assert sorted(compiles) == list(range(THREADS))  # one each, none lost
 
     def test_leader_failure_promotes_a_waiter(self):
-        cache = PlanCache(capacity=64)
+        cache = PlanCache(SystemStats(), capacity=64)
         attempts = []
         lock = threading.Lock()
         started = threading.Barrier(2)
@@ -111,7 +111,7 @@ class TestSingleFlight:
         assert len(attempts) == 2
 
     def test_lru_capacity_invariant_under_threads(self):
-        cache = PlanCache(capacity=8)
+        cache = PlanCache(SystemStats(), capacity=8)
 
         def task(i):
             for j in range(50):
@@ -205,11 +205,11 @@ class TestCounterAtomicity:
 
         def task(i):
             for _ in range(per_thread):
-                stats.event("serve.test")
+                stats.count("serve.test")
             return True
 
         _hammer(THREADS, task)
-        assert stats.events["serve.test"] == THREADS * per_thread
+        assert stats.counters["serve.test"] == THREADS * per_thread
 
     def test_metrics_registry_inc_is_exact(self):
         registry = MetricsRegistry()
@@ -231,8 +231,8 @@ class TestCounterAtomicity:
 
         def task(i):
             for _ in range(per_thread):
-                stats.block_read()
-                stats.block_write()
+                stats.count("storage.blocks_read")
+                stats.count("storage.blocks_written")
             return True
 
         _hammer(THREADS, task)

@@ -151,7 +151,7 @@ class TestDatabaseKnob:
             cold = db.transform("doc", guard)
             warm = db.transform("doc", guard)
             assert cold.rendered.compiled and warm.rendered.compiled
-            assert db.plan_cache.hits >= 1
+            assert db.plan_cache.stats()["hits"] >= 1
             assert serialize(warm.rendered.forest) == serialize(cold.rendered.forest)
         finally:
             db.close()
@@ -181,7 +181,7 @@ class TestCompiledBeatsReference:
             db.store_document("dblp", generate_dblp(100))
             db.transform("dblp", guard)  # fills the plan cache and join memos
             plan = db.compile("dblp", guard)
-            assert db.plan_cache.hits >= 1
+            assert db.plan_cache.stats()["hits"] >= 1
             emitter = plan.compiled_render
             assert isinstance(emitter, CompiledRender)
             index = db.index("dblp")

@@ -14,6 +14,7 @@ from repro.engine.profile import (
 from repro.storage import Database
 
 from tests.conftest import FIG1A
+from tests.obs.trace_reader import from_json_lines
 
 GUARD = "MORPH author [ name book [ title ] ]"
 
@@ -113,8 +114,57 @@ class TestProfileDatabase:
     def test_db_profile_leaves_metrics_detached(self, tmp_path):
         with Database(str(tmp_path / "q.db")) as db:
             db.store_document("books", FIG1A)
-            profile_db_transform(db, "books", GUARD)
-            assert db.stats.metrics is None
+            report = profile_db_transform(db, "books", GUARD)
+            counted = dict(report.tracer.metrics.counters)
+            db.drop_cache()
+            db.transform("books", GUARD).xml()
+            # Counts after the profile reach the registry, not its tracer.
+            assert db.stats.counter("plan_cache.misses") == 2
+            assert report.tracer.metrics.counters == counted
+
+    def test_another_threads_reads_stay_out_of_the_profile(self, tmp_path):
+        """A thread reading another document on the same handle, inside
+        the profiled region, changes none of the profile's I/O counts."""
+        import threading
+
+        from repro.workloads import generate_dblp
+
+        path = str(tmp_path / "shared.db")
+        with Database(path) as db:
+            db.store_document("books", FIG1A)
+            db.store_document("other", generate_dblp(20))
+
+        def profile(with_reader: bool):
+            with Database(path) as db:
+                if with_reader:
+                    real = db.transform
+
+                    def transform(name, guard):
+                        result = real(name, guard)
+                        result.rendered  # noqa: B018 - the profile's own reads first
+                        reader = threading.Thread(
+                            target=lambda: real("other", "MORPH title").xml()
+                        )
+                        reader.start()
+                        reader.join(timeout=60)
+                        assert not reader.is_alive()
+                        return result
+
+                    db.transform = transform
+                report = profile_db_transform(db, "books", GUARD)
+                lifetime = db.stats.blocks_in
+            tracer = report.tracer.metrics
+            return lifetime, (
+                report.storage["blocks_read"],
+                tracer.counter("storage.blocks_read"),
+                tracer.histogram("storage.page_read_seconds").count,
+            )
+
+        alone_lifetime, alone = profile(with_reader=False)
+        shared_lifetime, shared = profile(with_reader=True)
+        assert shared_lifetime > alone_lifetime  # the reader did read pages
+        assert alone[0] > 0
+        assert shared == alone
 
     def test_profile_document_covers_whole_pipeline(self):
         report = profile_document(FIG1A, GUARD)
@@ -134,6 +184,6 @@ class TestProfileDatabase:
 
     def test_trace_round_trips_with_storage_counters(self):
         report = profile_document(FIG1A, GUARD)
-        trace = obs.from_json_lines(report.trace_json())
+        trace = from_json_lines(report.trace_json())
         assert trace.find("storage.shred") is not None
         assert trace.metrics.counter("storage.blocks_written") > 0

@@ -3,7 +3,9 @@
 import json
 
 from repro import obs
-from repro.obs.export import from_json_lines, render_tree, to_json_lines
+from repro.obs.export import render_tree, to_json_lines
+
+from tests.obs.trace_reader import from_json_lines
 
 
 def traced_run() -> obs.Tracer:

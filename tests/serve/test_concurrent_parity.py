@@ -173,8 +173,8 @@ class TestCorpusParity:
                     assert result.xml() == batch_serial
 
     def test_counters_accumulate(self, books_db):
-        before = dict(books_db.stats.events)
+        before = dict(books_db.stats.counters)
         books_db.transform_many([("books", "MORPH author [ name ]")] * 6, workers=4)
-        events = books_db.stats.events
+        events = books_db.stats.counters
         assert events.get("serve.requests", 0) - before.get("serve.requests", 0) == 6
         assert events.get("serve.completed", 0) - before.get("serve.completed", 0) == 6

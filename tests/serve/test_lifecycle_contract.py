@@ -117,7 +117,7 @@ def drain(pool):
 
 
 def histogram_counts(db):
-    snapshot = db.stats.timing_snapshot()
+    snapshot = db.stats.copy().histograms
     return {name: snapshot[name].count if name in snapshot else 0 for name in HISTOGRAMS}
 
 

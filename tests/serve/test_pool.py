@@ -50,9 +50,9 @@ class TestDeadlines:
                     pool.transform_many([("doc", "SLOW")], deadline=0.05)
                 assert excinfo.value.code == "XM540"
                 assert "SLOW" in str(excinfo.value)
-                assert db.stats.events.get("serve.timeouts") == 1
+                assert db.stats.counters.get("serve.timeouts") == 1
                 # A waiter-side miss is an error like any other miss.
-                assert db.stats.events.get("serve.errors") == 1
+                assert db.stats.counters.get("serve.errors") == 1
                 gate.set()  # let the stuck worker finish before shutdown
         finally:
             gate.set()
@@ -81,7 +81,7 @@ class TestDeadlines:
         with pytest.raises(TransformTimeoutError) as excinfo:
             db.transform_many([("worst", guard)], workers=2, deadline=0.03)
         assert excinfo.value.code == "XM540"
-        assert db.stats.events.get("serve.timeouts") == 1
+        assert db.stats.counters.get("serve.timeouts") == 1
 
     def test_no_deadline_waits(self, db):
         with TransformPool(db, workers=2) as pool:
@@ -103,7 +103,7 @@ class TestDegradation:
                 # inline on the calling thread, not wait for a worker.
                 fast = pool.submit("doc", GUARD)
                 assert fast.done()
-                assert db.stats.events.get("serve.degraded_serial") == 1
+                assert db.stats.counters.get("serve.degraded_serial") == 1
                 gate.set()
                 for future in stuck:
                     future.result(timeout=30)
@@ -114,7 +114,7 @@ class TestDegradation:
         with TransformPool(db, workers=1) as pool:
             future = pool.submit("doc", GUARD)
             assert future.done()  # workers=1 runs inline by construction
-        assert "serve.degraded_serial" not in db.stats.events
+        assert "serve.degraded_serial" not in db.stats.counters
 
     def test_workers_clamped_to_one(self, db):
         with TransformPool(db, workers=0) as pool:
@@ -126,7 +126,7 @@ class TestDegradation:
             future = pool.submit("doc", "MORPH nosuchlabel [ x ]")
             with pytest.raises(Exception):
                 future.result(timeout=30)
-        assert db.stats.events.get("serve.errors") == 1
+        assert db.stats.counters.get("serve.errors") == 1
 
     def test_stats_strips_prefix(self, db):
         with TransformPool(db, workers=2) as pool:
@@ -366,14 +366,14 @@ class TestDegradedInlineDeadlines:
             with pytest.raises(TransformTimeoutError) as excinfo:
                 future.result()
             assert excinfo.value.code == "XM540"
-        assert db.stats.events.get("serve.timeouts") == 1
-        assert db.stats.events.get("serve.errors.XM540") == 1
-        assert db.stats.events.get("serve.errors") == 1
+        assert db.stats.counters.get("serve.timeouts") == 1
+        assert db.stats.counters.get("serve.errors.XM540") == 1
+        assert db.stats.counters.get("serve.errors") == 1
 
     def test_inline_under_deadline_returns_result(self, db):
         with TransformPool(db, workers=1, deadline=30) as pool:
             assert pool.submit("doc", GUARD).result().xml()
-        assert "serve.timeouts" not in db.stats.events
+        assert "serve.timeouts" not in db.stats.counters
 
     def test_saturated_inline_records_histograms(self, db):
         from repro.serve import ServeTelemetry
@@ -388,7 +388,7 @@ class TestDegradedInlineDeadlines:
                 stuck = [pool.submit("doc", "SLOW") for _ in range(2)]
                 while pool.pending < 2:
                     time.sleep(0.01)
-                snapshot = db.stats.timing_snapshot()
+                snapshot = db.stats.copy().histograms
                 before = (
                     snapshot["serve.request_seconds"].count
                     if "serve.request_seconds" in snapshot
@@ -397,7 +397,7 @@ class TestDegradedInlineDeadlines:
                 fast = pool.submit("doc", GUARD)
                 assert fast.done()
                 assert fast.xmorph_trace.degraded
-                after = db.stats.timing_snapshot()
+                after = db.stats.copy().histograms
                 # The degraded request's phases landed in the same
                 # histograms the threaded path feeds, immediately.
                 assert after["serve.request_seconds"].count == before + 1

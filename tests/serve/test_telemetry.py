@@ -78,7 +78,7 @@ class TestSampling:
         trace = telemetry.start("doc", GUARD)
         telemetry.finish(trace)
         telemetry.finish(trace)
-        snapshot = db.stats.timing_snapshot()
+        snapshot = db.stats.copy().histograms
         assert snapshot["serve.request_seconds"].count == 1
 
 
@@ -160,7 +160,7 @@ class TestSlowQueryLog:
         assert second["plan_cache"] == "hit"
         assert first["timings"]["total_ms"] >= 0.0
         assert first["trace_id"] != second["trace_id"]
-        assert db.stats.events["serve.slow_queries"] == 2
+        assert db.stats.counters["serve.slow_queries"] == 2
 
     def test_failed_request_carries_error_and_code(self, db, tmp_path):
         slow_log = tmp_path / "slow.jsonl"
@@ -189,8 +189,8 @@ class TestErrorCounters:
         with TransformPool(db, workers=1) as pool:
             with pytest.raises(Exception):
                 pool.transform_many([("doc", "MORPH [[[")])
-        assert db.stats.events["serve.errors"] == 1
-        assert db.stats.events["serve.errors.uncoded"] == 1
+        assert db.stats.counters["serve.errors"] == 1
+        assert db.stats.counters["serve.errors.uncoded"] == 1
 
     def test_timeout_counts_xm540(self, db):
         import threading
@@ -213,16 +213,15 @@ class TestErrorCounters:
                     gate.set()  # the pool's exit joins the parked worker
         finally:
             db.transform = real
-        assert db.stats.events["serve.timeouts"] == 1
-        assert db.stats.events["serve.errors.XM540"] == 1
-        assert db.stats.events["serve.errors"] == 1
+        assert db.stats.counters["serve.timeouts"] == 1
+        assert db.stats.counters["serve.errors.XM540"] == 1
+        assert db.stats.counters["serve.errors"] == 1
 
 
 class TestEventsCountedOncePerRegistry:
-    """``obs.tracing(t)`` + ``db.observed(t)`` is the standard profiling
-    pairing (``profile_db_transform``): ``t.metrics`` is then both the
-    current tracer's registry and the one ``SystemStats.event`` mirrors
-    into, and each ``serve.*`` edge must land in it once."""
+    """``SystemStats.count`` updates the database's registry and the
+    current tracer's (``profile_db_transform`` reads the latter), and
+    each ``serve.*`` edge must land in each of them once."""
 
     @pytest.mark.parametrize(
         "pool_kwargs",
@@ -236,14 +235,14 @@ class TestEventsCountedOncePerRegistry:
         from repro import obs
 
         tracer = obs.Tracer()
-        with obs.tracing(tracer), db.observed(tracer):
+        with obs.tracing(tracer):
             with TransformPool(db, **pool_kwargs) as pool:
                 pool.transform_many([("doc", GUARD)] * 3)
                 with pytest.raises(Exception):
                     pool.transform_many([("doc", "MORPH [[[")])
         serve_events = {
             name: count
-            for name, count in db.stats.events.items()
+            for name, count in db.stats.counters.items()
             if name.startswith("serve.")
         }
         assert serve_events["serve.requests"] == 4
@@ -261,6 +260,19 @@ class TestEventsCountedOncePerRegistry:
             db.transform_many([("doc", GUARD)] * 3, workers=1)
         assert tracer.metrics.counter("serve.requests") == 3
         assert tracer.metrics.counter("serve.completed") == 3
+
+    def test_cold_transform_counts_io_once_in_each(self, db):
+        from repro import obs
+
+        names = ("storage.blocks_read", "buffer.misses", "btree.page_reads")
+        db.drop_cache()
+        before = {name: db.stats.counter(name) for name in names}
+        with obs.tracing() as tracer:
+            db.transform("doc", GUARD).xml()
+        for name in names:
+            delta = db.stats.counter(name) - before[name]
+            assert delta > 0, name
+            assert tracer.metrics.counter(name) == delta, name
 
 
 class TestMetricsEndpoint:
@@ -304,7 +316,7 @@ class TestMetricsEndpoint:
             ]
         )
         serve_loop(db, io.StringIO(requests + "\n"), io.StringIO(), workers=2)
-        snapshot = db.stats.timing_snapshot()
+        snapshot = db.stats.copy().histograms
         for name in (
             "serve.request_seconds",
             "serve.queue_seconds",

@@ -143,11 +143,12 @@ class TestDecodedInternalNodes:
         root, leaf = tree._descend(b"k01000")[1]
         pool = tree.pool
         assert pool.decoded(root) is not None and pool.decoded(leaf) is None
-        hits, misses = pool.hits, pool.misses
+        hits, misses = pool.stats.counter("buffer.hits"), pool.stats.counter("buffer.misses")
         assert tree.get(b"k01000") == b"v" * 40
         # The root comes from its kept decode, the leaf is decoded again:
         # two gets, both hits, and the leaf is now the most recent page.
-        assert (pool.hits - hits, pool.misses - misses) == (2, 0)
+        assert pool.stats.counter("buffer.hits") - hits == 2
+        assert pool.stats.counter("buffer.misses") == misses
         assert list(pool._pages)[-2:] == [root, leaf]
 
     def test_a_rewritten_root_is_decoded_again(self, tree):

@@ -166,8 +166,8 @@ class TestFailedStoreLeavesNothing:
             # by then the document's N/T/S records are staged.
             with pytest.raises(StorageError, match="entry too large"):
                 db.store_document("n" * 5000, "<a><b>1</b><c>2</c></a>")
-            assert db.stats.events["storage.rollbacks"] == 1
-            assert "update.rollbacks" not in db.stats.events
+            assert db.stats.counters["storage.rollbacks"] == 1
+            assert "update.rollbacks" not in db.stats.counters
             db.flush()
             after = list(db.tree.scan())
             assert open(path, "rb").read() == image
@@ -311,8 +311,8 @@ class TestDropDocument:
                 assert db.transform("dblp", guard).xml() == expected
             assert failures > 4  # some of them struck with deletes staged
             # A read failing before the first delete rolls nothing back.
-            assert 0 < db.stats.events["storage.rollbacks"] <= failures
-            assert "update.rollbacks" not in db.stats.events
+            assert 0 < db.stats.counters["storage.rollbacks"] <= failures
+            assert "update.rollbacks" not in db.stats.counters
             assert db.document_names() == []
             db.store_document("next", FIG1B)  # a later flush
             assert db.tree.count() < keys

@@ -201,8 +201,8 @@ class TestOlderFormatsRefused:
 
         assert fsck(stored).journal_status == "corrupt"
         with Database(stored) as db:
-            assert db.stats.events["recovery.discarded_journals"] == 1
-            assert "recovery.journals_replayed" not in db.stats.events
+            assert db.stats.counters["recovery.discarded_journals"] == 1
+            assert "recovery.journals_replayed" not in db.stats.counters
             assert db.document_names() == ["a"]
         assert _read(stored) == before
         assert _read(journal_path + ".corrupt") == blob
@@ -262,7 +262,7 @@ class TestDamagedMetaTrailer:
         Journal(stored + ".journal").write({0: meta})
         _damage(stored, PAGE_SIZE + 1)
         with Database(stored) as db:
-            assert db.stats.events["recovery.journals_replayed"] == 1
+            assert db.stats.counters["recovery.journals_replayed"] == 1
             assert db.document_names() == ["a"]
         assert fsck(stored).ok
 

@@ -64,7 +64,7 @@ class TestJournalFile:
         journal.write({1: bytes(PAGE_SIZE)})
         path.write_bytes(path.read_bytes()[:-1])
         assert journal.pending() is None
-        assert stats.events["recovery.discarded_journals"] == 1
+        assert stats.counters["recovery.discarded_journals"] == 1
 
     def test_crc_failure_quarantined(self, tmp_path):
         # A sealed, size-correct journal whose body was bit-flipped must

@@ -82,7 +82,7 @@ class TestMappedReads:
             with pytest.raises(ChecksumError) as excinfo:
                 file.read_page(1)
             assert excinfo.value.code == "XM510"
-            assert file.stats.events["pages.checksum_failures"] == 1
+            assert file.stats.counters["pages.checksum_failures"] == 1
         finally:
             file.close()
 
@@ -93,7 +93,7 @@ class TestMappedReads:
             file.read_page(0)
             assert 0 in file._verified
             file.read_page(0)  # second read skips the CRC pass
-            assert file.stats.events.get("pages.checksum_failures", 0) == 0
+            assert file.stats.counters.get("pages.checksum_failures", 0) == 0
         finally:
             file.close()
 

@@ -51,7 +51,7 @@ class TestPagedFile:
         assert stats.blocks_out == 2
         assert stats.blocks_in == 1
         # Every physical read is timed too.
-        assert stats.timings["storage.page_read_seconds"].count == 1
+        assert stats.histograms["storage.page_read_seconds"].count == 1
 
     def test_reopen_preserves_pages(self, tmp_path):
         stats = SystemStats()
@@ -101,7 +101,7 @@ class TestChecksums:
             again.read_page(page)
         assert excinfo.value.code == "XM510"
         assert excinfo.value.page_id == page
-        assert again.stats.events["pages.checksum_failures"] == 1
+        assert again.stats.counters["pages.checksum_failures"] == 1
         again.close()
 
     def test_misdirected_write_detected(self, tmp_path):
@@ -163,7 +163,7 @@ class TestChecksums:
                 assert (handle._mmap is not None) == readonly
                 with pytest.raises(ChecksumError) as excinfo:
                     handle.read_page(1)
-                assert handle.stats.events["pages.checksum_failures"] == 1
+                assert handle.stats.counters["pages.checksum_failures"] == 1
                 raised.append(excinfo.value)
             finally:
                 handle.close()

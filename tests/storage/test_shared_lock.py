@@ -257,7 +257,7 @@ class TestFrozenSnapshot:
             names = reader.document_names()
             assert "doc" in names and "inflight" in names
             assert reader.transform("doc", GUARD).xml()
-            assert reader.stats.events.get("recovery.snapshot_overlay_pages", 0) > 0
+            assert reader.stats.counters.get("recovery.snapshot_overlay_pages", 0) > 0
         # ...and the reader replayed nothing: disk is byte-identical,
         # the journal still awaits the next writer.
         assert _digest(store) == before
@@ -283,5 +283,5 @@ class TestFrozenSnapshot:
             # the baseline and builds no overlay.
             assert "doc" in reader.document_names()
             assert "inflight" not in reader.document_names()
-            assert reader.stats.events.get("recovery.snapshot_overlay_pages", 0) == 0
+            assert reader.stats.counters.get("recovery.snapshot_overlay_pages", 0) == 0
         assert _digest(store) == before, "readers must not quarantine journals"

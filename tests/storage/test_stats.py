@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro import obs
 from repro.obs.metrics import MetricsRegistry
-from repro.storage.stats import SystemStats
+from repro.storage.stats import ACCESS_COUNTERS, SystemStats, event_counts
 
 
 @pytest.fixture
@@ -13,63 +14,97 @@ def stats():
 
 class TestCharging:
     def test_block_io(self, stats):
-        stats.block_read(3)
-        stats.block_write(2)
+        stats.count("storage.blocks_read", 3)
+        stats.count("storage.blocks_written", 2)
         assert stats.blocks_in == 3
         assert stats.blocks_out == 2
         assert stats.cumulative_blocks == 5
 
     def test_reset_clears_counters(self, stats):
-        stats.block_read(1)
-        stats.block_write(1)
-        stats.reset()
+        stats.count("storage.blocks_read")
+        stats.count("storage.blocks_written")
+        stats.clear()
         assert stats.cumulative_blocks == 0
 
     def test_only_counted_and_measured_fields(self):
-        names = {name for name in vars(SystemStats()) if not name.startswith("_")}
-        assert names == {"blocks_in", "blocks_out", "events", "timings", "metrics"}
+        assert isinstance(SystemStats(), MetricsRegistry)
+        names = {name for name in vars(SystemStats) if not name.startswith("_")}
+        assert names == {"count", "observe", "blocks_in", "blocks_out", "cumulative_blocks"}
+
+    def test_access_counters_start_at_zero(self, stats):
+        assert {name: stats.counter(name) for name in ACCESS_COUNTERS} == dict.fromkeys(
+            ACCESS_COUNTERS, 0
+        )
+        assert event_counts(stats.counters) == {}
+        stats.count("recovery.replays", 2)
+        assert event_counts(stats.counters) == {"recovery.replays": 2}
 
 
 class TestMetricsFeed:
-    """With a registry attached, counts mirror into trace counters."""
+    """Every count lands in the registry and on the current tracer."""
 
     def test_block_io_feeds_counters(self, stats):
-        stats.metrics = MetricsRegistry()
-        stats.block_read(3)
-        stats.block_write(2)
-        assert stats.metrics.counter("storage.blocks_read") == 3
-        assert stats.metrics.counter("storage.blocks_written") == 2
+        with obs.tracing() as tracer:
+            stats.count("storage.blocks_read", 3)
+            stats.count("storage.blocks_written", 2)
+        assert tracer.metrics.counter("storage.blocks_read") == 3
+        assert tracer.metrics.counter("storage.blocks_written") == 2
 
     def test_events_and_timings_feed_the_registry(self, stats):
-        stats.metrics = MetricsRegistry()
-        stats.event("recovery.replays", 2)
-        stats.observe("storage.page_read_seconds", 0.5)
-        assert stats.events == {"recovery.replays": 2}
-        assert stats.metrics.counter("recovery.replays") == 2
-        assert stats.timings["storage.page_read_seconds"].count == 1
-        assert stats.metrics.histograms["storage.page_read_seconds"].total == 0.5
+        with obs.tracing() as tracer:
+            stats.count("recovery.replays", 2)
+            stats.observe("storage.page_read_seconds", 0.5)
+        assert event_counts(stats.counters) == {"recovery.replays": 2}
+        assert tracer.metrics.counter("recovery.replays") == 2
+        assert stats.histograms["storage.page_read_seconds"].count == 1
+        assert tracer.metrics.histograms["storage.page_read_seconds"].total == 0.5
 
     def test_detached_by_default(self, stats):
-        assert stats.metrics is None
-        stats.block_read()  # must not raise
+        stats.count("storage.blocks_read")  # no tracer installed: must not raise
+        assert stats.blocks_in == 1
+        assert not obs.get_tracer().metrics
 
     def test_mirroring_leaves_counts_unchanged(self, stats):
-        """Attaching metrics must not perturb the counters themselves."""
-        mirrored = SystemStats(metrics=MetricsRegistry())
-        for target in (stats, mirrored):
-            target.block_read(4)
-            target.block_write(1)
-            target.event("serve.requests")
-        assert (mirrored.blocks_in, mirrored.blocks_out, mirrored.events) == (
-            stats.blocks_in,
-            stats.blocks_out,
-            stats.events,
-        )
+        """Counting under a tracer must not perturb the counters themselves."""
+        traced = SystemStats()
+        with obs.tracing():
+            traced.count("storage.blocks_read", 4)
+            traced.count("storage.blocks_written")
+            traced.count("serve.requests")
+        stats.count("storage.blocks_read", 4)
+        stats.count("storage.blocks_written")
+        stats.count("serve.requests")
+        assert traced.counters == stats.counters
 
     def test_reset_keeps_registry_attached(self, stats):
-        stats.metrics = MetricsRegistry()
-        stats.block_read()
-        stats.reset()
-        assert stats.metrics is not None
-        stats.block_write()
-        assert stats.metrics.counter("storage.blocks_written") == 1
+        stats.count("storage.blocks_read")
+        stats.clear()
+        with obs.tracing() as tracer:
+            stats.count("storage.blocks_written")
+        assert tracer.metrics.counter("storage.blocks_written") == 1
+        assert stats.blocks_out == 1
+
+    def test_each_context_sees_only_its_own_counts(self, stats):
+        import threading
+
+        def other_thread():
+            stats.count("storage.blocks_read", 5)
+
+        with obs.tracing() as tracer:
+            stats.count("storage.blocks_read")
+            worker = threading.Thread(target=other_thread)
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+        assert stats.blocks_in == 6
+        assert tracer.metrics.counter("storage.blocks_read") == 1
+
+    def test_copy_is_independent(self, stats):
+        stats.count("serve.requests")
+        stats.observe("serve.request_seconds", 0.25)
+        snapshot = stats.copy()
+        stats.count("serve.requests")
+        stats.observe("serve.request_seconds", 0.25)
+        assert snapshot.counter("serve.requests") == 1
+        assert snapshot.histogram("serve.request_seconds").count == 1
+        assert stats.histogram("serve.request_seconds").count == 2

@@ -345,7 +345,7 @@ class TestErrorsLeaveStoreUntouched:
                 ],
             )
         assert snapshot(db, "doc") == before
-        assert db.stats.events["storage.rollbacks"] == 1
+        assert db.stats.counters["storage.rollbacks"] == 1
         # The handle stays live: the next (valid) batch succeeds.
         result = db.apply_batch("doc", [DeleteSubtree("1.4")])
         assert result.nodes_removed == 3  # book, id attribute, title
