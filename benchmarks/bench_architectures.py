@@ -1,4 +1,4 @@
-"""Ablation: the three architectures of Section VIII.
+"""Ablation: the architectures of Section VIII, plus streaming.
 
 1. **Physical transformation** (the implemented architecture): shred →
    compile → render.
@@ -10,12 +10,9 @@
    the output directly, no output tree (the paper's mitigation for
    architecture 1).
 
-The lazy in-situ view (``repro.engine.logical.LogicalTransform``, the
-paper's logical option) is not timed here.  Expanding it costs one
-group lookup per virtual node — ``closest_partners`` reads the index's
-memoized ``group_by_prefix`` groups — so a full expansion is linear in
-the nodes it produces (it used to scan the target type's whole sequence
-per node); ``tests/engine/test_logical.py`` counts the grouping passes.
+The paper's third option, logically transforming the data in situ, is
+its future work and is not implemented: a guarded query always runs
+over the rendered forest (EXPERIMENTS.md records why).
 """
 
 import io

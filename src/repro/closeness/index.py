@@ -22,15 +22,15 @@ is prefix-of), so a read never builds an object per node:
   :func:`group_by_prefix`: group the positions of a document-ordered
   label column on the label prefix of that LCA level; the partners of a
   node are the group under its own prefix.  It is the only grouping loop
-  in this module — pair maps, RESTRICT semi-joins and per-node lookups
+  in this module — pair maps, RESTRICT semi-joins and node-level pairs
   all read the groups :class:`BaseIndex` memoizes per ``(type, prefix
   width)``.
 
 ``XmlNode`` + ``Dewey`` objects exist only at the API edge: a sequence
 materializes its nodes once, the first time somebody indexes or
-iterates it (the tree sink's provenance, the reference renderer, the
-logical view), and the index then remembers each node's ``(type,
-position)`` — the one ``id()``-keyed map left here.
+iterates it (the tree sink's provenance, the reference renderer), and
+the index then remembers each node's ``(type, position)`` — the one
+``id()``-keyed map left here.
 """
 
 from __future__ import annotations
@@ -342,7 +342,7 @@ class BaseIndex:
         with self._memo_lock:
             self._joins.clear()
 
-    # Node-level views of the joins (tests, the logical view) ----------------------
+    # Node-level view of the joins (quantified loss, tests) ------------------------
 
     def closest_pairs(
         self, first: DataType, second: DataType
@@ -360,16 +360,6 @@ class BaseIndex:
             for anchor, label in zip(anchors, anchors.labels):
                 for position in groups.get(prefix(label, width), ()):
                     yield anchor, partners[position]
-
-    def closest_partners(self, anchor: XmlNode, target: DataType) -> list[XmlNode]:
-        """The ``target``-typed nodes closest to one ``anchor`` node."""
-        data_type, position = self._position_of[id(anchor)]
-        width, groups = self._partner_groups(data_type, target)
-        if not groups:
-            return []
-        label = self.nodes_of(data_type).labels[position]
-        partners = self.nodes_of(target).nodes
-        return [partners[p] for p in groups.get(prefix(label, width), ())]
 
 
 class DocumentIndex(BaseIndex):

@@ -8,7 +8,8 @@
 * :mod:`repro.engine.interpreter` — the full pipeline of Figure 8:
   parse → algebra → type analysis → loss check → shape → render.
 * :mod:`repro.engine.guard` — query guards: couple a guard with an
-  XQuery-lite query, transforming the data before evaluation.
+  XQuery-lite query, transforming the data before evaluation; the query
+  always runs over the rendered forest.
 """
 
 from repro.engine.render import render, RenderResult

@@ -27,18 +27,7 @@ class NodeKind(enum.Enum):
     ATTRIBUTE = "attribute"
 
 
-class NodeLike:
-    """Marker base for anything the query engine can navigate.
-
-    :class:`XmlNode` is the materialized implementation; the logical
-    transform's lazily-expanding ``VirtualNode`` is the other.  The
-    XQuery evaluator dispatches on this base, so both navigate alike.
-    """
-
-    __slots__ = ()
-
-
-class XmlNode(NodeLike):
+class XmlNode:
     """A single element or attribute vertex.
 
     Attributes

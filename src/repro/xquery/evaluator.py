@@ -16,9 +16,9 @@ from typing import Callable, Optional, Union
 from repro.errors import QueryError
 from repro.xquery import ast
 from repro.xquery.parser import parse_query
-from repro.xmltree.node import NodeKind, NodeLike, XmlForest, XmlNode
+from repro.xmltree.node import NodeKind, XmlForest, XmlNode
 
-Item = Union[NodeLike, str, float, bool]
+Item = Union[XmlNode, str, float, bool]
 Sequence = list
 
 
@@ -65,7 +65,7 @@ def evaluate(query: str | ast.Expr, context: QueryContext) -> Sequence:
 
 def string_value(item: Item) -> str:
     """XPath string value (atomization of one item)."""
-    if isinstance(item, NodeLike):
+    if isinstance(item, XmlNode):
         pieces: list[str] = []
         for node in item.iter_subtree():
             if node.text:
@@ -90,7 +90,7 @@ def boolean_value(sequence: Sequence) -> bool:
     if not sequence:
         return False
     first = sequence[0]
-    if isinstance(first, NodeLike):
+    if isinstance(first, XmlNode):
         return True
     if len(sequence) > 1:
         raise QueryError("effective boolean value of a multi-item atomic sequence")
@@ -158,7 +158,7 @@ def _eval_path(path: ast.Path, ctx: QueryContext) -> Sequence:
 
 
 def _eval_step(step: ast.Step, inputs: Sequence, ctx: QueryContext) -> Sequence:
-    nodes = [item for item in inputs if isinstance(item, NodeLike)]
+    nodes = [item for item in inputs if isinstance(item, XmlNode)]
     output: Sequence = []
     if step.axis == "self":
         output = list(inputs)
@@ -212,7 +212,7 @@ def _filter(predicate: ast.Expr, items: Sequence, ctx: QueryContext) -> Sequence
         inner = QueryContext(
             ctx.documents,
             ctx.variables,
-            [item] if isinstance(item, NodeLike) else [],
+            [item] if isinstance(item, XmlNode) else [],
         )
         value = _eval(predicate, inner)
         # Numeric predicate = positional selection.
@@ -344,7 +344,7 @@ def _eval_constructor(expr: ast.Constructor, ctx: QueryContext) -> XmlNode:
                 text_pieces.append(stripped)
             continue
         for item in _eval(part, ctx):
-            if isinstance(item, NodeLike):
+            if isinstance(item, XmlNode):
                 node.append(item.copy_subtree())
             else:
                 text_pieces.append(string_value(item))
@@ -390,7 +390,7 @@ def _fn_string(args: list[Sequence], _ctx: QueryContext) -> Sequence:
 
 
 def _fn_name(args: list[Sequence], _ctx: QueryContext) -> Sequence:
-    if not args or not args[0] or not isinstance(args[0][0], NodeLike):
+    if not args or not args[0] or not isinstance(args[0][0], XmlNode):
         return [""]
     return [args[0][0].name]
 

@@ -8,7 +8,7 @@ Three families:
 * the closest-join memos — concurrent ``closest_pair_map`` calls on one
   index return the *same* memo object (a second compute would silently
   produce different node identities for the id-keyed maps), and
-  ``closest_partners`` / ``restrict_pass`` racing it share one grouping;
+  ``closest_pairs`` / ``restrict_pass`` racing it share one grouping;
 * the counters — ``SystemStats.event`` and ``MetricsRegistry.inc`` are
   increments, so N threads x M increments must total exactly N*M.
 """
@@ -144,7 +144,7 @@ class TestJoinMemoSingleFlight:
         )
 
     def test_mixed_join_entry_points_share_one_grouping(self, monkeypatch):
-        # closest_partners takes the memo lock on its own, restrict_pass
+        # closest_pairs takes the memo lock on its own, restrict_pass
         # and closest_pair_map reach the group memo from inside theirs:
         # whichever thread gets there first, each (type, width) is grouped
         # once and every caller reads that one grouping.
@@ -180,10 +180,10 @@ class TestJoinMemoSingleFlight:
             if i % 3 == 2:
                 shape = filter_of((a, [(b, [])]))
                 assert len(index.restrict_pass(a, shape)) == 40
-            return [
-                [index.position_of(partner)[1] for partner in index.closest_partners(node, b)]
-                for node in index.nodes_of(c)
-            ]
+            partners = [[] for _ in range(len(index.nodes_of(c)))]
+            for anchor, partner in index.closest_pairs(c, b):
+                partners[index.position_of(anchor)[1]].append(index.position_of(partner)[1])
+            return partners
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)

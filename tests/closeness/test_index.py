@@ -89,9 +89,9 @@ class TestClosestPairsFig1:
     def test_closest_partners_of_node(self, fig1a):
         index = DocumentIndex(fig1a)
         title = data_type(index, "data.book.title")
-        first_publisher = index.nodes_of(data_type(index, "data.book.publisher"))[0]
-        partners = index.closest_partners(first_publisher, title)
-        assert [str(n.dewey) for n in partners] == ["1.1.1"]
+        mapping = index.closest_pair_map(data_type(index, "data.book.publisher"), title)
+        titles = index.nodes_of(title)
+        assert [str(titles[p].dewey) for p in mapping[0]] == ["1.1.1"]
 
     def test_grouped_instance_fanout(self, fig1c):
         # In (c), one author groups two books: author CLOSE book fans out.
@@ -331,10 +331,6 @@ class TestClosestPairMapMemo:
         name = data_type(index, "data.author.name")
         mapping = index.closest_pair_map(book, name)
         assert mapping[0] is mapping[1]
-        names = index.nodes_of(name)
-        assert index.closest_partners(index.nodes_of(book)[0], name) == [
-            names[position] for position in mapping[0]
-        ]
 
     def test_second_lookup_is_cached(self, fig1a):
         index = DocumentIndex(fig1a)

@@ -68,30 +68,55 @@ class TestIntroScenario:
             assert guarded.run(forest).items == ["W"], key
 
 
-class TestLazyGuardedQuery:
-    def test_lazy_matches_materialized(self, fig1_all):
-        query = "for $a in /author return $a/book/title/text()"
-        guard = "MORPH author [ name book [ title ] ]"
-        for forest in fig1_all.values():
-            eager = repro.GuardedQuery(guard, query).run(forest)
-            lazy = repro.GuardedQuery(guard, query, materialize=False).run(forest)
-            assert lazy.items == eager.items
+BOOKS = (
+    "<r><book><title>X</title><author>A</author><year>2000</year></book>"
+    "<book><title>Y</title><author>B</author></book></r>"
+)
 
-    def test_lazy_still_type_checks(self, fig1c):
-        guarded = repro.GuardedQuery(
-            "MORPH author [ title name publisher [ name ] ]",
-            "count(/author)",
-            materialize=False,
-        )
-        with pytest.raises(GuardTypeError):
-            guarded.run(fig1c)
 
-    def test_lazy_outcome_reports_guard_type(self, fig1a):
+class TestGuardRootedInRestrictOrNew:
+    """The query sees exactly what the guard renders: a RESTRICT root
+    drops the books without a year, a NEW root wraps each book."""
+
+    def test_restrict_rooted_guard_filters_the_query(self):
         outcome = repro.GuardedQuery(
-            "MORPH author [ name ]", "count(/author)", materialize=False
-        ).run(fig1a)
-        assert outcome.guard_type is GuardType.STRONGLY_TYPED
-        assert outcome.items == [2.0]
+            "MORPH (RESTRICT book [ year ]) [ title ]",
+            "for $b in /book return $b/title/text()",
+        ).run(repro.parse_document(BOOKS))
+        assert outcome.items == ["X"]
+
+    def test_new_rooted_guard_counts_its_wrappers(self):
+        guard = "CAST MORPH (NEW shelf) [ book [ title ] ]"
+        forest = repro.parse_document(BOOKS)
+        assert repro.GuardedQuery(guard, "count(/shelf)").run(forest).items == [2.0]
+        per_shelf = "for $s in /shelf return count($s/book)"
+        assert repro.GuardedQuery(guard, per_shelf).run(forest).items == [1.0, 1.0]
+
+
+class TestStoredIndexSource:
+    """``run`` accepts any index: a stored document answers as its parse."""
+
+    GUARDED = [
+        repro.GuardedQuery(
+            "MORPH author [ name book [ title ] ]",
+            "for $a in doc('input')/author return $a/book/title/text()",
+        ),
+        repro.GuardedQuery(
+            "MORPH publisher [ name book [ title ] ]",
+            "for $p in /publisher where $p/book/title = 'X' return $p/name/text()",
+        ),
+    ]
+
+    def test_stored_index_matches_parsed_forest(self, fig1_all, tmp_path):
+        from repro.storage import Database
+
+        with Database(str(tmp_path / "fig1.db"), durable=False) as db:
+            for name, forest in fig1_all.items():
+                db.store_document(name, forest)
+            for name, forest in fig1_all.items():
+                for guarded in self.GUARDED:
+                    stored = guarded.run(db.index(name)).items
+                    assert stored == guarded.run(forest).items, (name, guarded.guard)
 
 
 class TestTransformResultApi:
