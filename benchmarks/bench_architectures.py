@@ -1,7 +1,7 @@
 """Ablation: the architectures of Section VIII, plus streaming.
 
 1. **Physical transformation** (the implemented architecture): shred →
-   compile → render.
+   compile → render (the compiled emitter's tree sink).
 2. **XQuery view**: render the guard as a nested-FLWOR view and
    evaluate it on the source — "while there will be some speed-up over
    the previous approach for some queries, the worst-case cost is the
@@ -21,7 +21,6 @@ import pytest
 
 import repro
 from repro.bench.reporting import SeriesTable
-from repro.engine.compile import CompiledRender
 from repro.engine.view import shape_to_xquery
 from repro.workloads import generate_dblp
 from repro.xquery import QueryContext, evaluate
@@ -63,7 +62,7 @@ def test_architecture(benchmark, architecture, setup):
         context = QueryContext.for_forest(forest)
         run = lambda: evaluate(view, context)  # noqa: E731
     else:
-        emitter = CompiledRender(compiled.target_shape, interpreter.index)
+        emitter = compiled.compiled_render
         run = lambda: emitter.write(interpreter.index, io.StringIO())  # noqa: E731
 
     benchmark.pedantic(run, rounds=2, iterations=1)

@@ -9,8 +9,8 @@ Two caches make repeated guard evaluation cheap:
   (every :class:`repro.storage.Database` holds one);
 * the **closest-join memo** (on
   :class:`repro.closeness.index.BaseIndex`): per-type-pair closest-join
-  maps shared between the reference renderer and both sinks of the
-  compiled one, invalidated together with the index's node sequences.
+  maps shared between both sinks of every plan's emitter, invalidated
+  together with the index's node sequences.
 
 See ``docs/PERFORMANCE.md`` for the design and the metric catalogue
 (``plan_cache.*``, ``join_cache.*``).

@@ -93,12 +93,11 @@ class CompiledPlan:
     loss: "LossReport"
     evaluation: "EvaluationResult"
     compile_seconds: float
-    #: The plan's compiled emitter (:mod:`repro.engine.compile`), with
-    #: whichever sink functions renders have asked for so far; ``None``
-    #: on a plan nobody attached one to.  Like the rest of the plan it
-    #: reads only the shape, so it serves every document whose
-    #: fingerprint matches and leaves the cache only with the plan.
-    compiled_render: "Optional[CompiledRender]" = None
+    #: The plan's emitter (:mod:`repro.engine.compile`), with whichever
+    #: sink functions renders have asked for so far.  Like the rest of
+    #: the plan it reads only the shape, so it serves every document
+    #: whose fingerprint matches and leaves the cache only with the plan.
+    compiled_render: "CompiledRender"
 
     @classmethod
     def from_result(cls, result: "TransformResult", fingerprint: str) -> "CompiledPlan":

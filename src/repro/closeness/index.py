@@ -28,7 +28,7 @@ is prefix-of), so a read never builds an object per node:
 
 ``XmlNode`` + ``Dewey`` objects exist only at the API edge: a sequence
 materializes its nodes once, the first time somebody indexes or
-iterates it (the tree sink's provenance, the reference renderer), and
+iterates it (the tree sink's provenance), and
 the index then remembers each node's ``(type, position)`` — the one
 ``id()``-keyed map left here.
 """
@@ -140,8 +140,8 @@ class BaseIndex:
     label prefix width (:func:`group_by_prefix`, built at most once per
     ``(type, width)``), and on top of that per-type-pair closest-join
     maps (:meth:`closest_pair_map`) and RESTRICT semi-join survivors
-    (:meth:`restrict_pass`), shared by the reference renderer and both
-    sinks of the compiled one.  It is dropped together with the
+    (:meth:`restrict_pass`), shared by both sinks of every plan's
+    emitter.  It is dropped together with the
     sequences (:meth:`drop_join_cache`).
 
     A group list is *shared*: every anchor under one prefix maps to the

@@ -1,12 +1,20 @@
-"""The compiled Render emitter: one plan-time generator, two sinks.
+"""The Render algorithm (Section VII, Figure 7): one plan-time generator, two sinks.
 
-The reference renderer in :mod:`repro.engine.render` is a faithful but
-interpretive implementation of Section VII: every node copy goes through
-``_make``, every shape edge re-dispatches on the child's kind, and every
-join re-derives its anchor type at render time.  None of that dispatch
-depends on the data — it depends only on the *target shape*, which is
-fixed per ``(guard, shape fingerprint)`` plan.
+Rendering descends the target shape; for each shape edge ``(t, u)`` it
+pairs the parent instances with their *closest* source nodes of ``u``'s
+source type and appends a copy of each matched node under each matched
+parent.  The pairing is the CLOSE join of the paper, a merge on the
+Dewey prefix at the level the type distance fixes, so the read side is
+linear; a source node closest to several parents is copied under each,
+so the write side can be quadratic.  A **NEW** type gets one instance
+per closest instance of its first source-backed child (one empty
+element when it has none), a **RESTRICT**-ed type keeps the instances
+the closest semi-join against its filter shape lets through, and a
+**synthesized** (TYPE-FILLed) type renders one empty element per
+parent.
 
+None of that dispatch depends on the data — it depends only on the
+*target shape*, which is fixed per ``(guard, shape fingerprint)`` plan.
 :class:`CompiledRender` therefore walks the target shape **once at plan
 time** and records, per shape vertex, everything that is static: the
 anchor data type its instances carry (a backed child anchors on its
@@ -23,7 +31,7 @@ the per-node snippet chosen by **sink**:
   s via ``__new__`` plus slot stores, numbers them inline (a parent's
   Dewey number is final before its children exist, so the sibling
   ordinal is the child-list length at append time) and records
-  provenance: a :class:`RenderResult`, as the reference produces;
+  provenance: a :class:`RenderResult`;
 * the **text sink** (:meth:`CompiledRender.write` into a file-like,
   :meth:`CompiledRender.text` into a string) appends escaped XML to a
   chunk buffer that is flushed to ``out`` between root instances: no
@@ -40,8 +48,10 @@ node's text and attribute flag from the sequence's columns — it touches
 no ``XmlNode`` and no ``Dewey``.  Only the tree sink asks a sequence for
 its node objects, because provenance hands them to the caller.
 
-A sink's function is generated, ``exec``'d and kept the first time that
-sink is asked for; the artifact lives on the
+``Interpreter.compile`` builds the one :class:`CompiledRender` of a
+plan, and every render — in memory or from a store — runs it.  A
+sink's function is generated, ``exec``'d and kept the first time that
+sink is asked for; a stored document's artifact lives on the
 :class:`~repro.cache.CompiledPlan`, so eviction drops it with the
 plan.  The generated code holds only the loops.  Fetching
 the candidate sequences and partner maps before them, and the counters
@@ -55,9 +65,10 @@ value-equal across index epochs, type sequences are fetched through
 ``index.nodes_of`` at render time (so lazy loading and block-I/O
 counting keep working; positions are the same in every load of a
 type), and per-type counts are covered by the shape fingerprint that
-keys the cache.  Both sinks are byte-identical to the reference, the
-tree sink down to counters, provenance and trace (the parity and
-Hypothesis suites in ``tests/engine`` pin this down).  A codegen failure is a bug and
+keys the cache.  Both sinks are byte-identical to the interpretive
+oracle ``tests/engine/oracle.py::reference_render``, the tree sink down
+to counters, provenance and trace (the parity and Hypothesis suites in
+``tests/engine`` pin this down).  A codegen failure is a bug and
 propagates like any engine error.
 """
 
@@ -69,7 +80,6 @@ from typing import TYPE_CHECKING, Callable, Optional, TextIO
 
 from repro.closeness.index import TypeSequence
 from repro.obs import tracer as obs
-from repro.engine.render import RenderResult
 from repro.shape.shape import Shape
 from repro.shape.types import DataType, ShapeType
 from repro.xmltree.dewey import Dewey
@@ -91,6 +101,27 @@ _FLUSH_CHUNKS = 1024
 # inlined: a call per node costs a quarter of a text render.
 _ESCAPE_TEXT = ".replace('&', '&amp;').replace('<', '&lt;').replace('>', '&gt;')"
 _ESCAPE_ATTR = _ESCAPE_TEXT + ".replace('\"', '&quot;')"
+
+
+@dataclass
+class RenderResult:
+    """A tree-sink render: the output forest plus its bookkeeping."""
+
+    forest: XmlForest
+    #: id(output node) -> source node (absent for NEW/synthesized nodes).
+    provenance: dict[int, XmlNode] = field(default_factory=dict)
+    nodes_written: int = 0
+    nodes_read: int = 0
+    joins: int = 0
+    #: id(shape type) -> number of output instances ("actual rows").
+    rows_by_type: dict[int, int] = field(default_factory=dict)
+
+    def source_of(self, node: XmlNode) -> Optional[XmlNode]:
+        return self.provenance.get(id(node))
+
+    def rows_for(self, shape_type: ShapeType) -> int:
+        """Actual output instances of one target shape type."""
+        return self.rows_by_type.get(id(shape_type), 0)
 
 
 @dataclass
@@ -210,9 +241,9 @@ class _Planner:
         """Resolve every shape edge out of ``parent``.
 
         ``anchor`` is the data type ``parent``'s instances anchor on.
-        ``new_leading`` switches to the NEW-wrapper dispatch of the
-        reference's ``_attach_new_children`` (the leading child maps
-        1:1 and the placeholder short-circuit does not apply).
+        ``new_leading`` switches to the NEW-wrapper dispatch (the
+        leading child maps 1:1 and the placeholder short-circuit does
+        not apply).
         """
         for child in self.shape.children(parent.vertex):
             if child is new_leading:
@@ -245,8 +276,8 @@ class _Planner:
     ) -> None:
         """Candidates of ``source`` joined against ``parent``'s instances.
 
-        Three statically-distinguished forms (the reference re-derives
-        this per render from the runtime anchor types): no anchor —
+        Three forms, told apart here once rather than per render from
+        the runtime anchor types: no anchor —
         every parent gets every candidate and no join is counted; the
         anchor type *is* the source type — each parent wraps its own
         anchor, bypassing any RESTRICT intersection; otherwise the
@@ -266,8 +297,8 @@ class _Planner:
 class CompiledRender:
     """The specialized renderer of one ``(guard, shape)`` plan.
 
-    ``run(index)`` produces a :class:`RenderResult` identical to
-    ``render(shape, index)``; ``write(index, out)`` writes
+    ``run(index)`` produces the output forest as a
+    :class:`RenderResult`; ``write(index, out)`` writes
     ``serialize()`` of that forest into ``out`` without building it,
     and ``text(index)`` returns it as one string.
     ``edge_plans`` is the per-edge join plan for ``EXPLAIN ANALYZE``,
@@ -301,7 +332,7 @@ class CompiledRender:
     def run(self, index: "BaseIndex") -> RenderResult:
         """Render into the tree sink."""
         sequences, found, probes = self._prepare(index)
-        result = RenderResult(XmlForest(), compiled=True)
+        result = RenderResult(XmlForest())
         rows = self._function("tree")(
             sequences, found, probes, result.forest.roots, result.provenance
         )
@@ -396,11 +427,11 @@ class CompiledRender:
         """``(nodes_written, nodes_read, joins)`` of one render, counted.
 
         An edge was evaluated iff its parent has instances; that is all
-        the reference's counters depend on, so they are recomputed here
-        from the per-edge instance counts instead of inside the loops.
-        Under a tracer the reference's ``render.join`` spans, the
+        the counters depend on, so they are computed here from the
+        per-edge instance counts instead of inside the loops.  Under a
+        tracer one ``render.join`` span per evaluated join, the
         ``join.comparisons`` counter and the ``join.pairs`` histogram
-        are replayed in the same (shape pre-order) sequence.
+        are replayed in shape pre-order.
         """
         traced = obs.enabled()
         carried: dict[int, Optional[set[int]]] = {}

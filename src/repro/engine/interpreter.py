@@ -4,7 +4,9 @@
 generation → render``.  Everything before rendering is "compilation" —
 the paper measures it separately (Figure 10's compile series) and finds
 it a vanishing fraction of the total cost, because it only touches the
-adorned shape, never the data.
+adorned shape, never the data.  Its last step plans the render: the one
+:class:`~repro.engine.compile.CompiledRender` of the guard, which every
+render of the result runs, in memory or from a store.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from repro.algebra.context import DocumentShapeContext
 from repro.algebra.operators import Operator
 from repro.algebra.semantics import EvaluationResult, Evaluator
 from repro.closeness.index import BaseIndex, DocumentIndex
-from repro.engine.compile import CompiledRender
-from repro.engine.render import RenderResult, render
+from repro.engine.compile import CompiledRender, RenderResult
 from repro.lang.parser import parse_guard
 from repro.shape.shape import Shape
 from repro.typing.enforce import enforce
@@ -47,12 +48,11 @@ class TransformResult:
     target_shape: Shape
     loss: LossReport
     evaluation: EvaluationResult
+    #: The plan's emitter (:mod:`repro.engine.compile`), built by
+    #: ``Interpreter.compile``; a ``Database`` caches it with the plan.
+    compiled_render: CompiledRender
     compile_seconds: float = 0.0
     render_seconds: float = 0.0
-    #: The plan's compiled emitter (:mod:`repro.engine.compile`), attached
-    #: by whoever owns the plan (``Database``) and cached alongside the
-    #: shape; ``None`` renders through the reference ``render()``.
-    compiled_render: Optional[CompiledRender] = None
     #: The index a planned result renders from when first read.
     source: Optional[BaseIndex] = None
     #: ``(nodes_written, nodes_read, joins)`` of the first render.
@@ -109,10 +109,9 @@ class Interpreter:
         A parsed :class:`~repro.xmltree.XmlForest` or a prebuilt
         :class:`~repro.closeness.DocumentIndex`.
 
-    A guard compiled here has no emitter attached (``compiled_render``
-    is ``None``), so :meth:`transform` renders through the reference
-    ``render()`` — the independent route the parity suites compare the
-    compiled emitter against.
+    :meth:`compile` builds the plan's :class:`CompiledRender`, the one
+    renderer: :meth:`transform` here and every render of a plan a
+    ``Database`` caches run it.
     """
 
     def __init__(self, source: XmlForest | BaseIndex):
@@ -127,12 +126,15 @@ class Interpreter:
             evaluation, loss = self._analyze(operator, enforcement)
             with obs.span("typing.enforce"):
                 enforce(loss, enforcement)
+            # Each sink's code is generated by the first render that asks for it.
+            emitter = CompiledRender(evaluation.shape, self.index)
         return TransformResult(
             guard=guard,
             target_shape=evaluation.shape,
             loss=loss,
             evaluation=evaluation,
             compile_seconds=compile_span.duration,
+            compiled_render=emitter,
         )
 
     def check(self, guard: str) -> LossReport:
@@ -191,10 +193,7 @@ class Interpreter:
             compiled_render=compiled.compiled_render,
         )
         with obs.span("pipeline.render") as render_span:
-            if result.compiled_render is not None:
-                result._rendered = result.compiled_render.run(self.index)
-            else:
-                result._rendered = render(result.target_shape, self.index)
+            result._rendered = result.compiled_render.run(self.index)
         result._account(result._rendered, render_span.duration)
         return result
 

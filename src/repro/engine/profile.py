@@ -112,18 +112,15 @@ class ProfileReport:
                 f"joins={rendered.joins}"
             )
             compiled = self.result.compiled_render
-            if compiled is not None:
-                lines.append(f"render.compiled: {compiled.describe()}")
-                for edge in compiled.edge_plans:
-                    level = edge["lca_level"]
-                    detail = f" lca_level={level}" if level is not None else ""
-                    lines.append(
-                        f"  {edge['child']}  [{edge['kind']}]"
-                        f"  anchors={edge['anchor_rows']}"
-                        f" candidates={edge['child_rows']}{detail}"
-                    )
-            else:
-                lines.append("render.compiled: no (interpreted)")
+            lines.append(f"render.compiled: {compiled.describe()}")
+            for edge in compiled.edge_plans:
+                level = edge["lca_level"]
+                detail = f" lca_level={level}" if level is not None else ""
+                lines.append(
+                    f"  {edge['child']}  [{edge['kind']}]"
+                    f"  anchors={edge['anchor_rows']}"
+                    f" candidates={edge['child_rows']}{detail}"
+                )
         metric_lines = obs.render_metrics(self.tracer.metrics)
         if metric_lines:
             lines.append("")

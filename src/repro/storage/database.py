@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from repro.cache import CompiledPlan, PlanCache
 from repro.closeness.index import BaseIndex, TypeSequence
-from repro.engine.compile import CompiledRender, StreamStats
+from repro.engine.compile import StreamStats
 from repro.engine.interpreter import Interpreter, TransformResult
 from repro.errors import (
     DocumentNotFoundError,
@@ -250,9 +250,6 @@ class Database:
         def compile_guard() -> TransformResult:
             started = time.perf_counter()
             result = Interpreter(index).compile(guard)
-            # The emitter rides on the plan; each sink's code is generated
-            # by the first render that asks for it.
-            result.compiled_render = CompiledRender(result.target_shape, index)
             self.stats.observe("plan.compile_seconds", time.perf_counter() - started)
             return result
 

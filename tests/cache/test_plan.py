@@ -55,6 +55,7 @@ def _plan(guard="G", fingerprint="f" * 16):
         loss=None,
         evaluation=None,
         compile_seconds=0.0,
+        compiled_render=None,
     )
 
 

@@ -32,6 +32,7 @@ def _plan(guard: str, fingerprint: str) -> CompiledPlan:
         loss=None,
         evaluation=None,
         compile_seconds=0.0,
+        compiled_render=None,
     )
 
 

@@ -1,7 +1,7 @@
 """The compiled emitter (repro.engine.compile) and its cache
-carry-through: parity with the reference renderer on both sinks, trace
-parity, the plan-cache bugfixes that rode along, and the single-fetch
-fix in the reference renderer.
+carry-through: parity with the oracle ``reference_render`` on both
+sinks, trace parity, the plan-cache bugfixes that rode along, and one
+fetch per source type and render.
 """
 
 import gc
@@ -18,12 +18,12 @@ from repro.closeness import DocumentIndex
 from repro.engine.compile import CompiledRender
 from repro.engine.interpreter import Interpreter
 from repro.engine.profile import profile_document
-from repro.engine.render import render
 from repro.storage import Database
 from repro.workloads import generate_dblp
 from repro.xmltree.serializer import serialize
 
 from tests.conftest import FIG1A
+from tests.engine.oracle import reference_render
 from tests.engine.test_parity import GUARD_DIR, assert_parity, corpus_guards
 
 DBLP_GUARDS = [
@@ -34,14 +34,6 @@ DBLP_GUARDS = [
     "CAST (MUTATE (NEW record) [ author title ])",
     "CAST (TYPE-FILL MORPH article [ title isbn ])",
 ]
-
-
-def compiled_plan(interp, guard):
-    """``guard`` compiled over ``interp``'s index with the emitter
-    attached, as ``Database`` attaches it to the plans it caches."""
-    plan = interp.compile(guard)
-    plan.compiled_render = CompiledRender(plan.target_shape, interp.index)
-    return plan
 
 
 @pytest.fixture(scope="module")
@@ -77,18 +69,21 @@ class TestCorpusParity:
 
 
 class TestTraceParity:
-    """Traced runs: identical spans, counters and histograms."""
+    """Traced runs of the oracle and the emitter: identical spans,
+    counters and histograms."""
 
     @pytest.mark.parametrize("guard", DBLP_GUARDS)
     def test_traced_metrics_match(self, guard):
         snapshots = []
         for compiled in (False, True):
             interp = Interpreter(generate_dblp(40))
-            plan = compiled_plan(interp, guard) if compiled else interp.compile(guard)
+            plan = interp.compile(guard)
             tracer = obs.Tracer()
             with obs.tracing(tracer):
-                result = interp.render_compiled(plan)
-            assert (result.rendered.compiled is True) == compiled
+                if compiled:
+                    interp.render_compiled(plan)
+                else:
+                    reference_render(plan.target_shape, interp.index)
             spans = [
                 (
                     span.name,
@@ -115,7 +110,7 @@ class TestTraceParity:
 class TestCompiledArtifact:
     def test_source_and_describe(self, books):
         interp = Interpreter(books)
-        artifact = compiled_plan(interp, "CAST MORPH author [ name ]").compiled_render
+        artifact = interp.compile("CAST MORPH author [ name ]").compiled_render
         assert "edges specialized" in artifact.describe()
         assert artifact.edge_plans, "edge plans recorded for EXPLAIN ANALYZE"
         # A sink's function exists once that sink has been asked for.
@@ -129,14 +124,14 @@ class TestCompiledArtifact:
 
     def test_join_levels_and_cardinalities_recorded(self, books):
         interp = Interpreter(books)
-        plan = compiled_plan(interp, "CAST MORPH author [ title ]")
+        plan = interp.compile("CAST MORPH author [ title ]")
         joins = [e for e in plan.compiled_render.edge_plans if e["kind"] == "join"]
         assert joins and all(e["lca_level"] is not None for e in joins)
         assert all(e["anchor_rows"] > 0 and e["child_rows"] > 0 for e in joins)
 
     def test_rerun_is_deterministic(self, books):
         interp = Interpreter(books)
-        plan = compiled_plan(interp, "CAST MORPH author [ name book [ title ] ]")
+        plan = interp.compile("CAST MORPH author [ name book [ title ] ]")
         first = interp.render_compiled(plan)
         second = interp.render_compiled(plan)
         assert serialize(first.rendered.forest) == serialize(second.rendered.forest)
@@ -150,7 +145,7 @@ class TestDatabaseKnob:
             guard = "CAST MORPH author [ name ]"
             cold = db.transform("doc", guard)
             warm = db.transform("doc", guard)
-            assert cold.rendered.compiled and warm.rendered.compiled
+            assert warm.compiled_render is cold.compiled_render
             assert db.plan_cache.stats()["hits"] >= 1
             assert serialize(warm.rendered.forest) == serialize(cold.rendered.forest)
         finally:
@@ -167,8 +162,9 @@ class TestDatabaseKnob:
 class TestCompiledBeatsReference:
     """Specialization has to pay for its code: on a warm plan each sink
     of the generated emitter is several times faster than the reference
-    route it must stay byte-identical to — the tree sink than
-    ``render()``, the text sink than ``render()`` plus ``serialize()``.
+    it must stay byte-identical to, the oracle — the tree sink than
+    ``reference_render()``, the text sink than ``reference_render()``
+    plus ``serialize()``.
     Both sides run interleaved in one process on the same cached plan,
     so the ratio does not depend on how fast the machine is; 2x leaves
     room for a loaded runner (tree 2.6-3.9x, text ~9x measured), not
@@ -194,7 +190,7 @@ class TestCompiledBeatsReference:
                 return out.getvalue()
 
             def reference_route():
-                forest = render(plan.target_shape, index).forest
+                forest = reference_render(plan.target_shape, index).forest
                 return forest if sink == "tree" else serialize(forest)
 
             compiled_route()  # generates the sink's function
@@ -257,25 +253,28 @@ class _CountingIndex(DocumentIndex):
 
 
 class TestSingleFetch:
+    GUARD = "CAST MORPH author [ name book [ title ] ]"
+
     def test_interpreter_fetches_each_source_type_once_per_render(self):
-        """Bugfix: the synthesized-empty probe in ``_attach_children``
-        used to fetch the source sequence and then fetch it *again* in
-        ``_attach_backed``, double-counting ``nodes_read``."""
+        """Bugfix: the oracle's synthesized-empty probe in
+        ``_attach_children`` used to fetch the source sequence and then
+        fetch it *again* in ``_attach_backed``, double-counting
+        ``nodes_read``.  The emitter fetches once per edge too."""
         index = _CountingIndex(repro.parse_forest(FIG1A))
         interp = Interpreter(index)
-        plan = interp.compile("CAST MORPH author [ name book [ title ] ]")
+        plan = interp.compile(self.GUARD)
         # Warm once so the memoized pair maps stop fetching internally;
         # the remaining fetches are the render's own source reads.
-        interp.render_compiled(plan)
+        reference_render(plan.target_shape, index)
         index.fetches.clear()
-        result = interp.render_compiled(plan)
+        reference = reference_render(plan.target_shape, index)
         # Each type appears once in this shape, so one fetch each.
         assert all(count == 1 for count in index.fetches.values()), index.fetches
-        # nodes_read agrees with the compiled engine on the same doc.
-        comp = Interpreter(repro.parse_forest(FIG1A))
-        cplan = compiled_plan(comp, "CAST MORPH author [ name book [ title ] ]")
-        cres = comp.render_compiled(cplan)
-        assert result.rendered.nodes_read == cres.rendered.nodes_read
+        fetched = dict(index.fetches)
+        index.fetches.clear()
+        result = interp.render_compiled(plan)
+        assert index.fetches == fetched
+        assert result.rendered.nodes_read == reference.nodes_read
 
 
 class TestSharedPartnerListsStayIntact:
@@ -293,9 +292,9 @@ class TestSharedPartnerListsStayIntact:
             for partners in index.closest_pair_map(author, title)
         ]
         full = interp.compile("CAST MORPH author [ title ]")
-        narrowed = compiled_plan(interp, "CAST MORPH author [ (RESTRICT title [ ee ]) ]")
+        narrowed = interp.compile("CAST MORPH author [ (RESTRICT title [ ee ]) ]")
         expected = interp.render_compiled(full).xml()
-        restricted = render(narrowed.target_shape, index)  # reference: _join
+        restricted = reference_render(narrowed.target_shape, index)  # oracle: _join
         emitter = narrowed.compiled_render
         assert emitter.run(index).nodes_written == restricted.nodes_written  # _prepare
         emitter.write(index, io.StringIO())

@@ -1,7 +1,7 @@
 """Property-based parity: the compiled emitter IS the reference.
 
-The emitter's one correctness claim is identity with the reference
-Render algorithm on every plan: the tree sink node for node — names,
+The emitter's one correctness claim is identity with the interpretive
+Render algorithm, ``tests.engine.oracle.reference_render``, on every plan: the tree sink node for node — names,
 text, Dewey identifiers, provenance size and every render counter — and
 the text sink byte for byte with ``serialize()`` of that tree.  We fuzz
 the claim directly (it is :func:`tests.engine.test_parity.assert_parity`):

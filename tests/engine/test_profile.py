@@ -1,6 +1,7 @@
 """Tests for pipeline tracing and EXPLAIN ANALYZE (repro.engine.profile)."""
 
 import json
+import re
 
 import pytest
 
@@ -88,6 +89,13 @@ class TestProfileTransform:
         assert "pipeline.render" in text
         assert "stage 0: MorphOp" in text
         assert "nodes_emitted=" in text
+
+    def test_pretty_shows_the_emitters_plan(self, forest):
+        """An in-memory render runs the plan's emitter, so its EXPLAIN
+        ANALYZE prints the emitter's edges, as a stored one does."""
+        text = profile_transform(forest, GUARD).pretty()
+        assert re.search(r"render\.compiled: \d+ edges specialized", text), text
+        assert re.search(r"^  name  \[join\]  anchors=\d+ candidates=\d+", text, re.M), text
 
     def test_trace_json_is_valid(self, forest):
         for line in profile_transform(forest, GUARD).trace_json().splitlines():

@@ -23,6 +23,8 @@ from repro.storage import reference_apply
 from repro.storage.fsck import fsck
 from repro.xmltree.parser import parse_forest
 
+from tests.engine.oracle import reference_render
+
 # Large enough that the update batch dirties several pages, giving the
 # mid-flush failpoints later writes to tear.
 BASELINE_DOC = "<data>" + "".join(
@@ -206,7 +208,7 @@ def test_fsck_repair_after_crashed_update(tmp_path, capsys):
 
 
 def test_rendered_output_agrees_after_recovered_update_crash(tmp_path):
-    # After crash + recovery, the compiled emitter and the reference
+    # After crash + recovery, the compiled emitter and the oracle
     # renderer must still agree on the recovered document.
     path = str(tmp_path / "parity.db")
     _commit_baseline(path)
@@ -214,5 +216,7 @@ def test_rendered_output_agrees_after_recovered_update_crash(tmp_path):
     guard = "MORPH book [ title ]"
     with Database(path) as db:
         compiled = db.transform("doc", guard).forest.canonical()
-        interpreted = Interpreter(db.index("doc")).transform(guard).forest.canonical()
-    assert compiled == interpreted
+        index = db.index("doc")
+        shape = Interpreter(index).compile(guard).target_shape
+        reference = reference_render(shape, index).forest.canonical()
+    assert compiled == reference

@@ -10,9 +10,9 @@ delete / replace operations and pins four properties simultaneously:
 * **fsck cleanliness** — the updated store passes the offline integrity
   check (checksums, catalog/table cross-checks) after closing.
 * **Compiled/reference render agreement** — the incremental database
-  renders through its plans' compiled emitters, the oracle through the
-  reference renderer (``Interpreter`` over the re-shredded store's
-  index); their guard outputs must be canonically equal.
+  renders through its plans' compiled emitters, the oracle through
+  ``tests.engine.oracle.reference_render`` over the re-shredded store's
+  index; their guard outputs must be canonically equal.
 
 Operation *seeds* (abstract indices) are materialized into concrete
 Dewey-addressed operations against a simulation of the evolving
@@ -36,6 +36,7 @@ from repro.storage import (
 from repro.xmltree import dewey as labels
 from repro.xmltree.node import NodeKind, XmlForest, element
 
+from tests.engine.oracle import reference_render
 from tests.storage.test_update_parity import snapshot
 from tests.strategies import (
     TAGS,
@@ -131,8 +132,11 @@ class TestRandomEditSequences:
             db.store_document("doc", reference_apply(_copy(base), ops))
             oracle = snapshot(db, "doc")
             oracle_forest = db.load_forest("doc").canonical()
+            index = db.index("doc")
             oracle_renders = _render_all(
-                Interpreter(db.index("doc")).transform  # reference render
+                lambda guard: reference_render(
+                    Interpreter(index).compile(guard).target_shape, index
+                )
             )
 
         incremental_records, incremental_catalog = incremental
