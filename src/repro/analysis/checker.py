@@ -4,9 +4,9 @@
 analysis, information-loss prediction — *without rendering*, and
 re-expresses every outcome (exceptions included) as source-spanned,
 coded :class:`~repro.analysis.diagnostics.Diagnostic` objects.  This is
-what ``xmorph check`` prints and what ``xmorph run`` consults before
-touching any data: the paper's promise that guards are statically
-checkable, packaged as a linter.
+what ``xmorph check`` prints and what ``xmorph transform`` consults
+when a file's pipeline fails — it touches no data: the paper's promise
+that guards are statically checkable, packaged as a linter.
 
 The analysis is *total*: where the interpreter stops at the first
 ``LabelMismatchError``, the analyzer evaluates with ``TYPE-FILL``

@@ -16,9 +16,9 @@ Examples::
         --query "for $a in /author return $a/name/text()"
     xmorph shred --db bib.db dblp dblp.xml
     xmorph update --db bib.db dblp --insert "1=new-article.xml" --delete 1.5
-    xmorph db-transform --db bib.db dblp "MORPH author"
-    xmorph run books.xml "MORPH author [ name ]" --profile
-    xmorph trace --db bib.db dblp "MORPH author" --json
+    xmorph transform --db bib.db dblp "MORPH author" -o authors.xml
+    xmorph transform books.xml "MORPH author [ name ]" --profile
+    xmorph transform --db bib.db dblp "MORPH author" --trace=json
     xmorph fsck --db bib.db --repair
     xmorph serve --db bib.db --workers 8 --readonly
     xmorph serve --db bib.db --port 9900 --trace-sample 10 --slow-ms 50
@@ -154,51 +154,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     evolve.set_defaults(handler=_cmd_evolve)
 
-    run = commands.add_parser(
-        "run",
-        help="run a guard through the full pipeline, optionally profiled",
-        description=(
-            "Transform a document with a guard, like 'transform', but with "
-            "first-class observability: --profile prints an EXPLAIN "
-            "ANALYZE-style plan (actual per-operator row counts and "
-            "timings) instead of the XML, and --profile-json writes the "
-            "span/metric trace as JSON lines.  With --db the document is "
-            "a stored name; otherwise it is an XML file, shredded into a "
-            "throwaway store so the trace covers the whole pipeline."
-        ),
+    transform = commands.add_parser("transform", help="transform a document with a guard")
+    transform.add_argument("document", help="XML file, or stored name with --db")
+    transform.add_argument("guard")
+    transform.add_argument("--db", default=None, help="transform a stored document")
+    transform.add_argument("--indent", type=int, default=None, help="pretty-print width")
+    output = transform.add_mutually_exclusive_group()
+    output.add_argument(
+        "-o", "--output", metavar="PATH", help="write compact XML into PATH instead"
     )
-    run.add_argument("document", help="XML file, or stored name with --db")
-    run.add_argument("guard")
-    run.add_argument("--db", default=None, help="run against a stored document")
-    run.add_argument("--indent", type=int, default=None, help="pretty-print width")
-    run.add_argument(
+    output.add_argument(
         "--profile",
         action="store_true",
         help="print the annotated plan (EXPLAIN ANALYZE) instead of the XML",
     )
-    run.add_argument(
-        "--profile-json",
-        metavar="PATH",
-        default=None,
-        help="write the JSON-lines trace to PATH ('-' for stdout)",
+    output.add_argument(
+        "--trace",
+        nargs="?",
+        const="tree",
+        choices=("tree", "json"),
+        help="print the span tree (--trace=json: JSON lines) instead of the XML",
     )
-    run.set_defaults(handler=_cmd_run)
-
-    trace = commands.add_parser(
-        "trace", help="run a guard and print its span trace"
-    )
-    trace.add_argument("document", help="XML file, or stored name with --db")
-    trace.add_argument("guard")
-    trace.add_argument("--db", default=None, help="trace against a stored document")
-    trace.add_argument(
-        "--json", action="store_true", help="emit JSON lines instead of the tree"
-    )
-    trace.set_defaults(handler=_cmd_trace)
-
-    transform = commands.add_parser("transform", help="transform a document with a guard")
-    transform.add_argument("document")
-    transform.add_argument("guard")
-    transform.add_argument("--indent", type=int, default=None, help="pretty-print width")
     transform.add_argument("--reports", action="store_true", help="also print the reports")
     transform.set_defaults(handler=_cmd_transform)
 
@@ -229,8 +205,9 @@ def _build_parser() -> argparse.ArgumentParser:
             "flush (a crash recovers to the old or the new document, "
             "never a hybrid).  XML operands are file paths when a file "
             "of that name exists, inline XML otherwise.  Insert parents "
-            "and delete/replace targets are dotted Dewey numbers "
-            "(xmorph ls / db-transform show them); an insert parent of "
+            "and delete/replace targets are dotted Dewey numbers in "
+            "document order: 1 is the first root, 1.2 its second child "
+            "(attributes come first and count); an insert parent of "
             "'-' inserts at the root level (write it as --insert=-=XML "
             "so the leading dash is not read as an option), and @POS "
             "picks the 1-based child slot (default: append)."
@@ -286,19 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit the report as one JSON object"
     )
     fsck.set_defaults(handler=_cmd_fsck)
-
-    db_transform = commands.add_parser(
-        "db-transform", help="transform a stored document with a guard"
-    )
-    db_transform.add_argument("--db", required=True)
-    db_transform.add_argument("name")
-    db_transform.add_argument("guard")
-    db_transform.add_argument("--indent", type=int, default=None)
-    db_transform.add_argument("--stats", action="store_true", help="print I/O statistics")
-    db_transform.add_argument(
-        "--output", "-o", default=None, help="stream the result into a file"
-    )
-    db_transform.set_defaults(handler=_cmd_db_transform)
 
     dtd = commands.add_parser("dtd", help="print a document's shape as a DTD")
     dtd.add_argument("document")
@@ -512,25 +476,13 @@ def _cmd_evolve(arguments) -> int:
     return report.exit_code(strict=arguments.strict)
 
 
-def _profile_report(arguments):
-    from repro.engine.profile import profile_db_transform, profile_document
-
-    if arguments.db is not None:
-        with _open_database(arguments.db) as db:
-            return profile_db_transform(db, arguments.document, arguments.guard)
-    return profile_document(_read(arguments.document), arguments.guard)
-
-
 def _diagnose_failure(arguments) -> bool:
-    """After a pipeline error in ``run``, retry as a static analysis.
+    """After a pipeline error on a file, retry as a static analysis.
 
     Returns True when the analyzer reproduced the failure as spanned
     diagnostics (printed to stderr), so the caller can skip the bare
-    exception message.  Only for the file case — stored documents keep
-    the plain error path.
+    exception message.
     """
-    if arguments.db is not None:
-        return False
     from repro.analysis import analyze
 
     try:
@@ -544,46 +496,62 @@ def _diagnose_failure(arguments) -> bool:
     return True
 
 
-def _cmd_run(arguments) -> int:
+def _cmd_transform(arguments) -> int:
+    if arguments.output is not None and arguments.indent is not None:
+        print(
+            "error: -o/--output streams compact XML (the text sink has no "
+            "indented form); drop --indent or --output",
+            file=sys.stderr,
+        )
+        return 2
+    if arguments.db is not None:
+        with _open_database(arguments.db) as db:
+            return _transform(arguments, db=db)
+    index = repro.Interpreter(repro.parse_forest(_read(arguments.document))).index
     try:
-        report = _profile_report(arguments)
+        return _transform(arguments, index)
     except XMorphError:
         if _diagnose_failure(arguments):
             return 1
         raise
-    if arguments.profile:
-        print(report.pretty())
-    else:
-        print(report.result.xml(indent=arguments.indent))
-    if arguments.profile_json is not None:
-        trace_text = report.trace_json()
-        if arguments.profile_json == "-":
-            print(trace_text)
+
+
+def _transform(arguments, index=None, db: Database | None = None) -> int:
+    """Run the guard over a file's ``index`` or, with ``db``, over the
+    stored document (whose index then loads inside what is profiled)."""
+    from repro.engine.profile import profile_db_transform, profile_transform
+
+    name, guard, path = arguments.document, arguments.guard, arguments.output
+    if path is not None:
+        # Compile first: a bad guard or a missing document leaves PATH as it was.
+        result = db.compile(name, guard) if db else repro.Interpreter(index).compile(guard)
+        sink = open(path, "w", encoding="utf-8")
+        try:
+            with sink:
+                if db:
+                    stats = db.stream_transform(name, guard, sink)
+                else:
+                    stats = result.compiled_render.write(index, sink)
+        except BaseException:
+            os.remove(path)
+            raise
+        print(f"streamed {stats.nodes_written} nodes ({stats.characters} chars) to {path}")
+    elif arguments.profile or arguments.trace:
+        report = profile_db_transform(db, name, guard) if db else profile_transform(index, guard)
+        result = report.result
+        if arguments.profile:
+            print(report.pretty())
         else:
-            with open(arguments.profile_json, "w", encoding="utf-8") as handle:
-                handle.write(trace_text + "\n")
-            print(f"trace written to {arguments.profile_json}", file=sys.stderr)
-    return 0
-
-
-def _cmd_trace(arguments) -> int:
-    report = _profile_report(arguments)
-    if arguments.json:
-        print(report.trace_json())
+            print(report.trace_json() if arguments.trace == "json" else report.span_tree())
     else:
-        print(report.span_tree())
-    return 0
-
-
-def _cmd_transform(arguments) -> int:
-    forest = repro.parse_forest(_read(arguments.document))
-    interpreter = repro.Interpreter(forest)
-    result = interpreter.transform(arguments.guard)
-    print(result.xml(indent=arguments.indent))
+        result = db.transform(name, guard) if db else repro.Interpreter(index).transform(guard)
+        print(result.xml(indent=arguments.indent))
     if arguments.reports:
         from repro.engine.report import full_report
 
-        print("\n" + full_report(result, interpreter.index), file=sys.stderr)
+        # An -o plan was compiled only; with its source, the report renders it.
+        result.source = db.index(name) if db else index
+        print("\n" + full_report(result, result.source), file=sys.stderr)
     return 0
 
 
@@ -691,36 +659,6 @@ def _cmd_fsck(arguments) -> int:
     else:
         print(report.pretty())
     return 0 if report.ok else 1
-
-
-def _cmd_db_transform(arguments) -> int:
-    if arguments.output is not None and arguments.indent is not None:
-        print(
-            "error: -o/--output streams compact XML (the text sink has no "
-            "indented form); drop --indent or --output",
-            file=sys.stderr,
-        )
-        return 2
-    with _open_database(arguments.db) as db:
-        if arguments.output is not None:
-            with open(arguments.output, "w", encoding="utf-8") as sink:
-                stream_stats = db.stream_transform(arguments.name, arguments.guard, sink)
-            print(
-                f"streamed {stream_stats.nodes_written} nodes "
-                f"({stream_stats.characters} chars) to {arguments.output}"
-            )
-        else:
-            result = db.transform(arguments.name, arguments.guard)
-            print(result.xml(indent=arguments.indent))
-        if arguments.stats:
-            stats = db.stats
-            reads = stats.histogram("storage.page_read_seconds")
-            print(
-                f"blocks read: {stats.blocks_in}, written: {stats.blocks_out}, "
-                f"page reads: {1e3 * (reads.total if reads else 0.0):.3f} ms",
-                file=sys.stderr,
-            )
-    return 0
 
 
 def _cmd_dtd(arguments) -> int:

@@ -7,7 +7,7 @@ of the same evaluation:
   per type, annotated with the *actual* number of instances the render
   algorithm emitted for it (``rows=``) and its source type;
 * the **span tree** — wall-clock timings for every pipeline stage
-  (parse, per-operator type analysis, loss check, render, shred);
+  (parse, per-operator type analysis, loss check, render);
 * the **storage actuals** — blocks read and written, the measured
   page-read time, buffer hit ratio and B+tree page reads: the counts
   the database's :class:`~repro.storage.stats.SystemStats` registry
@@ -15,10 +15,9 @@ of the same evaluation:
   tracer, so they are this evaluation's and no other thread's.
 
 Entry points: :func:`profile_transform` for an in-memory forest or
-index, :func:`profile_db_transform` for a stored document, and
-:func:`profile_document` which shreds XML text into a throwaway store so
-even a single file gets the full pipeline trace.  All are surfaced by
-``xmorph run --profile`` and ``xmorph trace``.
+index, and :func:`profile_db_transform` for a stored document, with
+storage actuals.  Both are surfaced by ``xmorph transform --profile``
+and ``--trace`` (a file takes the first, ``--db`` the second).
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from repro.shape.types import ShapeType
 
 #: Span names whose durations headline the timing summary, in pipeline order.
 _PIPELINE_SPANS = (
-    "storage.shred",
     "pipeline.compile",
     "lang.parse",
     "typing.type-analysis",
@@ -64,7 +62,7 @@ class ProfileReport:
         rows: list[tuple[int, str, int, str]] = []
 
         def visit(vertex: ShapeType, depth: int) -> None:
-            actual = rendered.rows_for(vertex) if rendered is not None else 0
+            actual = rendered.rows_for(vertex)
             rows.append((depth, vertex.out_name, actual, _source_label(vertex)))
             for child in self.result.target_shape.children(vertex):
                 visit(child, depth + 1)
@@ -84,8 +82,6 @@ class ProfileReport:
         lines.append("plan (target shape; rows = instances actually rendered):")
         for depth, name, actual, source in self.plan_rows():
             lines.append(f"{'  ' * (depth + 1)}{name}  rows={actual}  {source}")
-        if self.result.rendered is None:
-            lines.append("  (not rendered: compile-only profile)")
 
         lines.append("")
         lines.append("timings:")
@@ -103,24 +99,23 @@ class ProfileReport:
                 )
 
         rendered = self.result.rendered
-        if rendered is not None:
-            lines.append("")
+        lines.append("")
+        lines.append(
+            "render: "
+            f"nodes_emitted={rendered.nodes_written} "
+            f"nodes_read={rendered.nodes_read} "
+            f"joins={rendered.joins}"
+        )
+        compiled = self.result.compiled_render
+        lines.append(f"render.compiled: {compiled.describe()}")
+        for edge in compiled.edge_plans:
+            level = edge["lca_level"]
+            detail = f" lca_level={level}" if level is not None else ""
             lines.append(
-                "render: "
-                f"nodes_emitted={rendered.nodes_written} "
-                f"nodes_read={rendered.nodes_read} "
-                f"joins={rendered.joins}"
+                f"  {edge['child']}  [{edge['kind']}]"
+                f"  anchors={edge['anchor_rows']}"
+                f" candidates={edge['child_rows']}{detail}"
             )
-            compiled = self.result.compiled_render
-            lines.append(f"render.compiled: {compiled.describe()}")
-            for edge in compiled.edge_plans:
-                level = edge["lca_level"]
-                detail = f" lca_level={level}" if level is not None else ""
-                lines.append(
-                    f"  {edge['child']}  [{edge['kind']}]"
-                    f"  anchors={edge['anchor_rows']}"
-                    f" candidates={edge['child_rows']}{detail}"
-                )
         metric_lines = obs.render_metrics(self.tracer.metrics)
         if metric_lines:
             lines.append("")
@@ -246,25 +241,3 @@ def _storage(database, tracer: obs.Tracer) -> dict:
         "events": events,
         "timings": lifetime.histograms,
     }
-
-
-def profile_document(xml_text: str, guard: str) -> ProfileReport:
-    """Profile XML text end to end: shred into a throwaway store, then
-    transform — so the trace includes shredding and storage actuals."""
-    import os
-    import tempfile
-
-    from repro.storage.database import Database
-
-    tracer = obs.Tracer()
-    with tempfile.TemporaryDirectory(prefix="xmorph-profile-") as scratch:
-        database = Database(os.path.join(scratch, "profile.db"), durable=False)
-        try:
-            with obs.tracing(tracer):
-                database.store_document("document", xml_text)
-                result = database.transform("document", guard)
-                result.rendered  # noqa: B018 - render inside the profiled region
-            storage = _storage(database, tracer)
-        finally:
-            database.close()
-    return ProfileReport(guard=guard, result=result, tracer=tracer, storage=storage)

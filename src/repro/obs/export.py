@@ -3,10 +3,11 @@
 Two views of the same tracer:
 
 * :func:`render_tree` — an indented tree with durations and attributes,
-  followed by the metric catalogue, for terminals (``xmorph trace``).
+  followed by the metric catalogue, for terminals (``xmorph transform
+  --trace``).
 * :func:`to_json_lines` — one JSON object per line (a header, every
   span depth-first, then the metrics), the machine-readable form the
-  benchmarks persist and ``--profile-json`` emits.
+  benchmarks persist and ``xmorph transform --trace=json`` emits.
   ``tests/obs/trace_reader.py`` reads it back, and the round trip is
   lossless for names, timings, attributes and metrics.
 """

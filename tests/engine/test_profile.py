@@ -7,11 +7,7 @@ import pytest
 
 import repro
 from repro import obs
-from repro.engine.profile import (
-    profile_db_transform,
-    profile_document,
-    profile_transform,
-)
+from repro.engine.profile import profile_db_transform, profile_transform
 from repro.storage import Database
 
 from tests.conftest import FIG1A
@@ -174,24 +170,28 @@ class TestProfileDatabase:
         assert alone[0] > 0
         assert shared == alone
 
-    def test_profile_document_covers_whole_pipeline(self):
-        report = profile_document(FIG1A, GUARD)
+    def test_profile_document_covers_whole_pipeline(self, tmp_path):
+        with Database(str(tmp_path / "w.db")) as db:
+            db.store_document("books", FIG1A)
+            report = profile_db_transform(db, "books", GUARD)
         names = report.tracer.span_names()
         for expected in (
-            "storage.shred",
             "lang.parse",
             "typing.type-analysis",
             "pipeline.render",
         ):
             assert expected in names
-        assert report.storage["blocks_written"] > 0
         assert "storage: blocks_read=" in report.pretty()
         # Same output as the plain in-memory transform.
         direct = repro.transform(repro.parse_forest(FIG1A), GUARD)
         assert report.result.xml() == direct.xml()
 
-    def test_trace_round_trips_with_storage_counters(self):
-        report = profile_document(FIG1A, GUARD)
+    def test_trace_round_trips_with_storage_counters(self, tmp_path):
+        with Database(str(tmp_path / "r.db")) as db:
+            db.store_document("books", FIG1A)
+            db.drop_cache()
+            report = profile_db_transform(db, "books", GUARD)
         trace = from_json_lines(report.trace_json())
-        assert trace.find("storage.shred") is not None
-        assert trace.metrics.counter("storage.blocks_written") > 0
+        assert trace.find("pipeline.render") is not None
+        blocks = trace.metrics.counter("storage.blocks_read")
+        assert blocks == report.storage["blocks_read"] > 0

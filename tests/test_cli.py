@@ -104,7 +104,7 @@ class TestCommands:
         db = str(tmp_path / "s.db")
         out = str(tmp_path / "out.xml")
         assert main(["shred", "--db", db, "books", doc]) == 0
-        assert main(["db-transform", "--db", db, "books", "MORPH author [ name ]", "-o", out]) == 0
+        assert main(["transform", "--db", db, "books", "MORPH author [ name ]", "-o", out]) == 0
         assert "streamed" in capsys.readouterr().out
         import repro
 
@@ -119,7 +119,7 @@ class TestCommands:
         assert main(["shred", "--db", db, "books", doc]) == 0
         capsys.readouterr()
         code = main(
-            ["db-transform", "--db", db, "books", "MORPH author", "--indent", "2", "-o", str(out)]
+            ["transform", "--db", db, "books", "MORPH author", "--indent", "2", "-o", str(out)]
         )
         assert code == 2
         captured = capsys.readouterr()
@@ -132,11 +132,16 @@ class TestCommands:
         assert main(["shred", "--db", db, "books", doc]) == 0
         assert main(["ls", "--db", db]) == 0
         assert "books" in capsys.readouterr().out
-        assert main(["db-transform", "--db", db, "books", "MORPH title", "--stats"]) == 0
-        captured = capsys.readouterr()
-        assert "<title>" in captured.out
-        assert captured.err.startswith("blocks read: ")
-        assert "page reads: " in captured.err
+        assert main(["transform", "--db", db, "books", "MORPH title"]) == 0
+        assert "<title>" in capsys.readouterr().out
+        # The storage line of a stored profile holds what --stats printed.
+        assert main(["transform", "--db", db, "books", "MORPH title", "--profile"]) == 0
+        storage = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("storage: ")
+        ]
+        assert len(storage) == 1
+        assert "blocks_read=" in storage[0] and "page_reads=" in storage[0]
 
 
 class TestUpdateCommand:
@@ -170,7 +175,7 @@ class TestUpdateCommand:
         )
         out = capsys.readouterr().out
         assert "3 op(s)" in out
-        assert main(["db-transform", "--db", stored, "doc", "MORPH title"]) == 0
+        assert main(["transform", "--db", stored, "doc", "MORPH title"]) == 0
         titles = capsys.readouterr().out
         assert "T0" in titles and "P" in titles
         assert "T1" not in titles and "T2" not in titles
@@ -223,12 +228,15 @@ class TestUpdateCommand:
 
 
 class TestRunAndTrace:
+    """``transform``'s output flags: the profile and the trace, on a file
+    (in memory) and on a stored document."""
+
     def test_run_prints_xml_by_default(self, doc, capsys):
-        assert main(["run", doc, "MORPH author [ name ]"]) == 0
+        assert main(["transform", doc, "MORPH author [ name ]"]) == 0
         assert "<author>" in capsys.readouterr().out
 
     def test_run_profile_prints_annotated_plan(self, doc, capsys):
-        assert main(["run", doc, "MORPH author [ name ]", "--profile"]) == 0
+        assert main(["transform", doc, "MORPH author [ name ]", "--profile"]) == 0
         out = capsys.readouterr().out
         assert "EXPLAIN ANALYZE" in out
         assert "author  rows=2" in out
@@ -236,61 +244,153 @@ class TestRunAndTrace:
         assert "lang.parse" in out
         assert "typing.type-analysis" in out
         assert "pipeline.render" in out
-        assert "storage: blocks_read=" in out
+        assert "<author>" not in out
+        # A file is profiled in memory: there is no store to report on.
+        assert "storage:" not in out
 
     def test_run_profile_json_is_valid_and_complete(self, doc, tmp_path, capsys):
         import json
 
-        trace_path = str(tmp_path / "trace.jsonl")
-        code = main(
-            ["run", doc, "MORPH author [ name ]", "--profile", "--profile-json", trace_path]
-        )
+        db = str(tmp_path / "trace.db")
+        assert main(["shred", "--db", db, "books", doc]) == 0
+        capsys.readouterr()
+        code = main(["transform", "--db", db, "books", "MORPH author [ name ]", "--trace=json"])
         assert code == 0
         names, metrics = [], None
-        with open(trace_path) as handle:
-            for line in handle:
-                record = json.loads(line)
-                if record["type"] == "span":
-                    names.append(record["name"])
-                elif record["type"] == "metrics":
-                    metrics = record
+        for line in capsys.readouterr().out.strip().splitlines():
+            record = json.loads(line)
+            if record["type"] == "span":
+                names.append(record["name"])
+            elif record["type"] == "metrics":
+                metrics = record
         for expected in ("lang.parse", "typing.type-analysis", "pipeline.render"):
             assert expected in names
         assert any(key.startswith("storage.") for key in metrics["counters"])
 
     def test_run_profile_json_stdout(self, doc, capsys):
-        assert main(["run", doc, "MORPH author [ name ]", "--profile-json", "-"]) == 0
+        assert main(["transform", doc, "MORPH author [ name ]", "--trace=json"]) == 0
         assert '"type": "trace"' in capsys.readouterr().out
 
     def test_run_against_database(self, doc, tmp_path, capsys):
         db = str(tmp_path / "run.db")
         assert main(["shred", "--db", db, "books", doc]) == 0
         capsys.readouterr()
-        assert main(["run", "--db", db, "books", "MORPH author [ name ]", "--profile"]) == 0
+        assert main(["transform", "--db", db, "books", "MORPH author [ name ]", "--profile"]) == 0
         out = capsys.readouterr().out
         assert "EXPLAIN ANALYZE" in out
         assert "storage: blocks_read=" in out
 
     def test_trace_prints_span_tree(self, doc, capsys):
-        assert main(["trace", doc, "MORPH author [ name ]"]) == 0
+        assert main(["transform", doc, "MORPH author [ name ]", "--trace"]) == 0
         out = capsys.readouterr().out
-        assert "storage.shred" in out
         assert "pipeline.compile" in out
         assert "  lang.parse" in out
         assert "counters:" in out
+        assert "<author>" not in out
 
     def test_trace_json(self, doc, capsys):
         import json
 
-        assert main(["trace", doc, "MORPH author [ name ]", "--json"]) == 0
+        assert main(["transform", doc, "MORPH author [ name ]", "--trace=json"]) == 0
         for line in capsys.readouterr().out.strip().splitlines():
             json.loads(line)
 
     def test_run_bad_guard_reports_error(self, doc, capsys):
-        assert main(["run", doc, "MORPH [", "--profile"]) == 1
+        assert main(["transform", doc, "MORPH [", "--profile"]) == 1
         err = capsys.readouterr().err
         assert "error[XM1" in err
         assert "^" in err  # caret excerpt pointing at the offending token
+
+    @pytest.mark.parametrize(
+        "flags", [[], ["--trace"], ["-o", "{out}"]], ids=["xml", "trace", "output"]
+    )
+    def test_every_output_mode_diagnoses_a_bad_guard(self, doc, tmp_path, capsys, flags):
+        out = str(tmp_path / "out.xml")
+        flags = [flag.format(out=out) for flag in flags]
+        assert main(["transform", doc, "MORPH ["] + flags) == 1
+        captured = capsys.readouterr()
+        assert "error[XM102]" in captured.err and "^" in captured.err
+        assert captured.out == "" and not os.path.exists(out)
+
+    def test_reports_on_a_stored_document(self, doc, tmp_path, capsys):
+        db = str(tmp_path / "r.db")
+        assert main(["shred", "--db", db, "books", doc]) == 0
+        capsys.readouterr()
+        assert main(["transform", "--db", db, "books", "MORPH author [ name ]", "--reports"]) == 0
+        captured = capsys.readouterr()
+        assert "<author>" in captured.out
+        assert "source shape" in captured.err and "information loss" in captured.err
+
+
+class TestOutputFile:
+    """``-o PATH`` compiles before it opens PATH, and removes what a
+    failed render left, so a failed transform leaves PATH as it was."""
+
+    @pytest.fixture
+    def db(self, doc, tmp_path):
+        path = str(tmp_path / "o.db")
+        assert main(["shred", "--db", path, "books", doc]) == 0
+        return path
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--db", "{db}", "books", "MORPH ["],
+            ["--db", "{db}", "nope", "MORPH author"],
+            ["{doc}", "MORPH ["],
+            ["{doc}", "MORPH athor [ name ]"],
+        ],
+        ids=["stored bad guard", "missing document", "file bad guard", "file unknown label"],
+    )
+    def test_a_failed_transform_leaves_path_byte_identical(
+        self, argv, doc, db, tmp_path, capsys
+    ):
+        keep = tmp_path / "keep.xml"
+        keep.write_bytes(b"precious\n")
+        capsys.readouterr()
+        argv = [part.format(db=db, doc=doc) for part in argv]
+        assert main(["transform", *argv, "-o", str(keep)]) == 1
+        assert capsys.readouterr().err.count("error") >= 1
+        assert keep.read_bytes() == b"precious\n"
+
+    def test_a_failed_render_removes_the_partial_file(self, db, tmp_path, monkeypatch):
+        from repro.storage import Database
+
+        def broken(self, name, guard, out):
+            out.write("<author>")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Database, "stream_transform", broken)
+        out = tmp_path / "partial.xml"
+        assert main(["transform", "--db", db, "books", "MORPH author", "-o", str(out)]) == 1
+        assert not out.exists()
+
+    def test_both_routes_write_the_same_bytes(self, doc, db, tmp_path, capsys):
+        stored, memory = tmp_path / "stored.xml", tmp_path / "memory.xml"
+        guard = "MORPH author [ name book [ title ] ]"
+        assert main(["transform", "--db", db, "books", guard, "-o", str(stored)]) == 0
+        assert main(["transform", doc, guard, "-o", str(memory)]) == 0
+        assert stored.read_bytes() == memory.read_bytes()
+        capsys.readouterr()
+        assert main(["transform", doc, guard]) == 0
+        assert capsys.readouterr().out == memory.read_text() + "\n"
+
+    @pytest.mark.parametrize("stored", [False, True], ids=["file", "stored"])
+    def test_reports_count_the_render(self, doc, db, tmp_path, capsys, stored):
+        source = ["--db", db, "books"] if stored else [doc]
+        out = str(tmp_path / "r.xml")
+        assert main(["transform", *source, "MORPH author [ name ]", "-o", out, "--reports"]) == 0
+        err = capsys.readouterr().err
+        assert "nodes read 4, written 4, closest joins 1" in err
+        assert "compile only" not in err
+
+    def test_output_excludes_profile_and_trace(self, doc, tmp_path, capsys):
+        for flag in ("--profile", "--trace"):
+            with pytest.raises(SystemExit) as exited:
+                main(["transform", doc, "MORPH author", "-o", str(tmp_path / "x.xml"), flag])
+            assert exited.value.code == 2
+            assert "not allowed with" in capsys.readouterr().err
+        assert not (tmp_path / "x.xml").exists()
 
 
 class TestToolingCommands:
@@ -375,8 +475,21 @@ class TestServeCommands:
         [
             ["serve", "--db", "x.db", "--mode", "process"],
             ["top", "--port", "9900"],
+            ["run", "books.xml", "MORPH author"],
+            ["trace", "books.xml", "MORPH author"],
+            ["db-transform", "--db", "x.db", "books", "MORPH author"],
+            ["transform", "books.xml", "MORPH author", "--profile-json", "-"],
+            ["transform", "--db", "x.db", "books", "MORPH author", "--stats"],
         ],
-        ids=["serve --mode", "top"],
+        ids=[
+            "serve --mode",
+            "top",
+            "run",
+            "trace",
+            "db-transform",
+            "transform --profile-json",
+            "transform --stats",
+        ],
     )
     def test_removed_serve_surface_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exited:
@@ -406,7 +519,7 @@ class TestErrors:
     def test_missing_document_in_db(self, doc, tmp_path, capsys):
         db = str(tmp_path / "books.db")
         assert main(["shred", "--db", db, "books", doc]) == 0
-        assert main(["db-transform", "--db", db, "nope", "MORPH x"]) == 1
+        assert main(["transform", "--db", db, "nope", "MORPH x"]) == 1
 
     @pytest.mark.parametrize(
         "argv",
@@ -414,9 +527,12 @@ class TestErrors:
             ["fsck", "--db", "{db}"],
             ["fsck", "--db", "{db}", "--repair"],
             ["ls", "--db", "{db}"],
-            ["db-transform", "--db", "{db}", "books", "MORPH author"],
-            ["run", "--db", "{db}", "books", "MORPH author"],
-            ["trace", "--db", "{db}", "books", "MORPH author"],
+            ["transform", "--db", "{db}", "books", "MORPH author"],
+            # The option comes first so each row keeps a distinct id
+            # when test names are cut short.
+            ["transform", "--profile", "--db", "{db}", "books", "MORPH author"],
+            ["transform", "--trace", "--db", "{db}", "books", "MORPH author"],
+            ["transform", "-o", "{out}", "books", "MORPH author", "--db", "{db}"],
             ["update", "--db", "{db}", "books", "--delete", "1.1"],
             ["evolve", "old", "new", "--db", "{db}", "--guards", "{guards}"],
             ["serve", "--db", "{db}"],
@@ -432,7 +548,8 @@ class TestErrors:
         (guards / "a.guard").write_text("MORPH author [ name ]")
         db = str(tmp_path / "typo.db")
         before = sorted(os.listdir(tmp_path))
-        argv = [part.format(db=db, guards=guards) for part in argv]
+        out = str(tmp_path / "out.xml")
+        argv = [part.format(db=db, guards=guards, out=out) for part in argv]
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -480,7 +597,10 @@ class TestErrors:
             ["shape", "{missing}"],
             ["check", "{missing}", "MORPH author"],
             ["transform", "{missing}", "MORPH author"],
-            ["run", "{missing}", "MORPH author"],
+            pytest.param(
+                ["transform", "{missing}", "MORPH author", "--profile"],
+                id="transform --profile",
+            ),
             ["shred", "--db", "{db}", "books", "{missing}"],
         ],
         ids=lambda argv: argv[0],
