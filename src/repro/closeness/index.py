@@ -47,6 +47,7 @@ from repro.shape.shape import Shape
 from repro.shape.types import DataType, ShapeType, TypeTable
 from repro.xmltree.dewey import pack, prefix, prefixes, unpack
 from repro.xmltree.node import NodeKind, XmlForest, XmlNode
+from repro.xmltree.serializer import escape_texts
 
 
 class TypeSequence:
@@ -57,6 +58,11 @@ class TypeSequence:
     position ``i`` is what joins, pair maps and generated renderers pass
     around.  The columns are immutable once built, and two loads of one
     type yield the same positions.
+
+    :attr:`escaped` is ``values`` escaped as XML character data, built
+    on first use and then kept, so a render writes a node's text as is
+    however many parents it is copied under.  It lives and dies with
+    the sequence: a dropped or updated index's successor escapes its own.
 
     Indexing or iterating the sequence hands out the nodes as
     ``XmlNode`` s (:attr:`nodes`), built on first use and then kept.
@@ -71,7 +77,8 @@ class TypeSequence:
     """
 
     __slots__ = (
-        "data_type", "labels", "values", "attributes", "_nodes", "_index", "_document"
+        "data_type", "labels", "values", "attributes", "_escaped", "_nodes", "_index",
+        "_document",
     )
 
     def __init__(
@@ -87,6 +94,7 @@ class TypeSequence:
         self.labels = labels
         self.values = values
         self.attributes = attributes
+        self._escaped: Optional[list[str]] = None
         self._nodes = nodes
         self._index = index if index is None else weakref.proxy(index)
         #: The stored document's name, for when the index is gone.
@@ -105,6 +113,19 @@ class TypeSequence:
                 ) from None
             nodes = materialize(self)
         return nodes
+
+    @property
+    def escaped(self) -> list[str]:
+        """``values`` escaped by :func:`escape_texts` (built once, then shared).
+
+        Lock-free: two threads racing on the first build each escape
+        the column and store equal lists; the last store is kept, and
+        either list renders the same bytes.
+        """
+        escaped = self._escaped
+        if escaped is None:
+            escaped = self._escaped = escape_texts(self.values)
+        return escaped
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -33,13 +33,16 @@ the per-node snippet chosen by **sink**:
   ordinal is the child-list length at append time) and records
   provenance: a :class:`RenderResult`;
 * the **text sink** (:meth:`CompiledRender.write` into a file-like,
-  :meth:`CompiledRender.text` into a string) appends escaped XML to a
-  chunk buffer that is flushed to ``out`` between root instances: no
-  output node is ever allocated.  Whether a copied node is an
-  attribute or an element is decided per source node, and whether a
-  start tag self-closes is decided from its partner lists before the
-  tag is closed, so the text is byte-identical to ``serialize()`` of
-  the tree (compact form).
+  :meth:`CompiledRender.text` into a string) appends XML to a chunk
+  buffer that is flushed to ``out`` between root instances: no output
+  node is ever allocated, and a node's text is read pre-escaped from
+  its sequence's ``escaped`` column, escaped once per load however
+  many parents the node is copied under (an attribute value only has
+  its ``"`` quoted on the way into a start tag).  Whether a copied
+  node is an attribute or an element is decided per source node, and
+  whether a start tag self-closes is decided from its partner lists
+  before the tag is closed, so the text is byte-identical to
+  ``serialize()`` of the tree (compact form).
 
 In both sinks a source node is its **position** in its type's
 :class:`~repro.closeness.index.TypeSequence`: candidates are position
@@ -84,6 +87,7 @@ from repro.shape.shape import Shape
 from repro.shape.types import DataType, ShapeType
 from repro.xmltree.dewey import Dewey
 from repro.xmltree.node import NodeKind, XmlForest, XmlNode
+from repro.xmltree.serializer import escape_quotes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.closeness.index import BaseIndex
@@ -97,10 +101,6 @@ _NO_PARTNERS = {}.get
 _NO_SEQUENCE = TypeSequence(None, None, [], [], b"", [])
 #: The text sink hands its chunks to ``out`` once this many are buffered.
 _FLUSH_CHUNKS = 1024
-# ``escape_text`` / ``escape_attr`` of :mod:`repro.xmltree.serializer`,
-# inlined: a call per node costs a quarter of a text render.
-_ESCAPE_TEXT = ".replace('&', '&amp;').replace('<', '&lt;').replace('>', '&gt;')"
-_ESCAPE_ATTR = _ESCAPE_TEXT + ".replace('\"', '&quot;')"
 
 
 @dataclass
@@ -494,8 +494,9 @@ class _Codegen:
     ``_t{d}`` / ``_k{d}`` / ``_p{d}`` its output node, child list and
     Dewey parts (level 0 is the forest: no node, the root list, the
     empty prefix).  A backed edge reads its source nodes through its
-    sequence's columns — ``_x{slot}`` values and ``_a{slot}`` attribute
-    flags in the text sink, ``_N{slot}`` node objects in the tree sink.
+    sequence's columns — ``_x{slot}`` escaped values and ``_a{slot}``
+    attribute flags in the text sink, ``_N{slot}`` node objects in the
+    tree sink.
     ``r{slot}`` counts an edge's instances; the function returns them
     all.
     """
@@ -506,7 +507,7 @@ class _Codegen:
         self.text = text
         self.env: dict[str, object] = {"_none": (None,), "_empty": ()}
         if text:
-            self.env["_discard"] = _discard
+            self.env.update(_discard=_discard, _quote=escape_quotes)
         else:
             self.env.update(
                 _X=XmlNode,
@@ -555,7 +556,7 @@ class _Codegen:
                 prelude.append(f"    _c{slot} = _C[{slot}]")
             if edge.backed and self.text:
                 prelude.append(
-                    f"    _x{slot} = _S[{slot}].values; _a{slot} = _S[{slot}].attributes"
+                    f"    _x{slot} = _S[{slot}].escaped; _a{slot} = _S[{slot}].attributes"
                 )
             elif edge.backed:
                 prelude.append(f"    _N{slot} = _S[{slot}].nodes")
@@ -657,7 +658,7 @@ class _Codegen:
                 self.emit(indent, f"_s = _x{edge.slot}[_n{d}]")
                 self.emit(
                     indent,
-                    f"if _s: _w({self.const(f'<{name}>')}); _w(_s{_ESCAPE_TEXT}); "
+                    f"if _s: _w({self.const(f'<{name}>')}); _w(_s); "
                     f"_w({self.const(f'</{name}>')})",
                 )
                 self.emit(indent, f"else: _w({self.const(f'<{name}/>')})")
@@ -680,7 +681,7 @@ class _Codegen:
                 self.emit(
                     indent + 2,
                     f"if _a{slot}[_x]: _w({attribute}); "
-                    f"_w(_x{slot}[_x]{_ESCAPE_ATTR}); _w('\"')",
+                    f"_w(_quote(_x{slot}[_x])); _w('\"')",
                 )
                 self.emit(indent + 2, "else: _e = True")
             else:
@@ -691,7 +692,7 @@ class _Codegen:
         self.emit(indent, f"_s = _x{edge.slot}[_n{d}]" if edge.backed else "_s = ''")
         self.emit(indent, "if _e or _s:")
         self.emit(indent + 1, "_w('>')")
-        self.emit(indent + 1, f"if _s: _w(_s{_ESCAPE_TEXT})")
+        self.emit(indent + 1, "if _s: _w(_s)")
         self.emit(indent + 1, f"_z{d} = {self.const(f'</{name}>')}")
         self.emit(indent, "else:")
         self.emit(indent + 1, f"_z{d} = '/>'")

@@ -52,9 +52,27 @@ def escape_text(value: str) -> str:
     return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def escape_texts(values: list[str]) -> list[str]:
+    """:func:`escape_text` of every value, in order.
+
+    Most columns hold no markup at all; for one of those the answer is
+    ``values`` itself, found by one scan of the joined text instead of
+    a call per value.  Callers must treat both lists as immutable.
+    """
+    joined = "".join(values)
+    if "&" in joined or "<" in joined or ">" in joined:
+        return list(map(escape_text, values))
+    return values
+
+
+def escape_quotes(escaped: str) -> str:
+    """Make :func:`escape_text` output safe inside a double-quoted attribute."""
+    return escaped.replace('"', "&quot;")
+
+
 def escape_attr(value: str) -> str:
     """Escape an attribute value (double-quoted)."""
-    return escape_text(value).replace('"', "&quot;")
+    return escape_quotes(escape_text(value))
 
 
 def _write_node(node: XmlNode, out: TextIO, indent: int | None, depth: int) -> int:

@@ -9,6 +9,8 @@ Three families:
   index return the *same* memo object (a second compute would silently
   produce different node identities for the id-keyed maps), and
   ``closest_pairs`` / ``restrict_pass`` racing it share one grouping;
+  text sinks racing on a sequence's first escaped column write equal
+  bytes;
 * the counters — ``SystemStats.event`` and ``MetricsRegistry.inc`` are
   increments, so N threads x M increments must total exactly N*M.
 """
@@ -197,6 +199,40 @@ class TestJoinMemoSingleFlight:
             assert all(got is want for got, want in zip(lists, results[1], strict=True))
         assert all(len(partners) == 2 for partners in results[0])
         assert sorted(calls) == sorted(set(calls)), "a (type, width) was grouped twice"
+
+
+class TestEscapedColumnFirstUse:
+    def test_racing_text_sinks_write_equal_bytes(self, tmp_path):
+        # Every thread reaches the lazily escaped columns of one freshly
+        # stored document at once; a lost or torn column would show as
+        # a diverging output.
+        import sys
+
+        import repro
+        from repro.storage import Database
+
+        document = "<r>" + "".join(
+            f'<a k="{i} &quot;&amp;"><b>x{i} &amp; &lt;y&gt;</b><b>z</b></a>'
+            for i in range(200)
+        ) + "</r>"
+        guard = "MORPH a [ b k ]"
+        expected = repro.transform(repro.parse_forest(document), guard).xml()
+        with Database(str(tmp_path / "race.db"), durable=False) as db:
+            db.store_document("doc", document)
+            started = threading.Barrier(THREADS, timeout=60)
+
+            def task(i):
+                started.wait()
+                return db.transform("doc", guard).xml()
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                outputs = _hammer(THREADS, task)
+            finally:
+                sys.setswitchinterval(interval)
+        assert all(output == expected for output in outputs)
+        assert '<a k="0 &quot;&amp;"><b>x0 &amp; &lt;y&gt;</b>' in expected
 
 
 class TestCounterAtomicity:

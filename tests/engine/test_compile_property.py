@@ -9,7 +9,8 @@ random small documents over a tiny tag alphabet (the shared
 ``tests.strategies`` corpus — small alphabets maximize repeated types
 and interesting closest joins), with attributes drawn from the *same*
 alphabet so that attributes and elements share types, and random guards
-over that alphabet.
+over that alphabet.  Text and attribute values are drawn from markup
+(:data:`MARKUP_VALUES`), so every generated document exercises escaping.
 
 Guards that fail to type-check on a particular document are out of
 scope (no route runs).
@@ -37,6 +38,16 @@ GUARD_FORMS = [
 ]
 
 
+#: Values heavy on the characters XML escapes, alone and mixed; the
+#: shared ``tests.strategies`` default stays plain for the other suites.
+MARKUP_VALUES = st.one_of(
+    st.sampled_from(
+        ["", "x", "42", "&", "<", ">", '"', "'", "]]>", 'a<b & "c"', "&amp;lt;"]
+    ),
+    st.text(alphabet="ab &<>\"']", max_size=6),
+)
+
+
 @st.composite
 def guards(draw):
     form = draw(st.sampled_from(GUARD_FORMS))
@@ -45,7 +56,7 @@ def guards(draw):
 
 
 class TestCompiledParityProperty:
-    @given(forest=documents(attributes=True), guard=guards())
+    @given(forest=documents(attributes=True, values=MARKUP_VALUES), guard=guards())
     @settings(max_examples=120, deadline=None)
     def test_byte_identical(self, forest, guard):
         try:

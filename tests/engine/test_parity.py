@@ -27,8 +27,10 @@ from repro.engine.compile import CompiledRender
 from repro.shape.cardinality import Card
 from repro.shape.shape import Shape
 from repro.shape.types import ShapeType
+from repro.storage import Database
+from repro.storage.tables import INLINE_TEXT
 from repro.workloads import generate_dblp, generate_xmark
-from repro.xmltree.serializer import serialize
+from repro.xmltree.serializer import escape_attr, escape_text, serialize
 
 from tests.engine.oracle import reference_render
 
@@ -235,6 +237,24 @@ class TestNodeKindParity:
             "MORPH r [ a [ t ] ]",
             '<r><a t="&lt;&quot;&amp;">1 &lt; 2 &amp; 3 &gt; 2 "q"</a></r>',
         ),
+        # A root attribute is element text: its quote stays raw, as a
+        # leaf and with element children ...
+        (
+            "<r><a id='say \"hi\" &amp; bye'/></r>",
+            "CAST MORPH id",
+            '<id>say "hi" &amp; bye</id>',
+        ),
+        (
+            "<r><a id='say \"hi\" &amp; bye'><b>x</b></a></r>",
+            "CAST MORPH id [ b ]",
+            '<id>say "hi" &amp; bye<b>x</b></id>',
+        ),
+        # ... and the same value as an attribute child is quoted.
+        (
+            "<r><a id='say \"hi\" &amp; bye'/></r>",
+            "MORPH a [ id ]",
+            '<a id="say &quot;hi&quot; &amp; bye"/>',
+        ),
     ]
 
     @pytest.mark.parametrize("document, guard, expected", MIXED)
@@ -243,6 +263,24 @@ class TestNodeKindParity:
             repro.parse_forest(document), guard
         )
         assert text == expected
+
+    def test_stored_overflow_markup(self, tmp_path):
+        """An overflowed value is read back from its ``V`` chunks before
+        the sequence's escaped column is built, so its markup is escaped
+        like any inline value's."""
+        long_text = "a<b & c " * (INLINE_TEXT // 4)
+        document = (
+            f'<r><a t="{escape_attr(long_text)}"><b>{escape_text(long_text)}</b>'
+            "<b>1 &lt; 2</b></a></r>"
+        )
+        guard = "MORPH a [ b t ]"
+        with Database(str(tmp_path / "markup.db"), durable=False) as db:
+            db.store_document("doc", document)
+            index = db.index("doc")
+            shape = db.compile("doc", guard).target_shape
+            _reference, _tree, text, _stats = assert_shape_parity(shape, index)
+            assert escape_text(long_text) in text
+            assert db.transform("doc", guard).xml() == text
 
     def test_shape_deeper_than_python_nests_blocks(self):
         """40 levels: past CPython's 20 nested blocks and 100 indents,

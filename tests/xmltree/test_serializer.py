@@ -4,7 +4,7 @@ from io import StringIO
 
 from repro.xmltree import element, attribute, serialize, parse_document
 from repro.xmltree.node import XmlForest
-from repro.xmltree.serializer import escape_attr, escape_text, write
+from repro.xmltree.serializer import escape_attr, escape_text, escape_texts, write
 
 
 class TestEscaping:
@@ -13,6 +13,14 @@ class TestEscaping:
 
     def test_attr_escapes_quotes(self):
         assert escape_attr('say "hi" & <bye>') == "say &quot;hi&quot; &amp; &lt;bye&gt;"
+
+    def test_column_escapes_every_value(self):
+        values = ["", "plain", 'a<b & "c"', "x>y"]
+        assert escape_texts(values) == [escape_text(value) for value in values]
+
+    def test_column_without_markup_is_the_values(self):
+        values = ["", "plain", '"quoted"', "it's"]
+        assert escape_texts(values) is values
 
 
 class TestShapes:
