@@ -33,9 +33,9 @@ def main() -> None:
             db.drop_cache()
             db.index("dblp")
             before = db.stats.cumulative_blocks
-            compiled = db.compile("dblp", "MORPH author [ title [ year ] ]")
+            planned = db.transform("dblp", "MORPH author [ title [ year ] ]")  # unread
             print(
-                f"guard type: {compiled.loss.guard_type}; "
+                f"guard type: {planned.loss.guard_type}; "
                 f"blocks read during compile: {db.stats.cumulative_blocks - before}"
             )
 

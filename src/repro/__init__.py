@@ -104,7 +104,8 @@ def transform(source, guard: str) -> TransformResult:
     """One-shot convenience: transform ``source`` with a guard.
 
     ``source`` may be an :class:`XmlForest`, a :class:`DocumentIndex`,
-    or raw XML text.
+    or raw XML text.  The result renders when first read: ``xml()``
+    through the text sink, ``forest`` through the tree sink.
     """
     if isinstance(source, str):
         source = parse_document(source)

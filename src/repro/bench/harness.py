@@ -82,7 +82,7 @@ def measured_compile(db: Database, name: str, guard: str, cold: bool = True) -> 
         db.index(name)  # shape load is part of a cold compile
     return _measure(
         db.stats,
-        lambda: db.compile(name, guard),
+        lambda: db.transform(name, guard),  # left unread: plans, renders nothing
         label=f"compile:{name}",
         guard=guard,
         cold=cold,

@@ -4,7 +4,7 @@ Two caches make repeated guard evaluation cheap:
 
 * the **plan cache** (:class:`PlanCache`): compiled guard plans keyed by
   ``(guard text, document shape fingerprint)``, so a repeat
-  ``transform``/``compile``/``stream_transform`` over any document with
+  ``transform``/``stream_transform`` over any document with
   that shape skips the lexer → parser → typing → algebra stages entirely
   (every :class:`repro.storage.Database` holds one);
 * the **closest-join memo** (on

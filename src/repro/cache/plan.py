@@ -31,12 +31,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.algebra.semantics import EvaluationResult
-    from repro.engine.compile import CompiledRender
     from repro.engine.interpreter import TransformResult
-    from repro.shape.shape import Shape
     from repro.storage.stats import SystemStats
-    from repro.typing.loss import LossReport
 
 
 def _canonical(value):
@@ -89,40 +85,12 @@ class CompiledPlan:
 
     guard: str
     fingerprint: str
-    target_shape: "Shape"
-    loss: "LossReport"
-    evaluation: "EvaluationResult"
-    compile_seconds: float
-    #: The plan's emitter (:mod:`repro.engine.compile`), with whichever
-    #: sink functions renders have asked for so far.  Like the rest of
-    #: the plan it reads only the shape, so it serves every document
-    #: whose fingerprint matches and leaves the cache only with the plan.
-    compiled_render: "CompiledRender"
-
-    @classmethod
-    def from_result(cls, result: "TransformResult", fingerprint: str) -> "CompiledPlan":
-        return cls(
-            guard=result.guard,
-            fingerprint=fingerprint,
-            target_shape=result.target_shape,
-            loss=result.loss,
-            evaluation=result.evaluation,
-            compile_seconds=result.compile_seconds,
-            compiled_render=result.compiled_render,
-        )
-
-    def to_result(self) -> "TransformResult":
-        """A fresh :class:`TransformResult` over the shared artifacts."""
-        from repro.engine.interpreter import TransformResult
-
-        return TransformResult(
-            guard=self.guard,
-            target_shape=self.target_shape,
-            loss=self.loss,
-            evaluation=self.evaluation,
-            compile_seconds=self.compile_seconds,
-            compiled_render=self.compiled_render,
-        )
+    #: The checked result (``Interpreter.compile``): target shape, loss,
+    #: evaluation and the plan's emitter, which keeps whichever sink
+    #: functions renders have asked for so far.  It reads only the shape,
+    #: so it serves every document whose fingerprint matches; each
+    #: request gets a planned copy (``checked.planned(index)``).
+    checked: "TransformResult"
 
 
 class PlanCache:

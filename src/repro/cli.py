@@ -158,7 +158,9 @@ def _build_parser() -> argparse.ArgumentParser:
     transform.add_argument("document", help="XML file, or stored name with --db")
     transform.add_argument("guard")
     transform.add_argument("--db", default=None, help="transform a stored document")
-    transform.add_argument("--indent", type=int, default=None, help="pretty-print width")
+    transform.add_argument(
+        "--indent", type=_non_negative, default=None, help="pretty-print width"
+    )
     output = transform.add_mutually_exclusive_group()
     output.add_argument(
         "-o", "--output", metavar="PATH", help="write compact XML into PATH instead"
@@ -377,6 +379,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _non_negative(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as handle:
         return handle.read()
@@ -519,38 +527,37 @@ def _cmd_transform(arguments) -> int:
 def _transform(arguments, index=None, db: Database | None = None) -> int:
     """Run the guard over a file's ``index`` or, with ``db``, over the
     stored document (whose index then loads inside what is profiled)."""
-    from repro.engine.profile import profile_db_transform, profile_transform
+    from repro.engine.profile import profile
 
     name, guard, path = arguments.document, arguments.guard, arguments.output
-    if path is not None:
-        # Compile first: a bad guard or a missing document leaves PATH as it was.
-        result = db.compile(name, guard) if db else repro.Interpreter(index).compile(guard)
-        sink = open(path, "w", encoding="utf-8")
-        try:
-            with sink:
-                if db:
-                    stats = db.stream_transform(name, guard, sink)
-                else:
-                    stats = result.compiled_render.write(index, sink)
-        except BaseException:
-            os.remove(path)
-            raise
-        print(f"streamed {stats.nodes_written} nodes ({stats.characters} chars) to {path}")
-    elif arguments.profile or arguments.trace:
-        report = profile_db_transform(db, name, guard) if db else profile_transform(index, guard)
+
+    def plan():
+        return db.transform(name, guard) if db else repro.Interpreter(index).transform(guard)
+
+    if arguments.profile or arguments.trace:
+        report = profile(plan, db)
         result = report.result
         if arguments.profile:
             print(report.pretty())
         else:
             print(report.trace_json() if arguments.trace == "json" else report.span_tree())
     else:
-        result = db.transform(name, guard) if db else repro.Interpreter(index).transform(guard)
-        print(result.xml(indent=arguments.indent))
+        # Planned before PATH opens: a bad guard or a missing document leaves it as it was.
+        result = plan()
+        if path is None:
+            print(result.xml(indent=arguments.indent).rstrip("\n"))
+        else:
+            sink = open(path, "w", encoding="utf-8")
+            try:
+                with sink:
+                    stats = result.write(sink)
+            except BaseException:
+                os.remove(path)
+                raise
+            print(f"streamed {stats.nodes_written} nodes ({stats.characters} chars) to {path}")
     if arguments.reports:
         from repro.engine.report import full_report
 
-        # An -o plan was compiled only; with its source, the report renders it.
-        result.source = db.index(name) if db else index
         print("\n" + full_report(result, result.source), file=sys.stderr)
     return 0
 

@@ -11,8 +11,8 @@ render of the result runs, in memory or from a store.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional, TextIO
 
 from repro.obs import tracer as obs
 
@@ -21,7 +21,7 @@ from repro.algebra.context import DocumentShapeContext
 from repro.algebra.operators import Operator
 from repro.algebra.semantics import EvaluationResult, Evaluator
 from repro.closeness.index import BaseIndex, DocumentIndex
-from repro.engine.compile import CompiledRender, RenderResult
+from repro.engine.compile import CompiledRender, RenderResult, StreamStats
 from repro.lang.parser import parse_guard
 from repro.shape.shape import Shape
 from repro.typing.enforce import enforce
@@ -34,14 +34,14 @@ from repro.xmltree.serializer import serialize
 class TransformResult:
     """Everything produced by one guard evaluation.
 
-    A result is *checked* (compile only: ``rendered`` is ``None``),
-    *rendered* (``Interpreter.transform``), or — from
-    ``Database.transform`` — *planned*: it carries the index to render
-    from (``source``) and renders on first touch.  ``xml()`` on a
-    planned result writes the plan's text sink and builds no output
-    tree; ``forest`` / ``rendered`` / ``xml(indent=n)`` build the tree
-    through the tree sink, once.  Whichever sink runs first fixes
-    ``render_counts`` and ``render_seconds``.
+    A result is *checked* (``Interpreter.compile``: ``rendered`` is
+    ``None``) or *planned* (``Interpreter.transform``,
+    ``Database.transform``): it carries the index to render from
+    (``source``) and renders when first read.  ``xml()`` writes the
+    plan's text sink and builds no output tree; ``forest`` /
+    ``rendered`` / ``xml(indent=n)`` build the tree through the tree
+    sink, once.  Whichever sink runs first fixes ``render_counts`` and
+    ``render_seconds``.
     """
 
     guard: str
@@ -52,17 +52,21 @@ class TransformResult:
     #: ``Interpreter.compile``; a ``Database`` caches it with the plan.
     compiled_render: CompiledRender
     compile_seconds: float = 0.0
-    render_seconds: float = 0.0
     #: The index a planned result renders from when first read.
     source: Optional[BaseIndex] = None
+    render_seconds: float = field(default=0.0, init=False)
     #: ``(nodes_written, nodes_read, joins)`` of the first render.
-    render_counts: Optional[tuple[int, int, int]] = None
-    _rendered: Optional[RenderResult] = field(default=None, repr=False)
-    _text: Optional[str] = field(default=None, repr=False)
+    render_counts: Optional[tuple[int, int, int]] = field(default=None, init=False)
+    _rendered: Optional[RenderResult] = field(default=None, init=False, repr=False)
+    _text: Optional[str] = field(default=None, init=False, repr=False)
+
+    def planned(self, source: BaseIndex) -> "TransformResult":
+        """An unread copy of these compile artifacts that renders from ``source``."""
+        return replace(self, source=source)
 
     @property
     def rendered(self) -> Optional[RenderResult]:
-        """The output tree with its bookkeeping (built now, if planned)."""
+        """The output tree with its bookkeeping (built now, if unread)."""
         if self._rendered is None and self.source is not None:
             with obs.span("pipeline.render") as render_span:
                 self._rendered = self.compiled_render.run(self.source)
@@ -84,6 +88,13 @@ class TransformResult:
                 self._account(stats, render_span.duration)
             return self._text
         return serialize(self.forest, indent=indent)
+
+    def write(self, out: TextIO) -> StreamStats:
+        """Write the compact XML into ``out`` through the text sink."""
+        with obs.span("pipeline.render") as render_span:
+            stats = self.compiled_render.write(self.source, out)
+        self._account(stats, render_span.duration)
+        return stats
 
     def _account(self, counted, seconds: float) -> None:
         """Record the first render's counters."""
@@ -174,27 +185,18 @@ class Interpreter:
             )
 
     def transform(self, guard: str) -> TransformResult:
-        """Compile, enforce, and render a guard (Ψ⟦P⟧ = render(G, ξ⟦P⟧(S)))."""
-        return self.render_compiled(self.compile(guard))
+        """Compile and enforce a guard; the result renders from this
+        index when first read (Ψ⟦P⟧ = render(G, ξ⟦P⟧(S)))."""
+        return self.compile(guard).planned(self.index)
 
     def render_compiled(self, compiled: TransformResult) -> TransformResult:
-        """Render an already-compiled guard (possibly from a plan cache).
+        """A planned copy of ``compiled`` over this index, rendered now.
 
-        The compile artifacts (target shape, loss, evaluation) are
-        shared with ``compiled``; only the render output is fresh, so a
-        cached plan can be re-rendered any number of times.
+        Nothing in ``repro`` calls it: ``perfbench`` wraps it by name as
+        its ``engine.render`` layer.
         """
-        result = TransformResult(
-            guard=compiled.guard,
-            target_shape=compiled.target_shape,
-            loss=compiled.loss,
-            evaluation=compiled.evaluation,
-            compile_seconds=compiled.compile_seconds,
-            compiled_render=compiled.compiled_render,
-        )
-        with obs.span("pipeline.render") as render_span:
-            result._rendered = result.compiled_render.run(self.index)
-        result._account(result._rendered, render_span.duration)
+        result = compiled.planned(self.index)
+        result.rendered  # noqa: B018 - render before returning
         return result
 
     # -- stages ---------------------------------------------------------------

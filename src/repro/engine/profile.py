@@ -14,19 +14,18 @@ of the same evaluation:
   (which drives the paper's Figures 11–12) reported to the profile's
   tracer, so they are this evaluation's and no other thread's.
 
-Entry points: :func:`profile_transform` for an in-memory forest or
-index, and :func:`profile_db_transform` for a stored document, with
-storage actuals.  Both are surfaced by ``xmorph transform --profile``
-and ``--trace`` (a file takes the first, ``--db`` the second).
+Entry point: :func:`profile`, over an in-memory forest or index or
+over a stored document (then with storage actuals), as
+``xmorph transform --profile`` and ``--trace`` surface it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from repro import obs
-from repro.engine.interpreter import Interpreter, TransformResult
+from repro.engine.interpreter import TransformResult
 from repro.shape.types import ShapeType
 
 #: Span names whose durations headline the timing summary, in pipeline order.
@@ -200,23 +199,17 @@ def _source_label(vertex: ShapeType) -> str:
 # -- entry points ----------------------------------------------------------
 
 
-def profile_transform(source, guard: str) -> ProfileReport:
-    """Profile a guard over an in-memory forest or document index."""
+def profile(plan: Callable[[], TransformResult], database=None) -> ProfileReport:
+    """Profile one guard evaluation: ``plan()`` returns the unread result
+    (``Interpreter(source).transform(guard)`` or, with storage actuals
+    from ``database``, ``database.transform(name, guard)``) and the
+    tracer sees it planned and rendered."""
     tracer = obs.Tracer()
     with obs.tracing(tracer):
-        result = Interpreter(source).transform(guard)
-    return ProfileReport(guard=guard, result=result, tracer=tracer)
-
-
-def profile_db_transform(database, name: str, guard: str) -> ProfileReport:
-    """Profile a guard over a stored document, with storage actuals."""
-    tracer = obs.Tracer()
-    with obs.tracing(tracer):
-        result = database.transform(name, guard)
+        result = plan()
         result.rendered  # noqa: B018 - render inside the profiled region
-    return ProfileReport(
-        guard=guard, result=result, tracer=tracer, storage=_storage(database, tracer)
-    )
+    storage = _storage(database, tracer) if database is not None else None
+    return ProfileReport(guard=result.guard, result=result, tracer=tracer, storage=storage)
 
 
 def _storage(database, tracer: obs.Tracer) -> dict:

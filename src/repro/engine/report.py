@@ -16,7 +16,11 @@ from repro.shape.dtdgen import shape_to_dtd
 
 
 def full_report(result: TransformResult, index: BaseIndex | None = None) -> str:
-    """Render everything known about one guard evaluation."""
+    """Render everything known about one guard evaluation.
+
+    Nothing is rendered here: the statistics are the result's first
+    render's (``render_counts``), or "not rendered" while it is unread.
+    """
     sections: list[str] = []
 
     sections.append(_section("guard", result.guard.strip()))
@@ -33,12 +37,11 @@ def full_report(result: TransformResult, index: BaseIndex | None = None) -> str:
         sections.append(_section("label resolution", label_report))
 
     stats_lines = [f"compile: {result.compile_seconds * 1000:.1f} ms"]
-    if result.rendered is not None:
+    if result.render_counts is not None:
+        written, read, joins = result.render_counts
         stats_lines += [
             f"render:  {result.render_seconds * 1000:.1f} ms",
-            f"nodes read {result.rendered.nodes_read}, "
-            f"written {result.rendered.nodes_written}, "
-            f"closest joins {result.rendered.joins}",
+            f"nodes read {read}, written {written}, closest joins {joins}",
         ]
     else:
         stats_lines.append("render:  (not rendered — compile only)")

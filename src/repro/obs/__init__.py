@@ -21,7 +21,7 @@ Typical use::
     from repro import obs
 
     with obs.tracing() as tracer:
-        repro.transform(forest, "MORPH author [ name ]")
+        repro.transform(forest, "MORPH author [ name ]").xml()
     print(obs.render_tree(tracer))
 
 See ``docs/OBSERVABILITY.md`` for the span and metric catalogues.

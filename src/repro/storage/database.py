@@ -27,7 +27,6 @@ from repro.errors import (
     RetiredDocumentError,
     StorageError,
 )
-from repro.obs import tracer as obs
 from repro.shape.shape import Shape
 from repro.shape.types import DataType, ShapeType, TypeTable
 from repro.storage import tables
@@ -201,18 +200,13 @@ class Database:
         """Compile and type-check a guard over a stored document; the
         result renders when it is first read.
 
-        ``xml()`` answers from the plan's text sink and builds no output
-        tree; ``forest`` / ``rendered`` / ``xml(indent=n)`` build it.  A
+        Until then only shape records have been touched.  ``xml()``
+        answers from the plan's text sink and builds no output tree;
+        ``forest`` / ``rendered`` / ``xml(indent=n)`` build it.  A
         result still unread when the document is updated or dropped, or
         this handle closed, raises :class:`~repro.errors.
         RetiredDocumentError` (``XM570``) instead of rendering.
         """
-        result = self._plan(name, guard)
-        result.source = self.index(name)
-        return result
-
-    def compile(self, name: str, guard: str) -> TransformResult:
-        """Everything but rendering — touches only shape records."""
         return self._plan(name, guard)
 
     def check_evolution(self, old_name: str, new_name: str, guards):
@@ -235,7 +229,7 @@ class Database:
         return report
 
     def _plan(self, name: str, guard: str) -> TransformResult:
-        """Compile a guard, reusing a cached plan for the same shape.
+        """Plan a guard over ``name``, reusing a cached plan for the same shape.
 
         Plans are keyed by ``(guard text, shape fingerprint)``: the
         compile stages touch only the adorned shape, so any document
@@ -256,9 +250,9 @@ class Database:
         plan = self.plan_cache.get_or_compile(
             guard,
             index.fingerprint,
-            lambda: CompiledPlan.from_result(compile_guard(), index.fingerprint),
+            lambda: CompiledPlan(guard, index.fingerprint, compile_guard()),
         )
-        return plan.to_result()
+        return plan.checked.planned(index)
 
     def transform_many(
         self,
@@ -287,9 +281,7 @@ class Database:
         the cheapest way to turn a stored document into bytes for a file
         or socket; the text equals ``transform(name, guard).xml()``.
         """
-        compiled = self._plan(name, guard)
-        with obs.span("pipeline.render"):
-            return compiled.compiled_render.write(self.index(name), out)
+        return self._plan(name, guard).write(out)
 
     def load_forest(self, name: str) -> XmlForest:
         """Reconstruct a full document from its Nodes records."""

@@ -7,7 +7,7 @@ import pytest
 from repro import obs
 from repro.cache import CompiledPlan, PlanCache, shape_fingerprint
 from repro.engine.interpreter import Interpreter
-from repro.engine.profile import profile_db_transform
+from repro.engine.profile import profile
 from repro.errors import StorageError
 from repro.storage import Database, SystemStats
 from repro.workloads import generate_dblp
@@ -51,11 +51,7 @@ def _plan(guard="G", fingerprint="f" * 16):
     return CompiledPlan(
         guard=guard,
         fingerprint=fingerprint,
-        target_shape=None,
-        loss=None,
-        evaluation=None,
-        compile_seconds=0.0,
-        compiled_render=None,
+        checked=None,
     )
 
 
@@ -108,7 +104,7 @@ class TestDatabasePlanCache:
         assert len(compiles) == 1
         assert miss.metrics.counter("typing.loss.pairs") > 0
         with obs.tracing() as hit:
-            db.compile("a", GUARD)
+            db.transform("a", GUARD)
         # No compile, so no pair of the loss analysis is evaluated again.
         assert len(compiles) == 1
         assert hit.metrics.counter("typing.loss.pairs") == 0
@@ -116,7 +112,7 @@ class TestDatabasePlanCache:
     def test_compile_and_stream_share_plans(self, db):
         import io
 
-        db.compile("a", GUARD)
+        db.transform("a", GUARD)
         db.stream_transform("a", GUARD, io.StringIO())
         db.transform("a", GUARD)
         stats = db.plan_cache.stats()
@@ -204,8 +200,8 @@ class TestColdVersusWarmMetrics:
             guard = "CAST MORPH author [ title [ year ] ]"
 
             db.drop_cache()
-            cold = profile_db_transform(db, "dblp", guard)
-            warm = profile_db_transform(db, "dblp", guard)
+            cold = profile(lambda: db.transform("dblp", guard), db)
+            warm = profile(lambda: db.transform("dblp", guard), db)
 
             # Counters flow through the tracer: the cold run records the
             # miss, the warm run records the hit.

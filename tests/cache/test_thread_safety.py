@@ -30,11 +30,7 @@ def _plan(guard: str, fingerprint: str) -> CompiledPlan:
     return CompiledPlan(
         guard=guard,
         fingerprint=fingerprint,
-        target_shape=None,
-        loss=None,
-        evaluation=None,
-        compile_seconds=0.0,
-        compiled_render=None,
+        checked=None,
     )
 
 

@@ -17,7 +17,7 @@ from repro.cache import shape_fingerprint
 from repro.closeness import DocumentIndex
 from repro.engine.compile import CompiledRender
 from repro.engine.interpreter import Interpreter
-from repro.engine.profile import profile_transform
+from repro.engine.profile import profile
 from repro.storage import Database
 from repro.workloads import generate_dblp
 from repro.xmltree.serializer import serialize
@@ -152,7 +152,8 @@ class TestDatabaseKnob:
             db.close()
 
     def test_profile_reports_compiled_line(self):
-        report = profile_transform(repro.parse_forest(FIG1A), "CAST MORPH author [ name ]")
+        forest = repro.parse_forest(FIG1A)
+        report = profile(lambda: repro.transform(forest, "CAST MORPH author [ name ]"))
         assert "render.compiled:" in report.pretty()
         assert "edges specialized" in report.pretty()
         assert "author  [root]" in report.pretty()
@@ -176,7 +177,7 @@ class TestCompiledBeatsReference:
         with Database(str(tmp_path / "dblp.db"), durable=False) as db:
             db.store_document("dblp", generate_dblp(100))
             db.transform("dblp", guard)  # fills the plan cache and join memos
-            plan = db.compile("dblp", guard)
+            plan = db.transform("dblp", guard)
             assert db.plan_cache.stats()["hits"] >= 1
             emitter = plan.compiled_render
             assert isinstance(emitter, CompiledRender)

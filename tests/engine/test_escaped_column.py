@@ -44,7 +44,7 @@ def db(tmp_path):
 def fetched_columns(db) -> dict[str, list[str]]:
     """The escaped column of every sequence the plan's text sink reads."""
     index = db.index("lib")
-    plans = db.compile("lib", GUARD).compiled_render.edge_plans
+    plans = db.transform("lib", GUARD).compiled_render.edge_plans
     sources = {plan["source"] for plan in plans if plan["source"] is not None}
     return {
         data_type.dotted: index.nodes_of(data_type).escaped

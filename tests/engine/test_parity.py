@@ -18,6 +18,7 @@ got wrong — an attribute and a child element sharing one type.
 
 import io
 import os
+from unittest import mock
 
 import pytest
 
@@ -118,10 +119,16 @@ def assert_shape_parity(shape, index):
 
 
 def assert_parity(forest, guard):
-    """Compile ``guard`` over ``forest``; all three routes must agree."""
+    """Compile ``guard`` over ``forest``; all three routes must agree,
+    and the one-shot ``repro.transform(forest, guard).xml()`` is the
+    text sink's answer, built without an output tree."""
     interpreter = repro.Interpreter(forest)
     compiled = interpreter.compile(guard)
-    return assert_shape_parity(compiled.target_shape, interpreter.index)
+    outcome = assert_shape_parity(compiled.target_shape, interpreter.index)
+    text = outcome[2]  # serialize() of the oracle's forest
+    with mock.patch.object(CompiledRender, "run", side_effect=AssertionError("tree built")):
+        assert repro.transform(forest, guard).xml() == text
+    return outcome
 
 
 class TestGuardCorpusParity:
@@ -277,7 +284,7 @@ class TestNodeKindParity:
         with Database(str(tmp_path / "markup.db"), durable=False) as db:
             db.store_document("doc", document)
             index = db.index("doc")
-            shape = db.compile("doc", guard).target_shape
+            shape = db.transform("doc", guard).target_shape
             _reference, _tree, text, _stats = assert_shape_parity(shape, index)
             assert escape_text(long_text) in text
             assert db.transform("doc", guard).xml() == text

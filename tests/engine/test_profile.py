@@ -7,7 +7,7 @@ import pytest
 
 import repro
 from repro import obs
-from repro.engine.profile import profile_db_transform, profile_transform
+from repro.engine.profile import profile
 from repro.storage import Database
 
 from tests.conftest import FIG1A
@@ -22,9 +22,12 @@ def forest():
 
 
 class TestPipelineSpans:
+    """A transform plans; reading the result renders, inside whatever
+    tracer is current then."""
+
     def test_transform_emits_stage_spans(self, forest):
         with obs.tracing() as tracer:
-            repro.transform(forest, GUARD)
+            repro.transform(forest, GUARD).xml()
         names = tracer.span_names()
         for expected in (
             "pipeline.compile",
@@ -40,6 +43,7 @@ class TestPipelineSpans:
     def test_result_seconds_match_spans(self, forest):
         with obs.tracing() as tracer:
             result = repro.transform(forest, GUARD)
+            result.rendered  # noqa: B018 - render inside the tracer
         assert result.compile_seconds == tracer.find("pipeline.compile").duration
         assert result.render_seconds == tracer.find("pipeline.render").duration
 
@@ -47,11 +51,14 @@ class TestPipelineSpans:
         """Backward compatibility: timings survive without a tracer."""
         result = repro.transform(forest, GUARD)
         assert result.compile_seconds > 0.0
+        assert result.render_seconds == 0.0  # not read yet
+        result.xml()
         assert result.render_seconds > 0.0
 
     def test_render_counters(self, forest):
         with obs.tracing() as tracer:
             result = repro.transform(forest, GUARD)
+            result.rendered  # noqa: B018 - render inside the tracer
         counters = tracer.metrics.counters
         assert counters["render.nodes_emitted"] == result.rendered.nodes_written
         assert counters["render.joins"] == result.rendered.joins
@@ -67,7 +74,7 @@ class TestPipelineSpans:
 
 class TestProfileTransform:
     def test_plan_rows_annotated(self, forest):
-        report = profile_transform(forest, GUARD)
+        report = profile(lambda: repro.transform(forest, GUARD))
         rows = report.plan_rows()
         assert [(depth, name, actual) for depth, name, actual, _ in rows] == [
             (0, "author", 2),
@@ -77,7 +84,7 @@ class TestProfileTransform:
         ]
 
     def test_pretty_contains_plan_and_timings(self, forest):
-        text = profile_transform(forest, GUARD).pretty()
+        text = profile(lambda: repro.transform(forest, GUARD)).pretty()
         assert "EXPLAIN ANALYZE" in text
         assert "rows=2" in text
         assert "lang.parse" in text
@@ -89,12 +96,12 @@ class TestProfileTransform:
     def test_pretty_shows_the_emitters_plan(self, forest):
         """An in-memory render runs the plan's emitter, so its EXPLAIN
         ANALYZE prints the emitter's edges, as a stored one does."""
-        text = profile_transform(forest, GUARD).pretty()
+        text = profile(lambda: repro.transform(forest, GUARD)).pretty()
         assert re.search(r"render\.compiled: \d+ edges specialized", text), text
         assert re.search(r"^  name  \[join\]  anchors=\d+ candidates=\d+", text, re.M), text
 
     def test_trace_json_is_valid(self, forest):
-        for line in profile_transform(forest, GUARD).trace_json().splitlines():
+        for line in profile(lambda: repro.transform(forest, GUARD)).trace_json().splitlines():
             json.loads(line)
 
 
@@ -103,7 +110,7 @@ class TestProfileDatabase:
         with Database(str(tmp_path / "p.db")) as db:
             db.store_document("books", FIG1A)
             db.drop_cache()
-            report = profile_db_transform(db, "books", GUARD)
+            report = profile(lambda: db.transform("books", GUARD), db)
         assert report.storage is not None
         assert 0.0 <= report.storage["buffer_hit_ratio"] <= 1.0
         counters = report.tracer.metrics.counters
@@ -118,7 +125,7 @@ class TestProfileDatabase:
     def test_db_profile_leaves_metrics_detached(self, tmp_path):
         with Database(str(tmp_path / "q.db")) as db:
             db.store_document("books", FIG1A)
-            report = profile_db_transform(db, "books", GUARD)
+            report = profile(lambda: db.transform("books", GUARD), db)
             counted = dict(report.tracer.metrics.counters)
             db.drop_cache()
             db.transform("books", GUARD).xml()
@@ -138,7 +145,7 @@ class TestProfileDatabase:
             db.store_document("books", FIG1A)
             db.store_document("other", generate_dblp(20))
 
-        def profile(with_reader: bool):
+        def profiled(with_reader: bool):
             with Database(path) as db:
                 if with_reader:
                     real = db.transform
@@ -155,7 +162,7 @@ class TestProfileDatabase:
                         return result
 
                     db.transform = transform
-                report = profile_db_transform(db, "books", GUARD)
+                report = profile(lambda: db.transform("books", GUARD), db)
                 lifetime = db.stats.blocks_in
             tracer = report.tracer.metrics
             return lifetime, (
@@ -164,8 +171,8 @@ class TestProfileDatabase:
                 tracer.histogram("storage.page_read_seconds").count,
             )
 
-        alone_lifetime, alone = profile(with_reader=False)
-        shared_lifetime, shared = profile(with_reader=True)
+        alone_lifetime, alone = profiled(with_reader=False)
+        shared_lifetime, shared = profiled(with_reader=True)
         assert shared_lifetime > alone_lifetime  # the reader did read pages
         assert alone[0] > 0
         assert shared == alone
@@ -173,7 +180,7 @@ class TestProfileDatabase:
     def test_profile_document_covers_whole_pipeline(self, tmp_path):
         with Database(str(tmp_path / "w.db")) as db:
             db.store_document("books", FIG1A)
-            report = profile_db_transform(db, "books", GUARD)
+            report = profile(lambda: db.transform("books", GUARD), db)
         names = report.tracer.span_names()
         for expected in (
             "lang.parse",
@@ -190,7 +197,7 @@ class TestProfileDatabase:
         with Database(str(tmp_path / "r.db")) as db:
             db.store_document("books", FIG1A)
             db.drop_cache()
-            report = profile_db_transform(db, "books", GUARD)
+            report = profile(lambda: db.transform("books", GUARD), db)
         trace = from_json_lines(report.trace_json())
         assert trace.find("pipeline.render") is not None
         blocks = trace.metrics.counter("storage.blocks_read")

@@ -1,6 +1,7 @@
 """Tests for the unified transformation report."""
 
 import repro
+from repro.engine.compile import CompiledRender
 from repro.engine.report import full_report
 
 
@@ -32,8 +33,26 @@ class TestFullReport:
         result = interpreter.transform(
             "MORPH author [ !title name publisher [ name ] ]"
         )
+        result.xml()
         text = full_report(result, interpreter.index)
         assert "widening" in text
         assert "<!ELEMENT author" in text
         assert "data.author.book.title" in text
         assert "nodes read" in text
+
+    def test_report_prints_the_first_renders_counts(self, fig1a, monkeypatch):
+        """``xml()`` then the report: one text-sink render, no tree."""
+        runs = []
+        real = CompiledRender.run
+        monkeypatch.setattr(
+            CompiledRender, "run", lambda self, index: runs.append(index) or real(self, index)
+        )
+        interpreter = repro.Interpreter(fig1a)
+        result = interpreter.transform("MORPH author [ name ]")
+        assert "not rendered" in full_report(result)
+        result.xml()
+        text = full_report(result, interpreter.index)
+        assert runs == []
+        written, read, joins = result.render_counts
+        assert f"nodes read {read}, written {written}, closest joins {joins}" in text
+        assert "not rendered" not in text

@@ -41,7 +41,7 @@ class TestStoreGuardQueryPipeline:
         with Database(str(tmp_path / "s.db")) as db:
             db.store_document("dblp", forest)
             guard = "CAST MORPH author [ title ]"
-            compiled = db.compile("dblp", guard)
+            compiled = db.transform("dblp", guard)
             # Reference and both sinks over the *stored* index ...
             _ref, _tree, text, _stats = assert_shape_parity(
                 compiled.target_shape, db.index("dblp")

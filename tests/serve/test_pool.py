@@ -77,7 +77,7 @@ class TestDeadlines:
         titles = "".join(f"<title>T{i}</title>" for i in range(k))
         db.store_document("worst", f"<data><book>{authors}{titles}</book></data>")
         guard = "CAST-WIDENING MORPH author [ name title ]"
-        db.compile("worst", guard)  # planning is not what the budget is for
+        db.transform("worst", guard)  # planning is not what the budget is for
         with pytest.raises(TransformTimeoutError) as excinfo:
             db.transform_many([("worst", guard)], workers=2, deadline=0.03)
         assert excinfo.value.code == "XM540"

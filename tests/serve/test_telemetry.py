@@ -220,7 +220,7 @@ class TestErrorCounters:
 
 class TestEventsCountedOncePerRegistry:
     """``SystemStats.count`` updates the database's registry and the
-    current tracer's (``profile_db_transform`` reads the latter), and
+    current tracer's (``engine.profile.profile`` reads the latter), and
     each ``serve.*`` edge must land in each of them once."""
 
     @pytest.mark.parametrize(

@@ -524,7 +524,7 @@ class TestTransformsOverStore:
         db.drop_cache()
         db.index("a")  # load shape records
         before = db.stats.cumulative_blocks
-        db.compile("a", self.GUARD)
+        db.transform("a", self.GUARD)
         assert db.stats.cumulative_blocks == before
 
     def test_render_reads_only_needed_types(self, db):

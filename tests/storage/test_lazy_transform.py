@@ -1,15 +1,18 @@
-"""``Database.transform`` plans now and renders when the result is read.
+"""A transform plans now and renders when the result is read.
 
-What that laziness must not change: the bytes and the counters (the
-first read renders and counts, whichever sink it runs) — and what it
-must add: a result still unread when its document is updated or dropped,
+``Interpreter.transform`` and ``Database.transform`` hand back the same
+kind of result, so the lifecycle tests take either (the ``planned``
+fixture).  What that laziness must not change: the bytes and the
+counters (the first read renders and counts, whichever sink it runs) —
+and what a stored result must add: a result still unread when its document is updated or dropped,
 or its handle closed, refuses with ``XM570`` instead of rendering an old
 plan over new pages.
 """
 
 import pytest
 
-from repro import obs
+from repro import Interpreter, obs
+from repro.engine.compile import CompiledRender
 from repro.errors import RetiredDocumentError, StorageError
 from repro.storage import Database, InsertSubtree
 from repro.workloads import generate_dblp
@@ -26,6 +29,31 @@ def db(tmp_path):
     database.close()
 
 
+@pytest.fixture(params=["database", "interpreter"])
+def planned(request, db):
+    """A maker of cold, unread results of ``GUARD`` over one document."""
+    if request.param == "database":
+
+        def plan():
+            db.drop_cache()
+            return db.transform("dblp", GUARD)
+
+        return plan
+    forest = generate_dblp(30)
+    return lambda: Interpreter(forest).transform(GUARD)
+
+
+@pytest.fixture
+def tree_renders(monkeypatch):
+    """The indexes ``CompiledRender.run`` (the tree sink) rendered."""
+    runs = []
+    real = CompiledRender.run
+    monkeypatch.setattr(
+        CompiledRender, "run", lambda self, index: runs.append(index) or real(self, index)
+    )
+    return runs
+
+
 class TestRendersOnFirstRead:
     def test_transform_reads_no_sequence(self, db):
         db.drop_cache()
@@ -35,11 +63,26 @@ class TestRendersOnFirstRead:
         assert result.xml()
         assert db.index("dblp")._sequences
 
-    def test_xml_first_and_forest_first_agree(self, db):
+    def test_unread_until_the_first_read(self, planned, tree_renders):
+        result = planned()
+        assert result.source is not None
+        assert result.render_counts is None and result.render_seconds == 0.0
+        assert result.xml() == result.xml()
+        assert result.render_counts is not None and result.render_seconds > 0
+        assert tree_renders == []
+
+    def test_the_tree_renders_once(self, planned, tree_renders):
+        result = planned()
+        forest = result.forest
+        assert result.rendered.forest is forest
+        assert result.xml(indent=2) == serialize(forest, indent=2)
+        assert result.xml() == serialize(forest)
+        assert tree_renders == [result.source]
+
+    def test_xml_first_and_forest_first_agree(self, planned):
         outcomes = []
         for tree_first in (False, True):
-            db.drop_cache()
-            result = db.transform("dblp", GUARD)
+            result = planned()
             with obs.tracing() as first_read:
                 if tree_first:
                     forest = result.forest
@@ -101,14 +144,14 @@ class TestRendersOnFirstRead:
         assert counted[0] == counted[1]
         assert counted[0]["render.nodes_emitted"] > 0 and counted[0]["storage.blocks_read"] > 0
 
-    def test_indented_xml_is_the_serialized_tree(self, db):
-        result = db.transform("dblp", GUARD)
+    def test_indented_xml_is_the_serialized_tree(self, planned):
+        result = planned()
         indented = result.xml(indent=2)
         assert indented == serialize(result.forest, indent=2)
         assert indented != result.xml()
 
     def test_compile_only_result_stays_unrendered(self, db):
-        checked = db.compile("dblp", GUARD)
+        checked = Interpreter(db.index("dblp")).compile(GUARD)
         assert checked.rendered is None
         with pytest.raises(ValueError):
             checked.xml()

@@ -16,6 +16,14 @@ def doc(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def db(doc, tmp_path):
+    """``doc`` shredded as ``books``."""
+    path = str(tmp_path / "o.db")
+    assert main(["shred", "--db", path, "books", doc]) == 0
+    return path
+
+
 class TestCommands:
     def test_shape(self, doc, capsys):
         assert main(["shape", doc]) == 0
@@ -326,12 +334,6 @@ class TestOutputFile:
     """``-o PATH`` compiles before it opens PATH, and removes what a
     failed render left, so a failed transform leaves PATH as it was."""
 
-    @pytest.fixture
-    def db(self, doc, tmp_path):
-        path = str(tmp_path / "o.db")
-        assert main(["shred", "--db", path, "books", doc]) == 0
-        return path
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -354,13 +356,13 @@ class TestOutputFile:
         assert keep.read_bytes() == b"precious\n"
 
     def test_a_failed_render_removes_the_partial_file(self, db, tmp_path, monkeypatch):
-        from repro.storage import Database
+        from repro.engine.interpreter import TransformResult
 
-        def broken(self, name, guard, out):
+        def broken(self, out):
             out.write("<author>")
             raise OSError("disk full")
 
-        monkeypatch.setattr(Database, "stream_transform", broken)
+        monkeypatch.setattr(TransformResult, "write", broken)
         out = tmp_path / "partial.xml"
         assert main(["transform", "--db", db, "books", "MORPH author", "-o", str(out)]) == 1
         assert not out.exists()
@@ -391,6 +393,43 @@ class TestOutputFile:
             assert exited.value.code == 2
             assert "not allowed with" in capsys.readouterr().err
         assert not (tmp_path / "x.xml").exists()
+
+
+class TestPrintedOutput:
+    """Every mode of ``xmorph transform`` reads the one result it planned."""
+
+    @pytest.mark.parametrize("width", ["-1", "two", "1.5"])
+    def test_indent_is_a_non_negative_integer(self, doc, width, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["transform", doc, "MORPH author", "--indent", width])
+        assert exited.value.code == 2
+        assert "--indent" in capsys.readouterr().err
+
+    def test_indented_output_ends_in_one_newline(self, doc, db, capsys):
+        import repro
+        from repro.xmltree.serializer import serialize
+
+        guard = "MORPH author [ name ]"
+        expected = serialize(repro.transform(repro.parse_forest(FIG1A), guard).forest, indent=2)
+        for source in ([doc], ["--db", db, "books"]):
+            assert main(["transform", *source, guard, "--indent", "2"]) == 0
+            assert capsys.readouterr().out == expected
+        assert main(["transform", doc, guard, "--indent", "0"]) == 0
+        assert not capsys.readouterr().out.endswith("\n\n")
+
+    @pytest.mark.parametrize("stored", [False, True], ids=["file", "stored"])
+    def test_reports_render_nothing_again(self, doc, db, capsys, monkeypatch, stored):
+        from repro.engine.compile import CompiledRender
+
+        def tree_sink(self, index):
+            raise AssertionError("--reports built the output tree")
+
+        monkeypatch.setattr(CompiledRender, "run", tree_sink)
+        source = ["--db", db, "books"] if stored else [doc]
+        assert main(["transform", *source, "MORPH author [ name ]", "--reports"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("<author>")
+        assert "nodes read 4, written 4, closest joins 1" in captured.err
 
 
 class TestToolingCommands:
