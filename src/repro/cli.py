@@ -361,18 +361,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     metrics = commands.add_parser(
         "metrics",
-        help="print Prometheus metrics of a serve process or a database",
+        help="print Prometheus metrics of a serve process",
         description=(
-            "With --port, scrape a live `xmorph serve --port` process's "
-            "GET /metrics endpoint and print the exposition text.  With "
-            "--db, open the database read-only and print a one-shot "
-            "snapshot of its lifetime counters and latency histograms."
+            "Scrape a live `xmorph serve --port` process's GET /metrics "
+            "endpoint and print the exposition text."
         ),
     )
-    metrics.add_argument("--db", default=None, help="database file to snapshot")
     metrics.add_argument("--host", default="127.0.0.1")
     metrics.add_argument(
-        "--port", type=int, default=None, help="scrape a live serve process"
+        "--port", type=int, required=True, help="the serve process's TCP port"
     )
     metrics.set_defaults(handler=_cmd_metrics)
 
@@ -805,24 +802,15 @@ def _fetch_metrics(host: str, port: int, timeout: float = 2.0) -> str:
 
 
 def _cmd_metrics(arguments) -> int:
-    if (arguments.port is None) == (arguments.db is None):
-        print("error: pass exactly one of --port or --db", file=sys.stderr)
-        return 2
-    if arguments.port is not None:
-        try:
-            text = _fetch_metrics(arguments.host, arguments.port)
-        except OSError as error:
-            print(
-                f"error: cannot scrape {arguments.host}:{arguments.port}: {error}",
-                file=sys.stderr,
-            )
-            return 1
-        print(text, end="")
-        return 0
-    from repro.serve import render_database_metrics
-
-    with _open_database(arguments.db, mode="r") as db:
-        print(render_database_metrics(db), end="")
+    try:
+        text = _fetch_metrics(arguments.host, arguments.port)
+    except OSError as error:
+        print(
+            f"error: cannot scrape {arguments.host}:{arguments.port}: {error}",
+            file=sys.stderr,
+        )
+        return 1
+    print(text, end="")
     return 0
 
 

@@ -48,8 +48,7 @@ def seal_page(page_id: int, payload) -> bytes:
 def verify_page(path: str, page_id: int, slot):
     """Split a slot (any buffer) into its payload, raising
     :class:`ChecksumError` when the trailer magic or CRC does not match
-    the contents.  The payload is a slice of ``slot``: zero-copy when
-    ``slot`` is a memoryview.
+    the contents.  The payload is a slice of ``slot``.
 
     A trailer that names another version of the format (``XPG1``) is a
     :class:`FormatError` instead: that page is not damaged, it was

@@ -50,7 +50,11 @@ class Database:
     in-memory page overlay instead of being replayed, so every reader
     sees the same frozen post-commit snapshot without writing a byte.
     Mutations through a read-only handle raise
-    :class:`~repro.errors.ReadOnlyDatabaseError` (``XM550``).
+    :class:`~repro.errors.ReadOnlyDatabaseError` (``XM550``).  Both
+    modes read a page the same way, a ``pread`` whose checksum is
+    verified on every buffer-pool miss, so a page damaged on disk
+    under an open handle is a ``ChecksumError`` (``XM510``), never
+    served.
 
     Either mode is safe to share between threads for *reads*: the
     buffer pool, B+tree descents, plan cache and join memos are all
@@ -491,12 +495,7 @@ class Database:
 
     def close(self) -> None:
         self._closed = True
-        if self.mode != "r":
-            self.pool.flush()
-        else:
-            # Drop cached memoryviews into the mmap so the mapping can
-            # be unmapped eagerly instead of lingering behind exports.
-            self.pool.drop_cache()
+        self.pool.flush()
         self._file.close()
         self._lock.release()
 

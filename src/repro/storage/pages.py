@@ -23,7 +23,6 @@ Every syscall site reports to the failpoint registry
 
 from __future__ import annotations
 
-import mmap
 import os
 import threading
 import time
@@ -55,17 +54,9 @@ class PagedFile:
     the on-disk pages — a read-only open with a sealed-but-unreplayed
     journal reads *through* the journal batch without writing anything,
     giving every concurrent reader the same frozen post-commit snapshot.
-
-    A read-only file is additionally **memory-mapped** (``PROT_READ``):
-    :meth:`read_page` returns a zero-copy :class:`memoryview` over the
-    mapping instead of a heap ``bytearray``, so a ``mode="r"`` read
-    copies no page.  The mapping is file-backed, so separate reader
-    *processes* (two ``xmorph serve --readonly`` on one store, say)
-    share one physical copy of every hot page through the OS page
-    cache — only the small header fields a B+tree node decode unpacks
-    are copied per process ("copy-on-read headers").
-    The CRC-32 trailer is still verified on first touch, directly over
-    the mapped slot, without materializing the payload.
+    Writable or read-only, :meth:`read_page` serves a page from the
+    overlay if it holds it, else from one ``pread`` of its slot, whose
+    trailer it verifies on every read.
     """
 
     def __init__(
@@ -79,10 +70,6 @@ class PagedFile:
         self.stats = stats
         self.readonly = readonly
         self._overlay: dict[int, bytes] = dict(overlay or {})
-        self._mmap: Optional[mmap.mmap] = None
-        #: Page ids whose mapped slot already passed CRC verification
-        #: (the trailer is checked once per open, not once per read).
-        self._verified: set[int] = set()
         flags = os.O_RDONLY if readonly else os.O_RDWR | os.O_CREAT
         self._fd = os.open(path, flags, 0o644)
         try:
@@ -97,12 +84,6 @@ class PagedFile:
             if self._overlay:
                 # A journal batch may extend the file past its on-disk end.
                 self._page_count = max(self._page_count, max(self._overlay) + 1)
-            if readonly and size:
-                try:
-                    self._mmap = mmap.mmap(self._fd, size, access=mmap.ACCESS_READ)
-                except (OSError, ValueError):  # pragma: no cover - platform
-                    # without mmap support; pread still serves every page.
-                    self._mmap = None
         except BaseException:
             # The descriptor must not outlive a failed constructor.
             os.close(self._fd)
@@ -123,19 +104,13 @@ class PagedFile:
         self.stats.count("storage.blocks_written")
         return page_id
 
-    def read_page(self, page_id: int):
-        """The page payload: a ``bytearray`` (writable files) or a
-        zero-copy ``memoryview`` into the mapping (read-only files)."""
+    def read_page(self, page_id: int) -> bytearray:
+        """The page payload, CRC-checked on every physical read."""
         self._check(page_id)
         shadowed = self._overlay.get(page_id)
         if shadowed is not None:
             self.stats.count("storage.blocks_read")
             return bytearray(shadowed)
-        if (
-            self._mmap is not None
-            and (page_id + 1) * SLOT_SIZE <= len(self._mmap)
-        ):
-            return self._read_mapped(page_id)
         FAULTS.fire("pages.pread")
         started = time.perf_counter()
         slot = os.pread(self._fd, SLOT_SIZE, page_id * SLOT_SIZE)
@@ -147,27 +122,8 @@ class PagedFile:
                 f"short read on page {page_id} of {self.path} "
                 f"({len(slot)} of {SLOT_SIZE} bytes)"
             )
-        return bytearray(self._verify(page_id, slot))
-
-    def _read_mapped(self, page_id: int) -> memoryview:
-        """A zero-copy view of a mapped page, CRC-checked on first touch."""
-        FAULTS.fire("pages.pread")
-        started = time.perf_counter()
-        offset = page_id * SLOT_SIZE
-        slot = memoryview(self._mmap)[offset : offset + SLOT_SIZE]
-        if page_id in self._verified:
-            payload = slot[:PAGE_SIZE]
-        else:
-            payload = self._verify(page_id, slot)
-            self._verified.add(page_id)
-        self.stats.observe("storage.page_read_seconds", time.perf_counter() - started)
-        self.stats.count("storage.blocks_read")
-        return payload
-
-    def _verify(self, page_id: int, slot):
-        """The slot's payload once its trailer checks out (counted if not)."""
         try:
-            return verify_page(self.path, page_id, slot)
+            return bytearray(verify_page(self.path, page_id, slot))
         except ChecksumError:
             self.stats.count("pages.checksum_failures")
             raise
@@ -194,15 +150,6 @@ class PagedFile:
         os.fsync(self._fd)
 
     def close(self) -> None:
-        if self._mmap is not None:
-            # Cached memoryviews may still reference the mapping (the
-            # buffer pool holds them); CPython keeps the pages alive
-            # until the last view dies, but close what we can eagerly.
-            try:
-                self._mmap.close()
-            except BufferError:
-                pass
-            self._mmap = None
         os.close(self._fd)
 
     def _check(self, page_id: int) -> None:
@@ -227,7 +174,9 @@ def _fsync_dir(path: str) -> None:
 class BufferPool:
     """An LRU cache of pages over a :class:`PagedFile`.
 
-    ``capacity`` is in pages.
+    ``capacity`` is in pages.  A frame is the ``bytearray`` that
+    :meth:`PagedFile.read_page` returned (or :meth:`allocate` zeroed),
+    for a read-only file as for a writable one.
 
     The pool is thread-safe for the read path: one re-entrant ``lock``
     guards the LRU map, the dirty set and eviction, so concurrent
@@ -265,9 +214,7 @@ class BufferPool:
         #: Re-entrant: flush() runs under it and _install() may trigger
         #: flush(); B+tree descents also nest get() inside locked().
         self.lock = threading.RLock()
-        #: Writable files cache ``bytearray`` buffers; read-only mmap'd
-        #: files cache zero-copy ``memoryview``s into the mapping.
-        self._pages: OrderedDict[int, "bytearray | memoryview"] = OrderedDict()
+        self._pages: OrderedDict[int, bytearray] = OrderedDict()
         #: Page id -> the decoded form of its resident frame.
         self._decoded: dict[int, object] = {}
         self._dirty: set[int] = set()
@@ -324,12 +271,8 @@ class BufferPool:
             self._install(page_id, bytearray(PAGE_SIZE))
             return page_id
 
-    def get(self, page_id: int):
-        """The page's buffer (cached); mutations need :meth:`mark_dirty`.
-
-        Writable files yield ``bytearray``s; read-only mmap'd files
-        yield read-only ``memoryview``s (zero-copy, shared with any
-        other reader process of the same file)."""
+    def get(self, page_id: int) -> bytearray:
+        """The page's buffer (cached); mutations need :meth:`mark_dirty`."""
         with self.lock:
             cached = self._pages.get(page_id)
             if cached is not None:
@@ -417,7 +360,7 @@ class BufferPool:
     def resident(self) -> int:
         return len(self._pages)
 
-    def _install(self, page_id: int, data) -> None:
+    def _install(self, page_id: int, data: bytearray) -> None:
         self._pages[page_id] = data
         self._pages.move_to_end(page_id)
         self._trim(keep=page_id)

@@ -142,8 +142,9 @@ class TestChecksums:
         assert page_crc(7, payload) != page_crc(8, payload)
 
     def test_pread_and_mmap_raise_the_identical_error(self, tmp_path):
-        # One verifier behind both read paths: same class, code, fields
-        # and message for the same flipped byte.
+        # Writable and read-only files share one read path and one
+        # verifier: same class, code, fields and message for the same
+        # flipped byte.
         from repro.errors import ChecksumError
         from repro.storage.pages import SLOT_SIZE
 
@@ -160,22 +161,101 @@ class TestChecksums:
         for readonly in (False, True):
             handle = PagedFile(path, SystemStats(), readonly=readonly)
             try:
-                assert (handle._mmap is not None) == readonly
                 with pytest.raises(ChecksumError) as excinfo:
                     handle.read_page(1)
                 assert handle.stats.counters["pages.checksum_failures"] == 1
                 raised.append(excinfo.value)
             finally:
                 handle.close()
-        pread, mapped = raised
-        assert type(pread) is type(mapped) is ChecksumError
-        assert pread.code == mapped.code == "XM510"
-        assert str(pread) == str(mapped)
-        assert (pread.page_id, pread.stored, pread.computed) == (
-            mapped.page_id,
-            mapped.stored,
-            mapped.computed,
+        writer, reader = raised
+        assert type(writer) is type(reader) is ChecksumError
+        assert writer.code == reader.code == "XM510"
+        assert str(writer) == str(reader)
+        assert (writer.page_id, writer.stored, writer.computed) == (
+            reader.page_id,
+            reader.stored,
+            reader.computed,
         )
+
+
+@pytest.fixture
+def written(tmp_path):
+    """A three-page file written through a writable handle."""
+    path = str(tmp_path / "w.db")
+    file = PagedFile(path, SystemStats())
+    payloads = []
+    for value in (3, 5, 7):
+        payload = bytes([value]) * PAGE_SIZE
+        file.write_page(file.allocate(), payload)
+        payloads.append(payload)
+    file.close()
+    return path, payloads
+
+
+class TestReadOnlyFile:
+    """A read-only file reads every page as a writable one does."""
+
+    @pytest.mark.parametrize("readonly", [False, True], ids=["writer", "reader"])
+    def test_frames_are_bytearrays(self, written, readonly):
+        path, payloads = written
+        file = PagedFile(path, SystemStats(), readonly=readonly)
+        try:
+            for page_id, payload in enumerate(payloads):
+                page = file.read_page(page_id)
+                assert type(page) is bytearray
+                assert page == payload
+        finally:
+            file.close()
+
+    def test_reader_and_writer_read_identical_bytes(self, written):
+        path, _ = written
+        reader = PagedFile(path, SystemStats(), readonly=True)
+        writer = PagedFile(path, SystemStats())
+        try:
+            for page_id in range(reader.page_count):
+                assert reader.read_page(page_id) == writer.read_page(page_id)
+        finally:
+            reader.close()
+            writer.close()
+
+    def test_crc_failure_is_counted(self, written):
+        from repro.errors import ChecksumError
+        from repro.storage.pages import SLOT_SIZE
+
+        path, _ = written
+        with open(path, "r+b") as handle:
+            handle.seek(1 * SLOT_SIZE + 99)
+            handle.write(b"\xff")
+        file = PagedFile(path, SystemStats(), readonly=True)
+        try:
+            file.read_page(0)  # intact neighbours still read fine
+            file.read_page(2)
+            with pytest.raises(ChecksumError) as excinfo:
+                file.read_page(1)
+            assert excinfo.value.code == "XM510"
+            assert file.stats.counters["pages.checksum_failures"] == 1
+        finally:
+            file.close()
+
+    def test_a_page_changed_after_a_read_fails_its_next_read(self, written):
+        # Every read verifies: a page that passed once is checked again.
+        from repro.errors import ChecksumError
+        from repro.storage.pages import SLOT_SIZE
+
+        path, payloads = written
+        file = PagedFile(path, SystemStats(), readonly=True)
+        try:
+            assert file.read_page(1) == payloads[1]
+            with open(path, "r+b") as handle:
+                handle.seek(1 * SLOT_SIZE + 99)
+                handle.write(b"\xff")
+            with pytest.raises(ChecksumError) as excinfo:
+                file.read_page(1)
+            assert excinfo.value.code == "XM510"
+            assert excinfo.value.page_id == 1
+            assert file.stats.counters["pages.checksum_failures"] == 1
+        finally:
+            file.close()
 
 
 class TestBufferPool:

@@ -18,6 +18,7 @@ import time
 import pytest
 
 from repro.errors import (
+    ChecksumError,
     DatabaseLockedError,
     InjectedFaultError,
     ReadOnlyDatabaseError,
@@ -137,6 +138,22 @@ class TestLockMatrix:
         with Database(store) as writer:
             assert "after-abandon" in writer.document_names()
 
+    def test_reader_and_writer_render_identically(self, tmp_path):
+        path = str(tmp_path / "d.db")
+        with Database(path, durable=False) as writer:
+            writer.store_document("doc", FIG1A)
+            expected = writer.transform("doc", GUARD).xml()
+        with Database(path, mode="r", durable=False) as reader:
+            assert reader.transform("doc", GUARD).xml() == expected
+
+    def test_reader_closes_with_resident_pages(self, store):
+        reader = Database(store, mode="r")
+        reader.transform("doc", GUARD).xml()
+        assert reader.pool.resident > 0
+        reader.close()
+        with Database(store) as writer:  # the shared lock went with it
+            assert writer.transform("doc", GUARD).xml()
+
     def test_invalid_mode_rejected(self, store):
         with pytest.raises(StorageError):
             Database(store, mode="a")
@@ -233,6 +250,58 @@ class TestFaultsMidRead:
             reader.abandon()  # die the way a crashed process would
         with Database(store) as writer:  # the store is fine; a writer proceeds
             assert writer.transform("doc", GUARD).xml()
+
+
+class TestDamageUnderAnOpenReader:
+    """A page changed on disk after a reader read it is checked again
+    when the reader next reads it: the render ends in ``XM510`` and
+    never serves the changed text."""
+
+    NAME = b"Name0123"
+    DAMAGED = b"Xame0123"
+    DOC = (
+        "<data><book><title>T</title><author><name>"
+        + NAME.decode()
+        + "</name></author></book></data>"
+    )
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        # The filler makes the B+tree taller than one page, so a descent
+        # to the document's records reads other pages before them.
+        path = str(tmp_path / "damage.db")
+        with Database(path) as writer:
+            writer.store_document("filler", generate_dblp(60))
+            writer.store_document("doc", self.DOC)
+        return path
+
+    def _damage(self, path: str) -> None:
+        with open(path, "r+b") as handle:
+            raw = handle.read()
+            assert self.NAME in raw
+            handle.seek(0)
+            handle.write(raw.replace(self.NAME, self.DAMAGED))
+
+    def test_after_drop_cache(self, path):
+        with Database(path, mode="r") as reader:
+            assert self.NAME.decode() in reader.transform("doc", GUARD).xml()
+            self._damage(path)
+            reader.drop_cache()
+            with pytest.raises(ChecksumError) as excinfo:
+                reader.transform("doc", GUARD).xml()
+            assert excinfo.value.code == "XM510"
+            assert reader.stats.counter("pages.checksum_failures") == 1
+
+    def test_after_eviction(self, path):
+        # One resident page: the descent to the name sequence evicts the
+        # page the title render left behind, then reads it again.
+        with Database(path, mode="r", cache_pages=1) as reader:
+            assert reader.transform("doc", "MORPH title").xml() == "<title>T</title>"
+            self._damage(path)
+            with pytest.raises(ChecksumError) as excinfo:
+                reader.transform("doc", GUARD).xml()
+            assert excinfo.value.code == "XM510"
+            assert reader.stats.counter("pages.checksum_failures") == 1
 
 
 class TestFrozenSnapshot:

@@ -519,6 +519,7 @@ class TestServeCommands:
             ["db-transform", "--db", "x.db", "books", "MORPH author"],
             ["transform", "books.xml", "MORPH author", "--profile-json", "-"],
             ["transform", "--db", "x.db", "books", "MORPH author", "--stats"],
+            ["metrics", "--port", "9900", "--db", "x.db"],
         ],
         ids=[
             "serve --mode",
@@ -528,6 +529,7 @@ class TestServeCommands:
             "db-transform",
             "transform --profile-json",
             "transform --stats",
+            "metrics --db",
         ],
     )
     def test_removed_serve_surface_is_a_usage_error(self, argv, capsys):
@@ -576,7 +578,6 @@ class TestErrors:
             ["evolve", "old", "new", "--db", "{db}", "--guards", "{guards}"],
             ["serve", "--db", "{db}"],
             ["serve", "--db", "{db}", "--readonly"],
-            ["metrics", "--db", "{db}"],
         ],
         ids=lambda argv: " ".join(part for part in argv if "{" not in part),
     )
