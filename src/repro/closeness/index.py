@@ -47,7 +47,7 @@ from repro.shape.shape import Shape
 from repro.shape.types import DataType, ShapeType, TypeTable
 from repro.xmltree.dewey import pack, prefix, prefixes, unpack
 from repro.xmltree.node import NodeKind, XmlForest, XmlNode
-from repro.xmltree.serializer import escape_texts
+from repro.xmltree.serializer import escape_texts, json_texts
 
 
 class TypeSequence:
@@ -61,8 +61,10 @@ class TypeSequence:
 
     :attr:`escaped` is ``values`` escaped as XML character data, built
     on first use and then kept, so a render writes a node's text as is
-    however many parents it is copied under.  It lives and dies with
-    the sequence: a dropped or updated index's successor escapes its own.
+    however many parents it is copied under.  :attr:`json` is that
+    column escaped once more, as the body of a JSON string, for the
+    served answer.  Both live and die with the sequence: a dropped or
+    updated index's successor escapes its own.
 
     Indexing or iterating the sequence hands out the nodes as
     ``XmlNode`` s (:attr:`nodes`), built on first use and then kept.
@@ -77,8 +79,8 @@ class TypeSequence:
     """
 
     __slots__ = (
-        "data_type", "labels", "values", "attributes", "_escaped", "_nodes", "_index",
-        "_document",
+        "data_type", "labels", "values", "attributes", "_escaped", "_json", "_nodes",
+        "_index", "_document",
     )
 
     def __init__(
@@ -95,6 +97,7 @@ class TypeSequence:
         self.values = values
         self.attributes = attributes
         self._escaped: Optional[list[str]] = None
+        self._json: Optional[list[str]] = None
         self._nodes = nodes
         self._index = index if index is None else weakref.proxy(index)
         #: The stored document's name, for when the index is gone.
@@ -126,6 +129,15 @@ class TypeSequence:
         if escaped is None:
             escaped = self._escaped = escape_texts(self.values)
         return escaped
+
+    @property
+    def json(self) -> list[str]:
+        """:attr:`escaped` as JSON string bodies (:func:`json_texts`;
+        built once, then shared, lock-free like :attr:`escaped`)."""
+        column = self._json
+        if column is None:
+            column = self._json = json_texts(self.escaped)
+        return column
 
     def __len__(self) -> int:
         return len(self.labels)

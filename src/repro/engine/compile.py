@@ -42,7 +42,11 @@ the per-node snippet chosen by **sink**:
   node is an attribute or an element is decided per source node, and
   whether a start tag self-closes is decided from its partner lists
   before the tag is closed, so the text is byte-identical to
-  ``serialize()`` of the tree (compact form).
+  ``serialize()`` of the tree (compact form).  Its **JSON flavour**
+  (:meth:`CompiledRender.json`) is the same code run in a second
+  namespace: constants JSON-escaped at plan time and each sequence's
+  ``json`` column, so it writes ``json.dumps()`` of that text, less the
+  quotes, without scanning the text again — the body of a served answer.
 
 In both sinks a source node is its **position** in its type's
 :class:`~repro.closeness.index.TypeSequence`: candidates are position
@@ -79,6 +83,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Optional, TextIO
 
 from repro.closeness.index import TypeSequence
@@ -87,7 +92,7 @@ from repro.shape.shape import Shape
 from repro.shape.types import DataType, ShapeType
 from repro.xmltree.dewey import Dewey
 from repro.xmltree.node import NodeKind, XmlForest, XmlNode
-from repro.xmltree.serializer import escape_quotes
+from repro.xmltree.serializer import escape_quotes, json_quotes, json_text
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.closeness.index import BaseIndex
@@ -300,10 +305,11 @@ class CompiledRender:
     ``run(index)`` produces the output forest as a
     :class:`RenderResult`; ``write(index, out)`` writes
     ``serialize()`` of that forest into ``out`` without building it,
-    and ``text(index)`` returns it as one string.
+    ``text(index)`` returns it as one string and ``json(index)`` as the
+    body of a JSON string.
     ``edge_plans`` is the per-edge join plan for ``EXPLAIN ANALYZE``,
-    ``sources`` the generated Python per sink (for debugging and the
-    test suite).
+    ``sources`` the generated Python per source (``tree``, ``text``;
+    the JSON flavour runs ``text``), for debugging and the test suite.
     """
 
     def __init__(self, shape: Shape, index: "BaseIndex"):
@@ -348,32 +354,51 @@ class CompiledRender:
 
     def write(self, index: "BaseIndex", out: TextIO) -> StreamStats:
         """Render into the text sink: compact XML written to ``out``."""
-        return self._emit(index, out.write)
+        return self._emit(index, out.write, "text")
 
     def text(self, index: "BaseIndex") -> tuple[str, StreamStats]:
         """Render into the text sink: the compact XML as one string."""
+        return self._collect(index, "text")
+
+    def json(self, index: "BaseIndex") -> tuple[str, StreamStats]:
+        """Render into the text sink's JSON flavour: ``text(index)``'s XML
+        as the body of a JSON string, ``json.dumps(xml)[1:-1]``.
+
+        ``characters`` counts the body, not the XML.
+        """
+        return self._collect(index, "json")
+
+    def _collect(self, index: "BaseIndex", sink: str) -> tuple[str, StreamStats]:
         chunks: list[str] = []
-        stats = self._emit(index, chunks.append)
+        stats = self._emit(index, chunks.append, sink)
         return "".join(chunks), stats
 
-    def _emit(self, index: "BaseIndex", out: Callable[[str], object]) -> StreamStats:
+    def _emit(self, index: "BaseIndex", out: Callable[[str], object], sink: str) -> StreamStats:
         sequences, found, probes = self._prepare(index)
-        rows, characters = self._function("text")(sequences, found, probes, out)
+        rows, characters = self._function(sink)(sequences, found, probes, out)
         written, read, joins = self._account(rows, sequences, found, probes)
         return StreamStats(written, characters, joins, read)
 
     def _function(self, sink: str) -> Callable:
-        """The generated function of ``sink``, generated on first use."""
+        """The generated function of ``sink``, generated on first use.
+
+        ``text`` and ``json`` share one source, compiled once and
+        ``exec``'d in a namespace per sink, both at once: CPython's
+        ``compile()`` is nearly all of codegen's cost, the second
+        ``exec`` ~12 µs.
+        """
         with self._codegen_lock:
             function = self._functions.get(sink)
             if function is None:
-                with obs.span("engine.compile_render", sink=sink):
-                    generator = _Codegen(self._edges, sink == "text")
-                    source = self.sources[sink] = generator.generate()
-                    namespace = dict(generator.env)
-                    code = compile(source, f"<xmorph-render-{sink}>", "exec")
-                    exec(code, namespace)  # noqa: S102 - our own plan-time source
-                function = self._functions[sink] = namespace["_render"]
+                source = "tree" if sink == "tree" else "text"
+                with obs.span("engine.compile_render", sink=source):
+                    generator = _Codegen(self._edges, source == "text")
+                    text = self.sources[source] = generator.generate()
+                    code = compile(text, f"<xmorph-render-{source}>", "exec")
+                    for name, namespace in generator.namespaces().items():
+                        exec(code, namespace)  # noqa: S102 - our own plan-time source
+                        self._functions[name] = namespace["_render"]
+                function = self._functions[sink]
         return function
 
     def _prepare(self, index: "BaseIndex"):
@@ -494,9 +519,12 @@ class _Codegen:
     ``_t{d}`` / ``_k{d}`` / ``_p{d}`` its output node, child list and
     Dewey parts (level 0 is the forest: no node, the root list, the
     empty prefix).  A backed edge reads its source nodes through its
-    sequence's columns — ``_x{slot}`` escaped values and ``_a{slot}``
-    attribute flags in the text sink, ``_N{slot}`` node objects in the
-    tree sink.
+    sequence's columns — ``_x{slot}`` escaped values (the column
+    ``_column`` picks) and ``_a{slot}`` attribute flags in the text
+    sink, ``_N{slot}`` node objects in the tree sink.  Every string the
+    text sink writes is a bound constant or one of ``>`` and ``/>``,
+    which read the same in XML and in a JSON string body, so the one
+    text source serves both of :meth:`namespaces`' flavours.
     ``r{slot}`` counts an edge's instances; the function returns them
     all.
     """
@@ -507,7 +535,9 @@ class _Codegen:
         self.text = text
         self.env: dict[str, object] = {"_none": (None,), "_empty": ()}
         if text:
-            self.env.update(_discard=_discard, _quote=escape_quotes)
+            self.env.update(
+                _discard=_discard, _quote=escape_quotes, _column=attrgetter("escaped")
+            )
         else:
             self.env.update(
                 _X=XmlNode,
@@ -535,6 +565,20 @@ class _Codegen:
             self.env[name] = value
         return name
 
+    def namespaces(self) -> dict[str, dict]:
+        """The namespace to ``exec`` :meth:`generate`'s source in, per sink.
+
+        The text source gets a second, ``json``: the same names bound to
+        the JSON string body of each constant, the sequences' ``json``
+        column and :func:`json_quotes`.
+        """
+        if not self.text:
+            return {"tree": self.env}
+        flavour = dict(self.env, _quote=json_quotes, _column=attrgetter("json"))
+        for value, name in self._const_names.items():
+            flavour[name] = json_text(value)
+        return {"text": self.env, "json": flavour}
+
     def generate(self) -> str:
         counters = [f"r{edge.slot}" for edge in self.edges]
         result = f"[{', '.join(counters)}]"
@@ -556,7 +600,7 @@ class _Codegen:
                 prelude.append(f"    _c{slot} = _C[{slot}]")
             if edge.backed and self.text:
                 prelude.append(
-                    f"    _x{slot} = _S[{slot}].escaped; _a{slot} = _S[{slot}].attributes"
+                    f"    _x{slot} = _column(_S[{slot}]); _a{slot} = _S[{slot}].attributes"
                 )
             elif edge.backed:
                 prelude.append(f"    _N{slot} = _S[{slot}].nodes")
@@ -644,7 +688,8 @@ class _Codegen:
         self.emit(1, f"_m = {self._sequence(root, 0)}")
         self.emit(1, f"r{root.slot} = len(_m)")
         self.emit(1, "for _n1 in _m:")
-        self.emit(2, "if _b or _nc: _w('\\n')")
+        newline = self.const("\n")
+        self.emit(2, f"if _b or _nc: _w({newline})")
         self._instance(root, 1, 2)
         self.emit(2, f"if len(_b) >= {_FLUSH_CHUNKS}:")
         self.emit(3, "_s = ''.join(_b); _out(_s); _nc += len(_s); del _b[:]")
@@ -677,11 +722,12 @@ class _Codegen:
             self.emit(indent + 1, f"r{slot} += len(_m{slot})")
             if child.backed:
                 attribute = self.const(f' {child.vertex.out_name}="')
+                close = self.const('"')
                 self.emit(indent + 1, f"for _x in _m{slot}:")
                 self.emit(
                     indent + 2,
                     f"if _a{slot}[_x]: _w({attribute}); "
-                    f"_w(_quote(_x{slot}[_x])); _w('\"')",
+                    f"_w(_quote(_x{slot}[_x])); _w({close})",
                 )
                 self.emit(indent + 2, "else: _e = True")
             else:

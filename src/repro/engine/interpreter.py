@@ -38,10 +38,10 @@ class TransformResult:
     ``None``) or *planned* (``Interpreter.transform``,
     ``Database.transform``): it carries the index to render from
     (``source``) and renders when first read.  ``xml()`` writes the
-    plan's text sink and builds no output tree; ``forest`` /
-    ``rendered`` / ``xml(indent=n)`` build the tree through the tree
-    sink, once.  Whichever sink runs first fixes ``render_counts`` and
-    ``render_seconds``.
+    plan's text sink and builds no output tree, nor does its JSON-escaped
+    twin ``xml_json()``; ``forest`` / ``rendered`` / ``xml(indent=n)``
+    build the tree through the tree sink, once.  Whichever sink runs
+    first fixes ``render_counts`` and ``render_seconds``.
     """
 
     guard: str
@@ -88,6 +88,20 @@ class TransformResult:
                 self._account(stats, render_span.duration)
             return self._text
         return serialize(self.forest, indent=indent)
+
+    def xml_json(self) -> str:
+        """``xml()`` as the body of a JSON string, ``json.dumps(xml())[1:-1]``.
+
+        Written by the text sink from JSON-escaped constants and columns
+        (:meth:`CompiledRender.json`), so the text is never scanned
+        again; a served answer frames it by concatenation.
+        """
+        if self.source is None:
+            raise ValueError("guard was checked, not rendered")
+        with obs.span("pipeline.render") as render_span:
+            body, stats = self.compiled_render.json(self.source)
+        self._account(stats, render_span.duration)
+        return body
 
     def write(self, out: TextIO) -> StreamStats:
         """Write the compact XML into ``out`` through the text sink."""
@@ -192,8 +206,8 @@ class Interpreter:
     def render_compiled(self, compiled: TransformResult) -> TransformResult:
         """A planned copy of ``compiled`` over this index, rendered now.
 
-        Nothing in ``repro`` calls it: ``perfbench`` wraps it by name as
-        its ``engine.render`` layer.
+        Nothing in ``repro`` calls it: ``perfbench`` wraps it by name for
+        its ``engine.render_ms`` layer.
         """
         result = compiled.planned(self.index)
         result.rendered  # noqa: B018 - render before returning

@@ -45,6 +45,7 @@ HELP_TEXTS = {
     "serve.errors": "transform requests that raised",
     "serve.timeouts": "requests that missed their deadline (XM540)",
     "serve.degraded_serial": "submissions run inline because the queue was saturated",
+    "serve.disconnects": "serve sessions ended by a client hanging up",
     "serve.request_seconds": "end-to-end request latency (queue + execute + serialize)",
     "serve.queue_seconds": "time from submit to a worker picking the request up",
     "serve.execute_seconds": "transform execution time on the worker",

@@ -9,8 +9,7 @@ Every served transform goes through one lifecycle, written once here:
    inline on the submitting thread, the latter counted as
    ``serve.degraded_serial``; everything else goes to a pool thread;
 3. **execute** — :func:`execute` is the only call into
-   ``Database.transform`` / ``Database.stream_transform``, whether it
-   runs on a pool thread or inline;
+   ``Database.transform``, whether it runs on a pool thread or inline;
 4. **wait** — :meth:`TransformPool.result` is the only deadline wait;
    a miss raises :class:`~repro.errors.TransformTimeoutError`
    (``XM540``).  Python cannot preempt a running transform: a late
@@ -35,7 +34,6 @@ import contextvars
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from io import StringIO
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.errors import TransformTimeoutError
@@ -48,13 +46,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def execute(database: "Database", name: str, guard: str, stream: bool, tracer=None):
-    """Run one transform on ``database``; a stream request returns its text.
+    """Run one transform on ``database``.
+
+    A stream request returns the compact XML as the body of a JSON
+    string (``TransformResult.xml_json``: ``json.dumps(xml)[1:-1]``),
+    which the serve loop frames into its response line as is; any other
+    returns the result with its tree built.
 
     With ``tracer`` (a sampled or slow-logged request) the transform runs
     under it, inside a ``serve.request`` span, and the previous tracer is
-    restored afterwards.  ``Database.transform`` renders on first read;
-    the tree is built here, on the executing worker, so the deadline and
-    the parallelism cover the render and the caller gets a finished
+    restored afterwards.  ``Database.transform`` renders on first read,
+    and that read is made here, on the executing worker, so the deadline
+    and the parallelism cover the render and the caller gets a finished
     result.
     """
     if tracer is not None:
@@ -64,11 +67,9 @@ def execute(database: "Database", name: str, guard: str, stream: bool, tracer=No
                 return execute(database, name, guard, stream)
         finally:
             obs.set_tracer(previous)
-    if stream:
-        sink = StringIO()
-        database.stream_transform(name, guard, sink)
-        return sink.getvalue()
     result = database.transform(name, guard)
+    if stream:
+        return result.xml_json()
     result.rendered  # noqa: B018 - forces the render on this worker
     return result
 

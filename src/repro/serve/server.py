@@ -18,7 +18,11 @@ conflicts are ``XM520``, timeouts ``XM540``, read-only violations
 ``XM550`` — and ``null`` for uncoded type/parse errors.)  A request
 line is at most :data:`MAX_REQUEST_BYTES` long: a longer one is
 answered with ``XM580`` and ends the session, since the loop cannot
-find the next request inside a line it did not read.
+find the next request inside a line it did not read.  An answer's
+``xml`` is written by the plan's text sink already escaped as a JSON
+string body (``TransformResult.xml_json``), so the response line is
+framed by concatenation, byte for byte the line ``json.dumps`` of the
+whole object writes, and 100 KB of XML is not scanned a second time.
 
 ``{"cmd": "metrics"}`` answers with the database's Prometheus text
 exposition in a JSON envelope, and a raw ``GET /metrics HTTP/1.x``
@@ -31,11 +35,13 @@ pool while a responder thread writes each response the moment its turn
 comes, in request order — a synchronous client gets its answer
 immediately, a pipelining load generator keeps ``2 x workers`` requests
 in flight (the bounded response queue is the backpressure).  Per-request
-failures are *responses*, never loop crashes.  ``serve_forever`` wraps
-the same loop in a threading TCP server, one connection per thread, all
-sharing the one database handle — which is exactly what the thread-safe
-substrate (buffer pool, plan cache, join memos) exists for — and one
-pool.  Admission, execution and the deadline wait are the pool's
+failures are *responses*, never loop crashes, and a client that hangs
+up ends its session quietly at the first read or write that fails: the
+reader stops submitting and ``serve.disconnects`` counts one.
+``serve_forever`` wraps the same loop in a threading TCP server, one
+connection per thread, all sharing the one database handle — which is
+exactly what the thread-safe substrate (buffer pool, plan cache, join
+memos) exists for — and one pool.  Admission, execution and the deadline wait are the pool's
 (:mod:`repro.serve.pool`); this module decodes requests and encodes
 responses.
 """
@@ -149,6 +155,13 @@ def serve_loop(
             maxsize=pool.workers * _WINDOW_PER_WORKER
         )
         failure: list[BaseException] = []
+        #: Set once a read or a write finds the client gone.
+        hung_up = threading.Event()
+
+        def drain() -> None:
+            """Unblock the reader: take every item up to the final ``None``."""
+            while responses.get() is not None:
+                pass
 
         def responder() -> None:
             try:
@@ -159,37 +172,35 @@ def serve_loop(
                     kind, request, payload = item
                     if kind == "literal":
                         stats.errors += 1
-                        _write(writer, payload)
+                        _write(writer, _line(payload))
                     elif kind == "stats":
                         # Every earlier response has been written, so
                         # the counters reflect all prior requests.
-                        _write(writer, {"ok": True, "stats": pool.stats()})
+                        _write(writer, _line({"ok": True, "stats": pool.stats()}))
                     elif kind == "metrics":
-                        _write(
-                            writer,
-                            {
-                                "ok": True,
-                                "prometheus": render_database_metrics(
-                                    database, pool
-                                ),
-                            },
-                        )
+                        prometheus = render_database_metrics(database, pool)
+                        _write(writer, _line({"ok": True, "prometheus": prometheus}))
                     elif kind == "raw":
-                        writer.write(payload)
-                        writer.flush()
+                        _write(writer, payload)
                     else:
                         _respond(writer, stats, pool, request, payload)
+            except _HungUp:
+                hung_up.set()
+                drain()
             except BaseException as error:  # noqa: B036 - re-raised by the
                 # reader thread once the queue is drained (see below).
                 failure.append(error)
-                while responses.get() is not None:  # unblock the producer
-                    pass
+                drain()
 
         pump = threading.Thread(target=responder, name="xmorph-respond", daemon=True)
         pump.start()
         try:
-            while True:
-                raw = reader.readline(MAX_REQUEST_BYTES + 1)
+            while not hung_up.is_set():
+                try:
+                    raw = reader.readline(MAX_REQUEST_BYTES + 1)
+                except OSError:  # reset by the client
+                    hung_up.set()
+                    break
                 line = raw.decode("utf-8", errors="replace") if isinstance(raw, bytes) else raw
                 if not line:
                     break
@@ -244,9 +255,10 @@ def serve_loop(
                     )
                     continue
                 stats.requests += 1
-                # Every answer is the plan's text sink: a response is
-                # bytes, so no output tree is built for it.  (A request's
-                # "stream" field, from older clients, selects nothing.)
+                # Every answer is the plan's text sink, written as the
+                # body of the response's JSON string (stream=True): no
+                # output tree is built for it.  (A request's "stream"
+                # field, from older clients, selects nothing.)
                 future = pool.submit(request["doc"], request["guard"], stream=True)
                 responses.put(("future", request, future))
         finally:
@@ -254,6 +266,8 @@ def serve_loop(
             pump.join()
         if failure:
             raise failure[0]
+        if hung_up.is_set():
+            database.stats.count("serve.disconnects")
     stats.counters = {
         name: count
         for name, count in sorted(database.stats.copy().counters.items())
@@ -272,11 +286,13 @@ def _respond(writer, stats: ServeStats, pool, request: dict, future) -> None:
         response = {"id": request.get("id"), "ok": False, "error": str(error)}
         if isinstance(error, XMorphError):
             response["code"] = getattr(error, "code", None)
-        _write(writer, response)
+        _write(writer, _line(response))
     else:
         stats.ok += 1
         started = time.perf_counter()
-        _write(writer, {"id": request.get("id"), "ok": True, "xml": result})
+        # ``result`` is already a JSON string body (``xml_json``).
+        identity = json.dumps(request.get("id"))
+        _write(writer, f'{{"id": {identity}, "ok": true, "xml": "{result}"}}\n')
         if trace is not None:
             trace.serialize_seconds = time.perf_counter() - started
     finally:
@@ -284,9 +300,21 @@ def _respond(writer, stats: ServeStats, pool, request: dict, future) -> None:
             pool.telemetry.finish(trace)
 
 
-def _write(writer, payload: dict) -> None:
-    writer.write(json.dumps(payload) + "\n")
-    writer.flush()
+class _HungUp(Exception):
+    """A response could not be written: the client has gone."""
+
+
+def _line(payload: dict) -> str:
+    return json.dumps(payload) + "\n"
+
+
+def _write(writer, line: str) -> None:
+    """Write one response and flush it; an ``OSError`` means the client left."""
+    try:
+        writer.write(line)
+        writer.flush()
+    except OSError as error:
+        raise _HungUp from error
 
 
 def serve_forever(

@@ -3,11 +3,17 @@
 Attribute vertices are rendered into start tags; an element's ``text``
 (its value) is emitted before its element children, matching how the
 parser collects directly contained character data.
+
+JSON string escaping lives here too: a served answer is the compact XML
+as the body of a JSON string, and the text sink writes that body from
+columns escaped once per load (:func:`json_texts`) instead of running
+``json.dumps`` over the finished answer.
 """
 
 from __future__ import annotations
 
 from io import StringIO
+from json.encoder import encode_basestring_ascii
 from typing import TextIO
 
 from repro.xmltree.node import XmlForest, XmlNode
@@ -73,6 +79,34 @@ def escape_quotes(escaped: str) -> str:
 def escape_attr(value: str) -> str:
     """Escape an attribute value (double-quoted)."""
     return escape_quotes(escape_text(value))
+
+
+def json_text(value: str) -> str:
+    """``value`` as the body of a JSON string: ``json.dumps(value)[1:-1]``."""
+    return encode_basestring_ascii(value)[1:-1]
+
+
+def json_texts(values: list[str]) -> list[str]:
+    """:func:`json_text` of every value, in order.
+
+    Like :func:`escape_texts`: one scan of the joined text, and
+    ``values`` itself when no value holds a character JSON escapes
+    (``"``, ``\\``, a control or a non-ASCII character).  Callers must
+    treat both lists as immutable.
+    """
+    joined = "".join(values)
+    if len(encode_basestring_ascii(joined)) == len(joined) + 2:
+        return values
+    return list(map(json_text, values))
+
+
+def json_quotes(body: str) -> str:
+    """:func:`escape_quotes` for a JSON string body.
+
+    ``json_text(escape_text(v))`` becomes ``json_text(escape_attr(v))``:
+    every ``"`` of the value is the escape ``\\"`` in the body.
+    """
+    return body.replace('\\"', "&quot;")
 
 
 def _write_node(node: XmlNode, out: TextIO, indent: int | None, depth: int) -> int:

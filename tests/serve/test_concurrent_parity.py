@@ -8,13 +8,15 @@ visible in the results.  This suite pins that with Hypothesis-generated
 random forests (200+ examples across the two properties) and with the
 shipped ``examples/guards/`` corpus, for both the batch renderer
 (:meth:`TransformPool.transform_many`) and the text sink the serve loop
-answers with (``submit(..., stream=True)``).
+answers with (``submit(..., stream=True)``, which returns the XML as the
+body of a JSON string: ``TransformResult.xml_json``).
 
 Every example builds a fresh throwaway store: parity must hold from a
 cold cache (the first parallel batch races the single-flight compile)
 and from a warm one (the second batch is all cache hits).
 """
 
+import json
 import os
 import tempfile
 from contextlib import contextmanager
@@ -57,9 +59,17 @@ def throwaway_db(forest):
 
 
 def stream_all(pool, requests) -> list[str]:
-    """Submit every request to the text sink, then wait for each in order."""
+    """Submit every request to the text sink, then wait for each in order.
+
+    Each answer is a JSON string body, as the serve loop frames it.
+    """
     futures = [(name, guard, pool.submit(name, guard, stream=True)) for name, guard in requests]
     return [pool.result(future, name, guard) for name, guard, future in futures]
+
+
+def decoded(body: str) -> str:
+    """The XML a JSON string body spells."""
+    return json.loads(f'"{body}"')
 
 
 def corpus_guards() -> list[str]:
@@ -107,15 +117,11 @@ class TestFuzzedParity:
     def test_stream_parity(self, forest):
         requests = [("doc", guard) for guard in FUZZ_GUARDS for _ in range(REPS)]
         with throwaway_db(forest) as db:
-            serial = {}
-            for guard in FUZZ_GUARDS:
-                sink = StringIO()
-                db.stream_transform("doc", guard, sink)
-                serial[guard] = sink.getvalue()
+            serial = {guard: db.transform("doc", guard).xml_json() for guard in FUZZ_GUARDS}
             with TransformPool(db, workers=WORKERS) as pool:
                 streamed = stream_all(pool, requests)
-            for (_name, guard), text in zip(requests, streamed):
-                assert text == serial[guard], (
+            for (_name, guard), body in zip(requests, streamed):
+                assert body == serial[guard], (
                     f"parallel stream output diverged from serial for {guard!r}"
                 )
 
@@ -143,24 +149,24 @@ class TestCorpusParity:
 
     def test_corpus_stream_parity(self, books_db):
         guards = corpus_guards()
-        serial = {}
-        for guard in guards:
-            sink = StringIO()
-            books_db.stream_transform("books", guard, sink)
-            serial[guard] = sink.getvalue()
+        serial = {g: books_db.transform("books", g).xml_json() for g in guards}
         requests = [("books", g) for g in guards for _ in range(4)]
         with TransformPool(books_db, workers=WORKERS) as pool:
             streamed = stream_all(pool, requests)
-        for (_name, guard), text in zip(requests, streamed):
-            assert text == serial[guard]
+        for (_name, guard), body in zip(requests, streamed):
+            assert body == serial[guard]
+        # And the body spells the very text the file sink writes.
+        for guard in guards:
+            sink = StringIO()
+            books_db.stream_transform("books", guard, sink)
+            assert decoded(serial[guard]) == sink.getvalue()
 
     def test_mixed_batch_and_stream_interleaved(self, books_db):
         """Batch and stream requests racing on one pool still agree."""
         guard = "MORPH author [ name book [ title ] ]"
         batch_serial = books_db.transform("books", guard).xml()
-        sink = StringIO()
-        books_db.stream_transform("books", guard, sink)
-        stream_serial = sink.getvalue()
+        stream_serial = books_db.transform("books", guard).xml_json()
+        assert decoded(stream_serial) == batch_serial
         with TransformPool(books_db, workers=WORKERS) as pool:
             futures = [
                 pool.submit("books", guard, stream=bool(i % 2)) for i in range(32)

@@ -98,14 +98,14 @@ def stalled_transport(db):
 
         return entry
 
-    # Both sinks: transform_many renders trees, serve_loop text.
+    # Both sinks: transform_many renders trees, serve_loop text, and
+    # both plan through Database.transform.
     db.transform = gated(db.transform)
-    db.stream_transform = gated(db.stream_transform)
     try:
         yield
     finally:
         gate.set()
-        del db.transform, db.stream_transform
+        del db.transform
 
 
 def drain(pool):

@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import socket
+import struct
 import threading
 import time
 
@@ -245,6 +246,52 @@ class TestServeForever:
             server.shutdown()
             server.server_close()
             thread.join(timeout=10)
+
+
+class TestHangUp:
+    """A client that hangs up ends its session quietly: no traceback, the
+    reader stops submitting, one ``serve.disconnects`` per session."""
+
+    LINE = json.dumps({"id": 1, "doc": "doc", "guard": GUARD}) + "\n"
+
+    def test_a_reset_connection_ends_its_session_quietly(self, db, capfd):
+        server = serve_forever(db, port=0, workers=2)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            conn = socket.create_connection(server.server_address, timeout=10)
+            # SO_LINGER 0: close() resets the connection instead of
+            # ending it, with 20 requests queued and no answer read.
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            conn.sendall(self.LINE.encode() * 20)
+            conn.close()
+            deadline = time.monotonic() + 10
+            while db.stats.counter("serve.disconnects") < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            with socket.create_connection(server.server_address, timeout=10) as again:
+                again.sendall(self.LINE.encode())
+                with again.makefile("rb") as reader:
+                    response = json.loads(reader.readline())
+            assert response["ok"] and response["xml"] == db.transform("doc", GUARD).xml()
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert db.stats.counter("serve.disconnects") == 1
+        assert capfd.readouterr().err == ""
+
+    def test_a_failed_write_stops_the_reader(self, db):
+        class Gone(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        sent = 200
+        stats = serve_loop(db, io.StringIO(self.LINE * sent), Gone(), workers=2)
+        # At most the response window (plus the request being answered
+        # and the one being queued) was submitted before the reader saw it.
+        assert 1 <= stats.requests < sent
+        assert stats.counters["serve.disconnects"] == 1
+        assert db.stats.counter("serve.requests") == stats.requests
 
 
 def padded_request(length: int) -> str:
