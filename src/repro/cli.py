@@ -314,7 +314,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--db", required=True, help="database file to serve")
     serve.add_argument(
-        "--workers", type=int, default=4, help="transform pool workers"
+        "--workers",
+        type=int,
+        default=4,
+        help="transform pool workers, used only with --deadline "
+        "(without one, a request runs on its connection's thread)",
     )
     serve.add_argument(
         "--deadline",

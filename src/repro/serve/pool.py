@@ -4,10 +4,15 @@ Every served transform goes through one lifecycle, written once here:
 
 1. **admit** — :meth:`TransformPool.submit` counts the request, resolves
    its deadline and starts its telemetry trace;
-2. **route** — a request a serial pool (``workers=1``) cannot hand off,
-   or one that finds ``max_queue`` requests already in flight, runs
-   inline on the submitting thread, the latter counted as
-   ``serve.degraded_serial``; everything else goes to a pool thread;
+2. **route** — a request its submitter waits for at once and that has
+   no deadline (``awaited``: the serve loop's) runs inline on the
+   submitting thread, where a hand-off would only put that thread to
+   sleep until a worker woke it.  So does a request a serial pool
+   (``workers=1``) cannot hand off, and one that finds ``max_queue``
+   requests already in flight, the latter counted as
+   ``serve.degraded_serial``.  Everything else goes to a pool thread:
+   a request with a deadline always can, so that its waiter can
+   abandon it;
 3. **execute** — :func:`execute` is the only call into
    ``Database.transform``, whether it runs on a pool thread or inline;
 4. **wait** — :meth:`TransformPool.result` is the only deadline wait;
@@ -131,6 +136,7 @@ class TransformPool:
         guard: str,
         stream: bool = False,
         deadline: Optional[float] = None,
+        awaited: bool = False,
     ) -> "concurrent.futures.Future":
         """Admit one transform; returns its future.
 
@@ -140,7 +146,11 @@ class TransformPool:
         (defaulting to the pool's) after the fact, and its phase timings
         land in the same ``serve.*`` histograms, so degraded requests
         never silently vanish from the p95s.  A ``workers=1`` pool is
-        serial by construction, not degradation, so it counts nothing.
+        serial by construction, not degradation, so it counts nothing;
+        nor does an ``awaited`` request (its submitter waits for the
+        future at once) without a deadline, which never needs a worker.
+        The waiter finishes an ``awaited`` request's trace, serialize
+        phase included; any other inline request's is finished here.
 
         With telemetry attached, the future carries its
         :class:`~repro.serve.telemetry.RequestTrace` as
@@ -153,7 +163,7 @@ class TransformPool:
             self.telemetry.start(name, guard) if self.telemetry is not None else None
         )
         executor = self._executor
-        if executor is not None:
+        if executor is not None and not (awaited and deadline is None):
             with self._pending_lock:
                 saturated = self._pending >= self.max_queue
                 if not saturated:
@@ -176,6 +186,8 @@ class TransformPool:
         future = concurrent.futures.Future()
         future.xmorph_trace = trace
         self._run_inline(future, name, guard, stream, deadline, trace)
+        if not awaited:
+            self._finish(trace)
         return future
 
     # -- execution -----------------------------------------------------------
@@ -206,7 +218,7 @@ class TransformPool:
                     self._pending -= 1
 
     def _run_inline(self, future, name, guard, stream, deadline, trace) -> None:
-        """Resolve ``future`` on the calling thread, then finish its trace."""
+        """Resolve ``future`` on the calling thread."""
         started = time.perf_counter()
         try:
             result = self._execute(name, guard, stream, trace)
@@ -221,9 +233,6 @@ class TransformPool:
                 future.set_exception(self._timed_out(name, guard, deadline, trace))
             else:
                 future.set_result(result)
-        # No response writer is guaranteed to finish an inline request's
-        # trace, so record its histogram samples now (finish is idempotent).
-        self._finish(trace)
 
     # -- waiting -------------------------------------------------------------
 
@@ -231,14 +240,18 @@ class TransformPool:
         """The outcome of a submitted request, waited for at most ``deadline``.
 
         ``deadline`` defaults to the pool's.  On a miss the request is
-        abandoned — cancelled if still queued; a running worker cannot
-        be interrupted and its late result is dropped with the future.
+        abandoned — cancelled if still queued, which gives its in-flight
+        slot back (``_execute`` never runs for it); a running worker
+        cannot be interrupted and its late result is dropped with the
+        future.
         """
         deadline = deadline if deadline is not None else self.deadline
         try:
             return future.result(timeout=deadline)
         except concurrent.futures.TimeoutError:
-            future.cancel()
+            if future.cancel():
+                with self._pending_lock:
+                    self._pending -= 1
             raise self._timed_out(name, guard, deadline, future.xmorph_trace) from None
 
     def transform_many(

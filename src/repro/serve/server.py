@@ -30,28 +30,29 @@ request line on the same port gets a one-shot HTTP response — the TCP
 server doubles as a scrape endpoint (``curl http://host:port/metrics``,
 ``xmorph metrics --port``); see ``docs/OBSERVABILITY.md``.
 
-The loop pipelines: the reader thread keeps submitting requests to the
-pool while a responder thread writes each response the moment its turn
-comes, in request order — a synchronous client gets its answer
-immediately, a pipelining load generator keeps ``2 x workers`` requests
-in flight (the bounded response queue is the backpressure).  Per-request
-failures are *responses*, never loop crashes, and a client that hangs
-up ends its session quietly at the first read or write that fails: the
-reader stops submitting and ``serve.disconnects`` counts one.
+The loop answers one request at a time, in order, on the thread that
+read it: it reads a request, runs it and writes its response before it
+reads the next.  A request without a deadline never leaves that thread;
+one with a deadline runs on a pool worker so that the wait can abandon
+it (``XM540``).  The thread hand-offs this saves were most of a small
+request's cost; a pipelining client gets its answers one at a time,
+which measured faster for small answers and no slower, within the
+spread, for 100 KB ones (``docs/PERFORMANCE.md``).
+Per-request failures are *responses*, never loop crashes, and a client
+that hangs up ends its session quietly at the first read or write that
+fails: nothing more is read and ``serve.disconnects`` counts one.
 ``serve_forever`` wraps the same loop in a threading TCP server, one
 connection per thread, all sharing the one database handle — which is
 exactly what the thread-safe substrate (buffer pool, plan cache, join
-memos) exists for — and one pool.  Admission, execution and the deadline wait are the pool's
-(:mod:`repro.serve.pool`); this module decodes requests and encodes
-responses.
+memos) exists for — and one pool.  Admission, routing, execution and
+the deadline wait are the pool's (:mod:`repro.serve.pool`); this module
+decodes requests and encodes responses.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
-import queue
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import IO, Optional
@@ -59,10 +60,6 @@ from typing import IO, Optional
 from repro.errors import RequestTooLargeError, XMorphError
 from repro.serve.pool import TransformPool
 from repro.serve.telemetry import ServeTelemetry, metrics_snapshot
-
-#: In-flight responses per worker before request reading blocks
-#: (bounded buffering = backpressure on a fast client).
-_WINDOW_PER_WORKER = 2
 
 #: The longest request line the loop reads, newline not counted.  The
 #: reader never holds more of one line than this (plus one byte).
@@ -148,68 +145,20 @@ def serve_loop(
             database, workers=workers, deadline=deadline, telemetry=telemetry
         )
     with pool_context as pool:
-        # One responder thread writes responses in request order, each
-        # the moment its future resolves; the bounded queue throttles a
-        # client that pipelines faster than the pool completes.
-        responses: queue.Queue = queue.Queue(
-            maxsize=pool.workers * _WINDOW_PER_WORKER
-        )
-        failure: list[BaseException] = []
-        #: Set once a read or a write finds the client gone.
-        hung_up = threading.Event()
-
-        def drain() -> None:
-            """Unblock the reader: take every item up to the final ``None``."""
-            while responses.get() is not None:
-                pass
-
-        def responder() -> None:
-            try:
-                while True:
-                    item = responses.get()
-                    if item is None:
-                        return
-                    kind, request, payload = item
-                    if kind == "literal":
-                        stats.errors += 1
-                        _write(writer, _line(payload))
-                    elif kind == "stats":
-                        # Every earlier response has been written, so
-                        # the counters reflect all prior requests.
-                        _write(writer, _line({"ok": True, "stats": pool.stats()}))
-                    elif kind == "metrics":
-                        prometheus = render_database_metrics(database, pool)
-                        _write(writer, _line({"ok": True, "prometheus": prometheus}))
-                    elif kind == "raw":
-                        _write(writer, payload)
-                    else:
-                        _respond(writer, stats, pool, request, payload)
-            except _HungUp:
-                hung_up.set()
-                drain()
-            except BaseException as error:  # noqa: B036 - re-raised by the
-                # reader thread once the queue is drained (see below).
-                failure.append(error)
-                drain()
-
-        pump = threading.Thread(target=responder, name="xmorph-respond", daemon=True)
-        pump.start()
         try:
-            while not hung_up.is_set():
+            while True:
                 try:
                     raw = reader.readline(MAX_REQUEST_BYTES + 1)
-                except OSError:  # reset by the client
-                    hung_up.set()
-                    break
+                except OSError as error:  # reset by the client
+                    raise _HungUp from error
                 line = raw.decode("utf-8", errors="replace") if isinstance(raw, bytes) else raw
                 if not line:
                     break
                 if len(raw) > MAX_REQUEST_BYTES and not line.endswith("\n"):
                     # The rest of the line is still unread: refuse, end.
-                    stats.requests += 1
                     error = RequestTooLargeError(MAX_REQUEST_BYTES)
                     refusal = {"id": None, "ok": False, "error": str(error), "code": error.code}
-                    responses.put(("literal", None, refusal))
+                    _refuse(writer, stats, refusal)
                     break
                 line = line.strip()
                 if not line:
@@ -217,56 +166,41 @@ def serve_loop(
                 if line.startswith(("GET ", "HEAD ")):
                     # An HTTP client (curl, a Prometheus scraper) hit
                     # the line-protocol port: answer and close.
-                    responses.put(("raw", None, _handle_http(database, pool, line)))
+                    _write(writer, _handle_http(database, pool, line))
                     break
                 try:
                     request = json.loads(line)
                 except (ValueError, RecursionError):  # nested past the decoder's depth
-                    stats.requests += 1
-                    responses.put(
-                        ("literal", None, {"id": None, "ok": False, "error": "bad JSON line"})
-                    )
+                    _refuse(writer, stats, {"id": None, "ok": False, "error": "bad JSON line"})
                     continue
                 command = request.get("cmd") if isinstance(request, dict) else None
                 if command == "quit":
                     break
                 if command == "stats":
-                    responses.put(("stats", None, None))
-                    continue
-                if command == "metrics":
-                    responses.put(("metrics", None, None))
-                    continue
-                if not (
+                    # Every earlier request has been answered, so the
+                    # counters reflect all of them.
+                    _write(writer, _line({"ok": True, "stats": pool.stats()}))
+                elif command == "metrics":
+                    prometheus = render_database_metrics(database, pool)
+                    _write(writer, _line({"ok": True, "prometheus": prometheus}))
+                elif not (
                     isinstance(request, dict)
                     and isinstance(request.get("doc"), str)
                     and isinstance(request.get("guard"), str)
                 ):
-                    stats.requests += 1
-                    responses.put(
-                        (
-                            "literal",
-                            None,
-                            {
-                                "id": request.get("id") if isinstance(request, dict) else None,
-                                "ok": False,
-                                "error": "request needs string 'doc' and 'guard' fields",
-                            },
-                        )
+                    _refuse(
+                        writer,
+                        stats,
+                        {
+                            "id": request.get("id") if isinstance(request, dict) else None,
+                            "ok": False,
+                            "error": "request needs string 'doc' and 'guard' fields",
+                        },
                     )
-                    continue
-                stats.requests += 1
-                # Every answer is the plan's text sink, written as the
-                # body of the response's JSON string (stream=True): no
-                # output tree is built for it.  (A request's "stream"
-                # field, from older clients, selects nothing.)
-                future = pool.submit(request["doc"], request["guard"], stream=True)
-                responses.put(("future", request, future))
-        finally:
-            responses.put(None)
-            pump.join()
-        if failure:
-            raise failure[0]
-        if hung_up.is_set():
+                else:
+                    stats.requests += 1
+                    _respond(writer, stats, pool, request)
+        except _HungUp:
             database.stats.count("serve.disconnects")
     stats.counters = {
         name: count
@@ -276,11 +210,28 @@ def serve_loop(
     return stats
 
 
-def _respond(writer, stats: ServeStats, pool, request: dict, future) -> None:
-    """Wait for one request's outcome, write its response line, finish its trace."""
+def _refuse(writer, stats: ServeStats, response: dict) -> None:
+    """Answer a request the pool never sees (a protocol error)."""
+    stats.requests += 1
+    stats.errors += 1
+    _write(writer, _line(response))
+
+
+def _respond(writer, stats: ServeStats, pool, request: dict) -> None:
+    """Run one request, write its response line, finish its trace.
+
+    The request is ``awaited``: without a deadline it runs right here,
+    on the connection's thread (:mod:`repro.serve.pool`'s route step).
+    Every answer is the plan's text sink, written as the body of the
+    response's JSON string (``stream=True``): no output tree is built
+    for it.  (A request's ``"stream"`` field, from older clients,
+    selects nothing.)
+    """
+    doc, guard = request["doc"], request["guard"]
+    future = pool.submit(doc, guard, stream=True, awaited=True)
     trace = future.xmorph_trace
     try:
-        result = pool.result(future, request["doc"], request["guard"])
+        result = pool.result(future, doc, guard)
     except Exception as error:  # noqa: BLE001 - a response, never a crash
         stats.errors += 1
         response = {"id": request.get("id"), "ok": False, "error": str(error)}
@@ -331,8 +282,8 @@ def serve_forever(
     caller can read ``server_address`` and drive ``serve_forever()`` /
     ``shutdown()`` itself).  Every connection shares the one database
     handle and one pool, built here and torn down in ``server_close``,
-    so ``max_queue`` bounds the requests in flight across the whole
-    server.
+    so ``max_queue`` bounds the deadline requests in flight across the
+    whole server (the others run on their connection's thread).
     """
     import socketserver
 

@@ -11,7 +11,7 @@ execute / serialize phase breakdown, and its outcome (status + XM code).
   endpoint, ``{"cmd": "metrics"}`` and ``xmorph metrics`` read;
 * **sampled JSONL traces** (``--trace-sample=N``) — one request in N
   runs under its own enabled :class:`~repro.obs.Tracer` (installed on
-  the worker thread via the tracer contextvar), so pipeline spans —
+  the executing thread via the tracer contextvar), so pipeline spans —
   parse, plan cache, closest joins, render, storage — nest under the
   request and every exported record carries the request's ``trace_id``;
 * **the slow-query log** (``--slow-ms``) — any request whose end-to-end
@@ -53,7 +53,7 @@ class RequestTrace:
 
     Timestamps are ``perf_counter`` values filled in as the request
     moves through the pool: ``submitted`` at :meth:`TransformPool.submit`,
-    ``started``/``executed`` on the worker thread, serialize time by
+    ``started``/``executed`` on the executing thread, serialize time by
     whoever writes the response.  A request that never reached a worker
     (future dropped on timeout) reports the phases it measured.
     """
@@ -75,7 +75,7 @@ class RequestTrace:
     error: Optional[str] = None
     _done: bool = False
 
-    # -- lifecycle (called from the pool worker) ----------------------------
+    # -- lifecycle (called from the executing thread) -----------------------
 
     def begin(self) -> None:
         """The worker picked the request up: queue wait ends here."""

@@ -1,11 +1,12 @@
 """One request lifecycle: the contract the pool keeps on every path.
 
-Whatever path a request takes — dispatched to a pool thread, run on a
-serial pool, turned away by a full queue, failing, abandoned by its
-waiter, or overrunning its budget inline — the pool accounts for it by
-one table: the ``serve.*`` counter deltas, the exception type and XM
-code, one sample in each of the four ``serve.*_seconds`` histograms,
-and the outcome on ``future.xmorph_trace``.
+Whatever path a request takes — dispatched to a pool thread, run on its
+connection's thread, run on a serial pool, turned away by a full queue,
+failing, abandoned by its waiter, or overrunning its budget inline —
+the pool accounts for it by one table: the ``serve.*`` counter deltas,
+the exception type and XM code, one sample in each of the four
+``serve.*_seconds`` histograms, and the outcome on
+``future.xmorph_trace``.
 
 Public API only: pools are driven through ``submit`` / ``result``, and
 stalls are induced from outside (a gated ``Database.transform``).
@@ -13,14 +14,16 @@ stalls are induced from outside (a gated ``Database.transform``).
 
 import contextlib
 import io
+import itertools
 import json
+import socket
 import threading
 import time
 
 import pytest
 
 from repro.errors import TransformTimeoutError
-from repro.serve import ServeTelemetry, TransformPool, serve_loop
+from repro.serve import ServeTelemetry, TransformPool, serve_forever, serve_loop
 from repro.storage import Database
 
 from tests.conftest import FIG1A
@@ -44,9 +47,11 @@ TIMEOUT = {"timeouts": 1, "errors": 1, "errors.XM540": 1}
 
 #: path -> (pool options, document, guard, counter deltas, error type name,
 #: XM code, trace.degraded).  ``serial`` is a one-worker pool, which
-#: never dispatches.
+#: never dispatches; ``connection`` is a request submitted ``awaited``,
+#: as ``serve_loop`` submits, which runs on the submitting thread.
 PATHS = {
     "dispatched": ({}, "doc", GUARD, {"completed": 1}, None, None, False),
+    "connection": ({}, "doc", GUARD, {"completed": 1}, None, None, False),
     "serial": ({"serial": True}, "tiny", GUARD, {"completed": 1}, None, None, False),
     "saturated": (
         {"max_queue": 0}, "doc", GUARD,
@@ -87,13 +92,15 @@ def make_pool(pool_class, db, telemetry, serial=False, **options):
 
 
 @contextlib.contextmanager
-def stalled_transport(db):
-    """Hold every dispatched transform until the block exits."""
+def stalled_transport(db, stalls=None):
+    """Hold the first ``stalls`` transforms (all by default) until the block exits."""
     gate = threading.Event()
+    calls = itertools.count()
 
     def gated(real):
         def entry(*args):
-            gate.wait(timeout=30)
+            if stalls is None or next(calls) < stalls:
+                gate.wait(timeout=30)
             return real(*args)
 
         return entry
@@ -150,7 +157,9 @@ def test_every_path_is_accounted_for_identically(pool_class, path, db):
             stall = stalled_transport(db)
         error = None
         with stall:
-            future = pool.submit(doc, guard, deadline=deadline)
+            future = pool.submit(
+                doc, guard, deadline=deadline, awaited=path == "connection"
+            )
             try:
                 result = pool.result(future, doc, guard, deadline=wait)
             except Exception as caught:  # noqa: BLE001 - compared below
@@ -187,8 +196,8 @@ def test_every_path_is_accounted_for_identically(pool_class, path, db):
 
 
 @TRANSPORTS
-def test_responder_timeout_is_a_coded_response(pool_class, db):
-    """``serve_loop``'s responder waits through the same ``result``."""
+def test_a_served_timeout_is_a_coded_response(pool_class, db):
+    """``serve_loop`` waits for a deadline request through the same ``result``."""
     request = json.dumps({"id": 7, "doc": "doc", "guard": GUARD}) + "\n"
     out = io.StringIO()
     telemetry = ServeTelemetry(stats=db.stats)
@@ -201,3 +210,32 @@ def test_responder_timeout_is_a_coded_response(pool_class, db):
     assert (stats.requests, stats.ok, stats.errors) == (1, 0, 1)
     assert pool.stats() == {"requests": 1, "completed": 1, **TIMEOUT}
     assert histogram_counts(db) == {name: 1 for name in HISTOGRAMS}
+
+
+@TRANSPORTS
+def test_a_pipelined_client_gets_its_timeout_then_the_answers_in_order(pool_class, db):
+    """A deadline request runs on a worker, so the loop can give up on a
+    stalled one and answer the requests queued behind it on the socket."""
+    expected = db.transform("doc", GUARD).xml()
+    lines = [
+        json.dumps({"id": i, "doc": "doc", "guard": GUARD}) + "\n" for i in (1, 2, 3)
+    ]
+    server = serve_forever(db, port=0, workers=2, deadline=0.2)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        with stalled_transport(db, stalls=1):
+            with socket.create_connection(server.server_address, timeout=10) as conn:
+                conn.sendall("".join(lines).encode())
+                with conn.makefile("rb") as reader:
+                    responses = [json.loads(reader.readline()) for _ in lines]
+    finally:
+        server.shutdown()
+        server.server_close()  # waits for the stalled worker, now released
+        thread.join(timeout=10)
+    assert [(r["id"], r["ok"], r.get("code")) for r in responses] == [
+        (1, False, "XM540"),
+        (2, True, None),
+        (3, True, None),
+    ]
+    assert [r["xml"] for r in responses[1:]] == [expected, expected]
