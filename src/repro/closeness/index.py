@@ -1,20 +1,23 @@
 """The document index: type sequences, type distances, closest pairs.
 
 This is the in-memory form of what the shredder stores (Figure 8's
-``TypeToSequence`` table plus the adorned shape): for every data type, a
-document-ordered sequence of its nodes, held as **parallel columns** — a
-:class:`TypeSequence` of packed Dewey labels, values and attribute flags
-— in which a node *is* its position.  Everything the render algorithm
-needs — type distances and closest joins — is computed from the labels
-(:mod:`repro.xmltree.dewey`: byte order is document order, ancestor-of
-is prefix-of), so a read never builds an object per node:
+``TypeToSequence`` table plus the adorned shape), built by the same
+walk: one :class:`~repro.shape.dataguide.DataGuideBuilder` pass over a
+forest gives, for every data type, a document-ordered sequence of its
+nodes, held as **parallel columns** — a :class:`TypeSequence` of packed
+sibling-ordinal Dewey labels, values and attribute flags, the store's
+layout — in which a node *is* its position.  Everything the render
+algorithm needs — type distances and closest joins — is computed from
+the labels (:mod:`repro.xmltree.dewey`: byte order is document order,
+ancestor-of is prefix-of), so a read never builds an object per node:
 
 * ``typeDistance(t, s)`` is ``level(t) + level(s) - 2 * L`` where ``L``
   is the deepest level at which a ``t`` node and an ``s`` node share an
-  ancestor.  The deepest shared-ancestor level between two sorted node
-  lists is found with a single merge pass (the longest common prefix of
-  any cross pair is achieved by some pair adjacent in merged document
-  order).
+  ancestor.  It is found with a single merge of the two label columns
+  (the longest common prefix of any cross pair is achieved by some pair
+  adjacent in merged document order, :func:`~repro.xmltree.dewey.lca_level`
+  per step).  A stored index derives it from root paths instead
+  (docs/STORAGE.md, "Known divergence").
 
 * the *closest pairs* of ``t`` and ``s`` are the cross pairs whose least
   common ancestor sits exactly at the level implied by the type
@@ -26,11 +29,11 @@ is prefix-of), so a read never builds an object per node:
   all read the groups :class:`BaseIndex` memoizes per ``(type, prefix
   width)``.
 
-``XmlNode`` + ``Dewey`` objects exist only at the API edge: a sequence
+``XmlNode`` + ``Dewey`` objects exist only at the API edge: an
+in-memory sequence holds the forest's own nodes, and a stored one
 materializes its nodes once, the first time somebody indexes or
-iterates it (the tree sink's provenance), and
-the index then remembers each node's ``(type, position)`` — the one
-``id()``-keyed map left here.
+iterates it (the tree sink's provenance); the index remembers each
+node's ``(type, position)`` — the one ``id()``-keyed map left here.
 """
 
 from __future__ import annotations
@@ -42,10 +45,10 @@ from typing import Iterator, Optional
 
 from repro.errors import RetiredDocumentError
 from repro.obs import tracer as obs
-from repro.shape.dataguide import DataGuideBuilder
+from repro.shape.dataguide import DataGuideBuilder, walk
 from repro.shape.shape import Shape
 from repro.shape.types import DataType, ShapeType, TypeTable
-from repro.xmltree.dewey import pack, prefix, prefixes, unpack
+from repro.xmltree.dewey import lca_level, prefix, prefixes, unpack
 from repro.xmltree.node import NodeKind, XmlForest, XmlNode
 from repro.xmltree.serializer import escape_texts, json_texts
 
@@ -67,7 +70,8 @@ class TypeSequence:
     updated index's successor escapes its own.
 
     Indexing or iterating the sequence hands out the nodes as
-    ``XmlNode`` s (:attr:`nodes`), built on first use and then kept.
+    ``XmlNode`` s (:attr:`nodes`): an in-memory index's are the forest's
+    own, a stored one's are built on first use and then kept.
 
     The index owns its sequences, not the reverse: a sequence refers to
     its index weakly (it needs it once, to materialize), so an index
@@ -159,14 +163,22 @@ class TypeSequence:
 
 
 class BaseIndex:
-    """Shared closest-join machinery over abstract type sequences.
+    """Shared closest-join machinery over type sequences.
 
-    Subclasses provide ``type_distance``, ``nodes_of`` and the
-    shape/type-table attributes; this base derives the closest-pair
-    operations from them.  :class:`DocumentIndex` is the in-memory
-    implementation with *exact* data type distances; the storage-backed
-    :class:`~repro.storage.database.StoredDocumentIndex` reuses the same
-    joins with shape-derived distances.
+    Both indexes have one column layout and one shape source: a type
+    table, the adorned shape with one vertex per type in id order, each
+    type's node count, and per type a :class:`TypeSequence` of packed
+    sibling-ordinal labels, values and attribute flags.  The in-memory
+    :class:`DocumentIndex` gets them from the
+    :class:`~repro.shape.dataguide.DataGuideBuilder` it walks a forest
+    into; the storage-backed
+    :class:`~repro.storage.database.StoredDocumentIndex` from the
+    records the shredder wrote from the same builder.  So
+    :meth:`types`, :meth:`shape_vertex`, :meth:`node_count` and
+    :meth:`count_of` are defined here, once.  Subclasses provide
+    ``nodes_of`` (from memory or from pages) and ``type_distance`` —
+    the one difference between the two: exact (Definition 1's minimum
+    over instances) in memory, derived from root paths on the store.
 
     There is one join memo, on positions and keyed on data only (type
     ids, widths, filter vertex uids): a type's positions grouped on a
@@ -183,21 +195,25 @@ class BaseIndex:
     immutable.
     """
 
-    shape: Shape
-    type_table: TypeTable
-
-    def __init__(self) -> None:
+    def __init__(self, type_table: TypeTable, shape: Shape, counts: list[int]) -> None:
+        self.type_table = type_table
+        #: The adorned shape, one vertex per type in id order
+        #: (:meth:`Shape.of_data_types`), so ``_vertices[i]`` backs type ``i``.
+        self.shape = shape
+        self._vertices: list[ShapeType] = shape.types()
+        #: ``counts[type id]``: the type's number of nodes.
+        self._counts = counts
         #: ("groups", type_id, width) -> {label prefix: [positions]};
         #: ("pairs", anchor type_id, partner type_id) -> [partner group
         #: or None, per anchor position]; ("survivors", type_id, filter
         #: vertex uid) -> [positions passing the filter].
         self._joins: dict[tuple, object] = {}
-        #: id(materialized node) -> (its type, its position).
+        #: id(node handed out) -> (its type, its position).
         self._position_of: dict[int, tuple[DataType, int]] = {}
         #: Guards the memo, node materialization and, in subclasses, lazy
         #: sequence loads: a parallel executor renders many guards over
         #: one shared index, and every hit must see a fully-built value.
-        #: Re-entrant because the survivors recurse and nest inside the
+        #: Re-entrant because the survivors and pair maps nest inside the
         #: group memo.
         self._memo_lock = threading.RLock()
         self.join_cache_hits = 0
@@ -211,18 +227,32 @@ class BaseIndex:
     def nodes_of(self, data_type: DataType) -> TypeSequence:
         raise NotImplementedError
 
-    def count_of(self, data_type: DataType) -> int:
-        """Cardinality of a type's sequence (the ``pathcard`` statistic).
+    # The shape and the counts --------------------------------------------------
 
-        Subclasses with stored per-type counts override this to avoid
-        loading the sequence; the plan compiler reports it per edge
-        (``EXPLAIN ANALYZE``) and bakes the synthesized-empty
-        placeholder decision into generated renderers from it.
-        """
-        return len(self.nodes_of(data_type))
+    def types(self) -> list[DataType]:
+        return list(self.type_table)
 
     def shape_vertex(self, data_type: DataType) -> Optional[ShapeType]:
-        raise NotImplementedError
+        """The vertex of ``data_type`` in the source shape; ``None`` for
+        a type the document does not have."""
+        type_id = data_type.type_id
+        if 0 <= type_id < len(self._vertices):
+            vertex = self._vertices[type_id]
+            if vertex.source == data_type:
+                return vertex
+        return None
+
+    def node_count(self) -> int:
+        return sum(self._counts)
+
+    def count_of(self, data_type: DataType) -> int:
+        """Cardinality of a type's sequence (the ``pathcard`` statistic),
+        without loading it.  The plan compiler reports it per edge
+        (``EXPLAIN ANALYZE``) and bakes the synthesized-empty placeholder
+        decision into generated renderers from it."""
+        if self.shape_vertex(data_type) is None:
+            return 0
+        return self._counts[data_type.type_id]
 
     def record_timing(self, name: str, seconds: float) -> None:
         """Report a measured latency (join builds).  The base feeds the
@@ -342,13 +372,26 @@ class BaseIndex:
         returned list is the memo's, in document order.
         """
         root = filter_shape.roots()[0]
+        # The filter's vertices, each after its source-backed children,
+        # whose survivors it reads from the memo.
+        pending, order = [(data_type, root)], []
+        while pending:
+            node_type, vertex = pending.pop()
+            order.append((node_type, vertex))
+            pending.extend(
+                (child.source, child)
+                for child in filter_shape.children(vertex)
+                if child.source is not None
+            )
         with self._memo_lock:
-            return self._filter_survivors(data_type, filter_shape, root)
+            for node_type, vertex in reversed(order):
+                survivors = self._filter_survivors(node_type, filter_shape, vertex)
+        return survivors
 
     def _filter_survivors(
         self, data_type: DataType, filter_shape: Shape, vertex: ShapeType
     ) -> list[int]:
-        # Caller holds _memo_lock (re-entrant, so recursion is free).
+        # Caller holds _memo_lock and has memoized the children's survivors.
         key = ("survivors", data_type.type_id, vertex.uid)
         cached = self._joins.get(key)
         if cached is not None:
@@ -358,7 +401,7 @@ class BaseIndex:
         for child in filter_shape.children(vertex):
             if child.source is None or not survivors:
                 continue
-            partner_ok = set(self._filter_survivors(child.source, filter_shape, child))
+            partner_ok = set(self._joins[("survivors", child.source.type_id, child.uid)])
             width, groups = self._partner_groups(data_type, child.source)
             alive = {
                 head
@@ -396,57 +439,41 @@ class BaseIndex:
 
 
 class DocumentIndex(BaseIndex):
-    """In-memory index of one XML forest, with exact type distances."""
+    """In-memory index of one XML forest, with exact type distances.
+
+    One :func:`~repro.shape.dataguide.walk` of the forest into a
+    :class:`~repro.shape.dataguide.DataGuideBuilder` — the builder the
+    shredder feeds — gives the shape, the counts and every type's
+    columns; each :class:`TypeSequence` keeps the forest's own nodes of
+    its type as :attr:`~TypeSequence.nodes`, so provenance points at the
+    caller's nodes.
+    """
 
     def __init__(self, forest: XmlForest):
-        super().__init__()
+        builder = DataGuideBuilder()
+        nodes = walk(forest, builder)
+        super().__init__(builder.type_table, builder.shape, builder.counts)
         self.forest = forest
-        builder = DataGuideBuilder().build(forest)
-        self.shape: Shape = builder.shape
-        self.type_table: TypeTable = builder.type_table
         self.is_attribute: dict[DataType, bool] = builder.is_attribute
-        self.has_text: dict[DataType, bool] = builder.has_text
-        self._shape_of: dict[DataType, ShapeType] = builder.shape_of
-        #: The forest's own nodes per type, in document order.
-        self._nodes: dict[DataType, list[XmlNode]] = {}
-        for node in forest.iter_nodes():
-            data_type = builder.type_of[id(node)]
-            nodes = self._nodes.setdefault(data_type, [])
-            self._position_of[id(node)] = (data_type, len(nodes))
-            nodes.append(node)
-        #: Their columns, packed the first time a type is asked for.
-        self._sequences: dict[DataType, TypeSequence] = {}
+        self._sequences = [
+            TypeSequence(self, *columns)
+            for columns in zip(
+                builder.type_table, builder.labels, builder.values, builder.attributes, nodes
+            )
+        ]
+        self._position_of.update(
+            (id(node), (sequence.data_type, position))
+            for sequence in self._sequences
+            for position, node in enumerate(sequence.nodes)
+        )
         self._distance_cache: dict[tuple[DataType, DataType], Optional[int]] = {}
 
-    # -- basic lookups ---------------------------------------------------
-
-    def types(self) -> list[DataType]:
-        return list(self.type_table)
-
     def nodes_of(self, data_type: DataType) -> TypeSequence:
-        """Document-ordered sequence of the nodes of a type."""
-        sequence = self._sequences.get(data_type)
-        if sequence is None:
-            with self._memo_lock:
-                sequence = self._sequences.get(data_type)
-                if sequence is None:
-                    nodes = self._nodes.get(data_type, [])
-                    sequence = self._sequences[data_type] = TypeSequence(
-                        self,
-                        data_type,
-                        [pack(node.dewey) for node in nodes],
-                        [node.text for node in nodes],
-                        bytes(node.kind is NodeKind.ATTRIBUTE for node in nodes),
-                        nodes,
-                    )
-        return sequence
-
-    def shape_vertex(self, data_type: DataType) -> Optional[ShapeType]:
-        """The vertex of ``data_type`` in the source shape."""
-        return self._shape_of.get(data_type)
-
-    def node_count(self) -> int:
-        return sum(len(nodes) for nodes in self._nodes.values())
+        """Document-ordered sequence of the nodes of a type (empty for a
+        type this forest does not have)."""
+        if self.shape_vertex(data_type) is None:
+            return TypeSequence(self, data_type, [], [], b"", [])
+        return self._sequences[data_type.type_id]
 
     # -- type distance (Definition 1's typeDistance) -----------------------
 
@@ -471,12 +498,23 @@ class DocumentIndex(BaseIndex):
         return distance
 
     def _compute_distance(self, first: DataType, second: DataType) -> Optional[int]:
-        left = self._nodes.get(first, [])
-        right = self._nodes.get(second, [])
-        if not left or not right:
-            return None
-        deepest = _deepest_shared_level(left, right)
-        if deepest is None:
+        # Merge the two label columns in document order: the deepest
+        # ancestor level any cross pair shares is reached by a pair
+        # adjacent in the merged order, and each step compares the label
+        # it passes with the other column's next one, which covers every
+        # such pair.
+        left, right = self.nodes_of(first).labels, self.nodes_of(second).labels
+        deepest = -1
+        i = j = 0
+        while i < len(left) and j < len(right):
+            shared = lca_level(left[i], right[j])
+            if shared > deepest:
+                deepest = shared
+            if left[i] < right[j]:
+                i += 1
+            else:
+                j += 1
+        if deepest < 0:
             return None
         return (first.level - deepest) + (second.level - deepest)
 
@@ -516,36 +554,3 @@ def closest_join(
         for partner in child_groups.get(head, ()):  # doc order
             if children[partner] != parents[position]:
                 yield position, partner
-
-
-def _deepest_shared_level(left: list[XmlNode], right: list[XmlNode]) -> Optional[int]:
-    """Deepest ancestor level shared by any cross pair of the two lists.
-
-    Merge both document-ordered lists; the maximal common Dewey prefix of
-    any cross pair is attained by a pair that is adjacent in the merged
-    order, so one pass suffices.
-    """
-    best = -1
-    i = j = 0
-    previous: tuple[XmlNode, int] | None = None  # (node, source list id)
-    while i < len(left) or j < len(right):
-        if j >= len(right) or (i < len(left) and left[i].dewey <= right[j].dewey):
-            current, source = left[i], 0
-            i += 1
-        else:
-            current, source = right[j], 1
-            j += 1
-        if previous is not None and previous[1] != source:
-            shared = previous[0].dewey.common_prefix_length(current.dewey)
-            best = max(best, shared - 1)
-        # Keep the latest node of each source; comparing against the
-        # immediately preceding opposite-source node is sufficient, but
-        # when several same-source nodes intervene the best partner for
-        # the next opposite node is the nearest one, i.e. `current`.
-        previous = (current, source)
-    if best < 0:
-        # No adjacent cross pair shared a root. Fall back to comparing
-        # first elements (handles single-element corner cases).
-        shared = left[0].dewey.common_prefix_length(right[0].dewey)
-        best = shared - 1
-    return best if best >= 0 else None

@@ -1,8 +1,9 @@
 """Request-scoped serving telemetry.
 
 Every request a :class:`~repro.serve.TransformPool` runs with telemetry
-attached gets a :class:`RequestTrace`: a ``trace_id``, the queue-wait /
-execute / serialize phase breakdown, and its outcome (status + XM code).
+attached gets a :class:`RequestTrace`: the queue-wait /
+execute / serialize phase breakdown, its outcome (status + XM code) and,
+when it is sampled or slow-logged, a ``trace_id``.
 :class:`ServeTelemetry` decides what happens to each finished trace:
 
 * **latency histograms** — every request's phase timings feed the
@@ -21,7 +22,7 @@ execute / serialize phase breakdown, and its outcome (status + XM code).
 
 The default configuration (sample rate 0, no slow log) keeps the hot
 path to four ``perf_counter`` calls and a few histogram inserts per
-request — no tracer, no span retention, no file I/O.
+request — no trace id, no tracer, no span retention, no file I/O.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ class RequestTrace:
 
     doc: str
     guard: str
-    trace_id: str
+    #: Drawn only for a sampled or slow-logged request, else ``None``.
+    trace_id: Optional[str]
     #: Per-request tracer when this request is sampled or slow-logged.
     tracer: Optional[obs_tracer.Tracer] = None
     #: Whether the JSONL trace should be exported on finish.
@@ -166,11 +168,12 @@ class ServeTelemetry:
             with self._lock:
                 self._request_counter += 1
                 sampled = self._request_counter % self.trace_sample == 0
-        needs_tracer = sampled or self.slow_ms is not None
-        trace_id = obs_tracer.new_trace_id()
-        tracer = (
-            obs_tracer.Tracer(trace_id=trace_id) if needs_tracer else None
-        )
+        # Only the tracer and the slow log read the id, and both exist
+        # only then: an unsampled request without a slow log draws none.
+        trace_id = tracer = None
+        if sampled or self.slow_ms is not None:
+            trace_id = obs_tracer.new_trace_id()
+            tracer = obs_tracer.Tracer(trace_id=trace_id)
         return RequestTrace(
             doc=doc,
             guard=guard,

@@ -1,4 +1,4 @@
-"""Adorned-shape (DataGuide) extraction from XML data.
+"""The one document walk: labels, types, adornments and type columns.
 
 Definition 3: the shape of a data collection is a forest of type edges
 adorned with cardinality ranges.  An edge ``(t, u, n..m)`` states that
@@ -7,15 +7,28 @@ every node of type ``t`` has between ``n`` and ``m`` children of type
 exactly its DataGuide tree, and extraction is a single document-order
 pass counting per-parent child occurrences.
 
-:class:`DataGuideBuilder` is that pass's accumulator, fed node by node:
-:meth:`~DataGuideBuilder.enter` when a node opens and
-:meth:`~DataGuideBuilder.leave` when one with children closes.  Whoever
-walks the document calls them — :meth:`~DataGuideBuilder.build` for a
-forest in memory, the shredder from the walk it is making anyway — and
-the per-node work is integer ids and one ``{name: id}`` lookup: a path
-tuple is built once per *type*.  The :class:`Shape` objects are built
-when first asked for; a caller that wants the edges as numbers
-(:meth:`~DataGuideBuilder.edges`) never pays for them.
+:class:`DataGuideBuilder` is that pass, fed node by node as the paper's
+SAX shredder (Figure 8) is: ``start`` / ``attribute`` / ``end`` — from
+the tokenizer when the source is text, from :func:`walk` when it is a
+forest.  As a node goes by it gets everything a type sequence holds:
+
+* its label, its parent's label plus its ordinal among its siblings
+  (:func:`repro.xmltree.dewey.child` — the store's labels, whatever
+  ``dewey`` a forest's nodes carry);
+* its type, from :meth:`~DataGuideBuilder.enter`, which interns a path
+  once per *type* (the per-node work is integer ids and one ``{name:
+  id}`` lookup);
+* the tally of its children's types, folded into the adornments by
+  :meth:`~DataGuideBuilder.leave` when it ends;
+* its place in its type's columns — label, text, attribute flag.  Nodes
+  of one type never nest (a type is a root path), so they end in the
+  order they start and each column is in document order.
+
+Everything that reads a document's types is fed from here: the
+shredder encodes the columns as records, the in-memory
+:class:`~repro.closeness.DocumentIndex` holds them as its type
+sequences, and :func:`extract_shape` / ``forest_to_dtd`` read the
+adorned :attr:`~DataGuideBuilder.shape`.
 """
 
 from __future__ import annotations
@@ -24,37 +37,44 @@ from functools import cached_property
 from typing import Iterator, Optional
 
 from repro.shape.shape import Shape
-from repro.shape.types import DataType, ShapeType, TypeTable
-from repro.xmltree.node import NodeKind, XmlForest
+from repro.shape.types import DataType, TypeTable
+from repro.xmltree.dewey import child
+from repro.xmltree.node import NodeKind, XmlForest, XmlNode
+
+# A frame's slots: the node's label, its type id, how many children it
+# has had, their tally by type id, and whether it is an attribute.
+_LABEL, _TYPE, _CHILDREN, _TALLY = range(4)
 
 
 class DataGuideBuilder:
-    """Accumulates the adorned shape and type table of a collection.
+    """Accumulates a document's adorned shape, type table and columns.
 
-    Fed by :meth:`enter` / :meth:`leave`:
+    Fed by ``start`` / ``attribute`` / ``end`` (the tokenizer's handler
+    interface; :func:`walk` reports a forest the same way).  Once the
+    document has ended:
 
     * ``type_table`` interns every :class:`DataType` seen, ids dense in
       first-occurrence order,
     * ``counts[type id]`` is the number of nodes of the type,
     * ``is_attribute`` tells whether a type's instances are attributes
       (first-seen kind),
+    * ``has_text`` holds the ids of the types some instance of which
+      carries text,
+    * ``labels`` / ``values`` / ``attributes`` ``[type id]`` are the
+      type's columns — packed labels, texts, attribute flags — in
+      document order,
     * :meth:`edges` yields the adorned edges as ids and bounds, and
-    * ``shape`` / ``shape_of`` are the adorned :class:`Shape` and each
-      :class:`DataType`'s vertex in it, built on first use — read them
-      only once the walk is over.
-
-    :meth:`build` walks a forest through those two calls and also fills
-    ``type_of`` (each :class:`~repro.xmltree.XmlNode`'s
-    :class:`DataType`, by ``id(node)``) and ``has_text`` (whether any
-    instance of a type carries text content).
+      :attr:`shape` is the adorned :class:`Shape`, built on first use.
     """
 
     def __init__(self) -> None:
         self.type_table = TypeTable()
         self.counts: list[int] = []
         self.is_attribute: dict[DataType, bool] = {}
-        self.has_text: dict[DataType, bool] = {}
-        self.type_of: dict[int, DataType] = {}
+        self.has_text: set[int] = set()
+        self.labels: list[list[bytes]] = []
+        self.values: list[list[str]] = []
+        self.attributes: list[bytearray] = []
         #: ``{name: type id}`` of the root types, then of each type's children.
         self._root_ids: dict[str, int] = {}
         self._child_ids: list[dict[str, int]] = []
@@ -62,6 +82,36 @@ class DataGuideBuilder:
         #: named by its child: child type id -> [min, max, parents seen].
         self._edge_stats: dict[int, list[int]] = {}
         self._parent_of: list[Optional[int]] = []
+        #: One frame per open node, under the forest's own.
+        self._open: list[list] = [[b"", None, 0, {}, False]]
+
+    # -- node events -------------------------------------------------------
+
+    def start(self, name: str, is_attribute: bool = False) -> int:
+        """A node named ``name`` opens; returns its type id."""
+        parent = self._open[-1]
+        parent[_CHILDREN] += 1
+        type_id = self.enter(parent[_TYPE], name, is_attribute)
+        tally = parent[_TALLY]
+        tally[type_id] = tally.get(type_id, 0) + 1
+        label = child(parent[_LABEL], parent[_CHILDREN])
+        self._open.append([label, type_id, 0, {}, is_attribute])
+        return type_id
+
+    def attribute(self, name: str, value: str) -> None:
+        self.start(name, True)
+        self.end(value)
+
+    def end(self, text: str) -> None:
+        """The open node closes; ``text`` is its own character data."""
+        label, type_id, _children, tally, is_attribute = self._open.pop()
+        if tally:
+            self.leave(tally)
+        if text and type_id not in self.has_text and text.strip():
+            self.has_text.add(type_id)
+        self.labels[type_id].append(label)
+        self.values[type_id].append(text)
+        self.attributes[type_id].append(is_attribute)
 
     # -- the accumulator ---------------------------------------------------
 
@@ -78,7 +128,9 @@ class DataGuideBuilder:
             self._child_ids.append({})
             self._parent_of.append(parent)
             self.is_attribute[data_type] = is_attribute
-            self.has_text[data_type] = False
+            self.labels.append([])
+            self.values.append([])
+            self.attributes.append(bytearray())
         self.counts[type_id] += 1
         return type_id
 
@@ -105,56 +157,48 @@ class DataGuideBuilder:
         most children of the type under one parent that has any, and a
         parent with *none* drags ``lo`` to 0.
         """
-        for child, (low, high, parents_seen) in self._edge_stats.items():
-            parent = self._parent_of[child]
+        for child_id, (low, high, parents_seen) in self._edge_stats.items():
+            parent = self._parent_of[child_id]
             if parents_seen < self.counts[parent]:
                 low = 0
-            yield parent, child, low, high
-
-    # -- a forest in memory ------------------------------------------------
-
-    def build(self, forest: XmlForest) -> "DataGuideBuilder":
-        enter = self.enter
-        by_id = self.type_table.by_id
-        type_of = self.type_of
-        has_text = self.has_text
-        with_text: set[int] = set()
-        attribute = NodeKind.ATTRIBUTE
-        # One frame per open node: the siblings still to visit, their
-        # parent's type and the parent's child tally so far.
-        above: list[tuple[Iterator, Optional[int], dict[int, int]]] = []
-        siblings, parent, tally = iter(forest.roots), None, {}
-        while True:
-            for node in siblings:
-                type_id = enter(parent, node.name, node.kind is attribute)
-                tally[type_id] = tally.get(type_id, 0) + 1
-                data_type = type_of[id(node)] = by_id(type_id)
-                if type_id not in with_text and node.text.strip():
-                    with_text.add(type_id)
-                    has_text[data_type] = True
-                if node.children:
-                    above.append((siblings, parent, tally))
-                    siblings, parent, tally = iter(node.children), type_id, {}
-                    break
-            else:
-                if not above:
-                    return self
-                self.leave(tally)
-                siblings, parent, tally = above.pop()
-
-    # -- the shape, as objects -----------------------------------------------
+            yield parent, child_id, low, high
 
     @cached_property
     def shape(self) -> Shape:
-        """The adorned :class:`Shape` (one :class:`ShapeType` per data type)."""
+        """The adorned :class:`Shape` (one vertex per data type, in id order)."""
         return Shape.of_data_types(self.type_table, self.edges())
 
-    @cached_property
-    def shape_of(self) -> dict[DataType, ShapeType]:
-        """Each :class:`DataType`'s vertex in :attr:`shape`."""
-        return dict(zip(self.type_table, self.shape.types()))
+
+def walk(forest: XmlForest, builder: DataGuideBuilder) -> list[list[XmlNode]]:
+    """Report a forest's vertices to ``builder`` in document order, with
+    an explicit stack (no recursion); returns each type's nodes, by type
+    id, in the order of its columns."""
+    start, end = builder.start, builder.end
+    attribute = NodeKind.ATTRIBUTE
+    filed: list[list[XmlNode]] = []
+    above: list[tuple[Iterator[XmlNode], Optional[XmlNode]]] = []
+    siblings, parent = iter(forest.roots), None
+    while True:
+        for node in siblings:
+            type_id = start(node.name, node.kind is attribute)
+            if type_id == len(filed):
+                filed.append([node])
+            else:
+                filed[type_id].append(node)
+            if node.children:
+                above.append((siblings, parent))
+                siblings, parent = iter(node.children), node
+                break
+            end(node.text)
+        else:
+            if parent is None:
+                return filed
+            end(parent.text)
+            siblings, parent = above.pop()
 
 
 def extract_shape(forest: XmlForest) -> Shape:
     """Extract just the adorned shape of a forest (Figure 5)."""
-    return DataGuideBuilder().build(forest).shape
+    builder = DataGuideBuilder()
+    walk(forest, builder)
+    return builder.shape

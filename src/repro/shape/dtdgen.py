@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.shape.cardinality import Card
-from repro.shape.dataguide import DataGuideBuilder
+from repro.shape.dataguide import DataGuideBuilder, walk
 from repro.shape.shape import Shape
 from repro.shape.types import DataType, ShapeType
 from repro.xmltree.node import XmlForest
@@ -104,11 +104,12 @@ def shape_to_dtd(
 
 def forest_to_dtd(forest: XmlForest) -> str:
     """One-shot: extract a forest's shape and print its DTD."""
-    builder = DataGuideBuilder().build(forest)
+    builder = DataGuideBuilder()
+    walk(forest, builder)
     return shape_to_dtd(
         builder.shape,
         is_attribute=lambda t: builder.is_attribute.get(t, False),
-        has_text=lambda t: builder.has_text.get(t, False),
+        has_text=lambda t: t.type_id in builder.has_text,
     )
 
 

@@ -28,7 +28,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.shape.shape import Shape
-from repro.shape.types import DataType, ShapeType, TypeTable
+from repro.shape.types import DataType, TypeTable
 from repro.storage import tables
 from repro.storage.btree import BPlusTree
 from repro.storage.pages import BufferPool, PagedFile
@@ -531,31 +531,33 @@ class Database:
 class StoredDocumentIndex(BaseIndex):
     """A document index backed by the store.
 
-    The shape and type table load eagerly from the (tiny) AdornedShapes
-    records, in one pass (:meth:`Shape.of_data_types`: an edge that does
-    not follow its types' paths is a :class:`~repro.errors.StorageError`,
-    never a different shape); node sequences load lazily per type.
-    Type distances derive
-    from root paths: the distance between two types is the distance
-    between their paths' common prefix and each type.  That equals
-    Definition 1's minimum over the instances only when some instance
-    of the common prefix holds nodes of both types.  When none does,
-    the stored distance is smaller than the in-memory
-    :class:`~repro.closeness.DocumentIndex`'s exact one, and the two
-    render differently: in ``<r><a><b/></a><a><c/></a></r>`` the
+    The same columns and shape as the in-memory
+    :class:`~repro.closeness.DocumentIndex`, read back: the shredder
+    wrote them from the same :class:`~repro.shape.dataguide.DataGuideBuilder`.
+    The shape, type table and counts load eagerly from the (tiny)
+    AdornedShapes records, in one pass (:meth:`Shape.of_data_types`: an
+    edge that does not follow its types' paths is a
+    :class:`~repro.errors.StorageError`, never a different shape); node
+    sequences load lazily per type.
+
+    The one difference is ``type_distance``, which derives from root
+    paths: the distance between two types is the distance between their
+    paths' common prefix and each type.  That equals Definition 1's
+    minimum over the instances only when some instance of the common
+    prefix holds nodes of both types.  When none does, the stored
+    distance is smaller than the in-memory index's exact one, and the
+    two render differently: in ``<r><a><b/></a><a><c/></a></r>`` the
     stored ``b``–``c`` distance is 2 and the exact one is 4.
     ``tests/storage/test_database.py`` pins that case as an expected
     failure; docs/STORAGE.md gives the numbers on the corpora.
     """
 
     def __init__(self, database: Database, descriptor: dict):
-        super().__init__()
         self.database = database
         self.doc_id: int = descriptor["doc_id"]
         self.name: str = descriptor["name"]
         #: The document's generation everything below is read at.
         self.generation: int = database.generation(self.name)
-        self._node_count: int = descriptor["nodes"]
         shape_chunks = tables.load_chunks(database.tree, tables.shape_prefix(self.doc_id))
         if not shape_chunks:
             raise StorageError(f"document {self.name!r} has no stored shape")
@@ -563,36 +565,24 @@ class StoredDocumentIndex(BaseIndex):
         #: Stable hash of the adorned-shape descriptor; keys the plan
         #: cache.  Stored in the catalog at shred and update time.
         self.fingerprint: str = descriptor["shape_fingerprint"]
-        self.type_table = TypeTable()
+        type_table = TypeTable()
         try:
             for type_id, path in sorted(shape_info["types"]):
-                interned = self.type_table.intern(tuple(path))
+                interned = type_table.intern(tuple(path))
                 if interned.type_id != type_id:
                     raise StorageError("type table corrupted: id mismatch")
-            self.shape = Shape.of_data_types(self.type_table, shape_info["edges"])
+            shape = Shape.of_data_types(type_table, shape_info["edges"])
         except (ValueError, IndexError, TypeError) as error:
             raise StorageError(
                 f"document {self.name!r} has a corrupted stored shape: {error}"
             ) from error
-        #: ``types()[i]`` backs type id ``i`` (``Shape.of_data_types``).
-        self._vertices: list[ShapeType] = self.shape.types()
-        self._counts: dict[int, int] = {
-            int(type_id): count for type_id, count in shape_info["counts"].items()
-        }
+        counts = shape_info["counts"]
+        super().__init__(
+            type_table, shape, [counts.get(str(type_id), 0) for type_id in range(len(type_table))]
+        )
         self._sequences: dict[int, TypeSequence] = {}
 
     # -- BaseIndex interface ----------------------------------------------------
-
-    def types(self) -> list[DataType]:
-        return list(self.type_table)
-
-    def shape_vertex(self, data_type: DataType) -> Optional[ShapeType]:
-        type_id = data_type.type_id
-        if 0 <= type_id < len(self._vertices):
-            vertex = self._vertices[type_id]
-            if vertex.source is data_type or vertex.source == data_type:
-                return vertex
-        return None
 
     def type_distance(self, first: DataType, second: DataType) -> Optional[int]:
         if first == second:
@@ -637,12 +627,6 @@ class StoredDocumentIndex(BaseIndex):
         # which report to the current tracer too: super() would count
         # the sample twice there.
         self.database.stats.observe(name, seconds)
-
-    def node_count(self) -> int:
-        return self._node_count
-
-    def count_of(self, data_type: DataType) -> int:
-        return self._counts.get(data_type.type_id, 0)
 
     def drop_cache(self) -> None:
         with self._memo_lock:

@@ -8,18 +8,19 @@ This is a one-time cost — the paper reports it separately (20–115 s for
 the XMark factors) and excludes it from the transformation timings, as
 do our benchmarks.
 
-It is one pass, as the paper's SAX shredder is.  :class:`_Sink` hears
-``start`` / ``attribute`` / ``end`` per node — from the tokenizer when
-the source is text (no tree is built for a document that is only being
-stored), from :func:`_walk` when it is a forest — and does everything a
-node needs as it goes by: its label is its parent's label plus its
-ordinal among its siblings, its type comes from the
-:class:`~repro.shape.dataguide.DataGuideBuilder` the same calls feed,
-and :func:`~repro.storage.tables.encode_node` turns label, type and
-UTF-8 text into the Nodes value and the sequence entry at once.  Nodes
-of one type never nest (a type is a root path), so they *end* in the
-order they start and a type's entries, appended as its nodes end, are in
-document order.
+It is one pass, as the paper's SAX shredder is: the tokenizer (when the
+source is text — no tree is built for a document that is only being
+stored) or :func:`~repro.shape.dataguide.walk` (when it is a forest)
+feeds the :class:`~repro.shape.dataguide.DataGuideBuilder` that also
+builds the in-memory index, and that pass gives every node its label
+(its parent's plus its ordinal among its siblings), its type and its
+place in its type's columns.  What the shredder adds is the records:
+:func:`~repro.storage.tables.encode_node` turns each column entry's
+label, type and UTF-8 text into the Nodes value and the sequence entry
+at once (refusing a node too deep to label, ``XM560``, after the source
+has been read to its end, so that text which does not parse says so
+first), and :func:`~repro.storage.tables.split_text` moves long text
+into overflow records.
 
 Nothing is written node by node: the records — Nodes, overflow chunks,
 type sequences, shape chunks — are gathered in one list, sorted (Nodes
@@ -32,16 +33,12 @@ a document exists once its catalog entry does.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
-
 from repro.cache import shape_fingerprint
-from repro.errors import DepthLimitError
 from repro.obs import tracer as obs
-from repro.shape.dataguide import DataGuideBuilder
+from repro.shape.dataguide import DataGuideBuilder, walk
 from repro.storage.btree import BPlusTree
 from repro.storage import tables
-from repro.xmltree import dewey as labels
-from repro.xmltree.node import NodeKind, XmlForest, XmlNode
+from repro.xmltree.node import XmlForest
 from repro.xmltree.parser import tokenize
 
 
@@ -49,21 +46,16 @@ def shred(tree: BPlusTree, doc_id: int, name: str, source: str | XmlForest) -> d
     """Write a document's tables from its text or its forest; returns
     the catalog descriptor."""
     with obs.span("storage.shred", document=name) as shred_span:
-        sink = _Sink(doc_id)
+        builder = DataGuideBuilder()
         with obs.span("storage.shred.nodes"):
             if isinstance(source, str):
-                tokenize(source, sink)
+                tokenize(source, builder)
             else:
-                _walk(source, sink)
-        if sink.refusal is not None:
-            raise sink.refusal
-
-        #: Every record but the catalog's (N, V, T and S keys): one run.
-        run = sink.run
-        for type_id, chunks in enumerate(sink.sequences):
-            for chunk_no, chunk in enumerate(chunks):
-                run.append((tables.sequence_key(doc_id, type_id, chunk_no), bytes(chunk)))
-        shape_descriptor = _shape_descriptor(sink.guide)
+                walk(source, builder)
+            #: Every record but the catalog's (N, V, T and S keys): one run.
+            run, text_bytes = _records(doc_id, builder)
+        nodes = sum(builder.counts)
+        shape_descriptor = _shape_descriptor(builder)
         for chunk_no, chunk in enumerate(tables.encode_shape(shape_descriptor)):
             run.append((tables.shape_key(doc_id, chunk_no), chunk))
 
@@ -71,15 +63,15 @@ def shred(tree: BPlusTree, doc_id: int, name: str, source: str | XmlForest) -> d
             run.sort()
             tree.put_many(run)
 
-        obs.count("shred.nodes", sink.nodes)
-        obs.count("shred.text_bytes", sink.text_bytes)
-        shred_span.annotate(nodes=sink.nodes, text_bytes=sink.text_bytes)
+        obs.count("shred.nodes", nodes)
+        obs.count("shred.text_bytes", text_bytes)
+        shred_span.annotate(nodes=nodes, text_bytes=text_bytes)
 
     descriptor = {
         "doc_id": doc_id,
         "name": name,
-        "nodes": sink.nodes,
-        "text_bytes": sink.text_bytes,
+        "nodes": nodes,
+        "text_bytes": text_bytes,
         "shape": shape_descriptor,
         # Keys the plan cache: documents with identical adorned shapes
         # hash identically (the descriptor is pure lists/str-keyed
@@ -95,93 +87,34 @@ def shred(tree: BPlusTree, doc_id: int, name: str, source: str | XmlForest) -> d
     return descriptor
 
 
-# A frame's slots: the node's label, its type id, how many children it
-# has had, their tally by type id, and whether it is an attribute.
-_LABEL, _TYPE, _CHILDREN, _TALLY = range(4)
+def _records(doc_id: int, builder: DataGuideBuilder) -> tuple[list[tuple[bytes, bytes]], int]:
+    """The Nodes, overflow and type-sequence records of the built
+    columns, and the document's text length.
 
-
-class _Sink:
-    """Turns a document's node events into its records.
-
-    ``start`` / ``attribute`` / ``end`` are what the tokenizer reports;
-    ``start`` also takes the node's kind, for :func:`_walk`, which
-    reports a forest's attribute vertices like any other node.
+    Types go in id order — the order of their first nodes, and a type
+    too deep to label has an ancestor type at the limit with a smaller
+    id — and each column in document order, so the first label
+    :func:`~repro.storage.tables.encode_node` refuses (``XM560``) is the
+    document's first node too deep to label.
     """
-
-    def __init__(self, doc_id: int) -> None:
-        self.doc_id = doc_id
-        self.guide = DataGuideBuilder()
-        #: Nodes and overflow records, a node's when it ends.
-        self.run: list[tuple[bytes, bytes]] = []
-        #: Per type id, the chunks of its sequence so far.
-        self.sequences: list[list[bytearray]] = []
-        self.nodes = 0
-        self.text_bytes = 0
-        #: Why the document cannot be stored: its first node too deep to
-        #: label.  Raised by :func:`shred` once the source has been read
-        #: to its end, so that text which does not parse says so first.
-        self.refusal: Optional[DepthLimitError] = None
-        self._key_prefix = tables.nodes_prefix(doc_id)
-        #: One frame per open node, under the forest's own.
-        self._open: list[list] = [[b"", None, 0, {}, False]]
-
-    def start(self, name: str, is_attribute: bool = False) -> None:
-        parent = self._open[-1]
-        parent[_CHILDREN] += 1
-        label = labels.child(parent[_LABEL], parent[_CHILDREN])
-        if len(self._open) > tables.MAX_DEPTH and self.refusal is None:
-            self.refusal = DepthLimitError(
-                str(labels.unpack(label)), len(self._open), tables.MAX_DEPTH
-            )
-        type_id = self.guide.enter(parent[_TYPE], name, is_attribute)
-        tally = parent[_TALLY]
-        tally[type_id] = tally.get(type_id, 0) + 1
-        if type_id == len(self.sequences):
-            self.sequences.append([])
-        self._open.append([label, type_id, 0, {}, is_attribute])
-
-    def attribute(self, name: str, value: str) -> None:
-        self.start(name, True)
-        self.end(value)
-
-    def end(self, text: str) -> None:
-        label, type_id, _children, tally, is_attribute = self._open.pop()
-        if self.refusal is not None:
-            return
-        if tally:
-            self.guide.leave(tally)
-        inline, overflow = tables.split_text(self.doc_id, label, text.encode())
-        self.run.extend(overflow)
-        value, entry = tables.encode_node(
-            label, type_id, is_attribute, inline, len(overflow)
-        )
-        self.run.append((self._key_prefix + label, value))
-        tables.append_entry(self.sequences[type_id], entry)
-        self.nodes += 1
-        self.text_bytes += len(text)
-
-
-def _walk(forest: XmlForest, sink: _Sink) -> None:
-    """Report a forest's vertices to ``sink`` in document order.  A
-    node's ordinal is its position among its siblings — what
-    ``renumber()`` assigns — whatever ``dewey`` it carries."""
-    start, end = sink.start, sink.end
-    attribute = NodeKind.ATTRIBUTE
-    above: list[tuple[Iterator[XmlNode], Optional[XmlNode]]] = []
-    siblings, parent = iter(forest.roots), None
-    while True:
-        for node in siblings:
-            start(node.name, node.kind is attribute)
-            if node.children:
-                above.append((siblings, parent))
-                siblings, parent = iter(node.children), node
-                break
-            end(node.text)
-        else:
-            if parent is None:
-                return
-            end(parent.text)
-            siblings, parent = above.pop()
+    run: list[tuple[bytes, bytes]] = []
+    add, extend = run.append, run.extend
+    split_text, encode_node, append_entry = tables.split_text, tables.encode_node, tables.append_entry
+    key_prefix = tables.nodes_prefix(doc_id)
+    text_bytes = 0
+    columns = zip(builder.labels, builder.values, builder.attributes)
+    for type_id, (labels, values, attributes) in enumerate(columns):
+        chunks: list[bytearray] = []
+        for label, text, is_attribute in zip(labels, values, attributes):
+            inline, overflow = split_text(doc_id, label, text.encode())
+            extend(overflow)
+            value, entry = encode_node(label, type_id, is_attribute, inline, len(overflow))
+            add((key_prefix + label, value))
+            append_entry(chunks, entry)
+            text_bytes += len(text)
+        for chunk_no, chunk in enumerate(chunks):
+            add((tables.sequence_key(doc_id, type_id, chunk_no), bytes(chunk)))
+    return run, text_bytes
 
 
 def _shape_descriptor(guide: DataGuideBuilder) -> dict:

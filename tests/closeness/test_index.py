@@ -4,6 +4,9 @@ The brute-force closest graph is the ground truth; the index must agree
 with it on every input, including random forests (property tests).
 """
 
+import hashlib
+
+import pytest
 from hypothesis import given, settings
 
 from repro.closeness import DocumentIndex
@@ -12,6 +15,7 @@ from repro.shape.cardinality import Card
 from repro.shape.shape import Shape
 from repro.shape.types import ShapeType
 from repro.xmltree import parse_document
+from repro.workloads import generate_dblp, generate_nasa, generate_xmark
 from repro.xmltree.dewey import pack
 
 from tests.closeness.oracle import brute_force_closest_graph
@@ -164,6 +168,45 @@ class TestAgainstBruteForce:
     @given(documents(max_depth=3, max_children=3))
     def test_random_documents(self, forest):
         self.check(forest)
+
+
+class TestPinnedDistances:
+    """Every type pair's exact distance on the corpora, as a digest.
+
+    The corpora are too large for the brute-force oracle (xmark-0.002
+    alone has 283 types, 39,903 pairs over 3,124 nodes), so the values
+    are pinned, as computed by a merge over ``Dewey`` objects that
+    shares no code with the index's merge over label columns.
+    xmark-0.002 is the corpus where 477 pairs differ from the
+    path-derived distance a stored index uses.
+    """
+
+    PINNED = {
+        "dblp-400": (
+            lambda: generate_dblp(400),
+            "cb3b54261d92c7460b8927d63357f47435133b2e298e136977a053cb252dac5f",
+        ),
+        "xmark-0.002": (
+            lambda: generate_xmark(0.002),
+            "51bc5883575ea0bbc20876ded61ddd024b21117e6d64c8d89aecb75b9acdc704",
+        ),
+        "nasa-25": (
+            lambda: generate_nasa(25),
+            "7d12212ad294aab114e73a5081706379e458bfc442ba7c0873a8ea8acb0e4ba5",
+        ),
+    }
+
+    @pytest.mark.parametrize("corpus", sorted(PINNED))
+    def test_every_pair_keeps_its_distance(self, corpus):
+        make, pinned = self.PINNED[corpus]
+        index = DocumentIndex(make())
+        types = index.types()
+        digest = hashlib.sha256()
+        for i, first in enumerate(types):
+            for second in types[i:]:
+                line = f"{first.dotted} {second.dotted} {index.type_distance(first, second)}\n"
+                digest.update(line.encode())
+        assert digest.hexdigest() == pinned
 
 
 def graph_pair_maps(forest):

@@ -29,8 +29,9 @@ from repro.shape.cardinality import Card
 from repro.shape.shape import Shape
 from repro.shape.types import ShapeType
 from repro.storage import Database
-from repro.storage.tables import INLINE_TEXT
+from repro.storage.tables import INLINE_TEXT, MAX_DEPTH
 from repro.workloads import generate_dblp, generate_xmark
+from repro.xmltree.parser import MAX_NESTING
 from repro.xmltree.serializer import escape_attr, escape_text, serialize
 
 from tests.engine.oracle import reference_render
@@ -167,6 +168,17 @@ class TestWorkloadParity:
     def test_xmark(self):
         forest = generate_xmark(0.02)
         assert_parity(forest, "CAST MORPH item [ name ]")
+
+
+class TestDeeperThanTheStore:
+    def test_an_index_in_memory_has_no_depth_limit_but_the_parsers(self):
+        """Deeper than a stored label holds (``XM560``) and within the
+        parser's limit: the walk that builds the index refuses nothing;
+        only the shredder's encoding does."""
+        depth = (MAX_DEPTH + MAX_NESTING) // 2
+        forest = repro.parse_forest("<n>" * depth + "<b>x</b><c>y</c>" + "</n>" * depth)
+        _reference, _tree, text, _stats = assert_parity(forest, "CAST MORPH b [ c ]")
+        assert text == "<b>x<c>y</c></b>"
 
 
 class TestSpecialTypesParity:

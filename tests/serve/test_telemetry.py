@@ -67,6 +67,21 @@ class TestSampling:
         assert trace.tracer is None
         assert not trace.sampled
 
+    def test_only_a_traced_request_draws_a_trace_id(self, db, monkeypatch):
+        from repro.obs import tracer as obs_tracer
+
+        drawn = []
+        draw = obs_tracer.new_trace_id
+        monkeypatch.setattr(obs_tracer, "new_trace_id", lambda: drawn.append(1) or draw())
+        unsampled = ServeTelemetry(stats=db.stats).start("doc", GUARD)
+        assert drawn == [] and unsampled.trace_id is None
+        telemetry = ServeTelemetry(stats=db.stats, trace_sample=2)
+        traces = [telemetry.start("doc", GUARD) for _ in range(4)]
+        assert [trace.trace_id is None for trace in traces] == [True, False, True, False]
+        assert len(drawn) == 2
+        assert ServeTelemetry(stats=db.stats, slow_ms=100.0).start("doc", GUARD).trace_id
+        assert len(drawn) == 3
+
     def test_slow_ms_gives_every_request_a_tracer(self, db):
         telemetry = ServeTelemetry(stats=db.stats, slow_ms=100.0)
         trace = telemetry.start("doc", GUARD)

@@ -1,7 +1,7 @@
 """Tests for adorned-shape (DataGuide) extraction — paper Figure 5."""
 
 from repro.shape import Card, extract_shape
-from repro.shape.dataguide import DataGuideBuilder
+from repro.shape.dataguide import DataGuideBuilder, walk
 
 
 def edge_map(shape):
@@ -44,23 +44,30 @@ class TestFig1Shapes:
         assert titles and all(not shape.children(t) for t in titles)
 
 
+def built(forest):
+    """The one walk of ``forest``: its builder and its nodes by type id."""
+    builder = DataGuideBuilder()
+    return builder, walk(forest, builder)
+
+
 class TestBuilderMaps:
     def test_type_of_maps_every_node(self, fig1b):
-        builder = DataGuideBuilder().build(fig1b)
-        for node in fig1b.iter_nodes():
-            data_type = builder.type_of[id(node)]
-            assert data_type.path == node.type_path()
+        builder, nodes = built(fig1b)
+        assert sorted(map(id, sum(nodes, []))) == sorted(map(id, fig1b.iter_nodes()))
+        for data_type, typed in zip(builder.type_table, nodes):
+            for node in typed:
+                assert data_type.path == node.type_path()
 
     def test_shape_of_covers_all_types(self, fig1b):
-        builder = DataGuideBuilder().build(fig1b)
-        assert set(builder.shape_of) == set(builder.type_table)
+        builder, _nodes = built(fig1b)
+        assert [vertex.source for vertex in builder.shape.types()] == list(builder.type_table)
 
     def test_shape_vertex_count_matches_types(self, fig1b):
-        builder = DataGuideBuilder().build(fig1b)
+        builder, _nodes = built(fig1b)
         assert len(builder.shape) == len(builder.type_table)
 
     def test_same_name_different_paths_are_distinct_types(self, fig1c):
-        builder = DataGuideBuilder().build(fig1c)
+        builder, _nodes = built(fig1c)
         names = builder.type_table.match_label("name")
         # data.author.name and data.author.book.publisher.name
         assert {t.dotted for t in names} == {
@@ -69,12 +76,12 @@ class TestBuilderMaps:
         }
 
     def test_label_matching_with_suffix(self, fig1c):
-        builder = DataGuideBuilder().build(fig1c)
+        builder, _nodes = built(fig1c)
         assert [t.dotted for t in builder.type_table.match_label("publisher.name")] == [
             "data.author.book.publisher.name"
         ]
         assert builder.type_table.match_label("nosuch") == []
 
     def test_label_matching_case_insensitive(self, fig1c):
-        builder = DataGuideBuilder().build(fig1c)
+        builder, _nodes = built(fig1c)
         assert builder.type_table.match_label("AUTHOR")

@@ -8,7 +8,7 @@ from repro.shape import (
     path_cardinality,
     predicted_shape,
 )
-from repro.shape.dataguide import DataGuideBuilder
+from repro.closeness import DocumentIndex
 
 from tests.typing.oracle import path_cardinality_table
 
@@ -94,20 +94,20 @@ class TestAcrossTrees:
 
 class TestPredictedShape:
     def test_predicts_from_source_pathcard(self, fig1a):
-        builder = DataGuideBuilder().build(fig1a)
-        source = builder.shape
+        index = DocumentIndex(fig1a)
+        source = index.shape
 
-        author = ShapeType.for_source(builder.type_table.match_label("author")[0])
-        name = ShapeType.for_source(builder.type_table.match_label("author.name")[0])
-        book = ShapeType.for_source(builder.type_table.match_label("book")[0])
-        title = ShapeType.for_source(builder.type_table.match_label("title")[0])
+        author = ShapeType.for_source(index.type_table.match_label("author")[0])
+        name = ShapeType.for_source(index.type_table.match_label("author.name")[0])
+        book = ShapeType.for_source(index.type_table.match_label("book")[0])
+        title = ShapeType.for_source(index.type_table.match_label("title")[0])
 
         target = Shape()
         target.add_edge(author, name)
         target.add_edge(author, book)
         target.add_edge(book, title)
 
-        predicted = predicted_shape(source, target, builder.shape_of.get)
+        predicted = predicted_shape(source, target, index.shape_vertex)
         # In instance (a), book is the *parent* of author, so the
         # author -> book path cardinality is the upward 1..1.
         assert predicted.card(author, book) == Card(1, 1)
@@ -115,21 +115,21 @@ class TestPredictedShape:
         assert predicted.card(book, title) == Card(1, 1)
 
     def test_new_types_get_one_one(self, fig1a):
-        builder = DataGuideBuilder().build(fig1a)
+        index = DocumentIndex(fig1a)
         wrapper = ShapeType.new("scribe")
-        author = ShapeType.for_source(builder.type_table.match_label("author")[0])
+        author = ShapeType.for_source(index.type_table.match_label("author")[0])
         target = Shape()
         target.add_edge(wrapper, author, Card(0, 7))
-        predicted = predicted_shape(builder.shape, target, builder.shape_of.get)
+        predicted = predicted_shape(index.shape, target, index.shape_vertex)
         assert predicted.card(wrapper, author) == Card(1, 1)
 
     def test_grouping_fanout_predicted(self, fig1c):
-        builder = DataGuideBuilder().build(fig1c)
+        index = DocumentIndex(fig1c)
         # Target: title under name — in (c) name -> title goes up to
         # author, then down through the 2..2 book edge: predicted 2..2.
-        name = ShapeType.for_source(builder.type_table.match_label("author.name")[0])
-        title = ShapeType.for_source(builder.type_table.match_label("title")[0])
+        name = ShapeType.for_source(index.type_table.match_label("author.name")[0])
+        title = ShapeType.for_source(index.type_table.match_label("title")[0])
         target = Shape()
         target.add_edge(name, title)
-        predicted = predicted_shape(builder.shape, target, builder.shape_of.get)
+        predicted = predicted_shape(index.shape, target, index.shape_vertex)
         assert predicted.card(name, title) == Card(2, 2)

@@ -16,7 +16,7 @@ from repro.closeness import DocumentIndex
 from repro.errors import StorageError
 from repro.storage import Database, tables
 from repro.workloads import generate_dblp, generate_nasa, generate_xmark
-from repro.xmltree import parse_document
+from repro.xmltree import parse_document, parse_forest
 from repro.xmltree import dewey as label_ops
 from repro.xmltree.dewey import Dewey, lca_level, pack, parent, prefix, unpack
 
@@ -224,6 +224,9 @@ CORPORA = {
     "nasa": lambda: generate_nasa(12),
     "attributes+overflow": lambda: parse_document(
         f'<r id="1" note="{LONG}"><a k="v&amp;w">x</a><a k="">{LONG}</a><b/></r>'
+    ),
+    "multi-root": lambda: parse_forest(
+        '<r k="1"><a>x</a><a><b>y</b></a></r><r><b k="2">z</b></r><s>t</s>'
     ),
 }
 

@@ -14,7 +14,7 @@ import weakref
 
 import pytest
 
-from repro.shape.dataguide import DataGuideBuilder
+from repro.shape.dataguide import DataGuideBuilder, walk
 from repro.shape.types import TypeTable
 from repro.storage import Database, InsertSubtree, ReplaceSubtree, reference_apply, tables
 from repro.workloads.dblp import generate_dblp
@@ -66,12 +66,13 @@ def test_the_dataguide_of_a_2000_deep_chain_needs_no_recursion():
     for _ in range(1999):
         node = node.append(XmlNode("n"))
     node.text = "leaf"
-    builder = DataGuideBuilder().build(XmlForest([root]))
+    builder = DataGuideBuilder()
+    nodes = walk(XmlForest([root]), builder)
     assert len(builder.type_table) == 2000
     assert set(builder.counts) == {1}
     assert sorted(builder.edges()) == [(n, n + 1, 1, 1) for n in range(1999)]
     deepest = builder.type_table.by_id(1999)
-    assert builder.has_text[deepest] and builder.type_of[id(node)] is deepest
+    assert deepest.type_id in builder.has_text and nodes[deepest.type_id] == [node]
 
 
 def test_a_middle_sibling_insert_builds_deweys_per_op_not_per_shifted_node(db, monkeypatch):
