@@ -32,8 +32,9 @@ ancestor-of is prefix-of), so a read never builds an object per node:
 ``XmlNode`` + ``Dewey`` objects exist only at the API edge: an
 in-memory sequence holds the forest's own nodes, and a stored one
 materializes its nodes once, the first time somebody indexes or
-iterates it (the tree sink's provenance); the index remembers each
-node's ``(type, position)`` — the one ``id()``-keyed map left here.
+iterates it (the tree sink's provenance).  The one ``id()``-keyed map
+left here, each handed-out node's ``(type, position)``, is built the
+first time somebody asks for it (:meth:`BaseIndex.position_of`).
 """
 
 from __future__ import annotations
@@ -41,12 +42,12 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.errors import RetiredDocumentError
 from repro.obs import tracer as obs
 from repro.shape.dataguide import DataGuideBuilder, walk
-from repro.shape.shape import Shape
+from repro.shape.shape import Shape, SourceShape
 from repro.shape.types import DataType, ShapeType, TypeTable
 from repro.xmltree.dewey import lca_level, prefix, prefixes, unpack
 from repro.xmltree.node import NodeKind, XmlForest, XmlNode
@@ -166,9 +167,11 @@ class BaseIndex:
     """Shared closest-join machinery over type sequences.
 
     Both indexes have one column layout and one shape source: a type
-    table, the adorned shape with one vertex per type in id order, each
-    type's node count, and per type a :class:`TypeSequence` of packed
-    sibling-ordinal labels, values and attribute flags.  The in-memory
+    table, the adorned shape with one vertex per type in id order (a
+    :class:`~repro.shape.shape.SourceShape`, which makes a vertex when
+    a read first reaches its type), each type's node count, and per
+    type a :class:`TypeSequence` of packed sibling-ordinal labels,
+    values and attribute flags.  The in-memory
     :class:`DocumentIndex` gets them from the
     :class:`~repro.shape.dataguide.DataGuideBuilder` it walks a forest
     into; the storage-backed
@@ -195,12 +198,11 @@ class BaseIndex:
     immutable.
     """
 
-    def __init__(self, type_table: TypeTable, shape: Shape, counts: list[int]) -> None:
+    def __init__(self, type_table: TypeTable, shape: SourceShape, counts: list[int]) -> None:
         self.type_table = type_table
         #: The adorned shape, one vertex per type in id order
-        #: (:meth:`Shape.of_data_types`), so ``_vertices[i]`` backs type ``i``.
+        #: (:meth:`Shape.of_data_types`), each made on first use.
         self.shape = shape
-        self._vertices: list[ShapeType] = shape.types()
         #: ``counts[type id]``: the type's number of nodes.
         self._counts = counts
         #: ("groups", type_id, width) -> {label prefix: [positions]};
@@ -208,8 +210,9 @@ class BaseIndex:
         #: or None, per anchor position]; ("survivors", type_id, filter
         #: vertex uid) -> [positions passing the filter].
         self._joins: dict[tuple, object] = {}
-        #: id(node handed out) -> (its type, its position).
-        self._position_of: dict[int, tuple[DataType, int]] = {}
+        #: id(node handed out) -> (its type, its position); built on the
+        #: first :meth:`position_of`, then kept up to date.
+        self._position_of: Optional[dict[int, tuple[DataType, int]]] = None
         #: Guards the memo, node materialization and, in subclasses, lazy
         #: sequence loads: a parallel executor renders many guards over
         #: one shared index, and every hit must see a fully-built value.
@@ -235,12 +238,7 @@ class BaseIndex:
     def shape_vertex(self, data_type: DataType) -> Optional[ShapeType]:
         """The vertex of ``data_type`` in the source shape; ``None`` for
         a type the document does not have."""
-        type_id = data_type.type_id
-        if 0 <= type_id < len(self._vertices):
-            vertex = self._vertices[type_id]
-            if vertex.source == data_type:
-                return vertex
-        return None
+        return self.shape.vertex(data_type)
 
     def node_count(self) -> int:
         return sum(self._counts)
@@ -263,7 +261,8 @@ class BaseIndex:
     # Nodes at the API edge ------------------------------------------------------
 
     def _materialize(self, sequence: TypeSequence) -> list[XmlNode]:
-        """Build ``sequence``'s nodes and remember where each one sits."""
+        """Build ``sequence``'s nodes (and file them, once somebody has
+        asked where a node sits)."""
         with self._memo_lock:
             if sequence._nodes is None:
                 data_type = sequence.data_type
@@ -276,18 +275,37 @@ class BaseIndex:
                     )
                     node = XmlNode(data_type.name, kind, sequence.values[position])
                     node.dewey = unpack(label)
-                    self._position_of[id(node)] = (data_type, position)
                     nodes.append(node)
                 sequence._nodes = nodes
+                if self._position_of is not None:
+                    _file_positions(self._position_of, sequence)
             return sequence._nodes
 
+    def _loaded_sequences(self) -> Iterable[TypeSequence]:
+        """The sequences this index holds now (subclasses)."""
+        raise NotImplementedError
+
     def position_of(self, node: XmlNode) -> tuple[DataType, int]:
-        """``(type, position)`` of a node this index handed out."""
-        return self._position_of[id(node)]
+        """``(type, position)`` of a node this index handed out.
+
+        The map behind it is built on the first call, from the nodes
+        handed out so far; nothing in a transform reads it.
+        """
+        positions = self._position_of
+        if positions is None:
+            with self._memo_lock:
+                positions = self._position_of
+                if positions is None:
+                    positions = {}
+                    for sequence in self._loaded_sequences():
+                        if sequence._nodes is not None:
+                            _file_positions(positions, sequence)
+                    self._position_of = positions
+        return positions[id(node)]
 
     def type_of(self, node: XmlNode) -> DataType:
         """The paper's ``typeOf(v)`` for a node of the indexed document."""
-        return self._position_of[id(node)][0]
+        return self.position_of(node)[0]
 
     # Derived operations ----------------------------------------------------------
 
@@ -461,12 +479,10 @@ class DocumentIndex(BaseIndex):
                 builder.type_table, builder.labels, builder.values, builder.attributes, nodes
             )
         ]
-        self._position_of.update(
-            (id(node), (sequence.data_type, position))
-            for sequence in self._sequences
-            for position, node in enumerate(sequence.nodes)
-        )
         self._distance_cache: dict[tuple[DataType, DataType], Optional[int]] = {}
+
+    def _loaded_sequences(self) -> list[TypeSequence]:
+        return self._sequences
 
     def nodes_of(self, data_type: DataType) -> TypeSequence:
         """Document-ordered sequence of the nodes of a type (empty for a
@@ -517,6 +533,13 @@ class DocumentIndex(BaseIndex):
         if deepest < 0:
             return None
         return (first.level - deepest) + (second.level - deepest)
+
+
+def _file_positions(positions: dict[int, tuple[DataType, int]], sequence: TypeSequence) -> None:
+    data_type = sequence.data_type
+    positions.update(
+        (id(node), (data_type, position)) for position, node in enumerate(sequence._nodes)
+    )
 
 
 def group_by_prefix(labels: list[bytes], width: int) -> dict[bytes, list[int]]:

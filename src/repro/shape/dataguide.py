@@ -121,7 +121,7 @@ class DataGuideBuilder:
         ids = self._root_ids if parent is None else self._child_ids[parent]
         type_id = ids.get(name)
         if type_id is None:
-            above = () if parent is None else self.type_table.by_id(parent).path
+            above = () if parent is None else self.type_table.paths[parent]
             data_type = self.type_table.intern(above + (name,))
             type_id = ids[name] = data_type.type_id
             self.counts.append(0)

@@ -10,11 +10,12 @@ cycles).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.shape.cardinality import Card
-from repro.shape.types import DataType, ShapeType
+from repro.shape.types import DataType, ShapeType, TypeTable
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,40 +52,22 @@ class Shape:
     @classmethod
     def of_data_types(
         cls,
-        data_types: Iterable[DataType],
+        type_table: TypeTable,
         edges: Iterable[tuple[int, int, int, int]],
-    ) -> "Shape":
-        """The adorned shape of a collection (Definition 3), in one pass.
+    ) -> "SourceShape":
+        """The adorned shape of a collection (Definition 3): one vertex
+        per type of ``type_table``, in id order, and one edge per
+        ``(parent id, child id, lo, hi)``; see :class:`SourceShape`.
 
-        One vertex per data type, in the order given (type id order, so
-        ``types()[i]`` backs type ``i``), and one edge per ``(parent id,
-        child id, lo, hi)``.  A data type is its root path, so an edge is
-        sound exactly when the parent's path is the child's path minus
-        its last step; that alone keeps the forest acyclic, without the
-        ancestor walk of :meth:`add_edge`.  An edge that breaks it, or a
-        second edge into one child, raises :class:`ValueError`.  Edges
-        with one range share one (frozen) :class:`Card`.
+        A data type is its root path, so an edge is sound exactly when
+        the parent's path is the child's path minus its last step; that
+        alone keeps the forest acyclic, without the ancestor walk of
+        :meth:`add_edge`.  An edge that breaks it, names a type the
+        table does not have, or is a second edge into one child raises
+        :class:`ValueError` (or :class:`IndexError`) here, before any
+        vertex is made.
         """
-        shape = cls()
-        # ShapeType.for_source, inlined: a stored document's open builds one per type.
-        vertices = [ShapeType(data_type, data_type.path[-1]) for data_type in data_types]
-        shape._types = dict.fromkeys(vertices)
-        children = shape._children = {vertex: [] for vertex in vertices}
-        parents, cards = shape._parent, shape._card
-        ranges: dict[tuple[int, int], Card] = {}
-        for parent_id, child_id, low, high in edges:
-            parent, child = vertices[parent_id], vertices[child_id]
-            if parent.source.path != child.source.path[:-1]:
-                raise ValueError(f"edge {parent} -> {child} does not follow the type's path")
-            if child in parents:
-                raise ValueError(f"type {child} has two parents")
-            parents[child] = parent
-            children[parent].append(child)
-            card = ranges.get((low, high))
-            if card is None:
-                card = ranges[(low, high)] = Card(low, high)
-            cards[(parent, child)] = card
-        return shape
+        return SourceShape(type_table, edges)
 
     @classmethod
     def of_leaves(cls, shape_types: Iterable[ShapeType]) -> "Shape":
@@ -164,7 +147,7 @@ class Shape:
         merge.  Shared types keep their existing parent unless the other
         shape provides one and this one does not.
         """
-        for shape_type in other._types:
+        for shape_type in other.types():
             self.add_type(shape_type)
         for edge in other.edges():
             if self._parent.get(edge.child) is None:
@@ -206,6 +189,15 @@ class Shape:
     def edge_count(self) -> int:
         return len(self._card)
 
+    def source_paths(self) -> Iterable[tuple[int, tuple[str, ...]]]:
+        """``(type id, root path)`` of each vertex's backing data type, in
+        vertex order (a ``NEW`` vertex has none)."""
+        return [
+            (source.type_id, source.path)
+            for shape_type in self._types
+            if (source := shape_type.source) is not None
+        ]
+
     def __contains__(self, shape_type: ShapeType) -> bool:
         return shape_type in self._types
 
@@ -216,25 +208,27 @@ class Shape:
         return not self._types
 
     # -- tree geometry -------------------------------------------------------
+    # Read through parent() and card(), so a SourceShape answers them
+    # without being made whole.
 
     def is_ancestor(self, ancestor: ShapeType, descendant: ShapeType) -> bool:
-        node = self._parent.get(descendant)
+        node = self.parent(descendant)
         while node is not None:
             if node is ancestor:
                 return True
-            node = self._parent.get(node)
+            node = self.parent(node)
         return False
 
     def root_of(self, shape_type: ShapeType) -> ShapeType:
         node = shape_type
-        while (up := self._parent.get(node)) is not None:
+        while (up := self.parent(node)) is not None:
             node = up
         return node
 
     def depth(self, shape_type: ShapeType) -> int:
         depth = 0
         node = shape_type
-        while (up := self._parent.get(node)) is not None:
+        while (up := self.parent(node)) is not None:
             node = up
             depth += 1
         return depth
@@ -242,10 +236,10 @@ class Shape:
     def ancestors(self, shape_type: ShapeType) -> list[ShapeType]:
         """Ancestors from the parent up to the root."""
         chain: list[ShapeType] = []
-        node = self._parent.get(shape_type)
+        node = self.parent(shape_type)
         while node is not None:
             chain.append(node)
-            node = self._parent.get(node)
+            node = self.parent(node)
         return chain
 
     def lca(self, first: ShapeType, second: ShapeType) -> Optional[ShapeType]:
@@ -256,7 +250,7 @@ class Shape:
         while node is not None:
             if node in seen:
                 return node
-            node = self._parent.get(node)
+            node = self.parent(node)
         return None
 
     def tree_distance(self, first: ShapeType, second: ShapeType) -> Optional[int]:
@@ -271,13 +265,13 @@ class Shape:
         chain: list[ShapeType] = [descendant]
         node = descendant
         while node is not ancestor:
-            node = self._parent.get(node)
+            node = self.parent(node)
             if node is None:
                 raise ValueError(f"{ancestor} is not an ancestor of {descendant}")
             chain.append(node)
         chain.reverse()
         return [
-            ShapeEdge(upper, lower, self._card[(upper, lower)])
+            ShapeEdge(upper, lower, self.card(upper, lower))
             for upper, lower in zip(chain, chain[1:])
         ]
 
@@ -359,6 +353,169 @@ class Shape:
     def __repr__(self) -> str:
         names = ", ".join(t.out_name for t in self.roots())
         return f"<Shape roots=[{names}] types={len(self._types)}>"
+
+
+class SourceShape(Shape):
+    """The adorned shape of a collection, held as arrays over its type
+    table (:meth:`Shape.of_data_types` builds it; both document indexes
+    read it).
+
+    Vertex ``i`` backs type ``i``.  What is kept per type is its
+    parent's id (``-1`` for a root) and the :class:`Card` of the edge
+    into it, and the edges' order is kept for :meth:`children`.  A
+    :class:`ShapeType` is made the first time a read reaches it:
+    :meth:`vertex`, or :meth:`parent`, :meth:`children`, :meth:`card`
+    or :meth:`ancestors` of a vertex already made.  The tree geometry
+    of :class:`Shape` reads through :meth:`parent` and :meth:`card`, so
+    it makes only the vertices it climbs through, and opening a
+    document makes no object per type.
+
+    A read of the whole shape (:meth:`types`, :meth:`roots`,
+    :meth:`edges`, :meth:`walk`, :meth:`fingerprint`, :meth:`pretty`,
+    copies, diffs) or any change makes the rest first, once: every
+    :class:`Shape` method that reads the dicts a shape keeps does so,
+    through :meth:`__getattr__`, since the dicts exist only in a whole
+    shape.  A whole shape answers every read as a :class:`Shape`, from
+    the vertices made before it: a type has one vertex however many
+    threads reach it at once.
+    """
+
+    def __init__(self, type_table: TypeTable, edges: Iterable[tuple[int, int, int, int]]):
+        # No Shape.__init__: the dicts appear when the shape is made whole.
+        self._table = type_table
+        paths = type_table.paths
+        self._count = count = len(paths)
+        parents = self._parents = [-1] * count
+        cards: list[Optional[Card]] = [None] * count
+        #: The child ids in edge order.
+        order = self._order = []
+        ranges: dict[tuple[int, int], Card] = {}
+        for parent_id, child_id, low, high in edges:
+            if parent_id < 0 or child_id < 0:
+                raise ValueError(f"edge {parent_id} -> {child_id} names no type")
+            if paths[parent_id] != paths[child_id][:-1]:
+                raise ValueError(
+                    f"edge {'.'.join(paths[parent_id])} -> {'.'.join(paths[child_id])} "
+                    "does not follow the type's path"
+                )
+            if parents[child_id] >= 0:
+                raise ValueError(f"type {'.'.join(paths[child_id])} has two parents")
+            parents[child_id] = parent_id
+            order.append(child_id)
+            # Edges with one range share one (frozen) Card.
+            card = ranges.get((low, high))
+            if card is None:
+                card = ranges[(low, high)] = Card(low, high)
+            cards[child_id] = card
+        self._cards = cards
+        #: ``_made[i]``: type ``i``'s vertex, or ``None`` until made.
+        self._made: list[Optional[ShapeType]] = [None] * count
+        #: ``_kids[i]``: type ``i``'s child ids in edge order, built on
+        #: the first :meth:`children`.
+        self._kids: Optional[list[list[int]]] = None
+        self._lock = threading.Lock()
+        self._whole = False
+
+    def __getattr__(self, name: str):
+        # Only reached while a dict of a whole shape is missing.
+        if name not in ("_types", "_children", "_parent", "_card"):
+            raise AttributeError(name)
+        self._make_whole()
+        return self.__dict__[name]
+
+    def vertex(self, data_type: DataType) -> Optional[ShapeType]:
+        """The vertex backing ``data_type``; ``None`` for a type this
+        shape does not have."""
+        type_id = data_type.type_id
+        if 0 <= type_id < self._count and self._table.paths[type_id] == data_type.path:
+            return self._vertex(type_id)
+        return None
+
+    def _vertex(self, type_id: int) -> ShapeType:
+        vertex = self._made[type_id]
+        if vertex is None:
+            with self._lock:
+                vertex = self._made[type_id] or self._new_vertex(type_id)
+        return vertex
+
+    def _new_vertex(self, type_id: int) -> ShapeType:
+        # The caller holds _lock and has seen no vertex for the type.
+        data_type = self._table.by_id(type_id)
+        # ShapeType.for_source, inlined.
+        vertex = self._made[type_id] = ShapeType(data_type, data_type.path[-1])
+        return vertex
+
+    def _make_whole(self) -> None:
+        with self._lock:
+            if self._whole:
+                return
+            made = self._made
+            for type_id in range(self._count):
+                if made[type_id] is None:
+                    self._new_vertex(type_id)
+            parents, cards = self._parents, self._cards
+            kids = self._child_ids()
+            self._types = dict.fromkeys(made)
+            self._children = {
+                vertex: [made[child] for child in kids[type_id]]
+                for type_id, vertex in enumerate(made)
+            }
+            self._parent = {made[child]: made[parents[child]] for child in self._order}
+            self._card = {
+                (made[parents[child]], made[child]): cards[child] for child in self._order
+            }
+            self._whole = True
+
+    def _child_ids(self) -> list[list[int]]:
+        # Lock-free: threads racing on the first call build equal lists.
+        kids = self._kids
+        if kids is None:
+            kids = [[] for _ in range(self._count)]
+            for child in self._order:
+                kids[self._parents[child]].append(child)
+            self._kids = kids
+        return kids
+
+    def _id_of(self, shape_type: ShapeType) -> Optional[int]:
+        """The type id ``shape_type`` is the vertex of, ``None`` when it
+        is not one of this shape's."""
+        source = shape_type.source
+        if source is not None and 0 <= source.type_id < self._count:
+            if self._made[source.type_id] is shape_type:
+                return source.type_id
+        return None
+
+    # -- reads answered without making the whole shape ------------------------
+    # Once whole, the shape may have been changed: Shape's answers hold.
+
+    def parent(self, shape_type: ShapeType) -> Optional[ShapeType]:
+        if self._whole:
+            return super().parent(shape_type)
+        type_id = self._id_of(shape_type)
+        if type_id is None or (parent_id := self._parents[type_id]) < 0:
+            return None
+        return self._vertex(parent_id)
+
+    def card(self, parent: ShapeType, child: ShapeType) -> Card:
+        if self._whole:
+            return super().card(parent, child)
+        type_id = self._id_of(child)
+        if type_id is None or self.parent(child) is not parent:
+            raise KeyError((parent, child))
+        return self._cards[type_id]
+
+    def children(self, shape_type: ShapeType) -> list[ShapeType]:
+        if self._whole:
+            return super().children(shape_type)
+        type_id = self._id_of(shape_type)
+        if type_id is None:
+            return []
+        return [self._vertex(child) for child in self._child_ids()[type_id]]
+
+    def source_paths(self) -> Iterable[tuple[int, tuple[str, ...]]]:
+        if self._whole:
+            return super().source_paths()
+        return zip(range(self._count), self._table.paths)
 
 
 def map_types(shape: Shape, mapper: Callable[[ShapeType], ShapeType]) -> Shape:

@@ -6,7 +6,8 @@ Two distinct notions of "type" appear in the paper:
   source data.  Per Definition 1's default, ``typeOf(v)`` is the
   concatenation of element names on the path from the document root to
   ``v`` — so a data type *is* a root path such as ``dblp.article.author``.
-  Data types are interned in a :class:`TypeTable`.
+  Data types are interned in a :class:`TypeTable`, which holds their
+  paths as an array and makes a ``DataType`` on first use.
 
 * A **shape type** (:class:`ShapeType`) is a vertex in a (target) shape.
   Most shape types are backed by a data type; ``NEW`` introduces shape
@@ -21,8 +22,10 @@ Two distinct notions of "type" appear in the paper:
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass, field
-from typing import Optional, TYPE_CHECKING
+from operator import itemgetter
+from typing import Iterator, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.shape.shape import Shape
@@ -63,39 +66,79 @@ class DataType:
 
 
 class TypeTable:
-    """Interning table for the data types of one document/collection."""
+    """The data types of one document/collection, held as arrays.
+
+    ``paths[i]`` is type ``i``'s root path; ids are dense, in the order
+    the paths were first interned.  A :class:`DataType` is made the
+    first time somebody asks for it (:meth:`by_id`, :meth:`match_label`,
+    iteration) and then kept, so one table hands out one object per
+    type.  The builder interns a path at a time (:meth:`intern`); a
+    stored document's table comes whole from its paths
+    (:meth:`of_paths`) and makes only the types a guard reaches.
+    """
 
     def __init__(self) -> None:
-        self._by_path: dict[tuple[str, ...], DataType] = {}
-        self._by_id: list[DataType] = []
-        #: Lower-cased element name -> the types it names, in id order.
-        self._by_name: dict[str, list[DataType]] = {}
+        #: ``paths[type id]``: the type's root path.
+        self.paths: list[tuple[str, ...]] = []
+        self._ids: dict[tuple[str, ...], int] = {}
+        #: ``_types[type id]``: the type's DataType, or ``None`` until made.
+        self._types: list[Optional[DataType]] = []
+        #: ``_names[type id]``: the type's element name, lower-cased;
+        #: built on the first :meth:`match_label`.
+        self._names: Optional[list[str]] = None
+        self._lock = threading.Lock()
+
+    @classmethod
+    def of_paths(cls, paths: list[tuple[str, ...]]) -> "TypeTable":
+        """The table whose type ``i`` is ``paths[i]``; makes no DataType.
+
+        Two equal paths raise :class:`ValueError`: a root path names
+        one type.
+        """
+        table = cls()
+        table.paths = paths
+        table._ids = dict(zip(paths, range(len(paths))))
+        if len(table._ids) != len(paths):
+            raise ValueError("two types have one path")
+        table._types = [None] * len(paths)
+        return table
 
     def intern(self, path: tuple[str, ...]) -> DataType:
         """Return the canonical :class:`DataType` for a root path."""
-        existing = self._by_path.get(path)
-        if existing is not None:
-            return existing
-        data_type = DataType(len(self._by_id), path)
-        self._by_path[path] = data_type
-        self._by_id.append(data_type)
-        self._by_name.setdefault(path[-1].lower(), []).append(data_type)
+        type_id = self._ids.get(path)
+        if type_id is not None:
+            return self.by_id(type_id)
+        data_type = DataType(len(self.paths), path)
+        self._ids[path] = data_type.type_id
+        self.paths.append(path)
+        self._types.append(data_type)
+        self._names = None
         return data_type
 
     def get(self, path: tuple[str, ...]) -> DataType | None:
-        return self._by_path.get(path)
+        type_id = self._ids.get(path)
+        return None if type_id is None else self.by_id(type_id)
 
     def by_id(self, type_id: int) -> DataType:
-        return self._by_id[type_id]
+        data_type = self._types[type_id]
+        if data_type is None:
+            with self._lock:  # one object per type, however many threads ask
+                data_type = self._types[type_id]
+                if data_type is None:
+                    if type_id < 0:
+                        raise IndexError(f"type id {type_id} out of range")
+                    data_type = self._types[type_id] = DataType(type_id, self.paths[type_id])
+        return data_type
 
     def __len__(self) -> int:
-        return len(self._by_id)
+        return len(self.paths)
 
-    def __iter__(self):
-        return iter(self._by_id)
+    def __iter__(self) -> Iterator[DataType]:
+        return iter([self.by_id(type_id) for type_id in range(len(self.paths))])
 
     def __contains__(self, data_type: DataType) -> bool:
-        return self._by_path.get(data_type.path) is data_type
+        type_id = data_type.type_id
+        return 0 <= type_id < len(self._types) and self._types[type_id] is data_type
 
     def match_label(self, label: str) -> list[DataType]:
         """All data types matching a guard label (Section VI).
@@ -106,19 +149,25 @@ class TypeTable:
         and a user disambiguates with a longer suffix such as
         ``book.author`` vs ``journal.author``.  Matching is
         case-insensitive, like the rest of the language.  Only the types
-        whose name is the label's last part are compared.
+        whose name is the label's last part are compared, and only the
+        matches are made.
         """
         want = tuple(part.lower() for part in label.split("."))
         width = len(want)
-        named = self._by_name.get(want[-1], [])
-        if width == 1:
-            return list(named)
-        return [
-            data_type
-            for data_type in named
-            if len(data_type.path) >= width
-            and tuple(part.lower() for part in data_type.path[-width:]) == want
-        ]
+        names = self._names
+        if names is None:  # lock-free: racing threads build equal lists
+            names = self._names = list(map(str.lower, map(itemgetter(-1), self.paths)))
+        paths, matches, type_id = self.paths, [], -1
+        while True:
+            try:
+                type_id = names.index(want[-1], type_id + 1)
+            except ValueError:
+                return matches
+            path = paths[type_id]
+            if width == 1 or (
+                len(path) >= width and tuple(part.lower() for part in path[-width:]) == want
+            ):
+                matches.append(self.by_id(type_id))
 
 
 _shape_type_ids = itertools.count(1)

@@ -2,12 +2,15 @@
 
 :class:`Database` owns one paged file, buffer pool and B+tree;
 documents are shredded in (:mod:`repro.storage.shredder`) and evaluated
-against a :class:`StoredDocumentIndex`, which loads the adorned shape
-eagerly (it is tiny) and type sequences lazily — so compiling a guard
-touches only shape records, and rendering reads exactly the type
-sequences the target shape mentions.  That asymmetry is the paper's
-architectural point: "Prior to rendering, only the adorned shapes,
-which are typically tiny relative to the size of the data, are needed."
+against a :class:`StoredDocumentIndex`.  Opening one decodes the
+adorned-shape records, checks them and keeps them as arrays; a data
+type or shape vertex is made when a guard first reaches it, and a type
+sequence is loaded when a render first reads it — so compiling a guard
+touches only shape records and builds objects for the types it names,
+and rendering reads exactly the type sequences the target shape
+mentions.  That asymmetry is the paper's architectural point: "Prior to
+rendering, only the adorned shapes, which are typically tiny relative
+to the size of the data, are needed."
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from __future__ import annotations
 import json
 import threading
 import time
-from typing import Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, Optional, Sequence
 
 from repro.cache import CompiledPlan, PlanCache
 from repro.closeness.index import BaseIndex, TypeSequence
@@ -534,11 +538,14 @@ class StoredDocumentIndex(BaseIndex):
     The same columns and shape as the in-memory
     :class:`~repro.closeness.DocumentIndex`, read back: the shredder
     wrote them from the same :class:`~repro.shape.dataguide.DataGuideBuilder`.
-    The shape, type table and counts load eagerly from the (tiny)
-    AdornedShapes records, in one pass (:meth:`Shape.of_data_types`: an
-    edge that does not follow its types' paths is a
-    :class:`~repro.errors.StorageError`, never a different shape); node
-    sequences load lazily per type.
+    The open decodes the AdornedShapes records, checks them and keeps
+    them as arrays: type paths (:meth:`TypeTable.of_paths`), parent
+    ids and edge cards (:meth:`Shape.of_data_types`), counts.  Type ids
+    that are not dense, a path named twice, or an edge that does not
+    follow its types' paths is a :class:`~repro.errors.StorageError`
+    here, never a different shape later.  A ``DataType`` and its vertex
+    are made when a guard reaches the type, and node sequences load
+    lazily per type.
 
     The one difference is ``type_distance``, which derives from root
     paths: the distance between two types is the distance between their
@@ -565,12 +572,11 @@ class StoredDocumentIndex(BaseIndex):
         #: Stable hash of the adorned-shape descriptor; keys the plan
         #: cache.  Stored in the catalog at shred and update time.
         self.fingerprint: str = descriptor["shape_fingerprint"]
-        type_table = TypeTable()
         try:
-            for type_id, path in sorted(shape_info["types"]):
-                interned = type_table.intern(tuple(path))
-                if interned.type_id != type_id:
-                    raise StorageError("type table corrupted: id mismatch")
+            types = sorted(shape_info["types"], key=itemgetter(0))
+            if [type_id for type_id, _path in types] != list(range(len(types))):
+                raise ValueError("type ids are not dense")
+            type_table = TypeTable.of_paths([tuple(path) for _type_id, path in types])
             shape = Shape.of_data_types(type_table, shape_info["edges"])
         except (ValueError, IndexError, TypeError) as error:
             raise StorageError(
@@ -578,7 +584,7 @@ class StoredDocumentIndex(BaseIndex):
             ) from error
         counts = shape_info["counts"]
         super().__init__(
-            type_table, shape, [counts.get(str(type_id), 0) for type_id in range(len(type_table))]
+            type_table, shape, [counts.get(str(type_id), 0) for type_id in range(len(types))]
         )
         self._sequences: dict[int, TypeSequence] = {}
 
@@ -619,6 +625,9 @@ class StoredDocumentIndex(BaseIndex):
             self._sequences[data_type.type_id] = sequence
         return sequence
 
+    def _loaded_sequences(self) -> Iterable[TypeSequence]:
+        return self._sequences.values()
+
     # -- extras -----------------------------------------------------------------
 
     def record_timing(self, name: str, seconds: float) -> None:
@@ -631,6 +640,6 @@ class StoredDocumentIndex(BaseIndex):
     def drop_cache(self) -> None:
         with self._memo_lock:
             self._sequences.clear()
-            self._position_of.clear()
+            self._position_of = None
             # The join memo holds positions of the dropped sequences.
             self.drop_join_cache()

@@ -118,7 +118,7 @@ def _records(doc_id: int, builder: DataGuideBuilder) -> tuple[list[tuple[bytes, 
 
 
 def _shape_descriptor(guide: DataGuideBuilder) -> dict:
-    types = [[t.type_id, list(t.path)] for t in guide.type_table]
+    types = [[type_id, list(path)] for type_id, path in enumerate(guide.type_table.paths)]
     # Canonical edge order: sorted by (parent id, child id).  Traversal
     # order would encode *how* the descriptor was produced; sorting makes
     # a full re-shred and an incremental update (repro.storage.update)

@@ -150,11 +150,12 @@ def analyze_loss(
     backed = [t for t in types if t.source is not None]
     report.synthesized_types = [t.out_name for t in types if t.source is None]
     used = {t.source.type_id for t in backed}
+    # Read from the type paths, so a stored shape makes no vertex for it.
     report.omitted_types = sorted(
         [
-            ".".join(source.path)  # DataType.dotted, inlined: every source type pays it
-            for vertex in source_shape.types()
-            if (source := vertex.source) is not None and source.type_id not in used
+            ".".join(path)  # DataType.dotted, inlined: every source type pays it
+            for type_id, path in source_shape.source_paths()
+            if type_id not in used
         ]
     )
 

@@ -10,7 +10,8 @@ Three families:
   produce different node identities for the id-keyed maps), and
   ``closest_pairs`` / ``restrict_pass`` racing it share one grouping;
   text sinks racing on a sequence's first escaped column (and, in the
-  JSON flavour, its first JSON column) write equal bytes;
+  JSON flavour, its first JSON column) write equal bytes; compiles
+  racing on a fresh index's source shape make each vertex once;
 * the counters — ``SystemStats.event`` and ``MetricsRegistry.inc`` are
   increments, so N threads x M increments must total exactly N*M.
 """
@@ -18,6 +19,8 @@ Three families:
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+
+import pytest
 
 from repro.cache.plan import CompiledPlan, PlanCache
 from repro.obs.metrics import MetricsRegistry
@@ -233,6 +236,108 @@ class TestEscapedColumnFirstUse:
         body = json.dumps(expected)[1:-1]
         assert outputs == [body if i % 2 else expected for i in range(THREADS)]
         assert '<a k="0 &quot;&amp;\\é"><b>x0 &amp; &lt;y&gt;\t𝄞</b>' in expected
+
+
+class TestVertexFirstUse:
+    """A document's source shape makes a vertex (and a data type) the
+    first time a compile reaches it.  ``ShapeType`` equality is identity
+    and the loss analysis compares vertices with ``is``, so threads
+    compiling at once on one fresh index must all get the same object
+    per type, and plans and bytes equal to a serial run's."""
+
+    GUARDS = (
+        "CAST MORPH person [ name [ emailaddress [ phone ] ] ]",
+        "CAST MORPH person [ name emailaddress phone ]",
+        "CAST MORPH person [ name [ emailaddress [ phone [ street "
+        "[ city [ country [ zipcode [ education [ gender [ age ] ] ] ] ] ] ] ] ] ]",
+        "CAST MORPH item [ name location quantity ]",
+    )
+
+    @pytest.fixture(scope="class")
+    def xmark(self):
+        from repro.workloads.xmark import generate_xmark
+
+        return generate_xmark(0.002)
+
+    @pytest.fixture
+    def slow_construction(self, monkeypatch):
+        # Hold every vertex and data type construction open, so a second
+        # thread reaching an unmade type finds it half-made.
+        from repro.shape import shape as shape_module
+        from repro.shape import types as types_module
+
+        for module, name in ((shape_module, "ShapeType"), (types_module, "DataType")):
+            original = getattr(module, name)
+
+            def slow(*args, _original=original, **kwargs):
+                time.sleep(0.001)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, slow)
+
+    def race(self, index):
+        import sys
+
+        from repro.engine.interpreter import Interpreter
+
+        started = threading.Barrier(THREADS, timeout=60)
+
+        def task(i):
+            started.wait()
+            result = Interpreter(index).compile(self.GUARDS[i % len(self.GUARDS)])
+            seen = []
+            for vertex in result.target_shape.types():
+                origin = vertex.origin
+                seen.extend([origin, *index.shape.ancestors(origin)])
+                seen.extend(index.shape.children(origin))
+            return result, seen
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            outcomes = _hammer(THREADS, task)
+        finally:
+            sys.setswitchinterval(interval)
+        vertices = index.shape.types()
+        assert [vertex.source for vertex in vertices] == list(index.type_table)
+        for _result, seen in outcomes:
+            assert seen
+            for vertex in seen:
+                # Made once: every thread holds the one vertex of its type,
+                # and its one data type.
+                assert vertices[vertex.source.type_id] is vertex
+                assert index.type_table.by_id(vertex.source.type_id) is vertex.source
+                assert vertex.source in index.type_table
+        return [result for result, _seen in outcomes]
+
+    def check(self, index, results, serial):
+        for i, result in enumerate(results):
+            expected = serial[i % len(self.GUARDS)]
+            assert result.target_shape.pretty() == expected.target_shape.pretty()
+            assert result.loss == expected.loss
+            assert result.planned(index).xml() == expected.planned(index).xml()
+
+    def test_a_stored_index(self, tmp_path, xmark, slow_construction):
+        from repro.engine.interpreter import Interpreter
+        from repro.storage import Database
+
+        with Database(str(tmp_path / "x.db"), durable=False) as db:
+            db.store_document("xmark", xmark)
+            db.drop_cache()
+            results = self.race(db.index("xmark"))
+            db.drop_cache()
+            serial_index = db.index("xmark")
+            serial = [Interpreter(serial_index).compile(g) for g in self.GUARDS]
+            self.check(serial_index, results, serial)
+
+    def test_an_in_memory_index(self, xmark, slow_construction):
+        from repro.closeness import DocumentIndex
+        from repro.engine.interpreter import Interpreter
+
+        index = DocumentIndex(xmark)
+        results = self.race(index)
+        serial = [Interpreter(DocumentIndex(xmark)).compile(g) for g in self.GUARDS]
+        self.check(index, results, serial)
 
 
 class TestCounterAtomicity:

@@ -69,3 +69,39 @@ def test_a_runs_leaves_are_packed(tmp_path):
         fills.sort()
         assert len(fills) >= 10
         assert fills[1] >= 0.9
+
+
+def test_a_cold_transform_makes_the_types_its_guard_reaches(tmp_path, monkeypatch):
+    # Opening a stored document decodes its shape into arrays; a vertex
+    # and a data type are made when a guard reaches their type.
+    from repro.closeness import DocumentIndex
+    from repro.shape.types import DataType, ShapeType
+    from repro.workloads.xmark import generate_xmark
+
+    made = {DataType: 0, ShapeType: 0}
+    for cls in made:
+        init = cls.__init__
+
+        def counting(self, *args, _cls=cls, _init=init, **kwargs):
+            _init(self, *args, **kwargs)
+            # A target type is made from a source vertex (its origin).
+            if _cls is DataType or (self.source is not None and self.origin is None):
+                made[_cls] += 1
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    forest = generate_xmark(0.002)
+    with Database(str(tmp_path / "x.db"), durable=False) as db:
+        db.store_document("xmark", forest)
+        db.drop_cache()
+        made.update(dict.fromkeys(made, 0))
+        guard = "CAST MORPH person [ name [ emailaddress [ phone ] ] ]"
+        assert db.transform("xmark", guard).xml()
+        index = db.index("xmark")
+        types = len(index.type_table)
+        assert types == 283
+        assert 0 < made[DataType] < types / 10
+        assert 0 < made[ShapeType] < types / 10
+        vertices = index.shape.types()
+        assert len(vertices) == types
+        assert [vertex.source for vertex in vertices] == list(index.type_table)
+        assert index.shape.fingerprint() == DocumentIndex(forest).shape.fingerprint()

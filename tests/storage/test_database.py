@@ -1,5 +1,7 @@
 """Tests for the database facade, shredder and stored index."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 
@@ -7,6 +9,9 @@ import repro
 from repro.errors import DocumentNotFoundError, StorageError
 from repro.storage import Database
 from repro.storage import tables
+from repro.workloads.dblp import generate_dblp
+from repro.workloads.nasa import generate_nasa
+from repro.workloads.xmark import generate_xmark
 from repro.xmltree import Dewey, parse_document
 from repro.xmltree.dewey import pack, unpack
 
@@ -333,12 +338,16 @@ def _upwards(info):
     edge[0], edge[1] = edge[1], edge[0]
 
 
-#: Ways a stored shape record can disagree with its own type paths.
+#: Ways a stored shape record can disagree with its own type paths or ids;
+#: each is refused when the document is opened, not when a guard reaches it.
 SHAPE_CORRUPTIONS = {
     "skips-a-level": _skip_a_level,
     "upwards": _upwards,
     "second-parent": lambda info: info["edges"].append(list(info["edges"][-1])),
     "unknown-type": lambda info: info["edges"].append([0, len(info["types"]), 1, 1]),
+    "negative-type": lambda info: info["edges"].append([0, -1, 1, 1]),
+    "non-dense-ids": lambda info: info["types"][-1].__setitem__(0, len(info["types"])),
+    "one-path-twice": lambda info: info["types"].append([len(info["types"]), info["types"][-1][1]]),
 }
 
 
@@ -428,6 +437,45 @@ class TestStoredIndex:
         db.drop_cache()
         with pytest.raises(StorageError, match="corrupted stored shape"):
             db.index("a")
+
+
+class TestPinnedShapes:
+    """Each corpus' source shape, in memory and stored, read whole:
+    ``pretty()`` and every ``edges()`` line as one digest.
+
+    Both indexes hold the shape as arrays and make its vertices on first
+    use; read whole it must be the shape the eager one-pass constructor
+    built, so the digests were computed by that constructor.
+    """
+
+    PINNED = {
+        "dblp-400": (
+            lambda: generate_dblp(400),
+            "7041446c77b27316231e85506b5d2711afb4524021c6f8b0bef67d540ed277cb",
+        ),
+        "xmark-0.002": (
+            lambda: generate_xmark(0.002),
+            "b361c3be30e49be0c10f8971c7a5e794b2cd777825d75de9076647cd4075fefc",
+        ),
+        "nasa-25": (
+            lambda: generate_nasa(25),
+            "4ea307bc01542992f125a5f2418ad08cefd7c54fdd4850e057b0cd119a367616",
+        ),
+    }
+
+    @staticmethod
+    def digest(shape) -> str:
+        text = shape.pretty() + "\n" + "\n".join(str(edge) for edge in shape.edges())
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    @pytest.mark.parametrize("corpus", sorted(PINNED))
+    def test_both_indexes_read_the_pinned_shape(self, db, corpus):
+        make, pinned = self.PINNED[corpus]
+        forest = make()
+        db.store_document(corpus, forest)
+        db.drop_cache()
+        assert self.digest(db.index(corpus).shape) == pinned
+        assert self.digest(repro.DocumentIndex(forest).shape) == pinned
 
 
 class TestGroupedSequence:

@@ -18,6 +18,7 @@ Three properties, none of them a timing:
   recomputed from two Table I matrices (``path_cardinality_table``).
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -27,9 +28,9 @@ from repro import obs
 from repro.analysis.evolve import load_guards
 from repro.engine.interpreter import Interpreter
 from repro.lang.parser import MAX_TERMS
-from repro.shape import Card
+from repro.shape import Card, Shape
 from repro.storage import Database
-from repro.typing.loss import LossFinding, LossKind, LossReport
+from repro.typing.loss import LossFinding, LossKind, LossReport, analyze_loss
 from repro.workloads import generate_dblp, generate_xmark
 from repro.xmltree import parse_document, parse_forest
 
@@ -274,3 +275,61 @@ def test_stored_report_equals_pairwise_oracle(tmp_path):
             compiled = Interpreter(index).compile(case.guard)
             oracle = pairwise_loss(index.shape, compiled.target_shape, index.shape_vertex)
             assert compiled.loss == oracle, case.name
+
+
+# -- pinned reports ---------------------------------------------------------------
+
+
+class TestPinnedReports:
+    """Every shipped example guard and cold-scan guard reports what it
+    reported when the source shape was built whole at every open: the
+    findings, ``omitted_types`` in order and ``synthesized_types``, on
+    an in-memory and a stored index.  A stored index reads the omitted
+    types off its type paths and makes no vertex for them."""
+
+    PINNED = {
+        "books": (
+            lambda: parse_document((GUARD_DIR / "books.xml").read_text()),
+            lambda: [spec.guard for spec in load_guards(str(GUARD_DIR))],
+            "ad7161abb34037522da3bf91022c8d006582f493697a569cebc98f11e5bb7eb2",
+        ),
+        "dblp-400": (
+            lambda: generate_dblp(400),
+            lambda: [*SMALL_GUARDS, *LARGE_GUARDS],
+            "0d307dc7c69bb74ddeffd4edf4dcf819c927de045e2e4a5b7a6851b0ad68adfa",
+        ),
+        "xmark-0.002": (
+            lambda: generate_xmark(0.002),
+            lambda: list(XMARK_GUARDS),
+            "d5aa3f4c9e4daad9c4fe1827359647cefa20a9af4f6cd02c50ae96df48bfabbb",
+        ),
+    }
+
+    @staticmethod
+    def digest(reports) -> str:
+        digest = hashlib.sha256()
+        for report in reports:
+            line = repr(
+                ([str(f) for f in report.findings], report.omitted_types, report.synthesized_types)
+            )
+            digest.update(line.encode() + b"\n")
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("document", sorted(PINNED))
+    def test_reports_are_pinned_on_both_indexes(self, tmp_path, document):
+        make, guards, pinned = self.PINNED[document]
+        forest, guards = make(), guards()
+        memory = Interpreter(forest)
+        assert self.digest(memory.check(guard) for guard in guards) == pinned
+        with Database(str(tmp_path / "l.db"), durable=False) as db:
+            db.store_document(document, forest)
+            db.drop_cache()
+            stored = Interpreter(db.index(document))
+            assert self.digest(stored.check(guard) for guard in guards) == pinned
+        # A caller handing analyze_loss a plain Shape gets the same report.
+        index = memory.index
+        plain = index.shape.copy()
+        assert type(plain) is Shape
+        for guard in guards[:2]:
+            compiled = memory.compile(guard)
+            assert analyze_loss(plain, compiled.target_shape, index.shape_vertex) == compiled.loss
