@@ -124,6 +124,45 @@ class BPlusTree:
         for key, value in self.scan(prefix, stop):
             yield key, value
 
+    def last_before(self, bound: Optional[bytes]) -> Optional[tuple[bytes, bytes]]:
+        """The entry with the greatest key below ``bound`` (``None``: the
+        greatest key of all), or ``None`` when no key lies below it.
+
+        One descent toward ``bound``: leaves are chained forward only, so
+        when the leaf it reaches holds no smaller key — lazy deletes may
+        have emptied it — the search steps back to the previous child of
+        the nearest ancestor that has one and follows its rightmost spine.
+        """
+        reads = 0
+
+        def search(page_id: int) -> Optional[tuple[bytes, bytes]]:
+            nonlocal reads
+            reads += 1
+            node = _resident_node(self.pool, page_id)
+            keys = node.keys
+            index = len(keys) if bound is None else bisect_left(keys, bound)
+            if node.kind == _LEAF:
+                return (keys[index - 1], node.values[index - 1]) if index else None
+            # Child ``index`` spans [keys[index-1], keys[index]) and so may
+            # hold keys below ``bound``; every later child holds none.
+            for child in range(index, -1, -1):
+                found = search(node.values[child - 1] if child else node.child0)
+                if found is not None:
+                    return found
+            return None
+
+        with self.pool.locked():
+            found = search(self._root)
+        self.pool.stats.count("btree.page_reads", reads)
+        return found
+
+    def last_with_prefix(self, prefix: bytes) -> Optional[tuple[bytes, bytes]]:
+        """The entry with the greatest key starting with ``prefix``."""
+        found = self.last_before(_prefix_upper_bound(prefix))
+        if found is None or not found[0].startswith(prefix):
+            return None
+        return found
+
     def count(self) -> int:
         return sum(1 for _ in self.scan())
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Iterator
+from typing import Iterator, Optional
 
 from repro.errors import DepthLimitError
 from repro.storage.btree import BPlusTree
@@ -270,14 +270,22 @@ def sequence_columns(
 
 
 def sequence_entries(
-    tree: BPlusTree, doc_id: int, type_id: int
+    tree: BPlusTree, doc_id: int, type_id: int, starts: Optional[list[int]] = None
 ) -> Iterator[tuple[bytes, bytes]]:
     """A type's stored sequence as ``(label, entry)`` byte pairs in
     document order: the chunks cut at their entry boundaries, nothing
     decoded.  Lazy chunk by chunk, so a caller that wants only the first
     label (the updater orders untouched types by it) reads one chunk.
+
+    ``starts``, when given, receives the position of each chunk's first
+    entry: chunk ``i`` is stored under :func:`sequence_key` ``(doc_id,
+    type_id, i)``, and :func:`append_entry` fed the entries from
+    ``starts[i]`` on packs chunk ``i`` and every later one again.
     """
+    position = 0
     for _key, chunk in tree.scan_prefix(sequence_prefix(doc_id, type_id)):
+        if starts is not None:
+            starts.append(position)
         offset = 0
         end = len(chunk)
         while offset < end:
@@ -287,6 +295,7 @@ def sequence_entries(
                 stop += chunk[body + 1] | chunk[body + 2] << 8
             yield chunk[offset + 1 : body], chunk[offset:stop]
             offset = stop
+            position += 1
 
 
 # -- shape serialization ------------------------------------------------------------

@@ -14,8 +14,11 @@ subtree operations (:class:`InsertSubtree` / :class:`DeleteSubtree` /
   never collide with not-yet-moved ones).  A renumbered node's key and
   entry get the new label prefix; its value moves as stored.
 * **TypeToSequence** — each *touched* type's full sequence is loaded
-  once as ``(label, entry)`` byte pairs, edited in memory, and repacked
-  at commit; untouched types keep their chunks byte-for-byte.
+  once as ``(label, entry)`` byte pairs, with the position each stored
+  chunk starts at, and edited in memory.  The commit repacks it from
+  the first chunk an edit can have changed, over the stored chunks of
+  the same numbers; the chunks before it, and every untouched type's,
+  keep their bytes and are not rewritten.
 * **Type ids** — re-shredding interns types in first-occurrence
   (pre-order) document order.  The commit recomputes that order from
   each surviving type's first label and, when it differs from the
@@ -47,9 +50,10 @@ test_update_parity.py``); see ``docs/UPDATES.md`` for the full design.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
+from operator import itemgetter
 from typing import Optional, Union
 
 from repro.cache import shape_fingerprint
@@ -280,6 +284,11 @@ class IncrementalUpdater:
         self._next_type_id = max(self.paths, default=-1) + 1
         #: Loaded (possibly edited) sequences.
         self._seqs: dict[int, list[tuple[bytes, bytes]]] = {}
+        #: Per loaded type, the position each stored chunk starts at.
+        self._chunk_starts: dict[int, list[int]] = {}
+        #: Per edited type, the first position an edit touched: the
+        #: entries before it are the stored ones, in their stored chunks.
+        self._first_changed: dict[int, int] = {}
         #: Each loaded sequence's first label as it was stored.
         self._first_loaded: dict[int, bytes] = {}
         #: Types whose sequence membership or numbering changed.
@@ -320,30 +329,18 @@ class IncrementalUpdater:
     def _child_count(self, parent: bytes) -> int:
         """Number of children (sibling slots) under ``parent``.
 
-        Dewey ordinals are dense, so the last occupied slot can be
-        found by exponential probing plus binary search — O(log n)
-        B+tree point reads instead of a subtree scan.
+        A parent's subtree is one key range and Dewey ordinals are
+        dense, so the count is the ordinal of the last child, read off
+        the greatest key under the parent's prefix — one backward seek
+        (:meth:`~repro.storage.btree.BPlusTree.last_with_prefix`).  The
+        parent's own key sorts first in its range; when it is the
+        greatest, there is no child.
         """
-        limit = labels.COMPONENT_MAX
-
-        def occupied(ordinal: int) -> bool:
-            return self.tree.get(self._nodes + labels.child(parent, ordinal)) is not None
-
-        if not occupied(1):
+        prefix = self._nodes + parent
+        last = self.tree.last_with_prefix(prefix)
+        if last is None or len(last[0]) == len(prefix):
             return 0
-        low = 1
-        high = 2
-        while high <= limit and occupied(high):
-            low = high
-            high *= 2
-        high = min(high, limit + 1)
-        while high - low > 1:
-            mid = (low + high) // 2
-            if occupied(mid):
-                low = mid
-            else:
-                high = mid
-        return low
+        return labels.child_ordinal(last[0][len(self._nodes) :], parent)
 
     def _scan_subtree(self, root: bytes) -> list[tuple[bytes, bytes]]:
         """The staged ``(label, N value)`` of every node in the subtree,
@@ -358,26 +355,37 @@ class IncrementalUpdater:
     def _sequence(self, type_id: int) -> list[tuple[bytes, bytes]]:
         seq = self._seqs.get(type_id)
         if seq is None:
-            seq = list(tables.sequence_entries(self.tree, self.doc_id, type_id))
+            starts: list[int] = []
+            seq = list(tables.sequence_entries(self.tree, self.doc_id, type_id, starts=starts))
             self._seqs[type_id] = seq
+            self._chunk_starts[type_id] = starts
             if seq:
                 self._first_loaded[type_id] = seq[0][0]
         return seq
 
-    def _touch(self, type_id: int) -> list[tuple[bytes, bytes]]:
+    def _touch(self, type_id: int, label: bytes) -> tuple[list[tuple[bytes, bytes]], int]:
+        """The type's sequence, marked edited at ``label``'s position."""
         self._dirty_types.add(type_id)
-        return self._sequence(type_id)
+        seq = self._sequence(type_id)
+        index = bisect_left(seq, (label,))
+        if index < self._first_changed.get(type_id, index + 1):
+            self._first_changed[type_id] = index
+        return seq, index
 
     def _take(self, type_id: int, label: bytes) -> bytes:
         """Remove the node labelled ``label`` from its type's sequence;
         returns its entry."""
-        seq = self._touch(type_id)
-        index = bisect_left(seq, (label,))
+        seq, index = self._touch(type_id, label)
         if index == len(seq) or seq[index][0] != label:
             raise StorageError(
                 f"sequence for type {type_id} lost node {labels.unpack(label)}"
             )
         return seq.pop(index)[1]
+
+    def _put(self, type_id: int, label: bytes, entry: bytes) -> None:
+        """Add the node labelled ``label`` to its type's sequence."""
+        seq, index = self._touch(type_id, label)
+        seq.insert(index, (label, entry))
 
     # -- structural edits --------------------------------------------------
 
@@ -421,7 +429,7 @@ class IncrementalUpdater:
                 self.tree.delete(key)
                 run.append((tables.overflow_key(self.doc_id, new_label, number), chunk))
             entry = self._take(type_id, label)
-            insort(self._seqs[type_id], (new_label, tables.relabel(entry, new_label)))
+            self._put(type_id, new_label, tables.relabel(entry, new_label))
         run.sort()
         self.tree.put_many(run)
         self.result.nodes_renumbered += len(moved)
@@ -435,6 +443,7 @@ class IncrementalUpdater:
             self.paths[type_id] = path
             self.counts[type_id] = 0
             self._seqs[type_id] = []
+            self._chunk_starts[type_id] = []
             self._dirty_types.add(type_id)
         return type_id
 
@@ -455,7 +464,7 @@ class IncrementalUpdater:
             )
             run.append((self._nodes + label, value))
             run.extend(overflow)
-            insort(self._touch(type_id), (label, entry))
+            self._put(type_id, label, entry)
             self.counts[type_id] += 1
             self._count_changed.add(type_id)
             self.node_count += 1
@@ -509,7 +518,7 @@ class IncrementalUpdater:
             raise StorageError("cannot delete the only root of a document")
         self._remove_subtree(target)
         # Down-shift later siblings, first first (ascending).
-        position = int.from_bytes(target[len(parent) :], "big")
+        position = labels.child_ordinal(target, parent)
         for ordinal in range(position + 1, count + 1):
             self._shift_subtree(
                 labels.child(parent, ordinal), labels.child(parent, ordinal - 1)
@@ -527,8 +536,9 @@ class IncrementalUpdater:
     # -- commit ------------------------------------------------------------
 
     def commit(self) -> dict:
-        """Repack touched sequences, remap type ids, rewrite the shape
-        and catalog — all staged; returns the new catalog descriptor.
+        """Repack touched sequences from their first changed chunk, remap
+        type ids, rewrite the shape and catalog — all staged; returns the
+        new catalog descriptor.
 
         The caller (``Database.apply_batch``) fires the ``update.commit``
         failpoint and runs the journaled flush afterwards.
@@ -576,31 +586,42 @@ class IncrementalUpdater:
             for label, entry in self._sequence(type_id):
                 run.append((self._nodes + label, tables.node_value(new_id, entry)))
 
-        # 4. Sequence chunks: every stale key (old-id space) is deleted
-        #    before any new chunk is written — two phases, so a type
-        #    moving into another type's old id never collides.
-        for type_id in sorted(rewrite | set(dead)):
-            prefix = tables.sequence_prefix(self.doc_id, type_id)
-            stale = [key for key, _value in self.tree.scan_prefix(prefix)]
-            for key in stale:
-                self.tree.delete(key)
-        for type_id in sorted(rewrite):
+        # 4. Sequence chunks: a type that keeps its id keeps its leading
+        #    chunks no edit reached, is repacked from the first one an edit
+        #    can have changed, and overwrites its stored chunks with the
+        #    new ones; a remapped, new or retired type is rewritten whole.
+        #    Every other stale key (old-id space) is deleted before any
+        #    chunk is written — two phases, so a type moving into another
+        #    type's old id never collides.
+        packed: dict[int, tuple[int, list[bytearray]]] = {}
+        for type_id in rewrite:
+            first = 0 if type_id in remap else self._unchanged_chunks(type_id)
+            starts = self._chunk_starts[type_id]
             chunks: list[bytearray] = []
-            for _label, entry in self._seqs[type_id]:
+            for _label, entry in self._seqs[type_id][starts[first] if first else 0 :]:
                 tables.append_entry(chunks, entry)
-            for chunk_no, chunk in enumerate(chunks):
+            packed[type_id] = (first, chunks)
+        for type_id in sorted(rewrite | set(dead)):
+            first, chunks = packed.get(type_id, (0, []))
+            overwritten = 0 if type_id in remap else first + len(chunks)
+            for chunk_no in range(overwritten, len(self._chunk_starts[type_id])):
+                self.tree.delete(tables.sequence_key(self.doc_id, type_id, chunk_no))
+        for type_id, (first, chunks) in packed.items():
+            for chunk_no, chunk in enumerate(chunks, first):
                 key = tables.sequence_key(self.doc_id, final_id[type_id], chunk_no)
                 run.append((key, bytes(chunk)))
 
-        # 5. The adorned shape, in final-id space.
+        # 5. The adorned shape, in final-id space, over the stored one's
+        #    chunks; only a surplus stored chunk is deleted.
         shape_descriptor = self._shape_descriptor(final_id)
+        shape_chunks = tables.encode_shape(shape_descriptor)
         stale_shape = [
             key
             for key, _value in self.tree.scan_prefix(tables.shape_prefix(self.doc_id))
         ]
-        for key in stale_shape:
+        for key in stale_shape[len(shape_chunks) :]:
             self.tree.delete(key)
-        for chunk_no, chunk in enumerate(tables.encode_shape(shape_descriptor)):
+        for chunk_no, chunk in enumerate(shape_chunks):
             run.append((tables.shape_key(self.doc_id, chunk_no), chunk))
 
         # 6. The catalog descriptor (same key order as the shredder's, so
@@ -629,6 +650,16 @@ class IncrementalUpdater:
         )
         descriptor["shape"] = shape_descriptor
         return descriptor
+
+    def _unchanged_chunks(self, type_id: int) -> int:
+        """How many of the type's leading stored chunks its edits left as
+        they are.  Packing is greedy, so a chunk ends where it does
+        because of the entry after it: chunk ``i`` stands while its
+        entries and the first of chunk ``i + 1`` all lie before the
+        first edited position, and packing from where chunk ``i + 1``
+        starts then cuts what a re-shred would."""
+        starts = self._chunk_starts[type_id]
+        return bisect_left(starts, self._first_changed.get(type_id, 0), 1) - 1
 
     def _first_label(self, type_id: int) -> bytes:
         seq = self._seqs.get(type_id)
@@ -685,19 +716,12 @@ class IncrementalUpdater:
     def _recompute_card(self, type_id: int, parent_id: int) -> tuple[int, int]:
         """Re-derive one edge's (lo, hi) from the child's sequence.
 
-        Nodes of one type all sit at one depth, so those sharing a
-        parent — a label prefix — are consecutive in the sorted
-        sequence; one pass yields the per-parent group sizes.  ``lo``
-        drops to 0 when some parent instance has no child of this type —
-        the :class:`~repro.shape.dataguide.DataGuideBuilder` adornment
-        rule.
+        One counting pass over the parents' labels gives the per-parent
+        group sizes.  ``lo`` drops to 0 when some parent instance has no
+        child of this type — the
+        :class:`~repro.shape.dataguide.DataGuideBuilder` adornment rule.
         """
-        sizes = [
-            len(list(group))
-            for _parent, group in groupby(
-                self._sequence(type_id), key=lambda pair: labels.parent(pair[0])
-            )
-        ]
+        sizes = Counter(labels.parents(map(itemgetter(0), self._sequence(type_id)))).values()
         if not sizes:
             return (0, 0)
         if len(sizes) < self.counts.get(parent_id, 0):

@@ -22,7 +22,8 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from functools import partial
+from typing import Callable, Iterator, Optional, Union
 
 from repro.obs import tracer as obs
 from repro.shape.cardinality import Card
@@ -77,13 +78,40 @@ class LossFinding:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class LossReport:
     """The information-loss report of one guard evaluation."""
 
     findings: list[LossFinding] = field(default_factory=list)
-    omitted_types: list[str] = field(default_factory=list)
     synthesized_types: list[str] = field(default_factory=list)
+    #: :attr:`omitted_types`, or the call that computes it on first read.
+    _omitted: Union[list[str], Callable[[], list[str]]] = field(
+        default_factory=list, init=False, repr=False
+    )
+
+    @property
+    def omitted_types(self) -> list[str]:
+        """The dotted paths of the source types no target type uses, sorted.
+
+        Only reports and diagnostics read them, so :func:`analyze_loss`
+        leaves the call that joins them here and a compile pays nothing.
+        """
+        if callable(self._omitted):
+            self._omitted = self._omitted()
+        return self._omitted
+
+    @omitted_types.setter
+    def omitted_types(self, names: list[str]) -> None:
+        self._omitted = names
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LossReport):
+            return NotImplemented
+        return (self.findings, self.omitted_types, self.synthesized_types) == (
+            other.findings,
+            other.omitted_types,
+            other.synthesized_types,
+        )
 
     @property
     def inclusive(self) -> bool:
@@ -122,6 +150,19 @@ class LossReport:
         return "\n".join(lines)
 
 
+def _omitted_paths(source_shape: Shape, used: set[int]) -> list[str]:
+    """The sorted dotted paths of the source types whose ids are not in
+    ``used`` — read from the type paths, so a stored shape makes no
+    vertex for them."""
+    return sorted(
+        [
+            ".".join(path)  # DataType.dotted, inlined: every source type pays it
+            for type_id, path in source_shape.source_paths()
+            if type_id not in used
+        ]
+    )
+
+
 #: Path cardinality of a pair in different trees of a shape forest.
 _UNRELATED = Card(0, 0)
 _ONE = Card.exactly_one()
@@ -150,14 +191,7 @@ def analyze_loss(
     backed = [t for t in types if t.source is not None]
     report.synthesized_types = [t.out_name for t in types if t.source is None]
     used = {t.source.type_id for t in backed}
-    # Read from the type paths, so a stored shape makes no vertex for it.
-    report.omitted_types = sorted(
-        [
-            ".".join(path)  # DataType.dotted, inlined: every source type pays it
-            for type_id, path in source_shape.source_paths()
-            if type_id not in used
-        ]
-    )
+    report._omitted = partial(_omitted_paths, source_shape, used)
 
     # TYPE-FILLed types have no source vertex, and so no relationships.
     resolved = {

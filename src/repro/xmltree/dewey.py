@@ -240,6 +240,19 @@ def parent(label: bytes) -> Optional[bytes]:
     return label[:-COMPONENT_BYTES] if len(label) > COMPONENT_BYTES else None
 
 
+def parents(labels: Iterable[bytes]) -> list[bytes]:
+    """Each label's parent's label, ``b""`` (the forest) for a root: the
+    column a per-parent child count groups by."""
+    return [label[:-COMPONENT_BYTES] for label in labels]
+
+
+def child_ordinal(label: bytes, parent: bytes) -> int:
+    """The ordinal of the child of ``parent`` that is the node labelled
+    ``label`` or its ancestor."""
+    start = len(parent)
+    return int.from_bytes(label[start : start + COMPONENT_BYTES], "big")
+
+
 def lca_level(first: bytes, second: bytes) -> int:
     """Level of the two nodes' least common ancestor; ``-1`` across roots.
 

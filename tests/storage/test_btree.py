@@ -137,6 +137,39 @@ class TestPersistence:
         file.close()
 
 
+class TestLastBefore:
+    def test_greatest_key_below_a_bound(self, tree):
+        tree.put_many((b"k%05d" % n, b"v%d" % n) for n in range(0, 3000, 2))
+        assert tree.last_before(b"k01001") == (b"k01000", b"v1000")
+        assert tree.last_before(b"k01000") == (b"k00998", b"v998")
+        assert tree.last_before(None) == (b"k02998", b"v2998")
+        assert tree.last_before(b"k00000") is None
+        assert tree.last_before(b"") is None
+
+    def test_steps_back_over_leaves_lazy_deletes_emptied(self, tree):
+        tree.put_many((b"k%05d" % n, b"v" * 40) for n in range(3000))
+        for n in range(1000, 2500):
+            tree.delete(b"k%05d" % n)
+        assert len(tree._descend(b"k01500")[1]) >= 2
+        reads = tree.pool.stats.counter("btree.page_reads")
+        assert tree.last_before(b"k01500") == (b"k00999", b"v" * 40)
+        # The descent, then back over every emptied leaf to k00999's.
+        assert tree.pool.stats.counter("btree.page_reads") - reads > 3
+        for n in range(1000):
+            tree.delete(b"k%05d" % n)
+        assert tree.last_before(b"k02500") is None
+        assert tree.last_before(None) == (b"k02999", b"v" * 40)
+
+    def test_last_with_prefix(self, tree):
+        tree.put_many([(b"Ta", b"0"), (b"Ta1", b"1"), (b"Ta2", b"2"), (b"Tb", b"3")])
+        assert tree.last_with_prefix(b"Ta") == (b"Ta2", b"2")
+        assert tree.last_with_prefix(b"Ta2") == (b"Ta2", b"2")
+        assert tree.last_with_prefix(b"Tc") is None
+        assert tree.last_with_prefix(b"") == (b"Tb", b"3")
+        tree.put(b"\xff\xff", b"4")
+        assert tree.last_with_prefix(b"\xff") == (b"\xff\xff", b"4")
+
+
 class TestDecodedInternalNodes:
     def test_a_kept_decode_is_still_a_buffer_hit(self, tree):
         tree.put_many((f"k{i:05d}".encode(), b"v" * 40) for i in range(2000))
@@ -311,9 +344,22 @@ class BTreeAgainstDict(RuleBasedStateMachine):
         assert self.tree.delete(key) == (key in self.model)
         self.model.pop(key, None)
 
+    @rule(start=_LOOKUPS, count=st.integers(0, 400))
+    def delete_run(self, start, count):
+        # Lazy deletes of neighbours: whole leaves go empty and stay linked.
+        for key in sorted(key for key in self.model if key >= start)[:count]:
+            assert self.tree.delete(key)
+            del self.model[key]
+
     @rule(key=_LOOKUPS)
     def get(self, key):
         assert self.tree.get(key) == self.model.get(key)
+
+    @rule(bound=st.one_of(st.none(), st.just(b""), _LOOKUPS))
+    def last_before(self, bound):
+        below = [key for key in self.model if bound is None or key < bound]
+        expected = (max(below), self.model[max(below)]) if below else None
+        assert self.tree.last_before(bound) == expected
 
     @rule()
     def reopen(self):

@@ -211,6 +211,45 @@ class TestReplaceParity:
         assert_parity(tmp_path, LIB, [ReplaceSubtree("1.1.2", "<title>T1b</title>")])
 
 
+# Three ~1 KB texts fill a sequence chunk, so the nine ``p`` entries
+# are stored as three chunks of three: a commit keeps the leading chunks
+# no edit reached, and an edit at a chunk's first entry can move that
+# entry into the chunk before.
+CHUNKED = "<r>" + "".join(f"<p>{str(n) * 1000}</p>" for n in range(1, 10)) + "</r>"
+
+
+class TestChunkBoundaryParity:
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            [ReplaceSubtree("1.4", "<p>x</p>")],
+            [ReplaceSubtree("1.7", "<p>x</p>")],
+            [ReplaceSubtree("1.5", "<p>x</p>")],
+            [DeleteSubtree("1.4")],
+            [DeleteSubtree("1.3")],
+            [DeleteSubtree("1.9")],
+            [InsertSubtree("1", "<p>x</p>")],
+            [InsertSubtree("1", "<p>x</p>", position=7)],
+            [ReplaceSubtree("1.8", "<p>x</p>"), ReplaceSubtree("1.4", "<p>y</p>")],
+            [ReplaceSubtree("1.4", "<p>y</p>"), ReplaceSubtree("1.8", "<p>x</p>")],
+        ],
+        ids=[
+            "shrink-first-of-chunk-1",
+            "shrink-first-of-last-chunk",
+            "shrink-inside-chunk-1",
+            "delete-first-of-chunk-1",
+            "delete-last-of-chunk-0",
+            "delete-the-last",
+            "append",
+            "insert-before-a-chunk-start",
+            "two-edits-later-one-first",
+            "two-edits-earlier-one-first",
+        ],
+    )
+    def test_repacked_chunks_equal_a_reshred(self, tmp_path, ops):
+        assert_parity(tmp_path, CHUNKED, ops, guards=["MORPH r [ p ]"])
+
+
 class TestBatchParity:
     def test_mixed_batch(self, tmp_path):
         assert_parity(

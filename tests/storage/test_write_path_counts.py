@@ -162,3 +162,106 @@ class TestCommitReadsTouchedTypesOnly:
         with Database(str(tmp_path / "reshred.db"), durable=False) as again:
             again.store_document("dblp", reference_apply(parse_forest(serialize(forest)), batch))
             assert self.shape(again) == shape
+
+
+class TestUpdatesReadAndWriteWhatTheyChange:
+    """A sibling count is one backward seek, not a probe per ordinal, and
+    a commit writes a touched type's chunks from the first one an edit
+    can have changed: the leading ones keep their keys and bytes."""
+
+    ARTICLE = "<article><author>A</author><title>T</title><year>2001</year></article>"
+
+    @staticmethod
+    def sequence_chunks(db):
+        """``{type id: {chunk number: bytes}}`` of the stored sequences."""
+        chunks = {}
+        for key, value in db.tree.scan_prefix(b"T"):
+            type_id, chunk_no = int.from_bytes(key[5:9], "big"), int.from_bytes(key[9:], "big")
+            chunks.setdefault(type_id, {})[chunk_no] = value
+        return chunks
+
+    @staticmethod
+    def sequence_writes(db, monkeypatch):
+        """The ``T`` keys the next batch puts or deletes, as
+        ``(type id, chunk number)`` pairs."""
+        writes, deletes = [], []
+        put_many, delete = db.tree.put_many, db.tree.delete
+
+        def key_of(key):
+            return int.from_bytes(key[5:9], "big"), int.from_bytes(key[9:], "big")
+
+        def counting_put_many(items):
+            run = list(items)
+            writes.extend(key_of(key) for key, _value in run if key[:1] == b"T")
+            return put_many(run)
+
+        def counting_delete(key):
+            if key[:1] == b"T":
+                deletes.append(key_of(key))
+            return delete(key)
+
+        monkeypatch.setattr(db.tree, "put_many", counting_put_many)
+        monkeypatch.setattr(db.tree, "delete", counting_delete)
+        return writes, deletes
+
+    @classmethod
+    def reshred_chunks(cls, tmp_path, forest, batch):
+        with Database(str(tmp_path / "reshred.db"), durable=False) as again:
+            again.store_document("dblp", reference_apply(parse_forest(serialize(forest)), batch))
+            return cls.sequence_chunks(again)
+
+    def test_an_append_counts_the_roots_children_in_one_descent(self, db, monkeypatch):
+        from repro.storage.update import IncrementalUpdater
+
+        db.store_document("dblp", generate_dblp(200))
+        depth = len(db.tree._descend(b"N")[1])
+        counted = []
+        child_count = IncrementalUpdater._child_count
+
+        def counting(updater, parent):
+            reads = db.stats.counter("btree.page_reads")
+            count = child_count(updater, parent)
+            counted.append((count, db.stats.counter("btree.page_reads") - reads))
+            return count
+
+        monkeypatch.setattr(IncrementalUpdater, "_child_count", counting)
+        db.apply_batch("dblp", [InsertSubtree("1", self.ARTICLE)])
+        db.apply_batch("dblp", [InsertSubtree(None, self.ARTICLE)])
+        # Probing ordinals 1, 2, 4, ..., 256 and bisecting back to 200
+        # took 16 point reads at the root.
+        assert counted == [(200, depth), (1, depth)]
+
+    def test_an_append_writes_only_each_touched_types_last_chunk(self, db, monkeypatch, tmp_path):
+        forest = generate_dblp(400)
+        db.store_document("dblp", forest)
+        before = self.sequence_chunks(db)
+        writes, deletes = self.sequence_writes(db, monkeypatch)
+        batch = [InsertSubtree("1", self.ARTICLE)]
+        result = db.apply_batch("dblp", batch)
+        assert result.type_ids_remapped == 0 and result.types_rewritten == 4
+        assert deletes == []
+        written = {}
+        for type_id, chunk_no in writes:
+            written.setdefault(type_id, []).append(chunk_no)
+        assert len(written) == 4
+        for type_id, chunk_numbers in written.items():
+            assert chunk_numbers == [len(before[type_id]) - 1]
+        assert max(len(before[type_id]) for type_id in written) >= 3
+        assert self.sequence_chunks(db) == self.reshred_chunks(tmp_path, forest, batch)
+
+    def test_a_replace_in_the_middle_keeps_the_leading_chunks(self, db, monkeypatch, tmp_path):
+        forest = generate_dblp(400)
+        db.store_document("dblp", forest)
+        target = forest.roots[0].children[300]
+        longer = serialize(target).replace("</title>", " (2nd ed.)</title>")
+        writes, deletes = self.sequence_writes(db, monkeypatch)
+        batch = [ReplaceSubtree(str(target.dewey), longer)]
+        result = db.apply_batch("dblp", batch)
+        assert result.type_ids_remapped == 0
+        assert deletes == []
+        # The chunks before each type's first written one are the stored ones.
+        kept = {}
+        for type_id, chunk_no in writes:
+            kept[type_id] = min(chunk_no, kept.get(type_id, chunk_no))
+        assert sum(kept.values()) >= 4
+        assert self.sequence_chunks(db) == self.reshred_chunks(tmp_path, forest, batch)

@@ -333,3 +333,27 @@ class TestPinnedReports:
         for guard in guards[:2]:
             compiled = memory.compile(guard)
             assert analyze_loss(plain, compiled.target_shape, index.shape_vertex) == compiled.loss
+
+
+def test_a_cold_transform_joins_no_omitted_path(tmp_path, monkeypatch):
+    """``omitted_types`` spells every source type the guard leaves out;
+    only reports and diagnostics read it, so a transform that is only
+    rendered joins none of those paths, and the first read joins them
+    once."""
+    from repro.typing import loss
+
+    calls = []
+    omitted_paths = loss._omitted_paths
+    monkeypatch.setattr(
+        loss, "_omitted_paths", lambda *args: calls.append(args) or omitted_paths(*args)
+    )
+    with Database(str(tmp_path / "l.db"), durable=False) as db:
+        db.store_document("xmark", generate_xmark(0.002))
+        db.drop_cache()
+        result = db.transform("xmark", XMARK_GUARDS[0])
+        assert result.xml()
+        assert calls == []
+        omitted = result.loss.omitted_types
+        assert len(calls) == 1
+        assert result.loss.omitted_types is omitted
+        assert omitted == sorted(omitted) and len(omitted) > 200
