@@ -37,6 +37,9 @@ _NO_PAGE = 0xFFFFFFFF
 _META_MAGIC = b"XMBT"
 _HEADER = struct.Struct("<BHI")  # node type, entry count, next/child0
 _META = struct.Struct("<4sI")  # magic, root page
+#: Every ``<H`` length a page can hold, encoded.
+_U16 = tuple(length.to_bytes(2, "little") for length in range(PAGE_SIZE))
+_ZEROES = memoryview(bytes(PAGE_SIZE))
 
 #: Largest key+value a single entry may occupy (one entry must fit a page).
 MAX_ENTRY = PAGE_SIZE - 64
@@ -298,11 +301,11 @@ class BPlusTree:
         The whole root-to-leaf walk holds the pool lock, so a concurrent
         in-process writer's split can never be observed mid-way (child
         pointers always resolve against a consistent tree).  ``scan``
-        continues leaf-to-leaf outside the lock: each leaf is read
-        atomically and deserialized into a private copy, so the iterator
-        never aliases a buffer a writer might rewrite.  Internal nodes
-        are the pool's shared decodes (:func:`_resident_node`), which
-        nothing mutates.
+        continues leaf-to-leaf outside the lock: :func:`_read_node`
+        copies each leaf's frame under the lock and decodes the copy, so
+        a leaf is read atomically and the iterator never aliases a
+        buffer a writer might rewrite.  Internal nodes are the pool's
+        shared decodes (:func:`_resident_node`), which nothing mutates.
         """
         with self.pool.locked():
             page_id = self._root
@@ -371,35 +374,40 @@ class BPlusTree:
     def _store_with_split(self, page_id: int, node: "_Node") -> list[tuple[bytes, int]]:
         """Write ``node``, splitting into as many pages as needed.
 
-        Returns the separators/pages to insert into the parent (see
+        Each entry is encoded once; its size is the length of its bytes,
+        and the pages are written from the same bytes.  Returns the
+        separators/pages to insert into the parent (see
         :func:`_partition` for where the cuts fall).
         """
-        if node.serialized_size() <= PAGE_SIZE:
-            _write_node(self.pool, page_id, node)
+        entries = _encode_entries(node)
+        sizes = [len(entry) for entry in entries]
+        if _HEADER.size + sum(sizes) <= PAGE_SIZE:
+            _store_page(self.pool, page_id, node.kind, node.link, entries)
             return []
-        groups = _partition(node)
+        cuts = _partition(node.kind, sizes)
         self.pool.stats.count("btree.splits")
+        keys, values = node.keys, node.values
+        bounds = list(zip(cuts, cuts[1:] + [len(entries)]))
         promotions: list[tuple[bytes, int]] = []
         if node.kind == _LEAF:
-            pages = [page_id] + [self.pool.allocate() for _ in groups[1:]]
-            for position, (keys, values) in enumerate(groups):
-                next_leaf = pages[position + 1] if position + 1 < len(pages) else node.next_leaf
-                _write_node(self.pool, pages[position], _Node(_LEAF, next_leaf, keys, values))
-                if position > 0:
-                    promotions.append((keys[0], pages[position]))
+            pages = [page_id] + [self.pool.allocate() for _ in cuts[1:]]
+            links = pages[1:] + [node.next_leaf]
+            for page, link, (start, stop) in zip(pages, links, bounds):
+                _store_page(self.pool, page, _LEAF, link, entries[start:stop])
+                if start:
+                    promotions.append((keys[start], page))
         else:
             # Between internal groups the first key of each later group
             # moves up as the separator and its child pointer becomes
             # that group's leftmost child.
-            first_keys, first_values = groups[0]
-            _write_node(self.pool, page_id, _Node(_INTERNAL, node.child0, first_keys, first_values))
-            for keys, values in groups[1:]:
+            start, stop = bounds[0]
+            _store_page(self.pool, page_id, _INTERNAL, node.child0, entries[start:stop])
+            for start, stop in bounds[1:]:
                 right_page = self.pool.allocate()
-                separator = keys[0]
-                _write_node(
-                    self.pool, right_page, _Node(_INTERNAL, values[0], keys[1:], values[1:])
+                _store_page(
+                    self.pool, right_page, _INTERNAL, values[start], entries[start + 1 : stop]
                 )
-                promotions.append((separator, right_page))
+                promotions.append((keys[start], right_page))
         return promotions
 
 
@@ -421,65 +429,47 @@ class _Node:
         self.keys = keys
         self.values = values
 
+    @property
+    def link(self) -> int:
+        return self.next_leaf if self.kind == _LEAF else self.child0
+
     def child_for(self, key: bytes) -> int:
         index = bisect_right(self.keys, key)
         return self.values[index - 1] if index else self.child0
 
-    def serialized_size(self) -> int:
-        size = _HEADER.size
-        if self.kind == _LEAF:
-            for key, value in zip(self.keys, self.values):
-                size += 2 + len(key) + 2 + len(value)
-        else:
-            for key in self.keys:
-                size += 2 + len(key) + 4
-        return size
 
+def _partition(kind: int, sizes: list[int]) -> list[int]:
+    """Cut an oversized node's entries into groups that each fit a page.
 
-def _partition(node: "_Node") -> list[tuple[list, list]]:
-    """Partition an oversized node's entries into groups that each fit a page.
-
-    The fewest pages that hold the entries, filled evenly: a node one
-    entry over splits into halves (the classic B+tree split, leaving
-    both sides room), a node many pages over — a sorted run merged into
-    one leaf — into pages that are each nearly full.  Entries are
-    variable-length, so the cut is greedy and a large entry may force
-    one more group; each group fits because a single entry always does.
+    ``sizes`` are the entries' encoded lengths; the result is the index
+    of each group's first entry.  The fewest pages that hold the
+    entries, filled evenly: a node one entry over splits into halves
+    (the classic B+tree split, leaving both sides room), a node many
+    pages over — a sorted run merged into one leaf — into pages that
+    are each nearly full.  Entries are variable-length, so the cut is
+    greedy and a large entry may force one more group; each group fits
+    because a single entry always does.
     """
-    leaf = node.kind == _LEAF
-    sizes = [
-        2 + len(key) + (2 + len(value) if leaf else 4)
-        for key, value in zip(node.keys, node.values)
-    ]
     total = sum(sizes)
     pages = -(-total // (PAGE_SIZE - _HEADER.size))
     target = _HEADER.size + total // pages
-    groups: list[tuple[list, list]] = []
-    keys: list[bytes] = []
-    values: list = []
+    cuts = [0]
     size = _HEADER.size
-    for key, value, entry in zip(node.keys, node.values, sizes):
-        if keys and (size + entry > PAGE_SIZE or size >= target):
-            groups.append((keys, values))
-            keys, values = [], []
+    for index, entry in enumerate(sizes):
+        if index > cuts[-1] and (size + entry > PAGE_SIZE or size >= target):
+            cuts.append(index)
             size = _HEADER.size
-        keys.append(key)
-        values.append(value)
         size += entry
-    groups.append((keys, values))
     # An internal group needs at least one key left after its first key
     # is promoted as the separator; rebalance a degenerate tail group by
-    # stealing an entry from its neighbour.
-    if node.kind == _INTERNAL and len(groups) > 1 and len(groups[-1][0]) < 2:
-        prev_keys, prev_values = groups[-2]
-        if len(prev_keys) >= 2:
-            groups[-1][0].insert(0, prev_keys.pop())
-            groups[-1][1].insert(0, prev_values.pop())
+    # stealing an entry from its neighbour, or fold it into a neighbour
+    # that has none to spare.
+    if kind == _INTERNAL and len(cuts) > 1 and len(sizes) - cuts[-1] < 2:
+        if cuts[-1] - cuts[-2] >= 2:
+            cuts[-1] -= 1
         else:
-            keys, values = groups.pop()
-            groups[-1][0].extend(keys)
-            groups[-1][1].extend(values)
-    return groups
+            cuts.pop()
+    return cuts
 
 
 def _resident_node(pool: BufferPool, page_id: int) -> _Node:
@@ -501,49 +491,80 @@ def _resident_node(pool: BufferPool, page_id: int) -> _Node:
 
 
 def _read_node(pool: BufferPool, page_id: int) -> _Node:
-    """Decode the page into a private :class:`_Node`."""
-    buffer = pool.get(page_id)
-    kind, count, link = _HEADER.unpack_from(buffer, 0)
-    offset = _HEADER.size
+    """Decode the page into a private :class:`_Node`.
+
+    The frame is copied once, under the pool lock, so a writer in
+    another thread can never rewrite it mid-decode; keys and values are
+    slices of that copy, and every length and child id is read by index
+    arithmetic (the format is in :func:`_encode_entries`).
+    """
+    with pool.lock:
+        page = bytes(pool.get(page_id))
+    kind, count, link = _HEADER.unpack_from(page, 0)
     keys: list[bytes] = []
     values: list = []
-    for _ in range(count):
-        (key_len,) = struct.unpack_from("<H", buffer, offset)
-        offset += 2
-        keys.append(bytes(buffer[offset : offset + key_len]))
-        offset += key_len
-        if kind == _LEAF:
-            (val_len,) = struct.unpack_from("<H", buffer, offset)
-            offset += 2
-            values.append(bytes(buffer[offset : offset + val_len]))
-            offset += val_len
-        else:
-            (child,) = struct.unpack_from("<I", buffer, offset)
-            offset += 4
-            values.append(child)
+    offset = _HEADER.size
+    if kind == _LEAF:
+        for _ in range(count):
+            end = offset + 2 + (page[offset] | page[offset + 1] << 8)
+            keys.append(page[offset + 2 : end])
+            offset = end + 2 + (page[end] | page[end + 1] << 8)
+            values.append(page[end + 2 : offset])
+    else:
+        for _ in range(count):
+            end = offset + 2 + (page[offset] | page[offset + 1] << 8)
+            keys.append(page[offset + 2 : end])
+            offset = end + 4
+            values.append(int.from_bytes(page[end:offset], "little"))
+    if offset > PAGE_SIZE:
+        raise StorageError(f"page {page_id}: {count} entries overrun the page")
     return _Node(kind, link, keys, values)
 
 
-def _write_node(pool: BufferPool, page_id: int, node: _Node) -> None:
-    buffer = pool.get(page_id)
-    link = node.next_leaf if node.kind == _LEAF else node.child0
-    _HEADER.pack_into(buffer, 0, node.kind, len(node.keys), link)
-    offset = _HEADER.size
-    for key, value in zip(node.keys, node.values):
-        struct.pack_into("<H", buffer, offset, len(key))
-        offset += 2
-        buffer[offset : offset + len(key)] = key
-        offset += len(key)
+def _encode_entries(node: _Node) -> list[bytes]:
+    """Each entry of ``node`` as the bytes it occupies on its page.
+
+    A page is a ``<BHI`` header (kind, entry count, link) followed by
+    its entries: a leaf entry is a ``<H`` key length, the key, a ``<H``
+    value length and the value; an internal entry is a ``<H`` key
+    length, the key and a ``<I`` child page id.  A key or value of a
+    page or more raises :class:`~repro.errors.StorageError`.
+    """
+    join = b"".join
+    try:
         if node.kind == _LEAF:
-            struct.pack_into("<H", buffer, offset, len(value))
-            offset += 2
-            buffer[offset : offset + len(value)] = value
-            offset += len(value)
-        else:
-            struct.pack_into("<I", buffer, offset, value)
-            offset += 4
-    buffer[offset:] = bytes(PAGE_SIZE - offset)
-    pool.mark_dirty(page_id)
+            return [
+                join((_U16[len(key)], key, _U16[len(value)], value))
+                for key, value in zip(node.keys, node.values)
+            ]
+        return [
+            join((_U16[len(key)], key, child.to_bytes(4, "little")))
+            for key, child in zip(node.keys, node.values)
+        ]
+    except IndexError:
+        raise StorageError("an entry of a page or more does not fit a page") from None
+
+
+def _write_node(pool: BufferPool, page_id: int, node: _Node) -> None:
+    _store_page(pool, page_id, node.kind, node.link, _encode_entries(node))
+
+
+def _store_page(
+    pool: BufferPool, page_id: int, kind: int, link: int, entries: list[bytes]
+) -> None:
+    """Write a header and encoded ``entries`` over the page, zero-padded.
+
+    A node that does not fit raises :class:`~repro.errors.StorageError`
+    before the frame is touched."""
+    page = b"".join((_HEADER.pack(kind, len(entries), link), *entries))
+    size = len(page)
+    if size > PAGE_SIZE:
+        raise StorageError(f"page {page_id}: a {size}-byte node does not fit a page")
+    with pool.lock:
+        frame = pool.get(page_id)
+        frame[:size] = page
+        frame[size:] = _ZEROES[size:]
+        pool.mark_dirty(page_id)
 
 
 def _prefix_upper_bound(prefix: bytes) -> Optional[bytes]:
