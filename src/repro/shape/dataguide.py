@@ -28,7 +28,12 @@ Everything that reads a document's types is fed from here: the
 shredder encodes the columns as records, the in-memory
 :class:`~repro.closeness.DocumentIndex` holds them as its type
 sequences, and :func:`extract_shape` / ``forest_to_dtd`` read the
-adorned :attr:`~DataGuideBuilder.shape`.
+adorned :attr:`~DataGuideBuilder.shape`.  An update labels the
+subtrees it inserts here too: :meth:`~DataGuideBuilder.resume` seeds a
+builder with a stored document's types and counts, and
+:meth:`~DataGuideBuilder.place` says whose child the next node is, so
+its columns hold the inserted nodes, labelled and typed as a re-shred
+would.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterator, Optional
 
+from repro.errors import StorageError
 from repro.shape.shape import Shape
 from repro.shape.types import DataType, TypeTable
 from repro.xmltree.dewey import child
@@ -56,6 +62,8 @@ class DataGuideBuilder:
     * ``type_table`` interns every :class:`DataType` seen, ids dense in
       first-occurrence order,
     * ``counts[type id]`` is the number of nodes of the type,
+    * ``parent_of[type id]`` is the id of the type's parent type
+      (``None`` for a root type),
     * ``is_attribute`` tells whether a type's instances are attributes
       (first-seen kind),
     * ``has_text`` holds the ids of the types some instance of which
@@ -70,6 +78,7 @@ class DataGuideBuilder:
     def __init__(self) -> None:
         self.type_table = TypeTable()
         self.counts: list[int] = []
+        self.parent_of: list[Optional[int]] = []
         self.is_attribute: dict[DataType, bool] = {}
         self.has_text: set[int] = set()
         self.labels: list[list[bytes]] = []
@@ -81,9 +90,43 @@ class DataGuideBuilder:
         #: A type has one parent type (it is a root path), so an edge is
         #: named by its child: child type id -> [min, max, parents seen].
         self._edge_stats: dict[int, list[int]] = {}
-        self._parent_of: list[Optional[int]] = []
         #: One frame per open node, under the forest's own.
         self._open: list[list] = [[b"", None, 0, {}, False]]
+
+    @classmethod
+    def resume(cls, shape: dict) -> "DataGuideBuilder":
+        """A builder holding a stored document's types — ids kept — and
+        their counts, ``shape`` being the descriptor the shredder stored.
+        Its columns start empty; see :meth:`place`.  (It knows no
+        stored type's kind: ``is_attribute`` holds the new types only.)
+        """
+        paths = [tuple(path) for _type_id, path in shape["types"]]
+        builder, seen = cls(), {}
+        try:
+            if [type_id for type_id, _path in shape["types"]] != list(range(len(paths))):
+                raise ValueError("type ids are not 0..n-1 in order")
+            builder.type_table = TypeTable.of_paths(paths)
+            for type_id, path in enumerate(paths):
+                parent = seen.get(path[:-1])  # None for a root path
+                if len(path) > 1 and parent is None:
+                    raise ValueError(f"type {'.'.join(path)} has no parent type before it")
+                ids = builder._root_ids if parent is None else builder._child_ids[parent]
+                ids[path[-1]] = seen[path] = type_id
+                builder._add_type(parent)
+        except ValueError as error:
+            raise StorageError(f"a corrupted stored shape: {error}") from error
+        builder.counts = [shape["counts"].get(str(type_id), 0) for type_id in range(len(paths))]
+        return builder
+
+    def place(self, parent: bytes, parent_type: Optional[int], before: int) -> None:
+        """Report the next node as the ``before + 1``-th child of the node
+        labelled ``parent``, of type ``parent_type`` (``b""`` and
+        ``None``: the forest)."""
+        self._open = [[parent, parent_type, before, {}, False]]
+
+    def placed(self) -> int:
+        """The ordinal of the last child reported under the placed parent."""
+        return self._open[0][_CHILDREN]
 
     # -- node events -------------------------------------------------------
 
@@ -124,15 +167,18 @@ class DataGuideBuilder:
             above = () if parent is None else self.type_table.paths[parent]
             data_type = self.type_table.intern(above + (name,))
             type_id = ids[name] = data_type.type_id
-            self.counts.append(0)
-            self._child_ids.append({})
-            self._parent_of.append(parent)
             self.is_attribute[data_type] = is_attribute
-            self.labels.append([])
-            self.values.append([])
-            self.attributes.append(bytearray())
+            self._add_type(parent)
         self.counts[type_id] += 1
         return type_id
+
+    def _add_type(self, parent: Optional[int]) -> None:
+        self.counts.append(0)
+        self._child_ids.append({})
+        self.parent_of.append(parent)
+        self.labels.append([])
+        self.values.append([])
+        self.attributes.append(bytearray())
 
     def leave(self, tally: dict[int, int]) -> None:
         """Fold one finished node's children — ``{child type id: how
@@ -158,7 +204,7 @@ class DataGuideBuilder:
         parent with *none* drags ``lo`` to 0.
         """
         for child_id, (low, high, parents_seen) in self._edge_stats.items():
-            parent = self._parent_of[child_id]
+            parent = self.parent_of[child_id]
             if parents_seen < self.counts[parent]:
                 low = 0
             yield parent, child_id, low, high
@@ -172,10 +218,11 @@ class DataGuideBuilder:
 def walk(forest: XmlForest, builder: DataGuideBuilder) -> list[list[XmlNode]]:
     """Report a forest's vertices to ``builder`` in document order, with
     an explicit stack (no recursion); returns each type's nodes, by type
-    id, in the order of its columns."""
+    id, in the order of its columns — none for a type the builder
+    already held and the forest has no node of."""
     start, end = builder.start, builder.end
     attribute = NodeKind.ATTRIBUTE
-    filed: list[list[XmlNode]] = []
+    filed: list[list[XmlNode]] = [[] for _ in builder.counts]
     above: list[tuple[Iterator[XmlNode], Optional[XmlNode]]] = []
     siblings, parent = iter(forest.roots), None
     while True:

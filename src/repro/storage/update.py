@@ -12,7 +12,13 @@ subtree operations (:class:`InsertSubtree` / :class:`DeleteSubtree` /
   same dense Dewey ordinals a re-shred would assign (up-shifts process
   siblings in descending order, down-shifts ascending, so moved keys
   never collide with not-yet-moved ones).  A renumbered node's key and
-  entry get the new label prefix; its value moves as stored.
+  entry get the new label prefix; its value moves as stored.  An
+  inserted subtree is labelled and typed where a shredded document is:
+  one :class:`~repro.shape.dataguide.DataGuideBuilder` per batch,
+  resumed from the stored types and placed at the insertion point, is
+  fed the subtree (by :func:`~repro.shape.dataguide.walk` or, for text,
+  the tokenizer) and its columns are encoded as the shredder encodes
+  them.
 * **TypeToSequence** — each *touched* type's full sequence is loaded
   once as ``(label, entry)`` byte pairs, with the position each stored
   chunk starts at, and edited in memory.  The commit repacks it from
@@ -20,11 +26,12 @@ subtree operations (:class:`InsertSubtree` / :class:`DeleteSubtree` /
   the same numbers; the chunks before it, and every untouched type's,
   keep their bytes and are not rewritten.
 * **Type ids** — re-shredding interns types in first-occurrence
-  (pre-order) document order.  The commit recomputes that order from
-  each surviving type's first label and, when it differs from the
-  stored ids, rewrites exactly the affected types' node values and
-  re-keys their sequence chunks, so ids stay dense and parity with a
-  re-shred is exact.
+  (pre-order) document order.  The builder's type table keeps the
+  stored ids and interns a new type after them; the commit recomputes
+  that order from each surviving type's first label and, when it
+  differs from the stored ids, rewrites exactly the affected types'
+  node values and re-keys their sequence chunks, so ids stay dense and
+  parity with a re-shred is exact.
 * **AdornedShapes / catalog** — counts are maintained by delta;
   per-edge cardinalities are recomputed only for edges whose child
   membership or parent population changed, reproducing the
@@ -59,10 +66,12 @@ from typing import Optional, Union
 from repro.cache import shape_fingerprint
 from repro.errors import StorageError
 from repro.faults import FAULTS
+from repro.shape.dataguide import DataGuideBuilder, walk
 from repro.storage import tables
 from repro.xmltree import dewey as labels
 from repro.xmltree.dewey import Dewey
 from repro.xmltree.node import NodeKind, XmlForest, XmlNode
+from repro.xmltree.parser import parse_forest, tokenize
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +155,17 @@ class UpdateResult:
 
 def resolve_ref(ref: DeweyRef) -> bytes:
     """The label a node reference names — checked here, at the API edge,
-    and packed once: everything past this line works on the label."""
+    and packed once: everything past this line works on the label.  A
+    dotted string holds ASCII digits and dots only (``int`` would also
+    take ``" 1"``, ``"1_0"`` and other scripts' digits), and a component
+    is an ``int`` (not a ``bool``, not a ``float``)."""
     try:
-        parts = ref.split(".") if isinstance(ref, str) else ref
-        return labels.pack(Dewey(tuple(int(part) for part in parts)))
+        if isinstance(ref, str) and not (ref.isascii() and ref.replace(".", "").isdigit()):
+            raise ValueError(ref)
+        parts = tuple(map(int, ref.split("."))) if isinstance(ref, str) else tuple(ref)
+        if not all(type(part) is int for part in parts):
+            raise ValueError(ref)
+        return labels.pack(Dewey(parts))
     except (TypeError, ValueError):
         raise StorageError(f"not a node reference: {ref!r}") from None
 
@@ -157,26 +173,27 @@ def resolve_ref(ref: DeweyRef) -> bytes:
 def insert_position(op: InsertSubtree, count: int) -> int:
     """The slot ``op`` fills among ``count`` siblings (default: the last)."""
     position = count + 1 if op.position is None else op.position
-    if not isinstance(position, int):
+    if type(position) is not int:
         raise StorageError(f"insert position {position!r} is not an integer")
     if not 1 <= position <= count + 1:
         raise StorageError(f"insert position {position} out of range 1..{count + 1}")
     return position
 
 
+def check_one_root(roots: int) -> None:
+    """Refuse a subtree source that held ``roots`` roots, unless one."""
+    if roots != 1:
+        raise StorageError(f"a subtree must have exactly one root, got {roots}")
+
+
 def materialize_subtree(source: SubtreeSource) -> XmlNode:
     """The root of the subtree an op carries: the node itself, or the
-    single root its text parses to.  Not a copy: the updater only reads
-    it, :func:`reference_apply` copies what it grafts."""
+    single root its text parses to.  Not a copy: :func:`reference_apply`
+    copies what it grafts."""
     if isinstance(source, XmlNode):
         return source
-    from repro.xmltree.parser import parse_forest
-
     forest = parse_forest(source)
-    if len(forest.roots) != 1:
-        raise StorageError(
-            f"a subtree must have exactly one root, got {len(forest.roots)}"
-        )
+    check_one_root(len(forest.roots))
     return forest.roots[0]
 
 
@@ -265,23 +282,16 @@ class IncrementalUpdater:
         if not shape_chunks:
             raise StorageError(f"document {name!r} has no stored shape")
         shape_info = tables.decode_shape(shape_chunks)
-        #: Live type state, in the *old* id space until commit.
-        self.paths: dict[int, tuple[str, ...]] = {
-            type_id: tuple(path) for type_id, path in shape_info["types"]
+        #: The batch's one labelling site and type table: the stored
+        #: types, whose ids hold until commit, their live counts, and
+        #: the types the batch interns, numbered after them.
+        self.builder = DataGuideBuilder.resume(shape_info)
+        self._stored_types = len(self.builder.counts)
+        #: Stored adornments keyed by child type (a type has one parent
+        #: type); types interned by this batch have none and recompute.
+        self._stored_cards: dict[int, tuple[int, int]] = {
+            child: (lo, hi) for _parent, child, lo, hi in shape_info["edges"]
         }
-        self.ids_by_path: dict[tuple[str, ...], int] = {
-            path: type_id for type_id, path in self.paths.items()
-        }
-        self.counts: dict[int, int] = {
-            int(type_id): count for type_id, count in shape_info["counts"].items()
-        }
-        self._old_type_ids = set(self.paths)
-        #: Stored adornments keyed (child old-id, parent old-id); types
-        #: interned by this batch have no stored edge and always recompute.
-        self._stored_cards: dict[tuple[int, int], tuple[int, int]] = {
-            (child, parent): (lo, hi) for parent, child, lo, hi in shape_info["edges"]
-        }
-        self._next_type_id = max(self.paths, default=-1) + 1
         #: Loaded (possibly edited) sequences.
         self._seqs: dict[int, list[tuple[bytes, bytes]]] = {}
         #: Per loaded type, the position each stored chunk starts at.
@@ -394,7 +404,7 @@ class IncrementalUpdater:
         for label, value in doomed:
             type_id, _is_attribute, overflow_chunks = tables.node_head(value)
             self._take(type_id, label)
-            self.counts[type_id] -= 1
+            self.builder.counts[type_id] -= 1
             self._count_changed.add(type_id)
             self.text_bytes -= len(tables.node_text(self.tree, self.doc_id, label, value))
             for number in range(overflow_chunks):
@@ -434,64 +444,57 @@ class IncrementalUpdater:
         self.tree.put_many(run)
         self.result.nodes_renumbered += len(moved)
 
-    def _type_for(self, path: tuple[str, ...]) -> int:
-        type_id = self.ids_by_path.get(path)
-        if type_id is None:
-            type_id = self._next_type_id
-            self._next_type_id += 1
-            self.ids_by_path[path] = type_id
-            self.paths[type_id] = path
-            self.counts[type_id] = 0
-            self._seqs[type_id] = []
-            self._chunk_starts[type_id] = []
-            self._dirty_types.add(type_id)
-        return type_id
+    def _label(
+        self, subtree: SubtreeSource, parent: bytes, parent_type: Optional[int], position: int
+    ) -> None:
+        """Report ``subtree`` to the builder as the ``position``-th child
+        of ``parent`` (of type ``parent_type``): the builder labels,
+        types and files its nodes, as it does a shredded document's.
+        Nothing is staged yet."""
+        self.builder.place(parent, parent_type, position - 1)
+        if isinstance(subtree, XmlNode):
+            walk(XmlForest([subtree]), self.builder)
+        else:
+            tokenize(subtree, self.builder)
+        check_one_root(self.builder.placed() - (position - 1))
 
-    def _write_subtree(self, root: XmlNode, label: bytes, base_path: tuple[str, ...]) -> None:
-        """Stage a subtree's records with its root at ``label`` (no
-        sibling shifts).  A node is labelled, typed and encoded as the
-        shredder's sink does it: its parent's label plus its ordinal,
-        its parent's path plus its name, ``split_text``, ``encode_node``."""
-        limit = labels.COMPONENT_MAX
-        run: list[tuple[bytes, bytes]] = []
-        pending = [(root, label, base_path + (root.name,))]
-        while pending:
-            node, label, path = pending.pop()
-            type_id = self._type_for(path)
-            inline, overflow = tables.split_text(self.doc_id, label, node.text.encode())
-            value, entry = tables.encode_node(
-                label, type_id, node.kind is NodeKind.ATTRIBUTE, inline, len(overflow)
-            )
-            run.append((self._nodes + label, value))
-            run.extend(overflow)
-            self._put(type_id, label, entry)
-            self.counts[type_id] += 1
+    def _write_labelled(self) -> None:
+        """Stage the records of the nodes :meth:`_label` filed, encoded
+        as the shredder encodes them (``split_text``, ``encode_node``),
+        and empty the builder's columns."""
+        builder, run, added = self.builder, [], 0
+        for type_id, column in enumerate(builder.labels):
+            if not column:
+                continue
+            texts, flags = builder.values[type_id], builder.attributes[type_id]
+            for label, text, flag in zip(column, texts, flags):
+                inline, overflow = tables.split_text(self.doc_id, label, text.encode())
+                value, entry = tables.encode_node(label, type_id, flag, inline, len(overflow))
+                run.append((self._nodes + label, value))
+                run.extend(overflow)
+                self._put(type_id, label, entry)
+                self.text_bytes += len(text)
             self._count_changed.add(type_id)
-            self.node_count += 1
-            self.text_bytes += len(node.text)
-            self.result.nodes_added += 1
-            if len(node.children) > limit:
-                raise StorageError(
-                    f"Dewey component {len(node.children)} exceeds the "
-                    f"storage limit {limit} (sibling overflow in inserted subtree)"
-                )
-            for ordinal, child in enumerate(node.children, 1):
-                pending.append((child, labels.child(label, ordinal), path + (child.name,)))
+            added += len(column)
+            column.clear()
+            texts.clear()
+            flags.clear()
+        self.node_count += added
+        self.result.nodes_added += added
         run.sort()
         self.tree.put_many(run)
 
     # -- operations --------------------------------------------------------
 
     def _apply_insert(self, op: InsertSubtree) -> None:
-        parent, base_path = b"", ()
+        parent, parent_type = b"", None
         if op.parent is not None:
             parent = resolve_ref(op.parent)
-            type_id, is_attribute, _overflow_chunks = self._head_at(parent)
+            parent_type, is_attribute, _overflow_chunks = self._head_at(parent)
             if is_attribute:
                 raise StorageError(
                     f"cannot insert under the attribute at {labels.unpack(parent)}"
                 )
-            base_path = self.paths[type_id]
         count = self._child_count(parent)
         position = insert_position(op, count)
         if count + 1 > labels.COMPONENT_MAX:
@@ -500,14 +503,14 @@ class IncrementalUpdater:
                 f"storage limit {labels.COMPONENT_MAX} under "
                 f"{labels.unpack(parent) if parent else '<roots>'}"
             )
-        node = materialize_subtree(op.subtree)
+        self._label(op.subtree, parent, parent_type, position)
         # Up-shift displaced siblings, last first, so moved keys never
         # land on a slot that still holds its old subtree.
         for ordinal in range(count, position - 1, -1):
             self._shift_subtree(
                 labels.child(parent, ordinal), labels.child(parent, ordinal + 1)
             )
-        self._write_subtree(node, labels.child(parent, position), base_path)
+        self._write_labelled()
 
     def _apply_delete(self, op: DeleteSubtree) -> None:
         target = resolve_ref(op.target)
@@ -527,11 +530,11 @@ class IncrementalUpdater:
     def _apply_replace(self, op: ReplaceSubtree) -> None:
         target = resolve_ref(op.target)
         self._head_at(target)
-        parent = labels.parent(target)
-        base_path = self.paths[self._head_at(parent)[0]] if parent else ()
-        node = materialize_subtree(op.subtree)
+        parent = labels.parent(target) or b""
+        parent_type = self._head_at(parent)[0] if parent else None
+        self._label(op.subtree, parent, parent_type, labels.child_ordinal(target, parent))
         self._remove_subtree(target)
-        self._write_subtree(node, target, base_path)
+        self._write_labelled()
 
     # -- commit ------------------------------------------------------------
 
@@ -545,14 +548,12 @@ class IncrementalUpdater:
         """
         # 1. Retire types with no surviving instances (a re-shred would
         #    never intern them).
-        dead: list[int] = []
-        for type_id, count in list(self.counts.items()):
-            if count == 0:
-                dead.append(type_id)
-                del self.counts[type_id]
-                del self.ids_by_path[self.paths.pop(type_id)]
-                self._seqs[type_id] = []
-                self._dirty_types.discard(type_id)
+        counts = self.builder.counts
+        live = [type_id for type_id, count in enumerate(counts) if count]
+        dead = [type_id for type_id, count in enumerate(counts) if not count]
+        for type_id in dead:
+            self._seqs[type_id] = []
+            self._dirty_types.discard(type_id)
 
         # 2. Recover re-shred intern order: ascending first label.
         #    Stored ids are already dense in that order, so it stands —
@@ -561,13 +562,13 @@ class IncrementalUpdater:
         #    it did.  Otherwise touched types give their first label from
         #    their staged sequence, untouched types from the first entry
         #    of their first stored chunk.
-        if self.paths.keys() == self._old_type_ids and all(
+        if live == list(range(self._stored_types)) and all(
             seq and seq[0][0] == self._first_loaded.get(type_id)
             for type_id, seq in self._seqs.items()
         ):
-            final_id = {type_id: type_id for type_id in self.paths}
+            final_id = {type_id: type_id for type_id in live}
         else:
-            order = sorted(self.paths, key=self._first_label)
+            order = sorted(live, key=self._first_label)
             final_id = {type_id: position for position, type_id in enumerate(order)}
         remap = {
             type_id: new_id
@@ -634,12 +635,8 @@ class IncrementalUpdater:
         run.sort()
         self.tree.put_many(run)
 
-        self.result.types_added = len(
-            [t for t in self.paths if t not in self._old_type_ids]
-        )
-        self.result.types_removed = len(
-            [t for t in dead if t in self._old_type_ids]
-        )
+        self.result.types_added = sum(t >= self._stored_types for t in live)
+        self.result.types_removed = sum(t < self._stored_types for t in dead)
         self.result.type_ids_remapped = len(remap)
         self.result.types_rewritten = len(rewrite)
         self.result.nodes_total = self.node_count
@@ -683,34 +680,25 @@ class IncrementalUpdater:
         child sequence was touched or whose parent population changed;
         every other edge keeps its stored adornment.
         """
-        by_final = {final_id[type_id]: type_id for type_id in self.paths}
-        types = [
-            [new_id, list(self.paths[by_final[new_id]])]
-            for new_id in sorted(by_final)
-        ]
+        paths, counts = self.builder.type_table.paths, self.builder.counts
+        by_final = sorted((new_id, type_id) for type_id, new_id in final_id.items())
         edges = []
-        for type_id, path in self.paths.items():
-            if len(path) == 1:
-                continue
-            parent_id = self.ids_by_path.get(path[:-1])
+        for type_id in final_id:
+            parent_id = self.builder.parent_of[type_id]
             if parent_id is None:
-                raise StorageError(
-                    f"type {'.'.join(path)} survives but its parent type is gone"
-                )
+                continue
             if (
                 type_id in self._dirty_types
                 or parent_id in self._count_changed
-                or (type_id, parent_id) not in self._stored_cards
+                or type_id not in self._stored_cards
             ):
                 lo, hi = self._recompute_card(type_id, parent_id)
             else:
-                lo, hi = self._stored_cards[(type_id, parent_id)]
+                lo, hi = self._stored_cards[type_id]
             edges.append([final_id[parent_id], final_id[type_id], lo, hi])
         edges.sort()
-        counts = {
-            str(new_id): self.counts[by_final[new_id]]
-            for new_id in sorted(by_final)
-        }
+        types = [[new_id, list(paths[type_id])] for new_id, type_id in by_final]
+        counts = {str(new_id): counts[type_id] for new_id, type_id in by_final}
         return {"types": types, "edges": edges, "counts": counts}
 
     def _recompute_card(self, type_id: int, parent_id: int) -> tuple[int, int]:
@@ -724,6 +712,6 @@ class IncrementalUpdater:
         sizes = Counter(labels.parents(map(itemgetter(0), self._sequence(type_id)))).values()
         if not sizes:
             return (0, 0)
-        if len(sizes) < self.counts.get(parent_id, 0):
+        if len(sizes) < self.builder.counts[parent_id]:
             return (0, max(sizes))
         return (min(sizes), max(sizes))

@@ -1,7 +1,12 @@
 """Tests for adorned-shape (DataGuide) extraction — paper Figure 5."""
 
+import pytest
+
+from repro.errors import StorageError
 from repro.shape import Card, extract_shape
 from repro.shape.dataguide import DataGuideBuilder, walk
+from repro.xmltree import dewey, parse_forest
+from repro.xmltree.parser import tokenize
 
 
 def edge_map(shape):
@@ -85,3 +90,56 @@ class TestBuilderMaps:
     def test_label_matching_case_insensitive(self, fig1c):
         builder, _nodes = built(fig1c)
         assert builder.type_table.match_label("AUTHOR")
+
+
+class TestResumedBuilder:
+    """An update labels what it inserts with a builder resumed from the
+    stored shape and placed at the insertion point: it numbers and types
+    the subtree as one pass over the whole document would."""
+
+    @staticmethod
+    def stored(builder):
+        types = [[type_id, list(path)] for type_id, path in enumerate(builder.type_table.paths)]
+        return {"types": types, "counts": {str(n): c for n, c in enumerate(builder.counts)}}
+
+    @pytest.mark.parametrize("feed", ["walk", "tokenize"])
+    def test_a_placed_subtree_is_labelled_and_typed_as_in_the_whole(self, feed):
+        subtree = "<a><c>2</c><b>3</b></a>"
+        first, _nodes = built(parse_forest("<r><a><b>1</b></a><d/></r>"))
+        whole, _nodes = built(parse_forest(f"<r><a><b>1</b></a>{subtree}<d/></r>"))
+        resumed = DataGuideBuilder.resume(self.stored(first))
+        resumed.place(dewey.child(b"", 1), 0, 1)  # after r's first child
+        if feed == "walk":
+            filed = walk(parse_forest(subtree), resumed)
+            assert [[node.name for node in nodes] for nodes in filed] == [[], ["a"], ["b"], [], ["c"]]
+        else:
+            tokenize(subtree, resumed)
+        assert resumed.placed() == 2
+        assert resumed.type_table.paths == whole.type_table.paths[:3] + [
+            ("r", "d"),
+            ("r", "a", "c"),
+        ]
+        assert resumed.parent_of == [None, 0, 1, 0, 1]
+        # r, r.a (2 nodes), r.a.b (2), r.d, r.a.c: the inserted ones counted in.
+        assert resumed.counts == [1, 2, 2, 1, 1]
+        # The columns hold the placed subtree only, labelled as in the whole
+        # document (the later sibling <d/> is renumbered by the updater).
+        second = [label for label in whole.labels[1] if label not in first.labels[1]]
+        assert resumed.labels[1] == second == [dewey.child(dewey.child(b"", 1), 2)]
+        assert resumed.labels[2] == [dewey.child(second[0], 2)]
+        assert resumed.labels[4] == [dewey.child(second[0], 1)]
+        assert resumed.values[4] == ["2"] and resumed.labels[0] == resumed.labels[3] == []
+
+    @pytest.mark.parametrize(
+        "types",
+        [
+            [[1, ["r"]], [0, ["r", "a"]]],  # not in id order
+            [[0, ["r"]], [2, ["r", "a"]]],  # not dense
+            [[0, ["r"]], [1, ["x", "a"]]],  # no parent type
+            [[0, ["r", "a"]], [1, ["r"]]],  # parent after its child
+            [[0, ["r"]], [1, ["r"]]],  # one path named twice
+        ],
+    )
+    def test_a_malformed_stored_shape_is_refused(self, types):
+        with pytest.raises(StorageError, match="corrupted stored shape"):
+            DataGuideBuilder.resume({"types": types, "counts": {}})

@@ -403,10 +403,26 @@ class TestErrorsLeaveStoreUntouched:
             db.apply_batch("doc", [])
 
     def test_multiple_subtree_roots_rejected(self, db):
-        with pytest.raises(StorageError):
-            db.apply_batch("doc", [InsertSubtree("1", "<x/><y/>")])
+        """Zero or several roots, inserted or replacing: the tokenizer
+        feeds the builder directly, and the roots it reported are
+        counted before anything is staged."""
+        before = snapshot(db, "doc")
+        for text, roots in [("", 0), (" \n\t ", 0), ("<x/><y/>", 2), ("<x>1</x> <y/> <z/>", 3)]:
+            for op in (InsertSubtree("1", text, position=2), ReplaceSubtree("1.2", text)):
+                message = f"exactly one root, got {roots}"
+                with pytest.raises(StorageError, match=message):
+                    db.apply_batch("doc", [op])
+                with pytest.raises(StorageError, match=message):
+                    reference_apply(parse_forest(LIB), [op])
+                assert snapshot(db, "doc") == before
 
-    @pytest.mark.parametrize("ref", ["1.x", "", "1.0", "1..2", "-1", (1, 0), (), (1, "b"), 7, 1.5])
+    @pytest.mark.parametrize(
+        "ref",
+        [
+            "1.x", "", "1.0", "1..2", "-1", (1, 0), (), (1, "b"), 7, 1.5,
+            "1.1_0", " 1", "1 ", "+1", "\u0661.2", "1.\u00b2", (1, True), (True,), (1, 2.9), (1.0,),
+        ],
+    )
     def test_malformed_reference_refused_at_the_edge(self, db, ref):
         """Not a ``ValueError`` out of ``Dewey.parse``, nor a ``TypeError``
         from further in: the engine and the reference both name it."""
@@ -418,7 +434,7 @@ class TestErrorsLeaveStoreUntouched:
                 reference_apply(parse_forest(LIB), [op])
         assert snapshot(db, "doc") == before
 
-    @pytest.mark.parametrize("position", ["2", 1.5])
+    @pytest.mark.parametrize("position", ["2", 1.5, True, 2.0])
     def test_non_integer_position_refused(self, db, position):
         op = InsertSubtree("1", "<x/>", position=position)
         with pytest.raises(StorageError, match="not an integer"):

@@ -33,7 +33,7 @@ from repro.storage import (
     fsck,
     reference_apply,
 )
-from repro.xmltree import dewey as labels
+from repro.xmltree import dewey as labels, serialize
 from repro.xmltree.node import NodeKind, XmlForest, element
 
 from tests.engine.oracle import reference_render
@@ -46,14 +46,17 @@ from tests.strategies import (
     xml_trees,
 )
 
-# (kind, target index, position index, subtree) — indices are reduced
-# modulo the live node/slot count at materialization time.
+# (kind, target index, position index, subtree, as text) — indices are
+# reduced modulo the live node/slot count at materialization time; the
+# subtree goes in as its node, or as its serialized text (the builder's
+# two feeds: walk and the tokenizer).
 op_seeds = st.lists(
     st.tuples(
         st.sampled_from(["insert", "delete", "replace"]),
         st.integers(min_value=0, max_value=10**6),
         st.integers(min_value=0, max_value=10**6),
         xml_trees(max_depth=2, max_children=2, values=_SKEWED_VALUES),
+        st.booleans(),
     ),
     min_size=1,
     max_size=5,
@@ -79,7 +82,9 @@ def materialize(seeds, base: XmlForest):
     """
     sim = _copy(base)
     ops = []
-    for kind, a, b, subtree in seeds:
+    for kind, a, b, subtree, as_text in seeds:
+        if as_text:
+            subtree = serialize(subtree)
         nodes = list(sim.iter_nodes())
         target = nodes[a % len(nodes)]
         if kind == "insert":
@@ -175,9 +180,9 @@ class TestDeweyRenumberOverflow:
 
     The real limit is 2**24-1 siblings; monkeypatching it small makes
     the boundary reachable.  Overflow before any staging must reject
-    cleanly; overflow detected mid-write (inside an inserted subtree)
-    must roll the staged prefix back.  Either way the store is
-    untouched and fsck-clean.
+    cleanly; overflow detected inside an inserted subtree, by the
+    builder that labels it, must roll the batch's staged prefix back.
+    Either way the store is untouched and fsck-clean.
     """
 
     def _store(self, tmp_path, children=3):
@@ -201,16 +206,34 @@ class TestDeweyRenumberOverflow:
         assert fsck(str(tmp_path / "x.db")).ok
 
     def test_overflow_inside_inserted_subtree_rolls_back(self, tmp_path, monkeypatch):
+        """The builder labels an inserted subtree with ``dewey.child``;
+        patched to refuse ordinals over 3 as the real one refuses
+        ordinals over 2**24-1, it fails the batch's second op after the
+        first has been staged."""
+        from repro.shape import dataguide
+
+        child = dataguide.child
+
+        def refusing(label, ordinal):
+            if ordinal > 3:
+                parts = labels.unpack(label).parts if label else ()
+                raise StorageError(
+                    f"Dewey component in {parts + (ordinal,)} exceeds storage limit 3"
+                )
+            return child(label, ordinal)
+
         db = self._store(tmp_path, children=1)
         try:
             before = snapshot(db, "doc")
-            monkeypatch.setattr(labels, "COMPONENT_MAX", 3)
+            monkeypatch.setattr(dataguide, "child", refusing)
             wide = element("w")
             for i in range(5):  # five children > the patched limit
                 wide.append(element("k", text=str(i)))
-            with pytest_raises_storage("exceeds the storage limit"):
-                db.apply_batch("doc", [InsertSubtree("1", wide)])
+            batch = [InsertSubtree("1", "<c>staged</c>"), InsertSubtree("1", wide)]
+            with pytest_raises_storage(r"\(1, 3, 4\) exceeds storage limit 3"):
+                db.apply_batch("doc", batch)
             assert snapshot(db, "doc") == before
+            assert db.stats.counters["storage.rollbacks"] == 1
             # The handle survived the rollback and still accepts edits.
             result = db.apply_batch("doc", [InsertSubtree("1", "<c>ok</c>")])
             assert result.nodes_added == 1

@@ -81,12 +81,14 @@ def test_a_middle_sibling_insert_builds_deweys_per_op_not_per_shifted_node(db, m
     batch = [InsertSubtree("1", thesis, position=5), InsertSubtree((1,), thesis, position=9)]
     unpacks = count_calls(monkeypatch, dewey, "unpack") + count_calls(monkeypatch, tables, "unpack")
     deweys = count_calls(monkeypatch, Dewey, "__init__")
+    nodes = count_calls(monkeypatch, XmlNode, "__init__")
     result = db.apply_batch("dblp", batch)
     assert result.nodes_renumbered >= 200
     assert unpacks == []
-    # A reference resolves through one Dewey; parsing a subtree's text
-    # numbers its root with another.
-    assert len(deweys) == 2 * len(batch)
+    # A reference resolves through one Dewey; a subtree's text goes from
+    # the tokenizer into the builder, which builds no node and no Dewey.
+    assert len(deweys) == len(batch)
+    assert nodes == []
 
 
 def test_an_update_frees_the_index_it_retires_without_the_collector(db):
