@@ -72,11 +72,24 @@ def shape_fingerprint(descriptor: dict) -> str:
     computed at shred time.  Dict keys are type-tagged before hashing
     (see :func:`_canonical`): descriptors differing only in ``1`` vs
     ``"1"`` keys must not share plans.
+
+    A shredder's descriptor needs no tag, and its JSON is then already
+    canonical: when the JSON reads back equal to the descriptor (so
+    every key was a string) and holds no ``\\u0000`` (so no key starts
+    with the sentinel), it is hashed as is, without rebuilding the
+    descriptor through :func:`_canonical`.
     """
-    canonical = json.dumps(
-        _canonical(descriptor), sort_keys=True, separators=(",", ":")
-    )
+    try:
+        canonical = _dumps(descriptor)
+    except TypeError:  # keys of mixed types do not sort
+        canonical = None
+    if canonical is None or "\\u0000" in canonical or json.loads(canonical) != descriptor:
+        canonical = _dumps(_canonical(descriptor))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True, slots=True)

@@ -51,14 +51,14 @@ from repro.shape.shape import Shape, SourceShape
 from repro.shape.types import DataType, ShapeType, TypeTable
 from repro.xmltree.dewey import lca_level, prefix, prefixes, unpack
 from repro.xmltree.node import NodeKind, XmlForest, XmlNode
-from repro.xmltree.serializer import escape_texts, json_texts
+from repro.xmltree.serializer import escape_texts, json_text, json_texts
 
 
 class TypeSequence:
     """One data type's nodes in document order, as parallel columns.
 
     ``labels[i]`` is node ``i``'s packed Dewey label, ``values[i]`` its
-    text and ``attributes[i]`` non-zero iff it is an attribute; the
+    text and ``attributes[i]`` 1 if it is an attribute, else 0; the
     position ``i`` is what joins, pair maps and generated renderers pass
     around.  The columns are immutable once built, and two loads of one
     type yield the same positions.
@@ -67,8 +67,10 @@ class TypeSequence:
     on first use and then kept, so a render writes a node's text as is
     however many parents it is copied under.  :attr:`json` is that
     column escaped once more, as the body of a JSON string, for the
-    served answer.  Both live and die with the sequence: a dropped or
-    updated index's successor escapes its own.
+    served answer.  :meth:`leaves` is a column of whole leaf elements
+    per ``(flavour, output name)``: the text sink copies a leaf child
+    with one read and one write.  All of them live and die with the
+    sequence: a dropped or updated index's successor builds its own.
 
     Indexing or iterating the sequence hands out the nodes as
     ``XmlNode`` s (:attr:`nodes`): an in-memory index's are the forest's
@@ -84,8 +86,8 @@ class TypeSequence:
     """
 
     __slots__ = (
-        "data_type", "labels", "values", "attributes", "_escaped", "_json", "_nodes",
-        "_index", "_document",
+        "data_type", "labels", "values", "attributes", "_escaped", "_json", "_leaves",
+        "_nodes", "_index", "_document",
     )
 
     def __init__(
@@ -103,6 +105,8 @@ class TypeSequence:
         self.attributes = attributes
         self._escaped: Optional[list[str]] = None
         self._json: Optional[list[str]] = None
+        #: (flavour, output name) -> :meth:`leaves` column.
+        self._leaves: dict[tuple[str, str], list[str]] = {}
         self._nodes = nodes
         self._index = index if index is None else weakref.proxy(index)
         #: The stored document's name, for when the index is gone.
@@ -143,6 +147,40 @@ class TypeSequence:
         if column is None:
             column = self._json = json_texts(self.escaped)
         return column
+
+    def leaves(self, flavour: str, name: str) -> list[str]:
+        """Each node as a whole leaf element named ``name``, in ``flavour``.
+
+        ``flavour`` is ``"escaped"`` (XML) or ``"json"`` (a JSON string
+        body); entry ``i`` is ``<name>text</name>``, or ``<name/>`` for an
+        empty text, made of that column's text and the tags in that
+        flavour, so nothing is escaped here but the tags' JSON form.  An
+        attribute's entry is ``""``: it goes into its parent's start
+        tag, never into the parent's content.  Built once per ``(flavour,
+        name)``, then shared, lock-free like :attr:`escaped`; an empty
+        sequence (a render's stand-in for an edge it never reached)
+        memoizes nothing.
+        """
+        key = (flavour, name)
+        column = self._leaves.get(key)
+        if column is None:
+            tags = f"<{name}>", f"</{name}>", f"<{name}/>"
+            if flavour == "json":
+                tags = tuple(map(json_text, tags))
+            start, end, empty = tags
+            column = [
+                "" if attribute else start + text + end if text else empty
+                for text, attribute in zip(getattr(self, flavour), self.attributes)
+            ]
+            if column:
+                self._leaves[key] = column
+        return column
+
+    @property
+    def holds_attributes(self) -> bool:
+        """Whether any node of the sequence is an attribute (one
+        ``memchr`` over the flag column)."""
+        return 1 in self.attributes
 
     def __len__(self) -> int:
         return len(self.labels)

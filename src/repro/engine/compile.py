@@ -38,15 +38,21 @@ the per-node snippet chosen by **sink**:
   node is ever allocated, and a node's text is read pre-escaped from
   its sequence's ``escaped`` column, escaped once per load however
   many parents the node is copied under (an attribute value only has
-  its ``"`` quoted on the way into a start tag).  Whether a copied
-  node is an attribute or an element is decided per source node, and
-  whether a start tag self-closes is decided from its partner lists
-  before the tag is closed, so the text is byte-identical to
-  ``serialize()`` of the tree (compact form).  Its **JSON flavour**
+  its ``"`` quoted on the way into a start tag).  A copied leaf child
+  is one read and one write: its sequence's ``leaves`` column holds
+  each node as a whole element, built once per load and output name
+  (``""`` for an attribute, which the start tag already holds).
+  Whether a copied node is an attribute or an element is decided per
+  source node — only for a child type that holds an attribute at all;
+  any other sets "an element child follows" at once — and whether a
+  start tag self-closes is decided from its partner lists before the
+  tag is closed, so the text is byte-identical to ``serialize()`` of
+  the tree (compact form).  Its **JSON flavour**
   (:meth:`CompiledRender.json`) is the same code run in a second
   namespace: constants JSON-escaped at plan time and each sequence's
-  ``json`` column, so it writes ``json.dumps()`` of that text, less the
-  quotes, without scanning the text again — the body of a served answer.
+  ``json`` and JSON ``leaves`` columns, so it writes ``json.dumps()``
+  of that text, less the quotes, without scanning the text again — the
+  body of a served answer.
 
 In both sinks a source node is its **position** in its type's
 :class:`~repro.closeness.index.TypeSequence`: candidates are position
@@ -83,7 +89,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Optional, TextIO
 
 from repro.closeness.index import TypeSequence
@@ -520,11 +525,16 @@ class _Codegen:
     Dewey parts (level 0 is the forest: no node, the root list, the
     empty prefix).  A backed edge reads its source nodes through its
     sequence's columns — ``_x{slot}`` escaped values (the column
-    ``_column`` picks) and ``_a{slot}`` attribute flags in the text
-    sink, ``_N{slot}`` node objects in the tree sink.  Every string the
-    text sink writes is a bound constant or one of ``>`` and ``/>``,
-    which read the same in XML and in a JSON string body, so the one
-    text source serves both of :meth:`namespaces`' flavours.
+    ``_flavour`` names: ``escaped`` or ``json``) and ``_a{slot}``
+    attribute flags in the text sink, ``_N{slot}`` node objects in the
+    tree sink.  Below a root the text sink also binds ``_A{slot}``,
+    whether the sequence holds an attribute, and for a leaf
+    ``_L{slot}``, the ``__getitem__`` of its ``leaves`` column in that
+    flavour.  Every string the
+    text sink writes is a bound constant, a column entry or one of
+    ``>`` and ``/>``, which read the same in XML and in a JSON string
+    body, so the one text source serves both of :meth:`namespaces`'
+    flavours.
     ``r{slot}`` counts an edge's instances; the function returns them
     all.
     """
@@ -535,9 +545,7 @@ class _Codegen:
         self.text = text
         self.env: dict[str, object] = {"_none": (None,), "_empty": ()}
         if text:
-            self.env.update(
-                _discard=_discard, _quote=escape_quotes, _column=attrgetter("escaped")
-            )
+            self.env.update(_discard=_discard, _quote=escape_quotes, _flavour="escaped")
         else:
             self.env.update(
                 _X=XmlNode,
@@ -570,11 +578,11 @@ class _Codegen:
 
         The text source gets a second, ``json``: the same names bound to
         the JSON string body of each constant, the sequences' ``json``
-        column and :func:`json_quotes`.
+        and JSON ``leaves`` columns and :func:`json_quotes`.
         """
         if not self.text:
             return {"tree": self.env}
-        flavour = dict(self.env, _quote=json_quotes, _column=attrgetter("json"))
+        flavour = dict(self.env, _quote=json_quotes, _flavour="json")
         for value, name in self._const_names.items():
             flavour[name] = json_text(value)
         return {"text": self.env, "json": flavour}
@@ -599,9 +607,14 @@ class _Codegen:
             elif edge.fetches:
                 prelude.append(f"    _c{slot} = _C[{slot}]")
             if edge.backed and self.text:
-                prelude.append(
-                    f"    _x{slot} = _column(_S[{slot}]); _a{slot} = _S[{slot}].attributes"
-                )
+                sequence = f"_S[{slot}]"
+                line = f"    _x{slot} = getattr({sequence}, _flavour); _a{slot} = {sequence}.attributes"
+                if edge.parent is not None:
+                    line += f"; _A{slot} = {sequence}.holds_attributes"
+                    if not edge.children:
+                        name = repr(edge.vertex.out_name)
+                        line += f"; _L{slot} = {sequence}.leaves(_flavour, {name}).__getitem__"
+                prelude.append(line)
             elif edge.backed:
                 prelude.append(f"    _N{slot} = _S[{slot}].nodes")
         # Every constant is bound as a default argument: LOAD_FAST
@@ -700,6 +713,9 @@ class _Codegen:
         name = edge.vertex.out_name
         if not edge.children:
             if edge.backed:
+                # Only a root gets here (a backed leaf child is one
+                # write of its leaf column), and a root is an element
+                # even when it copies an attribute.
                 self.emit(indent, f"_s = _x{edge.slot}[_n{d}]")
                 self.emit(
                     indent,
@@ -721,15 +737,19 @@ class _Codegen:
             self.emit(indent, f"if _m{slot}:")
             self.emit(indent + 1, f"r{slot} += len(_m{slot})")
             if child.backed:
+                # Only a type that holds an attribute looks at its
+                # partners one by one.
                 attribute = self.const(f' {child.vertex.out_name}="')
                 close = self.const('"')
-                self.emit(indent + 1, f"for _x in _m{slot}:")
+                self.emit(indent + 1, f"if _A{slot}:")
+                self.emit(indent + 2, f"for _x in _m{slot}:")
                 self.emit(
-                    indent + 2,
+                    indent + 3,
                     f"if _a{slot}[_x]: _w({attribute}); "
                     f"_w(_quote(_x{slot}[_x])); _w({close})",
                 )
-                self.emit(indent + 2, "else: _e = True")
+                self.emit(indent + 3, "else: _e = True")
+                self.emit(indent + 1, "else: _e = True")
             else:
                 self.emit(indent + 1, "_e = True")
         # ``_z{d}`` is how the element ends.  The second pass runs even
@@ -749,9 +769,9 @@ class _Codegen:
                 self.emit(indent, loop)
                 self._instance(child, below, indent + 1)
             elif not child.children:
-                self.emit(indent, loop)
-                self.emit(indent + 1, f"if not _a{child.slot}[_n{below}]:")
-                self._instance(child, below, indent + 2)
+                # One read of the leaf column (``""`` for an attribute,
+                # already in the start tag) and one write per partner.
+                self.emit(indent, f"for _x in _m{child.slot}: _w(_L{child.slot}(_x))")
             else:
                 # An attribute's own subtree is never serialized, but
                 # its instances count: walk it with the writer muted.

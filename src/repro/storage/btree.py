@@ -374,26 +374,29 @@ class BPlusTree:
     def _store_with_split(self, page_id: int, node: "_Node") -> list[tuple[bytes, int]]:
         """Write ``node``, splitting into as many pages as needed.
 
-        Each entry is encoded once; its size is the length of its bytes,
-        and the pages are written from the same bytes.  Returns the
-        separators/pages to insert into the parent (see
-        :func:`_partition` for where the cuts fall).
+        The cuts are placed from the entries' sizes, which their key and
+        value lengths give (:func:`_entry_sizes`), and each page encodes
+        only its own slice of the entries as it is written, so a merged
+        run is never held encoded whole.  Returns the separators/pages
+        to insert into the parent (see :func:`_partition` for where the
+        cuts fall).
         """
-        entries = _encode_entries(node)
-        sizes = [len(entry) for entry in entries]
+        sizes = _entry_sizes(node)
         if _HEADER.size + sum(sizes) <= PAGE_SIZE:
-            _store_page(self.pool, page_id, node.kind, node.link, entries)
+            _write_node(self.pool, page_id, node)
             return []
         cuts = _partition(node.kind, sizes)
         self.pool.stats.count("btree.splits")
         keys, values = node.keys, node.values
-        bounds = list(zip(cuts, cuts[1:] + [len(entries)]))
+        bounds = list(zip(cuts, cuts[1:] + [len(keys)]))
         promotions: list[tuple[bytes, int]] = []
         if node.kind == _LEAF:
             pages = [page_id] + [self.pool.allocate() for _ in cuts[1:]]
             links = pages[1:] + [node.next_leaf]
             for page, link, (start, stop) in zip(pages, links, bounds):
-                _store_page(self.pool, page, _LEAF, link, entries[start:stop])
+                _write_node(
+                    self.pool, page, _Node(_LEAF, link, keys[start:stop], values[start:stop])
+                )
                 if start:
                     promotions.append((keys[start], page))
         else:
@@ -401,12 +404,17 @@ class BPlusTree:
             # moves up as the separator and its child pointer becomes
             # that group's leftmost child.
             start, stop = bounds[0]
-            _store_page(self.pool, page_id, _INTERNAL, node.child0, entries[start:stop])
+            _write_node(
+                self.pool,
+                page_id,
+                _Node(_INTERNAL, node.child0, keys[start:stop], values[start:stop]),
+            )
             for start, stop in bounds[1:]:
                 right_page = self.pool.allocate()
-                _store_page(
-                    self.pool, right_page, _INTERNAL, values[start], entries[start + 1 : stop]
+                right = _Node(
+                    _INTERNAL, values[start], keys[start + 1 : stop], values[start + 1 : stop]
                 )
+                _write_node(self.pool, right_page, right)
                 promotions.append((keys[start], right_page))
         return promotions
 
@@ -543,6 +551,21 @@ def _encode_entries(node: _Node) -> list[bytes]:
         ]
     except IndexError:
         raise StorageError("an entry of a page or more does not fit a page") from None
+
+
+def _entry_sizes(node: _Node) -> list[int]:
+    """Each entry's length on its page, from its key and value lengths:
+    ``4 + key + value`` bytes in a leaf, ``6 + key`` in an internal node
+    (the format is in :func:`_encode_entries`).  An entry that does not
+    fit a page on its own raises :class:`~repro.errors.StorageError`,
+    so a split refuses it before any page is written."""
+    if node.kind == _LEAF:
+        sizes = [4 + len(key) + len(value) for key, value in zip(node.keys, node.values)]
+    else:
+        sizes = [6 + len(key) for key in node.keys]
+    if sizes and _HEADER.size + max(sizes) > PAGE_SIZE:
+        raise StorageError(f"a {max(sizes)}-byte entry does not fit a page")
+    return sizes
 
 
 def _write_node(pool: BufferPool, page_id: int, node: _Node) -> None:

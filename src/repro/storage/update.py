@@ -186,10 +186,19 @@ def check_one_root(roots: int) -> None:
         raise StorageError(f"a subtree must have exactly one root, got {roots}")
 
 
+def check_subtree_source(source: object) -> None:
+    """Refuse a subtree source that is neither an ``XmlNode`` nor XML text."""
+    if not isinstance(source, (XmlNode, str)):
+        raise StorageError(
+            f"a subtree must be an XmlNode or XML text, not {type(source).__name__}"
+        )
+
+
 def materialize_subtree(source: SubtreeSource) -> XmlNode:
     """The root of the subtree an op carries: the node itself, or the
     single root its text parses to.  Not a copy: :func:`reference_apply`
     copies what it grafts."""
+    check_subtree_source(source)
     if isinstance(source, XmlNode):
         return source
     forest = parse_forest(source)
@@ -451,6 +460,7 @@ class IncrementalUpdater:
         of ``parent`` (of type ``parent_type``): the builder labels,
         types and files its nodes, as it does a shredded document's.
         Nothing is staged yet."""
+        check_subtree_source(subtree)
         self.builder.place(parent, parent_type, position - 1)
         if isinstance(subtree, XmlNode):
             walk(XmlForest([subtree]), self.builder)

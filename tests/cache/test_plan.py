@@ -46,6 +46,49 @@ class TestShapeFingerprint:
         other = dict(self.DESCRIPTOR, counts={"0": 1, "1": 4})
         assert shape_fingerprint(other) != shape_fingerprint(self.DESCRIPTOR)
 
+    @pytest.mark.parametrize(
+        "descriptor, fingerprint",
+        [
+            (DESCRIPTOR, "2f5e81ab02a3de45"),
+            ({"counts": {1: 3}}, "aa272ef27c78e96f"),
+            ({"counts": {"1": 3}}, "de0a921dd124999f"),
+            ({"counts": {"\x00int\x001": 3}}, "d542a79ccdbeb64a"),
+            ({"\x00a": 1}, "9e5ab442835115b3"),
+            ({"a": 1}, "015abd7f5cc57a2d"),
+            ({"t": (1, 2)}, "ffe123b7f9907d93"),
+            ({"k": {True: 1}}, "0c20b8c2ad991884"),
+            ({"k": {"true": 1}}, "112f8f2c9df13d11"),
+        ],
+    )
+    def test_pinned(self, descriptor, fingerprint):
+        """The values every earlier fingerprint had: a plain descriptor
+        hashed without the rebuild, a tagged one through it."""
+        assert shape_fingerprint(descriptor) == fingerprint
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ({"counts": {1: 3}}, {"counts": {"1": 3}}),
+            ({"counts": {1: 3}}, {"counts": {"\x00int\x001": 3}}),
+            ({"\x00a": 1}, {"a": 1}),
+            ({"k": {True: 1}}, {"k": {"true": 1}}),
+            ({"k": {None: 1}}, {"k": {"null": 1}}),
+        ],
+    )
+    def test_tagged_keys_hash_apart(self, first, second):
+        assert shape_fingerprint(first) != shape_fingerprint(second)
+
+    def test_a_shredded_descriptor_is_not_rebuilt(self, tmp_path, monkeypatch):
+        from repro.cache import plan
+
+        calls = count_calls(monkeypatch, plan, "_canonical")
+        with Database(str(tmp_path / "fp.db"), durable=False) as db:
+            stored = db.store_document("dblp", generate_dblp(20))
+            assert shape_fingerprint(stored["shape"]) == stored["shape_fingerprint"]
+        assert calls == []
+        shape_fingerprint({"counts": {1: 3}})
+        assert calls
+
 
 def _plan(guard="G", fingerprint="f" * 16):
     return CompiledPlan(

@@ -163,6 +163,39 @@ class TestOversizedNodes:
         assert not pool.dirty
 
 
+class TestSplitsEncodePageByPage:
+    """A split cuts from the entries' lengths and encodes each page's
+    slice as that page is written: a merged run is never encoded whole."""
+
+    def test_no_encode_covers_more_than_a_page(self, tmp_path, monkeypatch):
+        encoded = []
+        encode = btree._encode_entries
+
+        def recording(node):
+            entries = encode(node)
+            encoded.append(btree._HEADER.size + sum(map(len, entries)))
+            return entries
+
+        monkeypatch.setattr(btree, "_encode_entries", recording)
+        with Database(str(tmp_path / "split.db"), durable=False) as db:
+            db.store_document("dblp", generate_dblp_xml(160))
+            assert db.stats.counter("btree.splits") > 0
+        assert len(encoded) > 10
+        assert max(encoded) <= PAGE_SIZE
+
+    @pytest.mark.parametrize("kind", [_LEAF, _INTERNAL])
+    def test_an_entry_too_large_for_a_page_is_refused_before_any_page(self, kind):
+        keys = [b"%04d" % number for number in range(600)] + [b"z" * (PAGE_SIZE - 8)]
+        values = [b"v" * 4] * len(keys) if kind == _LEAF else list(range(2, len(keys) + 2))
+        pool = OnePage()
+        pool.allocate = lambda: pytest.fail("a page was allocated")
+        tree = BPlusTree.__new__(BPlusTree)
+        tree.pool = pool
+        with pytest.raises(StorageError, match="does not fit a page"):
+            tree._store_with_split(1, _Node(kind, 1, keys, values))
+        assert pool.frame == EMPTY_PAGE and not pool.dirty
+
+
 class TestOverrunningPages:
     @pytest.mark.parametrize(
         "kind, entry",

@@ -417,6 +417,21 @@ class TestErrorsLeaveStoreUntouched:
                 assert snapshot(db, "doc") == before
 
     @pytest.mark.parametrize(
+        "source, kind", [(parse_forest("<z/>"), "XmlForest"), (b"<z/>", "bytes")]
+    )
+    def test_subtree_source_of_another_type_refused(self, db, source, kind):
+        """Neither a node nor text: a coded refusal naming the type, not
+        an ``AttributeError`` or ``TypeError`` from the tokenizer."""
+        before = snapshot(db, "doc")
+        message = f"an XmlNode or XML text, not {kind}"
+        for op in (InsertSubtree("1", source), ReplaceSubtree("1.2", source)):
+            with pytest.raises(StorageError, match=message):
+                db.apply_batch("doc", [op])
+            with pytest.raises(StorageError, match=message):
+                reference_apply(parse_forest(LIB), [op])
+            assert snapshot(db, "doc") == before
+
+    @pytest.mark.parametrize(
         "ref",
         [
             "1.x", "", "1.0", "1..2", "-1", (1, 0), (), (1, "b"), 7, 1.5,
