@@ -8,12 +8,12 @@ and repeated metadata access.
 
 import pytest
 
-from repro.bench import measured_transform
-from repro.bench.reporting import SeriesTable
 from repro.storage import Database
 from repro.workloads import generate_xmark
 
 from benchmarks.conftest import register_table
+from benchmarks.harness import measured_transform
+from benchmarks.reporting import SeriesTable
 
 POOL_SIZES = [16, 64, 256, 2048]
 

@@ -20,12 +20,12 @@ import io
 import pytest
 
 import repro
-from repro.bench.reporting import SeriesTable
-from repro.engine.view import shape_to_xquery
 from repro.workloads import generate_dblp
 from repro.xquery import QueryContext, evaluate
 
 from benchmarks.conftest import register_table
+from benchmarks.reporting import SeriesTable
+from benchmarks.xquery_view import shape_to_xquery
 
 GUARD = "CAST (MORPH author [ title [ year ] ])"
 

@@ -24,11 +24,11 @@ from dataclasses import dataclass
 import pytest
 
 from repro import obs
-from repro.bench import measured_compile, measured_dump, measured_transform
-from repro.bench.plots import AsciiChart
-from repro.bench.reporting import SeriesTable
 
 from benchmarks.conftest import XMARK_FACTORS, register_chart, register_table
+from benchmarks.harness import measured_compile, measured_dump, measured_transform
+from benchmarks.plots import AsciiChart
+from benchmarks.reporting import SeriesTable
 
 GUARD = "MUTATE site"
 

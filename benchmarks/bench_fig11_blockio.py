@@ -9,10 +9,9 @@ load during ``MUTATE site`` and report the same series.
 
 import pytest
 
-from repro.bench import measured_transform
-from repro.bench.reporting import SeriesTable
-
 from benchmarks.conftest import XMARK_FACTORS, register_table, sampling_loads
+from benchmarks.harness import measured_transform
+from benchmarks.reporting import SeriesTable
 
 GUARD = "MUTATE site"
 

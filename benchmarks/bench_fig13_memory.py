@@ -11,10 +11,9 @@ import tracemalloc
 
 import pytest
 
-from repro.bench import measured_transform
-from repro.bench.reporting import SeriesTable
-
 from benchmarks.conftest import XMARK_FACTORS, register_table
+from benchmarks.harness import measured_transform
+from benchmarks.reporting import SeriesTable
 
 GUARD = "MUTATE site"
 FACTORS = XMARK_FACTORS[:2]

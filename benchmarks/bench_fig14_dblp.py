@@ -15,10 +15,9 @@ the eXist query over its DOM; the crossover compares best-of-3 ratios.
 
 import pytest
 
-from repro.bench import measured_query, measured_transform
-from repro.bench.reporting import SeriesTable
-
 from benchmarks.conftest import DBLP_SLICES, register_table
+from benchmarks.harness import measured_query, measured_transform
+from benchmarks.reporting import SeriesTable
 
 TRANSFORMS = {
     "small": "CAST MORPH author",

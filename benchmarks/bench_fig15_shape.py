@@ -16,10 +16,9 @@ asserted, the between-dataset ordering is only reported
 
 import pytest
 
-from repro.bench import measured_transform
-from repro.bench.reporting import SeriesTable
-
 from benchmarks.conftest import register_table
+from benchmarks.harness import measured_transform
+from benchmarks.reporting import SeriesTable
 
 #: dataset -> shape kind -> guard.  Deep = one chain; bushy = flat fan.
 GUARDS = {

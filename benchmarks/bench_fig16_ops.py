@@ -11,10 +11,9 @@ clustering test compares best-of-3 times against the bare MORPH.
 
 import pytest
 
-from repro.bench import measured_transform
-from repro.bench.reporting import SeriesTable
-
 from benchmarks.conftest import register_table
+from benchmarks.harness import measured_transform
+from benchmarks.reporting import SeriesTable
 
 BASE = "MORPH person [ name emailaddress phone ]"
 

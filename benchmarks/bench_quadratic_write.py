@@ -11,10 +11,10 @@ sweeps k.
 import pytest
 
 import repro
-from repro.bench.reporting import SeriesTable
 from repro.xmltree import parse_document
 
 from benchmarks.conftest import register_table
+from benchmarks.reporting import SeriesTable
 
 _rows: dict[int, tuple[int, int]] = {}
 

@@ -7,11 +7,11 @@ roughly linearly with the benchmark factor.
 
 import pytest
 
-from repro.bench.reporting import SeriesTable
 from repro.storage import Database
 from repro.workloads import generate_xmark
 
 from benchmarks.conftest import XMARK_FACTORS, register_table
+from benchmarks.reporting import SeriesTable
 
 _times: dict[float, tuple[int, float]] = {}
 

@@ -9,12 +9,12 @@ with the tests' oracles: nothing in ``src/`` enumerates type pairs).
 """
 
 from repro import obs
-from repro.bench.reporting import SeriesTable
 from repro.shape import extract_shape
 from repro.workloads import generate_xmark
 from repro.xmltree import parse_document
 
 from benchmarks.conftest import register_table
+from benchmarks.reporting import SeriesTable
 from tests.typing import oracle
 from tests.typing.oracle import path_cardinality_table
 

@@ -23,12 +23,13 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.baseline import ExistStore
-from repro.bench.harness import session_tracer
-from repro.bench.reporting import SeriesTable, write_report
 from repro.obs import write_json_lines
 from repro.storage import Database, StoredDocumentIndex
 from repro.workloads import generate_dblp, generate_nasa, generate_xmark
+
+from benchmarks.existdb import ExistStore
+from benchmarks.harness import session_tracer
+from benchmarks.reporting import SeriesTable, write_report
 
 #: Paper factors 0.1–0.5 scaled by 1/50 to keep a pure-Python run short;
 #: document size remains linear in the factor, which is what Figure 10

@@ -3,9 +3,8 @@
 A curator receives an ADC-style astronomy catalog and wants to publish
 a flat per-dataset summary.  The tour: inspect the schema (DTD), see
 what a restructuring guard will change (shape diff), check its typing,
-export the guard as an XQuery view (architecture 2), stream the
-transformation without materializing it (architecture 1's mitigation),
-and quantify the actual information loss.
+stream the transformation without materializing it (architecture 1's
+mitigation), and quantify the actual information loss.
 
 Run:  python examples/astronomy_catalog.py
 """
@@ -14,7 +13,6 @@ import io
 
 import repro
 from repro.engine.compile import CompiledRender
-from repro.engine.view import shape_to_xquery
 from repro.shape.diff import diff_shapes
 from repro.shape.dtdgen import forest_to_dtd, shape_to_dtd
 from repro.typing.quantify import quantify_loss
@@ -43,10 +41,6 @@ def main() -> None:
 
     print("\n== the output schema the guard produces ==")
     print(shape_to_dtd(compiled.target_shape))
-
-    print("\n== the same guard as an XQuery view (architecture 2) ==")
-    view = shape_to_xquery(compiled.target_shape, interpreter.index.is_attribute.get)
-    print(view[:160] + " ...")
 
     print("\n== streaming render (architecture 1's mitigation) ==")
     sink = io.StringIO()

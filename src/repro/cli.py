@@ -287,13 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
     diff.add_argument("after")
     diff.set_defaults(handler=_cmd_diff)
 
-    view = commands.add_parser(
-        "view", help="render a guard as its equivalent XQuery view"
-    )
-    view.add_argument("document")
-    view.add_argument("guard")
-    view.set_defaults(handler=_cmd_view)
-
     explain = commands.add_parser("explain", help="explain a guard in English")
     explain.add_argument("guard")
     explain.set_defaults(handler=_cmd_explain)
@@ -713,16 +706,6 @@ def _cmd_diff(arguments) -> int:
     before = repro.extract_shape(repro.parse_forest(_read(arguments.before)))
     after = repro.extract_shape(repro.parse_forest(_read(arguments.after)))
     print(diff_shapes(before, after).pretty())
-    return 0
-
-
-def _cmd_view(arguments) -> int:
-    from repro.engine.view import shape_to_xquery
-
-    forest = repro.parse_forest(_read(arguments.document))
-    interpreter = repro.Interpreter(forest)
-    compiled = interpreter.compile(arguments.guard)
-    print(shape_to_xquery(compiled.target_shape, interpreter.index.is_attribute.get))
     return 0
 
 

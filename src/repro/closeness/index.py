@@ -597,21 +597,3 @@ def group_by_prefix(labels: list[bytes], width: int) -> dict[bytes, list[int]]:
                 group.append(position)
     return groups
 
-
-def closest_join(
-    parents: list[bytes], children: list[bytes], lca_level: int
-) -> Iterator[tuple[int, int]]:
-    """Pair up positions whose nodes' LCA sits exactly at ``lca_level``.
-
-    Both inputs are label columns in document order.  Output pairs
-    ``(parent position, child position)`` are grouped by parent, parents
-    in document order, children of each parent in document order; a node
-    is never paired with itself.  Cost is linear in the inputs plus the
-    output size.
-    """
-    width = lca_level + 1
-    child_groups = group_by_prefix(children, width)
-    for position, head in enumerate(prefixes(parents, width)):
-        for partner in child_groups.get(head, ()):  # doc order
-            if children[partner] != parents[position]:
-                yield position, partner

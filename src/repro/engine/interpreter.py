@@ -105,6 +105,8 @@ class TransformResult:
 
     def write(self, out: TextIO) -> StreamStats:
         """Write the compact XML into ``out`` through the text sink."""
+        if self.source is None:
+            raise ValueError("guard was checked, not rendered")
         with obs.span("pipeline.render") as render_span:
             stats = self.compiled_render.write(self.source, out)
         self._account(stats, render_span.duration)

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.baseline import ExistStore
 from repro.errors import DocumentNotFoundError
 from repro.workloads import generate_dblp
 from repro.xmltree import parse_document, parse_forest
 
+from benchmarks.existdb import ExistStore
 from tests.conftest import FIG1A
 
 

@@ -2,16 +2,16 @@
 
 import pytest
 
-from repro.baseline import ExistStore
-from repro.bench import (
+from repro.storage import Database
+
+from benchmarks.existdb import ExistStore
+from benchmarks.harness import (
     Measurement,
     measured_compile,
     measured_dump,
     measured_query,
     measured_transform,
 )
-from repro.storage import Database
-
 from tests.conftest import FIG1A
 
 
@@ -72,9 +72,9 @@ class TestMeasuredOperations:
 
 class TestSessionTrace:
     def test_measurements_recorded_as_phases(self, db):
-        from repro.bench.harness import session_tracer
         from repro.obs import to_json_lines
 
+        from benchmarks.harness import session_tracer
         from tests.obs.trace_reader import from_json_lines
 
         before = len(session_tracer().roots)

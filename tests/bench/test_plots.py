@@ -4,8 +4,8 @@ import os
 
 import pytest
 
-from repro.bench.plots import AsciiChart, sparkline
-from repro.bench.reporting import SeriesTable, format_seconds, write_report
+from benchmarks.plots import AsciiChart, sparkline
+from benchmarks.reporting import SeriesTable, format_seconds, write_report
 
 
 class TestSparkline:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.closeness import DocumentIndex
-from repro.closeness.index import closest_join, group_by_prefix
+from repro.closeness.index import group_by_prefix
 from repro.shape.cardinality import Card
 from repro.shape.shape import Shape
 from repro.shape.types import ShapeType
@@ -314,8 +314,9 @@ def check_random_restricts(index):
 
 
 class TestJoinPrimitives:
-    """``group_by_prefix`` / ``closest_join`` at arbitrary levels, nodes
-    shallower than the prefix width included."""
+    """``group_by_prefix`` at arbitrary levels, nodes shallower than the
+    prefix width included: two nodes share a group iff their LCA sits at
+    or below the level."""
 
     @settings(max_examples=40, deadline=None)
     @given(xml_forests(max_roots=2, max_depth=3, max_children=3))
@@ -329,12 +330,15 @@ class TestJoinPrimitives:
                 for w in nodes
                 if v is not w and v.dewey.common_prefix_length(w.dewey) > level
             ]
-            joined = [
-                (nodes[v].dewey, nodes[w].dewey)
-                for v, w in closest_join(labels, labels, level)
-            ]
-            assert joined == expected
             groups = group_by_prefix(labels, level + 1)
+            group_of = {p: head for head, group in groups.items() for p in group}
+            grouped = [
+                (nodes[v].dewey, nodes[w].dewey)
+                for v in range(len(nodes))
+                for w in range(len(nodes))
+                if v != w and v in group_of and group_of.get(w) == group_of[v]
+            ]
+            assert grouped == expected
             assert [position for group in groups.values() for position in group] == [
                 position for position, n in enumerate(nodes) if len(n.dewey) > level
             ]

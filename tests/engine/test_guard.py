@@ -1,5 +1,7 @@
 """Tests for guarded queries — the paper's Section I scenario end-to-end."""
 
+import io
+
 import pytest
 
 import repro
@@ -122,8 +124,17 @@ class TestStoredIndexSource:
 class TestTransformResultApi:
     def test_compile_only_has_no_forest(self, fig1a):
         result = repro.Interpreter(fig1a).compile("MORPH author [ name ]")
-        with pytest.raises(ValueError):
-            result.forest
+        sink = io.StringIO()
+        for read in (
+            lambda: result.forest,
+            result.xml,
+            lambda: result.xml(indent=2),
+            result.xml_json,
+            lambda: result.write(sink),
+        ):
+            with pytest.raises(ValueError, match="guard was checked, not rendered"):
+                read()
+        assert sink.getvalue() == "" and result.render_counts is None
 
     def test_timings_recorded(self, fig1a):
         result = repro.transform(fig1a, "MORPH author [ name ]")

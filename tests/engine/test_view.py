@@ -7,10 +7,11 @@ the same data as physically rendering the guard (architecture 1).
 import pytest
 
 import repro
-from repro.engine.view import ViewGenerationError, shape_to_xquery
 from repro.workloads import generate_dblp
 from repro.xmltree import XmlForest
 from repro.xquery import QueryContext, evaluate
+
+from benchmarks.xquery_view import ViewGenerationError, shape_to_xquery
 
 
 def view_of(forest, guard):

@@ -14,7 +14,6 @@ import pytest
 
 from repro.closeness import DocumentIndex
 from repro.closeness import index as index_module
-from repro.closeness.index import closest_join
 from repro.workloads import generate_dblp
 
 import repro
@@ -26,11 +25,9 @@ def _counted_join(publications):
     index = DocumentIndex(generate_dblp(publications))
     author = next(t for t in index.types() if t.dotted == "dblp.article.author")
     title = next(t for t in index.types() if t.dotted == "dblp.article.title")
-    level = index.closest_lca_level(author, title)
-    authors, titles = index.nodes_of(author).labels, index.nodes_of(title).labels
-    pairs = list(closest_join(authors, titles, level))
-    inputs = len(authors) + len(titles)
-    return inputs, len(pairs)
+    pairs = sum(len(xs) for xs in index.closest_pair_map(author, title) if xs)
+    inputs = len(index.nodes_of(author)) + len(index.nodes_of(title))
+    return inputs, pairs
 
 
 class TestLinearReads:

@@ -5,12 +5,12 @@ import io
 import pytest
 
 import repro
-from repro.baseline import ExistStore
 from repro.engine.inference import infer_guard
 from repro.storage import Database
 from repro.workloads import generate_dblp, generate_nasa, generate_xmark
 from repro.xmltree import parse_forest
 
+from benchmarks.existdb import ExistStore
 from tests.engine.test_parity import assert_shape_parity
 
 

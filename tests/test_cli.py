@@ -463,11 +463,6 @@ class TestToolingCommands:
         assert main(["diff", doc, str(other)]) == 0
         assert "moved: publisher" in capsys.readouterr().out
 
-    def test_view(self, doc, capsys):
-        assert main(["view", doc, "MORPH author [ name ]"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("for $v1 in /data/book/author")
-
     def test_explain(self, capsys):
         assert main(["explain", "MORPH author [ name ]"]) == 0
         out = capsys.readouterr().out
@@ -520,6 +515,7 @@ class TestServeCommands:
             ["transform", "books.xml", "MORPH author", "--profile-json", "-"],
             ["transform", "--db", "x.db", "books", "MORPH author", "--stats"],
             ["metrics", "--port", "9900", "--db", "x.db"],
+            ["view", "books.xml", "MORPH author"],
         ],
         ids=[
             "serve --mode",
@@ -530,6 +526,7 @@ class TestServeCommands:
             "transform --profile-json",
             "transform --stats",
             "metrics --db",
+            "view",
         ],
     )
     def test_removed_serve_surface_is_a_usage_error(self, argv, capsys):

@@ -60,7 +60,6 @@ class TestExamples:
         assert "<!ELEMENT datasets (dataset+)>" in out
         assert "guard type: strongly-typed" in out
         assert "streamed" in out
-        assert "for $v1 in /datasets/dataset" in out
         assert "loses 0.0%" in out
 
 
