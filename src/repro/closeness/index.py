@@ -86,8 +86,8 @@ class TypeSequence:
     """
 
     __slots__ = (
-        "data_type", "labels", "values", "attributes", "_escaped", "_json", "_leaves",
-        "_nodes", "_index", "_document",
+        "data_type", "labels", "values", "attributes", "holds_attributes", "_escaped",
+        "_json", "_leaves", "_nodes", "_index", "_document",
     )
 
     def __init__(
@@ -103,6 +103,8 @@ class TypeSequence:
         self.labels = labels
         self.values = values
         self.attributes = attributes
+        #: Whether any node is an attribute: one ``memchr`` per load.
+        self.holds_attributes = 1 in attributes
         self._escaped: Optional[list[str]] = None
         self._json: Optional[list[str]] = None
         #: (flavour, output name) -> :meth:`leaves` column.
@@ -175,12 +177,6 @@ class TypeSequence:
             if column:
                 self._leaves[key] = column
         return column
-
-    @property
-    def holds_attributes(self) -> bool:
-        """Whether any node of the sequence is an attribute (one
-        ``memchr`` over the flag column)."""
-        return 1 in self.attributes
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -43,16 +43,20 @@ the per-node snippet chosen by **sink**:
   each node as a whole element, built once per load and output name
   (``""`` for an attribute, which the start tag already holds).
   Whether a copied node is an attribute or an element is decided per
-  source node — only for a child type that holds an attribute at all;
-  any other sets "an element child follows" at once — and whether a
-  start tag self-closes is decided from its partner lists before the
-  tag is closed, so the text is byte-identical to ``serialize()`` of
-  the tree (compact form).  Its **JSON flavour**
-  (:meth:`CompiledRender.json`) is the same code run in a second
-  namespace: constants JSON-escaped at plan time and each sequence's
-  ``json`` and JSON ``leaves`` columns, so it writes ``json.dumps()``
-  of that text, less the quotes, without scanning the text again — the
-  body of a served answer.
+  source node only for a child type whose sequence holds an attribute
+  at all: the text sink is generated per *attribute signature*, the
+  set of such child edges in one render.  An element with no such
+  child is written ``<name>``, text, children, ``</name>`` once any of
+  its partner lists or its text is non-empty, else ``<name/>``; one
+  with such a child keeps a start-tag pass over the partner lists
+  (attributes into the tag, "an element child follows") and mutes the
+  writer inside an attribute's subtree.  Either way the text is
+  byte-identical to ``serialize()`` of the tree (compact form).  Its
+  **JSON flavour** (:meth:`CompiledRender.json`) is the same code run
+  in a second namespace: constants JSON-escaped at plan time and each
+  sequence's ``json`` and JSON ``leaves`` columns, so it writes
+  ``json.dumps()`` of that text, less the quotes, without scanning the
+  text again — the body of a served answer.
 
 In both sinks a source node is its **position** in its type's
 :class:`~repro.closeness.index.TypeSequence`: candidates are position
@@ -64,8 +68,10 @@ its node objects, because provenance hands them to the caller.
 ``Interpreter.compile`` builds the one :class:`CompiledRender` of a
 plan, and every render — in memory or from a store — runs it.  A
 sink's function is generated, ``exec``'d and kept the first time that
-sink is asked for; a stored document's artifact lives on the
-:class:`~repro.cache.CompiledPlan`, so eviction drops it with the
+sink is asked for (the text sink's per signature: a plan serving
+documents of one shape but other attribute flags keeps one function
+per signature it has rendered); a stored document's artifact lives on
+the :class:`~repro.cache.CompiledPlan`, so eviction drops it with the
 plan.  The generated code holds only the loops.  Fetching
 the candidate sequences and partner maps before them, and the counters
 (``nodes_read``, ``joins``, ``rows_by_type``) and traced ``render.join``
@@ -78,11 +84,14 @@ value-equal across index epochs, type sequences are fetched through
 ``index.nodes_of`` at render time (so lazy loading and block-I/O
 counting keep working; positions are the same in every load of a
 type), and per-type counts are covered by the shape fingerprint that
-keys the cache.  Both sinks are byte-identical to the interpretive
-oracle ``tests/engine/oracle.py::reference_render``, the tree sink down
-to counters, provenance and trace (the parity and Hypothesis suites in
-``tests/engine`` pin this down).  A codegen failure is a bug and
-propagates like any engine error.
+keys the cache.  Whether a child type holds an attribute is not (an
+attribute and an element of one name share a type), so it is read per
+render (``TypeSequence.holds_attributes``, kept per load) and picks the
+function specialized for it.  Both sinks are byte-identical to the
+interpretive oracle ``tests/engine/oracle.py::reference_render``, the
+tree sink down to counters, provenance and trace (the parity and
+Hypothesis suites in ``tests/engine`` pin this down).  A codegen
+failure is a bug and propagates like any engine error.
 """
 
 from __future__ import annotations
@@ -171,6 +180,13 @@ class _Edge:
     @property
     def fetches(self) -> bool:
         return self.source is not None and self.kind != "leading"
+
+    @property
+    def flag(self) -> int:
+        """This edge's bit of a render's attribute signature: set when
+        the sequence of a backed child holds an attribute (a root is an
+        element whatever it copies)."""
+        return 1 << self.slot if self.backed and self.parent is not None else 0
 
 
 class _Planner:
@@ -314,7 +330,8 @@ class CompiledRender:
     body of a JSON string.
     ``edge_plans`` is the per-edge join plan for ``EXPLAIN ANALYZE``,
     ``sources`` the generated Python per source (``tree``, ``text``;
-    the JSON flavour runs ``text``), for debugging and the test suite.
+    the JSON flavour runs ``text``), the last one generated, for
+    debugging and the test suite.
     """
 
     def __init__(self, shape: Shape, index: "BaseIndex"):
@@ -328,7 +345,8 @@ class CompiledRender:
             if edge.fetches and edge.holder.restrict_filter is not None
         )
         self.sources: dict[str, str] = {}
-        self._functions: dict[str, Callable] = {}
+        #: ``(sink, attribute signature)`` -> generated function.
+        self._functions: dict[tuple[str, int], Callable] = {}
         self._codegen_lock = threading.Lock()
 
     def describe(self) -> str:
@@ -342,7 +360,7 @@ class CompiledRender:
 
     def run(self, index: "BaseIndex") -> RenderResult:
         """Render into the tree sink."""
-        sequences, found, probes = self._prepare(index)
+        sequences, found, probes, _signature = self._prepare(index)
         result = RenderResult(XmlForest())
         rows = self._function("tree")(
             sequences, found, probes, result.forest.roots, result.provenance
@@ -379,48 +397,55 @@ class CompiledRender:
         return "".join(chunks), stats
 
     def _emit(self, index: "BaseIndex", out: Callable[[str], object], sink: str) -> StreamStats:
-        sequences, found, probes = self._prepare(index)
-        rows, characters = self._function(sink)(sequences, found, probes, out)
+        sequences, found, probes, signature = self._prepare(index)
+        rows, characters = self._function(sink, signature)(sequences, found, probes, out)
         written, read, joins = self._account(rows, sequences, found, probes)
         return StreamStats(written, characters, joins, read)
 
-    def _function(self, sink: str) -> Callable:
-        """The generated function of ``sink``, generated on first use.
+    def _function(self, sink: str, signature: int = 0) -> Callable:
+        """The function of ``sink`` for ``signature``, generated on first use.
 
+        ``signature`` (text sinks only) has bit ``slot`` set when that
+        edge's fetched sequence holds an attribute; the code of a render
+        with another signature is generated when one first comes.
         ``text`` and ``json`` share one source, compiled once and
         ``exec``'d in a namespace per sink, both at once: CPython's
         ``compile()`` is nearly all of codegen's cost, the second
         ``exec`` ~12 µs.
         """
         with self._codegen_lock:
-            function = self._functions.get(sink)
+            function = self._functions.get((sink, signature))
             if function is None:
                 source = "tree" if sink == "tree" else "text"
                 with obs.span("engine.compile_render", sink=source):
-                    generator = _Codegen(self._edges, source == "text")
+                    generator = _Codegen(self._edges, source == "text", signature)
                     text = self.sources[source] = generator.generate()
                     code = compile(text, f"<xmorph-render-{source}>", "exec")
                     for name, namespace in generator.namespaces().items():
                         exec(code, namespace)  # noqa: S102 - our own plan-time source
-                        self._functions[name] = namespace["_render"]
-                function = self._functions[sink]
+                        self._functions[name, signature] = namespace["_render"]
+                function = self._functions[sink, signature]
         return function
 
     def _prepare(self, index: "BaseIndex"):
-        """Per edge slot: type sequence, candidate positions, partner lookup.
+        """Per edge slot: type sequence, candidate positions, partner
+        lookup; and the render's attribute signature.
 
         An edge under one whose candidates came back empty can have no
         instances, so its sequence is not fetched (or counted) at all.
         Nothing here walks a sequence: candidates are a ``range`` or the
         index's memoized RESTRICT survivors, a lookup is the memoized
         pair map's ``__getitem__`` (narrowed only when the joined type
-        is RESTRICTed).
+        is RESTRICTed).  The signature sets the bit of each backed child
+        edge whose sequence holds an attribute (a value the sequence
+        keeps per load).
         """
         size = len(self._edges)
         sequences: list = [_NO_SEQUENCE] * size
         found: list = [()] * size
         probes: list = [_NO_PARTNERS] * size
         live = [False] * size
+        signature = 0
         for edge in self._edges:
             slot = edge.slot
             if edge.parent is not None and not live[edge.parent.slot]:
@@ -429,9 +454,13 @@ class CompiledRender:
                 live[slot] = True
                 if edge.kind == "leading":
                     # Its wrapper was made from these very nodes.
-                    sequences[slot] = sequences[edge.parent.slot]
+                    sequence = sequences[slot] = sequences[edge.parent.slot]
+                    if sequence.holds_attributes:
+                        signature |= edge.flag
                 continue
             sequence = sequences[slot] = index.nodes_of(edge.source)
+            if sequence.holds_attributes:
+                signature |= edge.flag
             restriction = edge.holder.restrict_filter
             if restriction is not None:
                 positions = index.restrict_pass(edge.source, restriction)
@@ -451,7 +480,7 @@ class CompiledRender:
                         for partners in pairs
                     ]
                 probes[slot] = pairs.__getitem__
-        return sequences, found, probes
+        return sequences, found, probes, signature
 
     def _account(self, rows, sequences, found, probes) -> tuple[int, int, int]:
         """``(nodes_written, nodes_read, joins)`` of one render, counted.
@@ -527,10 +556,10 @@ class _Codegen:
     sequence's columns — ``_x{slot}`` escaped values (the column
     ``_flavour`` names: ``escaped`` or ``json``) and ``_a{slot}``
     attribute flags in the text sink, ``_N{slot}`` node objects in the
-    tree sink.  Below a root the text sink also binds ``_A{slot}``,
-    whether the sequence holds an attribute, and for a leaf
-    ``_L{slot}``, the ``__getitem__`` of its ``leaves`` column in that
-    flavour.  Every string the
+    tree sink; ``_a{slot}`` is bound only for a child type the
+    ``signature`` flags (its sequence holds an attribute), and a leaf
+    child reads ``_L{slot}``, the ``__getitem__`` of its ``leaves``
+    column in that flavour, instead of ``_x{slot}``.  Every string the
     text sink writes is a bound constant, a column entry or one of
     ``>`` and ``/>``, which read the same in XML and in a JSON string
     body, so the one text source serves both of :meth:`namespaces`'
@@ -539,13 +568,15 @@ class _Codegen:
     all.
     """
 
-    def __init__(self, edges: list[_Edge], text: bool):
+    def __init__(self, edges: list[_Edge], text: bool, signature: int = 0):
         self.edges = edges
         self.roots = [edge for edge in edges if edge.parent is None]
         self.text = text
+        self.signature = signature
         self.env: dict[str, object] = {"_none": (None,), "_empty": ()}
         if text:
-            self.env.update(_discard=_discard, _quote=escape_quotes, _flavour="escaped")
+            # ``_quote`` and ``_discard`` join once a flagged type needs them.
+            self.env.update(_flavour="escaped")
         else:
             self.env.update(
                 _X=XmlNode,
@@ -582,7 +613,9 @@ class _Codegen:
         """
         if not self.text:
             return {"tree": self.env}
-        flavour = dict(self.env, _quote=json_quotes, _flavour="json")
+        flavour = dict(self.env, _flavour="json")
+        if "_quote" in flavour:
+            flavour["_quote"] = json_quotes
         for value, name in self._const_names.items():
             flavour[name] = json_text(value)
         return {"text": self.env, "json": flavour}
@@ -608,13 +641,15 @@ class _Codegen:
                 prelude.append(f"    _c{slot} = _C[{slot}]")
             if edge.backed and self.text:
                 sequence = f"_S[{slot}]"
-                line = f"    _x{slot} = getattr({sequence}, _flavour); _a{slot} = {sequence}.attributes"
-                if edge.parent is not None:
-                    line += f"; _A{slot} = {sequence}.holds_attributes"
-                    if not edge.children:
-                        name = repr(edge.vertex.out_name)
-                        line += f"; _L{slot} = {sequence}.leaves(_flavour, {name}).__getitem__"
-                prelude.append(line)
+                bound = []
+                if edge.children or edge.parent is None or self.flagged(edge):
+                    bound.append(f"_x{slot} = getattr({sequence}, _flavour)")
+                if self.flagged(edge):
+                    bound.append(f"_a{slot} = {sequence}.attributes")
+                if not edge.children and edge.parent is not None:
+                    name = repr(edge.vertex.out_name)
+                    bound.append(f"_L{slot} = {sequence}.leaves(_flavour, {name}).__getitem__")
+                prelude.append(f"    {'; '.join(bound)}")
             elif edge.backed:
                 prelude.append(f"    _N{slot} = _S[{slot}].nodes")
         # Every constant is bound as a default argument: LOAD_FAST
@@ -707,6 +742,11 @@ class _Codegen:
         self.emit(2, f"if len(_b) >= {_FLUSH_CHUNKS}:")
         self.emit(3, "_s = ''.join(_b); _out(_s); _nc += len(_s); del _b[:]")
 
+    def flagged(self, edge: _Edge) -> bool:
+        """Whether ``edge`` copies nodes that may be attributes: the
+        signature's bit of a backed child."""
+        return bool(self.signature & edge.flag)
+
     def _text_body(self, edge: _Edge, d: int, indent: int) -> None:
         """``_n{d}`` written as an element: start tag, attributes, value,
         element children, end tag — the order ``serialize()`` uses."""
@@ -726,9 +766,31 @@ class _Codegen:
             else:
                 self.emit(indent, f"_w({self.const(f'<{name}/>')})")
             return
+        if any(self.flagged(child) for child in edge.children):
+            self._text_start_tag(edge, d, indent)
+            return
+        # No child can be an attribute: the element is empty iff every
+        # partner list and its text are.
+        if edge.backed:
+            self.emit(indent, f"_s = _x{edge.slot}[_n{d}]")
+        for child in edge.children:
+            slot = child.slot
+            self.assigned.add(slot)
+            self.emit(indent, f"_m{slot} = {self._sequence(child, d)}; r{slot} += len(_m{slot})")
+        tests = [f"_m{child.slot}" for child in edge.children] + ["_s"] * edge.backed
+        self.emit(indent, f"if {' or '.join(tests)}:")
+        text = "; _w(_s)" if edge.backed else ""
+        self.emit(indent + 1, f"_w({self.const(f'<{name}>')}){text}")
+        self._text_children(edge, d, indent + 1)
+        self.emit(indent + 1, f"_w({self.const(f'</{name}>')})")
+        self.emit(indent, f"else: _w({self.const(f'<{name}/>')})")
+
+    def _text_start_tag(self, edge: _Edge, d: int, indent: int) -> None:
+        """``_text_body`` of an element with a flagged child: a first
+        pass over the partner lists puts the attributes into the start
+        tag and finds whether any element child will follow."""
+        name = edge.vertex.out_name
         self.emit(indent, f"_w({self.const(f'<{name}')})")
-        # First pass over the partner lists: attributes into the start
-        # tag, and whether any element child will follow.
         self.emit(indent, "_e = False")
         for child in edge.children:
             slot = child.slot
@@ -736,20 +798,17 @@ class _Codegen:
             self.emit(indent, f"_m{slot} = {self._sequence(child, d)}")
             self.emit(indent, f"if _m{slot}:")
             self.emit(indent + 1, f"r{slot} += len(_m{slot})")
-            if child.backed:
-                # Only a type that holds an attribute looks at its
-                # partners one by one.
+            if self.flagged(child):
+                self.env["_quote"] = escape_quotes
                 attribute = self.const(f' {child.vertex.out_name}="')
                 close = self.const('"')
-                self.emit(indent + 1, f"if _A{slot}:")
-                self.emit(indent + 2, f"for _x in _m{slot}:")
+                self.emit(indent + 1, f"for _x in _m{slot}:")
                 self.emit(
-                    indent + 3,
+                    indent + 2,
                     f"if _a{slot}[_x]: _w({attribute}); "
                     f"_w(_quote(_x{slot}[_x])); _w({close})",
                 )
-                self.emit(indent + 3, "else: _e = True")
-                self.emit(indent + 1, "else: _e = True")
+                self.emit(indent + 2, "else: _e = True")
             else:
                 self.emit(indent + 1, "_e = True")
         # ``_z{d}`` is how the element ends.  The second pass runs even
@@ -762,19 +821,22 @@ class _Codegen:
         self.emit(indent + 1, f"_z{d} = {self.const(f'</{name}>')}")
         self.emit(indent, "else:")
         self.emit(indent + 1, f"_z{d} = '/>'")
+        self._text_children(edge, d, indent)
+        self.emit(indent, f"_w(_z{d})")
+
+    def _text_children(self, edge: _Edge, d: int, indent: int) -> None:
+        """The element children of ``_n{d}``, from the partner lists."""
         below = d + 1
         for child in edge.children:
             loop = f"for _n{below} in _m{child.slot}:"
-            if not child.backed:
-                self.emit(indent, loop)
-                self._instance(child, below, indent + 1)
-            elif not child.children:
+            if child.backed and not child.children:
                 # One read of the leaf column (``""`` for an attribute,
                 # already in the start tag) and one write per partner.
                 self.emit(indent, f"for _x in _m{child.slot}: _w(_L{child.slot}(_x))")
-            else:
+            elif self.flagged(child):
                 # An attribute's own subtree is never serialized, but
                 # its instances count: walk it with the writer muted.
+                self.env["_discard"] = _discard
                 self.emit(indent, f"_v{d} = _w")
                 self.emit(indent, loop)
                 self.emit(
@@ -782,7 +844,9 @@ class _Codegen:
                 )
                 self._instance(child, below, indent + 1)
                 self.emit(indent, f"_w = _v{d}")
-        self.emit(indent, f"_w(_z{d})")
+            else:
+                self.emit(indent, loop)
+                self._instance(child, below, indent + 1)
 
 
 def _discard(_chunk: str) -> None:

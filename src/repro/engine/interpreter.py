@@ -11,8 +11,10 @@ render of the result runs, in memory or from a store.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
-from typing import Optional, TextIO
+from functools import partial
+from typing import Callable, Optional, TextIO
 
 from repro.obs import tracer as obs
 
@@ -23,9 +25,10 @@ from repro.algebra.semantics import EvaluationResult, Evaluator
 from repro.closeness.index import BaseIndex, DocumentIndex
 from repro.engine.compile import CompiledRender, RenderResult, StreamStats
 from repro.lang.parser import parse_guard
+from repro.shape.pathcard import predicted_shape
 from repro.shape.shape import Shape
 from repro.typing.enforce import enforce
-from repro.typing.loss import LossReport, analyze_loss
+from repro.typing.loss import LossReport, compare_pairs
 from repro.xmltree.node import XmlForest
 from repro.xmltree.serializer import serialize
 
@@ -42,11 +45,18 @@ class TransformResult:
     twin ``xml_json()``; ``forest`` / ``rendered`` / ``xml(indent=n)``
     build the tree through the tree sink, once.  Whichever sink runs
     first fixes ``render_counts`` and ``render_seconds``.
+
+    :attr:`loss` is the guard's loss report.  A guard whose
+    enforcement can fail had it built by the compile; a guard that
+    permits both narrowing and widening (``CAST``) has it built when
+    it is first read, once for the plan and every planned copy.
     """
 
     guard: str
     target_shape: Shape
-    loss: LossReport
+    #: Builds the loss report on first call (:class:`_PendingLoss`),
+    #: shared by every planned copy.
+    _loss: Callable[[], LossReport]
     evaluation: EvaluationResult
     #: The plan's emitter (:mod:`repro.engine.compile`), built by
     #: ``Interpreter.compile``; a ``Database`` caches it with the plan.
@@ -63,6 +73,11 @@ class TransformResult:
     def planned(self, source: BaseIndex) -> "TransformResult":
         """An unread copy of these compile artifacts that renders from ``source``."""
         return replace(self, source=source)
+
+    @property
+    def loss(self) -> LossReport:
+        """The guard's information-loss report (built now, if unread)."""
+        return self._loss()
 
     @property
     def rendered(self) -> Optional[RenderResult]:
@@ -147,18 +162,26 @@ class Interpreter:
     # -- the pipeline ------------------------------------------------------
 
     def compile(self, guard: str) -> TransformResult:
-        """Run every stage *except* rendering (the paper's 'compile')."""
+        """Run every stage *except* rendering (the paper's 'compile').
+
+        The loss report is built here only when enforcing it can fail:
+        a guard that permits both narrowing and widening (plain
+        ``CAST``) gets it on the result's first read of ``loss``.  The
+        target shape's predicted cards (Definition 7) are set either way.
+        """
         with obs.span("pipeline.compile") as compile_span:
             operator, enforcement = self._parse(guard)
             evaluation, loss = self._analyze(operator, enforcement)
-            with obs.span("typing.enforce"):
-                enforce(loss, enforcement)
+            if not enforcement.allow_weak:
+                report = loss()
+                with obs.span("typing.enforce"):
+                    enforce(report, enforcement)
             # Each sink's code is generated by the first render that asks for it.
             emitter = CompiledRender(evaluation.shape, self.index)
         return TransformResult(
             guard=guard,
             target_shape=evaluation.shape,
-            loss=loss,
+            _loss=loss,
             evaluation=evaluation,
             compile_seconds=compile_span.duration,
             compiled_render=emitter,
@@ -168,7 +191,7 @@ class Interpreter:
         """Type-check a guard: loss report only, no enforcement, no render."""
         operator, enforcement = self._parse(guard)
         _evaluation, loss = self._analyze(operator, enforcement)
-        return loss
+        return loss()
 
     def diagnose(self, guard: str, query: str | None = None):
         """Statically analyze a guard: spanned, coded diagnostics.
@@ -223,12 +246,36 @@ class Interpreter:
 
     def _analyze(
         self, operator: Operator, enforcement: Enforcement
-    ) -> tuple[EvaluationResult, LossReport]:
+    ) -> tuple[EvaluationResult, "_PendingLoss"]:
+        """The evaluated target shape, annotated with its predicted cards,
+        and its loss report, still to be built."""
         context = DocumentShapeContext(self.index)
         with obs.span("typing.type-analysis"):
             evaluation = Evaluator(type_fill=enforcement.type_fill).run(operator, context)
-        with obs.span("typing.loss"):
-            loss = analyze_loss(
-                self.index.shape, evaluation.shape, self.index.shape_vertex
-            )
-        return evaluation, loss
+        # The source shape, not the index: a cached plan must not keep a
+        # retired index alive until its report is read.
+        source = self.index.shape
+        predicted = predicted_shape(source, evaluation.shape, source.vertex)
+        return evaluation, _PendingLoss(partial(compare_pairs, source, predicted, source.vertex))
+
+
+class _PendingLoss:
+    """A loss report built on its first read (the ``typing.loss`` span),
+    once, whichever thread or planned copy reads it first."""
+
+    __slots__ = ("_build", "_report", "_lock")
+
+    def __init__(self, build: Callable[[], LossReport]):
+        self._build = build
+        self._report: Optional[LossReport] = None
+        self._lock = threading.Lock()
+
+    def __call__(self) -> LossReport:
+        report = self._report
+        if report is None:
+            with self._lock:
+                report = self._report
+                if report is None:
+                    with obs.span("typing.loss"):
+                        report = self._report = self._build()
+        return report

@@ -208,6 +208,7 @@ def profile(plan: Callable[[], TransformResult], database=None) -> ProfileReport
     with obs.tracing(tracer):
         result = plan()
         result.rendered  # noqa: B018 - render inside the profiled region
+        result.loss  # noqa: B018 - a CAST guard's report is built on first read
     storage = _storage(database, tracer) if database is not None else None
     return ProfileReport(guard=result.guard, result=result, tracer=tracer, storage=storage)
 

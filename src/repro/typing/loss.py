@@ -185,6 +185,22 @@ def analyze_loss(
     the shape's type count.
     """
     predicted = predicted_shape(source_shape, target_shape, source_vertex)
+    return compare_pairs(source_shape, predicted, source_vertex)
+
+
+def compare_pairs(
+    source_shape: Shape,
+    predicted: Shape,
+    source_vertex: Callable[[DataType], Optional[ShapeType]],
+) -> LossReport:
+    """:func:`analyze_loss`'s report of a target shape that
+    :func:`~repro.shape.pathcard.predicted_shape` has already annotated.
+
+    A compile that need not enforce the report annotates the shape at
+    once (Definition 7's cards are read by DTD generation, evolution
+    and shape printing) and leaves this call for the report's first
+    reader.
+    """
     report = LossReport()
 
     types = predicted.types()

@@ -14,7 +14,6 @@ from repro.closeness.index import group_by_prefix
 from repro.shape.cardinality import Card
 from repro.shape.shape import Shape
 from repro.shape.types import ShapeType
-from repro.xmltree import parse_document
 from repro.workloads import generate_dblp, generate_nasa, generate_xmark
 from repro.xmltree.dewey import pack
 

@@ -31,7 +31,7 @@ class TestIntroScenario:
     def test_unguarded_query_fails_on_wrong_shapes(self, fig1a, fig1c):
         # Without the guard, the paper's query only works on (c).
         query = "for $a in doc('input')/data/author return $a/book/title/text()"
-        from repro.xquery import evaluate, QueryContext
+        from repro.xquery import evaluate
 
         assert evaluate(query, repro.QueryContext.for_forest(fig1a)) == []
         assert evaluate(query, repro.QueryContext.for_forest(fig1c)) == ["X", "Y"]

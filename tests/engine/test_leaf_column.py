@@ -235,14 +235,19 @@ class TestGeneratedSource:
         result.xml()
         source = result.compiled_render.sources["text"]
         lines = source.splitlines()
-        leaves = re.findall(r"_L(\d+) = ", source)
-        assert len(leaves) == 3
-        for slot in leaves:
+        leaves = dict(re.findall(r"_L(\d+) = _S\[\d+\]\.leaves\(_flavour, '(\w+)'\)", source))
+        assert sorted(leaves.values()) == ["id", "t", "y"]
+        assert "_A" not in source
+        # A leaf is written from its column, so nothing is muted.
+        assert "_discard" not in source
+        for slot, name in leaves.items():
             assert f"for _x in _m{slot}: _w(_L{slot}(_x))" in source
             assert f"if not _a{slot}" not in source
-            # The one flag test left is the start tag's, behind the
-            # "holds an attribute" flag.
             tests = [i for i, line in enumerate(lines) if f"_a{slot}[" in line]
+            if name != "id":
+                # An attribute-free type has no flag column and no test.
+                assert tests == [] and f"_a{slot} =" not in source
+                continue
+            # The one flag test left is the start tag's.
             assert len(tests) == 1
             assert lines[tests[0] - 1].strip() == f"for _x in _m{slot}:"
-            assert lines[tests[0] - 2].strip() == f"if _A{slot}:"

@@ -2,8 +2,6 @@
 
 import io
 
-import pytest
-
 import repro
 from repro.engine.inference import infer_guard
 from repro.storage import Database

@@ -108,9 +108,13 @@ def changed_pairs(index, predicted) -> int:
 
 
 def counted_compile(interpreter, guard) -> tuple[int, int, int]:
-    """Compile ``guard``: (pairs counted, changed pairs, backed types)."""
+    """Compile ``guard``: (pairs counted, changed pairs, backed types).
+
+    A CAST guard's report is built on its first read, so it is read
+    inside the tracer too."""
     with obs.tracing() as tracer:
         compiled = interpreter.compile(guard)
+        compiled.loss  # noqa: B018 - build the report inside the tracer
     predicted = compiled.target_shape  # compile() left Definition 7 on it
     backed = [t for t in predicted.types() if t.source is not None]
     return (
