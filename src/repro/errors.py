@@ -349,6 +349,20 @@ class RequestTooLargeError(StorageError):
         self.limit = limit
 
 
+class CorruptRecordError(StorageError):
+    """A stored record does not decode: a catalog record that is not a
+    descriptor, or a shape record whose columns do not make a shape.
+
+    The pages checksummed clean, so it was written wrong (or edited),
+    not torn; ``xmorph fsck`` names the document.  Nothing is repaired.
+    """
+
+    code = "XM590"
+
+    def __init__(self, message: str):
+        super().__init__(f"[XM590] {message}")
+
+
 class DocumentNotFoundError(StorageError):
     """Raised when a named document is absent from the database."""
 

@@ -30,7 +30,7 @@ shredder encodes the columns as records, the in-memory
 sequences, and :func:`extract_shape` / ``forest_to_dtd`` read the
 adorned :attr:`~DataGuideBuilder.shape`.  An update labels the
 subtrees it inserts here too: :meth:`~DataGuideBuilder.resume` seeds a
-builder with a stored document's types and counts, and
+builder with a stored document's types, parents and counts, and
 :meth:`~DataGuideBuilder.place` says whose child the next node is, so
 its columns hold the inserted nodes, labelled and typed as a re-shred
 would.
@@ -41,7 +41,6 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterator, Optional
 
-from repro.errors import StorageError
 from repro.shape.shape import Shape
 from repro.shape.types import DataType, TypeTable
 from repro.xmltree.dewey import child
@@ -94,28 +93,24 @@ class DataGuideBuilder:
         self._open: list[list] = [[b"", None, 0, {}, False]]
 
     @classmethod
-    def resume(cls, shape: dict) -> "DataGuideBuilder":
+    def resume(
+        cls, type_table: TypeTable, parents: list[int], counts: list[int]
+    ) -> "DataGuideBuilder":
         """A builder holding a stored document's types — ids kept — and
-        their counts, ``shape`` being the descriptor the shredder stored.
-        Its columns start empty; see :meth:`place`.  (It knows no
-        stored type's kind: ``is_attribute`` holds the new types only.)
+        their counts: ``type_table`` takes the types the batch interns,
+        ``parents[i]`` is type ``i``'s parent id (``-1`` for a root,
+        always below ``i``), as a stored shape record holds them.  Its
+        columns start empty; see :meth:`place`.  (It knows no stored
+        type's kind: ``is_attribute`` holds the new types only.)
         """
-        paths = [tuple(path) for _type_id, path in shape["types"]]
-        builder, seen = cls(), {}
-        try:
-            if [type_id for type_id, _path in shape["types"]] != list(range(len(paths))):
-                raise ValueError("type ids are not 0..n-1 in order")
-            builder.type_table = TypeTable.of_paths(paths)
-            for type_id, path in enumerate(paths):
-                parent = seen.get(path[:-1])  # None for a root path
-                if len(path) > 1 and parent is None:
-                    raise ValueError(f"type {'.'.join(path)} has no parent type before it")
-                ids = builder._root_ids if parent is None else builder._child_ids[parent]
-                ids[path[-1]] = seen[path] = type_id
-                builder._add_type(parent)
-        except ValueError as error:
-            raise StorageError(f"a corrupted stored shape: {error}") from error
-        builder.counts = [shape["counts"].get(str(type_id), 0) for type_id in range(len(paths))]
+        builder = cls()
+        builder.type_table = type_table
+        for type_id, (path, parent) in enumerate(zip(type_table.paths, parents)):
+            above = None if parent < 0 else parent
+            ids = builder._root_ids if above is None else builder._child_ids[above]
+            ids[path[-1]] = type_id
+            builder._add_type(above)
+        builder.counts = list(counts)
         return builder
 
     def place(self, parent: bytes, parent_type: Optional[int], before: int) -> None:

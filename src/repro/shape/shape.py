@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.shape.cardinality import Card
 from repro.shape.types import DataType, ShapeType, TypeTable
@@ -57,7 +57,8 @@ class Shape:
     ) -> "SourceShape":
         """The adorned shape of a collection (Definition 3): one vertex
         per type of ``type_table``, in id order, and one edge per
-        ``(parent id, child id, lo, hi)``; see :class:`SourceShape`.
+        ``(parent id, child id, lo, hi)``, kept in the order given; see
+        :class:`SourceShape`.
 
         A data type is its root path, so an edge is sound exactly when
         the parent's path is the child's path minus its last step; that
@@ -67,7 +68,23 @@ class Shape:
         :class:`ValueError` (or :class:`IndexError`) here, before any
         vertex is made.
         """
-        return SourceShape(type_table, edges)
+        paths = type_table.paths
+        count = len(paths)
+        parents, lows, highs = [-1] * count, [0] * count, [0] * count
+        order: list[int] = []
+        for parent_id, child_id, low, high in edges:
+            if parent_id < 0 or child_id < 0:
+                raise ValueError(f"edge {parent_id} -> {child_id} names no type")
+            if paths[parent_id] != paths[child_id][:-1]:
+                raise ValueError(
+                    f"edge {'.'.join(paths[parent_id])} -> {'.'.join(paths[child_id])} "
+                    "does not follow the type's path"
+                )
+            if parents[child_id] >= 0:
+                raise ValueError(f"type {'.'.join(paths[child_id])} has two parents")
+            parents[child_id], lows[child_id], highs[child_id] = parent_id, low, high
+            order.append(child_id)
+        return SourceShape(type_table, parents, lows, highs, order)
 
     @classmethod
     def of_leaves(cls, shape_types: Iterable[ShapeType]) -> "Shape":
@@ -357,18 +374,19 @@ class Shape:
 
 class SourceShape(Shape):
     """The adorned shape of a collection, held as arrays over its type
-    table (:meth:`Shape.of_data_types` builds it; both document indexes
-    read it).
+    table (:meth:`Shape.of_data_types` builds it from edges, a stored
+    document's open from its shape record's columns; both document
+    indexes read it).
 
     Vertex ``i`` backs type ``i``.  What is kept per type is its
     parent's id (``-1`` for a root) and the :class:`Card` of the edge
-    into it, and the edges' order is kept for :meth:`children`.  A
-    :class:`ShapeType` is made the first time a read reaches it:
-    :meth:`vertex`, or :meth:`parent`, :meth:`children`, :meth:`card`
-    or :meth:`ancestors` of a vertex already made.  The tree geometry
-    of :class:`Shape` reads through :meth:`parent` and :meth:`card`, so
-    it makes only the vertices it climbs through, and opening a
-    document makes no object per type.
+    into it, and the order of a type's children: the order the edges
+    were given in, or ascending ids.  A :class:`ShapeType` is made the
+    first time a read reaches it: :meth:`vertex`, or :meth:`parent`,
+    :meth:`children`, :meth:`card` or :meth:`ancestors` of a vertex
+    already made.  The tree geometry of :class:`Shape` reads through
+    :meth:`parent` and :meth:`card`, so it makes only the vertices it
+    climbs through, and opening a document makes no object per type.
 
     A read of the whole shape (:meth:`types`, :meth:`roots`,
     :meth:`edges`, :meth:`walk`, :meth:`fingerprint`, :meth:`pretty`,
@@ -380,34 +398,30 @@ class SourceShape(Shape):
     threads reach it at once.
     """
 
-    def __init__(self, type_table: TypeTable, edges: Iterable[tuple[int, int, int, int]]):
+    def __init__(
+        self,
+        type_table: TypeTable,
+        parents: list[int],
+        lows: Sequence[int],
+        highs: Sequence[int],
+        order: Optional[list[int]] = None,
+    ):
+        """``parents[i]`` is type ``i``'s parent id (``-1`` for a root)
+        and ``lows[i]..highs[i]`` the range of the edge into it; the
+        arrays are taken as sound (they follow the types' paths).
+        ``order`` lists the child ids in edge order; ``None`` is
+        ascending ids, the order of edges sorted by ``(parent, child)``.
+        """
         # No Shape.__init__: the dicts appear when the shape is made whole.
         self._table = type_table
-        paths = type_table.paths
-        self._count = count = len(paths)
-        parents = self._parents = [-1] * count
-        cards: list[Optional[Card]] = [None] * count
-        #: The child ids in edge order.
-        order = self._order = []
-        ranges: dict[tuple[int, int], Card] = {}
-        for parent_id, child_id, low, high in edges:
-            if parent_id < 0 or child_id < 0:
-                raise ValueError(f"edge {parent_id} -> {child_id} names no type")
-            if paths[parent_id] != paths[child_id][:-1]:
-                raise ValueError(
-                    f"edge {'.'.join(paths[parent_id])} -> {'.'.join(paths[child_id])} "
-                    "does not follow the type's path"
-                )
-            if parents[child_id] >= 0:
-                raise ValueError(f"type {'.'.join(paths[child_id])} has two parents")
-            parents[child_id] = parent_id
-            order.append(child_id)
-            # Edges with one range share one (frozen) Card.
-            card = ranges.get((low, high))
-            if card is None:
-                card = ranges[(low, high)] = Card(low, high)
-            cards[child_id] = card
-        self._cards = cards
+        self._count = count = len(parents)
+        self._parents = parents
+        # Edges with one range share one (frozen) Card.  A root's entry
+        # is never read.
+        keys = list(zip(lows, highs))
+        ranges = {key: Card(*key) for key in set(keys)}
+        self._cards: list[Card] = list(map(ranges.__getitem__, keys))
+        self._order = order
         #: ``_made[i]``: type ``i``'s vertex, or ``None`` until made.
         self._made: list[Optional[ShapeType]] = [None] * count
         #: ``_kids[i]``: type ``i``'s child ids in edge order, built on
@@ -460,10 +474,9 @@ class SourceShape(Shape):
                 vertex: [made[child] for child in kids[type_id]]
                 for type_id, vertex in enumerate(made)
             }
-            self._parent = {made[child]: made[parents[child]] for child in self._order}
-            self._card = {
-                (made[parents[child]], made[child]): cards[child] for child in self._order
-            }
+            edges = [(child, parent) for child, parent in enumerate(parents) if parent >= 0]
+            self._parent = {made[child]: made[parent] for child, parent in edges}
+            self._card = {(made[parent], made[child]): cards[child] for child, parent in edges}
             self._whole = True
 
     def _child_ids(self) -> list[list[int]]:
@@ -471,8 +484,10 @@ class SourceShape(Shape):
         kids = self._kids
         if kids is None:
             kids = [[] for _ in range(self._count)]
-            for child in self._order:
-                kids[self._parents[child]].append(child)
+            parents = self._parents
+            for child in range(self._count) if self._order is None else self._order:
+                if parents[child] >= 0:
+                    kids[parents[child]].append(child)
             self._kids = kids
         return kids
 

@@ -3,7 +3,7 @@
 Every on-disk page slot is the 4096-byte payload followed by an 8-byte
 trailer::
 
-    payload (PAGE_SIZE bytes) | magic "XPG2" | crc32 u32 LE
+    payload (PAGE_SIZE bytes) | magic "XPG3" | crc32 u32 LE
 
 The checksum covers the payload *plus the page id*, so a page written
 to the wrong offset (a misdirected write — the checksum would otherwise
@@ -29,7 +29,7 @@ from repro.errors import ChecksumError, FormatError
 #: The one checksum behind every seal: ``crc32(data, crc=0) -> int``.
 crc32 = zlib.crc32
 
-TRAILER_MAGIC = b"XPG2"
+TRAILER_MAGIC = b"XPG3"
 JOURNAL_MAGIC = b"XMJ3"
 _TRAILER = struct.Struct("<4sI")
 TRAILER_SIZE = _TRAILER.size
@@ -50,7 +50,7 @@ def verify_page(path: str, page_id: int, slot):
     :class:`ChecksumError` when the trailer magic or CRC does not match
     the contents.  The payload is a slice of ``slot``.
 
-    A trailer that names another version of the format (``XPG1``) is a
+    A trailer that names another version of the format (``XPG2``) is a
     :class:`FormatError` instead: that page is not damaged, it was
     written by another build.  Any other wrong magic is damage."""
     payload = slot[:-TRAILER_SIZE]

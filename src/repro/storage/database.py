@@ -15,10 +15,8 @@ to the size of the data, are needed."
 
 from __future__ import annotations
 
-import json
 import threading
 import time
-from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from repro.cache import CompiledPlan, PlanCache
@@ -31,8 +29,8 @@ from repro.errors import (
     RetiredDocumentError,
     StorageError,
 )
-from repro.shape.shape import Shape
-from repro.shape.types import DataType, TypeTable
+from repro.shape.shape import SourceShape
+from repro.shape.types import DataType
 from repro.storage import tables
 from repro.storage.btree import BPlusTree
 from repro.storage.pages import BufferPool, PagedFile
@@ -194,7 +192,7 @@ class Database:
         raw = self.tree.get(tables.catalog_key(name))
         if raw is None:
             raise DocumentNotFoundError(name)
-        return json.loads(raw.decode())
+        return tables.decode_catalog(name, raw)
 
     def index(self, name: str) -> "StoredDocumentIndex":
         with self._index_lock:
@@ -538,14 +536,15 @@ class StoredDocumentIndex(BaseIndex):
     The same columns and shape as the in-memory
     :class:`~repro.closeness.DocumentIndex`, read back: the shredder
     wrote them from the same :class:`~repro.shape.dataguide.DataGuideBuilder`.
-    The open decodes the AdornedShapes records, checks them and keeps
-    them as arrays: type paths (:meth:`TypeTable.of_paths`), parent
-    ids and edge cards (:meth:`Shape.of_data_types`), counts.  Type ids
-    that are not dense, a path named twice, or an edge that does not
-    follow its types' paths is a :class:`~repro.errors.StorageError`
-    here, never a different shape later.  A ``DataType`` and its vertex
-    are made when a guard reaches the type, and node sequences load
-    lazily per type.
+    The open decodes the AdornedShapes record (:func:`tables.read_shape`:
+    fixed-width columns, no JSON), checks it and keeps arrays: type
+    paths rebuilt from the parent chain (:meth:`TypeTable.of_paths`),
+    parent ids and edge cards (:class:`SourceShape`), counts.  A parent
+    that is not below its child, a name past the name table, an empty
+    edge range or a path named twice is a
+    :class:`~repro.errors.CorruptRecordError` here, never a different
+    shape later.  A ``DataType`` and its vertex are made when a guard
+    reaches the type, and node sequences load lazily per type.
 
     The one difference is ``type_distance``, which derives from root
     paths: the distance between two types is the distance between their
@@ -565,27 +564,12 @@ class StoredDocumentIndex(BaseIndex):
         self.name: str = descriptor["name"]
         #: The document's generation everything below is read at.
         self.generation: int = database.generation(self.name)
-        shape_chunks = tables.load_chunks(database.tree, tables.shape_prefix(self.doc_id))
-        if not shape_chunks:
-            raise StorageError(f"document {self.name!r} has no stored shape")
-        shape_info = tables.decode_shape(shape_chunks)
+        record = tables.read_shape(database.tree, self.doc_id, self.name)
         #: Stable hash of the adorned-shape descriptor; keys the plan
         #: cache.  Stored in the catalog at shred and update time.
         self.fingerprint: str = descriptor["shape_fingerprint"]
-        try:
-            types = sorted(shape_info["types"], key=itemgetter(0))
-            if [type_id for type_id, _path in types] != list(range(len(types))):
-                raise ValueError("type ids are not dense")
-            type_table = TypeTable.of_paths([tuple(path) for _type_id, path in types])
-            shape = Shape.of_data_types(type_table, shape_info["edges"])
-        except (ValueError, IndexError, TypeError) as error:
-            raise StorageError(
-                f"document {self.name!r} has a corrupted stored shape: {error}"
-            ) from error
-        counts = shape_info["counts"]
-        super().__init__(
-            type_table, shape, [counts.get(str(type_id), 0) for type_id in range(len(types))]
-        )
+        shape = SourceShape(record.type_table, record.parents, record.lows, record.highs)
+        super().__init__(record.type_table, shape, record.counts)
         self._sequences: dict[int, TypeSequence] = {}
 
     # -- BaseIndex interface ----------------------------------------------------

@@ -30,11 +30,16 @@ All counts land in ``fsck.*`` / ``recovery.*`` events on the report's
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 
-from repro.errors import DatabaseLockedError, FormatError, PageError, StorageError
+from repro.errors import (
+    CorruptRecordError,
+    DatabaseLockedError,
+    FormatError,
+    PageError,
+    StorageError,
+)
 from repro.storage import tables
 from repro.storage.btree import BPlusTree
 from repro.storage.journal import Journal
@@ -195,11 +200,9 @@ def _check_structure(file: PagedFile, stats: SystemStats, report: FsckReport) ->
         for name, value in tables.catalog_entries(tree):
             report.documents.append(name)
             try:
-                descriptor = json.loads(value.decode())
-            except ValueError as error:
-                report.document_problems.append(
-                    f"document {name!r}: descriptor undecodable: {error}"
-                )
+                descriptor = tables.decode_catalog(name, value)
+            except CorruptRecordError as error:
+                report.document_problems.append(str(error))
                 continue
             report.document_problems.extend(tables.verify_document(tree, descriptor))
     except PageError as error:

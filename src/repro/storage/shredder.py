@@ -55,8 +55,8 @@ def shred(tree: BPlusTree, doc_id: int, name: str, source: str | XmlForest) -> d
             #: Every record but the catalog's (N, V, T and S keys): one run.
             run, text_bytes = _records(doc_id, builder)
         nodes = sum(builder.counts)
-        shape_descriptor = _shape_descriptor(builder)
-        for chunk_no, chunk in enumerate(tables.encode_shape(shape_descriptor)):
+        shape_descriptor = describe_shape(builder)
+        for chunk_no, chunk in enumerate(tables.pack_shape(shape_descriptor)):
             run.append((tables.shape_key(doc_id, chunk_no), chunk))
 
         with obs.span("storage.shred.write", entries=len(run)):
@@ -83,7 +83,7 @@ def shred(tree: BPlusTree, doc_id: int, name: str, source: str | XmlForest) -> d
     del catalog["shape"]  # the shape lives in its own (chunked) records
     # Last, and alone: it carries the span's duration, and a document
     # exists once its catalog entry does.
-    tree.put(tables.catalog_key(name), tables.encode_shape(catalog)[0])
+    tree.put(tables.catalog_key(name), tables.encode_catalog(catalog))
     return descriptor
 
 
@@ -117,7 +117,10 @@ def _records(doc_id: int, builder: DataGuideBuilder) -> tuple[list[tuple[bytes, 
     return run, text_bytes
 
 
-def _shape_descriptor(guide: DataGuideBuilder) -> dict:
+def describe_shape(guide: DataGuideBuilder) -> dict:
+    """The shape descriptor of a built document: what
+    :func:`~repro.cache.shape_fingerprint` hashes and
+    :func:`~repro.storage.tables.pack_shape` stores."""
     types = [[type_id, list(path)] for type_id, path in enumerate(guide.type_table.paths)]
     # Canonical edge order: sorted by (parent id, child id).  Traversal
     # order would encode *how* the descriptor was produced; sorting makes

@@ -11,9 +11,9 @@ order):
 
 ====================  =======================================================
 ``b"C"``              catalog meta (next document id)
-``b"D" name``         catalog: document name -> descriptor (JSON)
+``b"D" name``         catalog: document name -> descriptor (JSON, one entry)
 ``b"N" doc dewey``    Nodes: node id -> (type, kind, value)
-``b"S" doc chunk``    AdornedShapes: the document's shape (JSON, chunked)
+``b"S" doc chunk``    AdornedShapes: the document's shape as columns (chunked)
 ``b"T" doc type ck``  TypeToSequence: per-type node sequence (packed, chunked)
 ``b"V" doc dewey ck`` Value overflow: long text content, chunked
 ====================  =======================================================
@@ -24,7 +24,16 @@ so lexicographic byte order equals document order (shorter ids sort
 before their descendants, matching tuple order).
 
 Values larger than ~3.5 KiB never enter the tree: long node text goes
-to the overflow keyspace and sequences/shapes are chunked.
+to the overflow keyspace and sequences/shapes are chunked, and a catalog
+record past :data:`CHUNK_BYTES` is refused.
+
+The shape record is the arrays a stored open keeps: a name table, then
+per type id its parent (id + 1, 0 for a root), name index, edge bounds
+and count, as fixed-width little-endian columns
+(:func:`pack_columns` / :func:`shape_columns`).  :func:`pack_shape`
+writes it from the descriptor the shredder and the updater build (the
+one :func:`~repro.cache.shape_fingerprint` hashes), and
+:func:`read_shape` decodes and checks it without parsing JSON.
 
 A stored node has one codec, and it works on bytes.  :func:`encode_node`
 is the one encoder: a node's ``N`` value and its ``T`` entry share every
@@ -47,9 +56,14 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Iterator, Optional
+import sys
+from array import array
+from itertools import accumulate
+from operator import gt
+from typing import Iterator, NamedTuple, Optional
 
-from repro.errors import DepthLimitError
+from repro.errors import CorruptRecordError, DepthLimitError, StorageError
+from repro.shape.types import TypeTable
 from repro.storage.btree import BPlusTree
 from repro.xmltree.dewey import max_depth, unpack
 
@@ -298,20 +312,211 @@ def sequence_entries(
             position += 1
 
 
-# -- shape serialization ------------------------------------------------------------
+# -- the shape record (AdornedShapes) ------------------------------------------
 
 
-def encode_shape(descriptor: dict) -> list[bytes]:
-    raw = json.dumps(descriptor, separators=(",", ":")).encode()
-    return [raw[i : i + CHUNK_BYTES] for i in range(0, len(raw), CHUNK_BYTES)] or [b"{}"]
+#: The array typecode of the four-byte columns (a C ``unsigned int``).
+_U32 = "I"
+_BIG_ENDIAN = sys.byteorder == "big"
+#: Type count, name count, byte length of the names' UTF-8 blob.
+_SHAPE_HEAD = struct.Struct("<III")
+#: A name's length is stored in two bytes.
+_MAX_NAME = 0xFFFF
 
 
-def decode_shape(chunks: list[bytes]) -> dict:
-    return json.loads(b"".join(chunks).decode())
+class ShapeColumns(NamedTuple):
+    """An ``S`` record as its columns, one cell per type id in id order.
+
+    ``names`` is the name table (each distinct element name once);
+    ``parents[i]`` is 0 for a root type, else its parent's id + 1;
+    ``name_ids[i]`` indexes ``names``; ``lows[i]`` / ``highs[i]`` bound
+    the edge into type ``i`` (0 for a root); ``counts[i]`` is its number
+    of nodes.
+    """
+
+    names: list[str]
+    parents: array
+    name_ids: array
+    lows: array
+    highs: array
+    counts: array
+
+
+def pack_columns(columns: ShapeColumns) -> bytes:
+    """The one writer of the ``S`` layout: the type count, the name
+    count and the names' byte length (three ``u32``), each name's
+    length in code points (``u16``), the names as one UTF-8 blob, then
+    the five columns as ``u32`` arrays, all little-endian.  A name too
+    long to measure in two bytes is refused here, before any write."""
+    names, *cells = columns
+    longest = max(map(len, names), default=0)
+    if longest > _MAX_NAME:
+        raise StorageError(
+            f"an element name of {longest} characters; a stored shape holds "
+            f"names of at most {_MAX_NAME}"
+        )
+    blob = "".join(names).encode("utf-8", "surrogatepass")
+    arrays = [array("H", map(len, names)), *(array(_U32, column) for column in cells)]
+    if _BIG_ENDIAN:
+        for column in arrays:
+            column.byteswap()
+    head = _SHAPE_HEAD.pack(len(columns.parents), len(names), len(blob))
+    return b"".join((head, arrays[0].tobytes(), blob, *(a.tobytes() for a in arrays[1:])))
+
+
+def shape_columns(raw: bytes) -> ShapeColumns:
+    """The one reader of the ``S`` layout; raises :class:`ValueError`
+    when the bytes are not exactly what the head says they hold."""
+    head = _SHAPE_HEAD.size
+    if len(raw) < head:
+        raise ValueError(f"the record is {len(raw)} bytes, shorter than its head")
+    count, name_count, blob_bytes = _SHAPE_HEAD.unpack_from(raw)
+    blob = head + 2 * name_count
+    offset = blob + blob_bytes
+    if len(raw) != offset + 20 * count:
+        raise ValueError(
+            f"the record is {len(raw)} bytes; {count} types and {name_count} "
+            f"names make {offset + 20 * count}"
+        )
+    arrays = [array("H"), *(array(_U32) for _ in range(5))]
+    arrays[0].frombytes(raw[head:blob])
+    for number, column in enumerate(arrays[1:]):
+        start = offset + 4 * count * number
+        column.frombytes(raw[start : start + 4 * count])
+    if _BIG_ENDIAN:
+        for column in arrays:
+            column.byteswap()
+    text = raw[blob:offset].decode("utf-8", "surrogatepass")
+    ends = list(accumulate(arrays[0]))
+    if (ends[-1] if ends else 0) != len(text):
+        raise ValueError("the name lengths do not cover the name table")
+    names = [text[start:end] for start, end in zip([0, *ends], ends)]
+    return ShapeColumns(names, *arrays[1:])
+
+
+class ShapeRecord(NamedTuple):
+    """A decoded ``S`` record: what an open keeps.
+
+    ``type_table`` holds the types' root paths (rebuilt from the parent
+    chain); ``parents[i]`` is type ``i``'s parent id, ``-1`` for a root;
+    ``lows`` / ``highs`` and ``counts`` are the stored columns.
+    """
+
+    type_table: TypeTable
+    parents: list[int]
+    lows: array
+    highs: array
+    counts: list[int]
+
+    def descriptor(self) -> dict:
+        """The shape descriptor the writers built this record from (the
+        one :func:`repro.cache.shape_fingerprint` is defined on)."""
+        edges = sorted(
+            [parent, child, self.lows[child], self.highs[child]]
+            for child, parent in enumerate(self.parents)
+            if parent >= 0
+        )
+        return {
+            "types": [[type_id, list(path)] for type_id, path in enumerate(self.type_table.paths)],
+            "edges": edges,
+            "counts": {str(type_id): count for type_id, count in enumerate(self.counts)},
+        }
+
+
+def pack_shape(descriptor: dict) -> list[bytes]:
+    """The ``S`` record of a shape descriptor, as chunks.
+
+    ``descriptor`` is what the shredder and the updater build: types
+    listed in id order, one edge into every type that is not a root,
+    counts keyed by the id as text.
+    """
+    paths = [path for _type_id, path in descriptor["types"]]
+    count = len(paths)
+    parents, lows, highs = (array(_U32, bytes(4 * count)) for _ in range(3))
+    for parent_id, child_id, low, high in descriptor["edges"]:
+        parents[child_id] = parent_id + 1
+        lows[child_id] = low
+        highs[child_id] = high
+    names: dict[str, int] = {}
+    name_ids = array(_U32, [names.setdefault(path[-1], len(names)) for path in paths])
+    counts = array(_U32, [descriptor["counts"][str(type_id)] for type_id in range(count)])
+    raw = pack_columns(ShapeColumns(list(names), parents, name_ids, lows, highs, counts))
+    return [raw[i : i + CHUNK_BYTES] for i in range(0, len(raw), CHUNK_BYTES)]
+
+
+def unpack_shape(name: str, raw: bytes) -> ShapeRecord:
+    """Decode document ``name``'s ``S`` record.  One that is not its
+    layout, names a parent not below its child or a name past the name
+    table, has an edge whose ``lo`` exceeds its ``hi``, or two types
+    with one path is a :class:`~repro.errors.CorruptRecordError`."""
+    try:
+        names, above, name_ids, lows, highs, counts = shape_columns(raw)
+        if name_ids and max(name_ids) >= len(names):
+            type_id = next(i for i, name_id in enumerate(name_ids) if name_id >= len(names))
+            raise ValueError(
+                f"type {type_id} names entry {name_ids[type_id]} of a {len(names)}-name table"
+            )
+        if any(map(gt, lows, highs)):
+            type_id = next(i for i, (low, high) in enumerate(zip(lows, highs)) if low > high)
+            raise ValueError(
+                f"type {type_id} has the empty edge range {lows[type_id]}..{highs[type_id]}"
+            )
+        # A type's path is its parent's plus its name; a parent is listed first.
+        steps = [(element,) for element in names]
+        paths: list[tuple[str, ...]] = []
+        append = paths.append
+        for type_id, parent, name_id in zip(range(len(above)), above, name_ids):
+            if parent > type_id:
+                raise ValueError(
+                    f"type {type_id} names type {parent - 1} as its parent, not one below it"
+                )
+            append(paths[parent - 1] + steps[name_id] if parent else steps[name_id])
+        type_table = TypeTable.of_paths(paths)
+    except ValueError as error:
+        raise CorruptRecordError(
+            f"document {name!r} has a corrupted stored shape: {error}"
+        ) from error
+    parents = [parent - 1 for parent in above]
+    return ShapeRecord(type_table, parents, lows, highs, counts.tolist())
+
+
+def read_shape(tree: BPlusTree, doc_id: int, name: str) -> ShapeRecord:
+    """Document ``name``'s decoded ``S`` record; a missing or malformed
+    one is a :class:`~repro.errors.StorageError`."""
+    chunks = load_chunks(tree, shape_prefix(doc_id))
+    if not chunks:
+        raise StorageError(f"document {name!r} has no stored shape")
+    return unpack_shape(name, b"".join(chunks))
 
 
 def load_chunks(tree: BPlusTree, prefix: bytes) -> list[bytes]:
     return [value for _key, value in tree.scan_prefix(prefix)]
+
+
+# -- the catalog record ---------------------------------------------------------
+
+
+def encode_catalog(descriptor: dict) -> bytes:
+    """A document's catalog record: its descriptor as compact JSON, in
+    one entry of at most :data:`CHUNK_BYTES`.  A longer one is refused
+    here, before anything is put — never cut."""
+    raw = json.dumps(descriptor, separators=(",", ":")).encode()
+    if len(raw) > CHUNK_BYTES:
+        raise StorageError(
+            f"entry too large: the catalog record of document {descriptor['name']!r} "
+            f"is {len(raw)} bytes (at most {CHUNK_BYTES})"
+        )
+    return raw
+
+
+def decode_catalog(name: str, raw: bytes) -> dict:
+    """The descriptor in document ``name``'s catalog record."""
+    try:
+        return json.loads(raw)
+    except ValueError as error:
+        raise CorruptRecordError(
+            f"document {name!r} has an undecodable catalog record: {error}"
+        ) from error
 
 
 # ---------------------------------------------------------------------------
@@ -322,30 +527,35 @@ def load_chunks(tree: BPlusTree, prefix: bytes) -> list[bytes]:
 def verify_document(tree: BPlusTree, descriptor: dict) -> list[str]:
     """Cross-check one document's records against its catalog descriptor.
 
-    Returns human-readable problem strings (empty when consistent):
-    the shape chunks must decode, every shape type id must intern in
-    order, and the Nodes keyspace must hold exactly the descriptor's
-    node count.  Byte-level damage is the checksum layer's job; this
-    catches *logical* tears — a flush that committed the catalog but
-    lost a table keyspace, or vice versa.
+    Returns human-readable problem strings (empty when consistent): the
+    shape record must decode (:func:`unpack_shape`: every parent below
+    its child, every name index inside the name table, no edge whose
+    ``lo`` exceeds its ``hi``, no path twice), its counts column must
+    sum to the descriptor's node count, and so must the Nodes keyspace.
+    Byte-level damage is the checksum layer's job; this catches
+    *logical* tears — a flush that committed the catalog but lost a
+    table keyspace, or vice versa.
     """
     problems: list[str] = []
     name = descriptor.get("name", "?")
     doc_id = descriptor.get("doc_id")
     if not isinstance(doc_id, int):
         return [f"document {name!r}: descriptor has no valid doc_id"]
+    expected_nodes = descriptor.get("nodes")
     shape_chunks = load_chunks(tree, shape_prefix(doc_id))
     if not shape_chunks:
         problems.append(f"document {name!r}: no AdornedShapes records")
     else:
         try:
-            shape_info = decode_shape(shape_chunks)
-            type_ids = sorted(type_id for type_id, _path in shape_info["types"])
-            if type_ids != list(range(len(type_ids))):
-                problems.append(f"document {name!r}: shape type ids not dense")
-        except (ValueError, KeyError, TypeError) as error:
-            problems.append(f"document {name!r}: shape undecodable: {error}")
-    expected_nodes = descriptor.get("nodes")
+            counted = sum(unpack_shape(name, b"".join(shape_chunks)).counts)
+        except CorruptRecordError as error:
+            problems.append(str(error))
+        else:
+            if expected_nodes is not None and counted != expected_nodes:
+                problems.append(
+                    f"document {name!r}: catalog says {expected_nodes} nodes, "
+                    f"the shape record counts {counted}"
+                )
     stored_nodes = sum(1 for _ in tree.scan_prefix(nodes_prefix(doc_id)))
     if expected_nodes is not None and stored_nodes != expected_nodes:
         problems.append(

@@ -287,19 +287,18 @@ class IncrementalUpdater:
         self.descriptor = database.describe(name)
         self.doc_id: int = self.descriptor["doc_id"]
         self._nodes = tables.nodes_prefix(self.doc_id)
-        shape_chunks = tables.load_chunks(self.tree, tables.shape_prefix(self.doc_id))
-        if not shape_chunks:
-            raise StorageError(f"document {name!r} has no stored shape")
-        shape_info = tables.decode_shape(shape_chunks)
+        record = tables.read_shape(self.tree, self.doc_id, name)
         #: The batch's one labelling site and type table: the stored
         #: types, whose ids hold until commit, their live counts, and
         #: the types the batch interns, numbered after them.
-        self.builder = DataGuideBuilder.resume(shape_info)
+        self.builder = DataGuideBuilder.resume(record.type_table, record.parents, record.counts)
         self._stored_types = len(self.builder.counts)
         #: Stored adornments keyed by child type (a type has one parent
         #: type); types interned by this batch have none and recompute.
         self._stored_cards: dict[int, tuple[int, int]] = {
-            child: (lo, hi) for _parent, child, lo, hi in shape_info["edges"]
+            child: (record.lows[child], record.highs[child])
+            for child, parent in enumerate(record.parents)
+            if parent >= 0
         }
         #: Loaded (possibly edited) sequences.
         self._seqs: dict[int, list[tuple[bytes, bytes]]] = {}
@@ -625,7 +624,7 @@ class IncrementalUpdater:
         # 5. The adorned shape, in final-id space, over the stored one's
         #    chunks; only a surplus stored chunk is deleted.
         shape_descriptor = self._shape_descriptor(final_id)
-        shape_chunks = tables.encode_shape(shape_descriptor)
+        shape_chunks = tables.pack_shape(shape_descriptor)
         stale_shape = [
             key
             for key, _value in self.tree.scan_prefix(tables.shape_prefix(self.doc_id))
@@ -641,7 +640,7 @@ class IncrementalUpdater:
         descriptor["nodes"] = self.node_count
         descriptor["text_bytes"] = self.text_bytes
         descriptor["shape_fingerprint"] = shape_fingerprint(shape_descriptor)
-        run.append((tables.catalog_key(self.name), tables.encode_shape(descriptor)[0]))
+        run.append((tables.catalog_key(self.name), tables.encode_catalog(descriptor)))
         run.sort()
         self.tree.put_many(run)
 

@@ -57,6 +57,9 @@ _SPACE = re.compile(r"[ \t\r\n]*")
 #: on the value's first character.
 _ATTRIBUTE = re.compile(r"[ \t\r\n]*([\w:][\w:.\-·]*)[ \t\r\n]*=[ \t\r\n]*([\"'])")
 _DOCTYPE_MARK = re.compile(r"[\[\]>]")
+#: A character XML 1.0's ``Char`` production leaves out: a control but
+#: tab, newline and carriage return, a surrogate, U+FFFE or U+FFFF.
+_NOT_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 class Handler(Protocol):
@@ -123,8 +126,25 @@ def tokenize(text: str, handler: Handler) -> None:
     """Report the elements of zero or more sibling documents to ``handler``.
 
     Raises :class:`XmlParseError` with the line and column of the first
-    thing wrong; the handler has then seen every event before it.
+    thing wrong; the handler has then seen every event before it.  A
+    character that is not an XML ``Char`` is wrong wherever it stands
+    (text, a value, a name, a comment): one search finds the first, and
+    it is reported unless the markup goes wrong before it.
     """
+    found = _NOT_CHAR.search(text)
+    if found is None:
+        _tokenize(text, handler)
+        return
+    refusal = _error(text, f"invalid character U+{ord(found.group()):04X}", found.start())
+    try:
+        _tokenize(text, handler)
+    except XmlParseError as error:
+        if (error.line, error.column) < (refusal.line, refusal.column):
+            raise
+    raise refusal
+
+
+def _tokenize(text: str, handler: Handler) -> None:
     start, attribute, end_element = handler.start, handler.attribute, handler.end
     find = text.find
     startswith = text.startswith

@@ -5,6 +5,8 @@ import pytest
 from repro.errors import StorageError
 from repro.shape import Card, extract_shape
 from repro.shape.dataguide import DataGuideBuilder, walk
+from repro.storage import tables
+from repro.storage.shredder import describe_shape
 from repro.xmltree import dewey, parse_forest
 from repro.xmltree.parser import tokenize
 
@@ -99,15 +101,17 @@ class TestResumedBuilder:
 
     @staticmethod
     def stored(builder):
-        types = [[type_id, list(path)] for type_id, path in enumerate(builder.type_table.paths)]
-        return {"types": types, "counts": {str(n): c for n, c in enumerate(builder.counts)}}
+        """``resume``'s arguments as a stored document's open reads them:
+        through its shape record."""
+        record = tables.unpack_shape("doc", b"".join(tables.pack_shape(describe_shape(builder))))
+        return record.type_table, record.parents, record.counts
 
     @pytest.mark.parametrize("feed", ["walk", "tokenize"])
     def test_a_placed_subtree_is_labelled_and_typed_as_in_the_whole(self, feed):
         subtree = "<a><c>2</c><b>3</b></a>"
         first, _nodes = built(parse_forest("<r><a><b>1</b></a><d/></r>"))
         whole, _nodes = built(parse_forest(f"<r><a><b>1</b></a>{subtree}<d/></r>"))
-        resumed = DataGuideBuilder.resume(self.stored(first))
+        resumed = DataGuideBuilder.resume(*self.stored(first))
         resumed.place(dewey.child(b"", 1), 0, 1)  # after r's first child
         if feed == "walk":
             filed = walk(parse_forest(subtree), resumed)
@@ -133,13 +137,27 @@ class TestResumedBuilder:
     @pytest.mark.parametrize(
         "types",
         [
-            [[1, ["r"]], [0, ["r", "a"]]],  # not in id order
-            [[0, ["r"]], [2, ["r", "a"]]],  # not dense
-            [[0, ["r"]], [1, ["x", "a"]]],  # no parent type
-            [[0, ["r", "a"]], [1, ["r"]]],  # parent after its child
-            [[0, ["r"]], [1, ["r"]]],  # one path named twice
+            [(2, "a"), (0, "r")],  # a parent after its child
+            [(0, "r"), (3, "a")],  # a parent past the last type
+            [(0, "r"), (2, "a")],  # a type its own parent
+            [(0, "r"), (1, "a"), (1, "a")],  # one path named twice
+            [(0xFFFFFFFF, "r")],  # a parent of id -1, as four bytes hold it
         ],
     )
     def test_a_malformed_stored_shape_is_refused(self, types):
+        """``(parent id + 1, name)`` per type: the record's columns, which
+        are refused before a builder is resumed from them."""
+        names = sorted({name for _parent, name in types})
+        zeros = [0] * len(types)
+        raw = tables.pack_columns(
+            tables.ShapeColumns(
+                names,
+                [parent for parent, _name in types],
+                [names.index(name) for _parent, name in types],
+                zeros,
+                zeros,
+                [1] * len(types),
+            )
+        )
         with pytest.raises(StorageError, match="corrupted stored shape"):
-            DataGuideBuilder.resume({"types": types, "counts": {}})
+            tables.unpack_shape("doc", raw)

@@ -1,11 +1,13 @@
 """Tests for the database facade, shredder and stored index."""
 
 import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings
 
 import repro
+from repro.cache import shape_fingerprint
 from repro.errors import DocumentNotFoundError, StorageError
 from repro.storage import Database
 from repro.storage import tables
@@ -16,7 +18,7 @@ from repro.xmltree import Dewey, parse_document
 from repro.xmltree.dewey import pack, unpack
 
 from tests.conftest import FIG1A, FIG1B, FIG1C
-from tests.strategies import xml_forests
+from tests.strategies import documents, xml_forests
 
 
 @pytest.fixture
@@ -325,29 +327,39 @@ class TestDropDocument:
         assert report.ok and report.documents == ["next"]
 
 
-def _skip_a_level(info):
-    """Re-hang a grandchild edge on its grandparent."""
-    parent_of = {child: parent for parent, child, _lo, _hi in info["edges"]}
-    edge = next(edge for edge in info["edges"] if edge[0] in parent_of)
-    edge[0] = parent_of[edge[0]]
+def write_shape_columns(db, doc_id, edit):
+    """Rewrite a document's shape record with ``edit`` applied to its
+    columns (:class:`tables.ShapeColumns`, edited in place)."""
+    prefix = tables.shape_prefix(doc_id)
+    columns = tables.shape_columns(b"".join(tables.load_chunks(db.tree, prefix)))
+    edit(columns)
+    raw = tables.pack_columns(columns)
+    for key in [key for key, _ in db.tree.scan_prefix(prefix)]:
+        db.tree.delete(key)
+    db.tree.put_many(
+        (tables.shape_key(doc_id, number), raw[start : start + tables.CHUNK_BYTES])
+        for number, start in enumerate(range(0, len(raw), tables.CHUNK_BYTES))
+    )
 
 
-def _upwards(info):
-    """Turn an edge around, closing a cycle with the child's own edge."""
-    edge = info["edges"][-1]
-    edge[0], edge[1] = edge[1], edge[0]
+def _one_path_twice(columns):
+    """A second type with the last one's parent and name."""
+    for cells in columns[1:]:
+        cells.append(cells[-1])
 
 
-#: Ways a stored shape record can disagree with its own type paths or ids;
-#: each is refused when the document is opened, not when a guard reaches it.
+#: Ways a stored shape record's columns can fail to make a shape; each is
+#: refused when the document is opened, not when a guard reaches it.
+#: ``parents`` holds a parent's id + 1 (0 for a root).
 SHAPE_CORRUPTIONS = {
-    "skips-a-level": _skip_a_level,
-    "upwards": _upwards,
-    "second-parent": lambda info: info["edges"].append(list(info["edges"][-1])),
-    "unknown-type": lambda info: info["edges"].append([0, len(info["types"]), 1, 1]),
-    "negative-type": lambda info: info["edges"].append([0, -1, 1, 1]),
-    "non-dense-ids": lambda info: info["types"][-1].__setitem__(0, len(info["types"])),
-    "one-path-twice": lambda info: info["types"].append([len(info["types"]), info["types"][-1][1]]),
+    "upwards": lambda columns: columns.parents.__setitem__(1, len(columns.parents)),
+    "own-parent": lambda columns: columns.parents.__setitem__(2, 3),
+    "unknown-type": lambda columns: columns.parents.__setitem__(-1, len(columns.parents) + 1),
+    "negative-type": lambda columns: columns.parents.__setitem__(-1, 0xFFFFFFFF),
+    "non-dense-ids": lambda columns: columns.counts.append(1),
+    "one-path-twice": _one_path_twice,
+    "name-out-of-range": lambda columns: columns.name_ids.__setitem__(-1, len(columns.names)),
+    "empty-range": lambda columns: columns.lows.__setitem__(-1, columns.highs[-1] + 1),
 }
 
 
@@ -425,18 +437,61 @@ class TestStoredIndex:
     def test_corrupted_shape_record_is_refused(self, db, corruption):
         db.store_document("a", FIG1A)
         doc_id = db.describe("a")["doc_id"]
-        prefix = tables.shape_prefix(doc_id)
-        info = tables.decode_shape(tables.load_chunks(db.tree, prefix))
-        SHAPE_CORRUPTIONS[corruption](info)
-        for key in [key for key, _ in db.tree.scan_prefix(prefix)]:
-            db.tree.delete(key)
-        db.tree.put_many(
-            (tables.shape_key(doc_id, number), chunk)
-            for number, chunk in enumerate(tables.encode_shape(info))
-        )
+        write_shape_columns(db, doc_id, SHAPE_CORRUPTIONS[corruption])
         db.drop_cache()
-        with pytest.raises(StorageError, match="corrupted stored shape"):
+        with pytest.raises(StorageError, match="corrupted stored shape") as excinfo:
             db.index("a")
+        assert excinfo.value.code == "XM590"
+
+
+class TestShapeRecord:
+    """The shape record is the open's arrays: decoding it parses no JSON,
+    and it is the shredder's descriptor, column by column."""
+
+    def test_a_cold_open_parses_the_catalog_only(self, db, monkeypatch):
+        db.store_document("x", generate_xmark(0.002))
+        doc_id = db.describe("x")["doc_id"]
+        record = b"".join(tables.load_chunks(db.tree, tables.shape_prefix(doc_id)))
+        db.drop_cache()
+        parsed, loaded = [], []
+        loads, load_chunks = json.loads, tables.load_chunks
+        monkeypatch.setattr(json, "loads", lambda *a, **k: parsed.append(a) or loads(*a, **k))
+        monkeypatch.setattr(
+            tables, "load_chunks", lambda *a: loaded.append(load_chunks(*a)) or loaded[-1]
+        )
+        index = db.index("x")
+        assert len(parsed) == 1 and b'"shape_fingerprint"' in bytes(parsed[0][0])
+        [chunks] = loaded
+        assert len(chunks) == -(-len(record) // tables.CHUNK_BYTES) == 2
+        assert len(index.type_table) == 283
+
+    @settings(max_examples=40, deadline=None)
+    @given(forest=documents(attributes=True))
+    def test_the_record_is_the_shredders_descriptor(self, tmp_path_factory, forest):
+        path = str(tmp_path_factory.mktemp("record") / "r.db")
+        with Database(path, durable=False) as db:
+            shredded = db.store_document("doc", forest)
+            record = tables.read_shape(db.tree, shredded["doc_id"], "doc")
+            assert record.descriptor() == shredded["shape"]
+            assert shape_fingerprint(record.descriptor()) == db.describe("doc")["shape_fingerprint"]
+
+
+class TestCatalogRecord:
+    def test_a_record_past_a_chunk_is_refused_not_cut(self, db):
+        """520 control characters are 3,120 bytes of JSON escapes: the
+        record used to be cut at 3,200 bytes and stored."""
+        with pytest.raises(StorageError, match="entry too large: the catalog record"):
+            db.store_document("\x01" * 520, "<a>x</a>")
+        assert db.document_names() == []
+        assert db.tree.count() == 0
+
+    def test_an_undecodable_record_is_a_coded_error(self, db):
+        db.store_document("a", FIG1A)
+        raw = db.tree.get(tables.catalog_key("a"))
+        db.tree.put(tables.catalog_key("a"), raw[: len(raw) // 2])
+        with pytest.raises(StorageError, match="undecodable catalog record") as excinfo:
+            db.describe("a")
+        assert excinfo.value.code == "XM590"
 
 
 class TestPinnedShapes:

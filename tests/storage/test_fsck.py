@@ -15,6 +15,7 @@ from repro.storage.pages import PagedFile
 from repro.storage.stats import SystemStats
 
 from tests.conftest import FIG1A
+from tests.storage.test_database import write_shape_columns
 
 
 @pytest.fixture(autouse=True)
@@ -119,6 +120,56 @@ class TestFsck:
         assert any("nodes" in problem.lower() for problem in report.document_problems)
 
 
+class TestShapeRecordChecked:
+    """fsck decodes each document's shape record as an open does and
+    reports what it finds as a document problem, one check per case."""
+
+    def _problems(self, stored, edit):
+        with Database(stored) as db:
+            write_shape_columns(db, db.describe("a")["doc_id"], edit)
+        report = fsck(stored)
+        assert not report.ok
+        assert report.checksum_failures == [] and report.btree_problems == []
+        return report.document_problems
+
+    def test_a_parent_not_below_its_child(self, stored):
+        def upwards(columns):
+            columns.parents[1] = 3  # type 1 under type 2
+
+        [problem] = self._problems(stored, upwards)
+        assert "[XM590]" in problem and "type 1 names type 2 as its parent" in problem
+
+    def test_a_name_index_out_of_range(self, stored):
+        def past_the_table(columns):
+            columns.name_ids[-1] = len(columns.names)
+
+        [problem] = self._problems(stored, past_the_table)
+        assert "names entry 6 of a 6-name table" in problem
+
+    def test_an_empty_edge_range(self, stored):
+        def empty(columns):
+            columns.lows[2] = columns.highs[2] + 1
+
+        [problem] = self._problems(stored, empty)
+        assert "type 2 has the empty edge range 2..1" in problem
+
+    def test_counts_that_do_not_sum_to_the_catalog_nodes(self, stored):
+        def one_more(columns):
+            columns.counts[-1] += 1
+
+        [problem] = self._problems(stored, one_more)
+        assert problem == "document 'a': catalog says 13 nodes, the shape record counts 14"
+
+    def test_the_counts_sum_after_an_update(self, stored):
+        from repro.storage import InsertSubtree
+
+        with Database(stored) as db:
+            db.apply_batch("a", [InsertSubtree("1", "<book><title>Z</title><isbn>1</isbn></book>")])
+            nodes = db.describe("a")["nodes"]
+            assert sum(db.index("a").count_of(t) for t in db.index("a").types()) == nodes
+        assert fsck(stored).ok
+
+
 def _read(path: str) -> bytes:
     with open(path, "rb") as handle:
         return handle.read()
@@ -183,6 +234,15 @@ class TestOlderFormatsRefused:
         before = _read(stored)
         for report in self._refused(stored):
             assert "'XPG1'" in report.errors[0]
+        assert _read(stored) == before
+        assert sorted(os.listdir(os.path.dirname(stored))) == ["f.db", "f.db.lock"]
+
+    def test_xpg2_file_refused_and_untouched(self, stored):
+        """``XPG2`` stored the shape record as chunked JSON."""
+        _retag_trailers(stored, b"XPG2")
+        before = _read(stored)
+        for report in self._refused(stored):
+            assert "'XPG2'" in report.errors[0] and "'XPG3'" in report.errors[0]
         assert _read(stored) == before
         assert sorted(os.listdir(os.path.dirname(stored))) == ["f.db", "f.db.lock"]
 

@@ -3,13 +3,16 @@
 For every corpus below, the keys and values stored from text (tokenizer
 → sink) and from a forest (walk → sink) are equal, byte for byte — the
 catalog record modulo ``shred_seconds`` — and hash to a digest committed
-here.  The digests were computed at commit b4db01c, where the live
-shredder was held to the frozen three-walk shredder of commit 634eb68
-and the updater still built a record object per node: they are what
-both wrote.  The store is ``fsck``-clean, and an update batch on top
-matches a re-shred and its own digest from the same commit.  A digest
-changes only with the format (``XPG2``): regenerate them in the PR that
-bumps it, from ``digest(entries(db))``.
+here.  The store is ``fsck``-clean, and an update batch on top matches a
+re-shred and its own digest.
+
+Two digests per store.  The one over every entry changes only with the
+format: these were taken when the page trailer became ``XPG3`` and the
+shape record (``S``) became columns; regenerate them in the PR that
+bumps the format again, from ``digest(entries(db))``.  The one over
+every entry but the ``S`` records is older: it was what the live
+shredder and updater wrote at commit b4db01c, held to the frozen
+three-walk shredder of commit 634eb68, and the ``XPG3`` change kept it.
 """
 
 import hashlib
@@ -40,19 +43,33 @@ CORPORA = {
 }
 
 
-#: ``digest(entries(db))`` per corpus, as shredded at commit b4db01c.
+#: ``digest(entries(db))`` per corpus, as shredded in the ``XPG3`` format.
 SHREDDED = {
-    "dblp": "4a3b7ce6336eefed37318d12982b25f76cbe0e60b83b915a2699bab48cac9f82",
-    "xmark": "05368fd8d6fdc68600eba9e42c66311464edab1fb83b7138a293eda4cef50399",
-    "nasa": "a7f7066f44a81e84cfd2deadfabae079a4fead07464c7a5d784052ae6bda0da3",
-    "multi-root": "f5b7e16a96086ad31b95cb71d85ce254ec4eed18f9787e213d711732698c2167",
-    "overflow": "9d0aaa546dd2c1ca12dab7e2946989201c3759743c8261d0a08eb3c25a93c5bf",
+    "dblp": "b4d4ecc2b6391877448bc033ebb853c2aa6e29f9d063fde210fcd4cca1f49be4",
+    "xmark": "68656ca7f16b11aaef9a272f4a7a36ada8b661c0d71193a043f9a8adbc6b3ed1",
+    "nasa": "9bc251139a575da4876ffc321c4f5e4097481be471674f36af7f0cb39c7dd25b",
+    "multi-root": "19249936c36d0a45b62c3e4f869f0fc08242a79aa050b688ebe58026e69e8b87",
+    "overflow": "3e36b1d94e977a5e1ad6094ae992955c7bc81bddd911aabf54a051193de7ba88",
 }
-#: The same after ``BATCH`` on top, as updated at commit b4db01c.
+#: The same after ``BATCH`` on top.
 UPDATED = {
-    "dblp": "a833af30b8daef2b4aa9c8cc5ddb38be8a9cb2d577e2296620819e4c92730c09",
-    "multi-root": "e46e7c2e0c19f4222d09e84bfb6835d0ff45d5c892d0830dd8e35122f8ba7101",
-    "overflow": "d8998d02e63237c74bb727ae0d9fd817904a83f14676c49ce96a0f039df5275f",
+    "dblp": "68b8b930da81104ac7c203179ba81fedf262d400adf543439839220fafee1014",
+    "multi-root": "f206cc4f2fe5299d3af7940c46dd8240ca5627e44c65cbb26bec6155741e6e80",
+    "overflow": "1979bcd6b5c5130fc18d0113a5978349a86286b7a788f7b00f14b07a24622a1b",
+}
+#: ``digest`` of every entry but the ``S`` records, shredded and then
+#: updated, as at commit b4db01c.
+SHREDDED_BESIDE_SHAPES = {
+    "dblp": "7a621d2ce46efbd5e7207d85dce9fa9e3500d509dca852fad813cf78cc766352",
+    "xmark": "9fea0399aef87ed6d8364c4418226ae84ff4eb7b21c8d5c19d7258392c6e8228",
+    "nasa": "7db27bd9c8cd1b9e91b92898fc83ddad8078cf71e27cf7cd964ed607d69aad53",
+    "multi-root": "6a3cc8c0dee17c381950b96b974e93d1ffc3a3979ec81f5d1fa48aa1743fd078",
+    "overflow": "3a3e5673bfa9ed4cedbae2da0656743768fb3725c48c7c1c4262581d21be52c6",
+}
+UPDATED_BESIDE_SHAPES = {
+    "dblp": "571412c0562f8dc1e85e04b5be66d9fb987ed62a258d08e9f56380a9e2601a92",
+    "multi-root": "617477ced2555609a430928a997e4cc389c362b05027b889864a78195f99483d",
+    "overflow": "1c81867ec3a3e691c20d47376f62138c06bf8f24ebeb440ebccbe60333724fe3",
 }
 BATCH = [
     InsertSubtree("1", "<extra k='v'><title>new</title></extra>"),
@@ -71,6 +88,11 @@ def entries(db):
             value = json.dumps(descriptor).encode()
         found.append((bytes(key), value))
     return found
+
+
+def beside_shapes(found):
+    """The entries but the shape records."""
+    return [(key, value) for key, value in found if key[:1] != b"S"]
 
 
 def written(path, source, batch=()):
@@ -99,6 +121,7 @@ def test_text_forest_and_parent_shredder_store_the_same_bytes(tmp_path, name):
     assert [key for key, _ in from_text] == [key for key, _ in from_forest]
     assert from_text == from_forest
     assert digest(from_text) == SHREDDED[name]
+    assert digest(beside_shapes(from_text)) == SHREDDED_BESIDE_SHAPES[name]
     assert {key[:1] for key, _ in from_text} >= {b"D", b"N", b"S", b"T"}
 
 
@@ -123,6 +146,7 @@ def test_an_update_on_top_still_matches_a_reshred(tmp_path, name):
     expected = reference_apply(parse_forest(text), list(BATCH))
     assert updated == written(tmp_path / "reshred.db", expected)
     assert digest(updated) == UPDATED[name]
+    assert digest(beside_shapes(updated)) == UPDATED_BESIDE_SHAPES[name]
 
 
 @settings(

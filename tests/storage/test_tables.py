@@ -14,11 +14,15 @@ from hypothesis import strategies as st
 
 from repro.closeness import DocumentIndex
 from repro.errors import StorageError
+from repro.shape.dataguide import DataGuideBuilder, walk
 from repro.storage import Database, tables
+from repro.storage.shredder import describe_shape
 from repro.workloads import generate_dblp, generate_nasa, generate_xmark
 from repro.xmltree import parse_document, parse_forest
 from repro.xmltree import dewey as label_ops
 from repro.xmltree.dewey import Dewey, lca_level, pack, parent, prefix, unpack
+
+from tests.strategies import xml_forests
 
 dewey_parts = st.lists(st.integers(min_value=1, max_value=5000), min_size=1, max_size=6)
 
@@ -169,10 +173,35 @@ class TestRecordCodecs:
         assert list(tables.sequence_entries(_Chunks(chunks), 0, 5)) == encoded
         assert [r for chunk in chunks for r in parent_unpack_sequence(chunk)] == expected
 
-    @given(st.dictionaries(st.text(max_size=10), st.integers(), max_size=20))
-    def test_shape_chunks_roundtrip(self, mapping):
-        chunks = tables.encode_shape(mapping)
-        assert tables.decode_shape(chunks) == mapping
+    @given(xml_forests(attributes=True))
+    def test_shape_chunks_roundtrip(self, forest):
+        builder = DataGuideBuilder()
+        walk(forest, builder)
+        descriptor = describe_shape(builder)
+        chunks = tables.pack_shape(descriptor)
+        assert all(0 < len(chunk) <= tables.CHUNK_BYTES for chunk in chunks)
+        record = tables.unpack_shape("doc", b"".join(chunks))
+        assert record.descriptor() == descriptor
+        assert record.type_table.paths == builder.type_table.paths
+        assert record.parents == [-1 if above is None else above for above in builder.parent_of]
+
+    def test_shape_names_round_trip_whatever_they_hold(self):
+        """A name table is one UTF-8 blob cut by code-point lengths: names
+        of several bytes per character, and a lone surrogate (which a
+        hand-built forest can hold), come back as they went in."""
+        names = ["r", "é·é", "名前", "\ud800x", "a" * 300]
+        descriptor = {
+            "types": [[0, ["r"]]] + [[i, ["r", name]] for i, name in enumerate(names[1:], 1)],
+            "edges": [[0, i, 1, 1] for i in range(1, len(names))],
+            "counts": {str(i): 1 for i in range(len(names))},
+        }
+        raw = b"".join(tables.pack_shape(descriptor))
+        assert tables.unpack_shape("doc", raw).descriptor() == descriptor
+
+    def test_a_name_past_two_bytes_of_length_is_refused_before_a_write(self):
+        descriptor = {"types": [[0, ["n" * 65536]]], "edges": [], "counts": {"0": 1}}
+        with pytest.raises(StorageError, match="at most 65535"):
+            tables.pack_shape(descriptor)
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ class TestCommitReadsTouchedTypesOnly:
     @staticmethod
     def shape(db):
         doc_id = db.describe("dblp")["doc_id"]
-        return tables.decode_shape(tables.load_chunks(db.tree, tables.shape_prefix(doc_id)))
+        return tables.read_shape(db.tree, doc_id, "dblp").descriptor()
 
     @staticmethod
     def types_read(reads):

@@ -41,6 +41,22 @@ def test_every_xml_char_can_be_referenced():
             parse_document(f"<a>&#{code};</a>")
 
 
+@pytest.mark.parametrize("code", [0x0, 0x8, 0xB, 0x1F, 0xDFFF, 0xFFFE, 0xFFFF])
+def test_no_character_that_cannot_be_referenced_stands_raw(code):
+    """What ``&#...;`` may not name may not stand in the text either:
+    text, an attribute value or a name, each located at the character."""
+    char = chr(code)
+    for text, place in [
+        (f"<a>\n  <b>ok {char}</b>\n</a>", (2, 9)),
+        (f"<a>\n<b k='v' x='{char}'/></a>", (2, 13)),
+        (f"<a>\n<b{char}/></a>", (2, 3)),
+    ]:
+        with pytest.raises(XmlParseError) as info:
+            parse_document(text)
+        assert f"invalid character U+{code:04X}" in str(info.value)
+        assert (info.value.line, info.value.column) == place
+
+
 def nest(depth, leaf='<leaf k="v">x</leaf>'):
     """A document whose ``leaf`` element is ``depth`` levels deep."""
     return "<a>\n" * (depth - 1) + leaf + "</a>" * (depth - 1)

@@ -104,6 +104,33 @@ class TestErrors:
             parse_document("<a>\n  <b></c>\n</a>")
         assert info.value.line == 2
 
+    @pytest.mark.parametrize(
+        "text, code, column",
+        [
+            ("<a>x\x00y</a>", "U+0000", 5),
+            ('<a b="x\x00"/>', "U+0000", 8),
+            ("<a>\x01</a>", "U+0001", 4),
+            ("<a>\ufffe</a>", "U+FFFE", 4),
+            ("<a>\ud800</a>", "U+D800", 4),
+            ("<a><!-- \x1f --></a>", "U+001F", 9),
+            ("<a\x0b/>", "U+000B", 3),
+        ],
+    )
+    def test_a_raw_character_that_is_not_an_xml_char(self, text, code, column):
+        """Refused as its reference (``&#0;``) is, at the character."""
+        with pytest.raises(XmlParseError) as info:
+            parse_forest(text)
+        assert str(info.value).startswith(f"invalid character {code} ")
+        assert (info.value.line, info.value.column) == (1, column)
+
+    def test_markup_wrong_before_a_bad_character_is_reported_first(self):
+        with pytest.raises(XmlParseError, match="mismatched end tag") as info:
+            parse_forest("<a></b>\x00")
+        assert info.value.column == 7
+
+    def test_tab_newline_and_carriage_return_are_characters(self):
+        assert parse_forest("<a b='\t'>\tx\r\ny</a>").roots[0].text == "\tx\r\ny"
+
 
 class TestRoundtrip:
     def test_fig1_roundtrip(self, fig1a):

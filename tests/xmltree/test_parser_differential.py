@@ -4,10 +4,12 @@
 before the rewrite, verbatim.  For well-formed and for broken input
 alike the two must agree: the same tree — name, kind, text, Dewey and
 parent of every node — or an ``XmlParseError`` with the same message,
-line and column.  The one listed exception is a character reference
-whose digits do not parse or whose code point is not an XML ``Char``:
-the old parser let ``int()`` / ``chr()`` raise (or built a lone
-surrogate); the tokenizer reports it, located.
+line and column.  There are two listed exceptions.  One is a character
+reference whose digits do not parse or whose code point is not an XML
+``Char``: the old parser let ``int()`` / ``chr()`` raise (or built a
+lone surrogate); the tokenizer reports it, located.  The other is a raw
+character that is not an XML ``Char``: the old parser kept it, the
+tokenizer reports it where it stands.
 """
 
 import random
@@ -67,11 +69,20 @@ def names_a_bad_reference(text, line, column):
     return not is_xml_char(code)
 
 
+def stands_at_a_raw_non_char(text, line, column):
+    """Whether the character at (line, column) is not an XML ``Char``."""
+    offset = sum(len(row) + 1 for row in text.split("\n")[: line - 1]) + column - 1
+    return offset < len(text) and not is_xml_char(ord(text[offset]))
+
+
 def assert_same(text):
     expected = outcome(parent_parser.parse_forest, text)
     actual = outcome(parser.parse_forest, text)
     if actual[0] == "error" and actual[1].startswith("invalid character reference"):
         assert names_a_bad_reference(text, actual[2], actual[3]), (text, actual)
+        return
+    if actual[0] == "error" and re.match(r"invalid character U\+[0-9A-F]{4} ", actual[1]):
+        assert stands_at_a_raw_non_char(text, actual[2], actual[3]), (text, actual)
         return
     assert actual == expected, text
 
@@ -150,6 +161,10 @@ def test_mutated_documents_parse_alike(name, seed):
         "<a²/>",
         "<é·é é='é'>é</é·é>",
         "<a>&# 65;&#+66;&#x0x43;</a>",  # int() is what reads the digits
+        "<a>x\x00y</a>",  # raw characters that are not an XML Char
+        "<a b='\x01'>\ufffe</a>",
+        "<a><!-- \x1f --></a>",
+        "<a></b>\x00",  # the markup goes wrong first
     ],
 )
 def test_corner_cases_parse_alike(text):
